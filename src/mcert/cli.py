@@ -22,42 +22,22 @@ import numpy as np
 
 from . import geometry as geo
 from . import sphere
-from .errors import AccuracyError, CertifyError, DomainError, InputError, NumericError, RangeError
+from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, input_digest
 from .schur import (TruncatedSchurMultiplier, rigidity_witness, schur_norm_exact_p2,
                     schur_norm_lower_bound)
-from .symbols import SymbolFamily, SymbolHandle, read_matrix_csv
+from .symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
            "cmd_schur_bound", "cmd_geometry"]
 
 
-def _group_symbol(family: SymbolFamily, name: str | None = None) -> SymbolHandle:
-    """Lift a scalar family to a symbol of the distance to the identity."""
-    prof = family.build_profile()
-
-    def ev(mats):
-        mats = np.asarray(mats, dtype=float)
-        if mats.ndim == 2:
-            return complex(prof(np.array(geo.dist_to_identity(geo.GroupElement(mats)))))
-        dists = np.array([geo.dist_to_identity(geo.GroupElement(m)) for m in mats])
-        return np.asarray(prof(dists), dtype=complex)
-
-    return SymbolHandle(evaluator=ev, radial=True, name=name or prof.name)
-
-
-def _sample_multi_indices(dim: int, order: int, per_order: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    out = {}
-    for k in range(1, order + 1):
-        cands = set()
-        ids = np.unique(np.round(np.linspace(0, dim - 1, min(per_order, dim))).astype(int))
-        for j in ids:
-            cands.add((int(j),) * k)
-        while len(cands) < per_order:
-            cands.add(tuple(int(v) for v in rng.integers(0, dim, size=k)))
-        out[k] = sorted(cands)
-    return out
+def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
+    """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis."""
+    if not 0 <= per_order <= dim:
+        raise InputError(f"--per-order must be in 0..{dim} (the basis size), got {per_order}")
+    ids = np.round(np.linspace(0, dim - 1, per_order)).astype(int)
+    return {k: [(int(j),) * k for j in ids] for k in range(1, order + 1)}
 
 
 def _sweep_points(n: int, shells: int, seed: int):
@@ -123,7 +103,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
     basis = geo.LieBasis.standard(n)
-    gammas = _sample_multi_indices(len(basis), order, per_order, seed)
+    gammas = _sample_multi_indices(len(basis), order, per_order)
     local, rays = _sweep_points(n, shells, seed)
 
     rep = report or CertificationReport(command="certify-hm")
@@ -433,7 +413,8 @@ def main(argv=None) -> int:
             fam = SymbolFamily.parse(args.symbol)
             rep = CertificationReport(command="certify-hm")
             rep.digest = input_digest(digest_payload)
-            cmd_certify_hm(_group_symbol(fam), n=args.n, order=args.order,
+            symbol = group_symbol_from_profile(fam.build_profile(), mode="dist")
+            cmd_certify_hm(symbol, n=args.n, order=args.order,
                            shells=args.grid_levels, seed=args.seed,
                            per_order=args.per_order, report=rep)
         elif args.command == "rigidity":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,6 +24,7 @@ from .errors import AccuracyError, DomainError, InputError, NumericError
 
 __all__ = [
     "GroupElement",
+    "check_special_linear",
     "CartanDecomposition",
     "LieBasis",
     "MultiIndex",
@@ -51,6 +51,23 @@ def hs_norm(a):
     return np.sqrt(np.sum(a * a, axis=(-2, -1)) / n)
 
 
+def check_special_linear(mats) -> np.ndarray:
+    """The (..., n, n) stack as floats, checked to lie in SL(n,R): finite
+    (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n) (DomainError)."""
+    m = np.asarray(mats, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
+        raise InputError(f"expected a square matrix of size >= 2, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("matrix entries must be finite")
+    det = np.asarray(np.linalg.det(m))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** m.shape[-1])
+    bad = np.abs(det - 1.0) > 1e-10 * scale
+    if np.any(bad):
+        worst = float(det[bad].flat[0])
+        raise DomainError(f"determinant {worst} too far from 1", measured=worst)
+    return m
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An n x n real matrix of determinant one."""
@@ -58,16 +75,10 @@ class GroupElement:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        m = check_special_linear(self.entries)
+        if m.ndim != 2:
             raise InputError(f"expected a square matrix of size >= 2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("matrix entries must be finite")
-        det = float(np.linalg.det(m))
-        scale = max(1.0, float(np.abs(m).max()) ** m.shape[0])
-        if abs(det - 1.0) > 1e-10 * scale:
-            raise DomainError(f"determinant {det} too far from 1", measured=det)
+        object.__setattr__(self, "entries", m)
 
     @property
     def n(self) -> int:
@@ -118,23 +129,31 @@ def kak_decompose(g: GroupElement) -> CartanDecomposition:
     return CartanDecomposition(k1=u, exponents=s, k2=vt)
 
 
-def length(g: GroupElement) -> float:
-    """max(||g||, ||g^{-1}||), computed from the Cartan exponents."""
-    dec = kak_decompose(g)
-    s = dec.exponents
-    return float(np.exp(max(s[0], -s[-1])))
+def length(g):
+    """max(||g||, ||g^{-1}||), computed from the Cartan exponents.
+
+    Takes a GroupElement (returns a float) or a (..., n, n) stack (returns
+    an array); the full SVD, as in :func:`kak_decompose`, gives a matrix the
+    same bits alone as inside a stack.
+    """
+    m = g.entries if isinstance(g, GroupElement) else g
+    s = np.log(np.linalg.svd(m)[1])
+    s = s - s.mean(axis=-1, keepdims=True)  # exact zero sum despite rounding
+    big = np.exp(np.maximum(s[..., 0], -s[..., -1]))
+    return float(big) if isinstance(g, GroupElement) else big
 
 
-def dist_to_identity(g: GroupElement) -> float:
+def dist_to_identity(g):
     """Distance-type function vanishing only at the identity.
 
     Concrete representative max(min(|g-e|, 1), L(g)-1): comparable to
     |g-e| near the identity and to L(g) at infinity, and positive on
-    SO(n) \\ {e} where L-1 alone would vanish.
+    SO(n) \\ {e} where L-1 alone would vanish.  Takes a GroupElement or a
+    stack that :func:`check_special_linear` accepts, as :func:`length` does.
     """
-    m = g.entries
-    near = min(hs_norm(m - np.eye(g.n)), 1.0)
-    return max(near, length(g) - 1.0)
+    m = g.entries if isinstance(g, GroupElement) else g
+    dist = np.maximum(np.minimum(hs_norm(m - np.eye(m.shape[-1])), 1.0), length(m) - 1.0)
+    return float(dist) if isinstance(g, GroupElement) else dist
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +228,9 @@ def lie_derivative(m, g: GroupElement, gamma, basis: LieBasis, h: float | None =
     applied to ``m`` before the others.  Each directional derivative is a
     central difference with one Richardson extrapolation level.
 
-    ``m`` is called with a raw (n, n) ndarray.
+    All 4^k leaf matrices of an order-k derivative are built level by level
+    as one stack, and ``m`` is called once with that (4^k, n, n) stack; it
+    must return values of shape ``stack.shape[:-2]``.
     """
     if isinstance(gamma, MultiIndex):
         idx = gamma.indices
@@ -223,34 +244,30 @@ def lie_derivative(m, g: GroupElement, gamma, basis: LieBasis, h: float | None =
     if not (h > 0):
         raise NumericError("step must be positive")
 
-    flow_cache: dict[tuple[int, float], np.ndarray] = {}
+    steps = (h, -h, h / 2.0, -(h / 2.0))  # plus and minus at h, then at h/2
+    if idx and steps[2] < 1e-300:
+        raise NumericError("finite-difference step underflow")
+    flows: dict[int, np.ndarray] = {}
+    leaves = g.entries[None]
+    for j in idx:  # outermost direction first: leaf i's branch digits are i in base 4
+        if j not in flows:
+            flows[j] = np.stack([expm(s * basis[j]) for s in steps])
+        leaves = (leaves[:, None] @ flows[j]).reshape(-1, g.n, g.n)
 
-    def flow(j: int, s: float) -> np.ndarray:
-        key = (j, s)
-        if key not in flow_cache:
-            flow_cache[key] = expm(s * basis[j])
-        return flow_cache[key]
-
-    def deriv(mat: np.ndarray, order: tuple, step: float) -> complex:
-        if not order:
-            val = m(mat)
-            if val is None or not np.all(np.isfinite([np.real(val), np.imag(val)])):
-                raise NumericError("symbol evaluation returned a non-finite value")
-            return complex(val)
-        j, rest = order[0], order[1:]
-
-        def central(hh: float) -> complex:
-            if hh < 1e-300:
-                raise NumericError("finite-difference step underflow")
-            plus = deriv(mat @ flow(j, hh), rest, step)
-            minus = deriv(mat @ flow(j, -hh), rest, step)
-            return (plus - minus) / (2.0 * hh)
-
-        d1 = central(step)
-        d2 = central(step / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    return deriv(g.entries, idx, h)
+    vals = np.asarray(m(leaves))
+    if vals.shape != leaves.shape[:-2]:
+        raise InputError(f"symbol returned shape {vals.shape} for a stack of shape {leaves.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("symbol evaluation returned a non-finite value")
+    # float parts and true division, as Python's complex arithmetic does it;
+    # numpy's complex division would multiply by a reciprocal
+    parts = np.stack([vals.real, vals.imag]).astype(float)
+    for _ in idx:  # innermost direction first
+        parts = parts.reshape(2, -1, 4)
+        d1 = (parts[..., 0] - parts[..., 1]) / (2.0 * h)
+        d2 = (parts[..., 2] - parts[..., 3]) / (2.0 * (h / 2.0))
+        parts = (4.0 * d2 - d1) / 3.0
+    return complex(parts[0, 0], parts[1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ def _jsonable(value):
             return value.item()
         except Exception:
             pass
-    if isinstance(value, float):
-        return value
     return value
 
 

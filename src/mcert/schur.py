@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, NumericError
+from .errors import AccuracyError, InputError, NumericError
 from .composition import CompositionFrame
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
 from .sphere import RigidityExponents

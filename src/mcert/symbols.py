@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import hs_norm
+from .geometry import check_special_linear, dist_to_identity, hs_norm
 
 __all__ = [
     "SymbolHandle",
@@ -102,20 +102,21 @@ class RadialProfile:
 
 def group_symbol_from_profile(profile: RadialProfile, mode: str = "hs",
                               support_radius: float | None = None) -> SymbolHandle:
-    """Lift a radial profile to a group symbol via |g| or ||g||."""
-    if mode not in ("hs", "opnorm"):
-        raise InputError("mode must be 'hs' or 'opnorm'")
+    """Lift a radial profile to a group symbol via |g|, ||g|| or dist(g, e).
+
+    Any (..., n, n) input gives (...) values; the ``"dist"`` mode checks
+    that its input lies in SL(n,R).
+    """
+    if mode not in ("hs", "opnorm", "dist"):
+        raise InputError("mode must be 'hs', 'opnorm' or 'dist'")
 
     def ev(mats):
         mats = np.asarray(mats, dtype=float)
-        single = mats.ndim == 2
-        stack = mats[None] if single else mats
         if mode == "hs":
-            r = hs_norm(stack)
-        else:
-            r = np.linalg.svd(stack, compute_uv=False)[..., 0]
-        out = profile(r)
-        return out[0] if single else out
+            return profile(hs_norm(mats))
+        if mode == "opnorm":
+            return profile(np.linalg.svd(mats, compute_uv=False)[..., 0])
+        return profile(dist_to_identity(check_special_linear(mats)))
 
     return SymbolHandle(evaluator=ev, radial=True, support_radius=support_radius,
                         name=f"{profile.name}({mode})")
@@ -124,7 +125,7 @@ def group_symbol_from_profile(profile: RadialProfile, mode: str = "hs",
 # ---------------------------------------------------------------------------
 # Built-in families
 
-_FAMILY_KINDS = ("radial-power", "radial-log-power", "hm-bump", "riesz-like", "csv-sampled")
+_FAMILY_KINDS = ("radial-power", "radial-log-power", "hm-bump", "riesz-like")
 
 
 @dataclass
@@ -293,6 +294,8 @@ def read_matrix_csv(path) -> np.ndarray:
                 entries[(i, j)] = float(row["re"]) + 1j * float(row.get("im", 0.0) or 0.0)
             except (KeyError, ValueError) as exc:
                 raise InputError(f"bad CSV row {row}: {exc}") from exc
+            if i < 0 or j < 0:
+                raise InputError(f"negative index in CSV row {row}")
             nmax = max(nmax, i, j)
     if nmax < 0:
         raise InputError(f"no data rows in {path}")

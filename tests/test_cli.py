@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcert
 from mcert.cli import main
 from mcert.symbols import write_matrix_csv
 
@@ -38,6 +43,16 @@ class TestCertifyHm:
         rec = {r["name"]: r for r in rep["records"]}
         fitted = rec["hm-order-0"]["details"]["fitted_decay_exponent"]
         assert abs(fitted - 5.0) <= 0.5  # sigma_3 + 1 = 5 within 10%
+
+    def test_per_order_above_basis_size_is_input_error(self):
+        # a subprocess with a timeout, so a sampler that loops fails instead of hanging
+        env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcert.cli", "certify-hm", "--symbol",
+             "radial-power:exponent=5", "--n", "2", "--order", "1", "--per-order", "10"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "per-order" in proc.stderr
 
 
 class TestRigidity:
@@ -111,6 +126,11 @@ class TestSchurBound:
         assert rc == 0
         rep = load_report(out)
         assert rep["tables"]["bound"][0]["lower_bound"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_negative_index_exit_code(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("i,j,re,im\n0,0,1,0\n1,-1,2,0\n", encoding="utf-8")
+        assert main(["schur-bound", "--points", str(path), "--p", "2"]) == 2
 
     def test_missing_file_exit_code(self):
         rc = main(["schur-bound", "--points", "/nonexistent/m.csv", "--p", "2"])

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from mcert.cli import _sweep_points
 from mcert.errors import DomainError, InputError
-from mcert.geometry import (GroupElement, LieBasis, dist_to_identity, distortion_constant,
-                            harish_chandra_xi, haar_so, hs_norm, identity, kak_decompose,
-                            length, lie_derivative, mc_l2_norm, weyl_ball_volume)
+from mcert.geometry import (GroupElement, LieBasis, check_special_linear, default_step,
+                            dist_to_identity, distortion_constant, harish_chandra_xi, haar_so,
+                            hs_norm, identity, kak_decompose, length, lie_derivative,
+                            mc_l2_norm, weyl_ball_volume)
 from mcert.symbols import SymbolHandle
 
 
@@ -140,14 +143,14 @@ class TestLieDerivative:
     def test_constant_symbol(self):
         g = GroupElement(np.diag([1.5, 1.0, 1 / 1.5]))
         for gamma in [(0,), (1, 2), (3, 3, 3)]:
-            val = lie_derivative(lambda m: 1.0, g, gamma, self.basis)
+            val = lie_derivative(lambda m: np.ones(m.shape[:-2]), g, gamma, self.basis)
             assert abs(val) <= 1e-10
 
     def test_first_order_matrix_entry(self):
         # analytic oracle: d/ds (g exp(s X))_{11} at 0 = (g X)_{11}
         g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
         for j in range(8):
-            got = lie_derivative(lambda m: m[0, 0], g, (j,), self.basis)
+            got = lie_derivative(lambda m: m[..., 0, 0], g, (j,), self.basis)
             want = (g.entries @ self.basis[j])[0, 0]
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -155,14 +158,15 @@ class TestLieDerivative:
         # analytic oracle: tr(g X_j X_k) / n
         g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
         for j, k in [(1, 4), (0, 0), (6, 2)]:
-            got = lie_derivative(lambda m: np.trace(m) / 3.0, g, (j, k), self.basis)
+            got = lie_derivative(lambda m: np.trace(m, axis1=-2, axis2=-1) / 3.0, g, (j, k),
+                                 self.basis)
             want = np.trace(g.entries @ self.basis[j] @ self.basis[k]) / 3.0
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_linearity(self):
         g = GroupElement(np.diag([1.1, 1.0, 1 / 1.1]))
-        m1 = lambda m: m[0, 0]
-        m2 = lambda m: m[1, 1] ** 2
+        m1 = lambda m: m[..., 0, 0]
+        m2 = lambda m: m[..., 1, 1] ** 2
         combo = lambda m: 2.0 * m1(m) - 3.0 * m2(m)
         for gamma in [(2,), (0, 5)]:
             lhs = lie_derivative(combo, g, gamma, self.basis)
@@ -177,6 +181,81 @@ class TestLieDerivative:
         # default cap for n = 3 is [9/2] + 1 = 5
         with pytest.raises(InputError):
             lie_derivative(lambda m: 1.0, g, (0,) * 6, self.basis)
+
+
+def nested_lie_derivative(m, g, gamma, basis):
+    """Per-matrix reference: the nested recursion with Python complex arithmetic."""
+    h = default_step(g, len(gamma))
+
+    def deriv(mat, order):
+        if not order:
+            return complex(m(mat))
+        j, rest = order[0], order[1:]
+
+        def central(hh):
+            plus = deriv(mat @ expm(hh * basis[j]), rest)
+            minus = deriv(mat @ expm(-hh * basis[j]), rest)
+            return (plus - minus) / (2.0 * hh)
+
+        return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+    return deriv(g.entries, tuple(gamma))
+
+
+def per_matrix_dist(g):
+    """Reference: max(min(|g-e|, 1), L(g)-1) with L from the KAK exponents."""
+    s = kak_decompose(g).exponents
+    near = min(hs_norm(g.entries - np.eye(g.n)), 1.0)
+    return max(near, float(np.exp(max(s[0], -s[-1]))) - 1.0)
+
+
+class TestStackedEngine:
+    basis = LieBasis.standard(3)
+
+    def test_matches_nested_reference_exactly(self):
+        # m(g) = tr(A g) at certify-hm's own n = 3 sweep points (two shells,
+        # every other ray point) and orders 1..5, with the default steps
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sym = lambda m: np.trace(a @ m, axis1=-2, axis2=-1)
+        local, rays = _sweep_points(3, 2, seed=0)
+        points = local + [g for _, pts in rays for _, g in pts[::2]]
+        for k in range(1, 6):
+            for gamma in [(0,) * k, (7,) * k, tuple((3 * i + 1) % 8 for i in range(k))]:
+                for g in points:
+                    got = lie_derivative(sym, g, gamma, self.basis)
+                    assert got == nested_lie_derivative(sym, g, gamma, self.basis), (k, gamma)
+
+    def test_stacked_dist_bit_identical(self):
+        rng = np.random.default_rng(12)
+        size = 1200
+        s = rng.normal(0.0, 1.5, size=(size, 3))
+        s -= s.mean(axis=1, keepdims=True)
+        stack = haar_so(3, size, rng) * np.exp(s)[:, None, :] @ haar_so(3, size, rng)
+        stack[0] = np.eye(3)
+        stack[1] = expm(1e-6 * self.basis[2])  # near the identity, where min(|g-e|, 1) wins
+        got = dist_to_identity(check_special_linear(stack))
+        want = np.array([per_matrix_dist(GroupElement(m)) for m in stack])
+        assert got.shape == (size,)
+        assert np.array_equal(got, want)
+
+    def test_validator_rejects_bad_members(self):
+        stack = np.stack([np.eye(3)] * 4)
+        det2 = stack.copy()
+        det2[2] = np.diag([2.0, 1.0, 1.0])
+        with pytest.raises(DomainError):
+            check_special_linear(det2)
+        nan = stack.copy()
+        nan[1, 0, 2] = np.nan
+        with pytest.raises(InputError):
+            check_special_linear(nan)
+        assert check_special_linear(stack).shape == (4, 3, 3)
+
+    def test_wrong_result_shape_rejected(self):
+        g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
+        for bad in (lambda m: 1.0, lambda m: m[0, 0], lambda m: m[..., 0]):
+            with pytest.raises(InputError):
+                lie_derivative(bad, g, (1, 2), self.basis)
 
 
 class TestWeylVolume:
@@ -311,6 +390,6 @@ def test_multi_index_container():
     gamma = MultiIndex((2, 5))
     assert gamma.order == 2
     g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
-    via_tuple = lie_derivative(lambda m: m[0, 0], g, (2, 5), basis)
-    via_index = lie_derivative(lambda m: m[0, 0], g, gamma, basis)
+    via_tuple = lie_derivative(lambda m: m[..., 0, 0], g, (2, 5), basis)
+    via_index = lie_derivative(lambda m: m[..., 0, 0], g, gamma, basis)
     assert via_tuple == via_index

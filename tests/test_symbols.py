@@ -61,6 +61,13 @@ class TestFamilies:
         assert op_sym(g) == pytest.approx((1 + 1.0) ** -2)
         stack = haar_so(3, 4, rng)
         assert hs_sym(stack).shape == (4,)
+        dist_sym = group_symbol_from_profile(prof, mode="dist")
+        assert dist_sym(stack).shape == (4,)
+        # one matrix takes numpy's scalar pow, a stack its SIMD pow: equal to rounding
+        np.testing.assert_allclose(dist_sym(stack), [dist_sym(k) for k in stack], rtol=1e-14)
+        assert dist_sym(np.eye(3)) == 1.0  # dist(e, e) = 0
+        with pytest.raises(InputError):
+            group_symbol_from_profile(prof, mode="ball")
 
 
 class TestCsvInterfaces:
@@ -97,6 +104,13 @@ class TestCsvInterfaces:
         path.write_text("i,j,re,im\n0,0,abc,0\n", encoding="utf-8")
         with pytest.raises(InputError):
             read_matrix_csv(path)
+
+    def test_negative_matrix_index(self, tmp_path):
+        for row in ("-1,0,1,0", "0,-2,1,0"):
+            path = tmp_path / "neg.csv"
+            path.write_text(f"i,j,re,im\n1,1,1,0\n{row}\n", encoding="utf-8")
+            with pytest.raises(InputError):
+                read_matrix_csv(path)
 
     def test_empty_points_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
