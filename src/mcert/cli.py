@@ -221,7 +221,8 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
         for r in wit.records:
             rep.add(r)
         rep.add_table("section_lower_bounds", [
-            {"points": s, "lower_bound": b} for s, b in zip(sizes, wit.lower_bounds)])
+            {"points": s, "lower_bound": lo, "upper_bound": hi}
+            for s, lo, hi in zip(sizes, wit.lower_bounds, wit.upper_bounds)])
         ex = wit.exponents
         rep.tables["classification"] = [{"classification": wit.classification}]
     else:
@@ -309,7 +310,8 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60,
         name="lower-bound", check_id="schur/lower-bound",
         verdict=PASS if res.value >= sup_entry - 1e-8 else FAIL,
         measured=res.value, bound=sup_entry, tolerance=1e-8,
-        details={"p": None if math.isinf(p) else p, "iterations": iterations},
+        details={"p": None if math.isinf(p) else p, "iterations": iterations,
+                 "best_start": res.best_start, "best_iteration": res.best_iteration},
     ))
     if p == 2.0:
         rep.add(CheckRecord(

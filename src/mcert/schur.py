@@ -26,6 +26,7 @@ __all__ = [
     "schur_apply",
     "SchurLowerBound",
     "schur_norm_lower_bound",
+    "circulant_schur_bound",
     "schur_norm_exact_p2",
     "SchurUpperBound",
     "schur_infty_upper_bound",
@@ -80,6 +81,15 @@ class TruncatedSchurMultiplier:
 
 
 _POWER_ITERATION_CUTOFF = 512
+# Relative gain below which an optimizer start has stalled, and the relative
+# gap at which a lower bound meets a certified upper bound.
+_STALL_RTOL = 1e-12
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+# FFT rounding allowance per radix level, in units of the unit roundoff.
+# Higham's radix-2 bound (Accuracy and Stability, Thm 24.2) is about 6.7;
+# numpy's FFT measured at most 0.72 against a long-double DFT for every
+# N <= 69 and selected N up to 2048, primes included.
+_FFT_ERROR_PER_LEVEL = 16.0
 
 
 def _top_singular_value(a: np.ndarray, iterations: int = 300, tol: float = 1e-12) -> float:
@@ -101,6 +111,19 @@ def _top_singular_value(a: np.ndarray, iterations: int = 300, tol: float = 1e-12
     return last
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+
+
+def _schatten_from_sv(sv: np.ndarray, p: float) -> float:
+    if math.isinf(p):
+        return float(sv[0]) if sv.size else 0.0
+    return float(np.sum(sv ** p) ** (1.0 / p))
+
+
 def schatten_norm(a, p: float) -> float:
     """l_p norm of the singular values; sup norm at p = infinity.
 
@@ -111,13 +134,7 @@ def schatten_norm(a, p: float) -> float:
         raise InputError("p must lie in [1, infinity]")
     if math.isinf(p) and min(a.shape) > _POWER_ITERATION_CUTOFF:
         return _top_singular_value(a)
-    try:
-        sv = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    if math.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv ** p) ** (1.0 / p))
+    return _schatten_from_sv(_svd(a, compute_uv=False), p)
 
 
 def schur_apply(m, a) -> np.ndarray:
@@ -137,14 +154,14 @@ def _dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _align_element(c: np.ndarray, p: float) -> np.ndarray:
-    """Matrix of unit S_p norm maximizing <A, C> (polar-type duality map)."""
-    u, sv, vt = np.linalg.svd(c, full_matrices=False)
+def _duality_map(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
+    """Matrix of unit S_p norm maximizing <A, C>, given C = u diag(sv) vt
+    (polar-type duality map)."""
     if math.isinf(p):
         return u @ vt
     top = float(sv.max())
     if top == 0.0:
-        out = np.zeros_like(c)
+        out = np.zeros((u.shape[0], vt.shape[1]), dtype=complex)
         out[0, 0] = 1.0
         return out
     if p == 1.0:
@@ -156,15 +173,30 @@ def _align_element(c: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchurLowerBound:
+    """Best value of |M o A|_p / |A|_p found, and where it was found.
+
+    ``best_start`` indexes the starts (matrix unit, conjugate phase,
+    random starts, then caller-provided starts) and ``best_iteration``
+    counts from 1; -1 and 0 mean the sup-entry floor was never beaten.
+    ``bracket_closed`` is set when the search stopped because the value
+    reached ``upper / (1 + _STALL_RTOL)``; together with
+    ``best_start == -1`` it means no start ran at all.
+    """
+
     value: float
     best_input: np.ndarray = field(repr=False)
     p: float = math.inf
     seed: int = 0
     iterations: int = 0
+    upper: float = math.inf
+    best_start: int = -1
+    best_iteration: int = 0
+    bracket_closed: bool = False
 
 
 def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
-                           n_random_starts: int = 6, extra_starts=()) -> SchurLowerBound:
+                           n_random_starts: int = 6, extra_starts=(),
+                           upper: float = math.inf) -> SchurLowerBound:
     """Best found value of |M o A|_p / |A|_p (always a valid lower bound).
 
     Alternating maximization (normalize, push through the duality maps,
@@ -172,47 +204,93 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
     conjugate-phase matrix, seeded Gaussians, and any caller-provided
     starts.  The maximum over indexed starts is deterministic for a
     fixed seed.
+
+    ``upper`` is a certified upper bound on the multiplier norm.  The
+    search stops once the best value reaches ``upper / (1 + _STALL_RTOL)``:
+    before any start runs when the sup-entry floor already does, else
+    right after the improvement that does.
     """
     sym = m.symbol if isinstance(m, TruncatedSchurMultiplier) else np.asarray(m, dtype=complex)
     if sym.size == 0:
         raise InputError("empty symbol matrix")
-    rng = np.random.default_rng(seed)
-    rows, cols = sym.shape
-    peak = float(np.abs(sym).max())
-
-    starts = []
+    target = upper / (1.0 + _STALL_RTOL)
     unit = np.zeros_like(sym)
-    imax = np.unravel_index(int(np.abs(sym).argmax()), sym.shape)
-    unit[imax] = 1.0
-    starts.append(unit)
-    phase = np.exp(-1j * np.angle(sym))
-    starts.append(phase)
+    unit[np.unravel_index(int(np.abs(sym).argmax()), sym.shape)] = 1.0
+    best = (float(np.abs(sym).max()), unit, -1, 0)  # the matrix unit certifies the sup entry
+
+    def result():
+        value, best_a, start, iteration = best
+        return SchurLowerBound(value=value, best_input=best_a, p=p, seed=seed,
+                               iterations=iterations, upper=upper, best_start=start,
+                               best_iteration=iteration, bracket_closed=value >= target)
+
+    if best[0] >= target:
+        return result()
+
+    rng = np.random.default_rng(seed)
+    starts = [unit, np.exp(-1j * np.angle(sym))]
     for _ in range(n_random_starts):
         starts.append(rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape))
     starts.extend(np.asarray(s, dtype=complex) for s in extra_starts)
 
-    best_val = peak  # the matrix-unit start already certifies this
-    best_a = unit
     q = _dual_exponent(p)
-    for a0 in starts:
-        norm0 = schatten_norm(a0, p)
+    for index, a0 in enumerate(starts):
+        norm0 = _schatten_from_sv(_svd(a0, compute_uv=False), p)
         if norm0 == 0.0:
             continue
         a = a0 / norm0
         last = -math.inf
-        for _ in range(iterations):
-            b = sym * a
-            val = schatten_norm(b, p)
-            if val > best_val:
-                best_val = val
-                best_a = a.copy()
-            if val <= last * (1.0 + 1e-12):
+        for iteration in range(1, iterations + 1):
+            u, sv, vt = _svd(sym * a)
+            val = _schatten_from_sv(sv, p)
+            if val > best[0]:
+                best = (val, a, index, iteration)
+                if val >= target:
+                    return result()
+            if iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
                 break
             last = val
-            g = _align_element(b, q)  # dual element of b in S_q
-            a = _align_element(np.conj(sym) * g, p)
-    return SchurLowerBound(value=best_val, best_input=best_a, p=p, seed=seed,
-                           iterations=iterations)
+            g = _duality_map(u, sv, vt, q)  # dual element of M o A in S_q
+            a = _duality_map(*_svd(np.conj(sym) * g), p)
+    return result()
+
+
+def circulant_schur_bound(m) -> float:
+    """Certified upper bound on |S_M|_{S_p -> S_p} for a square symbol M,
+    valid for every p in [1, infinity].
+
+    Write M = C + E with the circulant C_ij = c[(i - j) mod N] built on
+    the first column c = M[:, 0], and let c^_k = sum_m c_m w^{-km},
+    w = exp(2 pi i / N), be its DFT.
+
+    * Circulant part.  C_ij = (1/N) sum_k c^_k w^{ki} w^{-kj}, so
+      C o A = sum_k (c^_k / N) D_k A D_k^* with the unitary diagonals
+      D_k = diag(w^{ki})_i.  Every S_p norm is unitarily invariant, hence
+      |C o A|_p <= (1/N) sum_k |c^_k| |A|_p.  At p = infinity this is
+      the exact norm of C (Bozejko-Fendler 1984).
+    * Deviation.  |E o A|_2 <= max|E| |A|_2, and on N x N matrices
+      |X|_p and |X|_2 differ by at most the factor N^{|1/2 - 1/p|}, so
+      |E o A|_p <= N^{|1/2 - 1/p|} max|E| |A|_p <= sqrt(N) max|E| |A|_p.
+    * Rounding.  The computed DFT obeys |c^' - c^|_2 <= eps |c^|_2 with
+      eps = _FFT_ERROR_PER_LEVEL * u * ceil(log2 N) (Higham, Accuracy
+      and Stability of Numerical Algorithms, section 24.1), and
+      |c^|_2 = sqrt(N) |c|_2, so (1/N) sum_k |c^_k - c^'_k| <= eps |c|_2.
+      The factor 1 + 16u covers the few roundings of the absolute
+      values, the correctly rounded sum, the products and the additions.
+
+    U = (1/N) sum_k |c^'_k| + sqrt(N) max|E| + eps |c|_2, times 1 + 16u.
+    """
+    sym = (m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)).symbol
+    n = sym.shape[0]
+    if sym.size == 0 or sym.shape != (n, n):
+        raise InputError("the circulant bound needs a non-empty square symbol matrix")
+    c = sym[:, 0]
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    deviation = float(np.abs(sym - c[lag]).max())
+    fourier_l1 = math.fsum(np.abs(np.fft.fft(c))) / n
+    eps = _FFT_ERROR_PER_LEVEL * _UNIT_ROUNDOFF * max(1, (n - 1).bit_length())
+    total = fourier_l1 + math.sqrt(n) * deviation + eps * float(np.linalg.norm(c))
+    return total * (1.0 + 16.0 * _UNIT_ROUNDOFF)
 
 
 def schur_norm_exact_p2(m) -> float:
@@ -398,6 +476,7 @@ class WitnessResult:
     classification: str
     records: list
     lower_bounds: list
+    upper_bounds: list
     exponents: RigidityExponents
 
 
@@ -409,6 +488,10 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     Finite sections are sampled along diagonal-conjugated rotation
     orbits at growing angular resolutions; their multiplier lower bounds
     must stay bounded for a profile consistent with S_p-boundedness.
+    Each section is a circulant symbol (equispaced angles), so
+    :func:`circulant_schur_bound` brackets its norm from above; the
+    optimizer stops as soon as its lower bound meets that bracket.
+    ``upper_bounds`` holds, per size, the largest bound over the radii.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
     bounds keep growing; INCONCLUSIVE otherwise.
@@ -418,10 +501,12 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     records, ex = profile_rigidity_records(profile, n, p, **record_kwargs)
 
     lower_bounds = []
+    upper_bounds = []
     prev_best = {}
     for n_points in point_sets:
         theta = _section_points(n_points)
         best_for_size = 0.0
+        upper_for_size = 0.0
         for ir, r in enumerate(r_values):
             frame = CompositionFrame.create(n, r)
             delta = np.cos(theta[:, None] - theta[None, :])
@@ -435,11 +520,14 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
                 if stride:
                     pad[::stride, ::stride] = prev_a
                     extra.append(pad)
-            res = schur_norm_lower_bound(TruncatedSchurMultiplier(sym), p, seed=seed,
-                                         extra_starts=extra)
+            section = TruncatedSchurMultiplier(sym)
+            upper = circulant_schur_bound(section)
+            res = schur_norm_lower_bound(section, p, seed=seed, extra_starts=extra, upper=upper)
             prev_best[ir] = (res.best_input, n_points)
             best_for_size = max(best_for_size, res.value)
+            upper_for_size = max(upper_for_size, upper)
         lower_bounds.append(best_for_size)
+        upper_bounds.append(upper_for_size)
 
     # Saturating sections (shrinking increments) indicate a bounded
     # multiplier approached from below; persistent per-doubling growth
@@ -470,4 +558,4 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     else:
         classification = INCONCLUSIVE
     return WitnessResult(classification=classification, records=records,
-                         lower_bounds=lower_bounds, exponents=ex)
+                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex)

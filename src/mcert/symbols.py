@@ -48,7 +48,6 @@ class SymbolHandle:
     """
 
     evaluator: object
-    radial: bool = False
     support_radius: float | None = None
     name: str = "symbol"
 
@@ -118,14 +117,19 @@ def group_symbol_from_profile(profile: RadialProfile, mode: str = "hs",
             return profile(np.linalg.svd(mats, compute_uv=False)[..., 0])
         return profile(dist_to_identity(check_special_linear(mats)))
 
-    return SymbolHandle(evaluator=ev, radial=True, support_radius=support_radius,
+    return SymbolHandle(evaluator=ev, support_radius=support_radius,
                         name=f"{profile.name}({mode})")
 
 
 # ---------------------------------------------------------------------------
 # Built-in families
 
-_FAMILY_KINDS = ("radial-power", "radial-log-power", "hm-bump", "riesz-like")
+_FAMILY_KEYS = {  # kind -> the parameters its builders read
+    "radial-power": ("exponent", "shift"),
+    "radial-log-power": ("exponent", "log_exponent"),
+    "hm-bump": ("center", "width"),
+    "riesz-like": ("axis",),
+}
 
 
 @dataclass
@@ -134,15 +138,18 @@ class SymbolFamily:
 
     kind: str
     parameters: dict = field(default_factory=dict)
-    cutoff: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
-            raise InputError(f"unknown family kind {self.kind!r}; choose from {_FAMILY_KINDS}")
+        if self.kind not in _FAMILY_KEYS:
+            raise InputError(f"unknown family kind {self.kind!r}; choose from {tuple(_FAMILY_KEYS)}")
+        allowed = _FAMILY_KEYS[self.kind]
+        unknown = sorted(set(self.parameters) - set(allowed))
+        if unknown:
+            raise InputError(f"unknown {self.kind} parameter(s) {unknown}; choose from {allowed}")
 
     @classmethod
     def parse(cls, spec: str) -> "SymbolFamily":
-        """Parse 'kind:key=val,key=val' command-line specs."""
+        """Parse 'kind:key=val,key=val' command-line specs; every value is a finite number."""
         kind, _, rest = spec.partition(":")
         params: dict = {}
         if rest:
@@ -153,11 +160,14 @@ class SymbolFamily:
                 if not _:
                     raise InputError(f"malformed family parameter {item!r}")
                 try:
-                    params[key.strip()] = float(val)
+                    value = float(val)
                 except ValueError:
-                    params[key.strip()] = val.strip()
-        cutoff = params.pop("cutoff", None)
-        return cls(kind=kind.strip(), parameters=params, cutoff=cutoff)
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise InputError(f"family parameter {key.strip()!r} needs a finite number, "
+                                     f"got {val.strip()!r}")
+                params[key.strip()] = value
+        return cls(kind=kind.strip(), parameters=params)
 
     def build_profile(self) -> RadialProfile:
         """Radial profile phi(x) on (1, infinity) for the rigidity checks."""

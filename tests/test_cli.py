@@ -18,6 +18,13 @@ def load_report(path):
         return json.load(fh)
 
 
+def run_cli(argv):
+    """The CLI in a subprocess with a timeout, so a hang fails instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "mcert.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestCertifyHm:
     def test_constant_symbol_passes(self, tmp_path):
         out = tmp_path / "hm1.json"
@@ -45,12 +52,8 @@ class TestCertifyHm:
         assert abs(fitted - 5.0) <= 0.5  # sigma_3 + 1 = 5 within 10%
 
     def test_per_order_above_basis_size_is_input_error(self):
-        # a subprocess with a timeout, so a sampler that loops fails instead of hanging
-        env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcert.cli", "certify-hm", "--symbol",
-             "radial-power:exponent=5", "--n", "2", "--order", "1", "--per-order", "10"],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_cli(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
+                        "--order", "1", "--per-order", "10"])
         assert proc.returncode == 2, proc.stderr
         assert "per-order" in proc.stderr
 
@@ -98,6 +101,24 @@ class TestRigidity:
         rep = load_report(out)
         assert "section_lower_bounds" in rep["tables"]
         assert rep["tables"]["classification"][0]["classification"] == "CONSISTENT"
+        assert [(r["lower_bound"], r["upper_bound"] <= 1.0 + 1e-12)
+                for r in rep["tables"]["section_lower_bounds"]] == [(1.0, True)] * 2
+
+    def test_sections_up_to_256_points_are_bracketed(self, tmp_path):
+        out = tmp_path / "s6.json"
+        proc = run_cli(["rigidity", "--profile", "radial-power:exponent=5", "--n", "8",
+                        "--p", "10", "--sections", "6", "--out", str(out)])
+        assert proc.returncode in (0, 1), proc.stderr
+        rows = load_report(out)["tables"]["section_lower_bounds"]
+        assert [r["points"] for r in rows] == [8, 16, 32, 64, 128, 256]
+        for r in rows:
+            assert r["lower_bound"] <= r["upper_bound"] <= r["lower_bound"] * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "radial-power:exponent=abc"])
+    def test_bad_family_spec_is_input_error(self, spec, capsys):
+        rc = main(["rigidity", "--profile", spec, "--n", "3", "--p", "10"])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestSphereSpectrum:
@@ -126,6 +147,8 @@ class TestSchurBound:
         assert rc == 0
         rep = load_report(out)
         assert rep["tables"]["bound"][0]["lower_bound"] == pytest.approx(1.0, abs=1e-8)
+        details = {r["name"]: r for r in rep["records"]}["lower-bound"]["details"]
+        assert (details["best_start"] == -1) == (details["best_iteration"] == 0)
 
     def test_negative_index_exit_code(self, tmp_path):
         path = tmp_path / "neg.csv"

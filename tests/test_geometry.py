@@ -312,7 +312,7 @@ def ball_indicator(radius, scale=1.0):
         out = np.where(np.log(big) <= radius, scale, 0.0)
         return out[0] if mats.ndim == 2 else out
 
-    return SymbolHandle(ev, radial=True, support_radius=radius, name="ball")
+    return SymbolHandle(ev, support_radius=radius, name="ball")
 
 
 class TestDistortion:

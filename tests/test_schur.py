@@ -5,12 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcert import schur
 from mcert.errors import InputError
 from mcert.geometry import GroupElement, haar_so
-from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, rigidity_witness,
-                         schatten_norm, schur_apply, schur_infty_upper_bound,
+from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
+                         rigidity_witness, schatten_norm, schur_apply, schur_infty_upper_bound,
                          schur_norm_exact_p2, schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
+
+
+def circulant(c):
+    """C_ij = c[(i - j) mod N], entry by entry."""
+    n = len(c)
+    return np.array([[c[(i - j) % n] for j in range(n)] for i in range(n)])
+
+
+def dft_l1(c):
+    """(1/N) sum_k |sum_m c_m exp(-2 pi i k m / N)|: the p = infinity norm of circulant(c)."""
+    n = len(c)
+    k = np.arange(n)
+    return float(np.sum(np.abs(np.exp(-2j * math.pi * np.outer(k, k) / n) @ c)) / n)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts every numpy SVD made while the test runs."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
 
 
 class TestSchattenNorm:
@@ -104,6 +132,45 @@ class TestLowerBound:
         res_big = schur_norm_lower_bound(big, math.inf, seed=1, extra_starts=[pad])
         assert res_small.value <= res_big.value + 1e-8
 
+    def test_winning_start_and_iteration_reached_again_as_upper(self):
+        rng = np.random.default_rng(14)
+        m = TruncatedSchurMultiplier(rng.standard_normal((7, 7))
+                                     + 1j * rng.standard_normal((7, 7)))
+        free = schur_norm_lower_bound(m, 4.0, seed=2)
+        assert free.best_start >= 0 and free.best_iteration >= 1
+        assert not free.bracket_closed and free.upper == math.inf
+        # with the found value as the bracket, the search stops right where it was found
+        upper = free.value * (1.0 + schur._STALL_RTOL)
+        stopped = schur_norm_lower_bound(m, 4.0, seed=2, upper=upper)
+        assert stopped.bracket_closed
+        assert (stopped.value, stopped.best_start, stopped.best_iteration) == \
+            (free.value, free.best_start, free.best_iteration)
+
+    def test_closed_bracket_returns_floor_without_svd(self, svd_calls):
+        sym = circulant(np.array([3.0, 1.0, 0.5, 1.0]))  # positive definite: norm = 3
+        res = schur_norm_lower_bound(sym, 4.0, upper=circulant_schur_bound(sym))
+        assert res.value == 3.0
+        assert (res.best_start, res.best_iteration, res.bracket_closed) == (-1, 0, True)
+        assert res.best_input[np.unravel_index(np.argmax(np.abs(sym)), sym.shape)] == 1.0
+        assert len(svd_calls) == 0
+
+    def test_never_above_exact_value_under_power_iteration_cutoff(self, monkeypatch):
+        # Power iteration from the all-ones vector misses a top singular vector
+        # orthogonal to it; a start normalized by it would be too long.
+        monkeypatch.setattr(schur, "_POWER_ITERATION_CUTOFF", 4)
+        n = 16
+        k = np.arange(n)
+        rng = np.random.default_rng(15)
+        left = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        start = (2.0 * np.outer(left[:, 0], (-1.0) ** k) + np.outer(left[:, 1], np.ones(n))) \
+            / math.sqrt(n)
+        assert schatten_norm(start, math.inf) < 1.5  # the true norm is 2
+        columns = [np.exp(2j * math.pi * k / n)]
+        columns += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+        for c in columns:
+            res = schur_norm_lower_bound(circulant(c), math.inf, seed=1, extra_starts=[start])
+            assert res.value <= dft_l1(c) * (1.0 + 1e-12)
+
     def test_group_symbol_constructor(self):
         rng = np.random.default_rng(10)
         pts = [GroupElement(k) for k in haar_so(3, 4, rng)]
@@ -153,12 +220,50 @@ class TestUpperBound:
             assert ub.value >= lb.value - 1e-9
 
 
+class TestCirculantBound:
+    def test_exact_on_circulants_at_p_infinity(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 5, 8, 13):
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = dft_l1(c)
+            assert want <= circulant_schur_bound(circulant(c)) <= want * (1.0 + 1e-12)
+
+    def test_deviation_term(self):
+        sym = circulant(np.array([1.0, 0.0, 0.0, 0.0]))
+        sym[2, 3] = 0.5  # one entry off the circulant pattern
+        assert circulant_schur_bound(sym) == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-12)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InputError):
+            circulant_schur_bound(np.ones((3, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10_000),
+       st.booleans(), st.sampled_from([0.0, 1e-3, 0.3]),
+       st.sampled_from([1.0, 2.0, 4.0, math.inf]))
+def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, p):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
+    sym = circulant(c) + perturbation * rng.standard_normal((n, n))
+    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
+    assert circulant_schur_bound(sym) >= res.value
+
+
 class TestRigidityWitness:
     def test_constant_profile_consistent(self):
         one = RadialProfile(lambda x: np.ones_like(np.asarray(x, dtype=float)), name="one")
         res = rigidity_witness(one, 5, 10.0, seed=0)
         assert res.classification == CONSISTENT
-        assert all(b == pytest.approx(1.0, abs=1e-8) for b in res.lower_bounds)
+        assert res.lower_bounds == [1.0] * 4  # the true norm, not above it
+        assert all(1.0 <= u <= 1.0 + 1e-12 for u in res.upper_bounds)
+
+    def test_certified_sections_make_no_svd(self, svd_calls):
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        res = rigidity_witness(prof, 8, 10.0, point_sets=(8, 16, 32, 64, 128), seed=0)
+        assert len(svd_calls) == 0
+        for lo, hi in zip(res.lower_bounds, res.upper_bounds):
+            assert lo <= hi <= lo * (1.0 + 1e-12)
 
     def test_power_profile_against_own_rank(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
@@ -173,7 +278,7 @@ class TestRigidityWitness:
         assert "decay-c0" in failed
         assert res.exponents.c[0] == pytest.approx(16.0 / 3.0)
 
-    def test_jump_profile_violated_by_section_growth(self):
+    def test_jump_profile_violated_by_section_growth(self, svd_calls):
         jump = RadialProfile(
             lambda x: np.where(np.asarray(x, dtype=float) < 2.0, 1.0, 0.2), name="jump")
         res = rigidity_witness(jump, 5, 10.0, seed=0)
@@ -181,6 +286,8 @@ class TestRigidityWitness:
         growth = [r for r in res.records if r.name == "section-growth"][0]
         assert growth.verdict == "FAIL"
         assert res.lower_bounds == sorted(res.lower_bounds)
+        assert len(svd_calls) > 0  # the bracket stays open: the optimizer runs
+        assert all(lo < hi for lo, hi in zip(res.lower_bounds, res.upper_bounds))
 
     def test_smooth_bump_consistent(self):
         bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()

@@ -23,6 +23,18 @@ class TestFamilies:
         with pytest.raises(InputError):
             SymbolFamily.parse("radial-power:exponent")
 
+    @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "hm-bump:exponent=1",
+                                      "riesz-like:center=1", "radial-power:cutoff=2"])
+    def test_unknown_key_rejected(self, spec):
+        with pytest.raises(InputError, match="unknown"):
+            SymbolFamily.parse(spec)
+
+    @pytest.mark.parametrize("spec", ["radial-power:exponent=abc", "hm-bump:width=nan",
+                                      "radial-log-power:log_exponent=inf"])
+    def test_non_numeric_value_rejected(self, spec):
+        with pytest.raises(InputError, match="finite number"):
+            SymbolFamily.parse(spec)
+
     def test_radial_power_profile_and_derivatives(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         xs = np.array([1.0, 2.0, 9.0])
