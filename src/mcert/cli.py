@@ -34,8 +34,8 @@ __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
 
 def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
     """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis."""
-    if not 0 <= per_order <= dim:
-        raise InputError(f"--per-order must be in 0..{dim} (the basis size), got {per_order}")
+    if not 1 <= per_order <= dim:
+        raise InputError(f"--per-order must be in 1..{dim} (the basis size), got {per_order}")
     ids = np.round(np.linspace(0, dim - 1, per_order)).astype(int)
     return {k: [(int(j),) * k for j in ids] for k in range(1, order + 1)}
 
@@ -91,8 +91,7 @@ def _fit_exponent(ls, vals, floor: float = 1e-14):
 
 
 def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
-                   shells: int = 5, seed: int = 0, per_order: int = 3,
-                   report: CertificationReport | None = None) -> CertificationReport:
+                   shells: int = 5, seed: int = 0, per_order: int = 3) -> CertificationReport:
     """Sweep the derivative-growth condition over local shells and rays.
 
     Per derivative order: sup over sampled points of
@@ -106,7 +105,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     gammas = _sample_multi_indices(len(basis), order, per_order)
     local, rays = _sweep_points(n, shells, seed)
 
-    rep = report or CertificationReport(command="certify-hm")
+    rep = CertificationReport(command="certify-hm")
     rep.seeds["sweep"] = seed
 
     sup_per_order = {}
@@ -114,9 +113,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     ray_tables = {}
     for ridx, pts in rays:
         ray_tables[(0, ridx)] = [(L, abs(complex(symbol(g.entries)))) for L, g in pts]
-    sup_per_order[0] = max(
-        [v for v in m0_local]
-        + [v * L ** 0 for tab in ray_tables.values() for L, v in tab])
+    sup_per_order[0] = max(m0_local + [v for tab in ray_tables.values() for _, v in tab])
 
     # order-0 divergence: compare the largest-L ray values with the smallest
     diverging = False
@@ -139,22 +136,22 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
                  "ray_values": {str(k): v for k, v in ray_tables.items()}},
     ))
 
+    def point_sup(g, k):
+        """(dist^k v, v) with v = max |d^gamma m(g)| over the order-k indices gamma."""
+        dist = geo.dist_to_identity(g)
+        vmax = max(abs(geo.lie_derivative(symbol, g, gamma, basis, max_order=order))
+                   for gamma in gammas[k])
+        return dist ** k * vmax, vmax
+
     ray_fits = {}
     for k in range(1, order + 1):
-        worst = 0.0
-        for g in local:
-            dist = geo.dist_to_identity(g)
-            for gamma in gammas[k]:
-                val = abs(geo.lie_derivative(symbol, g, gamma, basis, max_order=order))
-                worst = max(worst, dist ** k * val)
+        worst = max([0.0] + [point_sup(g, k)[0] for g in local])
         decay_tabs = []
         for ridx, pts in rays:
             tab = []
             for L, g in pts:
-                dist = geo.dist_to_identity(g)
-                vmax = max(abs(geo.lie_derivative(symbol, g, gamma, basis, max_order=order))
-                           for gamma in gammas[k])
-                worst = max(worst, dist ** k * vmax)
+                weighted, vmax = point_sup(g, k)
+                worst = max(worst, weighted)
                 tab.append((L, vmax))
             decay_tabs.append(tab)
         sup_per_order[k] = worst
@@ -202,17 +199,18 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
 
 
 def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
-                 mode: str = "hs", seed: int = 0, hm_decay_check: bool = True,
-                 report: CertificationReport | None = None) -> CertificationReport:
+                 mode: str = "hs", seed: int = 0) -> CertificationReport:
     """Radial rigidity records for a profile family.
 
     With ``sections`` > 0, finite Schur sections at growing angular
-    resolutions supply the one-sided boundedness evidence.  The optional
+    resolutions supply the one-sided boundedness evidence.  The
     sufficiency record compares the fitted decay exponent of the profile
     against the critical index of the requested rank.
     """
+    if sections < 0:
+        raise InputError(f"--sections must be >= 0, got {sections}")
     profile = family.build_profile()
-    rep = report or CertificationReport(command="rigidity")
+    rep = CertificationReport(command="rigidity")
     rep.seeds["sections"] = seed
 
     if sections:
@@ -237,47 +235,41 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
         **{f"c{k}": v for k, v in enumerate(ex.c)},
     }])
 
-    if hm_decay_check:
-        sigma1 = n * n // 2 + 1
-        xs = np.geomspace(10.0, 1e4, 25)
-        phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
-        vals = np.abs(np.asarray(profile(xs), dtype=float) - phi_inf)
-        fitted = _fit_exponent(xs, vals)
-        if fitted is None:
-            verdict = PASS  # profile vanishes at infinity faster than any power
-            measured = None
-        else:
-            verdict = PASS if fitted >= 0.9 * sigma1 else FAIL
-            measured = fitted
-        rep.add(CheckRecord(
-            name="hm-sufficient-decay", check_id="hm/sufficient-decay",
-            verdict=verdict, measured=measured, bound=float(sigma1), tolerance=0.1,
-            details={"note": "fitted tail exponent against the rank's critical index"},
-        ))
+    sigma1 = n * n // 2 + 1
+    xs = np.geomspace(10.0, 1e4, 25)
+    phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
+    vals = np.abs(np.asarray(profile(xs), dtype=float) - phi_inf)
+    fitted = _fit_exponent(xs, vals)
+    if fitted is None:
+        verdict = PASS  # profile vanishes at infinity faster than any power
+        measured = None
+    else:
+        verdict = PASS if fitted >= 0.9 * sigma1 else FAIL
+        measured = fitted
+    rep.add(CheckRecord(
+        name="hm-sufficient-decay", check_id="hm/sufficient-decay",
+        verdict=verdict, measured=measured, bound=float(sigma1), tolerance=0.1,
+        details={"note": "fitted tail exponent against the rank's critical index"},
+    ))
     return rep
 
 
-def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int,
-                        report: CertificationReport | None = None) -> CertificationReport:
+def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> CertificationReport:
     """Eigenvalue/multiplicity table with recurrence-vs-quadrature check
     and the Schatten sum at the requested derivative order."""
-    rep = report or CertificationReport(command="sphere-spectrum")
+    rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
-    rows = []
-    for k in range(k_max + 1):
-        row = {"k": k, "m_k": sphere.multiplicity(n, k)}
-        vals = sphere.gegenbauer_normalized(n, k, xs)
-        for x, v in zip(xs, np.atleast_1d(vals)):
-            row[f"phi(x={x:g})"] = float(v)
-        rows.append(row)
-    rep.add_table("spectrum", rows)
+    system = sphere.SphericalEigenSystem(n, k_max)
+    table = system.eigenvalues(xs)
+    rep.add_table("spectrum", [
+        {"k": k, "m_k": m_k, **{f"phi(x={x:g})": float(v) for x, v in zip(xs, table[k])}}
+        for k, m_k in enumerate(system.multiplicities())])
 
     k_check = min(k_max, 50)
     worst = 0.0
     for k in range(k_check + 1):
-        a = sphere.gegenbauer_normalized(n, k, xs)
         b = sphere.gegenbauer_integral(n, k, xs)
-        worst = max(worst, float(np.max(np.abs(np.atleast_1d(a - b)))))
+        worst = max(worst, float(np.max(np.abs(table[k] - b))))
     rep.add(CheckRecord(
         name="recurrence-vs-quadrature", check_id="sphere/recurrence-quadrature",
         verdict=PASS if worst <= 1e-10 else FAIL,
@@ -297,11 +289,10 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int,
     return rep
 
 
-def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60,
-                    report: CertificationReport | None = None) -> CertificationReport:
+def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
     """Lower bound for a sampled symbol matrix, with the sup-entry floor
     and the exact S_2 law as internal consistency checks."""
-    rep = report or CertificationReport(command="schur-bound")
+    rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(np.asarray(matrix, dtype=complex))
     res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
@@ -324,10 +315,9 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60,
     return rep
 
 
-def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000,
-                 report: CertificationReport | None = None) -> CertificationReport:
+def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000) -> CertificationReport:
     """Chamber ball volumes over a radius list and the growth-rate record."""
-    rep = report or CertificationReport(command="geometry")
+    rep = CertificationReport(command="geometry")
     rep.seeds["mc"] = seed
     rs = np.asarray(list(r_list), dtype=float)
     vols = np.array([geo.weyl_ball_volume(n, float(r), mc_samples=mc_samples, seed=seed)
@@ -347,6 +337,19 @@ def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000,
 
 # ---------------------------------------------------------------------------
 # argparse front end
+
+# command -> report builder on the parsed arguments
+_BUILDERS = {
+    "certify-hm": lambda a: cmd_certify_hm(
+        group_symbol_from_profile(SymbolFamily.parse(a.symbol).build_profile(), mode="dist"),
+        n=a.n, order=a.order, shells=a.grid_levels, seed=a.seed, per_order=a.per_order),
+    "rigidity": lambda a: cmd_rigidity(SymbolFamily.parse(a.profile), n=a.n, p=a.p,
+                                       sections=a.sections, mode=a.mode, seed=a.seed),
+    "sphere-spectrum": lambda a: cmd_sphere_spectrum(a.n, a.p, a.r, a.x, a.kmax),
+    "schur-bound": lambda a: cmd_schur_bound(read_matrix_csv(a.points), a.p, seed=a.seed,
+                                             iterations=a.iterations),
+    "geometry": lambda a: cmd_geometry(a.n, a.R, seed=a.seed or 7, mc_samples=a.mc_samples),
+}
 
 
 def _add_common(sp):
@@ -411,36 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     digest_payload = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
     try:
-        if args.command == "certify-hm":
-            fam = SymbolFamily.parse(args.symbol)
-            rep = CertificationReport(command="certify-hm")
-            rep.digest = input_digest(digest_payload)
-            symbol = group_symbol_from_profile(fam.build_profile(), mode="dist")
-            cmd_certify_hm(symbol, n=args.n, order=args.order,
-                           shells=args.grid_levels, seed=args.seed,
-                           per_order=args.per_order, report=rep)
-        elif args.command == "rigidity":
-            fam = SymbolFamily.parse(args.profile)
-            rep = CertificationReport(command="rigidity")
-            rep.digest = input_digest(digest_payload)
-            cmd_rigidity(fam, n=args.n, p=args.p, sections=args.sections,
-                         mode=args.mode, seed=args.seed, report=rep)
-        elif args.command == "sphere-spectrum":
-            rep = CertificationReport(command="sphere-spectrum")
-            rep.digest = input_digest(digest_payload)
-            cmd_sphere_spectrum(args.n, args.p, args.r, args.x, args.kmax, report=rep)
-        elif args.command == "schur-bound":
-            rep = CertificationReport(command="schur-bound")
-            rep.digest = input_digest(digest_payload)
-            cmd_schur_bound(read_matrix_csv(args.points), args.p, seed=args.seed,
-                            iterations=args.iterations, report=rep)
-        elif args.command == "geometry":
-            rep = CertificationReport(command="geometry")
-            rep.digest = input_digest(digest_payload)
-            cmd_geometry(args.n, args.R, seed=args.seed or 7,
-                         mc_samples=args.mc_samples, report=rep)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        rep = _BUILDERS[args.command](args)
     except (InputError, DomainError, RangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -450,6 +424,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    rep.digest = input_digest(digest_payload)
     return _finish(rep, args)
 
 

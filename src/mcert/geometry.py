@@ -312,15 +312,21 @@ def _weyl_volume_quad(n: int, r: float, npts: int) -> float:
     raise InputError("tensor quadrature implemented for n in {2, 3}")
 
 
-def _weyl_volume_mc(n: int, r: float, samples: int, seed: int) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    y = rng.uniform(-r, r, size=(samples, n - 1))
+def _chamber_sample(n: int, r: float, size: int, rng):
+    """(z, weights, scale): ``size`` uniform draws from the box [-r, r]^{n-1}
+    lifted to zero-sum descending rows z, weighted by prod sinh(z_i - z_j)
+    inside the ball max(z_1, -z_n) <= r and 0 outside, so the integral of F
+    over the chamber ball is about scale * mean(weights * F(z))."""
+    y = rng.uniform(-r, r, size=(size, n - 1))
     z = np.concatenate([y, -y.sum(axis=1, keepdims=True)], axis=1)
     z.sort(axis=1)
     z = z[:, ::-1]
     keep = np.maximum(z[:, 0], -z[:, -1]) <= r
-    vals = np.where(keep, _sinh_weight(z), 0.0)
-    box = (2.0 * r) ** (n - 1) / math.factorial(n)
+    return z, np.where(keep, _sinh_weight(z), 0.0), (2.0 * r) ** (n - 1) / math.factorial(n)
+
+
+def _weyl_volume_mc(n: int, r: float, samples: int, seed: int) -> tuple[float, float]:
+    _, vals, box = _chamber_sample(n, r, samples, np.random.default_rng(seed))
     est = box * vals.mean()
     err = box * vals.std(ddof=1) / math.sqrt(samples)
     return float(est), float(err)
@@ -414,16 +420,10 @@ def haar_ball_sample(n: int, radius: float, size: int, seed: int):
     scale * mean(weights * F(matrices)).
     """
     rng = np.random.default_rng(seed)
-    y = rng.uniform(-radius, radius, size=(size, n - 1))
-    z = np.concatenate([y, -y.sum(axis=1, keepdims=True)], axis=1)
-    z.sort(axis=1)
-    z = z[:, ::-1]
-    keep = np.maximum(z[:, 0], -z[:, -1]) <= radius
-    w = np.where(keep, _sinh_weight(z), 0.0)
+    z, w, scale = _chamber_sample(n, radius, size, rng)
     k1 = haar_so(n, size, rng)
     k2 = haar_so(n, size, rng)
     mats = k1 * np.exp(z)[:, None, :] @ k2  # k1 @ diag(e^z) @ k2
-    scale = (2.0 * radius) ** (n - 1) / math.factorial(n)
     return mats, w, scale
 
 

@@ -68,19 +68,11 @@ class TruncatedSchurMultiplier:
                 sym[i, j] = m(g @ hinv)
         return cls(symbol=sym, points=tuple(points))
 
-    @classmethod
-    def from_kernel(cls, rows, cols, kernel) -> "TruncatedSchurMultiplier":
-        """Rectangular section with entries kernel(row_index, col_index)."""
-        sym = np.array([[kernel(i, j) for j in range(cols)] for i in range(rows)],
-                       dtype=complex)
-        return cls(symbol=sym)
-
     @property
     def shape(self):
         return self.symbol.shape
 
 
-_POWER_ITERATION_CUTOFF = 512
 # Relative gain below which an optimizer start has stalled, and the relative
 # gap at which a lower bound meets a certified upper bound.
 _STALL_RTOL = 1e-12
@@ -90,25 +82,6 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 # numpy's FFT measured at most 0.72 against a long-double DFT for every
 # N <= 69 and selected N up to 2048, primes included.
 _FFT_ERROR_PER_LEVEL = 16.0
-
-
-def _top_singular_value(a: np.ndarray, iterations: int = 300, tol: float = 1e-12) -> float:
-    """Deterministic power iteration on a^H a for large sections."""
-    n = a.shape[1]
-    v = np.ones(n, dtype=complex) / math.sqrt(n)
-    last = 0.0
-    for _ in range(iterations):
-        w = a @ v
-        v = np.conj(a.T) @ w
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        v /= norm
-        val = math.sqrt(norm)
-        if abs(val - last) <= tol * max(val, 1.0):
-            return val
-        last = val
-    return last
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
@@ -125,15 +98,10 @@ def _schatten_from_sv(sv: np.ndarray, p: float) -> float:
 
 
 def schatten_norm(a, p: float) -> float:
-    """l_p norm of the singular values; sup norm at p = infinity.
-
-    The sup norm switches to power iteration above the dense-SVD cutoff.
-    """
+    """l_p norm of the singular values (exact SVD); sup norm at p = infinity."""
     a = np.asarray(a, dtype=complex)
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
-    if math.isinf(p) and min(a.shape) > _POWER_ITERATION_CUTOFF:
-        return _top_singular_value(a)
     return _schatten_from_sv(_svd(a, compute_uv=False), p)
 
 

@@ -44,25 +44,41 @@ def _check_nk(n: int, k: int) -> None:
         raise InputError("degree k must be >= 0")
 
 
+def _eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
+    """All normalized eigenvalues of degree 0..k_cap at x in one pass: the
+    ultraspherical three-term recurrence at index lambda = (n-2)/2."""
+    x = np.asarray(x, dtype=float)
+    lam = 0.5 * (n - 2)
+    out = np.empty((k_cap + 1,) + x.shape)
+    out[0] = 1.0
+    if k_cap >= 1:
+        out[1] = x
+    for kk in range(2, k_cap + 1):
+        out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
+                   - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
+    return out
+
+
+def _checked_argument(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
+        raise DomainError("argument outside [-1, 1]", measured=float(np.abs(x).max()))
+    return x
+
+
+def _checked_table(n: int, x, k_cap: int) -> np.ndarray:
+    """:func:`_eigenvalue_table` behind the public checks on n, k and x."""
+    _check_nk(n, k_cap)
+    return _eigenvalue_table(n, _checked_argument(x), k_cap)
+
+
 def gegenbauer_normalized(n: int, k: int, x):
     """Eigenvalue of the latitude-averaging operator on degree k.
 
     Ultraspherical three-term recurrence at index lambda = (n-2)/2,
     normalized so the value at 1 is exactly 1.  Vectorized in x.
     """
-    _check_nk(n, k)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise DomainError("argument outside [-1, 1]", measured=float(np.abs(x).max()))
-    lam = 0.5 * (n - 2)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = x.copy()
-    for kk in range(2, k + 1):
-        nxt = (2.0 * (kk + lam - 1.0) * x * cur - (kk - 1.0) * prev) / (kk + 2.0 * lam - 1.0)
-        prev, cur = cur, nxt
-    return cur
+    return _checked_table(n, x, k)[k]
 
 
 def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
@@ -87,12 +103,6 @@ def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
     return val.real
 
 
-@lru_cache(maxsize=None)
-def _log_norm_at_one(two_lam: float, k: int) -> float:
-    """log of the value at 1 of the index-lambda ultraspherical of degree k."""
-    return math.lgamma(k + two_lam) - math.lgamma(two_lam) - math.lgamma(k + 1)
-
-
 def gegenbauer_derivative(n: int, k: int, r: int, x):
     """r-th derivative of the normalized eigenvalue.
 
@@ -103,19 +113,11 @@ def gegenbauer_derivative(n: int, k: int, r: int, x):
     _check_nk(n, k)
     if r < 0:
         raise InputError("derivative order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if r == 0:
-        return gegenbauer_normalized(n, k, x)
-    if r > k:
-        return np.zeros_like(x)
-    if np.any(np.abs(x) > 1.0 - 1e-8):
+    x = _checked_argument(x)
+    if 0 < r <= k and np.any(np.abs(x) > 1.0 - 1e-8):
         warnings.warn("derivative evaluated near the endpoints is ill-conditioned",
                       RuntimeWarning, stacklevel=2)
-    lam = 0.5 * (n - 2)
-    log_pref = sum(math.log(2.0 * (lam + i)) for i in range(r))
-    log_ratio = _log_norm_at_one(2.0 * (lam + r), k - r) - _log_norm_at_one(2.0 * lam, k)
-    base = gegenbauer_normalized(n + 2 * r, k - r, x)
-    return math.exp(log_pref + log_ratio) * base
+    return _derivative_table(n, r, x, k)[k]
 
 
 def multiplicity(n: int, k: int) -> int:
@@ -140,16 +142,7 @@ class SphericalEigenSystem:
 
     def eigenvalues(self, x) -> np.ndarray:
         """Array of shape (k_max+1, ...) with the eigenvalues at x."""
-        x = np.asarray(x, dtype=float)
-        lam = 0.5 * (self.n - 2)
-        out = np.empty((self.k_max + 1,) + x.shape)
-        out[0] = 1.0
-        if self.k_max >= 1:
-            out[1] = x
-        for kk in range(2, self.k_max + 1):
-            out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
-                       - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
-        return out
+        return _checked_table(self.n, x, self.k_max)
 
     def multiplicities(self) -> list:
         return [multiplicity(self.n, k) for k in range(self.k_max + 1)]
@@ -195,22 +188,8 @@ class RigidityExponents:
 _DEFAULT_INTERIOR = 0.95
 
 
-def _eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
-    """All normalized eigenvalues of degree 0..k_cap at x in one pass."""
-    x = np.asarray(x, dtype=float)
-    lam = 0.5 * (n - 2)
-    out = np.empty((k_cap + 1,) + x.shape)
-    out[0] = 1.0
-    if k_cap >= 1:
-        out[1] = x
-    for kk in range(2, k_cap + 1):
-        out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
-                   - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
-    return out
-
-
 def _derivative_table(n: int, r: int, x, k_cap: int) -> np.ndarray:
-    """d^r of the normalized eigenvalues for degrees 0..k_cap at scalar x."""
+    """d^r of the normalized eigenvalues for degrees 0..k_cap at x."""
     from scipy.special import gammaln
 
     if r == 0:
@@ -289,29 +268,17 @@ def schatten_sum_truncated(n: int, p: float, r: int, x: float, k_cap: int) -> fl
     return float(np.sum(mult * table ** p) ** (1.0 / p))
 
 
-def _tail_controlled_sum(n: int, p: float, r: int, terms, cdec: float,
-                         tail_tol: float, k_start: int, k_max: int) -> SchattenSumResult:
-    """Grow the truncation until the analytic tail remainder, pushed
-    through the concavity bound for the 1/p power, is below tail_tol
-    relative to the computed norm.
-
-    ``terms(k_cap)`` returns the per-degree p-th-power contributions for
-    degrees 0..k_cap.
-    """
-    a0 = _alpha0(n, p)
-    amul = _multiplicity_constant(n)
-    power = p * (r - a0)  # tail terms decay like (1+k)^{power - 1}
-    k_cap = k_start
-    while True:
-        total = float(np.sum(terms(k_cap)))
-        tail = amul * cdec ** p * (1.0 + k_cap) ** power / (-power)
-        value = total ** (1.0 / p)
-        err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
-        if err <= tail_tol * max(value, 1e-300):
-            return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
-        if 2 * k_cap > k_max:
-            raise AccuracyError("tail tolerance unreachable within k_max", estimate=err)
-        k_cap *= 2
+def _truncated_norm(total: float, n: int, p: float, r: int, cdec: float,
+                    k_cap: int) -> tuple[float, float]:
+    """(value, err): the 1/p power of a sum of p-th-power terms over degrees
+    0..k_cap, and the analytic tail remainder past k_cap for terms bounded
+    by m_k (cdec (1+k)^{r-alpha0})^p, pushed through the concavity bound
+    for the 1/p power."""
+    power = p * (r - _alpha0(n, p))  # tail terms decay like (1+k)^{power - 1}
+    tail = _multiplicity_constant(n) * cdec ** p * (1.0 + k_cap) ** power / (-power)
+    value = total ** (1.0 / p)
+    err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
+    return value, err
 
 
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
@@ -327,12 +294,17 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     if r >= a0 - 1e-12:
         return SchattenSumResult(value=None, diverged=True)
     cdec = _decay_constant(n, r, band=_band_for(x))
-
-    def terms(k_cap: int) -> np.ndarray:
-        table = np.abs(_derivative_table(n, r, np.asarray(float(x)), k_cap))
-        return _multiplicity_table(n, k_cap) * table ** p
-
-    return _tail_controlled_sum(n, p, r, terms, cdec, tail_tol, k_start, k_max)
+    xs = np.asarray(float(x))
+    k_cap = k_start
+    while True:  # grow the truncation until the tail is below tail_tol relative to the norm
+        table = np.abs(_derivative_table(n, r, xs, k_cap))
+        total = float(np.sum(_multiplicity_table(n, k_cap) * table ** p))
+        value, err = _truncated_norm(total, n, p, r, cdec, k_cap)
+        if err <= tail_tol * max(value, 1e-300):
+            return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
+        if 2 * k_cap > k_max:
+            raise AccuracyError("tail tolerance unreachable within k_max", estimate=err)
+        k_cap *= 2
 
 
 def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: float,
@@ -359,14 +331,10 @@ def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: floa
                                         interior=interior)
         k_cap = min(max(plain.k_used, int(4.0 / abs(x - y))), k_max)
     cdec = 2.0 * _decay_constant(n, r, band=_band_for(max(abs(x), abs(y))))
-    amul = _multiplicity_constant(n)
-    power = p * (r - a0)
     tx = _derivative_table(n, r, np.asarray(float(x)), k_cap)
     ty = _derivative_table(n, r, np.asarray(float(y)), k_cap)
     total = float(np.sum(_multiplicity_table(n, k_cap) * np.abs(tx - ty) ** p))
-    tail = amul * cdec ** p * (1.0 + k_cap) ** power / (-power)
-    value = total ** (1.0 / p)
-    err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
+    value, err = _truncated_norm(total, n, p, r, cdec, k_cap)
     return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
 
 

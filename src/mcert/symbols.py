@@ -199,7 +199,10 @@ class SymbolFamily:
     def build_euclidean(self, d: int) -> EuclideanSymbol:
         p = self.parameters
         if self.kind == "riesz-like":
-            axis = int(p.get("axis", 0))
+            axis = p.get("axis", 0)
+            if not float(axis).is_integer() or not 0 <= axis < d:
+                raise InputError(f"riesz-like axis must be an integer in 0..{d - 1}, got {axis!r}")
+            axis = int(axis)
 
             def ev(x):
                 r = np.linalg.norm(x, axis=-1)

@@ -57,6 +57,12 @@ class TestCertifyHm:
         assert proc.returncode == 2, proc.stderr
         assert "per-order" in proc.stderr
 
+    def test_per_order_zero_is_input_error(self, capsys):
+        rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
+                   "--order", "1", "--per-order", "0"])
+        assert rc == 2
+        assert "per-order" in capsys.readouterr().err
+
 
 class TestRigidity:
     def test_constant_profile_passes(self, tmp_path):
@@ -114,6 +120,12 @@ class TestRigidity:
         for r in rows:
             assert r["lower_bound"] <= r["upper_bound"] <= r["lower_bound"] * (1.0 + 1e-12)
 
+    def test_negative_sections_is_input_error(self, capsys):
+        rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "3",
+                   "--p", "10", "--sections", "-1"])
+        assert rc == 2
+        assert "--sections" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "radial-power:exponent=abc"])
     def test_bad_family_spec_is_input_error(self, spec, capsys):
         rc = main(["rigidity", "--profile", spec, "--n", "3", "--p", "10"])
@@ -136,6 +148,29 @@ class TestSphereSpectrum:
         assert csv_path.exists()
         header = csv_path.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("k,m_k")
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_table_matches_scipy_gegenbauer(self, n, tmp_path):
+        from scipy.special import eval_gegenbauer
+
+        xs = [-0.9, -0.35, 0.0, 0.5, 0.9]
+        out = tmp_path / "spec.json"
+        rc = main(["sphere-spectrum", "--n", str(n), "--kmax", "50",
+                   "--x", *map(str, xs), "--out", str(out)])
+        assert rc == 0
+        rows = load_report(out)["tables"]["spectrum"]
+        assert [r["k"] for r in rows] == list(range(51))
+        lam = (n - 2) / 2.0
+        for r in rows:
+            for x in xs:
+                want = eval_gegenbauer(r["k"], lam, x) / eval_gegenbauer(r["k"], lam, 1.0)
+                assert r[f"phi(x={x:g})"] == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [["--kmax", "-1"], ["--x", "nan"]])
+    def test_out_of_range_input_is_input_error(self, bad, capsys):
+        rc = main(["sphere-spectrum", "--n", "3", *bad])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestSchurBound:

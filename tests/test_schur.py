@@ -154,17 +154,17 @@ class TestLowerBound:
         assert res.best_input[np.unravel_index(np.argmax(np.abs(sym)), sym.shape)] == 1.0
         assert len(svd_calls) == 0
 
-    def test_never_above_exact_value_under_power_iteration_cutoff(self, monkeypatch):
-        # Power iteration from the all-ones vector misses a top singular vector
-        # orthogonal to it; a start normalized by it would be too long.
-        monkeypatch.setattr(schur, "_POWER_ITERATION_CUTOFF", 4)
+    def test_never_above_exact_value_from_start_orthogonal_to_ones(self):
+        # Power iteration from the all-ones vector would miss this start's top
+        # singular vector, which is orthogonal to it; a start normalized by
+        # such an underestimate would be too long.
         n = 16
         k = np.arange(n)
         rng = np.random.default_rng(15)
         left = np.linalg.qr(rng.standard_normal((n, 2)))[0]
         start = (2.0 * np.outer(left[:, 0], (-1.0) ** k) + np.outer(left[:, 1], np.ones(n))) \
             / math.sqrt(n)
-        assert schatten_norm(start, math.inf) < 1.5  # the true norm is 2
+        assert schatten_norm(start, math.inf) == pytest.approx(2.0, rel=1e-12)
         columns = [np.exp(2j * math.pi * k / n)]
         columns += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
         for c in columns:
@@ -312,8 +312,8 @@ def test_lower_bound_never_exceeds_trace_dual(seed, p):
     assert res.value >= np.abs(m.symbol).max() - 1e-8
 
 
-def test_power_iteration_fallback_matches_svd():
+def test_large_sup_norm_matches_svd():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((600, 580)) + 1j * rng.standard_normal((600, 580))
     top = np.linalg.svd(a, compute_uv=False)[0]
-    assert schatten_norm(a, math.inf) == pytest.approx(top, rel=1e-9)
+    assert schatten_norm(a, math.inf) == pytest.approx(top, rel=1e-12)

@@ -47,6 +47,8 @@ class TestEigenvalues:
     def test_domain_check(self):
         with pytest.raises(DomainError):
             gegenbauer_normalized(3, 2, np.array(1.5))
+        with pytest.raises(DomainError):
+            gegenbauer_normalized(3, 2, np.array([0.5, np.nan]))
         with pytest.raises(InputError):
             gegenbauer_normalized(2, 2, np.array(0.5))
 

@@ -63,6 +63,19 @@ class TestFamilies:
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("axis", ["1.5", "-1", "3", "7"])
+    def test_riesz_axis_outside_range_rejected(self, axis):
+        fam = SymbolFamily.parse(f"riesz-like:axis={axis}")
+        with pytest.raises(InputError, match="axis"):
+            fam.build_euclidean(3)
+
+    @pytest.mark.parametrize("axis", [0, 2, 2.0])
+    def test_riesz_axis_in_range_accepted(self, axis):
+        sym = SymbolFamily("riesz-like", {"axis": axis}).build_euclidean(3)
+        e = np.eye(3)[int(axis)]
+        assert sym(e) == pytest.approx(1.0)
+        assert sym.name == f"riesz-like(axis={int(axis)})"
+
     def test_group_lift_modes(self):
         prof = SymbolFamily.parse("radial-power:exponent=2").build_profile()
         rng = np.random.default_rng(0)
