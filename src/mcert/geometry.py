@@ -204,15 +204,19 @@ class MultiIndex:
         return len(self.indices)
 
 
-def default_step(g: GroupElement, order: int = 1) -> float:
+def default_step(g, order: int = 1):
     """Finite-difference step scaled to the distance from the identity.
 
     Deep nesting loses nearly all significand bits at the base relative
     step, so orders above 2 widen the step; with one Richardson level the
     added truncation error stays far below the rounding noise it avoids.
+    Takes a GroupElement (returns a float) or a stack, as
+    :func:`dist_to_identity` does (returns one step per matrix).
     """
     rel = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 3e-3}.get(max(order, 1), 1e-2)
-    return max(1e-4, rel * dist_to_identity(g))
+    if isinstance(g, GroupElement):
+        return max(1e-4, rel * dist_to_identity(g))
+    return np.maximum(1e-4, rel * dist_to_identity(g))
 
 
 def max_derivative_order(n: int) -> int:
@@ -220,54 +224,108 @@ def max_derivative_order(n: int) -> int:
     return n * n // 2 + 1
 
 
-def lie_derivative(m, g: GroupElement, gamma, basis: LieBasis, h: float | None = None,
-                   max_order: int | None = None) -> complex:
+def _flow_grid(x: np.ndarray, h: np.ndarray, width: int) -> np.ndarray:
+    """Flows F(u) = exp(u (h/2) X) at the offsets u = -width..width, as a
+    (P, 2 width + 1, n, n) grid over the P steps ``h``; F(u) is at u + width.
+
+    F(+-1) and F(+-2) are ``expm`` at +-h/2 and +-h, F(0) is the exact
+    identity, and the farther offsets are the products F(u -+ 2) F(+-2).
+    """
+    n = x.shape[-1]
+    grid = np.empty((h.shape[0], 2 * width + 1, n, n))
+    grid[:, width] = np.eye(n)
+    for p, hp in enumerate(h.tolist()):
+        for u, s in ((2, hp), (-2, -hp), (1, hp / 2.0), (-1, -(hp / 2.0))):
+            grid[p, width + u] = expm(s * x)
+    for u in range(3, width + 1):
+        grid[:, width + u] = grid[:, width + u - 2] @ grid[:, width + 2]
+        grid[:, width - u] = grid[:, width - u + 2] @ grid[:, width - 2]
+    return grid
+
+
+def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None = None):
     """Iterated derivative of a symbol along the flows s -> g exp(s X_j).
 
     ``gamma`` lists basis directions outermost first, so the last index is
     applied to ``m`` before the others.  Each directional derivative is a
-    central difference with one Richardson extrapolation level.
+    central difference with one Richardson extrapolation level:
+    (4 (f(h/2) - f(-h/2)) / h - (f(h) - f(-h)) / (2h)) / 3.
 
-    All 4^k leaf matrices of an order-k derivative are built level by level
-    as one stack, and ``m`` is called once with that (4^k, n, n) stack; it
-    must return values of shape ``stack.shape[:-2]``.
+    A run of r equal consecutive directions j moves only along the
+    subgroup g exp(s X_j): its 4^r branches land on the 4r + 1 grid points
+    g exp(u (h/2) X_j), |u| <= 2r (4 points when r = 1), and the formula
+    is applied r times along that grid.  Runs of different directions form
+    a tensor grid, and ``m`` is called once on all its leaf matrices as one
+    (N, n, n) stack; it must return values of shape ``stack.shape[:-2]``.
+
+    ``g`` is a GroupElement (returns a complex) or a (P, n, n) stack that
+    :func:`check_special_linear` accepts (returns P complex values, each
+    equal to the call on that matrix alone).  ``h`` is one step or one per
+    matrix; the default is :func:`default_step`.
     """
     if isinstance(gamma, MultiIndex):
         idx = gamma.indices
     else:
         idx = tuple(int(j) for j in gamma)
-    limit = max_order if max_order is not None else max_derivative_order(g.n)
+    single = isinstance(g, GroupElement)
+    mats = g.entries[None] if single else check_special_linear(g)
+    if mats.ndim != 3:
+        raise InputError(f"expected a GroupElement or a (P, n, n) stack, got shape {mats.shape}")
+    npts, n = mats.shape[0], mats.shape[-1]
+    limit = max_order if max_order is not None else max_derivative_order(n)
     if len(idx) > limit:
         raise InputError(f"derivative order {len(idx)} exceeds configured maximum {limit}")
     if h is None:
-        h = default_step(g, len(idx))
-    if not (h > 0):
+        h = default_step(g if single else mats, len(idx))
+    h = np.broadcast_to(np.asarray(h, dtype=float), (npts,))
+    if not np.all(h > 0):
         raise NumericError("step must be positive")
-
-    steps = (h, -h, h / 2.0, -(h / 2.0))  # plus and minus at h, then at h/2
-    if idx and steps[2] < 1e-300:
+    if idx and np.any(h / 2.0 < 1e-300):
         raise NumericError("finite-difference step underflow")
-    flows: dict[int, np.ndarray] = {}
-    leaves = g.entries[None]
-    for j in idx:  # outermost direction first: leaf i's branch digits are i in base 4
-        if j not in flows:
-            flows[j] = np.stack([expm(s * basis[j]) for s in steps])
-        leaves = (leaves[:, None] @ flows[j]).reshape(-1, g.n, g.n)
 
-    vals = np.asarray(m(leaves))
-    if vals.shape != leaves.shape[:-2]:
-        raise InputError(f"symbol returned shape {vals.shape} for a stack of shape {leaves.shape}")
+    runs = []  # (direction, run length), outermost first
+    for j in idx:
+        if runs and runs[-1][0] == j:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1])
+    width = {}
+    for j, r in runs:
+        width[j] = max(width.get(j, 0), 2 * r)
+    grids = {j: _flow_grid(basis[j], h, w) for j, w in width.items()}
+    offsets = [(2, -2, 1, -1) if r == 1 else tuple(range(-2 * r, 2 * r + 1)) for _, r in runs]
+    leaves = mats[:, None]
+    for (j, _), us in zip(runs, offsets):  # outermost run first
+        flows = grids[j][:, [width[j] + u for u in us]]
+        leaves = (leaves[:, :, None] @ flows[:, None]).reshape(npts, -1, n, n)
+
+    flat = leaves.reshape(-1, n, n)
+    vals = np.asarray(m(flat))
+    if vals.shape != flat.shape[:-2]:
+        raise InputError(f"symbol returned shape {vals.shape} for a stack of shape {flat.shape}")
     if not np.all(np.isfinite(vals)):
         raise NumericError("symbol evaluation returned a non-finite value")
     # float parts and true division, as Python's complex arithmetic does it;
     # numpy's complex division would multiply by a reciprocal
-    parts = np.stack([vals.real, vals.imag]).astype(float)
-    for _ in idx:  # innermost direction first
-        parts = parts.reshape(2, -1, 4)
-        d1 = (parts[..., 0] - parts[..., 1]) / (2.0 * h)
-        d2 = (parts[..., 2] - parts[..., 3]) / (2.0 * (h / 2.0))
-        parts = (4.0 * d2 - d1) / 3.0
-    return complex(parts[0, 0], parts[1, 0])
+    parts = np.stack([vals.real, vals.imag]).astype(float).reshape(2, npts, -1)
+    step = h[:, None, None]
+    for (_, r), us in zip(reversed(runs), reversed(offsets)):  # innermost run first
+        parts = parts.reshape(2, npts, -1, len(us))
+        pos = {u: i for i, u in enumerate(us)}
+        for level in range(r):
+            half = 2 * (r - level - 1)  # the grid shrinks by two points per side
+            centers = range(-half, half + 1)
+            f = {d: parts[..., [pos[c + d] for c in centers]] for d in (2, -2, 1, -1)}
+            d1 = (f[2] - f[-2]) / (2.0 * step)
+            d2 = (f[1] - f[-1]) / (2.0 * (step / 2.0))
+            parts = (4.0 * d2 - d1) / 3.0
+            pos = {c: i for i, c in enumerate(centers)}
+        parts = parts[..., 0]
+    if single:
+        return complex(parts[0, 0, 0], parts[1, 0, 0])
+    out = np.empty(npts, dtype=complex)
+    out.real, out.imag = parts[0, :, 0], parts[1, :, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

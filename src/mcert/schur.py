@@ -27,6 +27,7 @@ __all__ = [
     "SchurLowerBound",
     "schur_norm_lower_bound",
     "circulant_schur_bound",
+    "frobenius_schur_bound",
     "schur_norm_exact_p2",
     "SchurUpperBound",
     "schur_infty_upper_bound",
@@ -178,6 +179,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
     before any start runs when the sup-entry floor already does, else
     right after the improvement that does.
     """
+    if not (p >= 1.0):
+        raise InputError("p must lie in [1, infinity]")
     sym = m.symbol if isinstance(m, TruncatedSchurMultiplier) else np.asarray(m, dtype=complex)
     if sym.size == 0:
         raise InputError("empty symbol matrix")
@@ -259,6 +262,29 @@ def circulant_schur_bound(m) -> float:
     eps = _FFT_ERROR_PER_LEVEL * _UNIT_ROUNDOFF * max(1, (n - 1).bit_length())
     total = fourier_l1 + math.sqrt(n) * deviation + eps * float(np.linalg.norm(c))
     return total * (1.0 + 16.0 * _UNIT_ROUNDOFF)
+
+
+def frobenius_schur_bound(m) -> float:
+    """Certified upper bound sqrt(min(N, M)) |M|_F on |S_M|_{S_p -> S_p}
+    for an N x M symbol, valid for every p in [1, infinity]; no SVD.
+
+    With the SVD M = sum_k s_k u_k v_k^*, M o A = sum_k s_k D(u_k) A D(v_k)^*
+    for the diagonals D(u) = diag(u), and |D(u) A D(v)^*|_p <= |u|_inf
+    |v|_inf |A|_p <= |A|_p for unit vectors, so the multiplier norm is at
+    most sum_k s_k = |M|_{S_1} <= sqrt(rank M) |M|_F.
+
+    Rounding: each of the K = N M terms |m_ij|^2 carries at most 3u
+    relative error (the modulus and the square); a sum of K nonnegative
+    terms in any order is within gamma_{K-1} <= 1.01 (K - 1) u of the
+    exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2), which the square root halves; the roots and the products
+    add a few u more.  The factor 1 + (K + 16) u covers all of them.
+    """
+    sym = (m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)).symbol
+    if sym.size == 0:
+        raise InputError("empty symbol matrix")
+    frobenius = math.sqrt(float(np.sum(np.abs(sym) ** 2)))
+    return math.sqrt(min(sym.shape)) * frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF)
 
 
 def schur_norm_exact_p2(m) -> float:

@@ -166,7 +166,7 @@ class RigidityExponents:
     def compute(cls, n: int, p: float, integer_shift: float = 1e-3) -> "RigidityExponents":
         if n < 3:
             raise InputError("n must be >= 3")
-        if p <= 2.0 + 2.0 / (n - 2):
+        if not (p > 2.0 + 2.0 / (n - 2)):
             raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}", measured=p)
         alpha0 = (n - 2) / 2.0 - (n - 1) / p
         near_int = abs(alpha0 - round(alpha0)) < 1e-12 and round(alpha0) >= 1
@@ -261,8 +261,14 @@ def _alpha0(n: int, p: float) -> float:
     return (n - 2) / 2.0 - (n - 1) / p
 
 
+def _check_exponent(p: float) -> None:
+    if not (1.0 <= p < math.inf):
+        raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
+
+
 def schatten_sum_truncated(n: int, p: float, r: int, x: float, k_cap: int) -> float:
     """(sum_{k <= k_cap} m_k |d^r eigenvalue_k(x)|^p)^{1/p}, no tail control."""
+    _check_exponent(p)
     table = np.abs(_derivative_table(n, r, np.asarray(float(x)), k_cap))
     mult = _multiplicity_table(n, k_cap)
     return float(np.sum(mult * table ** p) ** (1.0 / p))
@@ -288,7 +294,8 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
 
     Diverges (by the spectral decay law) when r >= alpha0.
     """
-    if abs(x) > interior:
+    _check_exponent(p)
+    if not abs(x) <= interior:  # NaN included
         raise DomainError(f"|x| must be <= {interior}", measured=x)
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
@@ -318,9 +325,10 @@ def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: floa
     plain sum needs at the same parameters, and at least a few multiples
     of 1/|x - y| where the difference stops being proportional to the gap.
     """
+    _check_exponent(p)
     if x == y:
         return SchattenSumResult(value=0.0, diverged=False)
-    if max(abs(x), abs(y)) > interior:
+    if not (abs(x) <= interior and abs(y) <= interior):  # NaN included
         raise DomainError(f"|x|, |y| must be <= {interior}")
     r = int(math.floor(alpha))
     a0 = _alpha0(n, p)

@@ -57,6 +57,16 @@ class TestCertifyHm:
         assert proc.returncode == 2, proc.stderr
         assert "per-order" in proc.stderr
 
+    def test_n4_default_order_runs(self, tmp_path):
+        # order [16/2] + 1 = 9 at the default --per-order 3
+        out = tmp_path / "hm4.json"
+        proc = run_cli(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "4",
+                        "--out", str(out)])
+        assert proc.returncode in (0, 1), proc.stderr
+        rows = load_report(out)["tables"]["hm_constants"]
+        assert [r["order"] for r in rows] == list(range(10))
+        assert all(math.isfinite(r["constant"]) for r in rows)
+
     def test_per_order_zero_is_input_error(self, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
                    "--order", "1", "--per-order", "0"])
@@ -98,6 +108,12 @@ class TestRigidity:
         rc = main(["rigidity", "--profile", "radial-power:exponent=2", "--n", "3",
                    "--p", "3"])
         assert rc == 2
+
+    def test_nan_p_is_input_error(self, capsys):
+        rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "3",
+                   "--p", "nan"])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_sections_mode(self, tmp_path):
         out = tmp_path / "sec.json"
@@ -166,7 +182,7 @@ class TestSphereSpectrum:
                 want = eval_gegenbauer(r["k"], lam, x) / eval_gegenbauer(r["k"], lam, 1.0)
                 assert r[f"phi(x={x:g})"] == pytest.approx(want, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [["--kmax", "-1"], ["--x", "nan"]])
+    @pytest.mark.parametrize("bad", [["--kmax", "-1"], ["--x", "nan"], ["--p", "nan"]])
     def test_out_of_range_input_is_input_error(self, bad, capsys):
         rc = main(["sphere-spectrum", "--n", "3", *bad])
         assert rc == 2
@@ -184,6 +200,31 @@ class TestSchurBound:
         assert rep["tables"]["bound"][0]["lower_bound"] == pytest.approx(1.0, abs=1e-8)
         details = {r["name"]: r for r in rep["records"]}["lower-bound"]["details"]
         assert (details["best_start"] == -1) == (details["best_iteration"] == 0)
+        # sqrt(6) |ones(6, 6)|_F = 6 sqrt(6), with the rounding allowance
+        assert details["upper_bound"] == pytest.approx(6.0 * math.sqrt(6.0), rel=1e-14)
+        assert rep["tables"]["bound"][0]["upper_bound"] == details["upper_bound"]
+
+    def test_inflated_lower_bound_fails(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from mcert import cli
+
+        real = cli.schur_norm_lower_bound
+        monkeypatch.setattr(cli, "schur_norm_lower_bound",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), value=1e3))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.ones((6, 6)), path)
+        out = tmp_path / "sb.json"
+        assert main(["schur-bound", "--points", str(path), "--out", str(out)]) == 1
+        rec = {r["name"]: r for r in load_report(out)["records"]}["lower-bound"]
+        assert rec["verdict"] == "FAIL" and rec["measured"] == 1e3
+
+    @pytest.mark.parametrize("p", ["nan", "0.5"])
+    def test_p_outside_range_is_input_error(self, p, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.ones((3, 3)), path)
+        assert main(["schur-bound", "--points", str(path), "--p", p]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_negative_index_exit_code(self, tmp_path):
         path = tmp_path / "neg.csv"

@@ -8,10 +8,10 @@ from scipy.linalg import expm
 
 from mcert.cli import _sweep_points
 from mcert.errors import DomainError, InputError
-from mcert.geometry import (GroupElement, LieBasis, check_special_linear, default_step,
-                            dist_to_identity, distortion_constant, harish_chandra_xi, haar_so,
-                            hs_norm, identity, kak_decompose, length, lie_derivative,
-                            mc_l2_norm, weyl_ball_volume)
+from mcert.geometry import (GroupElement, LieBasis, _flow_grid, check_special_linear,
+                            default_step, dist_to_identity, distortion_constant,
+                            harish_chandra_xi, haar_so, hs_norm, identity, kak_decompose,
+                            length, lie_derivative, mc_l2_norm, weyl_ball_volume)
 from mcert.symbols import SymbolHandle
 
 
@@ -184,20 +184,40 @@ class TestLieDerivative:
 
 
 def nested_lie_derivative(m, g, gamma, basis):
-    """Per-matrix reference: the nested recursion with Python complex arithmetic."""
-    h = default_step(g, len(gamma))
+    """Per-matrix reference: the nested recursion with Python complex arithmetic.
 
-    def deriv(mat, order):
+    Along a run of equal directions the offsets u (in units of h/2) add up,
+    and the run's last level applies the engine's flow F_j(u) once; a
+    direction without a repeated neighbour takes expm at +-h/2 and +-h.
+    """
+    h = default_step(g, len(gamma))
+    flows = {}
+
+    def flow(j, u):
+        if (j, u) not in flows:
+            width = max(abs(u), 2)
+            flows[j, u] = _flow_grid(basis[j], np.array([h]), width)[0, width + u]
+        return flows[j, u]
+
+    def deriv(mat, order, u=None):
         if not order:
             return complex(m(mat))
         j, rest = order[0], order[1:]
 
-        def central(hh):
-            plus = deriv(mat @ expm(hh * basis[j]), rest)
-            minus = deriv(mat @ expm(-hh * basis[j]), rest)
+        def central(du):  # du = 1 at step h/2, 2 at step h
+            hh = h / 2.0 if du == 1 else h
+            if rest[:1] == (j,):  # the run goes on: carry the offset
+                plus = deriv(mat, rest, (u or 0) + du)
+                minus = deriv(mat, rest, (u or 0) - du)
+            elif u is None:
+                plus = deriv(mat @ expm(hh * basis[j]), rest)
+                minus = deriv(mat @ expm(-hh * basis[j]), rest)
+            else:
+                plus = deriv(mat @ flow(j, u + du), rest)
+                minus = deriv(mat @ flow(j, u - du), rest)
             return (plus - minus) / (2.0 * hh)
 
-        return (4.0 * central(h / 2.0) - central(h)) / 3.0
+        return (4.0 * central(1) - central(2)) / 3.0
 
     return deriv(g.entries, tuple(gamma))
 
@@ -225,6 +245,80 @@ class TestStackedEngine:
                 for g in points:
                     got = lie_derivative(sym, g, gamma, self.basis)
                     assert got == nested_lie_derivative(sym, g, gamma, self.basis), (k, gamma)
+
+    def test_mixed_runs_match_nested_reference_exactly(self):
+        # runs of repeated directions between other directions, orders 2..5
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sym = lambda m: np.trace(a @ m, axis1=-2, axis2=-1)
+        local, rays = _sweep_points(3, 1, seed=2)
+        points = local + [pts[-1][1] for _, pts in rays]
+        for gamma in [(4, 4), (2, 5, 5), (6, 1, 1, 6), (3, 3, 0, 3, 3), (2, 5, 5, 2, 2)]:
+            for g in points:
+                got = lie_derivative(sym, g, gamma, self.basis)
+                assert got == nested_lie_derivative(sym, g, gamma, self.basis), gamma
+
+    def test_flow_grid_matches_expm(self):
+        # F_j(u) = exp(u (h/2) X_j) at the default steps of the n = 3 and n = 4
+        # sweeps, out to the order-9 width; the four base flows are expm itself
+        for n in (3, 4):
+            basis = LieBasis.standard(n)
+            local, rays = _sweep_points(n, 2, seed=0)
+            steps = default_step(np.stack([g.entries for g in local]
+                                          + [g.entries for _, pts in rays for _, g in pts]), 9)
+            width = 18
+            for j in (0, len(basis) // 2, len(basis) - 1):
+                grid = _flow_grid(basis[j], steps, width)
+                for p, h in enumerate(steps.tolist()):
+                    assert np.array_equal(grid[p, width], np.eye(n))
+                    for u, s in ((2, h), (-2, -h), (1, h / 2.0), (-1, -(h / 2.0))):
+                        assert np.array_equal(grid[p, width + u], expm(s * basis[j])), (n, j, u)
+                    for u in range(-width, width + 1):
+                        want = expm(u * (h / 2.0) * basis[j])
+                        err = np.abs(grid[p, width + u] - want).max()
+                        assert err <= 1e-14 * np.abs(want).max(), (n, j, u, err)
+
+    def test_stacked_call_equals_per_point_calls(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sym = lambda m: np.trace(a @ m, axis1=-2, axis2=-1)
+        local, rays = _sweep_points(3, 2, seed=1)
+        points = local + [g for _, pts in rays for _, g in pts]
+        stack = np.stack([g.entries for g in points])
+        steps = np.geomspace(1e-3, 0.2, len(points))
+        for gamma in [(), (2,), (0, 0), (7,) * 5, (1, 4, 1), (3, 3, 5, 5, 5)]:
+            got = lie_derivative(sym, stack, gamma, self.basis)
+            assert got.shape == (len(points),)
+            assert list(got) == [lie_derivative(sym, g, gamma, self.basis) for g in points]
+            got = lie_derivative(sym, stack, gamma, self.basis, h=steps)
+            assert list(got) == [lie_derivative(sym, g, gamma, self.basis, h=h)
+                                 for g, h in zip(points, steps.tolist())]
+
+    def test_constant_symbol_exact_zero_at_order_nine(self):
+        basis = LieBasis.standard(4)
+        local, rays = _sweep_points(4, 2, seed=0)
+        stack = np.stack([g.entries for g in local]
+                         + [g.entries for _, pts in rays for _, g in pts])
+        for gamma in [(0,) * 9, (14,) * 9, (2, 2, 2, 9, 9, 9, 9, 5, 5)]:
+            got = lie_derivative(lambda m: np.full(m.shape[:-2], 2.5), stack, gamma, basis)
+            assert np.all(got == 0.0), gamma
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pure_indices_match_analytic_oracle_on_rays(self, seed):
+        # d^k/ds^k tr(A g exp(s X_j)) at 0 = tr(A g X_j^k), at the n = 3 sweep's
+        # ray points, orders 1..[n^2/2]+1, default steps
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sym = lambda m: np.trace(a @ m, axis1=-2, axis2=-1)
+        _, rays = _sweep_points(3, 5, seed=seed)
+        stack = np.stack([g.entries for _, pts in rays for _, g in pts])
+        scale = np.abs(a).sum() * np.abs(stack).max(axis=(1, 2))
+        for k in range(1, 6):
+            for j in (0, 3, 7):
+                got = lie_derivative(sym, stack, (j,) * k, self.basis)
+                xk = np.linalg.matrix_power(self.basis[j], k)
+                want = np.trace(a @ stack @ xk, axis1=-2, axis2=-1)
+                assert np.all(np.abs(got - want) <= 1e-5 * scale), (k, j)
 
     def test_stacked_dist_bit_identical(self):
         rng = np.random.default_rng(12)

@@ -9,8 +9,8 @@ from mcert import schur
 from mcert.errors import InputError
 from mcert.geometry import GroupElement, haar_so
 from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
-                         rigidity_witness, schatten_norm, schur_apply, schur_infty_upper_bound,
-                         schur_norm_exact_p2, schur_norm_lower_bound)
+                         frobenius_schur_bound, rigidity_witness, schatten_norm, schur_apply,
+                         schur_infty_upper_bound, schur_norm_exact_p2, schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 
@@ -113,6 +113,11 @@ class TestLowerBound:
             m = TruncatedSchurMultiplier(rng.standard_normal((8, 8)))
             res = schur_norm_lower_bound(m, 2.0, seed=7)
             assert res.value == pytest.approx(schur_norm_exact_p2(m), abs=1e-6)
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
+    def test_exponent_outside_range_rejected(self, p):
+        with pytest.raises(InputError):
+            schur_norm_lower_bound(TruncatedSchurMultiplier(np.ones((3, 3))), p)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(8)
@@ -236,6 +241,37 @@ class TestCirculantBound:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             circulant_schur_bound(np.ones((3, 4)))
+
+
+class TestFrobeniusBound:
+    def test_value_and_trace_norm(self):
+        rng = np.random.default_rng(21)
+        for shape in ((1, 1), (1, 6), (5, 3), (8, 8)):
+            sym = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = frobenius_schur_bound(sym)
+            want = math.sqrt(min(shape)) * np.linalg.norm(sym)
+            assert got == pytest.approx(want, rel=1e-14)
+            assert got >= np.linalg.svd(sym, compute_uv=False).sum()
+
+    def test_one_entry_row_is_tight(self):
+        # the multiplier norm of a 1 x 5 symbol is its sup entry
+        sym = np.zeros((1, 5))
+        sym[0, 3] = -2.5
+        assert 2.5 <= frobenius_schur_bound(sym) <= 2.5 * (1.0 + 1e-14)
+
+    def test_rejects_empty(self):
+        with pytest.raises(InputError):
+            frobenius_schur_bound(np.zeros((0, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=10_000), st.sampled_from([1.0, 2.0, 4.0, math.inf]))
+def test_frobenius_bound_dominates_optimizer(rows, cols, seed, p):
+    rng = np.random.default_rng(seed)
+    sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
+    assert frobenius_schur_bound(sym) >= res.value
 
 
 @settings(max_examples=40, deadline=None)

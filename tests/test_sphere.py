@@ -131,6 +131,21 @@ class TestSchattenSums:
         with pytest.raises(DomainError):
             schatten_derivative_sum(5, 4.0, 0, 0.99)
 
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError):
+            schatten_derivative_sum(3, 4.0, 0, math.nan)
+        with pytest.raises(DomainError):
+            holder_schatten_difference(5, 4.0, 0.5, 0.0, math.nan)
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -4.0, math.inf])
+    def test_bad_exponent_rejected(self, p):
+        with pytest.raises(InputError):
+            schatten_derivative_sum(3, p, 0, 0.5)
+        with pytest.raises(InputError):
+            holder_schatten_difference(5, p, 0.5, 0.0, 0.1)
+        with pytest.raises(InputError):
+            schatten_sum_truncated(5, p, 0, 0.3, 10)
+
     def test_holder_zero_gap(self):
         assert holder_schatten_difference(5, 4.0, 0.5, 0.1, 0.1).value == 0.0
 
@@ -166,6 +181,10 @@ class TestRigidityExponents:
     def test_small_p_rejected(self):
         with pytest.raises(DomainError):
             RigidityExponents.compute(3, 4.0)  # needs p > 4 at n = 3
+
+    def test_nan_p_rejected(self):
+        with pytest.raises(DomainError):
+            RigidityExponents.compute(3, math.nan)
 
     def test_integer_shift(self):
         ex = RigidityExponents.compute(7, 4.0)
