@@ -32,6 +32,11 @@ __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
            "cmd_schur_bound", "cmd_geometry"]
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{flag} must be >= {least}, got {value}")
+
+
 def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
     """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis."""
     if not 1 <= per_order <= dim:
@@ -101,6 +106,8 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     """
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
+    _check_count("--order", order, 0)
+    _check_count("--grid-levels", shells, 1)
     basis = geo.LieBasis.standard(n)
     gammas = _sample_multi_indices(len(basis), order, per_order)
     local, rays = _sweep_points(n, shells, seed)
@@ -203,8 +210,7 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
     sufficiency record compares the fitted decay exponent of the profile
     against the critical index of the requested rank.
     """
-    if sections < 0:
-        raise InputError(f"--sections must be >= 0, got {sections}")
+    _check_count("--sections", sections, 0)
     profile = family.build_profile()
     rep = CertificationReport(command="rigidity")
     rep.seeds["sections"] = seed
@@ -256,10 +262,10 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
     rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
     system = sphere.SphericalEigenSystem(n, k_max)
-    table = system.eigenvalues(xs)
+    mults, table = system.multiplicities(), system.eigenvalues(xs)  # m_k checks k_max first
     rep.add_table("spectrum", [
         {"k": k, "m_k": m_k, **{f"phi(x={x:g})": float(v) for x, v in zip(xs, table[k])}}
-        for k, m_k in enumerate(system.multiplicities())])
+        for k, m_k in enumerate(mults)])
 
     k_check = min(k_max, 50)
     worst = 0.0
@@ -292,7 +298,8 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
 
     The lower bound fails only when it exceeds the upper bound by more
     than its 1e-8 relative tolerance, which covers the rounding of the
-    optimizer's SVD-based ratio."""
+    optimizer's SVD-based ratio.  Zero iterations give the sup-entry floor."""
+    _check_count("--iterations", iterations, 0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(np.asarray(matrix, dtype=complex))
@@ -320,6 +327,7 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
 
 def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000) -> CertificationReport:
     """Chamber ball volumes over a radius list and the growth-rate record."""
+    _check_count("--mc-samples", mc_samples, 2)
     rep = CertificationReport(command="geometry")
     rep.seeds["mc"] = seed
     rs = np.asarray(list(r_list), dtype=float)

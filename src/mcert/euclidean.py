@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InputError, NumericError
+from .sphere import gauss_legendre
 from .symbols import EuclideanSymbol
 
 __all__ = [
@@ -109,7 +110,7 @@ def _cosine_moment(d: int, eps: float, npts: int = 200) -> float:
     so the integrand is smooth for every d."""
     if d == 1:
         return 1.0
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = gauss_legendre(npts)
     theta = 0.25 * math.pi * (x + 1.0)  # [0, pi/2]
     dens = np.cos(theta) ** (d - 2)
     num = float(np.sum(w * dens * np.sin(theta) ** (2.0 * eps)))

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import AccuracyError, DomainError, InputError, NumericError
+from .sphere import gauss_legendre
 
 __all__ = [
     "GroupElement",
@@ -331,15 +332,6 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
 # ---------------------------------------------------------------------------
 # Weyl chamber integration
 
-_GL_CACHE: dict = {}
-
-
-def _gauss_legendre(npts: int):
-    if npts not in _GL_CACHE:
-        _GL_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GL_CACHE[npts]
-
-
 def _sinh_weight(z: np.ndarray) -> np.ndarray:
     """prod_{i<j} sinh(z_i - z_j) on descending rows of z."""
     n = z.shape[-1]
@@ -351,7 +343,7 @@ def _sinh_weight(z: np.ndarray) -> np.ndarray:
 
 
 def _weyl_volume_quad(n: int, r: float, npts: int) -> float:
-    x, w = _gauss_legendre(npts)
+    x, w = gauss_legendre(npts)
     if n == 2:
         t = 0.5 * r * (x + 1.0)
         return float(np.sum(w * np.sinh(2.0 * t)) * 0.5 * r)

@@ -44,19 +44,19 @@ def _check_nk(n: int, k: int) -> None:
         raise InputError("degree k must be >= 0")
 
 
-def _eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
-    """All normalized eigenvalues of degree 0..k_cap at x in one pass: the
-    ultraspherical three-term recurrence at index lambda = (n-2)/2."""
-    x = np.asarray(x, dtype=float)
+def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
+    """Normalized eigenvalues of degree 0..k_cap at x by the ultraspherical recurrence
+    at index (n-2)/2, appended to ``rows`` in place (rows already there, at the same
+    n and x, are resumed).  A 0-d x runs on Python floats: same operations, same bits."""
+    x = float(x) if np.ndim(x) == 0 else np.array(x, dtype=float)  # rows outlive the call
+    rows = [] if rows is None else rows
+    seed = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, x]  # degrees 0 and 1
+    rows.extend(seed[len(rows):k_cap + 1])
     lam = 0.5 * (n - 2)
-    out = np.empty((k_cap + 1,) + x.shape)
-    out[0] = 1.0
-    if k_cap >= 1:
-        out[1] = x
-    for kk in range(2, k_cap + 1):
-        out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
-                   - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
-    return out
+    for kk in range(len(rows), k_cap + 1):
+        rows.append((2.0 * (kk + lam - 1.0) * x * rows[kk - 1]
+                     - (kk - 1.0) * rows[kk - 2]) / (kk + 2.0 * lam - 1.0))
+    return np.array(rows[:k_cap + 1], dtype=float)
 
 
 def _checked_argument(x) -> np.ndarray:
@@ -81,6 +81,14 @@ def gegenbauer_normalized(n: int, k: int, x):
     return _checked_table(n, x, k)[k]
 
 
+@lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
+def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], shared by the package."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
     """Quadrature form c_n int_0^pi (x + i sqrt(1-x^2) cos t)^k sin^{n-3} t dt.
 
@@ -91,7 +99,7 @@ def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
     x = np.asarray(x, dtype=float)
     if nodes is None:
         nodes = max(64, 2 * k + 8)
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = gauss_legendre(nodes)
     theta = 0.5 * math.pi * (t + 1.0)
     wt = w * 0.5 * math.pi
     c_n = math.gamma((n - 1) / 2.0) / (math.sqrt(math.pi) * math.gamma((n - 2) / 2.0))
@@ -121,16 +129,12 @@ def gegenbauer_derivative(n: int, k: int, r: int, x):
 
 
 def multiplicity(n: int, k: int) -> int:
-    """Dimension of the degree-k eigenspace, exactly in integer arithmetic."""
+    """Dimension of the degree-k eigenspace, exactly in integer arithmetic:
+    C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each."""
     _check_nk(n, k)
     if n + k - 3 > _FACTORIAL_BOUND:
         raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
-    num = math.factorial(n + k - 3) * (n + 2 * k - 2)
-    den = math.factorial(n - 2) * math.factorial(k)
-    q, rem = divmod(num, den)
-    if rem:
-        raise RangeError("multiplicity formula did not divide exactly")
-    return q
+    return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
 
 
 @dataclass(frozen=True)
@@ -188,17 +192,17 @@ class RigidityExponents:
 _DEFAULT_INTERIOR = 0.95
 
 
-def _derivative_table(n: int, r: int, x, k_cap: int) -> np.ndarray:
-    """d^r of the normalized eigenvalues for degrees 0..k_cap at x."""
+def _derivative_table(n: int, r: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
+    """d^r of the normalized eigenvalues, degrees 0..k_cap at x; ``rows`` at index n + 2r."""
     from scipy.special import gammaln
 
     if r == 0:
-        return _eigenvalue_table(n, x, k_cap)
+        return _eigenvalue_table(n, x, k_cap, rows)
     lam = 0.5 * (n - 2)
     out = np.zeros((k_cap + 1,) + np.shape(x))
     if k_cap < r:
         return out
-    base = _eigenvalue_table(n + 2 * r, x, k_cap - r)
+    base = _eigenvalue_table(n + 2 * r, x, k_cap - r, rows)
     ks = np.arange(r, k_cap + 1)
     log_pref = sum(math.log(2.0 * (lam + i)) for i in range(r))
     two_lam_r = 2.0 * (lam + r)
@@ -261,14 +265,16 @@ def _alpha0(n: int, p: float) -> float:
     return (n - 2) / 2.0 - (n - 1) / p
 
 
-def _check_exponent(p: float) -> None:
+def _check_sum_args(p: float, order: float) -> None:
     if not (1.0 <= p < math.inf):
         raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
+    if not order >= 0:
+        raise InputError(f"derivative order must be >= 0, got {order}")
 
 
 def schatten_sum_truncated(n: int, p: float, r: int, x: float, k_cap: int) -> float:
     """(sum_{k <= k_cap} m_k |d^r eigenvalue_k(x)|^p)^{1/p}, no tail control."""
-    _check_exponent(p)
+    _check_sum_args(p, r)
     table = np.abs(_derivative_table(n, r, np.asarray(float(x)), k_cap))
     mult = _multiplicity_table(n, k_cap)
     return float(np.sum(mult * table ** p) ** (1.0 / p))
@@ -294,7 +300,7 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
 
     Diverges (by the spectral decay law) when r >= alpha0.
     """
-    _check_exponent(p)
+    _check_sum_args(p, r)
     if not abs(x) <= interior:  # NaN included
         raise DomainError(f"|x| must be <= {interior}", measured=x)
     a0 = _alpha0(n, p)
@@ -302,9 +308,10 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         return SchattenSumResult(value=None, diverged=True)
     cdec = _decay_constant(n, r, band=_band_for(x))
     xs = np.asarray(float(x))
+    rows = []  # each doubling resumes the recurrence where the last one stopped
     k_cap = k_start
     while True:  # grow the truncation until the tail is below tail_tol relative to the norm
-        table = np.abs(_derivative_table(n, r, xs, k_cap))
+        table = np.abs(_derivative_table(n, r, xs, k_cap, rows))
         total = float(np.sum(_multiplicity_table(n, k_cap) * table ** p))
         value, err = _truncated_norm(total, n, p, r, cdec, k_cap)
         if err <= tail_tol * max(value, 1e-300):
@@ -325,7 +332,7 @@ def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: floa
     plain sum needs at the same parameters, and at least a few multiples
     of 1/|x - y| where the difference stops being proportional to the gap.
     """
-    _check_exponent(p)
+    _check_sum_args(p, alpha)
     if x == y:
         return SchattenSumResult(value=0.0, diverged=False)
     if not (abs(x) <= interior and abs(y) <= interior):  # NaN included

@@ -10,6 +10,7 @@ import pytest
 
 import mcert
 from mcert.cli import main
+from mcert.sphere import multiplicity
 from mcert.symbols import write_matrix_csv
 
 
@@ -66,6 +67,13 @@ class TestCertifyHm:
         rows = load_report(out)["tables"]["hm_constants"]
         assert [r["order"] for r in rows] == list(range(10))
         assert all(math.isfinite(r["constant"]) for r in rows)
+
+    @pytest.mark.parametrize("bad", [["--grid-levels", "-1"], ["--grid-levels", "0"],
+                                     ["--order", "-1"]])
+    def test_count_flag_out_of_range_is_input_error(self, bad, capsys):
+        rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2", *bad])
+        assert rc == 2
+        assert bad[0] in capsys.readouterr().err
 
     def test_per_order_zero_is_input_error(self, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
@@ -182,11 +190,21 @@ class TestSphereSpectrum:
                 want = eval_gegenbauer(r["k"], lam, x) / eval_gegenbauer(r["k"], lam, 1.0)
                 assert r[f"phi(x={x:g})"] == pytest.approx(want, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [["--kmax", "-1"], ["--x", "nan"], ["--p", "nan"]])
+    @pytest.mark.parametrize("bad", [["--kmax", "-1"], ["--x", "nan"], ["--p", "nan"],
+                                     ["--p", "8", "--r", "-1"], ["--kmax", "200001"]])
     def test_out_of_range_input_is_input_error(self, bad, capsys):
         rc = main(["sphere-spectrum", "--n", "3", *bad])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_large_kmax_finishes(self, tmp_path):
+        out = tmp_path / "spec.json"
+        proc = run_cli(["sphere-spectrum", "--n", "8", "--p", "8", "--x", "0.5",
+                        "--kmax", "20000", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        rows = load_report(out)["tables"]["spectrum"]
+        assert len(rows) == 20001
+        assert rows[-1]["m_k"] == multiplicity(8, 20000)
 
 
 class TestSchurBound:
@@ -226,6 +244,21 @@ class TestSchurBound:
         assert main(["schur-bound", "--points", str(path), "--p", p]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_zero_iterations_give_sup_entry(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.array([[1.0, -3.0], [2.0, 0.5]]), path)
+        out = tmp_path / "sb.json"
+        assert main(["schur-bound", "--points", str(path), "--iterations", "0",
+                     "--out", str(out)]) == 0
+        assert load_report(out)["tables"]["bound"][0]["lower_bound"] == 3.0
+
+    @pytest.mark.parametrize("iterations", ["-1", "-3"])
+    def test_negative_iterations_is_input_error(self, iterations, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.ones((3, 3)), path)
+        assert main(["schur-bound", "--points", str(path), "--iterations", iterations]) == 2
+        assert "--iterations" in capsys.readouterr().err
+
     def test_negative_index_exit_code(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("i,j,re,im\n0,0,1,0\n1,-1,2,0\n", encoding="utf-8")
@@ -249,6 +282,12 @@ class TestGeometryCommand:
     def test_bad_radius_is_input_error(self):
         rc = main(["geometry", "--n", "2", "--R", "-1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("samples", ["-5", "0", "1"])
+    def test_mc_samples_below_two_is_input_error(self, samples, capsys):
+        rc = main(["geometry", "--n", "4", "--R", "2", "3", "--mc-samples", samples])
+        assert rc == 2
+        assert "--mc-samples" in capsys.readouterr().err
 
 
 class TestReportDeterminism:

@@ -6,9 +6,91 @@ import pytest
 
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (RigidityExponents, SchattenSumResult, SphericalEigenSystem,
-                          averaging_operator, gegenbauer_derivative, gegenbauer_integral,
+                          _derivative_table, _eigenvalue_table, averaging_operator,
+                          gauss_legendre, gegenbauer_derivative, gegenbauer_integral,
                           gegenbauer_normalized, holder_schatten_difference, multiplicity,
                           schatten_derivative_sum, schatten_sum_truncated, sphere_grid)
+
+
+def reference_table(n, x, k_cap):
+    """The recurrence written into a preallocated array, one row per degree."""
+    x = np.asarray(x, dtype=float)
+    lam = 0.5 * (n - 2)
+    out = np.empty((k_cap + 1,) + x.shape)
+    out[0] = 1.0
+    if k_cap >= 1:
+        out[1] = x
+    for kk in range(2, k_cap + 1):
+        out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
+                   - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
+    return out
+
+
+def reference_derivative_table(n, r, x, k_cap):
+    """d^r of the eigenvalues from :func:`reference_table` at the raised index."""
+    from scipy.special import gammaln
+
+    if r == 0:
+        return reference_table(n, x, k_cap)
+    lam = 0.5 * (n - 2)
+    out = np.zeros((k_cap + 1,) + np.shape(x))
+    if k_cap < r:
+        return out
+    base = reference_table(n + 2 * r, x, k_cap - r)
+    ks = np.arange(r, k_cap + 1)
+    log_pref = sum(math.log(2.0 * (lam + i)) for i in range(r))
+    two_lam_r = 2.0 * (lam + r)
+    two_lam = 2.0 * lam
+    log_ratio = (gammaln(ks - r + two_lam_r) - gammaln(two_lam_r) - gammaln(ks - r + 1)
+                 - gammaln(ks + two_lam) + gammaln(two_lam) + gammaln(ks + 1))
+    scale = np.exp(log_pref + log_ratio)
+    out[r:] = scale.reshape((-1,) + (1,) * (out.ndim - 1)) * base
+    return out
+
+
+DOUBLINGS = [64 << i for i in range(9)]  # 64, 128, ..., 16384
+ENGINE_XS = [0.0, 0.4, -0.4, 0.95, -0.95, np.linspace(-0.95, 0.95, 41)]
+
+
+class TestRecurrenceEngine:
+    @pytest.mark.parametrize("n", [3, 5, 8, 10])
+    def test_table_equals_reference(self, n):
+        for x in ENGINE_XS:
+            want = reference_table(n, x, DOUBLINGS[-1])
+            got = _eigenvalue_table(n, np.asarray(x), DOUBLINGS[-1])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            rows = []
+            for k in DOUBLINGS:
+                resumed = _eigenvalue_table(n, np.asarray(x), k, rows)
+                assert resumed.shape == want[:k + 1].shape
+                assert resumed.tobytes() == want[:k + 1].tobytes()
+            assert len(rows) == DOUBLINGS[-1] + 1
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_derivative_table_equals_reference(self, r):
+        for n in (3, 5, 8):
+            for x in ENGINE_XS:
+                want = reference_derivative_table(n, r, x, 1024)
+                got = _derivative_table(n, r, np.asarray(x), 1024)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                rows = []
+                for k in DOUBLINGS[:5]:
+                    got = _derivative_table(n, r, np.asarray(x), k, rows)
+                    want = reference_derivative_table(n, r, x, k)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [64, 66, 108, 120, 180, 200])
+    def test_cached_rule_is_leggauss(self, m):
+        x, w = gauss_legendre(m)
+        want_x, want_w = np.polynomial.legendre.leggauss(m)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        assert gauss_legendre(m)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_rule_cache_is_bounded(self):
+        assert gauss_legendre.cache_info().maxsize == 64
 
 
 class TestEigenvalues:
@@ -107,6 +189,19 @@ class TestMultiplicity:
     def test_range_guard(self):
         with pytest.raises(RangeError):
             multiplicity(3, 10 ** 6)
+        with pytest.raises(RangeError):
+            SphericalEigenSystem(3, 200_001).multiplicities()
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 17])
+    def test_equals_factorial_formula(self, n):
+        def factorial_form(k):  # (n+k-3)! (n+2k-2) / ((n-2)! k!)
+            num = math.factorial(n + k - 3) * (n + 2 * k - 2)
+            q, rem = divmod(num, math.factorial(n - 2) * math.factorial(k))
+            assert rem == 0
+            return q
+
+        assert SphericalEigenSystem(n, 400).multiplicities() == [
+            factorial_form(k) for k in range(401)]
 
 
 class TestSchattenSums:
@@ -145,6 +240,14 @@ class TestSchattenSums:
             holder_schatten_difference(5, p, 0.5, 0.0, 0.1)
         with pytest.raises(InputError):
             schatten_sum_truncated(5, p, 0, 0.3, 10)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(InputError):
+            schatten_derivative_sum(3, 8.0, -1, 0.5)
+        with pytest.raises(InputError):
+            schatten_sum_truncated(5, 4.0, -1, 0.3, 10)
+        with pytest.raises(InputError):
+            holder_schatten_difference(5, 4.0, -0.5, 0.0, 0.1)
 
     def test_holder_zero_gap(self):
         assert holder_schatten_difference(5, 4.0, 0.5, 0.1, 0.1).value == 0.0
