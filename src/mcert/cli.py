@@ -24,8 +24,8 @@ from . import geometry as geo
 from . import sphere
 from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, input_digest
-from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, rigidity_witness,
-                    schur_norm_exact_p2, schur_norm_lower_bound)
+from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, profile_rigidity_records,
+                    rigidity_witness, schur_norm_exact_p2, schur_norm_lower_bound)
 from .symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
@@ -49,24 +49,13 @@ def _sweep_points(n: int, shells: int, seed: int):
     """Local shells plus asymptotic rays; returns (local, rays) where rays
     is a list of (ray_id, [(L, element), ...])."""
     rng = np.random.default_rng(seed)
-    dirs = []
-    d0 = np.zeros((n, n))
-    d0[0, 0], d0[-1, -1] = 1.0, -1.0
-    dirs.append(d0)
-    sk = np.zeros((n, n))
-    sk[0, 1], sk[1, 0] = 1.0, -1.0
-    dirs.append(sk)
-    sh = np.zeros((n, n))
-    sh[0, 1] = 1.0
-    dirs.append(sh)
-    dirs = [d / np.linalg.norm(d) * math.sqrt(n) for d in dirs]  # unit normalized HS
-
-    from scipy.linalg import expm
-
-    local = []
-    for t in np.geomspace(1e-3, 0.6, shells):
-        for d in dirs:
-            local.append(geo.GroupElement(expm(t * d)))
+    dirs = np.zeros((3, n, n))  # diagonal, plane rotation, square-zero; unit normalized HS
+    dirs[0, 0, 0], dirs[0, -1, -1] = 1.0, -1.0
+    dirs[1, 0, 1], dirs[1, 1, 0] = 1.0, -1.0
+    dirs[2, 0, 1] = 1.0
+    dirs = dirs / np.linalg.norm(dirs, axis=(1, 2), keepdims=True) * math.sqrt(n)
+    flows = np.stack([geo.expm(d, np.geomspace(1e-3, 0.6, shells)) for d in dirs], axis=1)
+    local = [geo.GroupElement(g) for g in flows.reshape(-1, n, n)]  # shell by shell
 
     rays = []
     z_dirs = [np.array([1.0] + [0.0] * (n - 2) + [-1.0])]
@@ -226,8 +215,6 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
         ex = wit.exponents
         rep.tables["classification"] = [{"classification": wit.classification}]
     else:
-        from .schur import profile_rigidity_records
-
         records, ex = profile_rigidity_records(profile, n, p)
         for r in records:
             rep.add(r)
@@ -379,7 +366,7 @@ def _finish(report: CertificationReport, args) -> int:
     return report.exit_code()
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mcert",
                                      description="numerical multiplier certification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -405,7 +392,7 @@ def main(argv=None) -> int:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=float, default=4.0)
     s.add_argument("--r", type=int, default=0)
-    s.add_argument("--x", type=float, nargs="+", default=[0.5])
+    s.add_argument("--x", type=float, nargs="+", default=(0.5,))
     s.add_argument("--kmax", type=int, default=10)
     _add_common(s)
 
@@ -421,8 +408,14 @@ def main(argv=None) -> int:
     s.add_argument("--mc-samples", type=int, default=200_000,
                    help="Monte Carlo samples for n = 4, 5")
     _add_common(s)
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()  # built once per process; parse_args leaves it unchanged
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     digest_payload = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
     try:
         rep = _BUILDERS[args.command](args)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import AccuracyError, DomainError, InputError, NumericError
 from .sphere import gauss_legendre
@@ -33,6 +32,7 @@ __all__ = [
     "kak_decompose",
     "length",
     "dist_to_identity",
+    "expm",
     "lie_derivative",
     "default_step",
     "weyl_ball_volume",
@@ -163,10 +163,16 @@ def dist_to_identity(g):
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y)."""
+    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y) whose
+    elements are square-zero, diagonal or plane rotations, the generators whose
+    flows :func:`expm` gives in closed form; another element raises InputError."""
 
     n: int
     mats: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for x in self.mats:
+            expm(x)
 
     @classmethod
     def standard(cls, n: int) -> "LieBasis":
@@ -225,23 +231,25 @@ def max_derivative_order(n: int) -> int:
     return n * n // 2 + 1
 
 
-def _flow_grid(x: np.ndarray, h: np.ndarray, width: int) -> np.ndarray:
-    """Flows F(u) = exp(u (h/2) X) at the offsets u = -width..width, as a
-    (P, 2 width + 1, n, n) grid over the P steps ``h``; F(u) is at u + width.
-
-    F(+-1) and F(+-2) are ``expm`` at +-h/2 and +-h, F(0) is the exact
-    identity, and the farther offsets are the products F(u -+ 2) F(+-2).
-    """
-    n = x.shape[-1]
-    grid = np.empty((h.shape[0], 2 * width + 1, n, n))
-    grid[:, width] = np.eye(n)
-    for p, hp in enumerate(h.tolist()):
-        for u, s in ((2, hp), (-2, -hp), (1, hp / 2.0), (-1, -(hp / 2.0))):
-            grid[p, width + u] = expm(s * x)
-    for u in range(3, width + 1):
-        grid[:, width + u] = grid[:, width + u - 2] @ grid[:, width + 2]
-        grid[:, width - u] = grid[:, width - u + 2] @ grid[:, width - 2]
-    return grid
+def expm(x, s=1.0) -> np.ndarray:
+    """exp(s X) in closed form at every entry of the array ``s`` (s.shape + (n, n)):
+    I + sX for square-zero X, entrywise exp for diagonal X, and cos sc, sin sc in the
+    (i, j) plane for X = c (E_ij - E_ji), i < j; other X raise InputError."""
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)[..., None, None]
+    eye = np.eye(x.shape[-1])
+    if not np.any(x @ x):
+        return eye + s * x
+    if np.array_equal(x, np.diag(np.diag(x))):
+        return eye * np.exp(s * np.diag(x))
+    nonzero = np.argwhere(x)
+    if len(nonzero) != 2 or not np.array_equal(x, -x.T):
+        raise InputError("expm takes a square-zero, diagonal or plane rotation generator")
+    (i, j), _ = nonzero  # row-major order, so i < j
+    angle = s[..., 0, 0] * x[i, j]
+    out = eye * np.ones_like(s)
+    out[..., i, i] = out[..., j, j] = np.cos(angle)
+    out[..., i, j], out[..., j, i] = np.sin(angle), -np.sin(angle)
+    return out
 
 
 def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None = None):
@@ -293,7 +301,9 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
     width = {}
     for j, r in runs:
         width[j] = max(width.get(j, 0), 2 * r)
-    grids = {j: _flow_grid(basis[j], h, w) for j, w in width.items()}
+    # F_j(u) = exp(u (h/2) X_j) for u = -w..w, at u + w
+    grids = {j: expm(basis[j], np.arange(-w, w + 1) * (h[:, None] / 2.0))
+             for j, w in width.items()}
     offsets = [(2, -2, 1, -1) if r == 1 else tuple(range(-2 * r, 2 * r + 1)) for _, r in runs]
     leaves = mats[:, None]
     for (j, _), us in zip(runs, offsets):  # outermost run first

@@ -115,8 +115,8 @@ def gegenbauer_derivative(n: int, k: int, r: int, x):
     """r-th derivative of the normalized eigenvalue.
 
     Differentiating lowers the degree and raises the index; the result is
-    assembled from the recurrence at the raised index with an exact
-    log-gamma normalization ratio.
+    assembled from the recurrence at the raised index times a finite
+    product normalization ratio.
     """
     _check_nk(n, k)
     if r < 0:
@@ -193,33 +193,30 @@ _DEFAULT_INTERIOR = 0.95
 
 
 def _derivative_table(n: int, r: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
-    """d^r of the normalized eigenvalues, degrees 0..k_cap at x; ``rows`` at index n + 2r."""
-    from scipy.special import gammaln
-
+    """d^r of the normalized eigenvalues, degrees 0..k_cap at x; ``rows`` at index n + 2r.
+    Row k is raised row k - r times prod_{i<r} (k + n - 2 + i)(k - i) / (n - 1 + 2i)."""
     if r == 0:
         return _eigenvalue_table(n, x, k_cap, rows)
-    lam = 0.5 * (n - 2)
     out = np.zeros((k_cap + 1,) + np.shape(x))
     if k_cap < r:
         return out
     base = _eigenvalue_table(n + 2 * r, x, k_cap - r, rows)
-    ks = np.arange(r, k_cap + 1)
-    log_pref = sum(math.log(2.0 * (lam + i)) for i in range(r))
-    two_lam_r = 2.0 * (lam + r)
-    two_lam = 2.0 * lam
-    log_ratio = (gammaln(ks - r + two_lam_r) - gammaln(two_lam_r) - gammaln(ks - r + 1)
-                 - gammaln(ks + two_lam) + gammaln(two_lam) + gammaln(ks + 1))
-    scale = np.exp(log_pref + log_ratio)
+    ks = np.arange(r, k_cap + 1, dtype=float)
+    scale = np.ones_like(ks)
+    for i in range(r):
+        scale *= (ks + (n - 2 + i)) * (ks - i) / (n - 1 + 2 * i)
     out[r:] = scale.reshape((-1,) + (1,) * (out.ndim - 1)) * base
     return out
 
 
 def _multiplicity_table(n: int, k_cap: int) -> np.ndarray:
+    """:func:`multiplicity` for k = 0..k_cap in floats, as the finite product
+    (n + 2k - 2) prod_{i=1}^{n-3} (k + i)/(i + 1)."""
     ks = np.arange(k_cap + 1, dtype=float)
-    from scipy.special import gammaln
-    logm = (gammaln(n + ks - 2) + np.log(n + 2 * ks - 2)
-            - gammaln(n - 1) - gammaln(ks + 1))
-    return np.exp(logm)
+    mult = n - 2.0 + 2.0 * ks
+    for i in range(1, n - 2):
+        mult *= (ks + i) / (i + 1)
+    return mult
 
 
 _BANDS = (0.5, 0.6, 0.7, 0.8, 0.9, _DEFAULT_INTERIOR)
@@ -333,10 +330,10 @@ def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: floa
     of 1/|x - y| where the difference stops being proportional to the gap.
     """
     _check_sum_args(p, alpha)
-    if x == y:
-        return SchattenSumResult(value=0.0, diverged=False)
     if not (abs(x) <= interior and abs(y) <= interior):  # NaN included
         raise DomainError(f"|x|, |y| must be <= {interior}")
+    if x == y:
+        return SchattenSumResult(value=0.0, diverged=False)
     r = int(math.floor(alpha))
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:

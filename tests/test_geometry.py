@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 from mcert.cli import _sweep_points
 from mcert.errors import DomainError, InputError
-from mcert.geometry import (GroupElement, LieBasis, _flow_grid, check_special_linear,
-                            default_step, dist_to_identity, distortion_constant,
+from mcert.geometry import (GroupElement, LieBasis, check_special_linear,
+                            default_step, dist_to_identity, distortion_constant, expm,
                             harish_chandra_xi, haar_so, hs_norm, identity, kak_decompose,
                             length, lie_derivative, mc_l2_norm, weyl_ball_volume)
 from mcert.symbols import SymbolHandle
@@ -112,8 +112,7 @@ class TestDistToIdentity:
         for _ in range(50):
             x = rng.standard_normal((n, n)) * 1e-3
             x -= np.trace(x) / n * np.eye(n)
-            from scipy.linalg import expm
-            g = GroupElement(expm(x))
+            g = GroupElement(scipy_expm(x))
             near = hs_norm(g.entries - np.eye(n))
             if near > 0.1:
                 continue
@@ -187,17 +186,13 @@ def nested_lie_derivative(m, g, gamma, basis):
     """Per-matrix reference: the nested recursion with Python complex arithmetic.
 
     Along a run of equal directions the offsets u (in units of h/2) add up,
-    and the run's last level applies the engine's flow F_j(u) once; a
-    direction without a repeated neighbour takes expm at +-h/2 and +-h.
+    and the run's last level applies the flow exp(u (h/2) X_j) once; a
+    direction without a repeated neighbour takes the flow at +-h/2 and +-h.
     """
     h = default_step(g, len(gamma))
-    flows = {}
 
     def flow(j, u):
-        if (j, u) not in flows:
-            width = max(abs(u), 2)
-            flows[j, u] = _flow_grid(basis[j], np.array([h]), width)[0, width + u]
-        return flows[j, u]
+        return expm(basis[j], u * (h / 2.0))
 
     def deriv(mat, order, u=None):
         if not order:
@@ -210,8 +205,8 @@ def nested_lie_derivative(m, g, gamma, basis):
                 plus = deriv(mat, rest, (u or 0) + du)
                 minus = deriv(mat, rest, (u or 0) - du)
             elif u is None:
-                plus = deriv(mat @ expm(hh * basis[j]), rest)
-                minus = deriv(mat @ expm(-hh * basis[j]), rest)
+                plus = deriv(mat @ expm(basis[j], hh), rest)
+                minus = deriv(mat @ expm(basis[j], -hh), rest)
             else:
                 plus = deriv(mat @ flow(j, u + du), rest)
                 minus = deriv(mat @ flow(j, u - du), rest)
@@ -227,6 +222,12 @@ def per_matrix_dist(g):
     s = kak_decompose(g).exponents
     near = min(hs_norm(g.entries - np.eye(g.n)), 1.0)
     return max(near, float(np.exp(max(s[0], -s[-1]))) - 1.0)
+
+
+def assert_within_ulps(got, want, ulps):
+    """Entrywise |got - want| <= ulps units in the last place of want."""
+    err = np.abs(got - want)
+    assert np.all(err <= ulps * np.spacing(np.abs(want))), err.max()
 
 
 class TestStackedEngine:
@@ -260,23 +261,50 @@ class TestStackedEngine:
 
     def test_flow_grid_matches_expm(self):
         # F_j(u) = exp(u (h/2) X_j) at the default steps of the n = 3 and n = 4
-        # sweeps, out to the order-9 width; the four base flows are expm itself
+        # sweeps, out to the order-9 width: exactly I + u (h/2) X_j on the
+        # square-zero directions, within 4 ulp of scipy's expm on the diagonal ones
         for n in (3, 4):
             basis = LieBasis.standard(n)
             local, rays = _sweep_points(n, 2, seed=0)
             steps = default_step(np.stack([g.entries for g in local]
                                           + [g.entries for _, pts in rays for _, g in pts]), 9)
             width = 18
-            for j in (0, len(basis) // 2, len(basis) - 1):
-                grid = _flow_grid(basis[j], steps, width)
+            for j in (0, n * (n - 1) - 1, n * (n - 1), len(basis) - 1):
+                grid = expm(basis[j], np.arange(-width, width + 1) * (steps[:, None] / 2.0))
                 for p, h in enumerate(steps.tolist()):
                     assert np.array_equal(grid[p, width], np.eye(n))
-                    for u, s in ((2, h), (-2, -h), (1, h / 2.0), (-1, -(h / 2.0))):
-                        assert np.array_equal(grid[p, width + u], expm(s * basis[j])), (n, j, u)
                     for u in range(-width, width + 1):
-                        want = expm(u * (h / 2.0) * basis[j])
-                        err = np.abs(grid[p, width + u] - want).max()
-                        assert err <= 1e-14 * np.abs(want).max(), (n, j, u, err)
+                        s = u * (h / 2.0)
+                        if j < n * (n - 1):
+                            assert np.array_equal(grid[p, width + u], np.eye(n) + s * basis[j])
+                        else:
+                            assert_within_ulps(grid[p, width + u], scipy_expm(s * basis[j]), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sweep_points_match_expm(self, n):
+        # the local sweep points: diagonal, rotation and square-zero directions
+        shells = 6
+        local, _ = _sweep_points(n, shells, seed=0)
+        dirs = [np.zeros((n, n)) for _ in range(3)]
+        dirs[0][0, 0], dirs[0][-1, -1] = 1.0, -1.0
+        dirs[1][0, 1], dirs[1][1, 0] = 1.0, -1.0
+        dirs[2][0, 1] = 1.0
+        dirs = [d / np.linalg.norm(d) * math.sqrt(n) for d in dirs]
+        want = [scipy_expm(t * d) for t in np.geomspace(1e-3, 0.6, shells) for d in dirs]
+        for g, w in zip(local, want):
+            assert_within_ulps(g.entries, w, 4)
+
+    def test_expm_rejects_other_generators(self):
+        x = np.array([[1.0, 2.0], [0.0, -1.0]])
+        with pytest.raises(InputError):
+            expm(x, 0.1)
+        with pytest.raises(InputError):
+            expm(np.array([[0.0, 1.0], [-2.0, 0.0]]), 0.1)
+
+    def test_basis_rejects_generators_without_closed_flow(self):
+        sym = np.array([[[0.0, 1.0], [1.0, 0.0]]]) / math.sqrt(2.0)  # (E_12 + E_21)/sqrt 2
+        with pytest.raises(InputError):
+            LieBasis(n=2, mats=sym)
 
     def test_stacked_call_equals_per_point_calls(self):
         rng = np.random.default_rng(8)
@@ -327,7 +355,7 @@ class TestStackedEngine:
         s -= s.mean(axis=1, keepdims=True)
         stack = haar_so(3, size, rng) * np.exp(s)[:, None, :] @ haar_so(3, size, rng)
         stack[0] = np.eye(3)
-        stack[1] = expm(1e-6 * self.basis[2])  # near the identity, where min(|g-e|, 1) wins
+        stack[1] = scipy_expm(1e-6 * self.basis[2])  # near the identity, where min(|g-e|, 1) wins
         got = dist_to_identity(check_special_linear(stack))
         want = np.array([per_matrix_dist(GroupElement(m)) for m in stack])
         assert got.shape == (size,)

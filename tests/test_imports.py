@@ -1,0 +1,73 @@
+"""The CLI path imports no module of the package after `import mcert.cli`,
+never scipy, and one process can run `main` many times."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import mcert
+from mcert.cli import main
+from mcert.symbols import write_matrix_csv
+
+GUARD = """
+import json, sys
+import mcert.cli
+before = set(sys.modules)
+codes = [mcert.cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "mcert")
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def readme_commands(tmp_path):
+    """The six README CLI commands, writing into tmp_path, on a small CSV matrix."""
+    points = tmp_path / "matrix.csv"
+    write_matrix_csv(np.arange(16.0).reshape(4, 4) / 16.0, points)
+    out = lambda name: str(tmp_path / name)
+    return [
+        ["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "3",
+         "--out", out("report.json")],
+        ["rigidity", "--profile", "radial-power:exponent=5", "--n", "3", "--p", "10",
+         "--out", out("r3.json")],
+        ["rigidity", "--profile", "radial-power:exponent=5", "--n", "16", "--p", "100",
+         "--out", out("r16.json")],
+        ["sphere-spectrum", "--n", "3", "--p", "4", "--x", "0.5", "--kmax", "50",
+         "--out", out("spec.json"), "--format", "csv"],
+        ["schur-bound", "--points", str(points), "--p", "4", "--out", out("bound.json")],
+        ["geometry", "--n", "2", "--R", *map(str, range(2, 11)), "--out", out("geo.json")],
+    ]
+
+
+def test_readme_commands_import_no_package_module_and_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(readme_commands(tmp_path))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["codes"] == [0, 0, 1, 0, 0, 0]
+    assert got["loaded"] == []
+    assert got["scipy"] == []
+
+
+def test_repeated_main_calls_share_no_state(tmp_path):
+    def body(path):
+        rep = json.loads(path.read_text(encoding="utf-8"))
+        rep.pop("header")
+        return json.dumps(rep, sort_keys=True)
+
+    run_a = lambda tag: main(["sphere-spectrum", "--n", "3", "--kmax", "8",
+                              "--out", str(tmp_path / f"{tag}.json")])
+    assert run_a("a1") == 0
+    assert main(["sphere-spectrum", "--n", "5", "--x", "0.3", "0.7", "--r", "1", "--p", "6",
+                 "--kmax", "12", "--seed", "3", "--out", str(tmp_path / "b.json"),
+                 "--format", "csv"]) == 0
+    assert run_a("a2") == 0
+    assert body(tmp_path / "a1.json") == body(tmp_path / "a2.json")
+    rows = json.loads((tmp_path / "a2.json").read_text(encoding="utf-8"))["tables"]["spectrum"]
+    assert [k for k in rows[0] if k.startswith("phi")] == ["phi(x=0.5)"]  # the --x default
+    assert not list(tmp_path.glob("a2_*.csv"))  # and the --format default

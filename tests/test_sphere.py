@@ -1,14 +1,16 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (RigidityExponents, SchattenSumResult, SphericalEigenSystem,
-                          _derivative_table, _eigenvalue_table, averaging_operator,
-                          gauss_legendre, gegenbauer_derivative, gegenbauer_integral,
-                          gegenbauer_normalized, holder_schatten_difference, multiplicity,
+                          _derivative_table, _eigenvalue_table, _multiplicity_table,
+                          averaging_operator, gauss_legendre, gegenbauer_derivative,
+                          gegenbauer_integral, gegenbauer_normalized,
+                          holder_schatten_difference, multiplicity,
                           schatten_derivative_sum, schatten_sum_truncated, sphere_grid)
 
 
@@ -26,26 +28,15 @@ def reference_table(n, x, k_cap):
     return out
 
 
-def reference_derivative_table(n, r, x, k_cap):
-    """d^r of the eigenvalues from :func:`reference_table` at the raised index."""
-    from scipy.special import gammaln
-
-    if r == 0:
-        return reference_table(n, x, k_cap)
-    lam = 0.5 * (n - 2)
-    out = np.zeros((k_cap + 1,) + np.shape(x))
-    if k_cap < r:
-        return out
-    base = reference_table(n + 2 * r, x, k_cap - r)
-    ks = np.arange(r, k_cap + 1)
-    log_pref = sum(math.log(2.0 * (lam + i)) for i in range(r))
-    two_lam_r = 2.0 * (lam + r)
-    two_lam = 2.0 * lam
-    log_ratio = (gammaln(ks - r + two_lam_r) - gammaln(two_lam_r) - gammaln(ks - r + 1)
-                 - gammaln(ks + two_lam) + gammaln(two_lam) + gammaln(ks + 1))
-    scale = np.exp(log_pref + log_ratio)
-    out[r:] = scale.reshape((-1,) + (1,) * (out.ndim - 1)) * base
-    return out
+def exact_scale(n, r, k):
+    """The derivative normalization d^r phi_k = scale * (raised row k - r) as an exact
+    fraction: its Gamma ratios at the integer 2 lam = n - 2, written as products."""
+    num, den = 1, 1
+    for i in range(r):
+        num *= (n - 2 + 2 * i) * (k + n - 2 + i) * (k - i)
+    for i in range(2 * r):
+        den *= n - 2 + i
+    return Fraction(num, den)
 
 
 DOUBLINGS = [64 << i for i in range(9)]  # 64, 128, ..., 16384
@@ -66,18 +57,31 @@ class TestRecurrenceEngine:
                 assert resumed.tobytes() == want[:k + 1].tobytes()
             assert len(rows) == DOUBLINGS[-1] + 1
 
-    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_derivative_table_equals_reference(self, r):
-        for n in (3, 5, 8):
+        # rows k >= r are the raised-index recurrence times the exact scale to
+        # 1e-13 relative, rows below r are 0, and resumed tables keep the bits
+        k_cap = DOUBLINGS[-1]
+        for n in (3, 4, 8, 16):
+            scale = np.array([float(exact_scale(n, r, k)) for k in range(r, k_cap + 1)])
             for x in ENGINE_XS:
-                want = reference_derivative_table(n, r, x, 1024)
-                got = _derivative_table(n, r, np.asarray(x), 1024)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                got = _derivative_table(n, r, np.asarray(x), k_cap)
+                base = reference_table(n + 2 * r, x, k_cap - r)
+                want = scale.reshape((-1,) + (1,) * (base.ndim - 1)) * base
+                assert got.shape == (k_cap + 1,) + np.shape(x)
+                assert np.all(got[:r] == 0.0)
+                assert np.all(np.abs(got[r:] - want) <= 1e-13 * np.abs(want))
                 rows = []
                 for k in DOUBLINGS[:5]:
-                    got = _derivative_table(n, r, np.asarray(x), k, rows)
-                    want = reference_derivative_table(n, r, x, k)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    resumed = _derivative_table(n, r, np.asarray(x), k, rows)
+                    assert resumed.tobytes() == _derivative_table(n, r, np.asarray(x), k).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
+    def test_multiplicity_table_equals_exact(self, n):
+        k_cap = DOUBLINGS[-1]
+        table = _multiplicity_table(n, k_cap)
+        want = np.array([float(multiplicity(n, k)) for k in range(k_cap + 1)])
+        assert np.all(np.abs(table - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("m", [64, 66, 108, 120, 180, 200])
     def test_cached_rule_is_leggauss(self, m):
@@ -251,6 +255,11 @@ class TestSchattenSums:
 
     def test_holder_zero_gap(self):
         assert holder_schatten_difference(5, 4.0, 0.5, 0.1, 0.1).value == 0.0
+        assert holder_schatten_difference(5, 4.0, 0.5, 0.3, 0.3).value == 0.0
+
+    def test_holder_zero_gap_outside_interior_rejected(self):
+        with pytest.raises(DomainError):
+            holder_schatten_difference(5, 4.0, 0.5, 2.0, 2.0)
 
     def test_holder_ratio_bounded(self):
         ratios = []
