@@ -24,17 +24,23 @@ from . import geometry as geo
 from . import sphere
 from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, input_digest
-from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, profile_rigidity_records,
-                    rigidity_witness, schur_norm_exact_p2, schur_norm_lower_bound)
+from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, interpolated_schur_bound,
+                    profile_rigidity_records, rigidity_witness, schur_norm_exact_p2,
+                    schur_norm_lower_bound)
 from .symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
            "cmd_schur_bound", "cmd_geometry"]
 
 
-def _check_count(flag: str, value: int, least: int) -> None:
+def _check_count(flag: str, value: int, least: int, most: int | None = None) -> None:
     if value < least:
         raise InputError(f"{flag} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InputError(f"{flag} must be <= {most}, got {value}")
+
+
+_MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024 (16 MB per dense array)
 
 
 def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
@@ -69,8 +75,8 @@ def _sweep_points(n: int, shells: int, seed: int):
         for logl in np.linspace(1.0, 3.0, 5):
             a = np.diag(np.exp(logl * z / max(z.max(), -z.min())))
             a /= np.linalg.det(a) ** (1.0 / n)
-            g = k1[0] @ a @ k1[1]
-            pts.append((geo.length(geo.GroupElement(g)), geo.GroupElement(g)))
+            g = geo.GroupElement(k1[0] @ a @ k1[1])
+            pts.append((geo.length(g), g))
         rays.append((ridx, pts))
     return local, rays
 
@@ -199,7 +205,7 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
     sufficiency record compares the fitted decay exponent of the profile
     against the critical index of the requested rank.
     """
-    _check_count("--sections", sections, 0)
+    _check_count("--sections", sections, 0, _MAX_SECTIONS)
     profile = family.build_profile()
     rep = CertificationReport(command="rigidity")
     rep.seeds["sections"] = seed
@@ -279,20 +285,20 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
 
 
 def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
-    """Lower bound for a sampled symbol matrix, checked against the
-    certified upper bound sqrt(min(N, M)) |M|_F, with the exact S_2 law as
-    an internal consistency check.
+    """Lower bound for a sampled symbol matrix, checked against the certified
+    upper bound sqrt(min(N, M)) |M|_F interpolated with the exact S_2 law
+    (the sup entry at p = 2), with that law as an internal consistency check.
 
     The lower bound fails only when it exceeds the upper bound by more
     than its 1e-8 relative tolerance, which covers the rounding of the
-    optimizer's SVD-based ratio.  Zero iterations give the sup-entry floor."""
+    optimizer's ratio.  Zero iterations give the sup-entry floor."""
     _check_count("--iterations", iterations, 0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(np.asarray(matrix, dtype=complex))
-    res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
+    upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
+    res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations, upper=upper)
     sup_entry = schur_norm_exact_p2(m)
-    upper = frobenius_schur_bound(m)
     rep.add(CheckRecord(
         name="lower-bound", check_id="schur/lower-bound",
         verdict=FAIL if res.value > upper * (1.0 + 1e-8) else PASS,

@@ -28,6 +28,7 @@ __all__ = [
     "schur_norm_lower_bound",
     "circulant_schur_bound",
     "frobenius_schur_bound",
+    "interpolated_schur_bound",
     "schur_norm_exact_p2",
     "SchurUpperBound",
     "schur_infty_upper_bound",
@@ -92,10 +93,19 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericError(f"SVD failed: {exc}") from exc
 
 
+def _pow2_scaled(x: np.ndarray):
+    """(x / 2^e, e), 2^e just above max|x| (2^-e finite): an exact scaling, so
+    norms computed on x / 2^e neither overflow nor lose their scaling with x."""
+    e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1021)
+    return x * math.ldexp(1.0, -e), e
+
+
 def _schatten_from_sv(sv: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv ** p) ** (1.0 / p))
+    """l_p norm of descending singular values, as s_1 |s / s_1|_p (no overflow)."""
+    top = float(sv[0]) if sv.size else 0.0
+    if math.isinf(p) or top == 0.0:
+        return top
+    return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
 
 
 def schatten_norm(a, p: float) -> float:
@@ -136,8 +146,65 @@ def _duality_map(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, p: float) -> np.
     if p == 1.0:
         return np.outer(u[:, 0], vt[0, :])
     q = _dual_exponent(p)
-    w = (sv / np.sum(sv ** q) ** (1.0 / q)) ** (q - 1.0)
+    s = sv / top  # no power overflows
+    w = (s / np.sum(s ** q) ** (1.0 / q)) ** (q - 1.0)
     return (u * w) @ vt
+
+
+# Even exponents whose duality map comes from products, not an SVD: one
+# complex SVD costs 12-26 products of its size (N = 32..512), p = 16 six.
+_GRAM_EXPONENTS = frozenset(range(2, 17, 2))
+_POWER_TOL = 1e-13  # power iteration stops once unit vectors move this little
+
+
+def _gram_dual(x: np.ndarray, p: float):
+    """(|X|_p, J) at even p without an SVD: with X~ = X / 2^e, G = X~^* X~ and
+    Y = X~ G^(p/2 - 1) = U S^(p-1) V^*, |X~|_p^p = tr(G^(p/2)) = <X~, Y> and
+    J = Y / |X~|_p^(p-1).  Entries of X~ lie below 1: no power overflows."""
+    xs, e = _pow2_scaled(x)
+    y, k = xs, int(p) // 2 - 1
+    power = np.conj(xs.T) @ xs if k else None
+    while k:
+        if k & 1:
+            y = y @ power
+        k >>= 1
+        if k:
+            power = power @ power
+    trace = float(np.vdot(xs, y).real)
+    if trace <= 0.0:  # X = 0
+        return 0.0, _duality_map(*_svd(x), _dual_exponent(p))
+    norm = trace ** (1.0 / p)
+    return math.ldexp(norm, e), y * (norm / trace)
+
+
+def _dual_step(x: np.ndarray, p: float, warm=None):
+    """(|X|_p, J, warm), J the unit element of S_q with <J, X> = |X|_p: the
+    first half-step of an optimizer iteration.  Even p <= 16 takes no SVD.
+    At p = infinity J = u v^*, the top singular pair; ``warm`` is None on a
+    start's first iteration (SVD), then the last right vector v, from which
+    power iteration on X^* X runs until unit vectors move by <= _POWER_TOL,
+    in max(2, N // 2) steps at most, else ``warm`` is False: SVD from then
+    on.  |Xv| <= s_1(X) for every unit v, settled or not."""
+    if p in _GRAM_EXPONENTS:
+        return (*_gram_dual(x, p), warm)
+    if isinstance(warm, np.ndarray):
+        v, xh = warm, np.conj(x.T)
+        for _ in range(max(2, min(x.shape) // 2)):
+            w = xh @ (x @ v)
+            size = math.sqrt(np.vdot(w, w).real)
+            if size == 0.0:
+                break
+            w /= size
+            if np.vdot(w - v, w - v).real <= _POWER_TOL ** 2:
+                xw = x @ w
+                value = float(np.linalg.norm(xw))
+                return value, np.outer(xw / value, np.conj(w)), w
+            v = w
+        warm = False
+    u, sv, vt = _svd(x)
+    if math.isinf(p) and warm is None:
+        warm = np.conj(vt[0])
+    return _schatten_from_sv(sv, p), _duality_map(u, sv, vt, _dual_exponent(p)), warm
 
 
 @dataclass(frozen=True)
@@ -204,16 +271,17 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
         starts.append(rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape))
     starts.extend(np.asarray(s, dtype=complex) for s in extra_starts)
 
-    q = _dual_exponent(p)
+    sym, e = _pow2_scaled(sym)  # exact: every value below is scaled back by 2^e
     for index, a0 in enumerate(starts):
-        norm0 = _schatten_from_sv(_svd(a0, compute_uv=False), p)
+        norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
+                 else _schatten_from_sv(_svd(a0, compute_uv=False), p))
         if norm0 == 0.0:
             continue
         a = a0 / norm0
-        last = -math.inf
+        last, warm = -math.inf, None
         for iteration in range(1, iterations + 1):
-            u, sv, vt = _svd(sym * a)
-            val = _schatten_from_sv(sv, p)
+            val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
+            val = math.ldexp(val, e)
             if val > best[0]:
                 best = (val, a, index, iteration)
                 if val >= target:
@@ -221,7 +289,6 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
             if iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
                 break
             last = val
-            g = _duality_map(u, sv, vt, q)  # dual element of M o A in S_q
             a = _duality_map(*_svd(np.conj(sym) * g), p)
     return result()
 
@@ -273,18 +340,48 @@ def frobenius_schur_bound(m) -> float:
     |v|_inf |A|_p <= |A|_p for unit vectors, so the multiplier norm is at
     most sum_k s_k = |M|_{S_1} <= sqrt(rank M) |M|_F.
 
-    Rounding: each of the K = N M terms |m_ij|^2 carries at most 3u
-    relative error (the modulus and the square); a sum of K nonnegative
-    terms in any order is within gamma_{K-1} <= 1.01 (K - 1) u of the
-    exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 4.2), which the square root halves; the roots and the products
-    add a few u more.  The factor 1 + (K + 16) u covers all of them.
+    Rounding: on M / 2^e (exact; no square overflows, an underflowed one
+    loses < 2^-1074 of a sum >= 1/4) each of the K = N M terms |m_ij|^2
+    carries at most 3u relative error (the modulus and the square); a sum
+    of K nonnegative terms in any order is within gamma_{K-1} <= 1.01
+    (K - 1) u of the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), which the square root halves; the roots and
+    the products add a few u more.  The factor 1 + (K + 16) u covers them.
     """
     sym = (m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)).symbol
     if sym.size == 0:
         raise InputError("empty symbol matrix")
-    frobenius = math.sqrt(float(np.sum(np.abs(sym) ** 2)))
+    scaled, e = _pow2_scaled(sym)
+    frobenius = math.ldexp(math.sqrt(float(np.sum(np.abs(scaled) ** 2))), e)
     return math.sqrt(min(sym.shape)) * frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF)
+
+
+def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
+    """Certified bound sup|m|^(2/r) U^(1 - 2/r), r = max(p, p'), on
+    |S_M|_{S_p -> S_p} from a certified U >= |S_M|_{S_inf -> S_inf}.
+
+    Riesz-Thorin on the Schatten scale (Pisier, Non-commutative vector
+    valued L_p-spaces, Asterisque 247, 1998) between the exact S_2 law (norm
+    sup|m|) and U gives it for p >= 2.  For p < 2, |S_M|_p = |S_conj(M)|_p'
+    by duality, and conjugation keeps the sup entry and every Schatten norm.
+
+    Rounding: the value is U t^a with t = sup|m| / U < 1 and a = 2/r.  The
+    computed a is within 3u relative (two roundings in p', one in the
+    quotient), which moves t^a by at most the factor exp(3u |ln t|); the
+    modulus, t, the power (libm pow is within one ulp) and the product add
+    at most 5u.  The factor 1 + (16 + 3 |ln t|) u covers them all.
+    """
+    if not (p >= 1.0):
+        raise InputError("p must lie in [1, infinity]")
+    a = 2.0 / max(p, _dual_exponent(p))
+    sup = schur_norm_exact_p2(m)
+    if sup == 0.0:
+        return 0.0
+    if a == 0.0 or not sup < upper_inf < math.inf:
+        return upper_inf
+    t = sup / upper_inf
+    bound = upper_inf * t ** a * (1.0 + (16.0 + 3.0 * abs(math.log(t))) * _UNIT_ROUNDOFF)
+    return min(upper_inf, bound)
 
 
 def schur_norm_exact_p2(m) -> float:

@@ -297,24 +297,33 @@ def euclidean_symbol_to_csv(symbol: EuclideanSymbol, points, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Complex matrix from long-format CSV with columns i, j, re, im."""
-    entries = {}
-    nmax = -1
+    """Complex matrix from long-format CSV with columns i, j, re and an
+    optional im (an empty im is 0).  Blank lines are skipped, and a later
+    row for the same (i, j) replaces an earlier one."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                i, j = int(row["i"]), int(row["j"])
-                entries[(i, j)] = float(row["re"]) + 1j * float(row.get("im", 0.0) or 0.0)
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"bad CSV row {row}: {exc}") from exc
-            if i < 0 or j < 0:
-                raise InputError(f"negative index in CSV row {row}")
-            nmax = max(nmax, i, j)
-    if nmax < 0:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        missing = [c for c in ("i", "j", "re") if c not in header]
+        if missing:
+            raise InputError(f"CSV header {header} has no column {', '.join(missing)}")
+        ci, cj, cr = (header.index(c) for c in ("i", "j", "re"))
+        cm = header.index("im") if "im" in header else None
+        try:
+            entries = {(int(r[ci]), int(r[cj])):
+                       complex(float(r[cr]), 0.0 if cm is None else float(r[cm] or 0.0))
+                       for r in rows if r}
+        except IndexError:
+            raise InputError(f"line {rows.line_num} of {path} has too few fields") from None
+        except ValueError as exc:
+            raise InputError(f"line {rows.line_num} of {path}: {exc}") from exc
+    if not entries:
         raise InputError(f"no data rows in {path}")
-    m = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for (i, j), v in entries.items():
-        m[i, j] = v
+    ij = np.array(list(entries), dtype=np.int64)
+    if ij.min() < 0:
+        raise InputError(f"negative index in CSV row {ij[ij.min(axis=1).argmin()].tolist()}")
+    n = int(ij.max()) + 1
+    m = np.zeros((n, n), dtype=complex)
+    m[ij[:, 0], ij[:, 1]] = np.fromiter(entries.values(), dtype=complex, count=len(entries))
     return m
 
 

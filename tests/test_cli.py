@@ -144,6 +144,21 @@ class TestRigidity:
         for r in rows:
             assert r["lower_bound"] <= r["upper_bound"] <= r["lower_bound"] * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("sections", ["9", "32"])
+    def test_sections_above_eight_exit_2_before_allocating(self, sections, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "5",
+                       "--p", "4", "--sections", sections])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "--sections must be <= 8" in capsys.readouterr().err
+        assert peak < 1 << 20  # no section array: the smallest dense 8 x 8 one is not built
+
     def test_negative_sections_is_input_error(self, capsys):
         rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "3",
                    "--p", "10", "--sections", "-1"])
@@ -218,9 +233,31 @@ class TestSchurBound:
         assert rep["tables"]["bound"][0]["lower_bound"] == pytest.approx(1.0, abs=1e-8)
         details = {r["name"]: r for r in rep["records"]}["lower-bound"]["details"]
         assert (details["best_start"] == -1) == (details["best_iteration"] == 0)
-        # sqrt(6) |ones(6, 6)|_F = 6 sqrt(6), with the rounding allowance
-        assert details["upper_bound"] == pytest.approx(6.0 * math.sqrt(6.0), rel=1e-14)
+        # at p = 2 the interpolated upper bound is the exact S_2 law, the sup entry 1,
+        # with its rounding allowance
+        assert details["upper_bound"] == pytest.approx(1.0, rel=1e-14)
+        assert details["upper_bound"] >= rep["tables"]["bound"][0]["lower_bound"]
         assert rep["tables"]["bound"][0]["upper_bound"] == details["upper_bound"]
+
+    @pytest.mark.parametrize("p", ["2", "3", "4", "inf"])
+    def test_power_of_two_scaling_scales_every_number_exactly(self, p, tmp_path):
+        rng = np.random.default_rng(40)
+        m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+
+        def numbers(scale):
+            path, out = tmp_path / "m.csv", tmp_path / "sb.json"
+            write_matrix_csv(m * scale, path)
+            assert main(["schur-bound", "--points", str(path), "--p", p, "--iterations", "12",
+                         "--out", str(out)]) == 0
+            rep = load_report(out)
+            row, rec = rep["tables"]["bound"][0], rep["records"][0]
+            return [row["lower_bound"], row["sup_entry"], row["upper_bound"], rec["measured"],
+                    rec["bound"], rec["details"]["upper_bound"]]
+
+        base = numbers(1.0)
+        for e in (600, -600):  # |m|^4 overflows at 2^600 and underflows at 2^-600
+            scaled = numbers(2.0 ** e)
+            assert all(math.isfinite(v) and v == b * 2.0 ** e for v, b in zip(scaled, base))
 
     def test_inflated_lower_bound_fails(self, tmp_path, monkeypatch):
         import dataclasses

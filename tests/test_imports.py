@@ -25,7 +25,8 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 
 
 def readme_commands(tmp_path):
-    """The six README CLI commands, writing into tmp_path, on a small CSV matrix."""
+    """The six README CLI commands, writing into tmp_path, on a small CSV matrix, and
+    `schur-bound` at p = 2 and infinity, so that every first optimizer half-step runs."""
     points = tmp_path / "matrix.csv"
     write_matrix_csv(np.arange(16.0).reshape(4, 4) / 16.0, points)
     out = lambda name: str(tmp_path / name)
@@ -39,6 +40,8 @@ def readme_commands(tmp_path):
         ["sphere-spectrum", "--n", "3", "--p", "4", "--x", "0.5", "--kmax", "50",
          "--out", out("spec.json"), "--format", "csv"],
         ["schur-bound", "--points", str(points), "--p", "4", "--out", out("bound.json")],
+        ["schur-bound", "--points", str(points), "--p", "2", "--out", out("bound2.json")],
+        ["schur-bound", "--points", str(points), "--p", "inf", "--out", out("bound-inf.json")],
         ["geometry", "--n", "2", "--R", *map(str, range(2, 11)), "--out", out("geo.json")],
     ]
 
@@ -49,7 +52,7 @@ def test_readme_commands_import_no_package_module_and_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["codes"] == [0, 0, 1, 0, 0, 0]
+    assert got["codes"] == [0, 0, 1, 0, 0, 0, 0, 0]
     assert got["loaded"] == []
     assert got["scipy"] == []
 

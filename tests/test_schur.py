@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from mcert import schur
 from mcert.errors import InputError
 from mcert.geometry import GroupElement, haar_so
+from mcert.cli import cmd_schur_bound
 from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
-                         frobenius_schur_bound, rigidity_witness, schatten_norm, schur_apply,
-                         schur_infty_upper_bound, schur_norm_exact_p2, schur_norm_lower_bound)
+                         frobenius_schur_bound, interpolated_schur_bound, rigidity_witness,
+                         schatten_norm, schur_apply, schur_infty_upper_bound, schur_norm_exact_p2,
+                         schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 
@@ -181,6 +183,129 @@ class TestLowerBound:
         pts = [GroupElement(k) for k in haar_so(3, 4, rng)]
         m = TruncatedSchurMultiplier.from_group_symbol(pts, lambda g: np.trace(g) / 3.0)
         assert np.allclose(np.diag(m.symbol), 1.0)  # m(e) on the diagonal
+
+
+def svd_duality(x, p):
+    """|X|_p and the dual element of X in S_q, both from the SVD."""
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    return schur._schatten_from_sv(sv, p), schur._duality_map(u, sv, vt, schur._dual_exponent(p))
+
+
+class TestDualStep:
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, 16.0])
+    def test_even_p_matches_svd_at_any_scale(self, p):
+        rng = np.random.default_rng(int(p))
+        for shape in ((1, 1), (3, 7), (9, 2), (32, 32), (128, 128), (128, 40)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want_value, want_dual = svd_duality(x, p)
+            for e in (-500, 0, 500):
+                value, dual, warm = schur._dual_step(x * 2.0 ** e, p, None)
+                assert value == pytest.approx(want_value * 2.0 ** e, rel=1e-12)
+                assert np.linalg.norm(dual - want_dual) <= 1e-12 * np.linalg.norm(want_dual)
+                assert warm is None
+
+    def test_even_p_zero_matrix(self):
+        value, dual, _ = schur._dual_step(np.zeros((3, 4), dtype=complex), 4.0)
+        assert value == 0.0 and np.abs(dual).sum() == dual[0, 0] == 1.0
+
+    def test_warm_power_pair_gives_top_singular_value(self):
+        rng = np.random.default_rng(31)
+        n = 40
+        for _ in range(5):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x += 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(n))  # a clear top
+            u, sv, vt = np.linalg.svd(x)
+            # warm start: the top right vector of a nearby matrix
+            nearby = np.linalg.svd(x + 1e-3 * rng.standard_normal((n, n)))[2][0].conj()
+            value, dual, warm = schur._dual_step(x, math.inf, nearby)
+            assert isinstance(warm, np.ndarray)  # the power iteration settled
+            assert value == pytest.approx(sv[0], rel=1e-13)
+            assert value <= sv[0] * (1.0 + 1e-15)
+            assert np.linalg.norm(dual - np.outer(u[:, 0], vt[0])) <= 1e-12
+            assert np.linalg.norm(warm) == pytest.approx(1.0, rel=1e-14)
+
+    def test_unsettled_power_iteration_falls_back_to_svd(self, svd_calls):
+        x = np.diag([1.0, 1.0 - 1e-9, 0.5]).astype(complex)  # no gap to settle on
+        value, dual, warm = schur._dual_step(x, math.inf, np.ones(3) / math.sqrt(3.0))
+        assert warm is False and len(svd_calls) == 1
+        assert value == 1.0
+        # and the start stays on the SVD path
+        assert schur._dual_step(x, math.inf, warm)[2] is False and len(svd_calls) == 2
+
+
+class TestSvdCount:
+    def test_schur_bound_at_p2_makes_no_svd(self, svd_calls):
+        rng = np.random.default_rng(32)
+        m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        rep = cmd_schur_bound(m, 2.0, iterations=10)
+        assert len(svd_calls) == 0
+        row = rep.tables["bound"][0]
+        assert row["lower_bound"] == row["sup_entry"] == np.abs(m).max()
+        assert row["sup_entry"] <= row["upper_bound"] <= row["sup_entry"] * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("p", [4.0, math.inf])
+    def test_one_svd_per_iteration_after_the_first(self, svd_calls, monkeypatch, p):
+        steps = []  # per first half-step: whether it took no SVD
+        real = schur._dual_step
+
+        def recording(x, q, warm):
+            before = len(svd_calls)
+            out = real(x, q, warm)
+            no_svd = q == 4.0 or (warm is not None and isinstance(out[2], np.ndarray))
+            assert len(svd_calls) - before == (0 if no_svd else 1)
+            steps.append(no_svd)
+            return out
+
+        monkeypatch.setattr(schur, "_dual_step", recording)
+        rng = np.random.default_rng(33)
+        m = rng.random((48, 48))  # positive: a clear top singular pair at every step
+        res = schur_norm_lower_bound(m, p, seed=1, iterations=12)
+        starts = 8  # the matrix unit, the conjugate phase and six random starts
+        assert not res.bracket_closed and len(steps) > 2 * starts
+        # one SVD per iteration but the last of each start, beside the first half-steps
+        # and, at p = infinity, one start norm per start
+        norms = starts if math.isinf(p) else 0
+        assert len(svd_calls) == norms + steps.count(False) + len(steps) - starts
+        assert steps.count(True) >= len(steps) - (starts if math.isinf(p) else 0)
+
+
+class TestInterpolatedBound:
+    def test_endpoints(self):
+        rng = np.random.default_rng(34)
+        m = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        upper = frobenius_schur_bound(m)
+        sup = np.abs(m).max()
+        assert interpolated_schur_bound(m, math.inf, upper) == upper
+        assert interpolated_schur_bound(m, 1.0, upper) == upper
+        assert sup <= interpolated_schur_bound(m, 2.0, upper) <= sup * (1.0 + 1e-14)
+        # r = max(p, p') makes p and its dual exponent agree
+        assert interpolated_schur_bound(m, 4.0, upper) == pytest.approx(
+            interpolated_schur_bound(m, 4.0 / 3.0, upper), rel=1e-14)
+        assert interpolated_schur_bound(m, 4.0, upper) == pytest.approx(
+            math.sqrt(sup * upper), rel=1e-14)
+
+    def test_zero_symbol(self):
+        assert interpolated_schur_bound(np.zeros((3, 3)), 4.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5])
+    def test_rejects_exponent_outside_range(self, p):
+        with pytest.raises(InputError):
+            interpolated_schur_bound(np.ones((2, 2)), p, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=10_000),
+       st.one_of(st.floats(min_value=1.0, max_value=math.inf), st.sampled_from([1.0, 2.0, 4.0])))
+def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, p):
+    rng = np.random.default_rng(seed)
+    sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    frobenius = frobenius_schur_bound(sym)
+    upper = interpolated_schur_bound(sym, p, frobenius)
+    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15, upper=upper)
+    # the optimizer's ratio may overshoot the exact norm by its own rounding
+    assert np.abs(sym).max() <= res.value <= upper * (1.0 + 1e-12)
+    assert upper <= frobenius
 
 
 class TestUpperBound:

@@ -137,6 +137,30 @@ class TestCsvInterfaces:
             with pytest.raises(InputError):
                 read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "i,j,re,im\n0,0,1,0\n1,1\n",  # a short row
+        "i,j,re,im\n0,0,1,0\n1,1,2\n",  # a row without its im field
+        "i,re,im\n0,1,0\n",  # no j column
+        "j,i,im\n0,0,1\n",  # no re column
+        "",  # no header
+        "i,j,re,im\n\n",  # no data rows
+    ])
+    def test_malformed_matrix_csv_is_input_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError):
+            read_matrix_csv(path)
+
+    def test_matrix_csv_duplicates_blank_lines_and_column_order(self, tmp_path):
+        path = tmp_path / "m.csv"
+        # columns in any order, im optional or empty, blank lines skipped, the last
+        # row for a repeated (i, j) wins
+        path.write_text("re,j,i,im\n1,0,0,\n\n2,1,1,3\n5,0,1,0\n\n4,0,0,-1\n7,1,1,0\n",
+                        encoding="utf-8")
+        assert np.array_equal(read_matrix_csv(path), np.array([[4 - 1j, 0], [5, 7]]))
+        path.write_text("i,j,re\n1,0,2.5\n0,1,-1\n1,0,3\n", encoding="utf-8")
+        assert np.array_equal(read_matrix_csv(path), np.array([[0, -1], [3, 0]]))
+
     def test_empty_points_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a00\n", encoding="utf-8")
