@@ -44,11 +44,12 @@ _MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024 (16 MB per dens
 
 
 def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
-    """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis."""
+    """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis;
+    order 0 has the empty index alone."""
     if not 1 <= per_order <= dim:
         raise InputError(f"--per-order must be in 1..{dim} (the basis size), got {per_order}")
     ids = np.round(np.linspace(0, dim - 1, per_order)).astype(int)
-    return {k: [(int(j),) * k for j in ids] for k in range(1, order + 1)}
+    return {k: [(int(j),) * k for j in ids] if k else [()] for k in range(order + 1)}
 
 
 def _sweep_points(n: int, shells: int, seed: int):
@@ -90,6 +91,13 @@ def _fit_exponent(ls, vals, floor: float = 1e-14):
     return float(-np.polyfit(np.log(ls[keep]), np.log(vals[keep]), 1)[0])
 
 
+def _median_fit(tables):
+    """Median over the rays of the exponents fitted to their (L, value) tables, or None."""
+    fits = [_fit_exponent([L for L, _ in tab], [v for _, v in tab]) for tab in tables]
+    fits = [f for f in fits if f is not None]
+    return float(np.median(fits)) if fits else None
+
+
 def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
                    shells: int = 5, seed: int = 0, per_order: int = 3) -> CertificationReport:
     """Sweep the derivative-growth condition over local shells and rays.
@@ -110,60 +118,32 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     rep = CertificationReport(command="certify-hm")
     rep.seeds["sweep"] = seed
 
-    sup_per_order = {}
-    m0_local = [abs(complex(symbol(g.entries))) for g in local]
-    ray_tables = {}
-    for ridx, pts in rays:
-        ray_tables[(0, ridx)] = [(L, abs(complex(symbol(g.entries)))) for L, g in pts]
-    sup_per_order[0] = max(m0_local + [v for tab in ray_tables.values() for _, v in tab])
-
-    # order-0 divergence: compare the largest-L ray values with the smallest
-    diverging = False
-    fit0 = []
-    for ridx, _ in rays:
-        tab = ray_tables[(0, ridx)]
-        first, last = tab[0][1], tab[-1][1]
-        if last > 2.0 * max(first, 1e-12) and last > 1.0:
-            diverging = True
-        fit0.append(_fit_exponent([L for L, _ in tab], [v for _, v in tab]))
-    fitted_decay = None
-    fits = [f for f in fit0 if f is not None]
-    if fits:
-        fitted_decay = float(np.median(fits))
-    rep.add(CheckRecord(
-        name="hm-order-0", check_id="hm/order-0",
-        verdict=FAIL if diverging else PASS,
-        measured=sup_per_order[0],
-        details={"fitted_decay_exponent": fitted_decay,
-                 "ray_values": {str(k): v for k, v in ray_tables.items()}},
-    ))
-
     # every sweep point in one stack: local points first, then the rays in order
     stack = np.stack([g.entries for g in local] + [g.entries for _, pts in rays for _, g in pts])
     dists = geo.dist_to_identity(stack).tolist()
 
-    ray_fits = {}
-    for k in range(1, order + 1):
+    sup_per_order, ray_fits = {}, {}
+    for k in range(order + 1):
         # v = max |d^gamma m| over the order-k indices gamma, per point
         vmax = np.max([np.abs(geo.lie_derivative(symbol, stack, gamma, basis, max_order=order))
                        for gamma in gammas[k]], axis=0).tolist()
-        worst = max([0.0] + [d ** k * v for d, v in zip(dists, vmax)])
-        decay_tabs, row = [], len(local)
-        for _, pts in rays:
-            decay_tabs.append([(L, v) for (L, _), v in zip(pts, vmax[row:])])
-            row += len(pts)
-        sup_per_order[k] = worst
-        if k >= sigma:
-            fits = [_fit_exponent([L for L, _ in tab], [v for _, v in tab])
-                    for tab in decay_tabs]
-            fits = [f for f in fits if f is not None]
-            ray_fits[k] = float(np.median(fits)) if fits else None
-        rep.add(CheckRecord(
-            name=f"hm-order-{k}", check_id=f"hm/order-{k}",
-            verdict=PASS if math.isfinite(worst) else FAIL,
-            measured=worst,
-            details={"indices": [list(g) for g in gammas[k]]},
-        ))
+        sup_per_order[k] = max([0.0] + [d ** k * v for d, v in zip(dists, vmax)])
+        ray_vals = iter(vmax[len(local):])  # (L, v) tables along each ray
+        tabs = [[(L, next(ray_vals)) for L, _ in pts] for _, pts in rays]
+        if k == 0:  # divergence: compare the largest-L ray values with the smallest
+            diverging = any(tab[-1][1] > 2.0 * max(tab[0][1], 1e-12) and tab[-1][1] > 1.0
+                            for tab in tabs)
+            fitted_decay = _median_fit(tabs)
+            verdict = FAIL if diverging else PASS
+            details = {"fitted_decay_exponent": fitted_decay,
+                       "ray_values": {f"(0, {r})": tab for r, tab in enumerate(tabs)}}
+        else:
+            verdict = PASS if math.isfinite(sup_per_order[k]) else FAIL
+            details = {"indices": [list(g) for g in gammas[k]]}
+            if k >= sigma:
+                ray_fits[k] = _median_fit(tabs)
+        rep.add(CheckRecord(name=f"hm-order-{k}", check_id=f"hm/order-{k}", verdict=verdict,
+                            measured=sup_per_order[k], details=details))
 
     if order >= sigma + 1:
         fa, fb = ray_fits.get(sigma), ray_fits.get(sigma + 1)
@@ -287,7 +267,7 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
 def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
     """Lower bound for a sampled symbol matrix, checked against the certified
     upper bound sqrt(min(N, M)) |M|_F interpolated with the exact S_2 law
-    (the sup entry at p = 2), with that law as an internal consistency check.
+    (the sup entry at p = 2).
 
     The lower bound fails only when it exceeds the upper bound by more
     than its 1e-8 relative tolerance, which covers the rounding of the
@@ -307,12 +287,6 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
                  "best_start": res.best_start, "best_iteration": res.best_iteration,
                  "upper_bound": upper},
     ))
-    if p == 2.0:
-        rep.add(CheckRecord(
-            name="exact-s2-agreement", check_id="schur/exact-s2",
-            verdict=PASS if abs(res.value - sup_entry) <= 1e-6 else FAIL,
-            measured=abs(res.value - sup_entry), tolerance=1e-6,
-        ))
     rep.add_table("bound", [{"p": "inf" if math.isinf(p) else p, "lower_bound": res.value,
                              "sup_entry": sup_entry, "upper_bound": upper}])
     return rep
@@ -352,7 +326,7 @@ _BUILDERS = {
     "sphere-spectrum": lambda a: cmd_sphere_spectrum(a.n, a.p, a.r, a.x, a.kmax),
     "schur-bound": lambda a: cmd_schur_bound(read_matrix_csv(a.points), a.p, seed=a.seed,
                                              iterations=a.iterations),
-    "geometry": lambda a: cmd_geometry(a.n, a.R, seed=a.seed or 7, mc_samples=a.mc_samples),
+    "geometry": lambda a: cmd_geometry(a.n, a.R, seed=a.seed, mc_samples=a.mc_samples),
 }
 
 
@@ -414,6 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mc-samples", type=int, default=200_000,
                    help="Monte Carlo samples for n = 4, 5")
     _add_common(s)
+    s.set_defaults(seed=7)
     return parser
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "check_special_linear",
     "CartanDecomposition",
     "LieBasis",
-    "MultiIndex",
     "identity",
     "kak_decompose",
     "length",
@@ -130,18 +129,21 @@ def kak_decompose(g: GroupElement) -> CartanDecomposition:
     return CartanDecomposition(k1=u, exponents=s, k2=vt)
 
 
+def _matrices(g) -> np.ndarray:
+    """The entries of a GroupElement, or a (..., n, n) stack as given."""
+    return g.entries if isinstance(g, GroupElement) else g
+
+
 def length(g):
     """max(||g||, ||g^{-1}||), computed from the Cartan exponents.
 
-    Takes a GroupElement (returns a float) or a (..., n, n) stack (returns
-    an array); the full SVD, as in :func:`kak_decompose`, gives a matrix the
-    same bits alone as inside a stack.
+    Takes a GroupElement or a (..., n, n) stack and returns values of shape
+    ``...`` (a numpy scalar for one matrix); the full SVD, as in
+    :func:`kak_decompose`, gives a matrix the same bits alone as inside a stack.
     """
-    m = g.entries if isinstance(g, GroupElement) else g
-    s = np.log(np.linalg.svd(m)[1])
+    s = np.log(np.linalg.svd(_matrices(g))[1])
     s = s - s.mean(axis=-1, keepdims=True)  # exact zero sum despite rounding
-    big = np.exp(np.maximum(s[..., 0], -s[..., -1]))
-    return float(big) if isinstance(g, GroupElement) else big
+    return np.exp(np.maximum(s[..., 0], -s[..., -1]))
 
 
 def dist_to_identity(g):
@@ -152,9 +154,8 @@ def dist_to_identity(g):
     SO(n) \\ {e} where L-1 alone would vanish.  Takes a GroupElement or a
     stack that :func:`check_special_linear` accepts, as :func:`length` does.
     """
-    m = g.entries if isinstance(g, GroupElement) else g
-    dist = np.maximum(np.minimum(hs_norm(m - np.eye(m.shape[-1])), 1.0), length(m) - 1.0)
-    return float(dist) if isinstance(g, GroupElement) else dist
+    m = _matrices(g)
+    return np.maximum(np.minimum(hs_norm(m - np.eye(m.shape[-1])), 1.0), length(m) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +198,16 @@ class LieBasis:
         return self.mats[j]
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Ordered tuple of basis directions; order matters, repeats allowed."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(j) for j in self.indices))
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-
 def default_step(g, order: int = 1):
     """Finite-difference step scaled to the distance from the identity.
 
     Deep nesting loses nearly all significand bits at the base relative
     step, so orders above 2 widen the step; with one Richardson level the
     added truncation error stays far below the rounding noise it avoids.
-    Takes a GroupElement (returns a float) or a stack, as
-    :func:`dist_to_identity` does (returns one step per matrix).
+    Takes a GroupElement or a stack, as :func:`dist_to_identity` does.
     """
     rel = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 3e-3}.get(max(order, 1), 1e-2)
-    if isinstance(g, GroupElement):
-        return max(1e-4, rel * dist_to_identity(g))
     return np.maximum(1e-4, rel * dist_to_identity(g))
-
-
-def max_derivative_order(n: int) -> int:
-    """Regularity order [n^2/2] + 1 used by the certification sweeps."""
-    return n * n // 2 + 1
 
 
 def expm(x, s=1.0) -> np.ndarray:
@@ -267,26 +246,25 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
     a tensor grid, and ``m`` is called once on all its leaf matrices as one
     (N, n, n) stack; it must return values of shape ``stack.shape[:-2]``.
 
-    ``g`` is a GroupElement (returns a complex) or a (P, n, n) stack that
-    :func:`check_special_linear` accepts (returns P complex values, each
-    equal to the call on that matrix alone).  ``h`` is one step or one per
-    matrix; the default is :func:`default_step`.
+    ``g`` is a GroupElement or a (..., n, n) stack that
+    :func:`check_special_linear` accepts; the result has shape ``...`` (a
+    numpy scalar for one matrix), each value equal to the call on that matrix
+    alone.  ``gamma`` is a sequence of basis indices; the empty one gives the
+    symbol's values.  ``h`` broadcasts to ``...``; the default is
+    :func:`default_step`.  Orders above ``max_order`` (by default the
+    regularity order [n^2/2] + 1 of the sweeps) raise InputError.
     """
-    if isinstance(gamma, MultiIndex):
-        idx = gamma.indices
-    else:
-        idx = tuple(int(j) for j in gamma)
-    single = isinstance(g, GroupElement)
-    mats = g.entries[None] if single else check_special_linear(g)
-    if mats.ndim != 3:
-        raise InputError(f"expected a GroupElement or a (P, n, n) stack, got shape {mats.shape}")
-    npts, n = mats.shape[0], mats.shape[-1]
-    limit = max_order if max_order is not None else max_derivative_order(n)
+    idx = tuple(int(j) for j in gamma)
+    mats = check_special_linear(_matrices(g))
+    shape, n = mats.shape[:-2], mats.shape[-1]
+    limit = max_order if max_order is not None else n * n // 2 + 1
     if len(idx) > limit:
         raise InputError(f"derivative order {len(idx)} exceeds configured maximum {limit}")
     if h is None:
-        h = default_step(g if single else mats, len(idx))
-    h = np.broadcast_to(np.asarray(h, dtype=float), (npts,))
+        h = default_step(mats, len(idx))
+    h = np.broadcast_to(np.asarray(h, dtype=float), shape).reshape(-1)
+    mats = mats.reshape(-1, n, n)
+    npts = mats.shape[0]
     if not np.all(h > 0):
         raise NumericError("step must be positive")
     if idx and np.any(h / 2.0 < 1e-300):
@@ -332,11 +310,9 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
             parts = (4.0 * d2 - d1) / 3.0
             pos = {c: i for i, c in enumerate(centers)}
         parts = parts[..., 0]
-    if single:
-        return complex(parts[0, 0, 0], parts[1, 0, 0])
     out = np.empty(npts, dtype=complex)
     out.real, out.imag = parts[0, :, 0], parts[1, :, 0]
-    return out
+    return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +471,10 @@ def mc_l2_norm(phi, n: int, radius: float, haar_samples: int = 40_000, seed: int
 
 
 def distortion_constant(phi, omega_samples, haar_samples: int = 40_000, seed: int = 0,
-                        radius: float | None = None, norm_tol: float = 1e-3) -> float:
+                        radius: float | None = None) -> float:
     """sup over the supplied set of (1/2) integral |phi(gh) - phi(h)|^2 dh.
 
-    ``phi`` must be nonnegative and L2-normalized to within ``norm_tol``
+    ``phi`` must be nonnegative and L2-normalized to within 1e-3
     against the Monte Carlo measure of :func:`haar_ball_sample` (same
     seed and radius).  ``phi`` is called on a stack of matrices.
     """
@@ -516,7 +492,7 @@ def distortion_constant(phi, omega_samples, haar_samples: int = 40_000, seed: in
     if np.any(vals < -1e-12):
         raise DomainError("phi must be nonnegative")
     norm_sq = scale * float(np.mean(w * vals * vals))
-    if abs(norm_sq - 1.0) > norm_tol:
+    if abs(norm_sq - 1.0) > 1e-3:
         raise DomainError(
             f"phi is not L2-normalized over the Monte Carlo measure (|phi|_2^2 = {norm_sq:.6f})",
             measured=norm_sq,

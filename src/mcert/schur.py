@@ -60,15 +60,9 @@ class TruncatedSchurMultiplier:
 
     @classmethod
     def from_group_symbol(cls, points, m) -> "TruncatedSchurMultiplier":
-        """Symbol matrix m(g_i g_j^{-1}) over one point list."""
-        mats = [p.entries for p in points]
-        n = len(mats)
-        sym = np.empty((n, n), dtype=complex)
-        for j, h in enumerate(mats):
-            hinv = np.linalg.inv(h)
-            for i, g in enumerate(mats):
-                sym[i, j] = m(g @ hinv)
-        return cls(symbol=sym, points=tuple(points))
+        """Symbol matrix m(g_i g_j^{-1}) over one point list, from one stacked call of m."""
+        mats = np.stack([p.entries for p in points])
+        return cls(symbol=m(mats[:, None] @ np.linalg.inv(mats)), points=tuple(points))
 
     @property
     def shape(self):
@@ -482,23 +476,24 @@ def _growth_ratio(xs: np.ndarray, vals: np.ndarray) -> float:
     return tail / head
 
 
-def profile_rigidity_records(profile: RadialProfile, n: int, p: float,
-                             x_min: float = 1.05, x_max: float = 1e4,
-                             grid_points: int = 80, growth_tol: float = 0.05,
-                             max_derivative: int = 4) -> tuple:
-    """Evaluate the radial rigidity inequalities on a log grid.
+_GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
+
+
+def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
+    """Evaluate the radial rigidity inequalities on a log grid over [1.05, 1e4],
+    with derivative records up to order 4.
 
     Returns (records, exponents).  Each record compares the measured
     envelope of one inequality against a non-growing trend requirement;
     the measured constant is the envelope sup.
     """
     ex = RigidityExponents.compute(n, p)
-    xs = np.geomspace(x_min, x_max, grid_points)
+    xs = np.geomspace(1.05, 1e4, 80)
     fx = np.asarray(profile(xs), dtype=float)
     records = []
 
     # limit existence: dyadic tail differences must shrink
-    probes = x_max * 2.0 ** -np.arange(6, dtype=float)
+    probes = 1e4 * 2.0 ** -np.arange(6, dtype=float)
     probes.sort()
     pv = np.asarray(profile(probes), dtype=float)
     diffs = np.abs(np.diff(pv))
@@ -516,20 +511,20 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float,
     ratio = _growth_ratio(xs, env)
     records.append(CheckRecord(
         name="decay-c0", check_id="rigidity/decay-c0",
-        verdict=PASS if ratio <= 1.0 + growth_tol else FAIL,
-        measured=float(env.max()), bound=ex.c[0], tolerance=growth_tol,
+        verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+        measured=float(env.max()), bound=ex.c[0], tolerance=_GROWTH_TOL,
         details={"growth_ratio": ratio, "c0": ex.c[0]},
     ))
 
     # derivative records
-    for k in range(1, min(int(math.floor(ex.alpha)), max_derivative) + 1):
+    for k in range(1, min(int(math.floor(ex.alpha)), 4) + 1):
         dk = np.abs(np.asarray(profile.derivative(k, xs), dtype=float))
         env = dk * (xs - 1.0) ** k * xs ** ex.c[k]
         ratio = _growth_ratio(xs, env)
         records.append(CheckRecord(
             name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}",
-            verdict=PASS if ratio <= 1.0 + growth_tol else FAIL,
-            measured=float(env.max()), bound=ex.c[k], tolerance=growth_tol,
+            verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+            measured=float(env.max()), bound=ex.c[k], tolerance=_GROWTH_TOL,
             details={"growth_ratio": ratio, "order": k, "ck": ex.c[k]},
         ))
 
@@ -544,8 +539,8 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float,
         ratio = _growth_ratio(xs, env)
         records.append(CheckRecord(
             name="hoelder-alpha", check_id="rigidity/hoelder",
-            verdict=PASS if ratio <= 1.0 + growth_tol else FAIL,
-            measured=float(env.max()), bound=ex.alpha, tolerance=growth_tol,
+            verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+            measured=float(env.max()), bound=ex.alpha, tolerance=_GROWTH_TOL,
             details={"growth_ratio": ratio, "alpha": ex.alpha},
         ))
     else:
@@ -572,8 +567,7 @@ class WitnessResult:
 
 
 def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16, 32, 64),
-                     mode: str = "hs", r_values=(0.75, 1.5), seed: int = 0,
-                     growth_tol: float = 0.05, **record_kwargs) -> WitnessResult:
+                     mode: str = "hs", seed: int = 0) -> WitnessResult:
     """Classify a radial profile against the rigidity inequalities.
 
     Finite sections are sampled along diagonal-conjugated rotation
@@ -589,7 +583,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     """
     if mode not in ("hs", "opnorm"):
         raise InputError("mode must be 'hs' or 'opnorm'")
-    records, ex = profile_rigidity_records(profile, n, p, **record_kwargs)
+    records, ex = profile_rigidity_records(profile, n, p)
 
     lower_bounds = []
     upper_bounds = []
@@ -598,7 +592,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
         theta = _section_points(n_points)
         best_for_size = 0.0
         upper_for_size = 0.0
-        for ir, r in enumerate(r_values):
+        for ir, r in enumerate((0.75, 1.5)):  # composition frame radii
             frame = CompositionFrame.create(n, r)
             delta = np.cos(theta[:, None] - theta[None, :])
             xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
@@ -630,11 +624,11 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     last_inc = increments[-1] if increments else 0.0
     persistence = (increments[-1] / max(increments[-2], 1e-12)
                    if len(increments) >= 2 else 1.0)
-    growing = last_inc > growth_tol and persistence > 0.5
+    growing = last_inc > _GROWTH_TOL and persistence > 0.5
     records.append(CheckRecord(
         name="section-growth", check_id="rigidity/section-growth",
         verdict=FAIL if growing else PASS,
-        measured=float(last_inc), tolerance=growth_tol,
+        measured=float(last_inc), tolerance=_GROWTH_TOL,
         details={"lower_bounds": [float(v) for v in lower_bounds],
                  "increments": [float(v) for v in increments],
                  "persistence": float(persistence),

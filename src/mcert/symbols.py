@@ -87,15 +87,16 @@ class RadialProfile:
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
 
-    def derivative(self, k: int, x, h_rel: float = 1e-4):
-        """k-th derivative, analytic when available, else central differences."""
+    def derivative(self, k: int, x):
+        """k-th derivative, analytic when available, else central differences
+        with step max(1e-4 |x|, 1e-7)."""
         x = np.asarray(x, dtype=float)
         if k == 0:
             return self(x)
         if len(self.derivatives) >= k and self.derivatives[k - 1] is not None:
             return np.asarray(self.derivatives[k - 1](x), dtype=float)
-        h = np.maximum(h_rel * np.abs(x), 1e-7)
-        prev = lambda t: self.derivative(k - 1, t, h_rel)
+        h = np.maximum(1e-4 * np.abs(x), 1e-7)
+        prev = lambda t: self.derivative(k - 1, t)
         return (prev(x + h) - prev(x - h)) / (2.0 * h)
 
 
@@ -296,10 +297,14 @@ def euclidean_symbol_to_csv(symbol: EuclideanSymbol, points, path) -> None:
             writer.writerow([repr(float(c)) for c in pt] + [repr(float(v.real)), repr(float(v.imag))])
 
 
+_MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Complex matrix from long-format CSV with columns i, j, re and an
     optional im (an empty im is 0).  Blank lines are skipped, and a later
-    row for the same (i, j) replaces an earlier one."""
+    row for the same (i, j) replaces an earlier one.  An index at or above
+    _MAX_SIDE is an InputError, raised before the matrix is allocated."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
@@ -322,6 +327,8 @@ def read_matrix_csv(path) -> np.ndarray:
     if ij.min() < 0:
         raise InputError(f"negative index in CSV row {ij[ij.min(axis=1).argmin()].tolist()}")
     n = int(ij.max()) + 1
+    if n > _MAX_SIDE:
+        raise InputError(f"CSV index {n - 1} gives side {n}; the side may not exceed {_MAX_SIDE}")
     m = np.zeros((n, n), dtype=complex)
     m[ij[:, 0], ij[:, 1]] = np.fromiter(entries.values(), dtype=complex, count=len(entries))
     return m

@@ -75,6 +75,24 @@ class TestCertifyHm:
         assert rc == 2
         assert bad[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, order, per_order", [(2, 3, 3), (3, 5, 3), (3, 2, 1)])
+    def test_one_symbol_call_per_multi_index(self, n, order, per_order):
+        # order 0 is the empty index: one stacked call, like each order-k index
+        from mcert.cli import cmd_certify_hm
+        from mcert.symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile
+
+        lifted = group_symbol_from_profile(
+            SymbolFamily.parse("radial-power:exponent=5").build_profile(), mode="dist")
+        shapes = []
+
+        def counted(mats):
+            shapes.append(mats.shape)
+            return lifted(mats)
+
+        cmd_certify_hm(SymbolHandle(counted), n=n, order=order, per_order=per_order)
+        assert len(shapes) == 1 + order * per_order
+        assert all(len(s) == 3 for s in shapes)  # stacks only, never one matrix
+
     def test_per_order_zero_is_input_error(self, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
                    "--order", "1", "--per-order", "0"])
@@ -238,6 +256,7 @@ class TestSchurBound:
         assert details["upper_bound"] == pytest.approx(1.0, rel=1e-14)
         assert details["upper_bound"] >= rep["tables"]["bound"][0]["lower_bound"]
         assert rep["tables"]["bound"][0]["upper_bound"] == details["upper_bound"]
+        assert [r["name"] for r in rep["records"]] == ["lower-bound"]
 
     @pytest.mark.parametrize("p", ["2", "3", "4", "inf"])
     def test_power_of_two_scaling_scales_every_number_exactly(self, p, tmp_path):
@@ -258,6 +277,22 @@ class TestSchurBound:
         for e in (600, -600):  # |m|^4 overflows at 2^600 and underflows at 2^-600
             scaled = numbers(2.0 ** e)
             assert all(math.isfinite(v) and v == b * 2.0 ** e for v, b in zip(scaled, base))
+
+    @pytest.mark.parametrize("index", ["4096", "200000"])
+    def test_oversized_index_exit_2_before_allocating(self, index, tmp_path, capsys):
+        import tracemalloc
+
+        path = tmp_path / "big.csv"
+        path.write_text(f"i,j,re,im\n0,0,1,0\n{index},0,1,0\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rc = main(["schur-bound", "--points", str(path), "--p", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "may not exceed 4096" in capsys.readouterr().err
+        assert peak < 1 << 20  # the 4097 x 4097 matrix alone would take 256 MiB
 
     def test_inflated_lower_bound_fails(self, tmp_path, monkeypatch):
         import dataclasses
@@ -315,6 +350,18 @@ class TestGeometryCommand:
         rep = load_report(out)
         rec = [r for r in rep["records"] if r["name"] == "volume-growth-rate"][0]
         assert rec["measured"] == pytest.approx(2.0, rel=0.05)
+
+    def test_seed_zero_runs_seed_zero(self, tmp_path):
+        # the default seed is 7, and an explicit --seed 0 is not replaced by it
+        seeds = {}
+        for flag in ([], ["--seed", "0"], ["--seed", "7"]):
+            out = tmp_path / "geo.json"
+            assert main(["geometry", "--n", "4", "--R", "1", "2", "--mc-samples", "20000",
+                         *flag, "--out", str(out)]) == 0
+            rep = load_report(out)
+            seeds[" ".join(flag)] = (rep["seeds"]["mc"], rep["input_digest"])
+        assert [mc for mc, _ in seeds.values()] == [7, 0, 7]
+        assert seeds[""] == seeds["--seed 7"] != seeds["--seed 0"]
 
     def test_bad_radius_is_input_error(self):
         rc = main(["geometry", "--n", "2", "--R", "-1"])

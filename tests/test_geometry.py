@@ -322,6 +322,30 @@ class TestStackedEngine:
             assert list(got) == [lie_derivative(sym, g, gamma, self.basis, h=h)
                                  for g, h in zip(points, steps.tolist())]
 
+    def test_any_leading_shape(self):
+        # an (A, B, n, n) stack gives the flat call reshaped, with h broadcast to
+        # (A, B); one bare matrix gives the GroupElement call's bits as a numpy scalar
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sym = lambda m: np.trace(a @ m, axis1=-2, axis2=-1)
+        local, rays = _sweep_points(3, 2, seed=1)
+        points = local + [g for _, pts in rays for _, g in pts]
+        flat = np.stack([g.entries for g in points])
+        grid = flat.reshape(4, 4, 3, 3)
+        steps = np.geomspace(1e-3, 0.2, 16)
+        assert np.array_equal(dist_to_identity(grid), dist_to_identity(flat).reshape(4, 4))
+        assert np.array_equal(length(grid), length(flat).reshape(4, 4))
+        for gamma in [(), (4,), (1, 1, 6), (2, 7, 7)]:
+            got = lie_derivative(sym, grid, gamma, self.basis)
+            assert got.shape == (4, 4)
+            assert np.array_equal(got, lie_derivative(sym, flat, gamma, self.basis).reshape(4, 4))
+            got = lie_derivative(sym, grid, gamma, self.basis, h=steps.reshape(4, 4))
+            assert np.array_equal(got.ravel(), lie_derivative(sym, flat, gamma, self.basis, h=steps))
+            for g in points[::5]:
+                bare = lie_derivative(sym, g.entries, gamma, self.basis)
+                assert isinstance(bare, np.complex128)
+                assert bare == lie_derivative(sym, g, gamma, self.basis)
+
     def test_constant_symbol_exact_zero_at_order_nine(self):
         basis = LieBasis.standard(4)
         local, rays = _sweep_points(4, 2, seed=0)
@@ -506,12 +530,12 @@ def test_weyl_mc_accuracy_error():
         weyl_ball_volume(5, 6.0, mc_samples=200, seed=1)
 
 
-def test_multi_index_container():
-    from mcert.geometry import MultiIndex
+def test_index_sequences():
+    # gamma is any sequence of basis indices; the empty one gives the symbol's value
     basis = LieBasis.standard(3)
-    gamma = MultiIndex((2, 5))
-    assert gamma.order == 2
     g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
-    via_tuple = lie_derivative(lambda m: m[..., 0, 0], g, (2, 5), basis)
-    via_index = lie_derivative(lambda m: m[..., 0, 0], g, gamma, basis)
-    assert via_tuple == via_index
+    sym = lambda m: m[..., 0, 0]
+    via_tuple = lie_derivative(sym, g, (2, 5), basis)
+    assert lie_derivative(sym, g, [2, 5], basis) == via_tuple
+    assert lie_derivative(sym, g, np.array([2, 5]), basis) == via_tuple
+    assert lie_derivative(sym, g, (), basis) == 1.2

@@ -181,8 +181,11 @@ class TestLowerBound:
     def test_group_symbol_constructor(self):
         rng = np.random.default_rng(10)
         pts = [GroupElement(k) for k in haar_so(3, 4, rng)]
-        m = TruncatedSchurMultiplier.from_group_symbol(pts, lambda g: np.trace(g) / 3.0)
+        m = TruncatedSchurMultiplier.from_group_symbol(
+            pts, lambda g: np.trace(g, axis1=-2, axis2=-1) / 3)
         assert np.allclose(np.diag(m.symbol), 1.0)  # m(e) on the diagonal
+        want = [[np.trace(g.entries @ h.entries.T) / 3 for h in pts] for g in pts]  # h^-1 = h^T
+        assert np.allclose(m.symbol, want, rtol=0.0, atol=1e-14)
 
 
 def svd_duality(x, p):
