@@ -107,6 +107,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     along the rays.  When the sweep covers the top two orders, the decay
     exponents fitted along the rays are compared across them.
     """
+    _check_count("--n", n, 2)
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
     _check_count("--order", order, 0)
@@ -319,7 +320,7 @@ def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000) -> Ce
 # command -> report builder on the parsed arguments
 _BUILDERS = {
     "certify-hm": lambda a: cmd_certify_hm(
-        group_symbol_from_profile(SymbolFamily.parse(a.symbol).build_profile(), mode="dist"),
+        group_symbol_from_profile(SymbolFamily.parse(a.symbol).build_profile()),
         n=a.n, order=a.order, shells=a.grid_levels, seed=a.seed, per_order=a.per_order),
     "rigidity": lambda a: cmd_rigidity(SymbolFamily.parse(a.profile), n=a.n, p=a.p,
                                        sections=a.sections, mode=a.mode, seed=a.seed),

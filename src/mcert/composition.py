@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InputError, RangeError
+from .errors import DomainError, InputError
 
 __all__ = [
     "DerivativeJet",
@@ -30,7 +30,6 @@ __all__ = [
     "opnorm_coordinate",
     "opnorm_coordinate_derivative",
     "hs_coordinate",
-    "rank_choice",
     "so_n1_trace_coefficients",
     "so_n1_embedded_matrix",
     "rotation_matrix",
@@ -141,7 +140,7 @@ def rotation_matrix(n: int, delta: float) -> np.ndarray:
 class CompositionFrame:
     """Diagonal matrix D = diag(e^r, e^s x (m-1), e^t x (n-m)) in SL(n).
 
-    ``m`` is the rank-choice target (m = n reproduces the plain frame,
+    ``m`` is the target rank (m = n reproduces the plain frame,
     where t is vacuous).  The exponents satisfy r + (m-1)s + (n-m)t = 0.
     """
 
@@ -256,33 +255,7 @@ def hs_coordinate(frame: CompositionFrame, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rank choice and the Lorentz-group coefficients
-
-
-def rank_choice(k: int, p: float, n: int) -> tuple:
-    """Smallest rank m with (m-2)/2 - (m-1)/p > k, and the decay
-    exponent c_k = n / (m - 2) it produces.
-
-    The window k < beta <= k + 1/2 - 1/p keeps beta away from the
-    integers, which the derivative estimates require.
-    """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if p <= 2.0:
-        raise DomainError("p must exceed 2", measured=p)
-    alpha0 = (n - 2) / 2.0 - (n - 1) / p
-    if k >= alpha0:
-        raise RangeError(f"k = {k} is not below alpha0 = {alpha0:.6g}")
-    q = math.floor((2 * k + 1) / (1.0 - 2.0 / p))
-    m = q + 2
-    beta = (m - 2) / 2.0 - (m - 1) / p
-    if not (k < beta <= k + 0.5 - 1.0 / p + 1e-12):
-        raise RangeError(f"rank choice window violated: beta = {beta}")
-    if abs(beta - round(beta)) < 1e-12:
-        raise RangeError(f"beta = {beta} landed on an integer")
-    if m > n:
-        raise RangeError(f"required rank {m} exceeds n = {n}")
-    return m, n / q
+# Lorentz-group coefficients
 
 
 def so_n1_trace_coefficients(n: int, r: float):

@@ -1,8 +1,7 @@
 """Euclidean symbol analysis on R^d.
 
 Dyadic partitions of unity, the fractional-laplacian length and its
-constant, grid Mikhlin constants, transform-based Sobolev norms, local
-matrix inversion and the homogeneous twisted symbol sweep.
+constant, the dilation-invariant Sobolev norm and local matrix inversion.
 
 Fourier convention: f^(xi) = int f(x) exp(-2 pi i <x, xi>) dx, so
 Plancherel holds without extra factors and frequencies are cycles per
@@ -11,14 +10,13 @@ unit length (fftfreq units).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, NumericError
+from .errors import AccuracyError, DomainError, InputError
 from .sphere import gauss_legendre
 from .symbols import EuclideanSymbol
 
@@ -29,12 +27,8 @@ __all__ = [
     "sigma_partition_value",
     "frac_laplacian_constant",
     "frac_laplacian_length",
-    "mikhlin_constant",
-    "mikhlin_profile",
-    "sobolev_norm_h",
     "sobolev_norm_w",
     "local_inversion",
-    "twisted_homogeneous_mikhlin",
 ]
 
 
@@ -52,27 +46,15 @@ class DyadicPartition:
     """Radial plateau eta with chi_{B1} <= eta <= chi_{B2}.
 
     The default profile is the canonical mollified step, so every
-    partition value is deterministic.  ``j_range`` is the default dyadic
-    window for whole-partition sums.
+    partition value is deterministic.
     """
 
     eta: object = None
-    j_range: tuple = (-40, 40)
 
     def __post_init__(self):
         if self.eta is None:
             object.__setattr__(self, "eta", lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)))
 
-    def eta_of_point(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(np.atleast_1d(xi), axis=-1) if xi.ndim else np.abs(xi)
-        return self.eta(r)
-
-    def partition_sum(self, xi):
-        """Sum of squared partition values over the dyadic window; equals
-        1 wherever the window covers the dyadic shell of xi."""
-        lo, hi = self.j_range
-        return sum(lp_partition_value(self, j, xi) ** 2 for j in range(lo, hi + 1))
 
 
 def _radius(xi):
@@ -143,7 +125,7 @@ def frac_laplacian_length(d: int, eps: float, xi):
 
 
 # ---------------------------------------------------------------------------
-# Grids and Mikhlin constants
+# Evaluation grids
 
 
 def _directions(d: int, count: int) -> np.ndarray:
@@ -177,7 +159,6 @@ class GridSpec:
     directions: np.ndarray = field(repr=False)
     box_halfwidth: float = 8.0
     box_points: int = 256
-    step_fraction: float = 1e-2
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
@@ -194,66 +175,6 @@ class GridSpec:
         radii = np.geomspace(r_min, r_max, levels)
         return cls(d=d, radii=radii, directions=_directions(d, n_directions),
                    box_halfwidth=box_halfwidth, box_points=box_points)
-
-    def points(self) -> np.ndarray:
-        return (self.radii[:, None, None] * self.directions[None, :, :]).reshape(-1, self.d)
-
-
-def _multi_indices(d: int, order: int):
-    """All Euclidean multi-indices with 1 <= |gamma| <= order."""
-    out = []
-    for total in range(1, order + 1):
-        for combo in itertools.combinations_with_replacement(range(d), total):
-            gamma = [0] * d
-            for c in combo:
-                gamma[c] += 1
-            out.append(tuple(gamma))
-    return out
-
-
-def _partial_derivative(m, xi: np.ndarray, gamma, h: float) -> complex:
-    """Nested central differences for the mixed partial d^gamma m."""
-    for i, gi in enumerate(gamma):
-        if gi > 0:
-            e = np.zeros_like(xi)
-            e[i] = h
-            reduced = tuple(g - (1 if k == i else 0) for k, g in enumerate(gamma))
-            return (_partial_derivative(m, xi + e, reduced, h)
-                    - _partial_derivative(m, xi - e, reduced, h)) / (2.0 * h)
-    return complex(m(xi))
-
-
-def mikhlin_profile(m: EuclideanSymbol, order: int, grid: GridSpec) -> np.ndarray:
-    """Per-radius sup of |xi|^{|gamma|} |d^gamma m(xi)| over the design."""
-    if order < 0:
-        raise InputError("order must be >= 0")
-    gammas = _multi_indices(grid.d, order)
-    prof = np.zeros(len(grid.radii))
-    for ir, r in enumerate(grid.radii):
-        worst = 0.0
-        for u in grid.directions:
-            xi = r * u
-            val = abs(complex(m(xi)))
-            if not math.isfinite(val):
-                raise NumericError(f"symbol not finite at |xi| = {r}")
-            worst = max(worst, val)
-            h = grid.step_fraction * r
-            for gamma in gammas:
-                dv = _partial_derivative(m, xi, gamma, h)
-                mag = abs(dv) * r ** sum(gamma)
-                if not math.isfinite(mag):
-                    raise NumericError(f"derivative {gamma} not finite at |xi| = {r}")
-                worst = max(worst, mag)
-        prof[ir] = worst
-    return prof
-
-
-def mikhlin_constant(m: EuclideanSymbol, order: int, grid: GridSpec) -> float:
-    """Grid sup of |xi|^{|gamma|} |d^gamma m| over |gamma| <= order.
-
-    A lower estimate of the true sup: finite design, origin excluded.
-    """
-    return float(mikhlin_profile(m, order, grid).max())
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +214,6 @@ def _check_leakage(samples: np.ndarray, grid: GridSpec, name: str, tol: float = 
                             estimate=leak)
 
 
-def sobolev_norm_h(m: EuclideanSymbol, alpha: float, grid: GridSpec,
-                   refine_check: float | None = None) -> float:
-    """Classical H^2_alpha norm ||(1+|.|^2)^{alpha/2} m^||_2 on the box grid.
-
-    With ``refine_check`` set, the norm is recomputed on the half grid
-    and must agree to that relative tolerance.
-    """
-    value = _transform_norm_h(m, alpha, grid)
-    if refine_check is not None:
-        coarse_grid = GridSpec(d=grid.d, radii=grid.radii, directions=grid.directions,
-                               box_halfwidth=grid.box_halfwidth,
-                               box_points=max(grid.box_points // 2, 8))
-        coarse = _transform_norm_h(m, alpha, coarse_grid)
-        if abs(coarse - value) > refine_check * max(value, 1e-300):
-            raise AccuracyError("transform norm not refinement-stable",
-                                estimate=abs(coarse - value))
-    return value
-
-
-def _transform_norm_h(m: EuclideanSymbol, alpha: float, grid: GridSpec) -> float:
-    samples = _sample_box(m, grid)
-    _check_leakage(samples, grid, "sobolev_norm_h")
-    n, half = grid.box_points, grid.box_halfwidth
-    cell = (2.0 * half / n) ** m.d
-    fhat = np.fft.fftn(samples) * cell
-    _, freq = _box_axes(grid)
-    grids = np.meshgrid(*([freq] * m.d), indexing="ij")
-    xi_sq = sum(f * f for f in grids)
-    weight = (1.0 + xi_sq) ** alpha
-    norm_sq = float(np.sum(weight * np.abs(fhat) ** 2)) / (2.0 * half) ** m.d
-    return math.sqrt(norm_sq)
-
-
 def sobolev_norm_w(m: EuclideanSymbol, eps: float, grid: GridSpec) -> float:
     """Dilation-invariant norm || |.|^{d/2+eps} (sqrt(psi_eps) m)^ ||_2.
 
@@ -358,7 +246,7 @@ def sobolev_norm_w(m: EuclideanSymbol, eps: float, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Local inversion and the homogeneous twisted sweep
+# Local inversion
 
 
 def local_inversion(a, tol: float = 1e-12) -> np.ndarray:
@@ -372,33 +260,3 @@ def local_inversion(a, tol: float = 1e-12) -> np.ndarray:
         raise DomainError("A + e is numerically singular", measured=cond)
     return np.linalg.inv(shifted) - np.eye(a.shape[0])
 
-
-def twisted_homogeneous_mikhlin(sigma, eps: float, order: int, grid: GridSpec) -> float:
-    """sup over g in the sample of the Mikhlin constant of
-    M_g(xi) = |xi|^eps / |g . xi|^eps, with xi an n x n matrix (d = n^2)
-    acted on by left multiplication.
-    """
-    elems = list(sigma)
-    if not elems:
-        raise InputError("empty sample")
-    n = elems[0].n
-    if grid.d != n * n:
-        raise InputError(f"grid dimension {grid.d} != n^2 = {n*n}")
-    worst = 0.0
-    for g in elems:
-        gm = g.entries
-
-        def ev(x, gm=gm):
-            x = np.asarray(x, dtype=float)
-            shape = x.shape[:-1]
-            mats = x.reshape(shape + (n, n))
-            acted = np.einsum("ij,...jk->...ik", gm, mats)
-            num = np.linalg.norm(x, axis=-1)
-            den = np.sqrt(np.sum(acted * acted, axis=(-2, -1)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(den > 0, (num / np.where(den > 0, den, 1.0)) ** eps, 0.0)
-            return out
-
-        sym = EuclideanSymbol(d=n * n, evaluator=ev, name="twist")
-        worst = max(worst, mikhlin_constant(sym, order, grid))
-    return worst

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, NumericError
+from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .sphere import gauss_legendre
 
 __all__ = [
@@ -36,10 +36,7 @@ __all__ = [
     "default_step",
     "weyl_ball_volume",
     "harish_chandra_xi",
-    "distortion_constant",
-    "mc_l2_norm",
     "haar_so",
-    "haar_ball_sample",
     "hs_norm",
 ]
 
@@ -83,9 +80,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.entries))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.entries @ other.entries)
@@ -348,21 +342,17 @@ def _weyl_volume_quad(n: int, r: float, npts: int) -> float:
     raise InputError("tensor quadrature implemented for n in {2, 3}")
 
 
-def _chamber_sample(n: int, r: float, size: int, rng):
-    """(z, weights, scale): ``size`` uniform draws from the box [-r, r]^{n-1}
-    lifted to zero-sum descending rows z, weighted by prod sinh(z_i - z_j)
-    inside the ball max(z_1, -z_n) <= r and 0 outside, so the integral of F
-    over the chamber ball is about scale * mean(weights * F(z))."""
-    y = rng.uniform(-r, r, size=(size, n - 1))
+def _weyl_volume_mc(n: int, r: float, samples: int, seed: int) -> tuple[float, float]:
+    """(volume, standard error): ``samples`` uniform draws from the box [-r, r]^{n-1}
+    lifted to zero-sum descending rows z, weighted by prod sinh(z_i - z_j) inside the
+    ball max(z_1, -z_n) <= r and 0 outside, times the box volume over n!."""
+    y = np.random.default_rng(seed).uniform(-r, r, size=(samples, n - 1))
     z = np.concatenate([y, -y.sum(axis=1, keepdims=True)], axis=1)
     z.sort(axis=1)
     z = z[:, ::-1]
     keep = np.maximum(z[:, 0], -z[:, -1]) <= r
-    return z, np.where(keep, _sinh_weight(z), 0.0), (2.0 * r) ** (n - 1) / math.factorial(n)
-
-
-def _weyl_volume_mc(n: int, r: float, samples: int, seed: int) -> tuple[float, float]:
-    _, vals, box = _chamber_sample(n, r, samples, np.random.default_rng(seed))
+    vals = np.where(keep, _sinh_weight(z), 0.0)
+    box = (2.0 * r) ** (n - 1) / math.factorial(n)
     est = box * vals.mean()
     err = box * vals.std(ddof=1) / math.sqrt(samples)
     return float(est), float(err)
@@ -372,26 +362,31 @@ def weyl_ball_volume(n: int, r: float, mc_samples: int = 200_000, seed: int = 7)
     """Volume of the ball {log L(g) <= r} in the Haar normalization above.
 
     Tensor Gauss-Legendre for n = 2, 3; Monte Carlo for n = 4, 5 with a
-    5% self-consistency requirement.
+    5% self-consistency requirement.  The radius must be positive and
+    finite (DomainError), and a volume beyond the float range is a RangeError.
     """
     if n < 2 or n > 5:
         raise InputError("n must be in {2, ..., 5}")
-    if not (r > 0):
-        raise DomainError("radius must be positive", measured=r)
-    if n <= 3:
-        v1 = _weyl_volume_quad(n, r, 120)
-        v2 = _weyl_volume_quad(n, r, 180)
-        if abs(v1 - v2) > 0.05 * max(abs(v2), 1e-300):
-            raise AccuracyError("chamber quadrature did not converge", estimate=abs(v1 - v2))
-        return v2
-    est, err = _weyl_volume_mc(n, r, mc_samples, seed)
-    if est <= 0 or err > 0.05 * est:
-        raise AccuracyError("chamber Monte Carlo above 5% relative error", estimate=err)
-    return est
+    if not (0 < r < math.inf):
+        raise DomainError("radius must be positive and finite", measured=r)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the RangeError below
+        if n <= 3:
+            v1 = _weyl_volume_quad(n, r, 120)
+            vol = _weyl_volume_quad(n, r, 180)
+            err = abs(v1 - vol)
+            if err > 0.05 * max(abs(vol), 1e-300):
+                raise AccuracyError("chamber quadrature did not converge", estimate=err)
+        else:
+            vol, err = _weyl_volume_mc(n, r, mc_samples, seed)
+            if vol <= 0 or err > 0.05 * vol:
+                raise AccuracyError("chamber Monte Carlo above 5% relative error", estimate=err)
+    if not math.isfinite(vol):
+        raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
+    return vol
 
 
 # ---------------------------------------------------------------------------
-# Haar sampling and the spherical function
+# Haar measure on SO(n) and the spherical function
 
 
 def haar_so(n: int, size: int, rng) -> np.ndarray:
@@ -447,62 +442,3 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
     err = math.sqrt(var / samples)
     return mean, err
 
-
-def haar_ball_sample(n: int, radius: float, size: int, seed: int):
-    """Weighted sample of the Haar ball {log L <= radius}.
-
-    Returns (matrices, weights, scale) such that for any F,
-    integral of F over the ball is approximately
-    scale * mean(weights * F(matrices)).
-    """
-    rng = np.random.default_rng(seed)
-    z, w, scale = _chamber_sample(n, radius, size, rng)
-    k1 = haar_so(n, size, rng)
-    k2 = haar_so(n, size, rng)
-    mats = k1 * np.exp(z)[:, None, :] @ k2  # k1 @ diag(e^z) @ k2
-    return mats, w, scale
-
-
-def mc_l2_norm(phi, n: int, radius: float, haar_samples: int = 40_000, seed: int = 0) -> float:
-    """L2 norm of phi against the haar_ball_sample measure (same seed/radius)."""
-    mats, w, scale = haar_ball_sample(n, radius, haar_samples, seed)
-    vals = np.asarray(phi(mats), dtype=float)
-    return math.sqrt(max(scale * float(np.mean(w * vals * vals)), 0.0))
-
-
-def distortion_constant(phi, omega_samples, haar_samples: int = 40_000, seed: int = 0,
-                        radius: float | None = None) -> float:
-    """sup over the supplied set of (1/2) integral |phi(gh) - phi(h)|^2 dh.
-
-    ``phi`` must be nonnegative and L2-normalized to within 1e-3
-    against the Monte Carlo measure of :func:`haar_ball_sample` (same
-    seed and radius).  ``phi`` is called on a stack of matrices.
-    """
-    elems = [g if isinstance(g, GroupElement) else GroupElement(g) for g in omega_samples]
-    if not elems:
-        raise InputError("need at least one group element")
-    n = elems[0].n
-    if radius is None:
-        sup_rad = getattr(phi, "support_radius", None)
-        if sup_rad is None:
-            raise InputError("phi needs a support_radius (log L units) or pass radius=")
-        radius = float(sup_rad) + 0.5
-    mats, w, scale = haar_ball_sample(n, radius, haar_samples, seed)
-    vals = np.asarray(phi(mats), dtype=float)
-    if np.any(vals < -1e-12):
-        raise DomainError("phi must be nonnegative")
-    norm_sq = scale * float(np.mean(w * vals * vals))
-    if abs(norm_sq - 1.0) > 1e-3:
-        raise DomainError(
-            f"phi is not L2-normalized over the Monte Carlo measure (|phi|_2^2 = {norm_sq:.6f})",
-            measured=norm_sq,
-        )
-    # (1/2) int |phi(gh) - phi(h)|^2 dh  ==  |phi|^2 - <lambda(g)phi, phi>
-    # by unimodularity; the overlap form keeps the integrand inside
-    # supp(phi), where the sample actually lives.
-    worst = 0.0
-    for g in elems:
-        shifted = np.asarray(phi(g.entries @ mats), dtype=float)
-        overlap = scale * float(np.mean(w * shifted * vals))
-        worst = max(worst, norm_sq - overlap)
-    return worst

@@ -23,7 +23,6 @@ from .symbols import RadialProfile
 __all__ = [
     "TruncatedSchurMultiplier",
     "schatten_norm",
-    "schur_apply",
     "SchurLowerBound",
     "schur_norm_lower_bound",
     "circulant_schur_bound",
@@ -48,7 +47,6 @@ class TruncatedSchurMultiplier:
     """Finite symbol matrix of a Schur multiplier over sampled points."""
 
     symbol: np.ndarray
-    points: tuple = ()
 
     def __post_init__(self):
         m = np.asarray(self.symbol, dtype=complex)
@@ -57,12 +55,6 @@ class TruncatedSchurMultiplier:
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise InputError("symbol matrix must be finite")
         object.__setattr__(self, "symbol", m)
-
-    @classmethod
-    def from_group_symbol(cls, points, m) -> "TruncatedSchurMultiplier":
-        """Symbol matrix m(g_i g_j^{-1}) over one point list, from one stacked call of m."""
-        mats = np.stack([p.entries for p in points])
-        return cls(symbol=m(mats[:, None] @ np.linalg.inv(mats)), points=tuple(points))
 
     @property
     def shape(self):
@@ -108,15 +100,6 @@ def schatten_norm(a, p: float) -> float:
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
     return _schatten_from_sv(_svd(a, compute_uv=False), p)
-
-
-def schur_apply(m, a) -> np.ndarray:
-    """Entrywise product of the symbol matrix with the input matrix."""
-    sym = m.symbol if isinstance(m, TruncatedSchurMultiplier) else np.asarray(m)
-    a = np.asarray(a)
-    if sym.shape != a.shape:
-        raise InputError(f"shape mismatch: {sym.shape} vs {a.shape}")
-    return sym * a
 
 
 def _dual_exponent(p: float) -> float:

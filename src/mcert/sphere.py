@@ -11,7 +11,6 @@ spectrum, and a direct quadrature oracle for the n = 3 operator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,14 +21,11 @@ from .errors import AccuracyError, DomainError, InputError, RangeError
 __all__ = [
     "gegenbauer_normalized",
     "gegenbauer_integral",
-    "gegenbauer_derivative",
     "multiplicity",
     "SphericalEigenSystem",
     "RigidityExponents",
     "SchattenSumResult",
     "schatten_derivative_sum",
-    "schatten_sum_truncated",
-    "holder_schatten_difference",
     "averaging_operator",
     "sphere_grid",
 ]
@@ -59,17 +55,13 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     return np.array(rows[:k_cap + 1], dtype=float)
 
 
-def _checked_argument(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
-        raise DomainError("argument outside [-1, 1]", measured=float(np.abs(x).max()))
-    return x
-
-
 def _checked_table(n: int, x, k_cap: int) -> np.ndarray:
     """:func:`_eigenvalue_table` behind the public checks on n, k and x."""
     _check_nk(n, k_cap)
-    return _eigenvalue_table(n, _checked_argument(x), k_cap)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
+        raise DomainError("argument outside [-1, 1]", measured=float(np.abs(x).max()))
+    return _eigenvalue_table(n, x, k_cap)
 
 
 def gegenbauer_normalized(n: int, k: int, x):
@@ -109,23 +101,6 @@ def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
     if np.max(np.abs(val.imag)) > 1e-12:
         raise AccuracyError("imaginary part failed to cancel", estimate=float(np.max(np.abs(val.imag))))
     return val.real
-
-
-def gegenbauer_derivative(n: int, k: int, r: int, x):
-    """r-th derivative of the normalized eigenvalue.
-
-    Differentiating lowers the degree and raises the index; the result is
-    assembled from the recurrence at the raised index times a finite
-    product normalization ratio.
-    """
-    _check_nk(n, k)
-    if r < 0:
-        raise InputError("derivative order must be >= 0")
-    x = _checked_argument(x)
-    if 0 < r <= k and np.any(np.abs(x) > 1.0 - 1e-8):
-        warnings.warn("derivative evaluated near the endpoints is ill-conditioned",
-                      RuntimeWarning, stacklevel=2)
-    return _derivative_table(n, r, x, k)[k]
 
 
 def multiplicity(n: int, k: int) -> int:
@@ -269,14 +244,6 @@ def _check_sum_args(p: float, order: float) -> None:
         raise InputError(f"derivative order must be >= 0, got {order}")
 
 
-def schatten_sum_truncated(n: int, p: float, r: int, x: float, k_cap: int) -> float:
-    """(sum_{k <= k_cap} m_k |d^r eigenvalue_k(x)|^p)^{1/p}, no tail control."""
-    _check_sum_args(p, r)
-    table = np.abs(_derivative_table(n, r, np.asarray(float(x)), k_cap))
-    mult = _multiplicity_table(n, k_cap)
-    return float(np.sum(mult * table ** p) ** (1.0 / p))
-
-
 def _truncated_norm(total: float, n: int, p: float, r: int, cdec: float,
                     k_cap: int) -> tuple[float, float]:
     """(value, err): the 1/p power of a sum of p-th-power terms over degrees
@@ -316,38 +283,6 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         if 2 * k_cap > k_max:
             raise AccuracyError("tail tolerance unreachable within k_max", estimate=err)
         k_cap *= 2
-
-
-def holder_schatten_difference(n: int, p: float, alpha: float, x: float, y: float,
-                               tail_tol: float = 1e-6, k_cap: int | None = None,
-                               k_max: int = 1 << 18,
-                               interior: float = _DEFAULT_INTERIOR) -> SchattenSumResult:
-    """Truncated Schatten p-norm of the difference of the [alpha]-th
-    derivative spectra at x and y, with an analytic tail bound attached.
-
-    The cut covers both difference regimes: at least the truncation the
-    plain sum needs at the same parameters, and at least a few multiples
-    of 1/|x - y| where the difference stops being proportional to the gap.
-    """
-    _check_sum_args(p, alpha)
-    if not (abs(x) <= interior and abs(y) <= interior):  # NaN included
-        raise DomainError(f"|x|, |y| must be <= {interior}")
-    if x == y:
-        return SchattenSumResult(value=0.0, diverged=False)
-    r = int(math.floor(alpha))
-    a0 = _alpha0(n, p)
-    if r >= a0 - 1e-12:
-        return SchattenSumResult(value=None, diverged=True)
-    if k_cap is None:
-        plain = schatten_derivative_sum(n, p, r, x, tail_tol=tail_tol, k_max=k_max,
-                                        interior=interior)
-        k_cap = min(max(plain.k_used, int(4.0 / abs(x - y))), k_max)
-    cdec = 2.0 * _decay_constant(n, r, band=_band_for(max(abs(x), abs(y))))
-    tx = _derivative_table(n, r, np.asarray(float(x)), k_cap)
-    ty = _derivative_table(n, r, np.asarray(float(y)), k_cap)
-    total = float(np.sum(_multiplicity_table(n, k_cap) * np.abs(tx - ty) ** p))
-    value, err = _truncated_norm(total, n, p, r, cdec, k_cap)
-    return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Three evaluator containers are used across the toolkit:
 * :class:`RadialProfile` - scalar profiles phi on (1, infinity), the
   subject of the radial rigidity checks.
 
-Families are deliberately closed-form (auditable); arbitrary symbols
-enter through the CSV escape hatch.
+Families are deliberately closed-form (auditable); an arbitrary symbol
+matrix enters ``schur-bound`` as a CSV file (:func:`read_matrix_csv`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import check_special_linear, dist_to_identity, hs_norm
+from .geometry import check_special_linear, dist_to_identity
 
 __all__ = [
     "SymbolHandle",
@@ -29,12 +29,7 @@ __all__ = [
     "RadialProfile",
     "SymbolFamily",
     "group_symbol_from_profile",
-    "euclidean_symbol_from_csv",
-    "euclidean_symbol_to_csv",
     "read_matrix_csv",
-    "write_matrix_csv",
-    "read_points_csv",
-    "write_points_csv",
 ]
 
 
@@ -43,12 +38,10 @@ class SymbolHandle:
     """Evaluator on group elements with light metadata.
 
     ``evaluator`` receives a raw (..., n, n) float array and must return
-    a matching (...) array (or scalar).  ``support_radius`` is measured
-    in log L units when set.
+    a matching (...) array (or scalar).
     """
 
     evaluator: object
-    support_radius: float | None = None
     name: str = "symbol"
 
     def __call__(self, mats):
@@ -100,26 +93,13 @@ class RadialProfile:
         return (prev(x + h) - prev(x - h)) / (2.0 * h)
 
 
-def group_symbol_from_profile(profile: RadialProfile, mode: str = "hs",
-                              support_radius: float | None = None) -> SymbolHandle:
-    """Lift a radial profile to a group symbol via |g|, ||g|| or dist(g, e).
+def group_symbol_from_profile(profile: RadialProfile) -> SymbolHandle:
+    """Lift a radial profile to the group symbol g -> profile(dist(g, e)).
 
-    Any (..., n, n) input gives (...) values; the ``"dist"`` mode checks
-    that its input lies in SL(n,R).
+    Any (..., n, n) stack gives (...) values, once it is checked to lie in SL(n,R).
     """
-    if mode not in ("hs", "opnorm", "dist"):
-        raise InputError("mode must be 'hs', 'opnorm' or 'dist'")
-
-    def ev(mats):
-        mats = np.asarray(mats, dtype=float)
-        if mode == "hs":
-            return profile(hs_norm(mats))
-        if mode == "opnorm":
-            return profile(np.linalg.svd(mats, compute_uv=False)[..., 0])
-        return profile(dist_to_identity(check_special_linear(mats)))
-
-    return SymbolHandle(evaluator=ev, support_radius=support_radius,
-                        name=f"{profile.name}({mode})")
+    return SymbolHandle(lambda mats: profile(dist_to_identity(check_special_linear(mats))),
+                        name=f"{profile.name}(dist)")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +110,9 @@ _FAMILY_KEYS = {  # kind -> the parameters its builders read
     "radial-log-power": ("exponent", "log_exponent"),
     "hm-bump": ("center", "width"),
     "riesz-like": ("axis",),
+}
+_FAMILY_LOWER_BOUNDS = {  # (kind, parameter) -> the value the parameter must exceed
+    ("hm-bump", "width"): 0.0,
 }
 
 
@@ -147,6 +130,10 @@ class SymbolFamily:
         unknown = sorted(set(self.parameters) - set(allowed))
         if unknown:
             raise InputError(f"unknown {self.kind} parameter(s) {unknown}; choose from {allowed}")
+        for key, value in self.parameters.items():
+            low = _FAMILY_LOWER_BOUNDS.get((self.kind, key))
+            if low is not None and not value > low:
+                raise InputError(f"{self.kind} parameter {key!r} must be > {low:g}, got {value:g}")
 
     @classmethod
     def parse(cls, spec: str) -> "SymbolFamily":
@@ -254,47 +241,7 @@ def _smooth_bump(t):
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces (UTF-8, header row, decimal point, no locale)
-
-
-def euclidean_symbol_from_csv(path, d: int) -> EuclideanSymbol:
-    """Nearest-node symbol from a grid CSV with columns x1..xd, re, im."""
-    from scipy.spatial import cKDTree
-
-    pts, re, im = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        cols = [f"x{i+1}" for i in range(d)]
-        for row in reader:
-            try:
-                pts.append([float(row[c]) for c in cols])
-                re.append(float(row["re"]))
-                im.append(float(row.get("im", 0.0) or 0.0))
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"bad CSV row {row}: {exc}") from exc
-    if not pts:
-        raise InputError(f"no data rows in {path}")
-    pts = np.asarray(pts)
-    vals = np.asarray(re) + 1j * np.asarray(im)
-    tree = cKDTree(pts)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        _, idx = tree.query(x.reshape(-1, d))
-        return vals[idx].reshape(x.shape[:-1])
-
-    rad = float(np.linalg.norm(pts, axis=1).max())
-    return EuclideanSymbol(d=d, evaluator=ev, support_radius=rad, name=f"csv:{path}")
-
-
-def euclidean_symbol_to_csv(symbol: EuclideanSymbol, points, path) -> None:
-    points = np.asarray(points, dtype=float)
-    vals = np.asarray(symbol(points), dtype=complex)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(symbol.d)] + ["re", "im"])
-        for pt, v in zip(points, vals):
-            writer.writerow([repr(float(c)) for c in pt] + [repr(float(v.real)), repr(float(v.imag))])
+# Matrix CSV input (UTF-8, header row, decimal point, no locale)
 
 
 _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
@@ -333,43 +280,3 @@ def read_matrix_csv(path) -> np.ndarray:
     m[ij[:, 0], ij[:, 1]] = np.fromiter(entries.values(), dtype=complex, count=len(entries))
     return m
 
-
-def write_matrix_csv(m, path) -> None:
-    m = np.asarray(m, dtype=complex)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re", "im"])
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
-
-
-def read_points_csv(path, n: int) -> list:
-    """Group elements from CSV rows holding row-major n*n entries."""
-    from .geometry import GroupElement
-
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"empty CSV {path}")
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(v) for v in row]
-            if len(vals) != n * n:
-                raise InputError(f"expected {n*n} entries per row, got {len(vals)}")
-            out.append(GroupElement(np.array(vals).reshape(n, n)))
-    if not out:
-        raise InputError(f"no data rows in {path}")
-    return out
-
-
-def write_points_csv(elements, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        n = elements[0].n
-        writer.writerow([f"a{i}{j}" for i in range(n) for j in range(n)])
-        for g in elements:
-            writer.writerow([repr(float(v)) for v in g.entries.reshape(-1)])

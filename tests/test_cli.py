@@ -11,7 +11,8 @@ import pytest
 import mcert
 from mcert.cli import main
 from mcert.sphere import multiplicity
-from mcert.symbols import write_matrix_csv
+
+from matrix_csv import write_matrix_csv
 
 
 def load_report(path):
@@ -82,7 +83,7 @@ class TestCertifyHm:
         from mcert.symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile
 
         lifted = group_symbol_from_profile(
-            SymbolFamily.parse("radial-power:exponent=5").build_profile(), mode="dist")
+            SymbolFamily.parse("radial-power:exponent=5").build_profile())
         shapes = []
 
         def counted(mats):
@@ -98,6 +99,23 @@ class TestCertifyHm:
                    "--order", "1", "--per-order", "0"])
         assert rc == 2
         assert "per-order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_n_below_two_is_input_error(self, n, capsys):
+        # checked before the basis is sized, so the message names --n, not --per-order
+        rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", n])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--n must be >= 2" in err and "per-order" not in err
+
+    @pytest.mark.parametrize("width", ["0", "-0.5"])
+    def test_non_positive_bump_width_is_input_error(self, width, tmp_path, capsys):
+        out = tmp_path / "hm.json"
+        rc = main(["certify-hm", "--symbol", f"hm-bump:width={width}", "--n", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "'width' must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRigidity:
@@ -183,7 +201,9 @@ class TestRigidity:
         assert rc == 2
         assert "--sections" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "radial-power:exponent=abc"])
+    # a zero width divides by zero, and the records would PASS on 0.0 and null
+    @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "radial-power:exponent=abc",
+                                      "hm-bump:width=0", "hm-bump:width=-0.5"])
     def test_bad_family_spec_is_input_error(self, spec, capsys):
         rc = main(["rigidity", "--profile", spec, "--n", "3", "--p", "10"])
         assert rc == 2
@@ -366,6 +386,22 @@ class TestGeometryCommand:
     def test_bad_radius_is_input_error(self):
         rc = main(["geometry", "--n", "2", "--R", "-1"])
         assert rc == 2
+
+    def test_infinite_radius_is_input_error(self, tmp_path, capsys):
+        # the volume would be NaN, listed under a PASS verdict
+        out = tmp_path / "geo.json"
+        rc = main(["geometry", "--n", "3", "--R", "inf", "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_volume_beyond_float_range_is_input_error(self, tmp_path, capsys):
+        # sinh(800) overflows: the volume would be inf, listed under a PASS verdict
+        out = tmp_path / "geo.json"
+        rc = main(["geometry", "--n", "2", "--R", "400", "--out", str(out)])
+        assert rc == 2
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["-5", "0", "1"])
     def test_mc_samples_below_two_is_input_error(self, samples, capsys):

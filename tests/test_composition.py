@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from mcert.errors import DomainError, InputError, RangeError
+from mcert.errors import DomainError, InputError
 from mcert.composition import (CompositionFrame, DerivativeJet, bell_coefficient_mass,
                                bell_polynomial, composition_derivative_bound, faa_di_bruno,
                                hs_coordinate, opnorm_coordinate, opnorm_coordinate_derivative,
-                               rank_choice, rotation_matrix, shear_operator_norm,
-                               so_n1_embedded_matrix, so_n1_trace_coefficients)
+                               rotation_matrix, shear_operator_norm, so_n1_embedded_matrix,
+                               so_n1_trace_coefficients)
 
 
 def bell_by_partition_enumeration(k, j, z):
@@ -272,34 +272,6 @@ class TestCoordinateChanges:
             cs.append(peak * (x - 1.0) ** k * x ** (n / (n - 2)))
         assert math.isfinite(max(cs))
         assert max(cs) < 50.0  # measured envelope constant, reported
-
-
-class TestRankChoice:
-    def test_reference_value(self):
-        m, ck = rank_choice(1, 10.0, 5)
-        assert m == 5
-        assert ck == pytest.approx(5.0 / 3.0)
-
-    def test_large_p_limit(self):
-        m, ck = rank_choice(1, 1e12, 7)
-        assert m == 5
-        assert ck == pytest.approx(7.0 / 3.0)
-
-    def test_window_on_p_grid(self):
-        for p in np.linspace(6.0, 60.0, 12):
-            for k in (1, 2):
-                n = 40
-                m, _ = rank_choice(k, float(p), n)
-                beta = (m - 2) / 2.0 - (m - 1) / p
-                assert k < beta <= k + 0.5 - 1.0 / p + 1e-12
-                # smallest such m
-                if m > 3:
-                    beta_prev = (m - 3) / 2.0 - (m - 2) / p
-                    assert beta_prev <= k + 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            rank_choice(5, 10.0, 5)  # alpha0(5, 10) = 1.1 < 5
 
 
 class TestLorentzCoefficients:

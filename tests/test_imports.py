@@ -1,8 +1,10 @@
 """The CLI path imports no module of the package after `import mcert.cli`,
-never scipy, and one process can run `main` many times."""
+never scipy, every module imports with scipy blocked, and one process can
+run `main` many times."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import numpy as np
 
 import mcert
 from mcert.cli import main
-from mcert.symbols import write_matrix_csv
+
+from matrix_csv import write_matrix_csv
 
 GUARD = """
 import json, sys
@@ -21,6 +24,27 @@ codes = [mcert.cli.main(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "mcert")
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+NO_SCIPY = """
+import importlib, json, pkgutil, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import mcert
+names = [info.name for info in pkgutil.iter_modules(mcert.__path__)]
+for name in names:
+    importlib.import_module(f"mcert.{name}")
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
+print(json.dumps({"imported": names, "blocked": blocked}))
 """
 
 
@@ -55,6 +79,19 @@ def test_readme_commands_import_no_package_module_and_no_scipy(tmp_path):
     assert got["codes"] == [0, 0, 1, 0, 0, 0, 0, 0]
     assert got["loaded"] == []
     assert got["scipy"] == []
+
+
+def test_every_module_imports_with_scipy_blocked():
+    env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["blocked"]
+    modules = sorted(info.name for info in pkgutil.iter_modules(mcert.__path__))
+    assert sorted(got["imported"]) == modules
+    assert {"cli", "composition", "euclidean", "geometry", "schur", "sphere",
+            "symbols"} <= set(got["imported"])
 
 
 def test_repeated_main_calls_share_no_state(tmp_path):

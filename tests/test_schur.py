@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from mcert import schur
 from mcert.errors import InputError
-from mcert.geometry import GroupElement, haar_so
 from mcert.cli import cmd_schur_bound
 from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
                          frobenius_schur_bound, interpolated_schur_bound, rigidity_witness,
-                         schatten_norm, schur_apply, schur_infty_upper_bound, schur_norm_exact_p2,
+                         schatten_norm, schur_infty_upper_bound, schur_norm_exact_p2,
                          schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
 
@@ -68,32 +67,6 @@ class TestSchattenNorm:
         padded[:5, :5] = a
         for p in (1.0, 2.5, math.inf):
             assert schatten_norm(padded, p) == pytest.approx(schatten_norm(a, p), rel=1e-12)
-
-
-class TestSchurApply:
-    def test_all_ones(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 6))
-        m = TruncatedSchurMultiplier(np.ones((6, 6)))
-        assert np.allclose(schur_apply(m, a), a)
-
-    def test_matrix_unit(self):
-        m = TruncatedSchurMultiplier(np.arange(16.0).reshape(4, 4))
-        e = np.zeros((4, 4))
-        e[1, 2] = 1.0
-        out = schur_apply(m, e)
-        assert out[1, 2] == 6.0 and np.count_nonzero(out) == 1
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        m1, m2, a = (rng.standard_normal((5, 5)) for _ in range(3))
-        lhs = schur_apply(m1 * m2, a)
-        rhs = schur_apply(m1, schur_apply(m2, a))
-        assert np.allclose(lhs, rhs)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            schur_apply(TruncatedSchurMultiplier(np.ones((3, 3))), np.ones((4, 4)))
 
 
 class TestLowerBound:
@@ -177,15 +150,6 @@ class TestLowerBound:
         for c in columns:
             res = schur_norm_lower_bound(circulant(c), math.inf, seed=1, extra_starts=[start])
             assert res.value <= dft_l1(c) * (1.0 + 1e-12)
-
-    def test_group_symbol_constructor(self):
-        rng = np.random.default_rng(10)
-        pts = [GroupElement(k) for k in haar_so(3, 4, rng)]
-        m = TruncatedSchurMultiplier.from_group_symbol(
-            pts, lambda g: np.trace(g, axis1=-2, axis2=-1) / 3)
-        assert np.allclose(np.diag(m.symbol), 1.0)  # m(e) on the diagonal
-        want = [[np.trace(g.entries @ h.entries.T) / 3 for h in pts] for g in pts]  # h^-1 = h^T
-        assert np.allclose(m.symbol, want, rtol=0.0, atol=1e-14)
 
 
 def svd_duality(x, p):

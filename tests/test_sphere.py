@@ -1,17 +1,14 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mcert.errors import DomainError, InputError, RangeError
-from mcert.sphere import (RigidityExponents, SchattenSumResult, SphericalEigenSystem,
-                          _derivative_table, _eigenvalue_table, _multiplicity_table,
-                          averaging_operator, gauss_legendre, gegenbauer_derivative,
-                          gegenbauer_integral, gegenbauer_normalized,
-                          holder_schatten_difference, multiplicity,
-                          schatten_derivative_sum, schatten_sum_truncated, sphere_grid)
+from mcert.sphere import (RigidityExponents, SphericalEigenSystem, _derivative_table,
+                          _eigenvalue_table, _multiplicity_table, averaging_operator,
+                          gauss_legendre, gegenbauer_integral, gegenbauer_normalized,
+                          multiplicity, schatten_derivative_sum, sphere_grid)
 
 
 def reference_table(n, x, k_cap):
@@ -139,26 +136,31 @@ class TestEigenvalues:
             gegenbauer_normalized(2, 2, np.array(0.5))
 
 
+def derivative(n, k, r, x):
+    """r-th derivative of the degree-k normalized eigenvalue at x."""
+    return _derivative_table(n, r, x, k)[k]
+
+
 class TestDerivatives:
     def test_order_zero_passthrough(self):
         xs = np.linspace(-0.9, 0.9, 7)
-        assert np.allclose(gegenbauer_derivative(4, 6, 0, xs),
+        assert np.allclose(derivative(4, 6, 0, xs),
                            gegenbauer_normalized(4, 6, xs))
 
     def test_legendre_derivative_frozen(self):
         # P2'(x) = 3x
-        assert float(gegenbauer_derivative(3, 2, 1, np.array(0.5))) == pytest.approx(1.5, rel=1e-12)
+        assert float(derivative(3, 2, 1, np.array(0.5))) == pytest.approx(1.5, rel=1e-12)
 
     def test_high_order_kills_low_degree(self):
-        assert np.allclose(gegenbauer_derivative(3, 2, 3, np.array(0.3)), 0.0)
+        assert np.allclose(derivative(3, 2, 3, np.array(0.3)), 0.0)
 
     def test_finite_difference_cross_check(self):
         xs = np.array(0.37)
         h = 1e-5
         for n, k, r in [(3, 7, 1), (5, 9, 2), (4, 12, 1)]:
-            got = float(gegenbauer_derivative(n, k, r, xs))
-            fplus = float(gegenbauer_derivative(n, k, r - 1, np.array(0.37 + h)))
-            fminus = float(gegenbauer_derivative(n, k, r - 1, np.array(0.37 - h)))
+            got = float(derivative(n, k, r, xs))
+            fplus = float(derivative(n, k, r - 1, np.array(0.37 + h)))
+            fminus = float(derivative(n, k, r - 1, np.array(0.37 - h)))
             assert got == pytest.approx((fplus - fminus) / (2 * h), rel=1e-5)
 
     def test_decay_envelope_bounded(self):
@@ -167,16 +169,10 @@ class TestDerivatives:
         for n, r in [(3, 1), (5, 2)]:
             worst = 0.0
             for k in range(r, 201):
-                env = np.abs(gegenbauer_derivative(n, k, r, xs)).max()
+                env = np.abs(derivative(n, k, r, xs)).max()
                 worst = max(worst, env / (1 + k) ** (r + 1 - n / 2))
             assert math.isfinite(worst)
             assert worst < 1e3  # measured constant, reported
-
-    def test_endpoint_warning(self):
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            gegenbauer_derivative(3, 5, 1, np.array(0.9999999999))
-        assert any("ill-conditioned" in str(w.message) for w in log)
 
 
 class TestMultiplicity:
@@ -221,10 +217,12 @@ class TestSchattenSums:
         assert abs(res.value - res2.value) < 1e-6
 
     def test_truncated_matches_direct_summation(self):
+        # the certified sum is the truncated sum over degrees 0..k_used
+        res = schatten_derivative_sum(5, 4.0, 0, 0.3)
         direct = sum(multiplicity(5, k)
-                     * abs(float(gegenbauer_normalized(5, k, np.array(0.3)))) ** 2
-                     for k in range(101)) ** 0.5
-        assert schatten_sum_truncated(5, 2.0, 0, 0.3, 100) == pytest.approx(direct, rel=1e-12)
+                     * abs(float(gegenbauer_normalized(5, k, np.array(0.3)))) ** 4
+                     for k in range(res.k_used + 1)) ** 0.25
+        assert res.value == pytest.approx(direct, rel=1e-12)
 
     def test_interior_guard(self):
         with pytest.raises(DomainError):
@@ -233,53 +231,15 @@ class TestSchattenSums:
     def test_nan_argument_rejected(self):
         with pytest.raises(DomainError):
             schatten_derivative_sum(3, 4.0, 0, math.nan)
-        with pytest.raises(DomainError):
-            holder_schatten_difference(5, 4.0, 0.5, 0.0, math.nan)
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, -4.0, math.inf])
     def test_bad_exponent_rejected(self, p):
         with pytest.raises(InputError):
             schatten_derivative_sum(3, p, 0, 0.5)
-        with pytest.raises(InputError):
-            holder_schatten_difference(5, p, 0.5, 0.0, 0.1)
-        with pytest.raises(InputError):
-            schatten_sum_truncated(5, p, 0, 0.3, 10)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
             schatten_derivative_sum(3, 8.0, -1, 0.5)
-        with pytest.raises(InputError):
-            schatten_sum_truncated(5, 4.0, -1, 0.3, 10)
-        with pytest.raises(InputError):
-            holder_schatten_difference(5, 4.0, -0.5, 0.0, 0.1)
-
-    def test_holder_zero_gap(self):
-        assert holder_schatten_difference(5, 4.0, 0.5, 0.1, 0.1).value == 0.0
-        assert holder_schatten_difference(5, 4.0, 0.5, 0.3, 0.3).value == 0.0
-
-    def test_holder_zero_gap_outside_interior_rejected(self):
-        with pytest.raises(DomainError):
-            holder_schatten_difference(5, 4.0, 0.5, 2.0, 2.0)
-
-    def test_holder_ratio_bounded(self):
-        ratios = []
-        for gap in (1e-1, 1e-2, 1e-3, 1e-4):
-            val = holder_schatten_difference(5, 4.0, 0.5, 0.0, gap).value
-            ratios.append(val / gap ** 0.5)
-        assert max(ratios) <= 2.0 * min(ratios)
-        assert max(ratios) < 10.0
-
-    def test_integer_case_log_law(self):
-        # alpha0 = 5/2 - 6/4 = 1 for (n, p) = (7, 4): difference of the
-        # operators themselves obeys the |gap| |log gap|^{1/p} law
-        ex = RigidityExponents.compute(7, 4.0)
-        assert ex.alpha0 == pytest.approx(1.0)
-        assert ex.alpha < 1.0
-        ratios = []
-        for gap in (1e-1, 1e-2, 1e-3):
-            val = holder_schatten_difference(7, 4.0, ex.alpha, 0.0, gap).value
-            ratios.append(val / (gap * abs(math.log(gap)) ** 0.25))
-        assert max(ratios) <= 2.0 * min(ratios)
 
 
 class TestRigidityExponents:

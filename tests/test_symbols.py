@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mcert.errors import InputError
-from mcert.geometry import GroupElement, haar_so
-from mcert.symbols import (EuclideanSymbol, RadialProfile, SymbolFamily,
-                           euclidean_symbol_from_csv, euclidean_symbol_to_csv,
-                           group_symbol_from_profile, read_matrix_csv, read_points_csv,
-                           write_matrix_csv, write_points_csv)
+from mcert.errors import DomainError, InputError
+from mcert.geometry import haar_so
+from mcert.symbols import RadialProfile, SymbolFamily, group_symbol_from_profile, read_matrix_csv
+
+from matrix_csv import write_matrix_csv
 
 
 class TestFamilies:
@@ -76,36 +75,26 @@ class TestFamilies:
         assert sym(e) == pytest.approx(1.0)
         assert sym.name == f"riesz-like(axis={int(axis)})"
 
-    def test_group_lift_modes(self):
+    @pytest.mark.parametrize("spec", ["hm-bump:width=0", "hm-bump:width=-0.5",
+                                      "hm-bump:center=2,width=-1e-300"])
+    def test_non_positive_bump_width_rejected(self, spec):
+        with pytest.raises(InputError, match="width"):
+            SymbolFamily.parse(spec)
+
+    def test_group_lift(self):
         prof = SymbolFamily.parse("radial-power:exponent=2").build_profile()
         rng = np.random.default_rng(0)
-        g = haar_so(3, 1, rng)[0]  # orthogonal: |g| = 1 and ||g|| = 1
-        hs_sym = group_symbol_from_profile(prof, mode="hs")
-        op_sym = group_symbol_from_profile(prof, mode="opnorm")
-        assert hs_sym(g) == pytest.approx((1 + 1.0) ** -2)
-        assert op_sym(g) == pytest.approx((1 + 1.0) ** -2)
         stack = haar_so(3, 4, rng)
-        assert hs_sym(stack).shape == (4,)
-        dist_sym = group_symbol_from_profile(prof, mode="dist")
+        dist_sym = group_symbol_from_profile(prof)
         assert dist_sym(stack).shape == (4,)
         # one matrix takes numpy's scalar pow, a stack its SIMD pow: equal to rounding
         np.testing.assert_allclose(dist_sym(stack), [dist_sym(k) for k in stack], rtol=1e-14)
         assert dist_sym(np.eye(3)) == 1.0  # dist(e, e) = 0
-        with pytest.raises(InputError):
-            group_symbol_from_profile(prof, mode="ball")
+        with pytest.raises(DomainError):
+            dist_sym(2.0 * np.eye(3))  # det 8: not in SL(3, R)
 
 
 class TestCsvInterfaces:
-    def test_euclidean_symbol_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-2, 2, size=(40, 2))
-        sym = EuclideanSymbol(2, lambda x: np.exp(1j * x[..., 0]) * x[..., 1])
-        path = tmp_path / "sym.csv"
-        euclidean_symbol_to_csv(sym, pts, path)
-        loaded = euclidean_symbol_from_csv(path, 2)
-        # nearest-node interpolation is exact on the sample nodes
-        assert np.allclose(loaded(pts), sym(pts), atol=1e-12)
-
     def test_matrix_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -113,16 +102,6 @@ class TestCsvInterfaces:
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)
         assert np.allclose(back, m, atol=0)
-
-    def test_points_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        pts = [GroupElement(k) for k in haar_so(3, 5, rng)]
-        path = tmp_path / "pts.csv"
-        write_points_csv(pts, path)
-        back = read_points_csv(path, 3)
-        assert len(back) == 5
-        for a, b in zip(pts, back):
-            assert np.allclose(a.entries, b.entries, atol=0)
 
     def test_bad_matrix_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -161,8 +140,3 @@ class TestCsvInterfaces:
         path.write_text("i,j,re\n1,0,2.5\n0,1,-1\n1,0,3\n", encoding="utf-8")
         assert np.array_equal(read_matrix_csv(path), np.array([[0, -1], [3, 0]]))
 
-    def test_empty_points_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("a00\n", encoding="utf-8")
-        with pytest.raises(InputError):
-            read_points_csv(path, 3)
