@@ -196,6 +196,10 @@ class TestLocalInversion:
             local_inversion(a)
 
 
-def test_grid_validation():
+def test_partition_sum_method_and_grid_validation():
+    # squared partition values summed over the dyadic window j = -40..40
+    total = sum(lp_partition_value(PARTITION, j, np.array([0.7, -0.2])) ** 2
+                for j in range(-40, 41))
+    assert total == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(Exception):
         GridSpec(d=1, radii=np.array([2.0, 1.0]), directions=np.array([[1.0]]))

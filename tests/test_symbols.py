@@ -81,7 +81,7 @@ class TestFamilies:
         with pytest.raises(InputError, match="width"):
             SymbolFamily.parse(spec)
 
-    def test_group_lift(self):
+    def test_group_lift_modes(self):
         prof = SymbolFamily.parse("radial-power:exponent=2").build_profile()
         rng = np.random.default_rng(0)
         stack = haar_so(3, 4, rng)
