@@ -293,14 +293,11 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
     return rep
 
 
-def cmd_geometry(n: int, r_list, seed: int = 7, mc_samples: int = 200_000) -> CertificationReport:
+def cmd_geometry(n: int, r_list) -> CertificationReport:
     """Chamber ball volumes over a radius list and the growth-rate record."""
-    _check_count("--mc-samples", mc_samples, 2)
     rep = CertificationReport(command="geometry")
-    rep.seeds["mc"] = seed
     rs = np.asarray(list(r_list), dtype=float)
-    vols = np.array([geo.weyl_ball_volume(n, float(r), mc_samples=mc_samples, seed=seed)
-                     for r in rs])
+    vols = np.array([geo.weyl_ball_volume(n, float(r)) for r in rs])
     rep.add_table("volumes", [{"R": float(r), "volume": float(v)} for r, v in zip(rs, vols)])
     sigma = n * n // 2
     if len(rs) >= 3:
@@ -327,7 +324,7 @@ _BUILDERS = {
     "sphere-spectrum": lambda a: cmd_sphere_spectrum(a.n, a.p, a.r, a.x, a.kmax),
     "schur-bound": lambda a: cmd_schur_bound(read_matrix_csv(a.points), a.p, seed=a.seed,
                                              iterations=a.iterations),
-    "geometry": lambda a: cmd_geometry(a.n, a.R, seed=a.seed, mc_samples=a.mc_samples),
+    "geometry": lambda a: cmd_geometry(a.n, a.R),
 }
 
 
@@ -386,10 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("geometry", help="chamber volume growth")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--R", type=float, nargs="+", required=True)
-    s.add_argument("--mc-samples", type=int, default=200_000,
-                   help="Monte Carlo samples for n = 4, 5")
     _add_common(s)
-    s.set_defaults(seed=7)
     return parser
 
 
@@ -398,7 +392,6 @@ _PARSER = _build_parser()  # built once per process; parse_args leaves it unchan
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    digest_payload = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
     try:
         rep = _BUILDERS[args.command](args)
     except (InputError, DomainError, RangeError) as exc:
@@ -410,7 +403,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    rep.digest = input_digest(digest_payload)
+    # a command that records no seed drew no random numbers and ignores --seed
+    rep.digest = input_digest({k: v for k, v in vars(args).items()
+                               if k not in ("out", "format") and (k != "seed" or rep.seeds)})
     return _finish(rep, args)
 
 

@@ -11,7 +11,7 @@ unit length (fftfreq units).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -151,30 +151,20 @@ def _directions(d: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation design: log-spaced radii with a fixed angular design,
-    plus the uniform box used by the transform-based norms."""
+    """The uniform box [-box_halfwidth, box_halfwidth)^d with box_points points
+    per axis, used by the transform-based norms."""
 
     d: int
-    radii: np.ndarray = field(repr=False)
-    directions: np.ndarray = field(repr=False)
     box_halfwidth: float = 8.0
     box_points: int = 256
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-            raise InputError("radii must be positive and strictly increasing")
-        if len(self.directions) == 0 or self.box_points < 8 or self.box_halfwidth <= 0:
-            raise InputError("grid needs directions and a positive box")
-        object.__setattr__(self, "radii", radii)
+        if self.box_points < 8 or self.box_halfwidth <= 0:
+            raise InputError("grid needs at least 8 points per axis and a positive box")
 
     @classmethod
-    def default(cls, d: int, levels: int = 49, r_min: float = 2.0 ** -12,
-                r_max: float = 2.0 ** 12, n_directions: int = 16,
-                box_halfwidth: float = 8.0, box_points: int = 256) -> "GridSpec":
-        radii = np.geomspace(r_min, r_max, levels)
-        return cls(d=d, radii=radii, directions=_directions(d, n_directions),
-                   box_halfwidth=box_halfwidth, box_points=box_points)
+    def default(cls, d: int, box_halfwidth: float = 8.0, box_points: int = 256) -> "GridSpec":
+        return cls(d=d, box_halfwidth=box_halfwidth, box_points=box_points)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -311,77 +312,81 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
 
 # ---------------------------------------------------------------------------
 # Weyl chamber integration
+#
+# In simple-root coordinates t_i = z_i - z_{i+1} >= 0 the ball {max(z_1, -z_n) <= r} is
+# r P_1, P_1 = {t >= 0, sum (n - i)/n t_i <= 1, sum i/n t_i <= 1}: d + 2 rows, d = n - 1.
 
-def _sinh_weight(z: np.ndarray) -> np.ndarray:
-    """prod_{i<j} sinh(z_i - z_j) on descending rows of z."""
-    n = z.shape[-1]
-    w = np.ones(z.shape[:-1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = w * np.sinh(z[..., i] - z[..., j])
-    return w
+_MAX_NODES = 2 ** 22  # nodes of the finer tensor rule on one simplex
 
 
-def _weyl_volume_quad(n: int, r: float, npts: int) -> float:
-    x, w = gauss_legendre(npts)
-    if n == 2:
-        t = 0.5 * r * (x + 1.0)
-        return float(np.sum(w * np.sinh(2.0 * t)) * 0.5 * r)
-    if n == 3:
-        a = 0.5 * r * (x + 1.0)
-        wa = w * 0.5 * r
-        total = 0.0
-        for ai, wi in zip(a, wa):
-            lo, hi = -0.5 * ai, min(ai, r - ai)
-            if hi <= lo:
-                continue
-            b = lo + 0.5 * (hi - lo) * (x + 1.0)
-            z = np.stack([np.full_like(b, ai), b, -ai - b], axis=-1)
-            total += wi * np.sum(w * _sinh_weight(z)) * 0.5 * (hi - lo)
-        return float(total)
-    raise InputError("tensor quadrature implemented for n in {2, 3}")
+@lru_cache(maxsize=None)
+def _chamber_simplices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cones from the origin over a pulling triangulation of the facet sum (n - i)/n t_i = 1
+    of P_1, read-only: the roots z_i - z_j (i < j) at their far vertices, (k, n - 1, n(n-1)/2),
+    and their volumes, doubled for the mirror facet (t_i <-> t_{n-i} keeps P_1 and the weight)."""
+    d, i, e = n - 1, np.arange(1, n), np.eye(n - 1)
+    # d rows are tight at a vertex, at most two of them outer: at most two t_k > 0
+    verts = np.array([0 * e[0]] + [e[k - 1] * n / max(k, n - k) for k in i]
+                     + [(e[j - 1] * (2 * k - n) + e[k - 1] * (n - 2 * j)) / (k - j)
+                        for j in i for k in i if 2 * j < n < 2 * k])
+    tight = np.c_[verts == 0, np.isclose(verts @ np.c_[n - i, i] / n, 1.0)]  # vertex x row
+    rank = lambda f: np.linalg.matrix_rank(verts[list(f)] - verts[f[0]])
+
+    def pull(face):  # simplices covering the face, each through its first vertex
+        if len(face) == rank(face) + 1:
+            return [face]
+        facets = {tuple(v for v in face if tight[v, c]) for c in range(d + 2)}
+        return [(face[0],) + s for f in facets
+                if f and face[0] not in f and rank(f) == rank(face) - 1 for s in pull(f)]
+
+    outer = [tuple(np.flatnonzero(tight[:, c])) for c in (d, d + 1)]  # equal for n = 2
+    far = verts[pull(outer[0])]
+    lo, hi = np.triu_indices(n, 1)
+    roots = far @ ((lo[:, None] <= i - 1) & (i - 1 < hi[:, None])).T  # t_lo + ... + t_{hi-1}
+    vols = np.abs(np.linalg.det(far)) / n * len(set(outer))  # |dz_1 ... dz_{n-1} / dt| = 1/n
+    roots.flags.writeable = vols.flags.writeable = False
+    return roots, vols
 
 
-def _weyl_volume_mc(n: int, r: float, samples: int, seed: int) -> tuple[float, float]:
-    """(volume, standard error): ``samples`` uniform draws from the box [-r, r]^{n-1}
-    lifted to zero-sum descending rows z, weighted by prod sinh(z_i - z_j) inside the
-    ball max(z_1, -z_n) <= r and 0 outside, times the box volume over n!."""
-    y = np.random.default_rng(seed).uniform(-r, r, size=(samples, n - 1))
-    z = np.concatenate([y, -y.sum(axis=1, keepdims=True)], axis=1)
-    z.sort(axis=1)
-    z = z[:, ::-1]
-    keep = np.maximum(z[:, 0], -z[:, -1]) <= r
-    vals = np.where(keep, _sinh_weight(z), 0.0)
-    box = (2.0 * r) ** (n - 1) / math.factorial(n)
-    est = box * vals.mean()
-    err = box * vals.std(ddof=1) / math.sqrt(samples)
-    return float(est), float(err)
+def _chamber_integral(n: int, r: float, q: int) -> float:
+    """The weight prod_{i<j} sinh(z_i - z_j) over the ball of radius r, q nodes per axis."""
+    x, w = gauss_legendre(q)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    bary, wf = np.ones((1, 1)), np.ones(1)  # collapsed (Duffy) rule on the j-simplex
+    for j in range(n - 2):  # the cone over the j-simplex from a new vertex
+        bary = np.hstack([np.repeat(1.0 - s, len(wf))[:, None],
+                          (s[:, None, None] * bary).reshape(-1, j + 1)])
+        wf = np.outer(ws * s ** j, wf).ravel()
+    ws = ws * s ** (n - 2)
+    step = max(1, 2 ** 16 // len(wf))  # radial nodes per array: at most 2^16 nodes
+    total = 0.0
+    for face, vol in zip(*_chamber_simplices(n)):
+        y = face.T @ bary.T  # the roots at the face nodes
+        for k in range(0, q, step):
+            vals = np.sinh(r * s[k:k + step, None] * y[:, None]).prod(axis=0)
+            total += vol * float(ws[k:k + step] @ vals @ wf)
+    return total * r ** (n - 1)
 
 
-def weyl_ball_volume(n: int, r: float, mc_samples: int = 200_000, seed: int = 7) -> float:
-    """Volume of the ball {log L(g) <= r} in the Haar normalization above.
-
-    Tensor Gauss-Legendre for n = 2, 3; Monte Carlo for n = 4, 5 with a
-    5% self-consistency requirement.  The radius must be positive and
-    finite (DomainError), and a volume beyond the float range is a RangeError.
-    """
+def weyl_ball_volume(n: int, r: float) -> float:
+    """Volume of the ball {log L(g) <= r} in the Haar normalization above: the finer of
+    the rules at q and q + 4 nodes per axis.  A gap above 1e-9 relative, or a rule above
+    _MAX_NODES nodes per simplex, is an AccuracyError; r must be positive and finite
+    (DomainError), and a volume beyond the float range is a RangeError."""
     if n < 2 or n > 5:
         raise InputError("n must be in {2, ..., 5}")
     if not (0 < r < math.inf):
         raise DomainError("radius must be positive and finite", measured=r)
+    # coarser rule within 1e-11 up to sigma r = 700, sigma = [n^2/2]; n + 4 covers small r
+    q = max(n + 4, 4 + math.ceil(2.6 * math.sqrt(n * n // 2 * r)))
+    if (q + 4) ** (n - 1) > _MAX_NODES:
+        raise AccuracyError(f"radius {r:g} needs {q + 4}^{n - 1} > {_MAX_NODES} nodes per simplex")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the RangeError below
-        if n <= 3:
-            v1 = _weyl_volume_quad(n, r, 120)
-            vol = _weyl_volume_quad(n, r, 180)
-            err = abs(v1 - vol)
-            if err > 0.05 * max(abs(vol), 1e-300):
-                raise AccuracyError("chamber quadrature did not converge", estimate=err)
-        else:
-            vol, err = _weyl_volume_mc(n, r, mc_samples, seed)
-            if vol <= 0 or err > 0.05 * vol:
-                raise AccuracyError("chamber Monte Carlo above 5% relative error", estimate=err)
+        coarse, vol = (_chamber_integral(n, r, m) for m in (q, q + 4))
     if not math.isfinite(vol):
         raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
+    if abs(coarse - vol) > 1e-9 * vol:
+        raise AccuracyError("chamber quadrature did not converge", estimate=abs(coarse - vol))
     return vol
 
 

@@ -109,16 +109,16 @@ _FAMILY_KEYS = {  # kind -> the parameters its builders read
     "radial-power": ("exponent", "shift"),
     "radial-log-power": ("exponent", "log_exponent"),
     "hm-bump": ("center", "width"),
-    "riesz-like": ("axis",),
 }
 _FAMILY_LOWER_BOUNDS = {  # (kind, parameter) -> the value the parameter must exceed
+    ("radial-power", "shift"): -1.0,  # (shift + x)^-a finite on [1, oo)
     ("hm-bump", "width"): 0.0,
 }
 
 
 @dataclass
 class SymbolFamily:
-    """Parametric symbol family; see :meth:`build_profile` / :meth:`build_euclidean`."""
+    """Parametric symbol family; see :meth:`build_profile`."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
@@ -183,43 +183,6 @@ class SymbolFamily:
             return RadialProfile(ev, name=f"hm-bump(c={center},w={width})",
                                  params={"center": center, "width": width})
         raise InputError(f"family {self.kind!r} does not define a radial profile")
-
-    def build_euclidean(self, d: int) -> EuclideanSymbol:
-        p = self.parameters
-        if self.kind == "riesz-like":
-            axis = p.get("axis", 0)
-            if not float(axis).is_integer() or not 0 <= axis < d:
-                raise InputError(f"riesz-like axis must be an integer in 0..{d - 1}, got {axis!r}")
-            axis = int(axis)
-
-            def ev(x):
-                r = np.linalg.norm(x, axis=-1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out = np.where(r > 0, x[..., axis] / np.where(r > 0, r, 1.0), 0.0)
-                return out
-
-            return EuclideanSymbol(d=d, evaluator=ev, name=f"riesz-like(axis={axis})")
-        if self.kind == "hm-bump":
-            center = float(p.get("center", 1.5))
-            width = float(p.get("width", 0.5))
-
-            def ev(x):
-                r = np.linalg.norm(x, axis=-1)
-                return _smooth_bump((r - center) / width)
-
-            return EuclideanSymbol(d=d, evaluator=ev,
-                                   support_radius=center + width,
-                                   inner_radius=max(center - width, 0.0),
-                                   name=f"hm-bump(c={center},w={width})")
-        if self.kind == "radial-power":
-            a = float(p.get("exponent", 1.0))
-
-            def ev(x):
-                r = np.linalg.norm(x, axis=-1)
-                return (1.0 + r) ** (-a)
-
-            return EuclideanSymbol(d=d, evaluator=ev, name=f"radial-power(a={a})")
-        raise InputError(f"family {self.kind!r} does not define a Euclidean symbol")
 
 
 def _falling(a: float, k: int) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mcert.errors import AccuracyError, DomainError
+from mcert.errors import AccuracyError, DomainError, InputError
 from mcert.euclidean import (DyadicPartition, GridSpec, frac_laplacian_constant,
                              frac_laplacian_length, local_inversion, lp_partition_value,
                              sigma_partition_value, sobolev_norm_w)
@@ -201,5 +201,6 @@ def test_partition_sum_method_and_grid_validation():
     total = sum(lp_partition_value(PARTITION, j, np.array([0.7, -0.2])) ** 2
                 for j in range(-40, 41))
     assert total == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(Exception):
-        GridSpec(d=1, radii=np.array([2.0, 1.0]), directions=np.array([[1.0]]))
+    for box in ({"box_points": 7}, {"box_halfwidth": 0.0}, {"box_halfwidth": -1.0}):
+        with pytest.raises(InputError):
+            GridSpec.default(1, **box)

@@ -1,17 +1,82 @@
+import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
+from scipy.spatial import Delaunay, HalfspaceIntersection
 
+from mcert import geometry
 from mcert.cli import _sweep_points
 from mcert.errors import DomainError, InputError, RangeError
-from mcert.geometry import (GroupElement, LieBasis, check_special_linear,
-                            default_step, dist_to_identity, expm, harish_chandra_xi,
-                            haar_so, hs_norm, identity, kak_decompose, length,
-                            lie_derivative, weyl_ball_volume)
+from mcert.geometry import (GroupElement, LieBasis, _chamber_integral, check_special_linear,
+                            default_step, dist_to_identity, expm, harish_chandra_xi, haar_so,
+                            hs_norm, identity, kak_decompose, length, lie_derivative,
+                            weyl_ball_volume)
+
+
+@lru_cache(maxsize=None)
+def unit_ball_simplices(n):
+    """Vertices of the simplices of a Delaunay triangulation of the unit ball
+    {z_1 >= ... >= z_n, z_1 <= 1, -z_n <= 1} in the coordinates z_1..z_{n-1},
+    as exact rationals."""
+    d = n - 1
+    if d == 1:  # z_1 in [0, 1]; qhull needs two dimensions
+        return [[[Fraction(0)], [Fraction(1)]]]
+    rows = []  # a z + c <= 0, with z_n = -(z_1 + ... + z_{n-1})
+    for k in range(d - 1):  # z_{k+1} <= z_k
+        row = np.zeros(d + 1)
+        row[k + 1], row[k] = 1.0, -1.0
+        rows.append(row)
+    rows.append(np.r_[-np.ones(d - 1), -2.0, 0.0])  # z_n <= z_{n-1}
+    rows.append(np.r_[1.0, np.zeros(d - 1), -1.0])  # z_1 <= 1
+    rows.append(np.r_[np.ones(d), -1.0])  # -z_n <= 1
+    inside = np.array([(n + 1 - 2 * i) / (2.0 * n) for i in range(1, n)])
+    pts = np.unique(np.round(HalfspaceIntersection(np.array(rows), inside).intersections, 12),
+                    axis=0)
+    exact = [[Fraction(x).limit_denominator(10 * n) for x in p] for p in pts]
+    assert np.allclose(np.array(exact, dtype=float), pts, rtol=0, atol=1e-12)
+    return [[exact[v] for v in s] for s in Delaunay(pts).simplices]
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def exp_divided_difference(xs):
+    """exp[x_0, ..., x_d] at exact rational nodes, repeated nodes allowed."""
+    xs = sorted(xs)
+    table = [mpmath.exp(_mpf(x)) for x in xs]
+    for k in range(1, len(xs)):
+        table = [(table[i + 1] - table[i]) / _mpf(xs[i + k] - xs[i]) if xs[i + k] != xs[i]
+                 else mpmath.exp(_mpf(xs[i])) / math.factorial(k) for i in range(len(xs) - k)]
+    return table[0]
+
+
+def exact_ball_volume(n, r):
+    """The chamber ball volume at 50 digits: prod_{i<j} sinh(z_i - z_j) is
+    2^-N sum over permutations w of sgn(w) e^<2 w rho, z>, and each exponential
+    integrates over a simplex to d! |simplex| times the divided difference of exp
+    at its values on the vertices."""
+    r = Fraction(r)
+    rho2 = [n + 1 - 2 * i for i in range(1, n + 1)]
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for simplex in unit_ball_simplices(n):
+            verts = [[r * x for x in v] for v in simplex]
+            size = abs(mpmath.det(mpmath.matrix([[_mpf(x - y) for x, y in zip(v, verts[0])]
+                                                 for v in verts[1:]])))
+            for perm in itertools.permutations(range(n)):
+                sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+                c = [rho2[k] - rho2[perm[-1]] for k in perm[:-1]]  # z_n = -(z_1 + ... + z_d)
+                total += sign * size * exp_divided_difference(
+                    [sum(ck * x for ck, x in zip(c, v)) for v in verts])
+        return float(total / 2 ** (n * (n - 1) // 2))
 
 
 def random_element(rng, n, spread=1.0):
@@ -420,12 +485,22 @@ class TestWeylVolume:
             want = (math.cosh(2 * r) - 1.0) / 2.0
             assert weyl_ball_volume(2, r) == pytest.approx(want, rel=1e-10)
 
-    def test_mc_path_consistent_with_quadrature(self):
-        # n = 3 is available on both paths
-        from mcert.geometry import _weyl_volume_mc
-        est, err = _weyl_volume_mc(3, 2.0, 400_000, 11)
-        quad = weyl_ball_volume(3, 2.0)
-        assert abs(est - quad) <= 4 * err + 0.02 * quad
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_exact_oracle(self, n, monkeypatch):
+        # the finer rule is within 1e-10 of the exact volume, and its gap to the coarser
+        # rule bounds its error up to rounding: here both rules agree to about 1e-13
+        rules = []
+        monkeypatch.setattr(geometry, "_chamber_integral",
+                            lambda *args: rules.append(_chamber_integral(*args)) or rules[-1])
+        for r in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+            exact = exact_ball_volume(n, r)
+            if n == 2:
+                assert exact == pytest.approx((math.cosh(2 * r) - 1.0) / 2.0, rel=1e-14)
+            vol = weyl_ball_volume(n, r)
+            coarse, fine = rules[-2:]
+            assert fine == vol
+            assert abs(vol - exact) <= 1e-10 * exact, (r, vol, exact)
+            assert abs(vol - exact) <= abs(coarse - vol) + 5e-13 * exact, (r, exact, coarse)
 
 
 class TestHarishChandra:
@@ -464,11 +539,6 @@ class TestErrorPaths:
         with pytest.raises(NumericError):
             lie_derivative(lambda m: m[0, 0], identity(3), (0,), basis, h=1e-310)
 
-    def test_weyl_mc_path_n4(self):
-        v1 = weyl_ball_volume(4, 1.0, mc_samples=300_000, seed=2)
-        v2 = weyl_ball_volume(4, 1.5, mc_samples=300_000, seed=2)
-        assert 0 < v1 < v2
-
     def test_weyl_bad_inputs(self):
         with pytest.raises(InputError):
             weyl_ball_volume(7, 1.0)
@@ -479,16 +549,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_weyl_volume_beyond_float_range(self, n):
-        # the quadrature and Monte Carlo sums overflow; an inf or NaN volume would pass
-        # the growth-rate check, since NaN fails every comparison
+        # an inf or NaN volume would pass the growth-rate check, since NaN fails every
+        # comparison
         with pytest.raises(RangeError):
-            weyl_ball_volume(n, 400.0, mc_samples=1_000)
-
-
-def test_weyl_mc_accuracy_error():
-    from mcert.errors import AccuracyError
-    with pytest.raises(AccuracyError):
-        weyl_ball_volume(5, 6.0, mc_samples=200, seed=1)
+            weyl_ball_volume(n, 400.0)
 
 
 def test_index_sequences():

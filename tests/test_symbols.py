@@ -23,7 +23,7 @@ class TestFamilies:
             SymbolFamily.parse("radial-power:exponent")
 
     @pytest.mark.parametrize("spec", ["radial-power:exponnet=5", "hm-bump:exponent=1",
-                                      "riesz-like:center=1", "radial-power:cutoff=2"])
+                                      "radial-log-power:center=1", "radial-power:cutoff=2"])
     def test_unknown_key_rejected(self, spec):
         with pytest.raises(InputError, match="unknown"):
             SymbolFamily.parse(spec)
@@ -56,30 +56,21 @@ class TestFamilies:
         assert bump(np.array([1.5])) == pytest.approx(1.0)
         assert bump(np.array([2.1])) == 0.0
 
-    def test_riesz_euclidean(self):
-        sym = SymbolFamily.parse("riesz-like:axis=1").build_euclidean(3)
-        out = sym(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]]))
-        assert out[0] == pytest.approx(1.0)
-        assert out[1] == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("axis", ["1.5", "-1", "3", "7"])
-    def test_riesz_axis_outside_range_rejected(self, axis):
-        fam = SymbolFamily.parse(f"riesz-like:axis={axis}")
-        with pytest.raises(InputError, match="axis"):
-            fam.build_euclidean(3)
-
-    @pytest.mark.parametrize("axis", [0, 2, 2.0])
-    def test_riesz_axis_in_range_accepted(self, axis):
-        sym = SymbolFamily("riesz-like", {"axis": axis}).build_euclidean(3)
-        e = np.eye(3)[int(axis)]
-        assert sym(e) == pytest.approx(1.0)
-        assert sym.name == f"riesz-like(axis={int(axis)})"
-
     @pytest.mark.parametrize("spec", ["hm-bump:width=0", "hm-bump:width=-0.5",
                                       "hm-bump:center=2,width=-1e-300"])
     def test_non_positive_bump_width_rejected(self, spec):
         with pytest.raises(InputError, match="width"):
             SymbolFamily.parse(spec)
+
+    @pytest.mark.parametrize("shift", ["-1", "-2"])
+    def test_radial_power_shift_at_most_minus_one_rejected(self, shift):
+        # shift + x vanishes or is negative at some x in [1, oo)
+        with pytest.raises(InputError, match="shift"):
+            SymbolFamily.parse(f"radial-power:exponent=2.5,shift={shift}")
+
+    def test_radial_power_shift_above_minus_one_accepted(self):
+        prof = SymbolFamily.parse("radial-power:exponent=2.5,shift=-0.5").build_profile()
+        assert prof(np.array([3.0]))[0] == pytest.approx(2.5 ** -2.5)
 
     def test_group_lift_modes(self):
         prof = SymbolFamily.parse("radial-power:exponent=2").build_profile()
