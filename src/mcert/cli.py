@@ -302,10 +302,9 @@ def cmd_geometry(n: int, r_list) -> CertificationReport:
     sigma = n * n // 2
     if len(rs) >= 3:
         slope = float(np.polyfit(rs, np.log(vols), 1)[0])
-        ok = abs(slope - sigma) <= 0.05 * sigma
         rep.add(CheckRecord(
             name="volume-growth-rate", check_id="geometry/volume-growth",
-            verdict=PASS if ok else FAIL,
+            verdict=PASS if abs(slope - sigma) <= 0.05 * sigma else FAIL,
             measured=slope, bound=float(sigma), tolerance=0.05,
         ))
     return rep

@@ -317,6 +317,8 @@ def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None =
 # r P_1, P_1 = {t >= 0, sum (n - i)/n t_i <= 1, sum i/n t_i <= 1}: d + 2 rows, d = n - 1.
 
 _MAX_NODES = 2 ** 22  # nodes of the finer tensor rule on one simplex
+# n = 2..5: the least float radius whose volume exceeds the largest float (exact oracle)
+_FLOAT_RADIUS = (355.584503627252, 178.31211219904594, 89.84113596494072, 60.25585769663995)
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +351,8 @@ def _chamber_simplices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chamber_integral(n: int, r: float, q: int) -> float:
-    """The weight prod_{i<j} sinh(z_i - z_j) over the ball of radius r, q nodes per axis."""
+    """prod_{i<j} sinh(z_i - z_j) over the ball of radius r, q nodes per axis, each sinh a as
+    -e^a expm1(-2a) / 2: sum a <= sigma r, so only the closing e^(sigma r / 2) can overflow."""
     x, w = gauss_legendre(q)
     s, ws = 0.5 * (x + 1.0), 0.5 * w
     bary, wf = np.ones((1, 1)), np.ones(1)  # collapsed (Duffy) rule on the j-simplex
@@ -359,13 +362,14 @@ def _chamber_integral(n: int, r: float, q: int) -> float:
         wf = np.outer(ws * s ** j, wf).ravel()
     ws = ws * s ** (n - 2)
     step = max(1, 2 ** 16 // len(wf))  # radial nodes per array: at most 2^16 nodes
-    total = 0.0
+    sigma, total = n * n // 2, 0.0
     for face, vol in zip(*_chamber_simplices(n)):
-        y = face.T @ bary.T  # the roots at the face nodes
+        y = -2.0 * r * face.T @ bary.T  # -2r times the roots at the face nodes
         for k in range(0, q, step):
-            vals = np.sinh(r * s[k:k + step, None] * y[:, None]).prod(axis=0)
+            vals = np.exp(-0.5 * s[k:k + step, None] * y.sum(axis=0) - sigma * r / 2.0)
+            vals *= np.expm1(y[:, None] * s[k:k + step, None]).prod(axis=0)
             total += vol * float(ws[k:k + step] @ vals @ wf)
-    return total * r ** (n - 1)
+    return float(total * r ** (n - 1)) * (-0.5) ** (n * (n - 1) // 2) * math.exp(sigma * r / 2.0)
 
 
 def weyl_ball_volume(n: int, r: float) -> float:
@@ -377,13 +381,14 @@ def weyl_ball_volume(n: int, r: float) -> float:
         raise InputError("n must be in {2, ..., 5}")
     if not (0 < r < math.inf):
         raise DomainError("radius must be positive and finite", measured=r)
-    # coarser rule within 1e-11 up to sigma r = 700, sigma = [n^2/2]; n + 4 covers small r
+    if r >= _FLOAT_RADIUS[n - 2]:  # before the rule is sized: q grows with r
+        raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
+    # coarser rule within 1e-11 up to the float range, sigma r < 724; n + 4 covers small r
     q = max(n + 4, 4 + math.ceil(2.6 * math.sqrt(n * n // 2 * r)))
     if (q + 4) ** (n - 1) > _MAX_NODES:
         raise AccuracyError(f"radius {r:g} needs {q + 4}^{n - 1} > {_MAX_NODES} nodes per simplex")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the RangeError below
-        coarse, vol = (_chamber_integral(n, r, m) for m in (q, q + 4))
-    if not math.isfinite(vol):
+    coarse, vol = (_chamber_integral(n, r, m) for m in (q, q + 4))
+    if math.isinf(vol):  # rounded past the largest float, just below _FLOAT_RADIUS
         raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
     if abs(coarse - vol) > 1e-9 * vol:
         raise AccuracyError("chamber quadrature did not converge", estimate=abs(coarse - vol))
@@ -410,10 +415,6 @@ def haar_so(n: int, size: int, rng) -> np.ndarray:
     return q
 
 
-def _modular_exponents(n: int) -> np.ndarray:
-    return np.array([n + 1 - 2 * (i + 1) for i in range(n)], dtype=float)
-
-
 def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
     """Monte Carlo value of the spherical function Xi(g) with its error.
 
@@ -425,7 +426,7 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
         raise InputError("samples must be >= 1")
     n = g.n
     rng = np.random.default_rng(seed)
-    expo = _modular_exponents(n)
+    expo = np.arange(n - 1, -n, -2, dtype=float)  # n + 1 - 2i, i = 1..n
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -416,6 +416,19 @@ class TestGeometryCommand:
         assert "float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, radius", [("2", "1e9"), ("2", "1e12"), ("4", "500"),
+                                           ("5", "100")])
+    def test_huge_radius_exits_two_at_once(self, n, radius, tmp_path, capsys):
+        # the rule is sized from the radius only below the float range: no q x q
+        # Gauss-Legendre matrix at q ~ 5 sqrt(r), and no node-cap exit 3 at n = 5
+        out = tmp_path / "geo.json"
+        start = time.monotonic()
+        rc = main(["geometry", "--n", n, "--R", "2", radius, "--out", str(out)])
+        assert time.monotonic() - start < 1.0
+        assert rc == 2
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportDeterminism:
     def strip_header(self, path):

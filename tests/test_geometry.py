@@ -547,12 +547,26 @@ class TestErrorPaths:
                 with pytest.raises(DomainError):
                     weyl_ball_volume(n, r)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_weyl_volume_beyond_float_range(self, n):
         # an inf or NaN volume would pass the growth-rate check, since NaN fails every
-        # comparison
+        # comparison; the check comes before the rule is sized, so at n = 5 it is not the
+        # node cap and at n = 2 no rule with about 5 sqrt(r) nodes is built
+        for r in (400.0, 500.0, 1e12):
+            with pytest.raises(RangeError):
+                weyl_ball_volume(n, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_float_radius_matches_oracle(self, n):
+        r = geometry._FLOAT_RADIUS[n - 2]  # the least float radius past the float range
+        assert exact_ball_volume(n, r) == math.inf
+        assert exact_ball_volume(n, math.nextafter(r, 0.0)) < math.inf
         with pytest.raises(RangeError):
-            weyl_ball_volume(n, 400.0)
+            weyl_ball_volume(n, r)
+        if n < 5:  # n = 5 is past the node cap from r = 16.9 on
+            below = r - 1e-9
+            assert weyl_ball_volume(n, below) == pytest.approx(exact_ball_volume(n, below),
+                                                               rel=1e-10)
 
 
 def test_index_sequences():
