@@ -27,7 +27,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, 
 from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, interpolated_schur_bound,
                     profile_rigidity_records, rigidity_witness, schur_norm_exact_p2,
                     schur_norm_lower_bound)
-from .symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile, read_matrix_csv
+from .symbols import SymbolFamily, SymbolHandle, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
            "cmd_schur_bound", "cmd_geometry"]
@@ -41,6 +41,7 @@ def _check_count(flag: str, value: int, least: int, most: int | None = None) -> 
 
 
 _MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024 (16 MB per dense array)
+_MAX_RANK = 64  # from n = 79 at p = inf the rigidity envelopes of order [alpha] overflow floats
 
 
 def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
@@ -184,8 +185,10 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
     With ``sections`` > 0, finite Schur sections at growing angular
     resolutions supply the one-sided boundedness evidence.  The
     sufficiency record compares the fitted decay exponent of the profile
-    against the critical index of the requested rank.
+    against the critical index of the requested rank; a shortfall is
+    INCONCLUSIVE, because the condition is sufficient, not necessary.
     """
+    _check_count("--n", n, 3, _MAX_RANK)
     _check_count("--sections", sections, 0, _MAX_SECTIONS)
     profile = family.build_profile()
     rep = CertificationReport(command="rigidity")
@@ -215,16 +218,11 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
     xs = np.geomspace(10.0, 1e4, 25)
     phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
     vals = np.abs(np.asarray(profile(xs), dtype=float) - phi_inf)
-    fitted = _fit_exponent(xs, vals)
-    if fitted is None:
-        verdict = PASS  # profile vanishes at infinity faster than any power
-        measured = None
-    else:
-        verdict = PASS if fitted >= 0.9 * sigma1 else FAIL
-        measured = fitted
+    fitted = _fit_exponent(xs, vals)  # None: phi - phi_inf vanishes faster than any power
     rep.add(CheckRecord(
         name="hm-sufficient-decay", check_id="hm/sufficient-decay",
-        verdict=verdict, measured=measured, bound=float(sigma1), tolerance=0.1,
+        verdict=PASS if fitted is None or fitted >= 0.9 * sigma1 else INCONCLUSIVE,
+        measured=fitted, bound=float(sigma1), tolerance=0.1,
         details={"note": "fitted tail exponent against the rank's critical index"},
     ))
     return rep
@@ -316,7 +314,7 @@ def cmd_geometry(n: int, r_list) -> CertificationReport:
 # command -> report builder on the parsed arguments
 _BUILDERS = {
     "certify-hm": lambda a: cmd_certify_hm(
-        group_symbol_from_profile(SymbolFamily.parse(a.symbol).build_profile()),
+        SymbolFamily.parse(a.symbol).build_group_symbol(),
         n=a.n, order=a.order, shells=a.grid_levels, seed=a.seed, per_order=a.per_order),
     "rigidity": lambda a: cmd_rigidity(SymbolFamily.parse(a.profile), n=a.n, p=a.p,
                                        sections=a.sections, mode=a.mode, seed=a.seed),

@@ -28,21 +28,19 @@ __all__ = [
     "EuclideanSymbol",
     "RadialProfile",
     "SymbolFamily",
-    "group_symbol_from_profile",
     "read_matrix_csv",
 ]
 
 
 @dataclass
 class SymbolHandle:
-    """Evaluator on group elements with light metadata.
+    """Evaluator on group elements.
 
     ``evaluator`` receives a raw (..., n, n) float array and must return
     a matching (...) array (or scalar).
     """
 
     evaluator: object
-    name: str = "symbol"
 
     def __call__(self, mats):
         return self.evaluator(np.asarray(mats, dtype=float))
@@ -56,7 +54,6 @@ class EuclideanSymbol:
     evaluator: object
     support_radius: float | None = None
     inner_radius: float | None = None
-    name: str = "symbol"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -67,39 +64,55 @@ class EuclideanSymbol:
 
 @dataclass
 class RadialProfile:
-    """Scalar profile on (1, infinity) with optional analytic derivatives.
+    """Scalar profile on (1, infinity), given by its Taylor jet.
 
-    ``derivatives[k-1]``, when present, evaluates the k-th derivative.
+    ``jet(x, K)`` returns the list [phi(x), phi'(x), ..., phi^(K)(x) / K!]
+    of arrays shaped like ``x``.
     """
 
-    evaluator: object
-    derivatives: tuple = ()
-    name: str = "profile"
-    params: dict = field(default_factory=dict)
+    jet: object
 
     def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+        return self.jet(np.asarray(x, dtype=float), 0)[0]
 
     def derivative(self, k: int, x):
-        """k-th derivative, analytic when available, else central differences
-        with step max(1e-4 |x|, 1e-7)."""
-        x = np.asarray(x, dtype=float)
-        if k == 0:
-            return self(x)
-        if len(self.derivatives) >= k and self.derivatives[k - 1] is not None:
-            return np.asarray(self.derivatives[k - 1](x), dtype=float)
-        h = np.maximum(1e-4 * np.abs(x), 1e-7)
-        prev = lambda t: self.derivative(k - 1, t)
-        return (prev(x + h) - prev(x - h)) / (2.0 * h)
+        """k-th derivative, exact up to rounding."""
+        return math.factorial(k) * self.jet(np.asarray(x, dtype=float), k)[k]
 
 
-def group_symbol_from_profile(profile: RadialProfile) -> SymbolHandle:
-    """Lift a radial profile to the group symbol g -> profile(dist(g, e)).
+# ---------------------------------------------------------------------------
+# Truncated Taylor arithmetic (Griewank & Walther, Evaluating Derivatives, ch. 13) on
+# jets [u_0, ..., u_K], u_k = u^(k) / k!; order 0 runs the plain evaluator's operations.
 
-    Any (..., n, n) stack gives (...) values, once it is checked to lie in SL(n,R).
-    """
-    return SymbolHandle(lambda mats: profile(dist_to_identity(check_special_linear(mats))),
-                        name=f"{profile.name}(dist)")
+
+def _variable(x0, slope, order: int) -> list:
+    """Jet of an affine function of x with value x0 and slope ``slope``."""
+    return [x0, slope, *[0.0] * (order - 1)][:order + 1]
+
+
+def _mul(u: list, v: list) -> list:
+    return [u[0] * v[0]] + [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(1, len(u))]
+
+
+def _pow(u: list, a: float) -> list:
+    w = [u[0] ** a]
+    for k in range(1, len(u)):
+        w.append(sum(((a + 1.0) * j / k - 1.0) * u[j] * w[k - j] for j in range(1, k + 1)) / u[0])
+    return w
+
+
+def _exp(u: list) -> list:
+    w = [np.exp(u[0])]
+    for k in range(1, len(u)):
+        w.append(sum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k)
+    return w
+
+
+def _log(u: list) -> list:
+    w = [np.log(u[0])]
+    for k in range(1, len(u)):
+        w.append((u[k] - sum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u[0])
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -160,47 +173,43 @@ class SymbolFamily:
     def build_profile(self) -> RadialProfile:
         """Radial profile phi(x) on (1, infinity) for the rigidity checks."""
         p = self.parameters
-        if self.kind == "radial-power":
-            a = float(p.get("exponent", 1.0))
-            shift = float(p.get("shift", 1.0))
-            ev = lambda x: (shift + x) ** (-a)
-            ders = tuple(
-                (lambda k: (lambda x: _falling(-a, k) * (shift + x) ** (-a - k)))(k)
-                for k in range(1, 9)
-            )
-            return RadialProfile(ev, derivatives=ders, name=f"radial-power(a={a})",
-                                 params={"exponent": a, "shift": shift})
-        if self.kind == "radial-log-power":
-            a = float(p.get("exponent", 1.0))
-            b = float(p.get("log_exponent", 1.0))
-            ev = lambda x: (1.0 + x) ** (-a) * np.log(math.e + x) ** (-b)
-            return RadialProfile(ev, name=f"radial-log-power(a={a},b={b})",
-                                 params={"exponent": a, "log_exponent": b})
-        if self.kind == "hm-bump":
-            center = float(p.get("center", 1.0))
-            width = float(p.get("width", 0.5))
-            ev = lambda x: _smooth_bump((np.asarray(x) - center) / width)
-            return RadialProfile(ev, name=f"hm-bump(c={center},w={width})",
-                                 params={"center": center, "width": width})
+        if self.kind == "radial-power":  # (shift + x)^-a
+            a, shift = float(p.get("exponent", 1.0)), float(p.get("shift", 1.0))
+            return RadialProfile(lambda x, k: _pow(_variable(shift + x, 1.0, k), -a))
+        if self.kind == "radial-log-power":  # (1 + x)^-a log(e + x)^-b
+            a, b = float(p.get("exponent", 1.0)), float(p.get("log_exponent", 1.0))
+            return RadialProfile(lambda x, k: _mul(_pow(_variable(1.0 + x, 1.0, k), -a),
+                                                   _pow(_log(_variable(math.e + x, 1.0, k)), -b)))
+        if self.kind == "hm-bump":  # the bump at (x - center) / width
+            c, w = float(p.get("center", 1.0)), float(p.get("width", 0.5))
+            return RadialProfile(lambda x, k: _bump_jet(_variable((x - c) / w, 1.0 / w, k)))
         raise InputError(f"family {self.kind!r} does not define a radial profile")
 
+    def build_group_symbol(self) -> SymbolHandle:
+        """The lift g -> phi(dist(g, e)) of the profile.  Any (..., n, n) stack gives (...)
+        values, once it is checked to lie in SL(n,R).  dist(e, e) = 0, so a radial-power
+        shift must be > 0."""
+        if self.kind == "radial-power" and not self.parameters.get("shift", 1.0) > 0.0:
+            raise InputError(f"radial-power parameter 'shift' must be > 0 to lift to the group, "
+                             f"got {self.parameters['shift']:g}")
+        profile = self.build_profile()
+        return SymbolHandle(lambda mats: profile(dist_to_identity(check_special_linear(mats))))
 
-def _falling(a: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= a - i
-    return out
+
+def _bump_jet(t: list) -> list:
+    """Jet of exp(1 - 1/(1 - t^2)) on |t| < 1, and 0 elsewhere, from the jet of t."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inside = np.abs(t[0]) < 1.0
+        s = _mul(t, t)
+        w = _pow([np.where(inside, 1.0 - s[0], 1.0)] + [-c for c in s[1:]], -1.0)
+        e = _exp([1.0 - w[0]] + [-c for c in w[1:]])
+        inside &= e[0] > 0.0  # where e underflows, so do its derivatives
+        return [np.where(inside, c, 0.0) for c in e]
 
 
 def _smooth_bump(t):
     """C-infinity bump equal to 1 at t = 0, supported on |t| < 1."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        inside = np.abs(t) < 1.0
-        val = np.zeros_like(t)
-        u = np.where(inside, 1.0 - t * t, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / u), 0.0)
-    return val
+    return _bump_jet([np.asarray(t, dtype=float)])[0]
 
 
 # ---------------------------------------------------------------------------

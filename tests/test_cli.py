@@ -81,10 +81,9 @@ class TestCertifyHm:
     def test_one_symbol_call_per_multi_index(self, n, order, per_order):
         # order 0 is the empty index: one stacked call, like each order-k index
         from mcert.cli import cmd_certify_hm
-        from mcert.symbols import SymbolFamily, SymbolHandle, group_symbol_from_profile
+        from mcert.symbols import SymbolFamily, SymbolHandle
 
-        lifted = group_symbol_from_profile(
-            SymbolFamily.parse("radial-power:exponent=5").build_profile())
+        lifted = SymbolFamily.parse("radial-power:exponent=5").build_group_symbol()
         shapes = []
 
         def counted(mats):
@@ -118,6 +117,18 @@ class TestCertifyHm:
         assert "'width' must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    # the lift evaluates the profile at dist(g, e), which starts at 0: a shift of 0 is
+    # a pole at the identity, and -0.5 a pole at dist 0.5 and a NaN below it
+    @pytest.mark.parametrize("spec", ["radial-power:shift=-0.5,exponent=2.5",
+                                      "radial-power:shift=0,exponent=2.5",
+                                      "radial-power:shift=-0.5,exponent=2"])
+    def test_non_positive_shift_is_input_error(self, spec, tmp_path, capsys):
+        out = tmp_path / "hm.json"
+        rc = main(["certify-hm", "--symbol", spec, "--n", "3", "--out", str(out)])
+        assert rc == 2
+        assert "'shift' must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRigidity:
     def test_constant_profile_passes(self, tmp_path):
@@ -137,6 +148,35 @@ class TestRigidity:
         assert "decay-c0" in failed
         exps = rep16["tables"]["exponents"][0]
         assert exps["c0"] == pytest.approx(16.0 / 3.0)
+        # derivative records run to [alpha] = 6 at n = 16, p = 100
+        names = [r["name"] for r in rep16["records"]]
+        assert [k for k in range(1, 9) if f"derivative-c{k}" in names] == list(range(1, 7))
+
+    def test_short_sufficient_decay_is_inconclusive(self, tmp_path):
+        # (1 + x)^-5 meets every necessary record at n = 5, but its decay falls short of
+        # the sufficient exponent 13: evidence for neither side
+        out = tmp_path / "r5.json"
+        rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "5",
+                   "--p", "10", "--out", str(out)])
+        assert rc == 1
+        verdicts = {r["name"]: r["verdict"] for r in load_report(out)["records"]}
+        assert verdicts.pop("hm-sufficient-decay") == "INCONCLUSIVE"
+        assert set(verdicts.values()) == {"PASS"}
+
+    def test_shift_above_minus_one_accepted(self, tmp_path):
+        # the rigidity records evaluate the profile on [1.05, 1e4] only
+        rc = main(["rigidity", "--profile", "radial-power:exponent=2.5,shift=-0.5", "--n", "3",
+                   "--p", "10", "--out", str(tmp_path / "r.json")])
+        assert rc in (0, 1)
+
+    def test_rank_above_64_is_input_error(self, tmp_path, capsys):
+        # from n = 79 the order-[alpha] envelope weights overflow floats at p = inf
+        assert main(["rigidity", "--profile", "hm-bump:center=1.5,width=0.4", "--n", "64",
+                     "--p", "inf", "--out", str(tmp_path / "r64.json")]) == 0
+        rc = main(["rigidity", "--profile", "hm-bump:center=1.5,width=0.4", "--n", "65",
+                   "--p", "inf", "--out", str(tmp_path / "r65.json")])
+        assert rc == 2
+        assert "--n must be <= 64" in capsys.readouterr().err
 
     def test_oscillating_profile_fails_limit(self, tmp_path):
         # sin(x) has no limit at infinity: the built-in families cannot
@@ -144,7 +184,9 @@ class TestRigidity:
         from mcert.schur import profile_rigidity_records
         from mcert.symbols import RadialProfile
 
-        prof = RadialProfile(lambda x: np.sin(np.asarray(x, dtype=float)), name="sin")
+        # the k-th Taylor coefficient of sin at x is sin(x + k pi / 2) / k!
+        prof = RadialProfile(lambda x, order: [np.sin(x + k * np.pi / 2) / math.factorial(k)
+                                               for k in range(order + 1)])
         records, _ = profile_rigidity_records(prof, 5, 10.0)
         limit = [r for r in records if r.name == "limit-existence"][0]
         assert limit.verdict == "FAIL"

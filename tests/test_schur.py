@@ -9,7 +9,8 @@ from mcert import schur
 from mcert.errors import InputError
 from mcert.cli import cmd_schur_bound
 from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
-                         frobenius_schur_bound, interpolated_schur_bound, rigidity_witness,
+                         frobenius_schur_bound, interpolated_schur_bound,
+                         profile_rigidity_records, rigidity_witness,
                          schatten_norm, schur_infty_upper_bound, schur_norm_exact_p2,
                          schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
@@ -380,7 +381,7 @@ def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, 
 
 class TestRigidityWitness:
     def test_constant_profile_consistent(self):
-        one = RadialProfile(lambda x: np.ones_like(np.asarray(x, dtype=float)), name="one")
+        one = RadialProfile(lambda x, order: [np.ones_like(x)] + [np.zeros_like(x)] * order)
         res = rigidity_witness(one, 5, 10.0, seed=0)
         assert res.classification == CONSISTENT
         assert res.lower_bounds == [1.0] * 4  # the true norm, not above it
@@ -407,8 +408,9 @@ class TestRigidityWitness:
         assert res.exponents.c[0] == pytest.approx(16.0 / 3.0)
 
     def test_jump_profile_violated_by_section_growth(self, svd_calls):
+        # flat away from the jump at 2, where every derivative is 0
         jump = RadialProfile(
-            lambda x: np.where(np.asarray(x, dtype=float) < 2.0, 1.0, 0.2), name="jump")
+            lambda x, order: [np.where(x < 2.0, 1.0, 0.2)] + [np.zeros_like(x)] * order)
         res = rigidity_witness(jump, 5, 10.0, seed=0)
         assert res.classification == VIOLATED
         growth = [r for r in res.records if r.name == "section-growth"][0]
@@ -421,6 +423,18 @@ class TestRigidityWitness:
         bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
         res = rigidity_witness(bump, 5, 10.0, seed=0)
         assert res.classification == CONSISTENT
+
+    @pytest.mark.parametrize("n", [16, 40])
+    @pytest.mark.parametrize("spec", ["radial-power:exponent=5", "radial-log-power:exponent=2.5",
+                                      "hm-bump:center=1.5,width=0.4"])
+    def test_hoelder_decided_at_high_rank(self, spec, n):
+        # [alpha] is 6 at n = 16 and 18 at n = 40: exact jets decide the quotient
+        records, ex = profile_rigidity_records(SymbolFamily.parse(spec).build_profile(), n, 100.0)
+        verdicts = {r.name: r.verdict for r in records}
+        assert verdicts["hoelder-alpha"] in ("PASS", "FAIL")
+        assert all(f"derivative-c{k}" in verdicts for k in range(1, int(ex.alpha) + 1))
+        if spec.startswith("hm-bump"):  # compact support: every envelope vanishes at infinity
+            assert set(verdicts.values()) == {"PASS"}
 
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()

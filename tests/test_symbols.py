@@ -1,9 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from mcert.errors import DomainError, InputError
 from mcert.geometry import haar_so
-from mcert.symbols import RadialProfile, SymbolFamily, group_symbol_from_profile, read_matrix_csv
+from mcert.symbols import SymbolFamily, read_matrix_csv
 
 from matrix_csv import write_matrix_csv
 
@@ -41,12 +42,6 @@ class TestFamilies:
         assert np.allclose(prof.derivative(1, xs), -5.0 * (1.0 + xs) ** -6)
         assert np.allclose(prof.derivative(3, xs), -5.0 * 6.0 * 7.0 * (1.0 + xs) ** -8)
 
-    def test_finite_difference_fallback(self):
-        prof = RadialProfile(lambda x: np.sin(x))
-        xs = np.array([2.0, 3.0])
-        assert np.allclose(prof.derivative(1, xs), np.cos(xs), atol=1e-6)
-        assert np.allclose(prof.derivative(2, xs), -np.sin(xs), atol=1e-4)
-
     def test_log_power_profile(self):
         prof = SymbolFamily.parse("radial-log-power:exponent=2,log_exponent=1").build_profile()
         assert prof(np.array([3.0])) > 0
@@ -73,16 +68,80 @@ class TestFamilies:
         assert prof(np.array([3.0]))[0] == pytest.approx(2.5 ** -2.5)
 
     def test_group_lift_modes(self):
-        prof = SymbolFamily.parse("radial-power:exponent=2").build_profile()
         rng = np.random.default_rng(0)
         stack = haar_so(3, 4, rng)
-        dist_sym = group_symbol_from_profile(prof)
+        dist_sym = SymbolFamily.parse("radial-power:exponent=2").build_group_symbol()
         assert dist_sym(stack).shape == (4,)
         # one matrix takes numpy's scalar pow, a stack its SIMD pow: equal to rounding
         np.testing.assert_allclose(dist_sym(stack), [dist_sym(k) for k in stack], rtol=1e-14)
         assert dist_sym(np.eye(3)) == 1.0  # dist(e, e) = 0
         with pytest.raises(DomainError):
             dist_sym(2.0 * np.eye(3))  # det 8: not in SL(3, R)
+
+    @pytest.mark.parametrize("shift", ["0", "-0.5"])
+    def test_group_lift_needs_positive_shift(self, shift):
+        # dist(g, e) takes every value in [0, oo), so shift + x must be > 0 from x = 0
+        family = SymbolFamily.parse(f"radial-power:exponent=2.5,shift={shift}")
+        assert np.isfinite(family.build_profile()(np.array([1.0])))  # fine on [1, oo)
+        with pytest.raises(InputError, match="shift"):
+            family.build_group_symbol()
+
+
+_RIGIDITY_GRID = np.geomspace(1.05, 1e4, 80)  # the grid of schur.profile_rigidity_records
+
+
+def _mp_profile(family):
+    """The family's profile in mpmath, written from its formula."""
+    p = {key: mp.mpf(value) for key, value in family.parameters.items()}
+    if family.kind == "radial-power":
+        return lambda x: (p.get("shift", 1) + x) ** -p.get("exponent", 1)
+    if family.kind == "radial-log-power":
+        return lambda x: ((1 + x) ** -p.get("exponent", 1)
+                          * mp.log(mp.e + x) ** -p.get("log_exponent", 1))
+    c, w = p.get("center", 1), p.get("width", mp.mpf(0.5))
+    return lambda x: mp.exp(1 - 1 / (1 - ((x - c) / w) ** 2)) if abs(x - c) < w else mp.mpf(0)
+
+
+class TestProfileJets:
+    # A 50-digit log at order 20 takes about 60 ms, so radial-log-power is checked
+    # on every 4th point.  The bump's coefficients change sign inside its support,
+    # and next to a sign change their relative error grows.
+    @pytest.mark.parametrize("spec, stride, rtol", [
+        ("radial-power:exponent=5", 1, 1e-13),
+        ("radial-power:exponent=2.5,shift=-0.5", 1, 1e-13),
+        ("radial-log-power:exponent=2.5", 4, 1e-13),
+        ("radial-log-power:exponent=3,log_exponent=-1.5", 4, 1e-13),
+        ("hm-bump:center=1.5,width=0.4", 1, 1e-11),
+        ("hm-bump:center=3,width=2", 1, 1e-11),
+    ])
+    def test_jet_matches_mpmath_taylor(self, spec, stride, rtol):
+        # orders 0..20 on the rigidity grid and on its Hoelder offsets x + 1e-3 x
+        family = SymbolFamily.parse(spec)
+        xs = np.concatenate([_RIGIDITY_GRID, 1.001 * _RIGIDITY_GRID])[::stride]
+        jet = np.array(family.build_profile().jet(xs, 20))
+        f = _mp_profile(family)
+        with mp.workdps(50):
+            # coefficients of h -> f(x (1 + h)), so that the difference step scales with x
+            ref = [[float(c / mp.mpf(x) ** k)
+                    for k, c in enumerate(mp.taylor(lambda h: f(x * (1 + h)), 0, 20))]
+                   for x in xs]
+        np.testing.assert_allclose(jet, np.transpose(ref), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("spec", ["radial-power:exponent=2.5,shift=0.5",
+                                      "radial-log-power:exponent=3,log_exponent=2",
+                                      "hm-bump:center=1.5,width=0.4"])
+    def test_order_zero_is_the_plain_formula(self, spec):
+        # the same float operations as the closed form, at every jet order
+        family = SymbolFamily.parse(spec)
+        prof, (a, b) = family.build_profile(), family.parameters.values()
+        x = np.geomspace(1.0, 1e4, 200)
+        plain = {"radial-power": lambda: (b + x) ** -a,
+                 "radial-log-power": lambda: (1.0 + x) ** -a * np.log(np.e + x) ** -b,
+                 "hm-bump": lambda: np.where(np.abs((x - a) / b) < 1.0,
+                                             np.exp(1.0 - 1.0 / (1.0 - ((x - a) / b) ** 2)), 0.0)}
+        for order in (0, 1, 7):
+            assert np.array_equal(prof.jet(x, order)[0], plain[family.kind]())
+        assert np.array_equal(prof.derivative(0, x), prof(x))
 
 
 class TestCsvInterfaces:
