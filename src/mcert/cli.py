@@ -42,20 +42,19 @@ def _check_count(flag: str, value: int, least: int, most: int | None = None) -> 
 
 _MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024 (16 MB per dense array)
 _MAX_RANK = 64  # from n = 79 at p = inf the rigidity envelopes of order [alpha] overflow floats
+_MAX_ORDER = 170  # k! overflows a float from k = 171
 
 
-def _sample_multi_indices(dim: int, order: int, per_order: int) -> dict:
-    """Per order k, ``per_order`` distinct pure indices (j,)*k spread over the basis;
-    order 0 has the empty index alone."""
+def _sample_directions(dim: int, per_order: int) -> list:
+    """``per_order`` distinct basis directions spread over the basis."""
     if not 1 <= per_order <= dim:
         raise InputError(f"--per-order must be in 1..{dim} (the basis size), got {per_order}")
-    ids = np.round(np.linspace(0, dim - 1, per_order)).astype(int)
-    return {k: [(int(j),) * k for j in ids] if k else [()] for k in range(order + 1)}
+    return np.round(np.linspace(0, dim - 1, per_order)).astype(int).tolist()
 
 
 def _sweep_points(n: int, shells: int, seed: int):
-    """Local shells plus asymptotic rays; returns (local, rays) where rays
-    is a list of (ray_id, [(L, element), ...])."""
+    """Local shells plus asymptotic rays; returns (local, rays), each ray a list of
+    group elements moving out from the identity."""
     rng = np.random.default_rng(seed)
     dirs = np.zeros((3, n, n))  # diagonal, plane rotation, square-zero; unit normalized HS
     dirs[0, 0, 0], dirs[0, -1, -1] = 1.0, -1.0
@@ -72,14 +71,13 @@ def _sweep_points(n: int, shells: int, seed: int):
         z[-1] = -(n - 1)
         z_dirs.append(z / max(z.max(), -z.min()))
     k1 = geo.haar_so(n, 2, rng)
-    for ridx, z in enumerate(z_dirs):
+    for z in z_dirs:
         pts = []
         for logl in np.linspace(1.0, 3.0, 5):
             a = np.diag(np.exp(logl * z / max(z.max(), -z.min())))
             a /= np.linalg.det(a) ** (1.0 / n)
-            g = geo.GroupElement(k1[0] @ a @ k1[1])
-            pts.append((geo.length(g), g))
-        rays.append((ridx, pts))
+            pts.append(geo.GroupElement(k1[0] @ a @ k1[1]))
+        rays.append(pts)
     return local, rays
 
 
@@ -93,8 +91,8 @@ def _fit_exponent(ls, vals, floor: float = 1e-14):
 
 
 def _median_fit(tables):
-    """Median over the rays of the exponents fitted to their (L, value) tables, or None."""
-    fits = [_fit_exponent([L for L, _ in tab], [v for _, v in tab]) for tab in tables]
+    """Median over the rays of the exponents fitted to their (1 + d, value) tables, or None."""
+    fits = [_fit_exponent([x for x, _ in tab], [v for _, v in tab]) for tab in tables]
     fits = [f for f in fits if f is not None]
     return float(np.median(fits)) if fits else None
 
@@ -103,36 +101,39 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
                    shells: int = 5, seed: int = 0, per_order: int = 3) -> CertificationReport:
     """Sweep the derivative-growth condition over local shells and rays.
 
-    Per derivative order: sup over sampled points of
-    dist^{order} |d^gamma m|, failed when the order-0 sup keeps growing
-    along the rays.  When the sweep covers the top two orders, the decay
-    exponents fitted along the rays are compared across them.
+    Per derivative order k: sup over sampled points g and directions X_j of
+    d^k |X_j^k m(g)|, d = dist(g, e), with the exact derivatives of the lift
+    (:func:`geometry.lie_derivative`, all orders in one call per direction);
+    failed when the order-0 values keep growing along the rays.  When the
+    sweep covers the top two orders, the decay exponents fitted along the
+    rays against 1 + d are compared across them.
     """
     _check_count("--n", n, 2)
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
-    _check_count("--order", order, 0)
+    _check_count("--order", order, 0, _MAX_ORDER)
     _check_count("--grid-levels", shells, 1)
     basis = geo.LieBasis.standard(n)
-    gammas = _sample_multi_indices(len(basis), order, per_order)
+    dirs = _sample_directions(len(basis), per_order)
     local, rays = _sweep_points(n, shells, seed)
 
     rep = CertificationReport(command="certify-hm")
     rep.seeds["sweep"] = seed
 
     # every sweep point in one stack: local points first, then the rays in order
-    stack = np.stack([g.entries for g in local] + [g.entries for _, pts in rays for _, g in pts])
-    dists = geo.dist_to_identity(stack).tolist()
+    stack = np.stack([g.entries for g in local + [g for pts in rays for g in pts]])
+    dists = geo.dist_to_identity(stack)
+    ray_x = (1.0 + dists[len(local):]).reshape(len(rays), -1).tolist()
+    # v = max over the directions of |X_j^k m| per order k and point
+    derivs = [geo.lie_derivative(symbol.profile, stack, j, basis, order)[1:] for j in dirs]
+    vmax = np.vstack([np.abs(symbol(stack)), np.max(np.abs(derivs), axis=0)])
 
     sup_per_order, ray_fits = {}, {}
     for k in range(order + 1):
-        # v = max |d^gamma m| over the order-k indices gamma, per point
-        vmax = np.max([np.abs(geo.lie_derivative(symbol, stack, gamma, basis, max_order=order))
-                       for gamma in gammas[k]], axis=0).tolist()
-        sup_per_order[k] = max([0.0] + [d ** k * v for d, v in zip(dists, vmax)])
-        ray_vals = iter(vmax[len(local):])  # (L, v) tables along each ray
-        tabs = [[(L, next(ray_vals)) for L, _ in pts] for _, pts in rays]
-        if k == 0:  # divergence: compare the largest-L ray values with the smallest
+        sup_per_order[k] = float(np.max(dists ** k * vmax[k], initial=0.0))
+        ray_vals = vmax[k, len(local):].reshape(len(rays), -1).tolist()
+        tabs = [list(zip(xs, vs)) for xs, vs in zip(ray_x, ray_vals)]  # (1 + d, v) along each ray
+        if k == 0:  # divergence: compare the farthest ray values with the nearest
             diverging = any(tab[-1][1] > 2.0 * max(tab[0][1], 1e-12) and tab[-1][1] > 1.0
                             for tab in tabs)
             fitted_decay = _median_fit(tabs)
@@ -141,7 +142,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
                        "ray_values": {f"(0, {r})": tab for r, tab in enumerate(tabs)}}
         else:
             verdict = PASS if math.isfinite(sup_per_order[k]) else FAIL
-            details = {"indices": [list(g) for g in gammas[k]]}
+            details = {"indices": [[j] * k for j in dirs]}
             if k >= sigma:
                 ray_fits[k] = _median_fit(tabs)
         rep.add(CheckRecord(name=f"hm-order-{k}", check_id=f"hm/order-{k}", verdict=verdict,
@@ -156,8 +157,9 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
             verdict, detail = INCONCLUSIVE, "one order vanished, the other did not"
             measured = fa if fb is None else fb
         else:
+            # the fits compare a sufficient condition: a gap does not refute it
             measured = abs(fa - fb)
-            verdict = PASS if measured <= 0.2 * max(abs(fa), abs(fb), 1.0) else FAIL
+            verdict = PASS if measured <= 0.2 * max(abs(fa), abs(fb), 1.0) else INCONCLUSIVE
             detail = f"fitted exponents {fa:.3f} vs {fb:.3f}"
         rep.add(CheckRecord(
             name="decay-propagation", check_id="hm/decay-propagation",

@@ -6,6 +6,7 @@ Conventions used throughout:
 * ``|A|`` is the normalized Hilbert-Schmidt norm, |A|^2 = tr(A^T A)/n.
 * ``L(g) = max(||g||, ||g^{-1}||)`` (operator norms), so L >= 1 with
   equality exactly on the orthogonal group.
+* ``d(g)`` is the distance to the identity, d^2 = (|g - e|^2 + |g^{-1} - e|^2) / 2.
 * Haar measure on SO(n) is the probability measure; Haar measure on the
   full group is normalized as  d(mu) = prod_{i<j} sinh(Z_i - Z_j) dZ dk1 dk2
   over the KAK chart with the descending chamber parametrized by its
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import taylor
 from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .sphere import gauss_legendre
 
@@ -30,23 +32,13 @@ __all__ = [
     "LieBasis",
     "identity",
     "kak_decompose",
-    "length",
     "dist_to_identity",
     "expm",
     "lie_derivative",
-    "default_step",
     "weyl_ball_volume",
     "harish_chandra_xi",
     "haar_so",
-    "hs_norm",
 ]
-
-
-def hs_norm(a):
-    """Normalized Hilbert-Schmidt norm |a| with |identity| = 1."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    return np.sqrt(np.sum(a * a, axis=(-2, -1)) / n)
 
 
 def check_special_linear(mats) -> np.ndarray:
@@ -129,28 +121,35 @@ def _matrices(g) -> np.ndarray:
     return g.entries if isinstance(g, GroupElement) else g
 
 
-def length(g):
-    """max(||g||, ||g^{-1}||), computed from the Cartan exponents.
-
-    Takes a GroupElement or a (..., n, n) stack and returns values of shape
-    ``...`` (a numpy scalar for one matrix); the full SVD, as in
-    :func:`kak_decompose`, gives a matrix the same bits alone as inside a stack.
-    """
-    s = np.log(np.linalg.svd(_matrices(g))[1])
-    s = s - s.mean(axis=-1, keepdims=True)  # exact zero sum despite rounding
-    return np.exp(np.maximum(s[..., 0], -s[..., -1]))
+def _dist_jet(mats, x=None, order: int = 0) -> list:
+    """Jet of s -> d(g exp(sX)) at s = 0 over an (N, n, n) stack of g.  The curves
+    g exp(sX) - e and exp(-sX) g^-1 - e have the matrix jets [g - e, g X^m / m!] and
+    [g^-1 - e, (-X)^m g^-1 / m!], so the jet of d^2 pairs each with itself, and d is
+    its square root.  Every sum runs over one matrix, so a matrix gives the same
+    bits in any stack."""
+    n = mats.shape[-1]
+    a, b = mats, np.linalg.inv(mats)
+    ja, jb = [a - np.eye(n)], [b - np.eye(n)]
+    for m in range(1, order + 1):
+        a, b = a @ x / m, -x @ b / m
+        ja.append(a)
+        jb.append(b)
+    sq = lambda jet: [np.sum(c, axis=(-2, -1)) for c in taylor.mul(jet, jet)]
+    return taylor.power([(p + q) / (2 * n) for p, q in zip(sq(ja), sq(jb))], 0.5)
 
 
 def dist_to_identity(g):
-    """Distance-type function vanishing only at the identity.
+    """The distance d(g) = sqrt((|g - e|^2 + |g^-1 - e|^2) / 2) to the identity.
 
-    Concrete representative max(min(|g-e|, 1), L(g)-1): comparable to
-    |g-e| near the identity and to L(g) at infinity, and positive on
-    SO(n) \\ {e} where L-1 alone would vanish.  Takes a GroupElement or a
-    stack that :func:`check_special_linear` accepts, as :func:`length` does.
+    Smooth away from e, d(g) = d(g^-1), and it vanishes only at e: it is
+    comparable to |g - e| near the identity and to L(g) at infinity.  Takes
+    a GroupElement or a (..., n, n) stack that :func:`check_special_linear`
+    accepts and returns values of shape ``...`` (a numpy scalar for one
+    matrix, with the bits it has inside a stack); :func:`lie_derivative` takes
+    its jets along one-parameter subgroups.
     """
     m = _matrices(g)
-    return np.maximum(np.minimum(hs_norm(m - np.eye(m.shape[-1])), 1.0), length(m) - 1.0)
+    return _dist_jet(m.reshape(-1, *m.shape[-2:]))[0].reshape(m.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +158,10 @@ def dist_to_identity(g):
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y) whose
-    elements are square-zero, diagonal or plane rotations, the generators whose
-    flows :func:`expm` gives in closed form; another element raises InputError."""
+    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y)."""
 
     n: int
     mats: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for x in self.mats:
-            expm(x)
 
     @classmethod
     def standard(cls, n: int) -> "LieBasis":
@@ -193,18 +186,6 @@ class LieBasis:
         return self.mats[j]
 
 
-def default_step(g, order: int = 1):
-    """Finite-difference step scaled to the distance from the identity.
-
-    Deep nesting loses nearly all significand bits at the base relative
-    step, so orders above 2 widen the step; with one Richardson level the
-    added truncation error stays far below the rounding noise it avoids.
-    Takes a GroupElement or a stack, as :func:`dist_to_identity` does.
-    """
-    rel = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 3e-3}.get(max(order, 1), 1e-2)
-    return np.maximum(1e-4, rel * dist_to_identity(g))
-
-
 def expm(x, s=1.0) -> np.ndarray:
     """exp(s X) in closed form at every entry of the array ``s`` (s.shape + (n, n)):
     I + sX for square-zero X, entrywise exp for diagonal X, and cos sc, sin sc in the
@@ -226,88 +207,28 @@ def expm(x, s=1.0) -> np.ndarray:
     return out
 
 
-def lie_derivative(m, g, gamma, basis: LieBasis, h=None, max_order: int | None = None):
-    """Iterated derivative of a symbol along the flows s -> g exp(s X_j).
+def lie_derivative(phi, g, j: int, basis: LieBasis, order: int) -> np.ndarray:
+    """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(s X_j))) of a radial
+    profile phi along one basis direction, exact up to rounding.
 
-    ``gamma`` lists basis directions outermost first, so the last index is
-    applied to ``m`` before the others.  Each directional derivative is a
-    central difference with one Richardson extrapolation level:
-    (4 (f(h/2) - f(-h/2)) / h - (f(h) - f(-h)) / (2h)) / 3.
-
-    A run of r equal consecutive directions j moves only along the
-    subgroup g exp(s X_j): its 4^r branches land on the 4r + 1 grid points
-    g exp(u (h/2) X_j), |u| <= 2r (4 points when r = 1), and the formula
-    is applied r times along that grid.  Runs of different directions form
-    a tensor grid, and ``m`` is called once on all its leaf matrices as one
-    (N, n, n) stack; it must return values of shape ``stack.shape[:-2]``.
-
-    ``g`` is a GroupElement or a (..., n, n) stack that
-    :func:`check_special_linear` accepts; the result has shape ``...`` (a
-    numpy scalar for one matrix), each value equal to the call on that matrix
-    alone.  ``gamma`` is a sequence of basis indices; the empty one gives the
-    symbol's values.  ``h`` broadcasts to ``...``; the default is
-    :func:`default_step`.  Orders above ``max_order`` (by default the
-    regularity order [n^2/2] + 1 of the sweeps) raise InputError.
+    The jet of the distance along the flow (:func:`dist_to_identity`) is composed
+    with the profile's jet map ``phi.of`` (:class:`mcert.symbols.RadialProfile`).
+    ``g`` is a GroupElement or a (..., n, n) stack that :func:`check_special_linear`
+    accepts, and the result has shape (order + 1, ...), the same bits for a matrix
+    in any stack.  ``phi.of`` takes and returns jets of (N,) arrays; another shape
+    is an InputError, and a non-finite derivative a NumericError.
     """
-    idx = tuple(int(j) for j in gamma)
     mats = check_special_linear(_matrices(g))
-    shape, n = mats.shape[:-2], mats.shape[-1]
-    limit = max_order if max_order is not None else n * n // 2 + 1
-    if len(idx) > limit:
-        raise InputError(f"derivative order {len(idx)} exceeds configured maximum {limit}")
-    if h is None:
-        h = default_step(mats, len(idx))
-    h = np.broadcast_to(np.asarray(h, dtype=float), shape).reshape(-1)
-    mats = mats.reshape(-1, n, n)
-    npts = mats.shape[0]
-    if not np.all(h > 0):
-        raise NumericError("step must be positive")
-    if idx and np.any(h / 2.0 < 1e-300):
-        raise NumericError("finite-difference step underflow")
-
-    runs = []  # (direction, run length), outermost first
-    for j in idx:
-        if runs and runs[-1][0] == j:
-            runs[-1][1] += 1
-        else:
-            runs.append([j, 1])
-    width = {}
-    for j, r in runs:
-        width[j] = max(width.get(j, 0), 2 * r)
-    # F_j(u) = exp(u (h/2) X_j) for u = -w..w, at u + w
-    grids = {j: expm(basis[j], np.arange(-w, w + 1) * (h[:, None] / 2.0))
-             for j, w in width.items()}
-    offsets = [(2, -2, 1, -1) if r == 1 else tuple(range(-2 * r, 2 * r + 1)) for _, r in runs]
-    leaves = mats[:, None]
-    for (j, _), us in zip(runs, offsets):  # outermost run first
-        flows = grids[j][:, [width[j] + u for u in us]]
-        leaves = (leaves[:, :, None] @ flows[:, None]).reshape(npts, -1, n, n)
-
-    flat = leaves.reshape(-1, n, n)
-    vals = np.asarray(m(flat))
-    if vals.shape != flat.shape[:-2]:
-        raise InputError(f"symbol returned shape {vals.shape} for a stack of shape {flat.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("symbol evaluation returned a non-finite value")
-    # float parts and true division, as Python's complex arithmetic does it;
-    # numpy's complex division would multiply by a reciprocal
-    parts = np.stack([vals.real, vals.imag]).astype(float).reshape(2, npts, -1)
-    step = h[:, None, None]
-    for (_, r), us in zip(reversed(runs), reversed(offsets)):  # innermost run first
-        parts = parts.reshape(2, npts, -1, len(us))
-        pos = {u: i for i, u in enumerate(us)}
-        for level in range(r):
-            half = 2 * (r - level - 1)  # the grid shrinks by two points per side
-            centers = range(-half, half + 1)
-            f = {d: parts[..., [pos[c + d] for c in centers]] for d in (2, -2, 1, -1)}
-            d1 = (f[2] - f[-2]) / (2.0 * step)
-            d2 = (f[1] - f[-1]) / (2.0 * (step / 2.0))
-            parts = (4.0 * d2 - d1) / 3.0
-            pos = {c: i for i, c in enumerate(centers)}
-        parts = parts[..., 0]
-    out = np.empty(npts, dtype=complex)
-    out.real, out.imag = parts[0, :, 0], parts[1, :, 0]
-    return out.reshape(shape)[()]
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    with np.errstate(all="ignore"):
+        jet = phi.of(_dist_jet(flat, basis[j], order))
+        if len(jet) != order + 1 or any(np.shape(c) != flat.shape[:1] for c in jet):
+            raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
+                             f"{len(flat)} matrices at order {order}")
+        out = np.array(jet, dtype=float) * np.cumprod([1.0, *range(1, order + 1)])[:, None]  # k!
+    if not np.all(np.isfinite(out)):
+        raise NumericError("symbol derivative is not finite")
+    return out.reshape(order + 1, *mats.shape[:-2])
 
 
 # ---------------------------------------------------------------------------

@@ -445,21 +445,25 @@ def schur_infty_upper_bound(s, d1: int, d2: int, lengths1=None, lengths2=None,
 # Radial rigidity witness
 
 
-def _growth_ratio(xs: np.ndarray, vals: np.ndarray) -> float:
-    """Sup of the envelope on the outer decade over the sup before it.
+_GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
+
+
+def _growth(xs: np.ndarray, vals: np.ndarray) -> tuple:
+    """(ratio, verdict) of an envelope: the ratio is its sup on the outer decade over
+    the sup before it, and the verdict FAIL when the ratio exceeds 1 + _GROWTH_TOL.
 
     A bounded envelope (decay inequality satisfiable with some constant)
-    gives ratio <= 1 + noise; persistent growth gives ratio >> 1.
+    gives ratio <= 1 + noise; persistent growth gives ratio >> 1.  A NaN or
+    inf value, where the envelope weights overflow, decides nothing: the
+    verdict is INCONCLUSIVE.
     """
     cut = xs.max() / 10.0
     head = float(vals[xs < cut].max(initial=0.0))
     tail = float(vals[xs >= cut].max(initial=0.0))
-    if head <= 0.0:
-        return 0.0 if tail <= 0.0 else math.inf
-    return tail / head
-
-
-_GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
+    ratio = tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
+    if not np.all(np.isfinite(vals)):
+        return ratio, INCONCLUSIVE
+    return ratio, PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL
 
 
 def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
@@ -494,10 +498,9 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
 
     # decay of phi - phi_inf at rate c0
     env = np.abs(jet[0] - phi_inf) * xs ** ex.c[0]
-    ratio = _growth_ratio(xs, env)
+    ratio, verdict = _growth(xs, env)
     records.append(CheckRecord(
-        name="decay-c0", check_id="rigidity/decay-c0",
-        verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+        name="decay-c0", check_id="rigidity/decay-c0", verdict=verdict,
         measured=float(env.max()), bound=ex.c[0], tolerance=_GROWTH_TOL,
         details={"growth_ratio": ratio, "c0": ex.c[0]},
     ))
@@ -505,10 +508,9 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     # derivative records
     for k in range(1, r + 1):
         env = math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k]
-        ratio = _growth_ratio(xs, env)
+        ratio, verdict = _growth(xs, env)
         records.append(CheckRecord(
-            name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}",
-            verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+            name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}", verdict=verdict,
             measured=float(env.max()), bound=ex.c[k], tolerance=_GROWTH_TOL,
             details={"growth_ratio": ratio, "order": k, "ck": ex.c[k]},
         ))
@@ -517,10 +519,9 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     gaps = 1e-3 * xs
     step = math.factorial(r) * (profile.jet(xs + gaps, r)[r] - jet[r])
     env = np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha
-    ratio = _growth_ratio(xs, env)
+    ratio, verdict = _growth(xs, env)
     records.append(CheckRecord(
-        name="hoelder-alpha", check_id="rigidity/hoelder",
-        verdict=PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL,
+        name="hoelder-alpha", check_id="rigidity/hoelder", verdict=verdict,
         measured=float(env.max()), bound=ex.alpha, tolerance=_GROWTH_TOL,
         details={"growth_ratio": ratio, "alpha": ex.alpha},
     ))

@@ -2,8 +2,8 @@
 
 Three evaluator containers are used across the toolkit:
 
-* :class:`SymbolHandle`  - symbols on the group; called with one (n, n)
-  matrix or a stack of them.
+* :class:`SymbolHandle`  - the lift of a radial profile to the group; called
+  with one (n, n) matrix or a stack of them.
 * :class:`EuclideanSymbol` - symbols on R^d; called with an (..., d) array.
 * :class:`RadialProfile` - scalar profiles phi on (1, infinity), the
   subject of the radial rigidity checks.
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import taylor
 from .errors import InputError
 from .geometry import check_special_linear, dist_to_identity
 
@@ -34,16 +35,17 @@ __all__ = [
 
 @dataclass
 class SymbolHandle:
-    """Evaluator on group elements.
+    """The lift g -> phi(dist(g, e)) of a radial profile phi to the group.
 
-    ``evaluator`` receives a raw (..., n, n) float array and must return
-    a matching (...) array (or scalar).
+    Called with a (..., n, n) stack that :func:`check_special_linear` accepts,
+    it returns (...) values; :func:`geometry.lie_derivative` takes the exact
+    derivatives of the lift from ``profile``.
     """
 
-    evaluator: object
+    profile: RadialProfile
 
     def __call__(self, mats):
-        return self.evaluator(np.asarray(mats, dtype=float))
+        return self.profile(dist_to_identity(check_special_linear(np.asarray(mats, dtype=float))))
 
 
 @dataclass
@@ -64,55 +66,24 @@ class EuclideanSymbol:
 
 @dataclass
 class RadialProfile:
-    """Scalar profile on (1, infinity), given by its Taylor jet.
+    """Scalar profile phi on (1, infinity), given on Taylor jets.
 
-    ``jet(x, K)`` returns the list [phi(x), phi'(x), ..., phi^(K)(x) / K!]
-    of arrays shaped like ``x``.
+    ``of(u)`` maps the jet u of an argument x(s) (see :mod:`mcert.taylor`) to
+    the jet of phi(x(s)); ``jet(x, K)`` applies it to the variable itself and
+    returns [phi(x), phi'(x), ..., phi^(K)(x) / K!], arrays shaped like ``x``.
     """
 
-    jet: object
+    of: object
+
+    def jet(self, x, order: int) -> list:
+        return self.of(taylor.variable(np.asarray(x, dtype=float), order))
 
     def __call__(self, x):
-        return self.jet(np.asarray(x, dtype=float), 0)[0]
+        return self.jet(x, 0)[0]
 
     def derivative(self, k: int, x):
         """k-th derivative, exact up to rounding."""
-        return math.factorial(k) * self.jet(np.asarray(x, dtype=float), k)[k]
-
-
-# ---------------------------------------------------------------------------
-# Truncated Taylor arithmetic (Griewank & Walther, Evaluating Derivatives, ch. 13) on
-# jets [u_0, ..., u_K], u_k = u^(k) / k!; order 0 runs the plain evaluator's operations.
-
-
-def _variable(x0, slope, order: int) -> list:
-    """Jet of an affine function of x with value x0 and slope ``slope``."""
-    return [x0, slope, *[0.0] * (order - 1)][:order + 1]
-
-
-def _mul(u: list, v: list) -> list:
-    return [u[0] * v[0]] + [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(1, len(u))]
-
-
-def _pow(u: list, a: float) -> list:
-    w = [u[0] ** a]
-    for k in range(1, len(u)):
-        w.append(sum(((a + 1.0) * j / k - 1.0) * u[j] * w[k - j] for j in range(1, k + 1)) / u[0])
-    return w
-
-
-def _exp(u: list) -> list:
-    w = [np.exp(u[0])]
-    for k in range(1, len(u)):
-        w.append(sum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k)
-    return w
-
-
-def _log(u: list) -> list:
-    w = [np.log(u[0])]
-    for k in range(1, len(u)):
-        w.append((u[k] - sum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u[0])
-    return w
+        return math.factorial(k) * self.jet(x, k)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +146,15 @@ class SymbolFamily:
         p = self.parameters
         if self.kind == "radial-power":  # (shift + x)^-a
             a, shift = float(p.get("exponent", 1.0)), float(p.get("shift", 1.0))
-            return RadialProfile(lambda x, k: _pow(_variable(shift + x, 1.0, k), -a))
+            return RadialProfile(lambda u: taylor.power([shift + u[0], *u[1:]], -a))
         if self.kind == "radial-log-power":  # (1 + x)^-a log(e + x)^-b
             a, b = float(p.get("exponent", 1.0)), float(p.get("log_exponent", 1.0))
-            return RadialProfile(lambda x, k: _mul(_pow(_variable(1.0 + x, 1.0, k), -a),
-                                                   _pow(_log(_variable(math.e + x, 1.0, k)), -b)))
+            return RadialProfile(lambda u: taylor.mul(
+                taylor.power([1.0 + u[0], *u[1:]], -a),
+                taylor.power(taylor.log([math.e + u[0], *u[1:]]), -b)))
         if self.kind == "hm-bump":  # the bump at (x - center) / width
             c, w = float(p.get("center", 1.0)), float(p.get("width", 0.5))
-            return RadialProfile(lambda x, k: _bump_jet(_variable((x - c) / w, 1.0 / w, k)))
+            return RadialProfile(lambda u: _bump_jet([(u[0] - c) / w, *[v / w for v in u[1:]]]))
         raise InputError(f"family {self.kind!r} does not define a radial profile")
 
     def build_group_symbol(self) -> SymbolHandle:
@@ -192,17 +164,16 @@ class SymbolFamily:
         if self.kind == "radial-power" and not self.parameters.get("shift", 1.0) > 0.0:
             raise InputError(f"radial-power parameter 'shift' must be > 0 to lift to the group, "
                              f"got {self.parameters['shift']:g}")
-        profile = self.build_profile()
-        return SymbolHandle(lambda mats: profile(dist_to_identity(check_special_linear(mats))))
+        return SymbolHandle(self.build_profile())
 
 
 def _bump_jet(t: list) -> list:
     """Jet of exp(1 - 1/(1 - t^2)) on |t| < 1, and 0 elsewhere, from the jet of t."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inside = np.abs(t[0]) < 1.0
-        s = _mul(t, t)
-        w = _pow([np.where(inside, 1.0 - s[0], 1.0)] + [-c for c in s[1:]], -1.0)
-        e = _exp([1.0 - w[0]] + [-c for c in w[1:]])
+        s = taylor.mul(t, t)
+        w = taylor.power([np.where(inside, 1.0 - s[0], 1.0)] + [-c for c in s[1:]], -1.0)
+        e = taylor.exp([1.0 - w[0]] + [-c for c in w[1:]])
         inside &= e[0] > 0.0  # where e underflows, so do its derivatives
         return [np.where(inside, c, 0.0) for c in e]
 

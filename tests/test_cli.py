@@ -61,17 +61,30 @@ class TestCertifyHm:
         assert "per-order" in proc.stderr
 
     def test_n4_default_order_runs(self, tmp_path):
-        # order [16/2] + 1 = 9 at the default --per-order 3
+        # order [16/2] + 1 = 9 at the default --per-order 3; the ray fits of orders 8
+        # and 9 differ (3.43 vs 2.57), which does not refute a sufficient condition
         out = tmp_path / "hm4.json"
         proc = run_cli(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "4",
                         "--out", str(out)])
         assert proc.returncode in (0, 1), proc.stderr
-        rows = load_report(out)["tables"]["hm_constants"]
+        rep = load_report(out)
+        rows = rep["tables"]["hm_constants"]
         assert [r["order"] for r in rows] == list(range(10))
         assert all(math.isfinite(r["constant"]) for r in rows)
+        assert [r["name"] for r in rep["records"] if r["verdict"] == "FAIL"] == []
+
+    def test_order_150_is_an_accuracy_error(self):
+        # next to the identity the derivatives of order 150 overflow: exit 3 at once
+        start = time.monotonic()
+        proc = run_cli(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "3",
+                        "--order", "150"])
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode == 3, proc.stderr
+        assert "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("bad", [["--grid-levels", "-1"], ["--grid-levels", "0"],
-                                     ["--order", "-1"]])
+                                     ["--order", "-1"], ["--order", "171"]])
     def test_count_flag_out_of_range_is_input_error(self, bad, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2", *bad])
         assert rc == 2
@@ -79,20 +92,23 @@ class TestCertifyHm:
 
     @pytest.mark.parametrize("n, order, per_order", [(2, 3, 3), (3, 5, 3), (3, 2, 1)])
     def test_one_symbol_call_per_multi_index(self, n, order, per_order):
-        # order 0 is the empty index: one stacked call, like each order-k index
+        # one stacked symbol call gives order 0, then one profile jet per direction
+        # gives orders 0..order at every sweep point
         from mcert.cli import cmd_certify_hm
-        from mcert.symbols import SymbolFamily, SymbolHandle
+        from mcert.symbols import RadialProfile, SymbolFamily, SymbolHandle
 
-        lifted = SymbolFamily.parse("radial-power:exponent=5").build_group_symbol()
-        shapes = []
+        profile = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        jets = []
 
-        def counted(mats):
-            shapes.append(mats.shape)
-            return lifted(mats)
+        def counted(u):
+            jets.append((len(u), np.shape(u[0])))
+            return profile.of(u)
 
-        cmd_certify_hm(SymbolHandle(counted), n=n, order=order, per_order=per_order)
-        assert len(shapes) == 1 + order * per_order
-        assert all(len(s) == 3 for s in shapes)  # stacks only, never one matrix
+        cmd_certify_hm(SymbolHandle(RadialProfile(counted)), n=n, order=order,
+                       per_order=per_order)
+        points = jets[0][1]
+        assert sorted(jets) == [(1, points)] + [(order + 1, points)] * per_order
+        assert len(points) == 1 and points[0] > 1  # stacks only, never one matrix
 
     def test_per_order_zero_is_input_error(self, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
@@ -184,9 +200,10 @@ class TestRigidity:
         from mcert.schur import profile_rigidity_records
         from mcert.symbols import RadialProfile
 
-        # the k-th Taylor coefficient of sin at x is sin(x + k pi / 2) / k!
-        prof = RadialProfile(lambda x, order: [np.sin(x + k * np.pi / 2) / math.factorial(k)
-                                               for k in range(order + 1)])
+        # the k-th Taylor coefficient of sin at x is sin(x + k pi / 2) / k!; the records
+        # take jets of the variable itself, u = [x, 1, 0, ...]
+        prof = RadialProfile(lambda u: [np.sin(u[0] + k * np.pi / 2) / math.factorial(k)
+                                        for k in range(len(u))])
         records, _ = profile_rigidity_records(prof, 5, 10.0)
         limit = [r for r in records if r.name == "limit-existence"][0]
         assert limit.verdict == "FAIL"

@@ -381,7 +381,7 @@ def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, 
 
 class TestRigidityWitness:
     def test_constant_profile_consistent(self):
-        one = RadialProfile(lambda x, order: [np.ones_like(x)] + [np.zeros_like(x)] * order)
+        one = RadialProfile(lambda u: [np.ones_like(u[0])] + [np.zeros_like(u[0])] * (len(u) - 1))
         res = rigidity_witness(one, 5, 10.0, seed=0)
         assert res.classification == CONSISTENT
         assert res.lower_bounds == [1.0] * 4  # the true norm, not above it
@@ -410,7 +410,7 @@ class TestRigidityWitness:
     def test_jump_profile_violated_by_section_growth(self, svd_calls):
         # flat away from the jump at 2, where every derivative is 0
         jump = RadialProfile(
-            lambda x, order: [np.where(x < 2.0, 1.0, 0.2)] + [np.zeros_like(x)] * order)
+            lambda u: [np.where(u[0] < 2.0, 1.0, 0.2)] + [np.zeros_like(u[0])] * (len(u) - 1))
         res = rigidity_witness(jump, 5, 10.0, seed=0)
         assert res.classification == VIOLATED
         growth = [r for r in res.records if r.name == "section-growth"][0]
@@ -435,6 +435,16 @@ class TestRigidityWitness:
         assert all(f"derivative-c{k}" in verdicts for k in range(1, int(ex.alpha) + 1))
         if spec.startswith("hm-bump"):  # compact support: every envelope vanishes at infinity
             assert set(verdicts.values()) == {"PASS"}
+
+    def test_overflowing_envelope_is_inconclusive(self):
+        # at n = 80, p = 100 the order-[alpha] Hoelder weights ((x - 1) x^(n/(n-2)))^alpha
+        # overflow at x = 1e4, and the bump's zero times inf is NaN: no evidence either way
+        bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
+        with np.errstate(all="ignore"):
+            records, _ = profile_rigidity_records(bump, 80, 100.0)
+        verdicts = {r.name: r.verdict for r in records}
+        assert verdicts["hoelder-alpha"] == "INCONCLUSIVE"
+        assert "FAIL" not in verdicts.values()
 
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
