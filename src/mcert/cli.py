@@ -24,9 +24,8 @@ from . import geometry as geo
 from . import sphere
 from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, input_digest
-from .schur import (TruncatedSchurMultiplier, frobenius_schur_bound, interpolated_schur_bound,
-                    profile_rigidity_records, rigidity_witness, schur_norm_exact_p2,
-                    schur_norm_lower_bound)
+from .schur import (TruncatedSchurMultiplier, profile_rigidity_records, rigidity_witness,
+                    schur_norm_exact_p2, schur_norm_lower_bound)
 from .symbols import SymbolFamily, SymbolHandle, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",
@@ -266,9 +265,9 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
 
 
 def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
-    """Lower bound for a sampled symbol matrix, checked against the certified
-    upper bound sqrt(min(N, M)) |M|_F interpolated with the exact S_2 law
-    (the sup entry at p = 2).
+    """The bracket of :func:`schur.schur_norm_lower_bound` for a sampled symbol
+    matrix: its lower bound and its certified upper bound, the Frobenius bound or,
+    for a square matrix, the smaller of it and the circulant bound, interpolated.
 
     The lower bound fails only when it exceeds the upper bound by more
     than its 1e-8 relative tolerance, which covers the rounding of the
@@ -276,20 +275,18 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
     _check_count("--iterations", iterations, 0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
-    m = TruncatedSchurMultiplier(np.asarray(matrix, dtype=complex))
-    upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
-    res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations, upper=upper)
-    sup_entry = schur_norm_exact_p2(m)
+    m = TruncatedSchurMultiplier(matrix)
+    res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
     rep.add(CheckRecord(
         name="lower-bound", check_id="schur/lower-bound",
-        verdict=FAIL if res.value > upper * (1.0 + 1e-8) else PASS,
-        measured=res.value, bound=upper, tolerance=1e-8,
+        verdict=FAIL if res.value > res.upper * (1.0 + 1e-8) else PASS,
+        measured=res.value, bound=res.upper, tolerance=1e-8,
         details={"p": None if math.isinf(p) else p, "iterations": iterations,
                  "best_start": res.best_start, "best_iteration": res.best_iteration,
-                 "upper_bound": upper},
+                 "upper_bound": res.upper},
     ))
     rep.add_table("bound", [{"p": "inf" if math.isinf(p) else p, "lower_bound": res.value,
-                             "sup_entry": sup_entry, "upper_bound": upper}])
+                             "sup_entry": schur_norm_exact_p2(m), "upper_bound": res.upper}])
     return rep
 
 

@@ -3,7 +3,8 @@
 A report is a list of check records plus reproducibility metadata.  The
 JSON serialization is deterministic (sorted keys, repr floats) except
 for the ``header`` block, which isolates timestamps and runtimes so two
-runs with identical seeds agree byte for byte outside it.
+runs with identical seeds agree byte for byte outside it.  It is strict
+JSON (RFC 8259): a NaN or infinite number is written as null.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,16 +28,17 @@ SCHEMA = "mcert/1"
 
 
 def _jsonable(value):
+    """``value`` as plain JSON data: numpy scalars unwrapped, NaN and inf as None."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
         try:
-            return value.item()
+            value = value.item()
         except Exception:
             pass
-    return value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 @dataclass
@@ -63,7 +66,8 @@ class CheckRecord:
 
 
 def input_digest(payload) -> str:
-    blob = json.dumps(_jsonable(payload), sort_keys=True, default=str).encode("utf-8")
+    """SHA-256 of the parsed arguments (an infinite --p hashes as Infinity)."""
+    blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -111,7 +115,7 @@ class CertificationReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

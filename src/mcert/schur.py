@@ -1,6 +1,6 @@
-"""Finite-section Schur multipliers, Schatten norms, lower bounds by
-alternating maximization, a product-cube upper bound, and the radial
-rigidity witness.
+"""Finite-section Schur multipliers: lower bounds by alternating
+maximization inside a certified upper bound, a product-cube upper bound,
+and the radial rigidity witness.
 
 All lower bounds are one-sided: a finite section never overestimates
 the full multiplier norm (restriction), and any admissible input to the
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .symbols import RadialProfile
 
 __all__ = [
     "TruncatedSchurMultiplier",
-    "schatten_norm",
     "SchurLowerBound",
     "schur_norm_lower_bound",
     "circulant_schur_bound",
@@ -50,15 +50,28 @@ class TruncatedSchurMultiplier:
 
     def __post_init__(self):
         m = np.asarray(self.symbol, dtype=complex)
-        if m.ndim != 2:
-            raise InputError("symbol matrix must be 2-dimensional")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if m.ndim != 2 or m.size == 0:
+            raise InputError("symbol matrix must be 2-dimensional and non-empty")
+        if not np.isfinite(m).all():
             raise InputError("symbol matrix must be finite")
         object.__setattr__(self, "symbol", m)
 
-    @property
-    def shape(self):
-        return self.symbol.shape
+    @cached_property
+    def peak(self) -> tuple:
+        """(max |M_ij|, the index where it first occurs)."""
+        modulus = np.abs(self.symbol)
+        k = int(modulus.argmax())
+        return float(modulus.flat[k]), np.unravel_index(k, modulus.shape)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """:func:`_pow2_scaled` of the symbol, shared by the bounds and the optimizer."""
+        return _pow2_scaled(self.symbol, self.peak[0])
+
+
+def _multiplier(m) -> TruncatedSchurMultiplier:
+    """``m`` as a multiplier, validated once: a matrix here, a multiplier when built."""
+    return m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)
 
 
 # Relative gain below which an optimizer start has stalled, and the relative
@@ -79,10 +92,11 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericError(f"SVD failed: {exc}") from exc
 
 
-def _pow2_scaled(x: np.ndarray):
-    """(x / 2^e, e), 2^e just above max|x| (2^-e finite): an exact scaling, so
-    norms computed on x / 2^e neither overflow nor lose their scaling with x."""
-    e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1021)
+def _pow2_scaled(x: np.ndarray, top: float | None = None):
+    """(x / 2^e, e), 2^e just above max|x| = ``top`` (2^-e finite): an exact scaling,
+    so norms computed on x / 2^e neither overflow nor lose their scaling with x."""
+    top = float(np.abs(x).max(initial=0.0)) if top is None else top
+    e = max(math.frexp(top)[1], -1021)
     return x * math.ldexp(1.0, -e), e
 
 
@@ -92,14 +106,6 @@ def _schatten_from_sv(sv: np.ndarray, p: float) -> float:
     if math.isinf(p) or top == 0.0:
         return top
     return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
-
-
-def schatten_norm(a, p: float) -> float:
-    """l_p norm of the singular values (exact SVD); sup norm at p = infinity."""
-    a = np.asarray(a, dtype=complex)
-    if not (p >= 1.0):
-        raise InputError("p must lie in [1, infinity]")
-    return _schatten_from_sv(_svd(a, compute_uv=False), p)
 
 
 def _dual_exponent(p: float) -> float:
@@ -186,7 +192,7 @@ def _dual_step(x: np.ndarray, p: float, warm=None):
 
 @dataclass(frozen=True)
 class SchurLowerBound:
-    """Best value of |M o A|_p / |A|_p found, and where it was found.
+    """Bracket [value, upper] on |S_M|_{S_p -> S_p}; ``value`` is reached at ``best_input``.
 
     ``best_start`` indexes the starts (matrix unit, conjugate phase,
     random starts, then caller-provided starts) and ``best_iteration``
@@ -198,19 +204,16 @@ class SchurLowerBound:
 
     value: float
     best_input: np.ndarray = field(repr=False)
-    p: float = math.inf
-    seed: int = 0
-    iterations: int = 0
-    upper: float = math.inf
+    upper: float
     best_start: int = -1
     best_iteration: int = 0
     bracket_closed: bool = False
 
 
 def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
-                           n_random_starts: int = 6, extra_starts=(),
-                           upper: float = math.inf) -> SchurLowerBound:
-    """Best found value of |M o A|_p / |A|_p (always a valid lower bound).
+                           n_random_starts: int = 6, extra_starts=()) -> SchurLowerBound:
+    """Best found value of |M o A|_p / |A|_p (always a valid lower bound) and
+    a certified upper bound on the multiplier norm.
 
     Alternating maximization (normalize, push through the duality maps,
     reproject) from structured starts: the peak matrix unit, the
@@ -218,26 +221,28 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
     starts.  The maximum over indexed starts is deterministic for a
     fixed seed.
 
-    ``upper`` is a certified upper bound on the multiplier norm.  The
-    search stops once the best value reaches ``upper / (1 + _STALL_RTOL)``:
-    before any start runs when the sup-entry floor already does, else
-    right after the improvement that does.
+    ``upper`` interpolates :func:`frobenius_schur_bound` or, for square M, its
+    minimum with :func:`circulant_schur_bound`.  The search stops once the best
+    value reaches ``upper / (1 + _STALL_RTOL)``: before any start runs when the
+    sup-entry floor already does, else right after the improvement that does.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
-    sym = m.symbol if isinstance(m, TruncatedSchurMultiplier) else np.asarray(m, dtype=complex)
-    if sym.size == 0:
-        raise InputError("empty symbol matrix")
+    m = _multiplier(m)
+    sym = m.symbol
+    upper_inf = frobenius_schur_bound(m)
+    if sym.shape[0] == sym.shape[1]:
+        upper_inf = min(upper_inf, circulant_schur_bound(m))
+    upper = interpolated_schur_bound(m, p, upper_inf)
     target = upper / (1.0 + _STALL_RTOL)
+    sup, where = m.peak
     unit = np.zeros_like(sym)
-    unit[np.unravel_index(int(np.abs(sym).argmax()), sym.shape)] = 1.0
-    best = (float(np.abs(sym).max()), unit, -1, 0)  # the matrix unit certifies the sup entry
+    unit[where] = 1.0
+    best = (sup, unit, -1, 0)  # the matrix unit certifies the sup entry
 
-    def result():
+    def result():  # the fields in order: value, best input, upper, start, iteration, closed
         value, best_a, start, iteration = best
-        return SchurLowerBound(value=value, best_input=best_a, p=p, seed=seed,
-                               iterations=iterations, upper=upper, best_start=start,
-                               best_iteration=iteration, bracket_closed=value >= target)
+        return SchurLowerBound(value, best_a, upper, start, iteration, value >= target)
 
     if best[0] >= target:
         return result()
@@ -248,7 +253,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
         starts.append(rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape))
     starts.extend(np.asarray(s, dtype=complex) for s in extra_starts)
 
-    sym, e = _pow2_scaled(sym)  # exact: every value below is scaled back by 2^e
+    sym, e = m.scaled  # exact: every value below is scaled back by 2^e
     for index, a0 in enumerate(starts):
         norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
                  else _schatten_from_sv(_svd(a0, compute_uv=False), p))
@@ -294,18 +299,24 @@ def circulant_schur_bound(m) -> float:
       values, the correctly rounded sum, the products and the additions.
 
     U = (1/N) sum_k |c^'_k| + sqrt(N) max|E| + eps |c|_2, times 1 + 16u.
+
+    U is taken on M / 2^e (exact, 2^e just above max|M|): no norm overflows, 2^k M
+    gets exactly 2^k times the bound of M, and as U >= max|M_ij| / 2^e >= 1/2, an
+    entry that underflows there moves U far less than the 16u allowance.
     """
-    sym = (m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)).symbol
-    n = sym.shape[0]
-    if sym.size == 0 or sym.shape != (n, n):
-        raise InputError("the circulant bound needs a non-empty square symbol matrix")
-    c = sym[:, 0]
-    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    deviation = float(np.abs(sym - c[lag]).max())
+    m = _multiplier(m)
+    n = m.symbol.shape[0]
+    if m.symbol.shape != (n, n):
+        raise InputError("the circulant bound needs a square symbol matrix")
+    scaled, e = m.scaled
+    c = scaled[:, 0]
+    v = np.concatenate((c[1:], c))  # v[k] = c[(k + 1) mod N], so C_ij = v[i + N - 1 - j]
+    circ = np.ndarray((n, n), v.dtype, v, strides=v.strides * 2)[:, ::-1]  # a view of v
+    deviation = float(np.abs(scaled - circ).max())
     fourier_l1 = math.fsum(np.abs(np.fft.fft(c))) / n
     eps = _FFT_ERROR_PER_LEVEL * _UNIT_ROUNDOFF * max(1, (n - 1).bit_length())
-    total = fourier_l1 + math.sqrt(n) * deviation + eps * float(np.linalg.norm(c))
-    return total * (1.0 + 16.0 * _UNIT_ROUNDOFF)
+    total = fourier_l1 + math.sqrt(n) * deviation + eps * math.sqrt(np.vdot(c, c).real)
+    return math.ldexp(total * (1.0 + 16.0 * _UNIT_ROUNDOFF), e)
 
 
 def frobenius_schur_bound(m) -> float:
@@ -325,11 +336,10 @@ def frobenius_schur_bound(m) -> float:
     Algorithms, section 4.2), which the square root halves; the roots and
     the products add a few u more.  The factor 1 + (K + 16) u covers them.
     """
-    sym = (m if isinstance(m, TruncatedSchurMultiplier) else TruncatedSchurMultiplier(m)).symbol
-    if sym.size == 0:
-        raise InputError("empty symbol matrix")
-    scaled, e = _pow2_scaled(sym)
-    frobenius = math.ldexp(math.sqrt(float(np.sum(np.abs(scaled) ** 2))), e)
+    m = _multiplier(m)
+    sym = m.symbol
+    scaled, e = m.scaled
+    frobenius = math.ldexp(math.sqrt(float((np.abs(scaled) ** 2).sum())), e)
     return math.sqrt(min(sym.shape)) * frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF)
 
 
@@ -364,8 +374,7 @@ def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
 def schur_norm_exact_p2(m) -> float:
     """Exact S_2 -> S_2 multiplier norm: sup of |entries| (the multiplier
     acts diagonally on matrix units in the Hilbert-Schmidt space)."""
-    sym = m.symbol if isinstance(m, TruncatedSchurMultiplier) else np.asarray(m)
-    return float(np.abs(sym).max())
+    return _multiplier(m).peak[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +496,11 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     probes.sort()
     pv = np.asarray(profile(probes), dtype=float)
     diffs = np.abs(np.diff(pv))
-    shrinking = bool(diffs[-1] <= 0.5 * diffs.max() + 1e-12) if diffs.max() > 0 else True
+    verdict = (INCONCLUSIVE if not np.all(np.isfinite(diffs))  # overflow decides nothing
+               else PASS if diffs[-1] <= 0.5 * diffs.max() + 1e-12 else FAIL)
     phi_inf = float(pv[-1])
     records.append(CheckRecord(
-        name="limit-existence", check_id="rigidity/limit",
-        verdict=PASS if shrinking else FAIL,
+        name="limit-existence", check_id="rigidity/limit", verdict=verdict,
         measured=float(diffs[-1]), tolerance=0.5,
         details={"phi_inf": phi_inf, "dyadic_diffs": [float(v) for v in diffs]},
     ))
@@ -528,10 +537,6 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     return records, ex
 
 
-def _section_points(n_points: int) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(n_points) / n_points
-
-
 @dataclass
 class WitnessResult:
     classification: str
@@ -548,10 +553,11 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     Finite sections are sampled along diagonal-conjugated rotation
     orbits at growing angular resolutions; their multiplier lower bounds
     must stay bounded for a profile consistent with S_p-boundedness.
-    Each section is a circulant symbol (equispaced angles), so
-    :func:`circulant_schur_bound` brackets its norm from above; the
-    optimizer stops as soon as its lower bound meets that bracket.
-    ``upper_bounds`` holds, per size, the largest bound over the radii.
+    Each section is a circulant symbol (equispaced angles), so the
+    optimizer's certified upper bound is the circulant bound interpolated
+    to p, exact at p = infinity; the optimizer stops as soon as its lower
+    bound meets it.  ``upper_bounds`` holds, per size, the largest upper
+    bound over the radii.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
     bounds keep growing; INCONCLUSIVE otherwise.
@@ -560,34 +566,26 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
         raise InputError("mode must be 'hs' or 'opnorm'")
     records, ex = profile_rigidity_records(profile, n, p)
 
-    lower_bounds = []
-    upper_bounds = []
-    prev_best = {}
+    lower_bounds, upper_bounds = [], []
+    prev_best = {}  # radius index -> best input at the previous size
     for n_points in point_sets:
-        theta = _section_points(n_points)
-        best_for_size = 0.0
-        upper_for_size = 0.0
+        theta = 2.0 * math.pi * np.arange(n_points) / n_points
+        delta = np.cos(theta[:, None] - theta[None, :])
+        results = []
         for ir, r in enumerate((0.75, 1.5)):  # composition frame radii
             frame = CompositionFrame.create(n, r)
-            delta = np.cos(theta[:, None] - theta[None, :])
             xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
             sym = np.asarray(profile(xvals), dtype=complex)
-            extra = []
-            if ir in prev_best:
-                prev_a, prev_n = prev_best[ir]
+            extra, prev = [], prev_best.get(ir)
+            if prev is not None and n_points % len(prev) == 0:  # warm start: prev, padded
+                stride = n_points // len(prev)
                 pad = np.zeros((n_points, n_points), dtype=complex)
-                stride = n_points // prev_n if prev_n and n_points % prev_n == 0 else None
-                if stride:
-                    pad[::stride, ::stride] = prev_a
-                    extra.append(pad)
-            section = TruncatedSchurMultiplier(sym)
-            upper = circulant_schur_bound(section)
-            res = schur_norm_lower_bound(section, p, seed=seed, extra_starts=extra, upper=upper)
-            prev_best[ir] = (res.best_input, n_points)
-            best_for_size = max(best_for_size, res.value)
-            upper_for_size = max(upper_for_size, upper)
-        lower_bounds.append(best_for_size)
-        upper_bounds.append(upper_for_size)
+                pad[::stride, ::stride] = prev
+                extra.append(pad)
+            results.append(schur_norm_lower_bound(sym, p, seed=seed, extra_starts=extra))
+            prev_best[ir] = results[-1].best_input
+        lower_bounds.append(max(res.value for res in results))
+        upper_bounds.append(max(res.upper for res in results))
 
     # Saturating sections (shrinking increments) indicate a bounded
     # multiplier approached from below; persistent per-doubling growth

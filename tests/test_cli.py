@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import mcert
 from mcert.cli import main
+from mcert.report import input_digest
 from mcert.sphere import multiplicity
 
 from matrix_csv import write_matrix_csv
@@ -503,6 +505,27 @@ class TestReportDeterminism:
         rc_b = main(args + ["--out", str(b)])
         assert rc_a == rc_b
         assert self.strip_header(a) == self.strip_header(b)
+
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"bare {token} in the report")
+
+        out = tmp_path / "grow.json"
+        with np.errstate(all="ignore"):
+            rc = main(["rigidity", "--profile", "radial-power:exponent=-200", "--n", "5",
+                       "--p", "6", "--sections", "2", "--out", str(out)])
+        assert rc == 1
+        rep = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        records = {r["name"]: r for r in rep["records"]}
+        assert records["limit-existence"]["verdict"] == "INCONCLUSIVE"
+        assert records["limit-existence"]["measured"] is None
+        assert all(math.isfinite(row["upper_bound"])
+                   for row in rep["tables"]["section_lower_bounds"])
+
+    def test_infinite_p_keeps_its_digest(self):
+        # the digest hashes the arguments themselves: p = inf stays the token Infinity
+        want = hashlib.sha256(b'{"n": 3, "p": Infinity}').hexdigest()
+        assert input_digest({"p": math.inf, "n": 3}) == want
 
     def test_schema_marker(self, tmp_path):
         out = tmp_path / "r.json"

@@ -11,8 +11,7 @@ from mcert.cli import cmd_schur_bound
 from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
                          frobenius_schur_bound, interpolated_schur_bound,
                          profile_rigidity_records, rigidity_witness,
-                         schatten_norm, schur_infty_upper_bound, schur_norm_exact_p2,
-                         schur_norm_lower_bound)
+                         schur_infty_upper_bound, schur_norm_exact_p2, schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 
@@ -41,6 +40,11 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+def schatten_norm(a, p):
+    """l_p norm of the singular values, as the optimizer takes it from an SVD."""
+    return schur._schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
 
 
 class TestSchattenNorm:
@@ -113,24 +117,32 @@ class TestLowerBound:
         res_big = schur_norm_lower_bound(big, math.inf, seed=1, extra_starts=[pad])
         assert res_small.value <= res_big.value + 1e-8
 
-    def test_winning_start_and_iteration_reached_again_as_upper(self):
-        rng = np.random.default_rng(14)
-        m = TruncatedSchurMultiplier(rng.standard_normal((7, 7))
-                                     + 1j * rng.standard_normal((7, 7)))
-        free = schur_norm_lower_bound(m, 4.0, seed=2)
-        assert free.best_start >= 0 and free.best_iteration >= 1
-        assert not free.bracket_closed and free.upper == math.inf
-        # with the found value as the bracket, the search stops right where it was found
-        upper = free.value * (1.0 + schur._STALL_RTOL)
-        stopped = schur_norm_lower_bound(m, 4.0, seed=2, upper=upper)
-        assert stopped.bracket_closed
-        assert (stopped.value, stopped.best_start, stopped.best_iteration) == \
-            (free.value, free.best_start, free.best_iteration)
+    def test_search_stops_at_the_improvement_that_closes_the_bracket(self):
+        # at p = infinity the circulant bound is the exact norm 2 (the DFT is 2, 2, -2, 2);
+        # the matrix unit stalls at the sup entry 1, and the conjugate phase, the sign
+        # pattern of M, reaches 2 on its first iteration
+        sym = circulant(np.array([1.0, 1.0, -1.0, 1.0]))
+        res = schur_norm_lower_bound(sym, math.inf)
+        assert 2.0 <= res.upper <= 2.0 * (1.0 + 1e-14)
+        assert res.bracket_closed and res.value >= res.upper / (1.0 + schur._STALL_RTOL)
+        assert (res.best_start, res.best_iteration) == (1, 1)
+        unbounded = schur_norm_lower_bound(np.vstack([sym, np.zeros(4)]), math.inf)
+        assert not unbounded.bracket_closed  # not square: the Frobenius bound 8 stays open
+        assert unbounded.value == pytest.approx(res.value, rel=1e-12)
+
+    def test_rejects_non_finite_symbol(self):
+        for bad in (math.nan, math.inf):
+            sym = np.ones((3, 3))
+            sym[1, 2] = bad
+            with pytest.raises(InputError):
+                schur_norm_lower_bound(sym, 4.0)
+            with pytest.raises(InputError):
+                schur_norm_exact_p2(sym)
 
     def test_closed_bracket_returns_floor_without_svd(self, svd_calls):
         sym = circulant(np.array([3.0, 1.0, 0.5, 1.0]))  # positive definite: norm = 3
-        res = schur_norm_lower_bound(sym, 4.0, upper=circulant_schur_bound(sym))
-        assert res.value == 3.0
+        res = schur_norm_lower_bound(sym, 4.0)
+        assert res.value == 3.0 and 3.0 <= res.upper <= 3.0 * (1.0 + 1e-14)
         assert (res.best_start, res.best_iteration, res.bracket_closed) == (-1, 0, True)
         assert res.best_input[np.unravel_index(np.argmax(np.abs(sym)), sym.shape)] == 1.0
         assert len(svd_calls) == 0
@@ -145,7 +157,7 @@ class TestLowerBound:
         left = np.linalg.qr(rng.standard_normal((n, 2)))[0]
         start = (2.0 * np.outer(left[:, 0], (-1.0) ** k) + np.outer(left[:, 1], np.ones(n))) \
             / math.sqrt(n)
-        assert schatten_norm(start, math.inf) == pytest.approx(2.0, rel=1e-12)
+        assert np.linalg.norm(start, 2) == pytest.approx(2.0, rel=1e-12)
         columns = [np.exp(2j * math.pi * k / n)]
         columns += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
         for c in columns:
@@ -261,19 +273,25 @@ class TestInterpolatedBound:
             interpolated_schur_bound(np.ones((2, 2)), p, 2.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["random", "circulant", "perturbed circulant"]),
        st.one_of(st.floats(min_value=1.0, max_value=math.inf), st.sampled_from([1.0, 2.0, 4.0])))
-def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, p):
+def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, kind, p):
     rng = np.random.default_rng(seed)
-    sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    frobenius = frobenius_schur_bound(sym)
-    upper = interpolated_schur_bound(sym, p, frobenius)
-    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15, upper=upper)
+    if kind == "random":
+        sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    else:
+        sym = circulant(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+        if kind == "perturbed circulant":
+            sym += 1e-2 * rng.standard_normal((rows, rows))
+    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
     # the optimizer's ratio may overshoot the exact norm by its own rounding
-    assert np.abs(sym).max() <= res.value <= upper * (1.0 + 1e-12)
-    assert upper <= frobenius
+    assert np.abs(sym).max() <= res.value <= res.upper * (1.0 + 1e-12)
+    assert res.upper <= interpolated_schur_bound(sym, p, frobenius_schur_bound(sym))
+    if sym.shape[0] == sym.shape[1]:
+        assert res.upper <= interpolated_schur_bound(sym, p, circulant_schur_bound(sym))
 
 
 class TestUpperBound:
@@ -334,6 +352,15 @@ class TestCirculantBound:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             circulant_schur_bound(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # |c|_2 of the rounding allowance overflows at 2^600 and underflows at 2^-600
+        rng = np.random.default_rng(17)
+        for n in (1, 4, 13):
+            sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            scaled = circulant_schur_bound(sym * 2.0 ** e)
+            assert math.isfinite(scaled) and scaled == circulant_schur_bound(sym) * 2.0 ** e
 
 
 class TestFrobeniusBound:
@@ -446,6 +473,14 @@ class TestRigidityWitness:
         assert verdicts["hoelder-alpha"] == "INCONCLUSIVE"
         assert "FAIL" not in verdicts.values()
 
+    def test_overflowing_profile_values_leave_the_limit_inconclusive(self):
+        # (1 + x)^200 overflows on the dyadic probes: inf - inf differences decide nothing
+        grow = SymbolFamily.parse("radial-power:exponent=-200").build_profile()
+        with np.errstate(all="ignore"):
+            records, _ = profile_rigidity_records(grow, 5, 6.0)
+        limit = {r.name: r for r in records}["limit-existence"]
+        assert limit.verdict == "INCONCLUSIVE" and math.isnan(limit.measured)
+
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         res = rigidity_witness(prof, 3, 10.0, mode="opnorm", point_sets=(8, 16), seed=0)
@@ -463,9 +498,3 @@ def test_lower_bound_never_exceeds_trace_dual(seed, p):
     assert math.isfinite(res.value)
     assert res.value >= np.abs(m.symbol).max() - 1e-8
 
-
-def test_large_sup_norm_matches_svd():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((600, 580)) + 1j * rng.standard_normal((600, 580))
-    top = np.linalg.svd(a, compute_uv=False)[0]
-    assert schatten_norm(a, math.inf) == pytest.approx(top, rel=1e-12)
