@@ -44,7 +44,7 @@ _MAX_RANK = 64  # from n = 79 at p = inf the rigidity envelopes of order [alpha]
 _MAX_ORDER = 170  # k! overflows a float from k = 171
 
 
-def _sample_directions(dim: int, per_order: int) -> list:
+def _basis_indices(dim: int, per_order: int) -> list:
     """``per_order`` distinct basis directions spread over the basis."""
     if not 1 <= per_order <= dim:
         raise InputError(f"--per-order must be in 1..{dim} (the basis size), got {per_order}")
@@ -80,10 +80,11 @@ def _sweep_points(n: int, shells: int, seed: int):
     return local, rays
 
 
-def _fit_exponent(ls, vals, floor: float = 1e-14):
+def _fit_exponent(ls, vals):
+    """Minus the log-log slope through the values above 1e-14, or None below three of them."""
     ls = np.asarray(ls, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    keep = vals > floor
+    keep = vals > 1e-14
     if keep.sum() < 3:
         return None
     return float(-np.polyfit(np.log(ls[keep]), np.log(vals[keep]), 1)[0])
@@ -112,8 +113,8 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     order = sigma + 1 if order is None else order
     _check_count("--order", order, 0, _MAX_ORDER)
     _check_count("--grid-levels", shells, 1)
-    basis = geo.LieBasis.standard(n)
-    dirs = _sample_directions(len(basis), per_order)
+    basis = geo.lie_basis(n)
+    dirs = _basis_indices(len(basis), per_order)
     local, rays = _sweep_points(n, shells, seed)
 
     rep = CertificationReport(command="certify-hm")
@@ -124,7 +125,7 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     dists = geo.dist_to_identity(stack)
     ray_x = (1.0 + dists[len(local):]).reshape(len(rays), -1).tolist()
     # v = max over the directions of |X_j^k m| per order k and point
-    derivs = [geo.lie_derivative(symbol.profile, stack, j, basis, order)[1:] for j in dirs]
+    derivs = [geo.lie_derivative(symbol.profile, stack, basis[j], order)[1:] for j in dirs]
     vmax = np.vstack([np.abs(symbol(stack)), np.max(np.abs(derivs), axis=0)])
 
     sup_per_order, ray_fits = {}, {}
@@ -217,9 +218,10 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
 
     sigma1 = n * n // 2 + 1
     xs = np.geomspace(10.0, 1e4, 25)
-    phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
-    vals = np.abs(np.asarray(profile(xs), dtype=float) - phi_inf)
-    fitted = _fit_exponent(xs, vals)  # None: phi - phi_inf vanishes faster than any power
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fits no exponent
+        phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
+        vals = np.abs(np.asarray(profile(xs), dtype=float) - phi_inf)
+        fitted = _fit_exponent(xs, vals)  # None: phi - phi_inf vanishes faster than any power
     rep.add(CheckRecord(
         name="hm-sufficient-decay", check_id="hm/sufficient-decay",
         verdict=PASS if fitted is None or fitted >= 0.9 * sigma1 else INCONCLUSIVE,
@@ -234,8 +236,8 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
     and the Schatten sum at the requested derivative order."""
     rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
-    system = sphere.SphericalEigenSystem(n, k_max)
-    mults, table = system.multiplicities(), system.eigenvalues(xs)  # m_k checks k_max first
+    mults = [sphere.multiplicity(n, k) for k in range(k_max + 1)]  # checks k_max before the table
+    table = sphere.eigenvalue_table(n, xs, k_max)
     rep.add_table("spectrum", [
         {"k": k, "m_k": m_k, **{f"phi(x={x:g})": float(v) for x, v in zip(xs, table[k])}}
         for k, m_k in enumerate(mults)])
@@ -291,18 +293,23 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
 
 
 def cmd_geometry(n: int, r_list) -> CertificationReport:
-    """Chamber ball volumes over a radius list and the growth-rate record."""
+    """Chamber ball volumes over a radius list and the growth-rate record, fitted to the
+    positive volumes: INCONCLUSIVE when they sit at fewer than three distinct radii."""
     rep = CertificationReport(command="geometry")
     rs = np.asarray(list(r_list), dtype=float)
     vols = np.array([geo.weyl_ball_volume(n, float(r)) for r in rs])
     rep.add_table("volumes", [{"R": float(r), "volume": float(v)} for r, v in zip(rs, vols)])
     sigma = n * n // 2
     if len(rs) >= 3:
-        slope = float(np.polyfit(rs, np.log(vols), 1)[0])
+        keep = vols > 0.0  # an underflowed volume has no logarithm
+        fit = len(np.unique(rs[keep])) >= 3
+        slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
         rep.add(CheckRecord(
             name="volume-growth-rate", check_id="geometry/volume-growth",
-            verdict=PASS if abs(slope - sigma) <= 0.05 * sigma else FAIL,
+            verdict=(INCONCLUSIVE if not fit else PASS if abs(slope - sigma) <= 0.05 * sigma
+                     else FAIL),
             measured=slope, bound=float(sigma), tolerance=0.05,
+            details={} if fit else {"note": "fewer than three distinct radii with a positive volume"},
         ))
     return rep
 

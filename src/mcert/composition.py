@@ -126,7 +126,7 @@ def shear_operator_norm(x):
 def rotation_matrix(n: int, delta: float) -> np.ndarray:
     """Rotation by arccos(delta) in the first two coordinates of R^n."""
     if not (-1.0 <= delta <= 1.0):
-        raise DomainError("delta must lie in [-1, 1]", measured=delta)
+        raise DomainError("delta must lie in [-1, 1]")
     k = np.eye(n)
     s = math.sqrt(max(1.0 - delta * delta, 0.0))
     k[0, 0] = delta
@@ -138,45 +138,23 @@ def rotation_matrix(n: int, delta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompositionFrame:
-    """Diagonal matrix D = diag(e^r, e^s x (m-1), e^t x (n-m)) in SL(n).
-
-    ``m`` is the target rank (m = n reproduces the plain frame,
-    where t is vacuous).  The exponents satisfy r + (m-1)s + (n-m)t = 0.
-    """
+    """Diagonal matrix D = diag(e^r, e^s x (n-1)) in SL(n), r + (n-1)s = 0."""
 
     n: int
-    m: int
     r: float
     s: float
-    t: float
 
     @classmethod
-    def create(cls, n: int, r: float, m: int | None = None) -> "CompositionFrame":
+    def create(cls, n: int, r: float) -> "CompositionFrame":
         if n < 3:
             raise InputError("n must be >= 3")
-        m = n if m is None else m
-        if not (3 <= m <= n):
-            raise InputError("need 3 <= m <= n")
         if not (r > 0):
-            raise DomainError("r must be positive", measured=r)
-        s = -(n - m + 2) / (n + m - 2) * r
-        t = (m - 2) / (n + m - 2) * r
-        return cls(n=n, m=m, r=r, s=s, t=t)
-
-    @classmethod
-    def from_opnorm_coupling(cls, n: int, x: float, m: int | None = None) -> "CompositionFrame":
-        """Frame with x at the lower edge of the operator-norm window,
-        where the coordinate-change derivatives are smallest."""
-        m = n if m is None else m
-        if not (x > 1.0):
-            raise DomainError("x must exceed 1", measured=x)
-        r = 0.5 * (1.0 + n / (m - 2)) * math.log(x)
-        return cls.create(n, r, m)
+            raise DomainError("r must be positive")
+        # -r / (n - 1) rounds differently, and the section reports carry these bits
+        return cls(n=n, r=r, s=-2 / (2 * n - 2) * r)
 
     def d_matrix(self) -> np.ndarray:
-        diag = [math.exp(self.r)] + [math.exp(self.s)] * (self.m - 1) \
-            + [math.exp(self.t)] * (self.n - self.m)
-        return np.diag(diag)
+        return np.diag([math.exp(self.r)] + [math.exp(self.s)] * (self.n - 1))
 
     def conjugated_rotation(self, delta: float) -> np.ndarray:
         d = self.d_matrix()
@@ -198,15 +176,12 @@ class CompositionFrame:
     @property
     def hs_min(self) -> float:
         val = (2.0 * math.exp(2.0 * (self.r + self.s))
-               + (self.m - 2) * math.exp(4.0 * self.s)
-               + (self.n - self.m) * math.exp(4.0 * self.t)) / self.n
+               + (self.n - 2) * math.exp(4.0 * self.s)) / self.n
         return math.sqrt(val)
 
     @property
     def hs_max(self) -> float:
-        val = (math.exp(4.0 * self.r)
-               + (self.m - 1) * math.exp(4.0 * self.s)
-               + (self.n - self.m) * math.exp(4.0 * self.t)) / self.n
+        val = (math.exp(4.0 * self.r) + (self.n - 1) * math.exp(4.0 * self.s)) / self.n
         return math.sqrt(val)
 
     def hs_of_delta(self, delta) -> np.ndarray:
@@ -266,7 +241,7 @@ def so_n1_trace_coefficients(n: int, r: float):
     (a, b, c, g) where g inverts the quadratic on [c, a + b + c].
     """
     if not (r > 0):
-        raise DomainError("r must be positive", measured=r)
+        raise DomainError("r must be positive")
     a = 4.0 * math.sinh(r) ** 4
     b = 2.0 * math.sinh(2.0 * r) ** 2
     c = n - 3.0 + 4.0 * math.cosh(r) ** 4

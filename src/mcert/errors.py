@@ -16,10 +16,6 @@ class InputError(CertifyError):
 class DomainError(CertifyError):
     """Input outside the mathematical domain of an operation."""
 
-    def __init__(self, message, measured=None):
-        super().__init__(message)
-        self.measured = measured
-
 
 class RangeError(CertifyError):
     """Parameter outside the supported or configured range."""
@@ -31,7 +27,3 @@ class NumericError(CertifyError):
 
 class AccuracyError(CertifyError):
     """Requested accuracy could not be reached or certified."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate

@@ -110,7 +110,7 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
     direction-cosine moment is a 1-D quadrature.
     """
     if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie strictly inside (0, 1)", measured=eps)
+        raise DomainError("eps must lie strictly inside (0, 1)")
     if d < 1:
         raise InputError("dimension must be >= 1")
     surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -126,27 +126,6 @@ def frac_laplacian_length(d: int, eps: float, xi):
 
 # ---------------------------------------------------------------------------
 # Evaluation grids
-
-
-def _directions(d: int, count: int) -> np.ndarray:
-    """Deterministic direction design: coordinate axes, then fixed
-    pseudorandom unit vectors to reach the requested count."""
-    dirs = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        dirs.append(e.copy())
-        dirs.append(-e)
-    if d == 2:
-        for t in np.arange(count):
-            ang = 2.0 * math.pi * (t + 0.5) / count
-            dirs.append(np.array([math.cos(ang), math.sin(ang)]))
-    elif len(dirs) < count:
-        rng = np.random.default_rng(0x5EED)
-        extra = rng.standard_normal((count - len(dirs), d))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        dirs.extend(extra)
-    return np.array(dirs)
 
 
 @dataclass(frozen=True)
@@ -200,25 +179,18 @@ def _check_leakage(samples: np.ndarray, grid: GridSpec, name: str, tol: float = 
         mask[tuple(sl)] = True
     leak = float(np.sum(np.abs(samples[mask]) ** 2)) / total
     if leak > tol:
-        raise AccuracyError(f"{name}: support leaks outside the box (fraction {leak:.2e})",
-                            estimate=leak)
+        raise AccuracyError(f"{name}: support leaks outside the box (fraction {leak:.2e})")
 
 
 def sobolev_norm_w(m: EuclideanSymbol, eps: float, grid: GridSpec) -> float:
     """Dilation-invariant norm || |.|^{d/2+eps} (sqrt(psi_eps) m)^ ||_2.
 
-    Requires m to vanish near the origin; the inner radius is taken from
-    the symbol metadata or probed on a small shell.
+    Requires m to vanish near the origin: its ``inner_radius`` must be set
+    and positive (DomainError).
     """
     d = m.d
-    inner = m.inner_radius
-    if inner is None:
-        probe_r = grid.box_halfwidth * 1e-3
-        probe = probe_r * _directions(d, 8)
-        if np.max(np.abs(np.asarray(m(probe), dtype=complex))) > 1e-12:
-            raise DomainError("symbol support touches the origin")
-    elif inner <= 0:
-        raise DomainError("symbol support touches the origin", measured=inner)
+    if m.inner_radius is None or not m.inner_radius > 0:
+        raise DomainError("symbol support touches the origin: the inner radius must be positive")
     c = frac_laplacian_constant(d, eps)
     samples = _sample_box(m, grid)
     _check_leakage(samples, grid, "sobolev_norm_w")
@@ -247,6 +219,6 @@ def local_inversion(a, tol: float = 1e-12) -> np.ndarray:
     shifted = a + np.eye(a.shape[0])
     cond = np.linalg.cond(shifted)
     if not math.isfinite(cond) or cond > 1.0 / tol:
-        raise DomainError("A + e is numerically singular", measured=cond)
+        raise DomainError("A + e is numerically singular")
     return np.linalg.inv(shifted) - np.eye(a.shape[0])
 

@@ -1,5 +1,5 @@
-"""Geometry of SL(n,R): KAK factorization, the growth metric, Lie
-derivatives, Weyl-chamber integration and spherical averages.
+"""Geometry of SL(n,R): the growth metric, Lie derivatives, Weyl-chamber
+integration and spherical averages.
 
 Conventions used throughout:
 
@@ -16,7 +16,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +28,8 @@ from .sphere import gauss_legendre
 __all__ = [
     "GroupElement",
     "check_special_linear",
-    "CartanDecomposition",
-    "LieBasis",
     "identity",
-    "kak_decompose",
+    "lie_basis",
     "dist_to_identity",
     "expm",
     "lie_derivative",
@@ -54,7 +52,7 @@ def check_special_linear(mats) -> np.ndarray:
     bad = np.abs(det - 1.0) > 1e-10 * scale
     if np.any(bad):
         worst = float(det[bad].flat[0])
-        raise DomainError(f"determinant {worst} too far from 1", measured=worst)
+        raise DomainError(f"determinant {worst} too far from 1")
     return m
 
 
@@ -82,45 +80,6 @@ def identity(n: int) -> GroupElement:
     return GroupElement(np.eye(n))
 
 
-@dataclass(frozen=True)
-class CartanDecomposition:
-    """KAK factorization g = k1 diag(e^{s_i}) k2 with s_1 >= ... >= s_n."""
-
-    k1: np.ndarray
-    exponents: np.ndarray
-    k2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.k1 @ np.diag(np.exp(self.exponents)) @ self.k2
-
-
-def kak_decompose(g: GroupElement) -> CartanDecomposition:
-    """KAK factorization through the singular value decomposition.
-
-    Both orthogonal factors are returned in SO(n); the exponents are the
-    logarithms of the singular values, sorted descending with zero sum.
-    """
-    m = g.entries
-    try:
-        u, sig, vt = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericError(f"SVD failed: {exc}") from exc
-    if np.linalg.det(u) < 0:
-        # det(u)det(v) = sign(det g) = +1, so both flips happen together
-        u = u.copy()
-        vt = vt.copy()
-        u[:, -1] *= -1.0
-        vt[-1, :] *= -1.0
-    s = np.log(sig)
-    s = s - s.mean()  # exact zero sum despite rounding
-    return CartanDecomposition(k1=u, exponents=s, k2=vt)
-
-
-def _matrices(g) -> np.ndarray:
-    """The entries of a GroupElement, or a (..., n, n) stack as given."""
-    return g.entries if isinstance(g, GroupElement) else g
-
-
 def _dist_jet(mats, x=None, order: int = 0) -> list:
     """Jet of s -> d(g exp(sX)) at s = 0 over an (N, n, n) stack of g.  The curves
     g exp(sX) - e and exp(-sX) g^-1 - e have the matrix jets [g - e, g X^m / m!] and
@@ -138,52 +97,43 @@ def _dist_jet(mats, x=None, order: int = 0) -> list:
     return taylor.power([(p + q) / (2 * n) for p, q in zip(sq(ja), sq(jb))], 0.5)
 
 
-def dist_to_identity(g):
+def dist_to_identity(mats):
     """The distance d(g) = sqrt((|g - e|^2 + |g^-1 - e|^2) / 2) to the identity.
 
     Smooth away from e, d(g) = d(g^-1), and it vanishes only at e: it is
     comparable to |g - e| near the identity and to L(g) at infinity.  Takes
-    a GroupElement or a (..., n, n) stack that :func:`check_special_linear`
-    accepts and returns values of shape ``...`` (a numpy scalar for one
-    matrix, with the bits it has inside a stack); :func:`lie_derivative` takes
-    its jets along one-parameter subgroups.
+    a (..., n, n) stack that :func:`check_special_linear` accepts and returns
+    values of shape ``...`` (a numpy scalar for one (n, n) matrix, with the bits
+    it has inside a stack); :func:`lie_derivative` takes its jets along
+    one-parameter subgroups.
     """
-    m = _matrices(g)
-    return _dist_jet(m.reshape(-1, *m.shape[-2:]))[0].reshape(m.shape[:-2])[()]
+    return _dist_jet(mats.reshape(-1, *mats.shape[-2:]))[0].reshape(mats.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
 # Lie algebra basis and derivatives
 
 
-@dataclass(frozen=True)
-class LieBasis:
-    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y)."""
-
-    n: int
-    mats: np.ndarray = field(repr=False)
-
-    @classmethod
-    def standard(cls, n: int) -> "LieBasis":
-        mats = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    e = np.zeros((n, n))
-                    e[i, j] = 1.0
-                    mats.append(e)
-        for k in range(1, n):
-            d = np.zeros((n, n))
-            d[np.arange(k), np.arange(k)] = 1.0
-            d[k, k] = -float(k)
-            mats.append(d / math.sqrt(k * (k + 1)))
-        return cls(n=n, mats=np.array(mats))
-
-    def __len__(self) -> int:
-        return self.mats.shape[0]
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.mats[j]
+@lru_cache(maxsize=None)
+def lie_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y), read-only,
+    shaped (n^2 - 1, n, n): the E_ij (i != j) in row-major order, then the diagonal
+    (E_11 + ... + E_kk - k E_{k+1,k+1}) / sqrt(k (k + 1)) for k = 1..n-1."""
+    mats = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                e = np.zeros((n, n))
+                e[i, j] = 1.0
+                mats.append(e)
+    for k in range(1, n):
+        d = np.zeros((n, n))
+        d[np.arange(k), np.arange(k)] = 1.0
+        d[k, k] = -float(k)
+        mats.append(d / math.sqrt(k * (k + 1)))
+    out = np.array(mats)
+    out.flags.writeable = False
+    return out
 
 
 def expm(x, s=1.0) -> np.ndarray:
@@ -207,21 +157,22 @@ def expm(x, s=1.0) -> np.ndarray:
     return out
 
 
-def lie_derivative(phi, g, j: int, basis: LieBasis, order: int) -> np.ndarray:
-    """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(s X_j))) of a radial
-    profile phi along one basis direction, exact up to rounding.
+def lie_derivative(phi, mats, x, order: int) -> np.ndarray:
+    """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(sX))) of a radial
+    profile phi along the generator X (an (n, n) matrix, such as a row of
+    :func:`lie_basis`), exact up to rounding.
 
     The jet of the distance along the flow (:func:`dist_to_identity`) is composed
     with the profile's jet map ``phi.of`` (:class:`mcert.symbols.RadialProfile`).
-    ``g`` is a GroupElement or a (..., n, n) stack that :func:`check_special_linear`
-    accepts, and the result has shape (order + 1, ...), the same bits for a matrix
-    in any stack.  ``phi.of`` takes and returns jets of (N,) arrays; another shape
-    is an InputError, and a non-finite derivative a NumericError.
+    ``mats`` is a (..., n, n) stack of g that :func:`check_special_linear` accepts,
+    and the result has shape (order + 1, ...), the same bits for a matrix in any
+    stack.  ``phi.of`` takes and returns jets of (N,) arrays; another shape is an
+    InputError, and a non-finite derivative a NumericError.
     """
-    mats = check_special_linear(_matrices(g))
+    mats = check_special_linear(mats)
     flat = mats.reshape(-1, *mats.shape[-2:])
     with np.errstate(all="ignore"):
-        jet = phi.of(_dist_jet(flat, basis[j], order))
+        jet = phi.of(_dist_jet(flat, np.asarray(x, dtype=float), order))
         if len(jet) != order + 1 or any(np.shape(c) != flat.shape[:1] for c in jet):
             raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
                              f"{len(flat)} matrices at order {order}")
@@ -301,7 +252,7 @@ def weyl_ball_volume(n: int, r: float) -> float:
     if n < 2 or n > 5:
         raise InputError("n must be in {2, ..., 5}")
     if not (0 < r < math.inf):
-        raise DomainError("radius must be positive and finite", measured=r)
+        raise DomainError("radius must be positive and finite")
     if r >= _FLOAT_RADIUS[n - 2]:  # before the rule is sized: q grows with r
         raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
     # coarser rule within 1e-11 up to the float range, sigma r < 724; n + 4 covers small r
@@ -312,8 +263,8 @@ def weyl_ball_volume(n: int, r: float) -> float:
     if math.isinf(vol):  # rounded past the largest float, just below _FLOAT_RADIUS
         raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
     if abs(coarse - vol) > 1e-9 * vol:
-        raise AccuracyError("chamber quadrature did not converge", estimate=abs(coarse - vol))
-    return vol
+        raise AccuracyError("chamber quadrature did not converge")
+    return vol + 0.0  # an underflowed volume is +0.0, whatever the sign of the weight
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ __all__ = [
     "gegenbauer_normalized",
     "gegenbauer_integral",
     "multiplicity",
-    "SphericalEigenSystem",
+    "eigenvalue_table",
     "RigidityExponents",
     "SchattenSumResult",
     "schatten_derivative_sum",
@@ -55,12 +55,13 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     return np.array(rows[:k_cap + 1], dtype=float)
 
 
-def _checked_table(n: int, x, k_cap: int) -> np.ndarray:
-    """:func:`_eigenvalue_table` behind the public checks on n, k and x."""
+def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
+    """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
+    k_cap >= 0 (InputError), every x in [-1, 1] (DomainError)."""
     _check_nk(n, k_cap)
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
-        raise DomainError("argument outside [-1, 1]", measured=float(np.abs(x).max()))
+        raise DomainError("argument outside [-1, 1]")
     return _eigenvalue_table(n, x, k_cap)
 
 
@@ -70,7 +71,7 @@ def gegenbauer_normalized(n: int, k: int, x):
     Ultraspherical three-term recurrence at index lambda = (n-2)/2,
     normalized so the value at 1 is exactly 1.  Vectorized in x.
     """
-    return _checked_table(n, x, k)[k]
+    return eigenvalue_table(n, x, k)[k]
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
@@ -81,17 +82,15 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
+def gegenbauer_integral(n: int, k: int, x):
     """Quadrature form c_n int_0^pi (x + i sqrt(1-x^2) cos t)^k sin^{n-3} t dt.
 
-    Cross-check for the recurrence; the imaginary part must cancel and is
-    asserted below 1e-12.
+    Cross-check for the recurrence, by Gauss-Legendre at max(64, 2k + 8) nodes;
+    the imaginary part must cancel and is asserted below 1e-12.
     """
     _check_nk(n, k)
     x = np.asarray(x, dtype=float)
-    if nodes is None:
-        nodes = max(64, 2 * k + 8)
-    t, w = gauss_legendre(nodes)
+    t, w = gauss_legendre(max(64, 2 * k + 8))
     theta = 0.5 * math.pi * (t + 1.0)
     wt = w * 0.5 * math.pi
     c_n = math.gamma((n - 1) / 2.0) / (math.sqrt(math.pi) * math.gamma((n - 2) / 2.0))
@@ -99,7 +98,7 @@ def gegenbauer_integral(n: int, k: int, x, nodes: int | None = None):
     integrand = base ** k * np.sin(theta) ** (n - 3)
     val = c_n * np.sum(wt * integrand, axis=-1)
     if np.max(np.abs(val.imag)) > 1e-12:
-        raise AccuracyError("imaginary part failed to cancel", estimate=float(np.max(np.abs(val.imag))))
+        raise AccuracyError("imaginary part failed to cancel")
     return val.real
 
 
@@ -110,21 +109,6 @@ def multiplicity(n: int, k: int) -> int:
     if n + k - 3 > _FACTORIAL_BOUND:
         raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
     return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
-
-
-@dataclass(frozen=True)
-class SphericalEigenSystem:
-    """Tabulated eigenvalues and multiplicities up to a degree cap."""
-
-    n: int
-    k_max: int
-
-    def eigenvalues(self, x) -> np.ndarray:
-        """Array of shape (k_max+1, ...) with the eigenvalues at x."""
-        return _checked_table(self.n, x, self.k_max)
-
-    def multiplicities(self) -> list:
-        return [multiplicity(self.n, k) for k in range(self.k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +126,14 @@ class RigidityExponents:
     c: tuple
 
     @classmethod
-    def compute(cls, n: int, p: float, integer_shift: float = 1e-3) -> "RigidityExponents":
+    def compute(cls, n: int, p: float) -> "RigidityExponents":
         if n < 3:
             raise InputError("n must be >= 3")
         if not (p > 2.0 + 2.0 / (n - 2)):
-            raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}", measured=p)
+            raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}")
         alpha0 = (n - 2) / 2.0 - (n - 1) / p
         near_int = abs(alpha0 - round(alpha0)) < 1e-12 and round(alpha0) >= 1
-        alpha = alpha0 - integer_shift if near_int else alpha0
+        alpha = alpha0 - 1e-3 if near_int else alpha0  # off an integer, where [alpha] jumps
         cs = []
         if alpha > 1.0:
             c0 = n / math.floor(3.0 / (1.0 - 2.0 / p))
@@ -164,7 +148,8 @@ class RigidityExponents:
 # ---------------------------------------------------------------------------
 # Schatten sums over the spectrum
 
-_DEFAULT_INTERIOR = 0.95
+_INTERIOR = 0.95  # |x| above this is a DomainError: the decay constants blow up at |x| = 1
+_K_MAX = 1 << 18  # the truncation a certified tail may double to
 
 
 def _derivative_table(n: int, r: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
@@ -194,16 +179,16 @@ def _multiplicity_table(n: int, k_cap: int) -> np.ndarray:
     return mult
 
 
-_BANDS = (0.5, 0.6, 0.7, 0.8, 0.9, _DEFAULT_INTERIOR)
+_BANDS = (0.5, 0.6, 0.7, 0.8, 0.9, _INTERIOR)
 
 
 @lru_cache(maxsize=None)
-def _decay_constant(n: int, r: int, band: float = 0.5, k_probe: int = 200) -> float:
+def _decay_constant(n: int, r: int, band: float) -> float:
     """Measured best constant in |d^r eigenvalue_k| <= C (1+k)^{r+1-n/2}
-    on [-band, band], times a safety factor 2."""
+    on [-band, band] over k <= 200, times a safety factor 2."""
     xs = np.linspace(-band, band, 41)
-    table = np.abs(_derivative_table(n, r, xs, k_probe))
-    ks = np.arange(k_probe + 1)
+    table = np.abs(_derivative_table(n, r, xs, 200))
+    ks = np.arange(201)
     ratios = table.max(axis=1) / (1.0 + ks) ** (r + 1 - n / 2.0)
     return 2.0 * float(ratios.max())
 
@@ -216,9 +201,9 @@ def _band_for(x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _multiplicity_constant(n: int, k_probe: int = 400) -> float:
-    """Measured best constant in m_k <= A (1+k)^{n-2}, times 2."""
-    worst = max(multiplicity(n, k) / (1.0 + k) ** (n - 2) for k in range(k_probe + 1))
+def _multiplicity_constant(n: int) -> float:
+    """Measured best constant in m_k <= A (1+k)^{n-2} over k <= 400, times 2."""
+    worst = max(multiplicity(n, k) / (1.0 + k) ** (n - 2) for k in range(401))
     return 2.0 * worst
 
 
@@ -228,9 +213,6 @@ class SchattenSumResult:
     diverged: bool
     k_used: int = 0
     tail_bound: float = 0.0
-
-    def __bool__(self):  # truthy when a finite value was produced
-        return not self.diverged
 
 
 def _alpha0(n: int, p: float) -> float:
@@ -244,44 +226,49 @@ def _check_sum_args(p: float, order: float) -> None:
         raise InputError(f"derivative order must be >= 0, got {order}")
 
 
-def _truncated_norm(total: float, n: int, p: float, r: int, cdec: float,
+def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
                     k_cap: int) -> tuple[float, float]:
     """(value, err): the 1/p power of a sum of p-th-power terms over degrees
     0..k_cap, and the analytic tail remainder past k_cap for terms bounded
     by m_k (cdec (1+k)^{r-alpha0})^p, pushed through the concavity bound
-    for the 1/p power."""
+    for the 1/p power; ``scale`` is A cdec^p, A the multiplicity constant."""
     power = p * (r - _alpha0(n, p))  # tail terms decay like (1+k)^{power - 1}
-    tail = _multiplicity_constant(n) * cdec ** p * (1.0 + k_cap) ** power / (-power)
+    tail = scale * (1.0 + k_cap) ** power / (-power)
     value = total ** (1.0 / p)
     err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
     return value, err
 
 
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
-                            k_start: int = 64, k_max: int = 1 << 18,
-                            interior: float = _DEFAULT_INTERIOR) -> SchattenSumResult:
-    """Schatten p-sum of the r-th derivative spectrum with certified tail.
+                            k_start: int = 64) -> SchattenSumResult:
+    """Schatten p-sum of the r-th derivative spectrum with certified tail, for
+    |x| <= _INTERIOR (DomainError) and a truncation of at most _K_MAX degrees
+    (AccuracyError); a tail constant past the float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
     """
     _check_sum_args(p, r)
-    if not abs(x) <= interior:  # NaN included
-        raise DomainError(f"|x| must be <= {interior}", measured=x)
+    if not abs(x) <= _INTERIOR:  # NaN included
+        raise DomainError(f"|x| must be <= {_INTERIOR}")
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
         return SchattenSumResult(value=None, diverged=True)
-    cdec = _decay_constant(n, r, band=_band_for(x))
+    cdec = _decay_constant(n, r, _band_for(x))
+    try:  # Python float powers raise past the float range
+        scale = _multiplicity_constant(n) * cdec ** p
+    except OverflowError:
+        raise RangeError(f"the tail bound at n = {n}, p = {p:g} exceeds the float range") from None
     xs = np.asarray(float(x))
     rows = []  # each doubling resumes the recurrence where the last one stopped
     k_cap = k_start
     while True:  # grow the truncation until the tail is below tail_tol relative to the norm
         table = np.abs(_derivative_table(n, r, xs, k_cap, rows))
         total = float(np.sum(_multiplicity_table(n, k_cap) * table ** p))
-        value, err = _truncated_norm(total, n, p, r, cdec, k_cap)
+        value, err = _truncated_norm(total, n, p, r, scale, k_cap)
         if err <= tail_tol * max(value, 1e-300):
             return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
-        if 2 * k_cap > k_max:
-            raise AccuracyError("tail tolerance unreachable within k_max", estimate=err)
+        if 2 * k_cap > _K_MAX:
+            raise AccuracyError("tail tolerance unreachable within k_max")
         k_cap *= 2
 
 
@@ -311,7 +298,7 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360,
     repeated at half resolution and must agree within the tolerance.
     """
     if not (-1.0 <= delta <= 1.0):
-        raise DomainError("delta must lie in [-1, 1]", measured=delta)
+        raise DomainError("delta must lie in [-1, 1]")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 3:
         raise InputError("the averaging oracle is implemented on S^2 (n = 3)")
@@ -335,5 +322,5 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360,
         coarse = run(max(circle_nodes // 2, 8))
         mismatch = float(np.max(np.abs(vals - coarse)))
         if mismatch > check_tol:
-            raise AccuracyError("circle quadrature too coarse", estimate=mismatch)
+            raise AccuracyError("circle quadrature too coarse")
     return vals

@@ -81,10 +81,6 @@ class RadialProfile:
     def __call__(self, x):
         return self.jet(x, 0)[0]
 
-    def derivative(self, k: int, x):
-        """k-th derivative, exact up to rounding."""
-        return math.factorial(k) * self.jet(x, k)[k]
-
 
 # ---------------------------------------------------------------------------
 # Built-in families

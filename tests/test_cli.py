@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,21 @@ from matrix_csv import write_matrix_csv
 def load_report(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def main_strict(argv):
+    """main(argv) with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+def strict_json(path):
+    """The report at path, parsed with NaN and Infinity rejected."""
+    def reject(token):
+        raise ValueError(f"bare {token} in the report")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def run_cli(argv):
@@ -181,6 +197,25 @@ class TestRigidity:
         assert verdicts.pop("hm-sufficient-decay") == "INCONCLUSIVE"
         assert set(verdicts.values()) == {"PASS"}
 
+    @pytest.mark.parametrize("spec, sections, code", [
+        ("radial-power:exponent=-200", [], 1), ("radial-power:exponent=-200", ["2"], 1),
+        ("radial-log-power:exponent=-300,log_exponent=-300", [], 1),
+        ("radial-log-power:exponent=-300,log_exponent=-300", ["2"], 3)])
+    def test_overflowing_profile_warns_nothing(self, spec, sections, code, tmp_path, capsys):
+        # the records of an overflowing profile are INCONCLUSIVE or null; a section that
+        # overflows is an accuracy error that names its size, not a bad symbol matrix
+        out = tmp_path / "grow.json"
+        argv = ["rigidity", "--profile", spec, "--n", "5", "--p", "6", "--out", str(out)]
+        rc = main_strict(argv + (["--sections", *sections] if sections else []))
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code == 3:
+            assert err == "accuracy error: the profile overflows on the 8-point section\n"
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert strict_json(out)["verdict"] == "INCONCLUSIVE"
+
     def test_shift_above_minus_one_accepted(self, tmp_path):
         # the rigidity records evaluate the profile on [1.05, 1e4] only
         rc = main(["rigidity", "--profile", "radial-power:exponent=2.5,shift=-0.5", "--n", "3",
@@ -313,6 +348,16 @@ class TestSphereSpectrum:
         rc = main(["sphere-spectrum", "--n", "3", *bad])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, p", [("102", "4"), ("3", "1e4"), ("200", "4")])
+    def test_tail_bound_past_float_range_is_input_error(self, n, p, tmp_path, capsys):
+        # the tail constant A cdec^p of the certified Schatten sum overflows a float
+        out = tmp_path / "spec.json"
+        rc = main_strict(["sphere-spectrum", "--n", n, "--p", p, "--x", "0.5", "--kmax", "5",
+                          "--out", str(out)])
+        assert rc == 2
+        assert f"n = {n}, p = {float(p):g} exceeds the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_large_kmax_finishes(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -456,6 +501,20 @@ class TestGeometryCommand:
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["seeds"] == {}
+
+    @pytest.mark.parametrize("n, radii", [("3", ["1e-300", "1e-200", "1e-100"]),
+                                          ("2", ["5", "5", "5"]),
+                                          ("2", ["1e-300", "1e-300", "2", "3"])])
+    def test_unfittable_radii_are_inconclusive(self, n, radii, tmp_path):
+        # a growth rate needs positive volumes at three distinct radii; an underflowed
+        # volume is written as 0.0
+        out = tmp_path / "geo.json"
+        assert main_strict(["geometry", "--n", n, "--R", *radii, "--out", str(out)]) == 1
+        rep = strict_json(out)
+        (record,) = rep["records"]
+        assert record["verdict"] == "INCONCLUSIVE" and record["measured"] is None
+        vols = [row["volume"] for row in rep["tables"]["volumes"]]
+        assert all(v > 0 or math.copysign(1.0, v) == 1.0 for v in vols)
 
     def test_bad_radius_is_input_error(self):
         rc = main(["geometry", "--n", "2", "--R", "-1"])

@@ -161,13 +161,18 @@ class TestShearNorm:
             assert float(shear_operator_norm(x)) == pytest.approx(top, rel=1e-14)
 
 
+def coupling_frame(n, x):
+    """The frame with x at the lower edge of its operator-norm window, where the
+    coordinate-change derivatives are smallest: r = (1 + n / (n - 2)) log(x) / 2."""
+    return CompositionFrame.create(n, 0.5 * (1.0 + n / (n - 2)) * math.log(x))
+
+
 class TestFrames:
     def test_exponent_sum_vanishes(self):
         for n in range(3, 7):
-            for m in range(3, n + 1):
-                f = CompositionFrame.create(n, 1.1, m=m)
-                assert abs(f.r + (f.m - 1) * f.s + (f.n - f.m) * f.t) <= 1e-12
-                assert abs(np.linalg.det(f.d_matrix()) - 1.0) <= 1e-12
+            f = CompositionFrame.create(n, 1.1)
+            assert abs(f.r + (f.n - 1) * f.s) <= 1e-12
+            assert abs(np.linalg.det(f.d_matrix()) - 1.0) <= 1e-12
 
     def test_plain_frame_exponent(self):
         f = CompositionFrame.create(5, 2.0)
@@ -193,11 +198,10 @@ class TestFrames:
         assert worst <= 1e-12
 
     def test_coupling_constructor(self):
-        for n, m, x in [(3, None, 2.5), (6, 4, 7.0)]:
-            f = CompositionFrame.from_opnorm_coupling(n, x, m=m)
+        for n, x in [(3, 2.5), (6, 7.0)]:
+            f = coupling_frame(n, x)
             assert f.x_min == pytest.approx(x, rel=1e-12)
-            mm = f.m
-            assert f.x_max == pytest.approx(x ** (1 + n / (mm - 2)), rel=1e-12)
+            assert f.x_max == pytest.approx(x ** (1 + n / (n - 2)), rel=1e-12)
 
 
 class TestCoordinateChanges:
@@ -266,7 +270,7 @@ class TestCoordinateChanges:
         n, k = 3, 3
         cs = []
         for x in np.geomspace(1.3, 50.0, 12):
-            f = CompositionFrame.from_opnorm_coupling(n, float(x))
+            f = coupling_frame(n, float(x))
             peak = max(abs(float(opnorm_coordinate_derivative(f, j, x))) ** (k / j)
                        for j in range(1, k + 1))
             cs.append(peak * (x - 1.0) ** k * x ** (n / (n - 2)))
@@ -346,7 +350,7 @@ class TestHsCoordinateTail:
         n = 3
         cs = []
         for x in np.geomspace(5.0, 200.0, 8):
-            f = CompositionFrame.from_opnorm_coupling(n, float(x))
+            f = coupling_frame(n, float(x))
             assert f.hs_min < x < f.hs_max
             for j in (1, 2, 3):
                 h = 1e-3 * x

@@ -10,11 +10,11 @@ from scipy.linalg import expm as scipy_expm
 from scipy.spatial import Delaunay, HalfspaceIntersection
 
 from mcert import geometry, taylor
-from mcert.cli import _sample_directions, _sweep_points, cmd_certify_hm
+from mcert.cli import _basis_indices, _sweep_points, cmd_certify_hm
 from mcert.errors import DomainError, InputError, NumericError, RangeError
-from mcert.geometry import (GroupElement, LieBasis, _chamber_integral, check_special_linear,
+from mcert.geometry import (GroupElement, _chamber_integral, check_special_linear,
                             dist_to_identity, expm, harish_chandra_xi, haar_so, identity,
-                            kak_decompose, lie_derivative, weyl_ball_volume)
+                            lie_basis, lie_derivative, weyl_ball_volume)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 from test_symbols import _mp_profile
@@ -105,45 +105,14 @@ class TestGroupElement:
                            atol=1e-12)
 
 
-class TestKAK:
-    def test_identity(self):
-        dec = kak_decompose(identity(3))
-        assert np.allclose(dec.exponents, 0.0)
-        assert np.allclose(dec.k1 @ dec.k1.T, np.eye(3), atol=1e-12)
-        assert np.allclose(dec.k2 @ dec.k2.T, np.eye(3), atol=1e-12)
-
-    def test_already_diagonal(self):
-        g = GroupElement(np.diag([math.e, 1.0, 1.0 / math.e]))
-        dec = kak_decompose(g)
-        assert np.allclose(dec.exponents, [1.0, 0.0, -1.0], atol=1e-12)
-
-    def test_construct_then_decompose_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            g, s = random_element(rng, 4, spread=2.0)
-            dec = kak_decompose(g)
-            assert np.allclose(dec.exponents, s, atol=1e-10)
-            assert np.abs(dec.reconstruct() - g.entries).max() <= 1e-10 * max(
-                1.0, np.abs(g.entries).max())
-            assert abs(dec.exponents.sum()) <= 1e-12
-            assert np.all(np.diff(dec.exponents) <= 1e-12)
-
-    def test_special_orthogonal_factors(self):
-        rng = np.random.default_rng(3)
-        g, _ = random_element(rng, 3)
-        dec = kak_decompose(g)
-        assert np.linalg.det(dec.k1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.det(dec.k2) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestDistToIdentity:
     def test_identity_zero(self):
-        assert dist_to_identity(identity(3)) == 0.0
+        assert dist_to_identity(identity(3).entries) == 0.0
 
     def test_zero_only_at_identity(self):
         rng = np.random.default_rng(5)
         k = haar_so(3, 1, rng)[0]  # far from e but length 1
-        assert dist_to_identity(GroupElement(k)) > 0.01
+        assert dist_to_identity(k) > 0.01
 
     def test_near_identity_comparable(self):
         # window constant 2 sqrt(n) + slack, reported per n
@@ -158,7 +127,7 @@ class TestDistToIdentity:
             near = np.sqrt(np.sum((g.entries - np.eye(n)) ** 2) / n)
             if near > 0.1:
                 continue
-            d = dist_to_identity(g)
+            d = dist_to_identity(g.entries)
             assert near / c_n <= d <= c_n * near
             worst = max(worst, d / near, near / d)
         assert worst <= c_n
@@ -166,7 +135,7 @@ class TestDistToIdentity:
     def test_far_diagonal_dominated_by_length(self):
         g = GroupElement(np.diag([math.exp(10.0), 1.0, math.exp(-10.0)]))
         target = math.exp(10.0)
-        assert target / 2 <= dist_to_identity(g) <= 2 * target
+        assert target / 2 <= dist_to_identity(g.entries) <= 2 * target
 
 
 def assert_within_ulps(got, want, ulps):
@@ -182,11 +151,11 @@ def sweep_stack(n, shells=5, seed=0):
 
 
 class TestLieDerivative:
-    basis = LieBasis.standard(3)
+    basis = lie_basis(3)
 
     def test_basis_orthonormal_traceless(self):
-        mats = self.basis.mats
-        assert len(self.basis) == 8
+        mats = self.basis
+        assert mats.shape == (8, 3, 3) and not mats.flags.writeable
         for i, x in enumerate(mats):
             assert abs(np.trace(x)) <= 1e-12
             for j, y in enumerate(mats):
@@ -194,10 +163,10 @@ class TestLieDerivative:
                 assert abs(np.sum(x * y) - want) <= 1e-12
 
     def test_constant_symbol(self):
-        g = GroupElement(np.diag([1.5, 1.0, 1 / 1.5]))
+        g = np.diag([1.5, 1.0, 1 / 1.5])
         one = SymbolFamily.parse("radial-power:exponent=0").build_profile()
         for j in (0, 3, 7):
-            assert lie_derivative(one, g, j, self.basis, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert lie_derivative(one, g, self.basis[j], 3).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_second_order_trace(self):
         # analytic oracle: the lift of x^2 is d^2 = (tr(A^T A) + tr(B^T B)) / 2n with
@@ -212,19 +181,18 @@ class TestLieDerivative:
             first = (tr(a, g.entries @ x) - tr(b, x @ gi)) / 3.0
             second = (tr(g.entries @ x, g.entries @ x) + tr(a, g.entries @ x @ x)
                       + tr(x @ gi, x @ gi) + tr(b, x @ x @ gi)) / 3.0
-            got = lie_derivative(square, g, j, self.basis, 2)
-            assert got == pytest.approx([dist_to_identity(g) ** 2, first, second], rel=1e-13,
-                                        abs=1e-14)
+            got = lie_derivative(square, g.entries, x, 2)
+            assert got == pytest.approx([dist_to_identity(g.entries) ** 2, first, second],
+                                        rel=1e-13, abs=1e-14)
 
     def test_linearity(self):
-        g = GroupElement(np.diag([1.1, 1.0, 1 / 1.1]) @ expm(self.basis[6], 0.2))
+        g = np.diag([1.1, 1.0, 1 / 1.1]) @ expm(self.basis[6], 0.2)
         p1 = SymbolFamily.parse("radial-power:exponent=2.5").build_profile()
         p2 = SymbolFamily.parse("hm-bump:center=0.5,width=0.6").build_profile()
         combo = RadialProfile(lambda u: [2.0 * a - 3.0 * b for a, b in zip(p1.of(u), p2.of(u))])
-        for j in (2, 5):
-            lhs = lie_derivative(combo, g, j, self.basis, 5)
-            rhs = 2.0 * lie_derivative(p1, g, j, self.basis, 5) - 3.0 * lie_derivative(
-                p2, g, j, self.basis, 5)
+        for x in self.basis[[2, 5]]:
+            lhs = lie_derivative(combo, g, x, 5)
+            rhs = 2.0 * lie_derivative(p1, g, x, 5) - 3.0 * lie_derivative(p2, g, x, 5)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
 
 
@@ -232,18 +200,19 @@ ORACLE_SPECS = ("radial-power:exponent=5", "radial-log-power:exponent=2.5",
                 "hm-bump:center=1.5,width=0.4")
 
 
-def mp_derivatives(g, x, order, profiles):
+def mp_derivatives(g, x, order, profiles, flow=None):
     """Derivatives 0..order at s = 0 of s -> phi(d(g expm(sX))) for each mpmath profile phi:
     50-digit mpmath.taylor, with g^-1 in mpmath and expm(sX) = I + sX for a square-zero X,
-    diag(e^(s x_ii)) for a diagonal one (mpmath's own expm is not smooth at the extra
-    precision of taylor's steps)."""
+    diag(e^(s x_ii)) for a diagonal one, else ``flow(s)`` (mpmath's own expm is not smooth
+    at the extra precision of taylor's steps)."""
     n = g.shape[0]
     with mpmath.workdps(50):
         e, gm, xm = mpmath.eye(n), mpmath.matrix(g.tolist()), mpmath.matrix(x.tolist())
         gi = mpmath.inverse(gm)
         diagonal = not np.any(x - np.diag(np.diag(x)))
-        flow = lambda s: (mpmath.diag([mpmath.exp(s * x[i, i]) for i in range(n)]) if diagonal
-                          else e + s * xm)
+        if flow is None:
+            flow = lambda s: (mpmath.diag([mpmath.exp(s * x[i, i]) for i in range(n)])
+                              if diagonal else e + s * xm)
         dists = {}
 
         def dist(s):  # the profiles share mpmath.taylor's nodes and precisions
@@ -262,7 +231,7 @@ def mp_derivatives(g, x, order, profiles):
 def sweep_oracle(n):
     """The sweep stack's distances and, per ORACLE_SPECS family, the 50-digit derivatives
     of orders 0..[n^2/2] + 1 along every basis direction, shaped (dim, order + 1, points)."""
-    stack, basis = sweep_stack(n), LieBasis.standard(n)
+    stack, basis = sweep_stack(n), lie_basis(n)
     profiles = [_mp_profile(SymbolFamily.parse(spec)) for spec in ORACLE_SPECS]
     ref = [[mp_derivatives(g, basis[j], n * n // 2 + 1, profiles) for g in stack]
            for j in range(len(basis))]  # (dim, points, family, order)
@@ -270,19 +239,19 @@ def sweep_oracle(n):
 
 
 class TestStackedEngine:
-    basis = LieBasis.standard(3)
+    basis = lie_basis(3)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_jets_match_mpmath_taylor_on_the_sweep(self, n):
         # every sweep point, basis direction and order 1..[n^2/2] + 1: the error of
         # d^k |X_j^k m| relative to max(d^k |X_j^k m|, |m|) is at most 1e-10 (about 3e-12 here)
         dists, ref = sweep_oracle(n)
-        basis, order = LieBasis.standard(n), n * n // 2 + 1
+        basis, order = lie_basis(n), n * n // 2 + 1
         weight = dists ** np.arange(order + 1)[:, None]
         for spec, want in zip(ORACLE_SPECS, ref):
             prof = SymbolFamily.parse(spec).build_profile()
             for j in range(len(basis)):
-                got = lie_derivative(prof, sweep_stack(n), j, basis, order)
+                got = lie_derivative(prof, sweep_stack(n), basis[j], order)
                 scale = np.maximum(weight * np.abs(want[j]), np.abs(want[j][0]))
                 err = weight * np.abs(got - want[j])
                 assert np.all(err[1:] <= 1e-10 * scale[1:]), (spec, j, (err / scale).max())
@@ -292,7 +261,7 @@ class TestStackedEngine:
         # certify-hm at default flags: per order, the sup over the sampled directions
         # and the sweep points of d^k |X_j^k m|
         dists, ref = sweep_oracle(n)
-        dirs = _sample_directions(n * n - 1, 3)
+        dirs = _basis_indices(n * n - 1, 3)
         weight = dists ** np.arange(n * n // 2 + 2)[:, None]
         for spec, want in zip(ORACLE_SPECS, ref):
             rep = cmd_certify_hm(SymbolFamily.parse(spec).build_group_symbol(), n)
@@ -324,34 +293,30 @@ class TestStackedEngine:
     def test_stacked_call_equals_per_point_calls(self):
         prof = SymbolFamily.parse("radial-log-power:exponent=2.5").build_profile()
         stack = sweep_stack(3, 2, seed=1)
-        for j in range(8):
-            got = lie_derivative(prof, stack, j, self.basis, 5)
+        for x in self.basis:
+            got = lie_derivative(prof, stack, x, 5)
             assert got.shape == (6, len(stack))
-            per = [lie_derivative(prof, GroupElement(g), j, self.basis, 5) for g in stack]
+            per = [lie_derivative(prof, g, x, 5) for g in stack]
+            assert all(p.shape == (6,) for p in per)
             assert np.array_equal(got, np.transpose(per))
 
     def test_any_leading_shape(self):
-        # an (A, B, n, n) stack gives the flat call reshaped to (order + 1, A, B); one
-        # bare matrix gives the GroupElement call's bits
+        # an (A, B, n, n) stack gives the flat call reshaped to (order + 1, A, B)
         prof = SymbolFamily.parse("hm-bump:center=1,width=0.8").build_profile()
         flat = sweep_stack(3, 2, seed=1)
         grid = flat.reshape(4, 4, 3, 3)
         assert np.array_equal(dist_to_identity(grid), dist_to_identity(flat).reshape(4, 4))
-        for j in (0, 4, 7):
-            got = lie_derivative(prof, grid, j, self.basis, 5)
+        for x in self.basis[[0, 4, 7]]:
+            got = lie_derivative(prof, grid, x, 5)
             assert got.shape == (6, 4, 4)
-            assert np.array_equal(got, lie_derivative(prof, flat, j, self.basis, 5).reshape(6, 4, 4))
-            for g in flat[::5]:
-                bare = lie_derivative(prof, g, j, self.basis, 5)
-                assert bare.shape == (6,)
-                assert np.array_equal(bare, lie_derivative(prof, GroupElement(g), j, self.basis, 5))
+            assert np.array_equal(got, lie_derivative(prof, flat, x, 5).reshape(6, 4, 4))
 
     def test_constant_symbol_exact_zero_at_order_nine(self):
-        basis = LieBasis.standard(4)
+        basis = lie_basis(4)
         one = SymbolFamily.parse("radial-power:exponent=0").build_profile()
         stack = sweep_stack(4, 2)
         for j in (0, 9, 14):
-            got = lie_derivative(one, stack, j, basis, 9)
+            got = lie_derivative(one, stack, basis[j], 9)
             assert np.all(got[0] == 1.0) and np.all(got[1:] == 0.0), j
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -363,11 +328,37 @@ class TestStackedEngine:
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         weight = dist_to_identity(stack) ** np.arange(6)[:, None]
         for j in (0, 3, 7):
-            got = lie_derivative(prof, stack, j, self.basis, 5)
+            got = lie_derivative(prof, stack, self.basis[j], 5)
             want = np.transpose([mp_derivatives(g, self.basis[j], 5, [lambda x: (1 + x) ** -5])[0]
                                  for g in stack])
             scale = np.maximum(weight * np.abs(want), np.abs(want[0]))
             assert np.all(weight * np.abs(got - want) <= 1e-10 * scale), j
+
+    def test_generator_outside_the_basis(self):
+        # X = (E_01 + E_10) / sqrt(2) is neither a basis element nor square-zero: at order 1
+        # the derivative is linear in X, and orders 2..5 match 50-digit mpmath.taylor along
+        # exp(sX), a hyperbolic rotation in the (0, 1) plane
+        x = (self.basis[0] + self.basis[2]) / math.sqrt(2.0)
+        stack = sweep_stack(3, 2, seed=1)[::3]
+        weight = dist_to_identity(stack) ** np.arange(6)[:, None]
+
+        def flow(s):
+            out = mpmath.eye(3)
+            c, t = mpmath.cosh(s / mpmath.sqrt(2)), mpmath.sinh(s / mpmath.sqrt(2))
+            out[0, 0], out[0, 1], out[1, 0], out[1, 1] = c, t, t, c
+            return out
+
+        for spec in ORACLE_SPECS:
+            prof = SymbolFamily.parse(spec).build_profile()
+            got = lie_derivative(prof, stack, x, 5)
+            first = (lie_derivative(prof, stack, self.basis[0], 1)[1]
+                     + lie_derivative(prof, stack, self.basis[2], 1)[1]) / math.sqrt(2.0)
+            assert np.allclose(got[1], first, rtol=0, atol=1e-14), spec
+            mp = _mp_profile(SymbolFamily.parse(spec))
+            want = np.transpose([mp_derivatives(g, x, 5, [mp], flow)[0] for g in stack])
+            scale = np.maximum(weight * np.abs(want), np.abs(want[0]))
+            err = weight * np.abs(got - want)
+            assert np.all(err[1:] <= 1e-10 * scale[1:]), (spec, (err / scale).max())
 
     def test_stacked_dist_bit_identical(self):
         # one matrix alone and inside a stack of 1,200 give the same bits, the identity 0,
@@ -381,7 +372,7 @@ class TestStackedEngine:
         stack[1] = scipy_expm(1e-6 * self.basis[2])  # near the identity
         got = dist_to_identity(check_special_linear(stack))
         assert got.shape == (size,) and got[0] == 0.0
-        assert np.array_equal(got, [dist_to_identity(GroupElement(m)) for m in stack])
+        assert np.array_equal(got, [dist_to_identity(m) for m in stack])
         sq = lambda a: np.sum((a - np.eye(3)) ** 2, axis=(-2, -1)) / 3.0
         assert_within_ulps(got, np.sqrt((sq(stack) + sq(np.linalg.inv(stack))) / 2.0), 4)
 
@@ -398,11 +389,11 @@ class TestStackedEngine:
         assert check_special_linear(stack).shape == (4, 3, 3)
 
     def test_wrong_result_shape_rejected(self):
-        g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
+        g = np.diag([1.2, 1.0, 1 / 1.2])
         for bad in (lambda u: [1.0] * len(u), lambda u: [c[..., None] for c in u],
                     lambda u: u[:1]):
             with pytest.raises(InputError):
-                lie_derivative(RadialProfile(bad), g, 1, self.basis, 2)
+                lie_derivative(RadialProfile(bad), g, self.basis[1], 2)
 
 
 class TestWeylVolume:
@@ -464,10 +455,10 @@ class TestErrorPaths:
     def test_non_finite_derivative(self):
         # next to the identity d(g exp(sX)) has radius of convergence about d, so
         # order 150 overflows at d = 1e-3
-        g = expm(LieBasis.standard(3)[0], 1e-3)
+        x = lie_basis(3)[0]
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         with pytest.raises(NumericError):
-            lie_derivative(prof, g, 0, LieBasis.standard(3), 150)
+            lie_derivative(prof, expm(x, 1e-3), x, 150)
 
     def test_weyl_bad_inputs(self):
         with pytest.raises(InputError):
@@ -501,12 +492,12 @@ class TestErrorPaths:
 
 def test_index_sequences():
     # orders 0..k of a call to order K > k are the call to order k, bit for bit, and
-    # order 0 is the lifted symbol's value; a basis index may be any integer type
-    basis = LieBasis.standard(3)
-    g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]) @ expm(basis[7], 0.4))
+    # order 0 is the lifted symbol's value
+    basis = lie_basis(3)
+    g = np.diag([1.2, 1.0, 1 / 1.2]) @ expm(basis[7], 0.4)
     family = SymbolFamily.parse("radial-log-power:exponent=3,log_exponent=2")
     prof = family.build_profile()
-    full = lie_derivative(prof, g, 5, basis, 9)
+    full = lie_derivative(prof, g, basis[5], 9)
     for k in range(10):
-        assert np.array_equal(lie_derivative(prof, g, np.int64(5), basis, k), full[:k + 1])
-    assert full[0] == family.build_group_symbol()(g.entries)
+        assert np.array_equal(lie_derivative(prof, g, basis[5], k), full[:k + 1])
+    assert full[0] == family.build_group_symbol()(g)

@@ -286,7 +286,7 @@ def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, kind,
         sym = circulant(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
         if kind == "perturbed circulant":
             sym += 1e-2 * rng.standard_normal((rows, rows))
-    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
+    res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
     # the optimizer's ratio may overshoot the exact norm by its own rounding
     assert np.abs(sym).max() <= res.value <= res.upper * (1.0 + 1e-12)
     assert res.upper <= interpolated_schur_bound(sym, p, frobenius_schur_bound(sym))
@@ -390,7 +390,7 @@ class TestFrobeniusBound:
 def test_frobenius_bound_dominates_optimizer(rows, cols, seed, p):
     rng = np.random.default_rng(seed)
     sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
+    res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
     assert frobenius_schur_bound(sym) >= res.value
 
 
@@ -402,7 +402,7 @@ def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, 
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
     sym = circulant(c) + perturbation * rng.standard_normal((n, n))
-    res = schur_norm_lower_bound(sym, p, seed=seed, n_random_starts=2, iterations=15)
+    res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
     assert circulant_schur_bound(sym) >= res.value
 
 
@@ -494,7 +494,7 @@ def test_lower_bound_never_exceeds_trace_dual(seed, p):
     # but the reported value must at least stay finite and >= 0
     rng = np.random.default_rng(seed)
     m = TruncatedSchurMultiplier(rng.standard_normal((5, 5)))
-    res = schur_norm_lower_bound(m, p, seed=seed, n_random_starts=2, iterations=8)
+    res = schur_norm_lower_bound(m, p, seed=seed, iterations=8)
     assert math.isfinite(res.value)
     assert res.value >= np.abs(m.symbol).max() - 1e-8
 

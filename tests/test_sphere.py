@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mcert.errors import DomainError, InputError, RangeError
-from mcert.sphere import (RigidityExponents, SphericalEigenSystem, _derivative_table,
-                          _eigenvalue_table, _multiplicity_table, averaging_operator,
+from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_table,
+                          _multiplicity_table, averaging_operator, eigenvalue_table,
                           gauss_legendre, gegenbauer_integral, gegenbauer_normalized,
                           multiplicity, schatten_derivative_sum, sphere_grid)
 
@@ -187,10 +187,11 @@ class TestMultiplicity:
         assert [multiplicity(4, k) for k in range(101)] == [(k + 1) ** 2 for k in range(101)]
 
     def test_range_guard(self):
+        assert multiplicity(3, 200_000) == 400_001
+        with pytest.raises(RangeError):
+            multiplicity(3, 200_001)
         with pytest.raises(RangeError):
             multiplicity(3, 10 ** 6)
-        with pytest.raises(RangeError):
-            SphericalEigenSystem(3, 200_001).multiplicities()
 
     @pytest.mark.parametrize("n", [3, 4, 8, 17])
     def test_equals_factorial_formula(self, n):
@@ -200,14 +201,13 @@ class TestMultiplicity:
             assert rem == 0
             return q
 
-        assert SphericalEigenSystem(n, 400).multiplicities() == [
-            factorial_form(k) for k in range(401)]
+        assert [multiplicity(n, k) for k in range(401)] == [factorial_form(k) for k in range(401)]
 
 
 class TestSchattenSums:
     def test_divergence_flag(self):
         res = schatten_derivative_sum(5, 4.0, 1, 0.0)
-        assert res.diverged and res.value is None and not res
+        assert res.diverged and res.value is None
 
     def test_cauchy_stability(self):
         res = schatten_derivative_sum(5, 4.0, 0, 0.0, tail_tol=1e-6)
@@ -292,9 +292,12 @@ class TestAveragingOperator:
             averaging_operator(0.3, f, self.pts, circle_nodes=10, check_tol=1e-10)
 
     def test_eigensystem_table(self):
-        sys3 = SphericalEigenSystem(n=3, k_max=12)
         xs = np.linspace(-0.9, 0.9, 5)
-        table = sys3.eigenvalues(xs)
+        table = eigenvalue_table(3, xs, 12)
+        assert table.shape == (13, 5)
         for k in (0, 3, 12):
-            assert np.allclose(table[k], gegenbauer_normalized(3, k, xs), atol=1e-13)
-        assert sys3.multiplicities() == [2 * k + 1 for k in range(13)]
+            assert np.array_equal(table[k], gegenbauer_normalized(3, k, xs))
+        with pytest.raises(DomainError):
+            eigenvalue_table(3, [0.5, 1.5], 12)
+        with pytest.raises(InputError):
+            eigenvalue_table(3, xs, -1)
