@@ -150,7 +150,7 @@ class SymbolFamily:
                 taylor.power(taylor.log([math.e + u[0], *u[1:]]), -b)))
         if self.kind == "hm-bump":  # the bump at (x - center) / width
             c, w = float(p.get("center", 1.0)), float(p.get("width", 0.5))
-            return RadialProfile(lambda u: _bump_jet([(u[0] - c) / w, *[v / w for v in u[1:]]]))
+            return RadialProfile(lambda u: _bump_jet(u, c, w))
         raise InputError(f"family {self.kind!r} does not define a radial profile")
 
     def build_group_symbol(self) -> SymbolHandle:
@@ -163,9 +163,11 @@ class SymbolFamily:
         return SymbolHandle(self.build_profile())
 
 
-def _bump_jet(t: list) -> list:
-    """Jet of exp(1 - 1/(1 - t^2)) on |t| < 1, and 0 elsewhere, from the jet of t."""
+def _bump_jet(u: list, center: float = 0.0, width: float = 1.0) -> list:
+    """Jet of exp(1 - 1/(1 - t^2)) on |t| < 1, and 0 elsewhere, at t = (x - center)/width
+    from the jet u of x."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = [(u[0] - center) / width, *[v / width for v in u[1:]]]
         inside = np.abs(t[0]) < 1.0
         s = taylor.mul(t, t)
         w = taylor.power([np.where(inside, 1.0 - s[0], 1.0)] + [-c for c in s[1:]], -1.0)

@@ -151,6 +151,17 @@ class TestCertifyHm:
         assert "'width' must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_far_narrow_bump_is_silent_zero(self, tmp_path, capsys):
+        # (x - 1e300) / 1e-300 overflows to -inf: the bump is 0 with no warning
+        out = tmp_path / "hm.json"
+        rc = main_strict(["certify-hm", "--symbol", "hm-bump:center=1e300,width=1e-300",
+                          "--n", "2", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rep = strict_json(out)
+        assert [r["verdict"] for r in rep["records"]] == ["PASS"] * 6
+        assert [row["constant"] for row in rep["tables"]["hm_constants"]] == [0.0] * 4
+
     # the lift evaluates the profile at dist(g, e), which starts at 0: a shift of 0 is
     # a pole at the identity, and -0.5 a pole at dist 0.5 and a NaN below it
     @pytest.mark.parametrize("spec", ["radial-power:shift=-0.5,exponent=2.5",
@@ -349,7 +360,8 @@ class TestSphereSpectrum:
         assert rc == 2
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n, p", [("102", "4"), ("3", "1e4"), ("200", "4")])
+    @pytest.mark.parametrize("n, p", [("102", "4"), ("3", "1e4"), ("200", "4"), ("345", "4"),
+                                      ("400", "4"), ("2000", "4")])
     def test_tail_bound_past_float_range_is_input_error(self, n, p, tmp_path, capsys):
         # the tail constant A cdec^p of the certified Schatten sum overflows a float
         out = tmp_path / "spec.json"
@@ -358,6 +370,14 @@ class TestSphereSpectrum:
         assert rc == 2
         assert f"n = {n}, p = {float(p):g} exceeds the float range" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tail_bound_product_past_float_range_is_input_error(self, tmp_path, capsys):
+        # A and cdec^p are finite floats here, but their product is inf
+        out = tmp_path / "spec.json"
+        rc = main_strict(["sphere-spectrum", "--n", "82", "--p", "4", "--r", "1", "--x", "0.95",
+                          "--kmax", "5", "--out", str(out)])
+        assert rc == 2
+        assert "n = 82, p = 4 exceeds the float range" in capsys.readouterr().err
 
     def test_large_kmax_finishes(self, tmp_path):
         out = tmp_path / "spec.json"

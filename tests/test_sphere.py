@@ -1,8 +1,13 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_table,
@@ -12,7 +17,7 @@ from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_tabl
 
 
 def reference_table(n, x, k_cap):
-    """The recurrence written into a preallocated array, one row per degree."""
+    """The sequential recurrence written into a preallocated array, one row per degree."""
     x = np.asarray(x, dtype=float)
     lam = 0.5 * (n - 2)
     out = np.empty((k_cap + 1,) + x.shape)
@@ -23,6 +28,51 @@ def reference_table(n, x, k_cap):
         out[kk] = (2.0 * (kk + lam - 1.0) * x * out[kk - 1]
                    - (kk - 1.0) * out[kk - 2]) / (kk + 2.0 * lam - 1.0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _oracle_nonnegative(n, k_cap):
+    """The recurrence at each x of ORACLE_ABS in exact integer arithmetic on a fixed
+    point 128 bits below k_cap^-lambda, the least amplitude (2 lambda = n - 2 is an
+    integer and each x a dyadic fraction, so only the floor of each step rounds),
+    rounded to floats."""
+    bits = 128 + (n - 2) * k_cap.bit_length() // 2
+    ratios = [x.as_integer_ratio() for x in ORACLE_ABS]
+    num = np.array([a for a, _ in ratios], dtype=object)
+    shift = np.array([b.bit_length() - 1 for _, b in ratios], dtype=object)
+    y2 = np.full(num.size, 1 << bits, dtype=object)
+    y1 = (num << bits) >> shift
+    out = [y2, y1]
+    for k in range(2, k_cap + 1):
+        y2, y1 = y1, ((((2 * k + n - 4) * num * y1) >> shift) - (k - 1) * y2) // (k + n - 3)
+        out.append(y1)
+    return np.ldexp(np.array(out[:k_cap + 1]).astype(float), -bits)
+
+
+def signs(k_cap):
+    """(-1)^k for k = 0..k_cap: phi_k(-1), and phi_k(-x) / phi_k(x)."""
+    return np.where(np.arange(k_cap + 1) % 2 == 0, 1.0, -1.0)
+
+
+def oracle_table(n, xs, k_cap):
+    """The oracle at the floats xs (each |x| in ORACLE_ABS), shaped (k_cap + 1, xs.size)."""
+    table = _oracle_nonnegative(n, DOUBLINGS[-1])[:k_cap + 1, np.searchsorted(ORACLE_ABS, np.abs(xs))]
+    return np.where(xs < 0, signs(k_cap)[:, None], 1.0) * table
+
+
+def amplitude_error(table, exact, window=64):
+    """max over k of |table_k - exact_k| relative to the running amplitude, the largest
+    |exact_j| with |j - k| <= window (phi_k oscillates and decays like k^-lambda)."""
+    amp = sliding_window_view(np.pad(np.abs(exact), window), 2 * window + 1).max(axis=1)
+    return float(np.max(np.abs(table - exact) / amp))
+
+
+def assert_within_twice_sequential(got, seq, exact):
+    """Column by column, tables shaped (degrees, x): the engine's error against the
+    oracle is at most twice the sequential recurrence's at every tested x."""
+    e_got = np.array([amplitude_error(g, e) for g, e in zip(got.T, exact.T)])
+    e_seq = np.array([amplitude_error(q, e) for q, e in zip(seq.T, exact.T)])
+    assert np.all(e_got <= 2.0 * e_seq), (e_got / e_seq).max()
 
 
 def exact_scale(n, r, k):
@@ -38,40 +88,88 @@ def exact_scale(n, r, k):
 
 DOUBLINGS = [64 << i for i in range(9)]  # 64, 128, ..., 16384
 ENGINE_XS = [0.0, 0.4, -0.4, 0.95, -0.95, np.linspace(-0.95, 0.95, 41)]
+TESTED_XS = np.unique(np.hstack(ENGINE_XS))  # the 43 distinct x of ENGINE_XS
+ORACLE_ABS = np.unique(np.abs(TESTED_XS))
 
 
 class TestRecurrenceEngine:
     @pytest.mark.parametrize("n", [3, 5, 8, 10])
     def test_table_equals_reference(self, n):
+        # the blocked engine against the oracle: at most twice the sequential
+        # recurrence's error at every x of ENGINE_XS and exact at x = +-1; an array x
+        # has the bits of each x alone, and tables resumed across the tail doublings
+        # have the bits of one-shot tables
+        k_cap = DOUBLINGS[-1]
+        xs = np.append(TESTED_XS, [1.0, -1.0])
+        table = _eigenvalue_table(n, xs, k_cap)
+        assert table.shape == (k_cap + 1, xs.size)
+        assert np.all(table[:, -2] == 1.0) and np.all(table[:, -1] == signs(k_cap))
+        assert_within_twice_sequential(table[:, :-2], reference_table(n, TESTED_XS, k_cap),
+                                       oracle_table(n, TESTED_XS, k_cap))
+        for i, x in enumerate(xs):
+            assert _eigenvalue_table(n, x, k_cap).tobytes() == table[:, i].tobytes()
         for x in ENGINE_XS:
-            want = reference_table(n, x, DOUBLINGS[-1])
-            got = _eigenvalue_table(n, np.asarray(x), DOUBLINGS[-1])
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            want = _eigenvalue_table(n, np.asarray(x), k_cap)
             rows = []
             for k in DOUBLINGS:
                 resumed = _eigenvalue_table(n, np.asarray(x), k, rows)
                 assert resumed.shape == want[:k + 1].shape
                 assert resumed.tobytes() == want[:k + 1].tobytes()
-            assert len(rows) == DOUBLINGS[-1] + 1
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_derivative_table_equals_reference(self, r):
-        # rows k >= r are the raised-index recurrence times the exact scale to
-        # 1e-13 relative, rows below r are 0, and resumed tables keep the bits
+        # rows k >= r are the raised-index table times the exact scale to 1e-13
+        # relative, and at most twice the sequential recurrence's error against the
+        # oracle times that scale at every x of ENGINE_XS; rows below r are 0, and
+        # resumed tables keep the bits
         k_cap = DOUBLINGS[-1]
         for n in (3, 4, 8, 16):
-            scale = np.array([float(exact_scale(n, r, k)) for k in range(r, k_cap + 1)])
+            scale = np.array([float(exact_scale(n, r, k)) for k in range(r, k_cap + 1)])[:, None]
+            got = _derivative_table(n, r, TESTED_XS, k_cap)
+            assert got.shape == (k_cap + 1, TESTED_XS.size)
+            assert np.all(got[:r] == 0.0)
+            want = scale * _eigenvalue_table(n + 2 * r, TESTED_XS, k_cap - r)
+            assert np.all(np.abs(got[r:] - want) <= 1e-13 * np.abs(want))
+            assert_within_twice_sequential(
+                got[r:], scale * reference_table(n + 2 * r, TESTED_XS, k_cap - r),
+                scale * oracle_table(n + 2 * r, TESTED_XS, k_cap - r))
             for x in ENGINE_XS:
-                got = _derivative_table(n, r, np.asarray(x), k_cap)
-                base = reference_table(n + 2 * r, x, k_cap - r)
-                want = scale.reshape((-1,) + (1,) * (base.ndim - 1)) * base
-                assert got.shape == (k_cap + 1,) + np.shape(x)
-                assert np.all(got[:r] == 0.0)
-                assert np.all(np.abs(got[r:] - want) <= 1e-13 * np.abs(want))
                 rows = []
                 for k in DOUBLINGS[:5]:
                     resumed = _derivative_table(n, r, np.asarray(x), k, rows)
                     assert resumed.tobytes() == _derivative_table(n, r, np.asarray(x), k).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8, 22])
+    def test_oracle_is_the_30_digit_recurrence(self, n):
+        # the fixed-point oracle rounds to the floats of the recurrence in 30-digit mpmath
+        k_cap = 512
+        for x in ORACLE_ABS[::6]:
+            with mpmath.workdps(30):
+                xm, want, y2, y1 = mpmath.mpf(x), [1.0, x], mpmath.mpf(1), mpmath.mpf(x)
+                for k in range(2, k_cap + 1):
+                    y2, y1 = y1, ((2 * k + n - 4) * xm * y1 - (k - 1) * y2) / (k + n - 3)
+                    want.append(float(y1))
+            got = oracle_table(n, np.array([x, -x]), k_cap)
+            assert got[:, 0].tolist() == want and got[:, 1].tolist() == (signs(k_cap) * want).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), r=st.integers(0, 3), k_start=st.integers(0, 700),
+           doublings=st.integers(0, 3),
+           x=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)))
+    def test_doubling_schedules_resume_one_shot_bits(self, n, r, k_start, doublings, x):
+        # a table resumed across any doubling schedule has the bits of the one-shot
+        # table, for any start (criterion 03 starts at 2 k_used)
+        caps = [k_start << i for i in range(doublings + 1)]
+        one = _derivative_table(n, r, np.asarray(x), caps[-1])
+        rows = []
+        for k in caps:
+            assert _derivative_table(n, r, np.asarray(x), k, rows).tobytes() == one[:k + 1].tobytes()
+        if r == 0 and abs(x) == 1.0:
+            assert np.all(one == (1.0 if x > 0 else signs(caps[-1])))
+        elif r == 0:
+            seq = reference_table(n, x, caps[-1])
+            amp = sliding_window_view(np.pad(np.abs(seq), 64), 129).max(axis=1)
+            assert np.all(np.abs(one - seq) <= 1e-10 * amp)
 
     @pytest.mark.parametrize("n", [3, 4, 8, 16])
     def test_multiplicity_table_equals_exact(self, n):
@@ -223,6 +321,15 @@ class TestSchattenSums:
                      * abs(float(gegenbauer_normalized(5, k, np.array(0.3)))) ** 4
                      for k in range(res.k_used + 1)) ** 0.25
         assert res.value == pytest.approx(direct, rel=1e-12)
+
+    def test_doublings_sum_the_one_shot_terms(self):
+        # each degree's term is formed once and every doubling sums all terms in one
+        # np.sum, so the value has the bits of the one-shot sum over degrees 0..k_used
+        for n, p, r, x in [(3, 8.0, 0, 0.35), (8, 5.0, 1, -0.3), (5, 4.0, 0, 0.0)]:
+            res = schatten_derivative_sum(n, p, r, x)
+            table = np.abs(_derivative_table(n, r, np.asarray(x), res.k_used))
+            total = float(np.sum(_multiplicity_table(n, res.k_used) * table ** p))
+            assert res.value == total ** (1.0 / p)
 
     def test_interior_guard(self):
         with pytest.raises(DomainError):
