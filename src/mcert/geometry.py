@@ -58,19 +58,16 @@ def check_special_linear(mats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An n x n real matrix of determinant one."""
+    """An n x n real matrix of determinant one, or a (..., n, n) stack of them."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = check_special_linear(self.entries)
-        if m.ndim != 2:
-            raise InputError(f"expected a square matrix of size >= 2, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", check_special_linear(self.entries))
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.entries @ other.entries)
@@ -292,8 +289,10 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
 
     Xi(g) averages Delta(gk)^{-1/2} over Haar k in SO(n); Delta is read
     off the QR factorization gk = k' p through the diagonal of p with the
-    upper-triangular modular weights n+1-2i.
+    upper-triangular modular weights n+1-2i; a stack g is an InputError.
     """
+    if g.entries.ndim != 2:
+        raise InputError(f"expected one matrix, got a stack of shape {g.entries.shape}")
     if samples < 1:
         raise InputError("samples must be >= 1")
     n = g.n

@@ -222,19 +222,19 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
     starts.  The maximum over indexed starts is deterministic for a
     fixed seed.
 
-    ``upper`` interpolates :func:`frobenius_schur_bound` or, for square M, its
-    minimum with :func:`circulant_schur_bound`.  The search stops once the best
-    value reaches ``upper / (1 + _STALL_RTOL)``: before any start runs when the
-    sup-entry floor already does, else right after the improvement that does.
+    ``upper`` is the smaller of the interpolated :func:`frobenius_schur_bound` and, for
+    square M, :func:`circulant_schur_bound` (rounded, the interpolation can swap their
+    order).  The search stops once the best value reaches ``upper / (1 + _STALL_RTOL)``:
+    before any start runs when the sup-entry floor already does, else right after the
+    improvement that does.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
     m = _multiplier(m)
     sym = m.symbol
-    upper_inf = frobenius_schur_bound(m)
+    upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
-        upper_inf = min(upper_inf, circulant_schur_bound(m))
-    upper = interpolated_schur_bound(m, p, upper_inf)
+        upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
     target = upper / (1.0 + _STALL_RTOL)
     sup, where = m.peak
     unit = np.zeros_like(sym)

@@ -4,8 +4,9 @@ The operator averaging a function over the latitude circle at inner
 product delta is diagonalized by spherical harmonics; its eigenvalue on
 degree k is the ultraspherical polynomial of index (n-2)/2 normalized to
 1 at the north pole, with multiplicity m_k.  This module evaluates those
-eigenvalues, their derivatives, truncated Schatten sums over the
-spectrum, and a direct quadrature oracle for the n = 3 operator.
+eigenvalues (by their recurrence, and by quadrature as its cross-check),
+their derivatives, truncated Schatten sums over the spectrum, and a direct
+quadrature oracle for the n = 3 operator.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 from .errors import AccuracyError, DomainError, InputError, RangeError
 
 __all__ = [
-    "gegenbauer_normalized",
-    "gegenbauer_integral",
-    "multiplicity",
     "eigenvalue_table",
+    "quadrature_table",
+    "multiplicity",
     "RigidityExponents",
     "SchattenSumResult",
     "schatten_derivative_sum",
@@ -31,13 +31,19 @@ __all__ = [
 ]
 
 _FACTORIAL_BOUND = 200_000
+_MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(nodes^3)
 
 
-def _check_nk(n: int, k: int) -> None:
+def _check_nk(n: int, k: int, x=0.0) -> np.ndarray:
+    """x as floats: n >= 3 and k >= 0 (InputError), every x in [-1, 1] (DomainError)."""
     if n < 3:
         raise InputError("sphere dimension parameter n must be >= 3")
     if k < 0:
         raise InputError("degree k must be >= 0")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
+        raise DomainError("argument outside [-1, 1]")
+    return x
 
 
 _BLOCK = 16  # degrees per block; block b holds degrees b _BLOCK to (b + 1) _BLOCK - 1
@@ -132,20 +138,7 @@ def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) 
 def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
     """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
     k_cap >= 0 (InputError), every x in [-1, 1] (DomainError)."""
-    _check_nk(n, k_cap)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
-        raise DomainError("argument outside [-1, 1]")
-    return _eigenvalue_table(n, x, k_cap)
-
-
-def gegenbauer_normalized(n: int, k: int, x):
-    """Eigenvalue of the latitude-averaging operator on degree k.
-
-    Ultraspherical three-term recurrence at index lambda = (n-2)/2,
-    normalized so the value at 1 is exactly 1.  Vectorized in x.
-    """
-    return eigenvalue_table(n, x, k)[k]
+    return _eigenvalue_table(n, _check_nk(n, k_cap, x), k_cap)
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
@@ -156,24 +149,30 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gegenbauer_integral(n: int, k: int, x):
-    """Quadrature form c_n int_0^pi (x + i sqrt(1-x^2) cos t)^k sin^{n-3} t dt.
-
-    Cross-check for the recurrence, by Gauss-Legendre at max(64, 2k + 8) nodes;
-    the imaginary part must cancel and is asserted below 1e-12.
-    """
-    _check_nk(n, k)
-    x = np.asarray(x, dtype=float)
-    t, w = gauss_legendre(max(64, 2 * k + 8))
+def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
+    """The table of :func:`eigenvalue_table`, with its shape and checks, by the Laplace-type
+    integral int_0^pi (x + i sqrt(1-x^2) cos t)^k sin^{n-3} t dt / int_0^pi sin^{n-3} t dt
+    (Szego, Orthogonal Polynomials, 4.10), its cross-check.  One Gauss-Legendre rule of
+    max(64, 2 k_cap + n + 8) nodes serves every degree and both integrals (the weight
+    sharpens with n; above _MAX_RULE nodes a RangeError), and the powers are one running
+    product.  An imaginary part above 1e-12 is an AccuracyError."""
+    x = _check_nk(n, k_cap, x)
+    nodes = max(64, 2 * k_cap + n + 8)
+    if nodes > _MAX_RULE:
+        raise RangeError(f"the quadrature at n = {n} needs {nodes} > {_MAX_RULE} nodes")
+    t, w = gauss_legendre(nodes)
     theta = 0.5 * math.pi * (t + 1.0)
-    wt = w * 0.5 * math.pi
-    c_n = math.exp(math.lgamma((n - 1) / 2.0) - math.lgamma((n - 2) / 2.0)) / math.sqrt(math.pi)
+    weights = w * np.sin(theta) ** (n - 3)
     base = x[..., None] + 1j * np.sqrt(np.maximum(1.0 - x[..., None] ** 2, 0.0)) * np.cos(theta)
-    integrand = base ** k * np.sin(theta) ** (n - 3)
-    val = c_n * np.sum(wt * integrand, axis=-1)
-    if np.max(np.abs(val.imag)) > 1e-12:
+    out = np.empty((k_cap + 1,) + x.shape, dtype=complex)
+    power = np.ones_like(base)
+    for k in range(k_cap + 1):
+        out[k] = power @ weights
+        power *= base
+    out /= out[0]
+    if np.max(np.abs(out.imag)) > 1e-12:
         raise AccuracyError("imaginary part failed to cancel")
-    return val.real
+    return out.real
 
 
 def multiplicity(n: int, k: int) -> int:
@@ -320,8 +319,9 @@ def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
                             k_start: int = 64) -> SchattenSumResult:
     """Schatten p-sum of the r-th derivative spectrum with certified tail, for
-    |x| <= _INTERIOR (DomainError) and a truncation of at most _K_MAX degrees
-    (AccuracyError); a tail constant past the float range is a RangeError.
+    |x| <= _INTERIOR (DomainError), k_start >= 1 (InputError) and a truncation of at
+    most _K_MAX degrees (AccuracyError); a tail constant past the float range is a
+    RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
@@ -337,6 +337,8 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     _check_sum_args(p, r)
     if not abs(x) <= _INTERIOR:  # NaN included
         raise DomainError(f"|x| must be <= {_INTERIOR}")
+    if k_start < 1:  # the truncation doubles from k_start
+        raise InputError(f"k_start must be >= 1, got {k_start}")
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
         return SchattenSumResult(value=None, diverged=True)

@@ -24,8 +24,8 @@ from mcert.euclidean import (DyadicPartition, GridSpec, frac_laplacian_length,
 from mcert.geometry import GroupElement, haar_so, harish_chandra_xi, identity, weyl_ball_volume
 from mcert.schur import (TruncatedSchurMultiplier, schur_infty_upper_bound,
                          schur_norm_exact_p2, schur_norm_lower_bound)
-from mcert.sphere import (averaging_operator, gegenbauer_integral, gegenbauer_normalized,
-                          multiplicity, schatten_derivative_sum, sphere_grid)
+from mcert.sphere import (averaging_operator, eigenvalue_table, multiplicity, quadrature_table,
+                          schatten_derivative_sum, sphere_grid)
 from mcert.symbols import EuclideanSymbol, _smooth_bump
 
 from test_euclidean import psi_direct_quadrature
@@ -40,22 +40,17 @@ def test_criterion_01_sphere_oracle():
     pts = sphere_grid(30.0)
     pole = np.array([0.3, -0.5, 0.81])
     pole /= np.linalg.norm(pole)
+    # degrees 0..10 at once: f(y) is the table of eigenfunctions on the last axis
+    f = lambda y: np.moveaxis(eigenvalue_table(3, np.clip(y @ pole, -1.0, 1.0), 10), 0, -1)
+    fx = f(pts)
     worst = 0.0
-    for k in range(11):
-        f = lambda y: np.asarray(gegenbauer_normalized(3, k, np.clip(y @ pole, -1.0, 1.0)))
-        fx = f(pts)
-        for delta in (-0.9, -0.5, 0.0, 0.5, 0.9):
-            got = averaging_operator(delta, f, pts, circle_nodes=360)
-            lam = float(gegenbauer_normalized(3, k, np.array(delta)))
-            worst = max(worst, float(np.abs(got - lam * fx).max()))
+    for delta in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        got = averaging_operator(delta, f, pts, circle_nodes=360)
+        worst = max(worst, float(np.abs(got - eigenvalue_table(3, delta, 10) * fx).max()))
     assert worst <= 1e-4
 
     xs = np.linspace(-0.95, 0.95, 21)
-    worst_int = 0.0
-    for k in range(51):
-        a = gegenbauer_normalized(3, k, xs)
-        b = gegenbauer_integral(3, k, xs)
-        worst_int = max(worst_int, float(np.abs(a - b).max()))
+    worst_int = float(np.abs(eigenvalue_table(3, xs, 50) - quadrature_table(3, xs, 50)).max())
     assert worst_int <= 1e-10
 
     elapsed = time.monotonic() - start

@@ -371,6 +371,28 @@ class TestSphereSpectrum:
         assert f"n = {n}, p = {float(p):g} exceeds the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["150", "200", "300", "344"])
+    def test_quadrature_check_holds_at_large_n(self, n, tmp_path):
+        # the cross-check's rule grows with n: one sized by the degree alone failed the
+        # check at n = 150 (residual 2e-10); at p = 1 the Schatten sums diverge
+        out = tmp_path / "spec.json"
+        rc = main_strict(["sphere-spectrum", "--n", n, "--p", "1", "--x", "0.5", "--kmax", "5",
+                          "--out", str(out)])
+        assert rc == 0
+        rec = load_report(out)["records"][0]
+        assert rec["name"] == "recurrence-vs-quadrature"
+        assert rec["verdict"] == "PASS" and rec["measured"] <= 1e-13
+
+    def test_quadrature_rule_past_its_cap_is_input_error(self, tmp_path, capsys):
+        # where the sums diverge, n = 2000 reaches the cross-check, whose rule would
+        # need 2018 nodes
+        out = tmp_path / "spec.json"
+        rc = main_strict(["sphere-spectrum", "--n", "2000", "--p", "1", "--x", "0.5",
+                          "--kmax", "5", "--out", str(out)])
+        assert rc == 2
+        assert "needs 2018 > 1024 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tail_bound_product_past_float_range_is_input_error(self, tmp_path, capsys):
         # A and cdec^p are finite floats here, but their product is inf
         out = tmp_path / "spec.json"

@@ -98,6 +98,16 @@ class TestGroupElement:
         with pytest.raises(InputError):
             GroupElement(m)
 
+    def test_stack(self):
+        rng = np.random.default_rng(3)
+        mats = np.stack([random_element(rng, 3)[0].entries for _ in range(4)]).reshape(2, 2, 3, 3)
+        g = GroupElement(mats)
+        assert g.n == 3 and g.entries.shape == (2, 2, 3, 3)
+        with pytest.raises(DomainError):
+            GroupElement(np.concatenate([mats[0], [2.0 * np.eye(3)]]))
+        with pytest.raises(InputError):
+            GroupElement(np.ones((2, 3, 4)))
+
     def test_inverse_and_product(self):
         rng = np.random.default_rng(0)
         g, _ = random_element(rng, 3)
@@ -146,8 +156,7 @@ def assert_within_ulps(got, want, ulps):
 
 def sweep_stack(n, shells=5, seed=0):
     """certify-hm's sweep points as one stack: the local shells, then the rays."""
-    local, rays = _sweep_points(n, shells, seed)
-    return np.stack([g.entries for g in local + [g for pts in rays for g in pts]])
+    return _sweep_points(n, shells, seed).entries
 
 
 class TestLieDerivative:
@@ -273,7 +282,7 @@ class TestStackedEngine:
     def test_sweep_points_match_expm(self, n):
         # the local sweep points: diagonal, rotation and square-zero directions
         shells = 6
-        local, _ = _sweep_points(n, shells, seed=0)
+        local = sweep_stack(n, shells)[:3 * shells]
         dirs = [np.zeros((n, n)) for _ in range(3)]
         dirs[0][0, 0], dirs[0][-1, -1] = 1.0, -1.0
         dirs[1][0, 1], dirs[1][1, 0] = 1.0, -1.0
@@ -281,7 +290,36 @@ class TestStackedEngine:
         dirs = [d / np.linalg.norm(d) * math.sqrt(n) for d in dirs]
         want = [scipy_expm(t * d) for t in np.geomspace(1e-3, 0.6, shells) for d in dirs]
         for g, w in zip(local, want):
-            assert_within_ulps(g.entries, w, 4)
+            assert_within_ulps(g, w, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sweep_is_one_validated_stack(self, n, monkeypatch):
+        # one GroupElement holds the shells and then the rays, 5 points each (one ray at
+        # n = 2, two from n = 3), checked by one check_special_linear call
+        calls = []
+        check = geometry.check_special_linear
+        monkeypatch.setattr(geometry, "check_special_linear",
+                            lambda m: calls.append(np.shape(m)) or check(m))
+        shells, seed = 4, 11
+        sweep = _sweep_points(n, shells, seed)
+        rays = 1 if n == 2 else 2
+        assert isinstance(sweep, GroupElement) and sweep.n == n
+        assert calls == [(3 * shells + 5 * rays, n, n)]
+        # the rays against the per-point formula they had as separate elements, bit for bit
+        rng = np.random.default_rng(seed)
+        z_dirs = [np.array([1.0] + [0.0] * (n - 2) + [-1.0])]
+        if n >= 3:
+            z = np.ones(n)
+            z[-1] = -(n - 1)
+            z_dirs.append(z / max(z.max(), -z.min()))
+        k1 = haar_so(n, 2, rng)
+        want = []
+        for z in z_dirs:
+            for logl in np.linspace(1.0, 3.0, 5):
+                a = np.diag(np.exp(logl * z / max(z.max(), -z.min())))
+                a /= np.linalg.det(a) ** (1.0 / n)
+                want.append(k1[0] @ a @ k1[1])
+        assert sweep.entries[3 * shells:].tobytes() == np.array(want).tobytes()
 
     def test_expm_rejects_other_generators(self):
         x = np.array([[1.0, 2.0], [0.0, -1.0]])
@@ -323,8 +361,7 @@ class TestStackedEngine:
     def test_pure_indices_match_analytic_oracle_on_rays(self, seed):
         # X_j^k of (1 + d)^-5 at the n = 3 sweep's ray points, orders 1..[n^2/2]+1, against
         # 50-digit mpmath.taylor, relative to max(d^k |X_j^k m|, |m|)
-        _, rays = _sweep_points(3, 5, seed=seed)
-        stack = np.stack([g.entries for pts in rays for g in pts])
+        stack = sweep_stack(3, 5, seed)[15:]  # the rays
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         weight = dist_to_identity(stack) ** np.arange(6)[:, None]
         for j in (0, 3, 7):
@@ -434,6 +471,10 @@ class TestHarishChandra:
     def test_identity_exact(self):
         val, err = harish_chandra_xi(identity(3), samples=500, seed=0)
         assert val == 1.0 and err == 0.0
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(InputError):
+            harish_chandra_xi(GroupElement(np.stack([np.eye(3)] * 2)), samples=10)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(2)

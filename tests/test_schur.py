@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcert import schur
@@ -278,6 +278,9 @@ class TestInterpolatedBound:
        st.integers(min_value=0, max_value=10_000),
        st.sampled_from(["random", "circulant", "perturbed circulant"]),
        st.one_of(st.floats(min_value=1.0, max_value=math.inf), st.sampled_from([1.0, 2.0, 4.0])))
+# interpolating min(Frobenius, circulant) rounds an ulp above the other bound's interpolation
+@example(rows=3, cols=3, seed=1, kind="random", p=2.0)
+@example(rows=3, cols=3, seed=53, kind="random", p=2.0)
 def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, kind, p):
     rng = np.random.default_rng(seed)
     if kind == "random":

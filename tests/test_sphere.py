@@ -12,8 +12,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_table,
                           _multiplicity_table, averaging_operator, eigenvalue_table,
-                          gauss_legendre, gegenbauer_integral, gegenbauer_normalized,
-                          multiplicity, schatten_derivative_sum, sphere_grid)
+                          gauss_legendre, multiplicity, quadrature_table,
+                          schatten_derivative_sum, sphere_grid)
 
 
 def reference_table(n, x, k_cap):
@@ -196,42 +196,65 @@ class TestEigenvalues:
     def test_degree_zero_is_one(self):
         xs = np.linspace(-1, 1, 11)
         for n in (3, 5, 8):
-            assert np.allclose(gegenbauer_normalized(n, 0, xs), 1.0)
-            assert np.allclose(gegenbauer_integral(n, 0, xs), 1.0, atol=1e-13)
+            assert np.allclose(eigenvalue_table(n, xs, 0), 1.0)
+            assert np.allclose(quadrature_table(n, xs, 0), 1.0, atol=1e-13)
 
     def test_legendre_values_frozen(self):
         # n = 3 reduces to Legendre: P1(1/2) = 1/2, P2(1/2) = (3/4 - 1)/2
-        assert float(gegenbauer_normalized(3, 1, np.array(0.5))) == pytest.approx(0.5, abs=1e-15)
-        assert float(gegenbauer_normalized(3, 2, np.array(0.5))) == pytest.approx(-0.125, abs=1e-15)
+        assert eigenvalue_table(3, 0.5, 2).tolist() == pytest.approx([1.0, 0.5, -0.125],
+                                                                    abs=1e-15)
 
     def test_normalized_at_one(self):
         for n in (3, 4, 6):
-            for k in (1, 5, 20):
-                assert float(gegenbauer_normalized(n, k, np.array(1.0))) == pytest.approx(1.0, abs=1e-12)
+            assert eigenvalue_table(n, 1.0, 20) == pytest.approx(np.ones(21), abs=1e-12)
 
     def test_bounded_by_one(self):
         xs = np.linspace(-1, 1, 201)
         for n in (3, 4, 7):
-            for k in (1, 3, 10, 40):
-                assert np.abs(gegenbauer_normalized(n, k, xs)).max() <= 1.0 + 1e-12
+            assert np.abs(eigenvalue_table(n, xs, 40)).max() <= 1.0 + 1e-12
 
     def test_recurrence_matches_quadrature(self):
         xs = np.linspace(-0.95, 0.95, 21)
-        worst = 0.0
-        for n in range(3, 9):
-            for k in range(0, 51):
-                a = gegenbauer_normalized(n, k, xs)
-                b = gegenbauer_integral(n, k, xs)
-                worst = max(worst, float(np.abs(a - b).max()))
+        worst = max(float(np.abs(eigenvalue_table(n, xs, 50) - quadrature_table(n, xs, 50)).max())
+                    for n in range(3, 9))
         assert worst <= 1e-10
 
+    def test_quadrature_matches_legendre(self):
+        # n = 3: the normalized eigenvalues are the Legendre polynomials P_k
+        xs = np.linspace(-1.0, 1.0, 23)
+        want = np.polynomial.legendre.legval(xs, np.eye(51))  # row k: P_k at xs
+        assert np.abs(quadrature_table(3, xs, 50) - want).max() <= 1e-13
+
+    def test_quadrature_matches_chebyshev_second_kind(self):
+        # n = 4: U_k(x) / (k + 1), with U_k(cos t) = sin((k + 1) t) / sin t inside (-1, 1)
+        # and U_k(+-1) = (+-1)^k (k + 1)
+        t = np.arccos(np.linspace(-0.95, 0.95, 21))
+        ks = np.arange(51)[:, None] + 1.0
+        want = np.sin(ks * t) / (ks * np.sin(t))
+        assert np.abs(quadrature_table(4, np.cos(t), 50) - want).max() <= 1e-13
+        ends = np.stack([(-1.0) ** np.arange(51), np.ones(51)], axis=1)
+        assert np.abs(quadrature_table(4, [-1.0, 1.0], 50) - ends).max() <= 1e-13
+
+    def test_quadrature_rule_grows_with_n(self):
+        # the weight sin^(n-3) t sharpens with n: a rule sized by the degree alone
+        # misses the recurrence by 2e-10 at n = 150 and 2e-5 at n = 300
+        xs = np.array([-1.0, -0.6, 0.0, 0.5, 0.95, 1.0])
+        for n in (150, 200, 300, 344):
+            for k_cap in (0, 5, 50):
+                got = quadrature_table(n, xs, k_cap)
+                assert got.shape == (k_cap + 1, 6)
+                assert np.abs(got - eigenvalue_table(n, xs, k_cap)).max() <= 1e-13, (n, k_cap)
+
     def test_domain_check(self):
-        with pytest.raises(DomainError):
-            gegenbauer_normalized(3, 2, np.array(1.5))
-        with pytest.raises(DomainError):
-            gegenbauer_normalized(3, 2, np.array([0.5, np.nan]))
-        with pytest.raises(InputError):
-            gegenbauer_normalized(2, 2, np.array(0.5))
+        for table in (eigenvalue_table, quadrature_table):
+            with pytest.raises(DomainError):
+                table(3, np.array(1.5), 2)
+            with pytest.raises(DomainError):
+                table(3, np.array([0.5, np.nan]), 2)
+            with pytest.raises(InputError):
+                table(2, np.array(0.5), 2)
+            with pytest.raises(InputError):
+                table(3, np.array(0.5), -1)
 
 
 def derivative(n, k, r, x):
@@ -242,8 +265,7 @@ def derivative(n, k, r, x):
 class TestDerivatives:
     def test_order_zero_passthrough(self):
         xs = np.linspace(-0.9, 0.9, 7)
-        assert np.allclose(derivative(4, 6, 0, xs),
-                           gegenbauer_normalized(4, 6, xs))
+        assert np.allclose(derivative(4, 6, 0, xs), eigenvalue_table(4, xs, 6)[6])
 
     def test_legendre_derivative_frozen(self):
         # P2'(x) = 3x
@@ -317,9 +339,8 @@ class TestSchattenSums:
     def test_truncated_matches_direct_summation(self):
         # the certified sum is the truncated sum over degrees 0..k_used
         res = schatten_derivative_sum(5, 4.0, 0, 0.3)
-        direct = sum(multiplicity(5, k)
-                     * abs(float(gegenbauer_normalized(5, k, np.array(0.3)))) ** 4
-                     for k in range(res.k_used + 1)) ** 0.25
+        table = eigenvalue_table(5, 0.3, res.k_used).tolist()
+        direct = sum(multiplicity(5, k) * abs(v) ** 4 for k, v in enumerate(table)) ** 0.25
         assert res.value == pytest.approx(direct, rel=1e-12)
 
     def test_doublings_sum_the_one_shot_terms(self):
@@ -334,6 +355,12 @@ class TestSchattenSums:
     def test_interior_guard(self):
         with pytest.raises(DomainError):
             schatten_derivative_sum(5, 4.0, 0, 0.99)
+
+    @pytest.mark.parametrize("k_start", [0, -64])
+    def test_truncation_start_below_one_rejected(self, k_start):
+        # a truncation of 0 degrees would double to 0 forever
+        with pytest.raises(InputError):
+            schatten_derivative_sum(5, 4.0, 0, 0.3, k_start=k_start)
 
     def test_nan_argument_rejected(self):
         with pytest.raises(DomainError):
@@ -380,12 +407,12 @@ class TestAveragingOperator:
     def test_zonal_eigenfunction(self):
         pole = np.array([0.3, -0.5, 0.81])
         pole /= np.linalg.norm(pole)
-        for k in (1, 4, 9):
-            f = lambda y: np.asarray(gegenbauer_normalized(3, k, np.clip(y @ pole, -1, 1)))
-            for delta in (-0.5, 0.0, 0.9):
-                got = averaging_operator(delta, f, self.pts, circle_nodes=360)
-                lam = float(gegenbauer_normalized(3, k, np.array(delta)))
-                assert np.abs(got - lam * f(self.pts)).max() <= 1e-4
+        # degrees 0..9 at once: f(y) is the table of eigenfunctions on the last axis
+        f = lambda y: np.moveaxis(eigenvalue_table(3, np.clip(y @ pole, -1, 1), 9), 0, -1)
+        for delta in (-0.5, 0.0, 0.9):
+            got = averaging_operator(delta, f, self.pts, circle_nodes=360)
+            lam = eigenvalue_table(3, delta, 9)
+            assert np.abs(got - lam * f(self.pts)).max() <= 1e-4
 
     def test_delta_one_identity(self):
         f = lambda y: y[..., 0] ** 2 - y[..., 2]
@@ -394,7 +421,7 @@ class TestAveragingOperator:
 
     def test_coarse_grid_flagged(self):
         from mcert.errors import AccuracyError
-        f = lambda y: np.asarray(gegenbauer_normalized(3, 12, np.clip(y[..., 2], -1, 1)))
+        f = lambda y: eigenvalue_table(3, np.clip(y[..., 2], -1, 1), 12)[12]
         with pytest.raises(AccuracyError):
             averaging_operator(0.3, f, self.pts, circle_nodes=10, check_tol=1e-10)
 
@@ -402,8 +429,8 @@ class TestAveragingOperator:
         xs = np.linspace(-0.9, 0.9, 5)
         table = eigenvalue_table(3, xs, 12)
         assert table.shape == (13, 5)
-        for k in (0, 3, 12):
-            assert np.array_equal(table[k], gegenbauer_normalized(3, k, xs))
+        for k in (0, 3, 12):  # a table is a prefix of every longer one
+            assert np.array_equal(table[:k + 1], eigenvalue_table(3, xs, k))
         with pytest.raises(DomainError):
             eigenvalue_table(3, [0.5, 1.5], 12)
         with pytest.raises(InputError):
