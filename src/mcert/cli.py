@@ -114,17 +114,17 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     _check_count("--grid-levels", shells, 1)
     basis = geo.lie_basis(n)
     dirs = _basis_indices(len(basis), per_order)
-    stack = _sweep_points(n, shells, seed).entries
+    sweep = _sweep_points(n, shells, seed)
     n_local = 3 * shells
 
     rep = CertificationReport(command="certify-hm")
     rep.seeds["sweep"] = seed
 
-    dists = geo.dist_to_identity(stack)
+    dists = geo.dist_to_identity(sweep.entries)
     ray_x = (1.0 + dists[n_local:]).reshape(-1, _RAY_POINTS).tolist()
     # v = max over the directions of |X_j^k m| per order k and point
-    derivs = [geo.lie_derivative(symbol.profile, stack, basis[j], order)[1:] for j in dirs]
-    vmax = np.vstack([np.abs(symbol(stack)), np.max(np.abs(derivs), axis=0)])
+    derivs = [geo.lie_derivative(symbol.profile, sweep, basis[j], order)[1:] for j in dirs]
+    vmax = np.vstack([np.abs(symbol(sweep)), np.max(np.abs(derivs), axis=0)])
 
     sup_per_order, ray_fits = {}, {}
     for k in range(order + 1):
@@ -293,20 +293,19 @@ def cmd_geometry(n: int, r_list) -> CertificationReport:
     positive volumes: INCONCLUSIVE when they sit at fewer than three distinct radii."""
     rep = CertificationReport(command="geometry")
     rs = np.asarray(list(r_list), dtype=float)
-    vols = np.array([geo.weyl_ball_volume(n, float(r)) for r in rs])
+    vols = geo.weyl_ball_volume(n, rs)
     rep.add_table("volumes", [{"R": float(r), "volume": float(v)} for r, v in zip(rs, vols)])
     sigma = n * n // 2
-    if len(rs) >= 3:
-        keep = vols > 0.0  # an underflowed volume has no logarithm
-        fit = len(np.unique(rs[keep])) >= 3
-        slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
-        rep.add(CheckRecord(
-            name="volume-growth-rate", check_id="geometry/volume-growth",
-            verdict=(INCONCLUSIVE if not fit else PASS if abs(slope - sigma) <= 0.05 * sigma
-                     else FAIL),
-            measured=slope, bound=float(sigma), tolerance=0.05,
-            details={} if fit else {"note": "fewer than three distinct radii with a positive volume"},
-        ))
+    keep = vols > 0.0  # an underflowed volume has no logarithm
+    fit = len(np.unique(rs[keep])) >= 3
+    slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
+    rep.add(CheckRecord(
+        name="volume-growth-rate", check_id="geometry/volume-growth",
+        verdict=(INCONCLUSIVE if not fit else PASS if abs(slope - sigma) <= 0.05 * sigma
+                 else FAIL),
+        measured=slope, bound=float(sigma), tolerance=0.05,
+        details={} if fit else {"note": "fewer than three distinct radii with a positive volume"},
+    ))
     return rep
 
 

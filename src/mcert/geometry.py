@@ -15,6 +15,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
-from .sphere import gauss_legendre
+from .errors import DomainError, InputError, NumericError, RangeError
 
 __all__ = [
     "GroupElement",
@@ -68,6 +68,9 @@ class GroupElement:
     @property
     def n(self) -> int:
         return self.entries.shape[-1]
+
+    def __array__(self, dtype=None, copy=None):  # np.asarray(g), as perfbench's observers read it
+        return np.asarray(self.entries, dtype=dtype)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.entries @ other.entries)
@@ -154,20 +157,19 @@ def expm(x, s=1.0) -> np.ndarray:
     return out
 
 
-def lie_derivative(phi, mats, x, order: int) -> np.ndarray:
+def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(sX))) of a radial
     profile phi along the generator X (an (n, n) matrix, such as a row of
     :func:`lie_basis`), exact up to rounding.
 
     The jet of the distance along the flow (:func:`dist_to_identity`) is composed
     with the profile's jet map ``phi.of`` (:class:`mcert.symbols.RadialProfile`).
-    ``mats`` is a (..., n, n) stack of g that :func:`check_special_linear` accepts,
-    and the result has shape (order + 1, ...), the same bits for a matrix in any
-    stack.  ``phi.of`` takes and returns jets of (N,) arrays; another shape is an
-    InputError, and a non-finite derivative a NumericError.
+    ``g`` is a :class:`GroupElement`, already validated, and for a (..., n, n) stack the
+    result has shape (order + 1, ...), the same bits for a matrix in any stack.
+    ``phi.of`` takes and returns jets of (N,) arrays; another shape is an InputError,
+    and a non-finite derivative a NumericError.
     """
-    mats = check_special_linear(mats)
-    flat = mats.reshape(-1, *mats.shape[-2:])
+    flat = g.entries.reshape(-1, g.n, g.n)
     with np.errstate(all="ignore"):
         jet = phi.of(_dist_jet(flat, np.asarray(x, dtype=float), order))
         if len(jet) != order + 1 or any(np.shape(c) != flat.shape[:1] for c in jet):
@@ -176,7 +178,7 @@ def lie_derivative(phi, mats, x, order: int) -> np.ndarray:
         out = np.array(jet, dtype=float) * np.cumprod([1.0, *range(1, order + 1)])[:, None]  # k!
     if not np.all(np.isfinite(out)):
         raise NumericError("symbol derivative is not finite")
-    return out.reshape(order + 1, *mats.shape[:-2])
+    return out.reshape(order + 1, *g.entries.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +186,10 @@ def lie_derivative(phi, mats, x, order: int) -> np.ndarray:
 #
 # In simple-root coordinates t_i = z_i - z_{i+1} >= 0 the ball {max(z_1, -z_n) <= r} is
 # r P_1, P_1 = {t >= 0, sum (n - i)/n t_i <= 1, sum i/n t_i <= 1}: d + 2 rows, d = n - 1.
+# prod_{i<j} sinh(z_i - z_j) = 2^-N sum_w sgn(w) e^<lambda_w, z> (Weyl denominator formula),
+# and e^<lambda_w, z> integrates over a cone r conv(0, v) to r^d |det v| exp[0, y_1..y_d] =
+# r^d |det v| sum_m h_m(y) / (m + d)!, y_j = r <lambda_w, v_j> (Hermite-Genocchi).
 
-_MAX_NODES = 2 ** 22  # nodes of the finer tensor rule on one simplex
 # n = 2..5: the least float radius whose volume exceeds the largest float (exact oracle)
 _FLOAT_RADIUS = (355.584503627252, 178.31211219904594, 89.84113596494072, 60.25585769663995)
 
@@ -193,8 +197,9 @@ _FLOAT_RADIUS = (355.584503627252, 178.31211219904594, 89.84113596494072, 60.255
 @lru_cache(maxsize=None)
 def _chamber_simplices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cones from the origin over a pulling triangulation of the facet sum (n - i)/n t_i = 1
-    of P_1, read-only: the roots z_i - z_j (i < j) at their far vertices, (k, n - 1, n(n-1)/2),
-    and their volumes, doubled for the mirror facet (t_i <-> t_{n-i} keeps P_1 and the weight)."""
+    of P_1, one row per (cone, w in S_n), read-only: <lambda_w, v> = <cumsum(lambda_w)[:-1], t>
+    at the far vertices v, (k n!, n - 1), lambda_w,i = n + 1 - 2w(i), and sgn(w) vol / 2^N,
+    the volumes doubled for the mirror facet (t_i <-> t_{n-i} keeps P_1 and the weight)."""
     d, i, e = n - 1, np.arange(1, n), np.eye(n - 1)
     # d rows are tight at a vertex, at most two of them outer: at most two t_k > 0
     verts = np.array([0 * e[0]] + [e[k - 1] * n / max(k, n - k) for k in i]
@@ -212,56 +217,52 @@ def _chamber_simplices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     outer = [tuple(np.flatnonzero(tight[:, c])) for c in (d, d + 1)]  # equal for n = 2
     far = verts[pull(outer[0])]
-    lo, hi = np.triu_indices(n, 1)
-    roots = far @ ((lo[:, None] <= i - 1) & (i - 1 < hi[:, None])).T  # t_lo + ... + t_{hi-1}
+    perms = np.array(list(itertools.permutations(range(n))))  # w - 1, 0-based
+    x = (np.cumsum(n - 1 - 2 * perms, axis=1)[:, :-1] @ far.transpose(0, 2, 1)).reshape(-1, d)
     vols = np.abs(np.linalg.det(far)) / n * len(set(outer))  # |dz_1 ... dz_{n-1} / dt| = 1/n
-    roots.flags.writeable = vols.flags.writeable = False
-    return roots, vols
+    w = np.outer(vols, np.linalg.det(np.eye(n)[perms])).ravel() / 2.0 ** (n * d // 2)  # det = sgn
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def _chamber_integral(n: int, r: float, q: int) -> float:
-    """prod_{i<j} sinh(z_i - z_j) over the ball of radius r, q nodes per axis, each sinh a as
-    -e^a expm1(-2a) / 2: sum a <= sigma r, so only the closing e^(sigma r / 2) can overflow."""
-    x, w = gauss_legendre(q)
-    s, ws = 0.5 * (x + 1.0), 0.5 * w
-    bary, wf = np.ones((1, 1)), np.ones(1)  # collapsed (Duffy) rule on the j-simplex
-    for j in range(n - 2):  # the cone over the j-simplex from a new vertex
-        bary = np.hstack([np.repeat(1.0 - s, len(wf))[:, None],
-                          (s[:, None, None] * bary).reshape(-1, j + 1)])
-        wf = np.outer(ws * s ** j, wf).ravel()
-    ws = ws * s ** (n - 2)
-    step = max(1, 2 ** 16 // len(wf))  # radial nodes per array: at most 2^16 nodes
-    sigma, total = n * n // 2, 0.0
-    for face, vol in zip(*_chamber_simplices(n)):
-        y = -2.0 * r * face.T @ bary.T  # -2r times the roots at the face nodes
-        for k in range(0, q, step):
-            vals = np.exp(-0.5 * s[k:k + step, None] * y.sum(axis=0) - sigma * r / 2.0)
-            vals *= np.expm1(y[:, None] * s[k:k + step, None]).prod(axis=0)
-            total += vol * float(ws[k:k + step] @ vals @ wf)
-    return float(total * r ** (n - 1)) * (-0.5) ** (n * (n - 1) // 2) * math.exp(sigma * r / 2.0)
-
-
-def weyl_ball_volume(n: int, r: float) -> float:
-    """Volume of the ball {log L(g) <= r} in the Haar normalization above: the finer of
-    the rules at q and q + 4 nodes per axis.  A gap above 1e-9 relative, or a rule above
-    _MAX_NODES nodes per simplex, is an AccuracyError; r must be positive and finite
-    (DomainError), and a volume beyond the float range is a RangeError."""
+def weyl_ball_volume(n: int, r):
+    """Volume of the ball {log L(g) <= r} (Haar normalization above) at a radius or an array
+    of radii, same shape: the series over the orders m >= N (the lower ones cancel over w), up
+    to the first block of 8 orders ending in a term bound sum |w| max|y|^m / m! at most 1e-17 of
+    the radius's sum, so a radius has the same bits alone as in a list.  r must be positive and
+    finite (DomainError); a volume past the float range is a RangeError."""
     if n < 2 or n > 5:
         raise InputError("n must be in {2, ..., 5}")
-    if not (0 < r < math.inf):
+    r = np.asarray(r, dtype=float)
+    if not np.all((0 < r) & (r < math.inf)):
         raise DomainError("radius must be positive and finite")
-    if r >= _FLOAT_RADIUS[n - 2]:  # before the rule is sized: q grows with r
-        raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
-    # coarser rule within 1e-11 up to the float range, sigma r < 724; n + 4 covers small r
-    q = max(n + 4, 4 + math.ceil(2.6 * math.sqrt(n * n // 2 * r)))
-    if (q + 4) ** (n - 1) > _MAX_NODES:
-        raise AccuracyError(f"radius {r:g} needs {q + 4}^{n - 1} > {_MAX_NODES} nodes per simplex")
-    coarse, vol = (_chamber_integral(n, r, m) for m in (q, q + 4))
-    if math.isinf(vol):  # rounded past the largest float, just below _FLOAT_RADIUS
-        raise RangeError(f"the chamber volume at radius {r:g} exceeds the float range")
-    if abs(coarse - vol) > 1e-9 * vol:
-        raise AccuracyError("chamber quadrature did not converge")
-    return vol + 0.0  # an underflowed volume is +0.0, whatever the sign of the weight
+    if np.any(r >= _FLOAT_RADIUS[n - 2]):  # before the series is sized: its length grows with r
+        raise RangeError(f"the chamber volume at radius {r.max():g} exceeds the float range")
+    x, w = _chamber_simplices(n)
+    d, rs = n - 1, r.ravel()
+    y, big = x.T[:, None, :] * rs[:, None], np.abs(x).max() * rs  # (d, radii, rows), max |y|
+    # the terms reach about e^big: a power-of-two seed keeps them below 2^900 and stays normal
+    shift = np.maximum(0, np.ceil(big / math.log(2.0)) - 900).astype(int)
+    seed, big8 = np.ldexp(1.0, -shift), np.square(np.square(np.square(big)))  # big^8 by products
+    bound = np.abs(w).sum() * seed  # sum |w| seed big^m / m!
+    e = np.zeros((d + 1,) + y.shape[1:])  # e_j(m) = seed h_m(0, y_1..y_j) / (m + j)!, e_0 = 0
+    e[1:] = seed[:, None] / np.cumprod(np.arange(1.0, n))[:, None, None]  # m = 0
+    total, live, m = np.zeros(len(rs)), np.ones(len(rs), dtype=bool), 0
+    while live.any():  # blocks of 8 orders, so every radius is tested at the same orders
+        block = np.zeros(y.shape[1:])
+        for m in range(m + 1, m + 9):
+            for j in range(1, d + 1):
+                e[j] = (e[j - 1] + y[j - 1] * e[j]) / (m + j)
+            if m >= n * d // 2:
+                block += e[d]
+        total = np.where(live, total + (block * w).sum(axis=-1), total)
+        bound = bound * (big8 / float(math.prod(range(m - 7, m + 1))))
+        live &= bound > 1e-17 * np.abs(total)  # an underflowed bound stops a zero sum at once
+    vol = np.ldexp(total, shift) * np.prod([rs] * d, axis=0)  # r^d without SIMD pow rounding
+    if np.any(np.isinf(vol)):  # rounded past the largest float, just below _FLOAT_RADIUS
+        raise RangeError(f"the chamber volume at radius {rs[np.isinf(vol)][0]:g} exceeds "
+                         "the float range")
+    return (vol + 0.0).reshape(r.shape)[()]  # an underflowed volume is +0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Three evaluator containers are used across the toolkit:
 
 * :class:`SymbolHandle`  - the lift of a radial profile to the group; called
-  with one (n, n) matrix or a stack of them.
+  with a :class:`geometry.GroupElement`, one (n, n) matrix or a stack of them.
 * :class:`EuclideanSymbol` - symbols on R^d; called with an (..., d) array.
 * :class:`RadialProfile` - scalar profiles phi on (1, infinity), the
   subject of the radial rigidity checks.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import taylor
 from .errors import InputError
-from .geometry import check_special_linear, dist_to_identity
+from .geometry import GroupElement, dist_to_identity
 
 __all__ = [
     "SymbolHandle",
@@ -37,15 +37,15 @@ __all__ = [
 class SymbolHandle:
     """The lift g -> phi(dist(g, e)) of a radial profile phi to the group.
 
-    Called with a (..., n, n) stack that :func:`check_special_linear` accepts,
-    it returns (...) values; :func:`geometry.lie_derivative` takes the exact
-    derivatives of the lift from ``profile``.
+    Called with a :class:`geometry.GroupElement`, one matrix or a (..., n, n)
+    stack, it returns (...) values; :func:`geometry.lie_derivative` takes the
+    exact derivatives of the lift from ``profile``.
     """
 
     profile: RadialProfile
 
-    def __call__(self, mats):
-        return self.profile(dist_to_identity(check_special_linear(np.asarray(mats, dtype=float))))
+    def __call__(self, g: GroupElement):
+        return self.profile(dist_to_identity(g.entries))
 
 
 @dataclass
@@ -154,9 +154,8 @@ class SymbolFamily:
         raise InputError(f"family {self.kind!r} does not define a radial profile")
 
     def build_group_symbol(self) -> SymbolHandle:
-        """The lift g -> phi(dist(g, e)) of the profile.  Any (..., n, n) stack gives (...)
-        values, once it is checked to lie in SL(n,R).  dist(e, e) = 0, so a radial-power
-        shift must be > 0."""
+        """The lift g -> phi(dist(g, e)) of the profile.  A GroupElement stack of leading
+        shape ... gives (...) values.  dist(e, e) = 0, so a radial-power shift must be > 0."""
         if self.kind == "radial-power" and not self.parameters.get("shift", 1.0) > 0.0:
             raise InputError(f"radial-power parameter 'shift' must be > 0 to lift to the group, "
                              f"got {self.parameters['shift']:g}")

@@ -128,6 +128,20 @@ class TestCertifyHm:
         assert sorted(jets) == [(1, points)] + [(order + 1, points)] * per_order
         assert len(points) == 1 and points[0] > 1  # stacks only, never one matrix
 
+    def test_sweep_is_validated_once(self, monkeypatch):
+        # the sweep's GroupElement is checked when it is built; the symbol and the Lie
+        # derivatives read its entries and check nothing again
+        from mcert import geometry
+        from mcert.cli import cmd_certify_hm
+        from mcert.symbols import SymbolFamily
+
+        calls = []
+        check = geometry.check_special_linear
+        monkeypatch.setattr(geometry, "check_special_linear",
+                            lambda m: calls.append(np.shape(m)) or check(m))
+        cmd_certify_hm(SymbolFamily.parse("radial-power:exponent=5").build_group_symbol(), n=3)
+        assert calls == [(25, 3, 3)]
+
     def test_per_order_zero_is_input_error(self, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2",
                    "--order", "1", "--per-order", "0"])
@@ -545,7 +559,7 @@ class TestGeometryCommand:
         assert json.loads(reports[0])["seeds"] == {}
 
     @pytest.mark.parametrize("n, radii", [("3", ["1e-300", "1e-200", "1e-100"]),
-                                          ("2", ["5", "5", "5"]),
+                                          ("2", ["5", "5", "5"]), ("2", ["5"]), ("2", ["5", "6"]),
                                           ("2", ["1e-300", "1e-300", "2", "3"])])
     def test_unfittable_radii_are_inconclusive(self, n, radii, tmp_path):
         # a growth rate needs positive volumes at three distinct radii; an underflowed
@@ -557,6 +571,18 @@ class TestGeometryCommand:
         assert record["verdict"] == "INCONCLUSIVE" and record["measured"] is None
         vols = [row["volume"] for row in rep["tables"]["volumes"]]
         assert all(v > 0 or math.copysign(1.0, v) == 1.0 for v in vols)
+
+    def test_n5_radius_40_has_oracle_volume(self, tmp_path):
+        # n = 5 at R = 40: a finite volume of about e^480, one series like any other radius
+        from test_geometry import exact_ball_volume
+
+        out = tmp_path / "geo.json"
+        radii = [2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 40]
+        assert main_strict(["geometry", "--n", "5", "--R", *map(str, radii),
+                            "--out", str(out)]) == 0
+        last = strict_json(out)["tables"]["volumes"][-1]
+        assert last["R"] == 40.0
+        assert last["volume"] == pytest.approx(exact_ball_volume(5, 40.0, 120), rel=1e-13)
 
     def test_bad_radius_is_input_error(self):
         rc = main(["geometry", "--n", "2", "--R", "-1"])
@@ -581,8 +607,8 @@ class TestGeometryCommand:
     @pytest.mark.parametrize("n, radius", [("2", "1e9"), ("2", "1e12"), ("4", "500"),
                                            ("5", "100")])
     def test_huge_radius_exits_two_at_once(self, n, radius, tmp_path, capsys):
-        # the rule is sized from the radius only below the float range: no q x q
-        # Gauss-Legendre matrix at q ~ 5 sqrt(r), and no node-cap exit 3 at n = 5
+        # the series is sized from the radius only below the float range: its length
+        # grows with the radius
         out = tmp_path / "geo.json"
         start = time.monotonic()
         rc = main(["geometry", "--n", n, "--R", "2", radius, "--out", str(out)])
@@ -635,14 +661,3 @@ class TestReportDeterminism:
         assert rep["schema"] == "mcert/1"
         assert "timestamp" in rep["header"]
 
-
-class TestAccuracyExitCode:
-    def test_radius_beyond_node_cap_exits_three(self, tmp_path, capsys):
-        # a finite volume (about e^480) whose rule would need 65^4 nodes per simplex
-        out = tmp_path / "geo.json"
-        start = time.monotonic()
-        rc = main(["geometry", "--n", "5", "--R", "40", "--out", str(out)])
-        assert time.monotonic() - start < 1.0
-        assert rc == 3
-        assert "nodes per simplex" in capsys.readouterr().err
-        assert not out.exists()

@@ -1,18 +1,20 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.linalg import expm as scipy_expm
 from scipy.spatial import Delaunay, HalfspaceIntersection
 
 from mcert import geometry, taylor
 from mcert.cli import _basis_indices, _sweep_points, cmd_certify_hm
 from mcert.errors import DomainError, InputError, NumericError, RangeError
-from mcert.geometry import (GroupElement, _chamber_integral, check_special_linear,
+from mcert.geometry import (GroupElement, check_special_linear,
                             dist_to_identity, expm, harish_chandra_xi, haar_so, identity,
                             lie_basis, lie_derivative, weyl_ball_volume)
 from mcert.symbols import RadialProfile, SymbolFamily
@@ -58,14 +60,14 @@ def exp_divided_difference(xs):
     return table[0]
 
 
-def exact_ball_volume(n, r):
-    """The chamber ball volume at 50 digits: prod_{i<j} sinh(z_i - z_j) is
+def exact_ball_volume(n, r, digits):
+    """The chamber ball volume at ``digits`` digits: prod_{i<j} sinh(z_i - z_j) is
     2^-N sum over permutations w of sgn(w) e^<2 w rho, z>, and each exponential
     integrates over a simplex to d! |simplex| times the divided difference of exp
     at its values on the vertices."""
     r = Fraction(r)
     rho2 = [n + 1 - 2 * i for i in range(1, n + 1)]
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         total = mpmath.mpf(0)
         for simplex in unit_ball_simplices(n):
             verts = [[r * x for x in v] for v in simplex]
@@ -172,7 +174,7 @@ class TestLieDerivative:
                 assert abs(np.sum(x * y) - want) <= 1e-12
 
     def test_constant_symbol(self):
-        g = np.diag([1.5, 1.0, 1 / 1.5])
+        g = GroupElement(np.diag([1.5, 1.0, 1 / 1.5]))
         one = SymbolFamily.parse("radial-power:exponent=0").build_profile()
         for j in (0, 3, 7):
             assert lie_derivative(one, g, self.basis[j], 3).tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -190,12 +192,12 @@ class TestLieDerivative:
             first = (tr(a, g.entries @ x) - tr(b, x @ gi)) / 3.0
             second = (tr(g.entries @ x, g.entries @ x) + tr(a, g.entries @ x @ x)
                       + tr(x @ gi, x @ gi) + tr(b, x @ x @ gi)) / 3.0
-            got = lie_derivative(square, g.entries, x, 2)
+            got = lie_derivative(square, g, x, 2)
             assert got == pytest.approx([dist_to_identity(g.entries) ** 2, first, second],
                                         rel=1e-13, abs=1e-14)
 
     def test_linearity(self):
-        g = np.diag([1.1, 1.0, 1 / 1.1]) @ expm(self.basis[6], 0.2)
+        g = GroupElement(np.diag([1.1, 1.0, 1 / 1.1]) @ expm(self.basis[6], 0.2))
         p1 = SymbolFamily.parse("radial-power:exponent=2.5").build_profile()
         p2 = SymbolFamily.parse("hm-bump:center=0.5,width=0.6").build_profile()
         combo = RadialProfile(lambda u: [2.0 * a - 3.0 * b for a, b in zip(p1.of(u), p2.of(u))])
@@ -257,10 +259,11 @@ class TestStackedEngine:
         dists, ref = sweep_oracle(n)
         basis, order = lie_basis(n), n * n // 2 + 1
         weight = dists ** np.arange(order + 1)[:, None]
+        sweep = _sweep_points(n, 5, 0)
         for spec, want in zip(ORACLE_SPECS, ref):
             prof = SymbolFamily.parse(spec).build_profile()
             for j in range(len(basis)):
-                got = lie_derivative(prof, sweep_stack(n), basis[j], order)
+                got = lie_derivative(prof, sweep, basis[j], order)
                 scale = np.maximum(weight * np.abs(want[j]), np.abs(want[j][0]))
                 err = weight * np.abs(got - want[j])
                 assert np.all(err[1:] <= 1e-10 * scale[1:]), (spec, j, (err / scale).max())
@@ -332,9 +335,9 @@ class TestStackedEngine:
         prof = SymbolFamily.parse("radial-log-power:exponent=2.5").build_profile()
         stack = sweep_stack(3, 2, seed=1)
         for x in self.basis:
-            got = lie_derivative(prof, stack, x, 5)
+            got = lie_derivative(prof, GroupElement(stack), x, 5)
             assert got.shape == (6, len(stack))
-            per = [lie_derivative(prof, g, x, 5) for g in stack]
+            per = [lie_derivative(prof, GroupElement(g), x, 5) for g in stack]
             assert all(p.shape == (6,) for p in per)
             assert np.array_equal(got, np.transpose(per))
 
@@ -345,14 +348,15 @@ class TestStackedEngine:
         grid = flat.reshape(4, 4, 3, 3)
         assert np.array_equal(dist_to_identity(grid), dist_to_identity(flat).reshape(4, 4))
         for x in self.basis[[0, 4, 7]]:
-            got = lie_derivative(prof, grid, x, 5)
+            got = lie_derivative(prof, GroupElement(grid), x, 5)
             assert got.shape == (6, 4, 4)
-            assert np.array_equal(got, lie_derivative(prof, flat, x, 5).reshape(6, 4, 4))
+            assert np.array_equal(got, lie_derivative(prof, GroupElement(flat), x, 5)
+                                  .reshape(6, 4, 4))
 
     def test_constant_symbol_exact_zero_at_order_nine(self):
         basis = lie_basis(4)
         one = SymbolFamily.parse("radial-power:exponent=0").build_profile()
-        stack = sweep_stack(4, 2)
+        stack = _sweep_points(4, 2, 0)
         for j in (0, 9, 14):
             got = lie_derivative(one, stack, basis[j], 9)
             assert np.all(got[0] == 1.0) and np.all(got[1:] == 0.0), j
@@ -365,7 +369,7 @@ class TestStackedEngine:
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         weight = dist_to_identity(stack) ** np.arange(6)[:, None]
         for j in (0, 3, 7):
-            got = lie_derivative(prof, stack, self.basis[j], 5)
+            got = lie_derivative(prof, GroupElement(stack), self.basis[j], 5)
             want = np.transpose([mp_derivatives(g, self.basis[j], 5, [lambda x: (1 + x) ** -5])[0]
                                  for g in stack])
             scale = np.maximum(weight * np.abs(want), np.abs(want[0]))
@@ -387,9 +391,10 @@ class TestStackedEngine:
 
         for spec in ORACLE_SPECS:
             prof = SymbolFamily.parse(spec).build_profile()
-            got = lie_derivative(prof, stack, x, 5)
-            first = (lie_derivative(prof, stack, self.basis[0], 1)[1]
-                     + lie_derivative(prof, stack, self.basis[2], 1)[1]) / math.sqrt(2.0)
+            g = GroupElement(stack)
+            got = lie_derivative(prof, g, x, 5)
+            first = (lie_derivative(prof, g, self.basis[0], 1)[1]
+                     + lie_derivative(prof, g, self.basis[2], 1)[1]) / math.sqrt(2.0)
             assert np.allclose(got[1], first, rtol=0, atol=1e-14), spec
             mp = _mp_profile(SymbolFamily.parse(spec))
             want = np.transpose([mp_derivatives(g, x, 5, [mp], flow)[0] for g in stack])
@@ -426,7 +431,7 @@ class TestStackedEngine:
         assert check_special_linear(stack).shape == (4, 3, 3)
 
     def test_wrong_result_shape_rejected(self):
-        g = np.diag([1.2, 1.0, 1 / 1.2])
+        g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
         for bad in (lambda u: [1.0] * len(u), lambda u: [c[..., None] for c in u],
                     lambda u: u[:1]):
             with pytest.raises(InputError):
@@ -444,27 +449,53 @@ class TestWeylVolume:
             assert all(b > a for a, b in zip(vols, vols[1:]))
 
     def test_n2_matches_closed_form(self):
-        # integral of sinh(2t) on [0, R] = (cosh(2R) - 1) / 2
-        for r in (1.0, 3.0):
-            want = (math.cosh(2 * r) - 1.0) / 2.0
-            assert weyl_ball_volume(2, r) == pytest.approx(want, rel=1e-10)
+        # integral of sinh(2t) on [0, R] = (cosh(2R) - 1) / 2 = sinh(R)^2, here without
+        # the cancellation of cosh(2R) - 1 at small R
+        top = geometry._FLOAT_RADIUS[0] - 1e-9
+        for r in (1e-3, 0.1, 1.0, 3.0, 10.0, 100.0, top):
+            assert weyl_ball_volume(2, r) == pytest.approx(math.sinh(r) ** 2, rel=1e-14), r
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_exact_oracle(self, n, monkeypatch):
-        # the finer rule is within 1e-10 of the exact volume, and its gap to the coarser
-        # rule bounds its error up to rounding: here both rules agree to about 1e-13
-        rules = []
-        monkeypatch.setattr(geometry, "_chamber_integral",
-                            lambda *args: rules.append(_chamber_integral(*args)) or rules[-1])
-        for r in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
-            exact = exact_ball_volume(n, r)
-            if n == 2:
-                assert exact == pytest.approx((math.cosh(2 * r) - 1.0) / 2.0, rel=1e-14)
-            vol = weyl_ball_volume(n, r)
-            coarse, fine = rules[-2:]
-            assert fine == vol
-            assert abs(vol - exact) <= 1e-10 * exact, (r, vol, exact)
-            assert abs(vol - exact) <= abs(coarse - vol) + 5e-13 * exact, (r, exact, coarse)
+    def test_matches_exact_oracle(self, n):
+        # within 1e-13 of the 120-digit volume from R = 1e-3 to just below the float range
+        # (at 50 digits the oracle itself is 1.8e-11 off at n = 5, R = 1e-3)
+        top = geometry._FLOAT_RADIUS[n - 2] - 1e-9
+        radii = [1e-3, 0.03, 0.5, 2.0, 5.0, 10.0, top / 2, top]
+        vols = weyl_ball_volume(n, radii)
+        for r, vol in zip(radii, vols):
+            exact = exact_ball_volume(n, r, 120)
+            assert abs(vol - exact) <= 1e-13 * exact, (r, vol, exact)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 5.0])
+    def test_n3_matches_direct_quadrature(self, r):
+        # no Weyl formula: scipy's adaptive rule on prod sinh(z_i - z_j) over the chamber
+        # ball z_1 >= z_2 >= z_3 = -z_1 - z_2, z_1 <= r, -z_3 <= r, split at the kink z_1 = r/2
+        def weight(z2, z1):
+            z3 = -z1 - z2
+            return math.sinh(z1 - z2) * math.sinh(z1 - z3) * math.sinh(z2 - z3)
+
+        want = sum(dblquad(weight, a, b, lambda z1: -z1 / 2, hi, epsabs=0, epsrel=1e-13)[0]
+                   for a, b, hi in ((0.0, r / 2, lambda z1: z1), (r / 2, r, lambda z1: r - z1)))
+        assert weyl_ball_volume(3, r) == pytest.approx(want, rel=1e-12)
+
+    def test_underflowed_radius_returns_zero_at_once(self):
+        start = time.monotonic()
+        for n in (2, 3, 4, 5):
+            assert weyl_ball_volume(n, 1e-300) == 0.0
+            assert np.array_equal(weyl_ball_volume(n, [1e-300, 2.0]) > 0, [False, True])
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_volume_alone_has_its_bits_in_a_list(self, n):
+        # each radius stops at its own order, so neighbours in a list do not move its bits
+        top = geometry._FLOAT_RADIUS[n - 2] - 1e-9
+        radii = np.array([1e-300, 1e-3, 0.7, 2.0, 3.3, 9.5, 21.0, top / 2, top])
+        rng = np.random.default_rng(n)
+        alone = [weyl_ball_volume(n, float(r)) for r in radii]
+        for order in (np.arange(len(radii)), rng.permutation(len(radii)), [8, 0, 8, 1]):
+            got = weyl_ball_volume(n, radii[order])
+            assert got.tobytes() == np.array(alone)[order].tobytes(), order
+        assert weyl_ball_volume(n, radii.reshape(3, 3)).shape == (3, 3)
 
 
 class TestHarishChandra:
@@ -499,7 +530,7 @@ class TestErrorPaths:
         x = lie_basis(3)[0]
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         with pytest.raises(NumericError):
-            lie_derivative(prof, expm(x, 1e-3), x, 150)
+            lie_derivative(prof, GroupElement(expm(x, 1e-3)), x, 150)
 
     def test_weyl_bad_inputs(self):
         with pytest.raises(InputError):
@@ -521,21 +552,20 @@ class TestErrorPaths:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_float_radius_matches_oracle(self, n):
         r = geometry._FLOAT_RADIUS[n - 2]  # the least float radius past the float range
-        assert exact_ball_volume(n, r) == math.inf
-        assert exact_ball_volume(n, math.nextafter(r, 0.0)) < math.inf
+        assert exact_ball_volume(n, r, 50) == math.inf
+        assert exact_ball_volume(n, math.nextafter(r, 0.0), 50) < math.inf
         with pytest.raises(RangeError):
             weyl_ball_volume(n, r)
-        if n < 5:  # n = 5 is past the node cap from r = 16.9 on
-            below = r - 1e-9
-            assert weyl_ball_volume(n, below) == pytest.approx(exact_ball_volume(n, below),
-                                                               rel=1e-10)
+        below = r - 1e-9
+        assert weyl_ball_volume(n, below) == pytest.approx(exact_ball_volume(n, below, 50),
+                                                           rel=1e-13)
 
 
 def test_index_sequences():
     # orders 0..k of a call to order K > k are the call to order k, bit for bit, and
     # order 0 is the lifted symbol's value
     basis = lie_basis(3)
-    g = np.diag([1.2, 1.0, 1 / 1.2]) @ expm(basis[7], 0.4)
+    g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]) @ expm(basis[7], 0.4))
     family = SymbolFamily.parse("radial-log-power:exponent=3,log_exponent=2")
     prof = family.build_profile()
     full = lie_derivative(prof, g, basis[5], 9)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mcert.errors import DomainError, InputError
-from mcert.geometry import haar_so
+from mcert.geometry import GroupElement, haar_so
 from mcert.symbols import SymbolFamily, read_matrix_csv
 
 from matrix_csv import write_matrix_csv
@@ -72,12 +72,13 @@ class TestFamilies:
         rng = np.random.default_rng(0)
         stack = haar_so(3, 4, rng)
         dist_sym = SymbolFamily.parse("radial-power:exponent=2").build_group_symbol()
-        assert dist_sym(stack).shape == (4,)
+        assert dist_sym(GroupElement(stack)).shape == (4,)
         # one matrix takes numpy's scalar pow, a stack its SIMD pow: equal to rounding
-        np.testing.assert_allclose(dist_sym(stack), [dist_sym(k) for k in stack], rtol=1e-14)
-        assert dist_sym(np.eye(3)) == 1.0  # dist(e, e) = 0
+        np.testing.assert_allclose(dist_sym(GroupElement(stack)),
+                                   [dist_sym(GroupElement(k)) for k in stack], rtol=1e-14)
+        assert dist_sym(GroupElement(np.eye(3))) == 1.0  # dist(e, e) = 0
         with pytest.raises(DomainError):
-            dist_sym(2.0 * np.eye(3))  # det 8: not in SL(3, R)
+            dist_sym(GroupElement(2.0 * np.eye(3)))  # det 8: not in SL(3, R)
 
     @pytest.mark.parametrize("shift", ["0", "-0.5"])
     def test_group_lift_needs_positive_shift(self, shift):
