@@ -39,7 +39,7 @@ def _check_count(flag: str, value: int, least: int, most: int | None = None) -> 
         raise InputError(f"{flag} must be <= {most}, got {value}")
 
 
-_MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024 (16 MB per dense array)
+_MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024, held as first columns
 _MAX_RANK = 64  # from n = 79 at p = inf the rigidity envelopes of order [alpha] overflow floats
 _MAX_ORDER = 170  # k! overflows a float from k = 171
 
@@ -183,19 +183,22 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
     """Radial rigidity records for a profile family.
 
     With ``sections`` > 0, finite Schur sections at growing angular
-    resolutions supply the one-sided boundedness evidence.  The
+    resolutions supply the one-sided boundedness evidence; the growth
+    record compares sizes, so one section is an input error.  The
     sufficiency record compares the fitted decay exponent of the profile
     against the critical index of the requested rank; a shortfall is
     INCONCLUSIVE, because the condition is sufficient, not necessary.
     """
     _check_count("--n", n, 3, _MAX_RANK)
     _check_count("--sections", sections, 0, _MAX_SECTIONS)
+    if sections == 1:
+        raise InputError("--sections must be 0 or 2 to 8, got 1")
     profile = family.build_profile()
     rep = CertificationReport(command="rigidity")
     rep.seeds["sections"] = seed
 
     if sections:
-        sizes = tuple(8 * 2 ** i for i in range(max(2, sections)))
+        sizes = tuple(8 * 2 ** i for i in range(sections))
         wit = rigidity_witness(profile, n, p, point_sets=sizes, mode=mode, seed=seed)
         for r in wit.records:
             rep.add(r)
@@ -360,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--sections", type=int, default=0,
-                   help="number of growing finite sections (0 = records only)")
+                   help="number of growing finite sections, 0 or 2 to 8 (0 = records only)")
     s.add_argument("--mode", choices=("hs", "opnorm"), default="hs")
     _add_common(s)
 

@@ -1,6 +1,7 @@
 """Finite-section Schur multipliers: lower bounds by alternating
-maximization inside a certified upper bound, a product-cube upper bound,
-and the radial rigidity witness.
+maximization inside a certified upper bound, on dense symbols and, for
+circulant sections, on the Fourier side; a product-cube upper bound; and
+the radial rigidity witness.
 
 All lower bounds are one-sided: a finite section never overestimates
 the full multiplier norm (restriction), and any admissible input to the
@@ -25,6 +26,8 @@ __all__ = [
     "TruncatedSchurMultiplier",
     "SchurLowerBound",
     "schur_norm_lower_bound",
+    "CirculantLowerBound",
+    "circulant_lower_bound",
     "circulant_schur_bound",
     "frobenius_schur_bound",
     "interpolated_schur_bound",
@@ -78,6 +81,7 @@ def _multiplier(m) -> TruncatedSchurMultiplier:
 # gap at which a lower bound meets a certified upper bound.
 _STALL_RTOL = 1e-12
 _RANDOM_STARTS = 6  # seeded Gaussian starts of the optimizer
+_ITERATIONS = 40  # the optimizers' default step cap per start
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 # FFT rounding allowance per radix level, in units of the unit roundoff.
 # Higham's radix-2 bound (Accuracy and Stability, Thm 24.2) is about 6.7;
@@ -101,12 +105,15 @@ def _pow2_scaled(x: np.ndarray, top: float | None = None):
     return x * math.ldexp(1.0, -e), e
 
 
-def _schatten_from_sv(sv: np.ndarray, p: float) -> float:
-    """l_p norm of descending singular values, as s_1 |s / s_1|_p (no overflow)."""
-    top = float(sv[0]) if sv.size else 0.0
-    if math.isinf(p) or top == 0.0:
+def _lp_norm(x: np.ndarray, p: float):
+    """l_p norm over the last axis, as top |x / top|_p with top = max|x| (no power
+    overflows); of singular values, the Schatten norm."""
+    modulus = np.abs(x)
+    top = modulus.max(axis=-1, initial=0.0)
+    if math.isinf(p):
         return top
-    return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    safe = np.where(top > 0.0, top, 1.0)
+    return top * np.sum((modulus / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
 
 
 def _dual_exponent(p: float) -> float:
@@ -188,7 +195,7 @@ def _dual_step(x: np.ndarray, p: float, warm=None):
     u, sv, vt = _svd(x)
     if math.isinf(p) and warm is None:
         warm = np.conj(vt[0])
-    return _schatten_from_sv(sv, p), _duality_map(u, sv, vt, _dual_exponent(p)), warm
+    return _lp_norm(sv, p), _duality_map(u, sv, vt, _dual_exponent(p)), warm
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ class SchurLowerBound:
     bracket_closed: bool = False
 
 
-def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
+def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int = 0,
                            extra_starts=()) -> SchurLowerBound:
     """Best found value of |M o A|_p / |A|_p (always a valid lower bound) and
     a certified upper bound on the multiplier norm.
@@ -257,7 +264,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = 40, seed: int = 0,
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
     for index, a0 in enumerate(starts):
         norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
-                 else _schatten_from_sv(_svd(a0, compute_uv=False), p))
+                 else _lp_norm(_svd(a0, compute_uv=False), p))
         if norm0 == 0.0:
             continue
         a = a0 / norm0
@@ -313,11 +320,17 @@ def circulant_schur_bound(m) -> float:
     c = scaled[:, 0]
     v = np.concatenate((c[1:], c))  # v[k] = c[(k + 1) mod N], so C_ij = v[i + N - 1 - j]
     circ = np.ndarray((n, n), v.dtype, v, strides=v.strides * 2)[:, ::-1]  # a view of v
-    deviation = float(np.abs(scaled - circ).max())
+    return math.ldexp(_circulant_total(c, float(np.abs(scaled - circ).max())), e)
+
+
+def _circulant_total(c: np.ndarray, deviation: float = 0.0) -> float:
+    """U of :func:`circulant_schur_bound` on a scaled first column ``c`` and the
+    largest deviation from its circulant, times 1 + 16u."""
+    n = c.size
     fourier_l1 = math.fsum(np.abs(np.fft.fft(c))) / n
     eps = _FFT_ERROR_PER_LEVEL * _UNIT_ROUNDOFF * max(1, (n - 1).bit_length())
     total = fourier_l1 + math.sqrt(n) * deviation + eps * math.sqrt(np.vdot(c, c).real)
-    return math.ldexp(total * (1.0 + 16.0 * _UNIT_ROUNDOFF), e)
+    return total * (1.0 + 16.0 * _UNIT_ROUNDOFF)
 
 
 def frobenius_schur_bound(m) -> float:
@@ -361,8 +374,12 @@ def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
+    return _interpolated(schur_norm_exact_p2(m), p, upper_inf)
+
+
+def _interpolated(sup: float, p: float, upper_inf: float) -> float:
+    """:func:`interpolated_schur_bound` from the sup entry itself."""
     a = 2.0 / max(p, _dual_exponent(p))
-    sup = schur_norm_exact_p2(m)
     if sup == 0.0:
         return 0.0
     if a == 0.0 or not sup < upper_inf < math.inf:
@@ -376,6 +393,113 @@ def schur_norm_exact_p2(m) -> float:
     """Exact S_2 -> S_2 multiplier norm: sup of |entries| (the multiplier
     acts diagonally on matrix units in the Hilbert-Schmidt space)."""
     return _multiplier(m).peak[0]
+
+
+# ---------------------------------------------------------------------------
+# Circulant sections on the Fourier side
+
+
+@dataclass(frozen=True)
+class CirculantLowerBound:
+    """Bracket [value, upper] on the S_p multiplier norm of the circulant symbol
+    C_ij = c[(i - j) mod N]; ``value`` is the ratio reached by the circulant input
+    with first column ``best_column``.  ``iterations`` counts the power-method
+    steps, summed over the starts; ``bracket_closed`` is set when the value reached
+    ``upper / (1 + _STALL_RTOL)``."""
+
+    value: float
+    best_column: np.ndarray = field(repr=False)
+    upper: float
+    iterations: int
+    bracket_closed: bool
+
+
+def _norming(v: np.ndarray, r: float) -> np.ndarray:
+    """Per row, the direction of the functional norming v in l_r: phase(v) |v|^(r - 1),
+    a unit vector of the top entry's phase at r = infinity; largest modulus 1."""
+    modulus = np.abs(v)
+    if math.isinf(r):
+        rows, out = np.arange(len(v)), np.zeros_like(v)
+        top = modulus.argmax(axis=-1)
+        out[rows, top] = np.sign(v[rows, top])
+        return out
+    phase = np.divide(v, modulus, out=np.zeros_like(v), where=modulus > 0.0)
+    top = modulus.max(axis=-1, keepdims=True)
+    return phase * (modulus / np.where(top > 0.0, top, 1.0)) ** (r - 1.0)
+
+
+def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLowerBound:
+    """Lower bound on |S_C|_{S_p -> S_p} for C_ij = c[(i - j) mod N] from circulant
+    inputs, in the bracket of :func:`schur_norm_lower_bound`, at O(N log N) per step.
+
+    A circulant A with first column a has the singular values |b|, b = fft(a), and
+    C o A is the circulant on c a, so the S_p ratio of A is the l_p(Z_N) ratio
+    |fft(c ifft(b))|_p / |b|_p of a convolution by fft(c) / N.  By Neuwirth-Ricard
+    (Canad. J. Math. 63, 2011) its supremum is the multiplier norm of C; at p = 1
+    and infinity it is (1/N) sum_k |fft(c)_k|, the circulant bound (Bozejko-Fendler).
+
+    ``upper`` is the interpolated smaller of the Frobenius bound sqrt(N) |C|_F =
+    N |c|_2 (its N + 1 roundings within the (N^2 + 16) u of
+    :func:`frobenius_schur_bound`) and the circulant bound, whose deviation term
+    is 0 (:func:`circulant_schur_bound`); the sup entry max|c| is the
+    floor, certified by the shift a = e_k.  While the floor is short of the upper
+    bound, Boyd's p-norm power method (Linear Algebra Appl. 9, 1974) runs on the
+    spectra b, all starts at once: the shift, the conjugate phase a = exp(-i arg c),
+    _RANDOM_STARTS seeded Gaussians and, given the best first column ``warm`` at a
+    size dividing N, its zero insertion: the same input on every (N / len(warm))-th
+    point, whose ratio is the one at that size when c there is the smaller c.
+    A start stops after _ITERATIONS steps or when its ratio gains less than
+    _STALL_RTOL; the search stops at the improvement that reaches
+    ``upper / (1 + _STALL_RTOL)``.  At p = infinity one step turns any start into
+    the unimodular spectrum that attains the circulant bound, which closes it.
+    Each value is the ratio as evaluated on c / 2^e (exact; 2^e just above max|c|).
+    """
+    if not (p >= 1.0):
+        raise InputError("p must lie in [1, infinity]")
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
+        raise InputError("a first column must be 1-dimensional, non-empty and finite")
+    n = c.size
+    modulus = np.abs(c)
+    peak = int(modulus.argmax())
+    sup = float(modulus[peak])
+    cs, e = _pow2_scaled(c, sup)
+    frobenius = math.ldexp(n * math.sqrt(float(np.vdot(cs, cs).real)), e)
+    upper = min(_interpolated(sup, p, frobenius * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)),
+                _interpolated(sup, p, math.ldexp(_circulant_total(cs), e)))
+    target = upper / (1.0 + _STALL_RTOL)
+    unit = np.zeros(n, dtype=complex)
+    unit[peak] = 1.0
+    best, steps = (sup, unit), 0  # the shift certifies the sup entry
+    if sup < target:
+        rng = np.random.default_rng(seed)
+        starts = [unit, np.exp(-1j * np.angle(c))]
+        starts += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                   for _ in range(_RANDOM_STARTS)]
+        if warm is not None and n % len(warm) == 0:
+            starts.append(np.zeros(n, dtype=complex))
+            starts[-1][::n // len(warm)] = warm
+        b = np.fft.fft(np.array(starts), axis=-1)
+        last = np.full(len(b), -math.inf)
+        for iteration in range(1, _ITERATIONS + 1):
+            y = np.fft.fft(cs * np.fft.ifft(b, axis=-1), axis=-1)
+            norms = _lp_norm(b, p)
+            ratios = np.ldexp(np.divide(_lp_norm(y, p), norms, out=np.zeros_like(norms),
+                                        where=norms > 0.0), e)
+            steps += len(b)
+            i = int(ratios.argmax())
+            if ratios[i] > best[0]:
+                best = (float(ratios[i]), np.fft.ifft(b[i]))
+                if best[0] >= target:
+                    break
+            live = ratios > last * (1.0 + _STALL_RTOL)
+            if iteration == _ITERATIONS or not live.any():
+                break
+            g = _norming(y[live], p)  # the dual element of C o A in l_q
+            b = _norming(np.fft.fft(np.conj(cs) * np.fft.ifft(g, axis=-1), axis=-1),
+                         _dual_exponent(p))
+            last = ratios[live]
+    return CirculantLowerBound(best[0], best[1], upper, steps, best[0] >= target)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +660,7 @@ class WitnessResult:
     lower_bounds: list
     upper_bounds: list
     exponents: RigidityExponents
+    iterations: int  # circulant power-method steps over all sections
 
 
 def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16, 32, 64),
@@ -545,11 +670,13 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     Finite sections are sampled along diagonal-conjugated rotation
     orbits at growing angular resolutions; their multiplier lower bounds
     must stay bounded for a profile consistent with S_p-boundedness.
-    Each section is a circulant symbol (equispaced angles), so the
-    optimizer's certified upper bound is the circulant bound interpolated
-    to p, exact at p = infinity; the optimizer stops as soon as its lower
-    bound meets it.  ``upper_bounds`` holds, per size, the largest upper
-    bound over the radii.
+    Each section is a circulant symbol (equispaced angles), held as its
+    first column c_k = profile(x(cos 2 pi k / N)) and bracketed by
+    :func:`circulant_lower_bound`, warm-started from the previous size's
+    best input: its certified upper bound is the circulant bound
+    interpolated to p, exact at p = infinity, and it stops as soon as its
+    lower bound meets it.  ``upper_bounds`` holds, per size, the largest
+    upper bound over the radii, and ``iterations`` the power-method steps.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
     bounds keep growing; INCONCLUSIVE otherwise.
@@ -558,27 +685,21 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
         raise InputError("mode must be 'hs' or 'opnorm'")
     records, ex = profile_rigidity_records(profile, n, p)
 
-    lower_bounds, upper_bounds = [], []
-    prev_best = {}  # radius index -> best input at the previous size
+    frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
+    lower_bounds, upper_bounds, iterations = [], [], 0
+    best = [None] * len(frames)  # per frame: the best first column at the previous size
     for n_points in point_sets:
-        theta = 2.0 * math.pi * np.arange(n_points) / n_points
-        delta = np.cos(theta[:, None] - theta[None, :])
+        delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
         results = []
-        for ir, r in enumerate((0.75, 1.5)):  # composition frame radii
-            frame = CompositionFrame.create(n, r)
+        for i, frame in enumerate(frames):
             xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
             with np.errstate(over="ignore", invalid="ignore"):
-                sym = np.asarray(profile(xvals), dtype=complex)
-            if not np.all(np.isfinite(sym)):
+                c = np.asarray(profile(xvals), dtype=complex)
+            if not np.all(np.isfinite(c)):
                 raise AccuracyError(f"the profile overflows on the {n_points}-point section")
-            extra, prev = [], prev_best.get(ir)
-            if prev is not None and n_points % len(prev) == 0:  # warm start: prev, padded
-                stride = n_points // len(prev)
-                pad = np.zeros((n_points, n_points), dtype=complex)
-                pad[::stride, ::stride] = prev
-                extra.append(pad)
-            results.append(schur_norm_lower_bound(sym, p, seed=seed, extra_starts=extra))
-            prev_best[ir] = results[-1].best_input
+            results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
+            best[i] = results[-1].best_column
+            iterations += results[-1].iterations
         lower_bounds.append(max(res.value for res in results))
         upper_bounds.append(max(res.upper for res in results))
 
@@ -611,4 +732,5 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     else:
         classification = INCONCLUSIVE
     return WitnessResult(classification=classification, records=records,
-                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex)
+                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
+                         iterations=iterations)

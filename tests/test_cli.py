@@ -317,6 +317,14 @@ class TestRigidity:
         assert "--sections must be <= 8" in capsys.readouterr().err
         assert peak < 1 << 20  # no section array: the smallest dense 8 x 8 one is not built
 
+    def test_one_section_is_input_error(self, tmp_path, capsys):
+        # the growth record compares sizes: one section has nothing to compare
+        out = tmp_path / "s1.json"
+        rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "5",
+                   "--p", "10", "--sections", "1", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "--sections must be 0 or 2 to 8, got 1" in capsys.readouterr().err
+
     def test_negative_sections_is_input_error(self, capsys):
         rc = main(["rigidity", "--profile", "radial-power:exponent=5", "--n", "3",
                    "--p", "10", "--sections", "-1"])

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from mcert import schur
 from mcert.errors import InputError
 from mcert.cli import cmd_schur_bound
-from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_schur_bound,
-                         frobenius_schur_bound, interpolated_schur_bound,
+from mcert.composition import CompositionFrame
+from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_lower_bound,
+                         circulant_schur_bound, frobenius_schur_bound, interpolated_schur_bound,
                          profile_rigidity_records, rigidity_witness,
                          schur_infty_upper_bound, schur_norm_exact_p2, schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
@@ -44,7 +45,7 @@ def svd_calls(monkeypatch):
 
 def schatten_norm(a, p):
     """l_p norm of the singular values, as the optimizer takes it from an SVD."""
-    return schur._schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
+    return schur._lp_norm(np.linalg.svd(a, compute_uv=False), p)
 
 
 class TestSchattenNorm:
@@ -168,7 +169,7 @@ class TestLowerBound:
 def svd_duality(x, p):
     """|X|_p and the dual element of X in S_q, both from the SVD."""
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    return schur._schatten_from_sv(sv, p), schur._duality_map(u, sv, vt, schur._dual_exponent(p))
+    return schur._lp_norm(sv, p), schur._duality_map(u, sv, vt, schur._dual_exponent(p))
 
 
 class TestDualStep:
@@ -409,6 +410,76 @@ def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, 
     assert circulant_schur_bound(sym) >= res.value
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=64), st.integers(min_value=0, max_value=10_000),
+       st.booleans(), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 10.0, math.inf]))
+def test_circulant_bracket_in_order_at_its_dense_ratio(n, seed, is_complex, p):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
+    res = circulant_lower_bound(c, p, seed=seed)
+    assert np.abs(c).max() <= res.value <= res.upper
+    # the value is the S_p ratio of the circulant input it reports, taken by SVD
+    a = circulant(res.best_column)
+    dense = schatten_norm(circulant(c) * a, p) / schatten_norm(a, p)
+    assert dense == pytest.approx(res.value, rel=1e-12)
+    if math.isinf(p):  # the circulant bound is the norm, and one step attains it
+        assert res.bracket_closed
+
+
+class TestCirculantLowerBound:
+    def test_closed_at_the_floor_without_steps(self):
+        c = np.array([3.0, 1.0, 0.5, 1.0])  # positive definite circulant: norm = 3
+        res = circulant_lower_bound(c, 4.0)
+        assert res.value == 3.0 and 3.0 <= res.upper <= 3.0 * (1.0 + 1e-14)
+        assert res.bracket_closed and res.iterations == 0
+        assert list(res.best_column) == [1.0, 0.0, 0.0, 0.0]
+
+    def test_warm_start_keeps_its_ratio(self):
+        # zero insertion puts the smaller input on the even points, where the section's
+        # symbol is the smaller section's: no row falls below the previous one
+        c = np.cos(2.0 * math.pi * np.arange(64) / 64) ** 3 + 0.3j
+        small = circulant_lower_bound(c[::2], 10.0, seed=2)
+        big = circulant_lower_bound(c, 10.0, seed=2, warm=small.best_column)
+        assert big.value >= small.value
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_power_of_two_scaling_is_exact(self, e):
+        rng = np.random.default_rng(41)
+        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        base, scaled = circulant_lower_bound(c, 3.0), circulant_lower_bound(c * 2.0 ** e, 3.0)
+        assert scaled.value == base.value * 2.0 ** e and scaled.upper == base.upper * 2.0 ** e
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5])
+    def test_rejects_exponent_outside_range(self, p):
+        with pytest.raises(InputError):
+            circulant_lower_bound(np.ones(4), p)
+
+    @pytest.mark.parametrize("c", [np.zeros(0), np.ones((2, 2)), np.array([1.0, math.nan])])
+    def test_rejects_a_bad_first_column(self, c):
+        with pytest.raises(InputError):
+            circulant_lower_bound(c, 4.0)
+
+
+def dense_section_rows(profile, n, p, sizes):
+    """Rows of the dense optimizer on the N x N "hs" sections, built entry by entry
+    from cos(theta_i - theta_j), the largest over the two frame radii."""
+    rows = []
+    for size in sizes:
+        theta = 2.0 * math.pi * np.arange(size) / size
+        delta = np.cos(theta[:, None] - theta[None, :])
+        values = []
+        for r in (0.75, 1.5):
+            x = CompositionFrame.create(n, r).hs_of_delta(delta)
+            values.append(schur_norm_lower_bound(np.asarray(profile(x), dtype=complex), p).value)
+        rows.append(max(values))
+    return rows
+
+
+# a radial jump at 2, flat on each side, so every derivative is 0
+JUMP = RadialProfile(
+    lambda u: [np.where(u[0] < 2.0, 1.0, 0.2)] + [np.zeros_like(u[0])] * (len(u) - 1))
+
+
 class TestRigidityWitness:
     def test_constant_profile_consistent(self):
         one = RadialProfile(lambda u: [np.ones_like(u[0])] + [np.zeros_like(u[0])] * (len(u) - 1))
@@ -437,17 +508,46 @@ class TestRigidityWitness:
         assert "decay-c0" in failed
         assert res.exponents.c[0] == pytest.approx(16.0 / 3.0)
 
-    def test_jump_profile_violated_by_section_growth(self, svd_calls):
+    def test_jump_profile_violated_by_section_growth(self):
         # flat away from the jump at 2, where every derivative is 0
-        jump = RadialProfile(
-            lambda u: [np.where(u[0] < 2.0, 1.0, 0.2)] + [np.zeros_like(u[0])] * (len(u) - 1))
-        res = rigidity_witness(jump, 5, 10.0, seed=0)
+        res = rigidity_witness(JUMP, 5, 10.0, seed=0)
         assert res.classification == VIOLATED
         growth = [r for r in res.records if r.name == "section-growth"][0]
         assert growth.verdict == "FAIL"
         assert res.lower_bounds == sorted(res.lower_bounds)
-        assert len(svd_calls) > 0  # the bracket stays open: the optimizer runs
+        assert res.iterations > 0  # the bracket stays open: the optimizer runs
         assert all(lo < hi for lo, hi in zip(res.lower_bounds, res.upper_bounds))
+
+    @pytest.mark.parametrize("spec, n", [("radial-power:exponent=5", 3), ("hm-bump", 8),
+                                         ("hm-bump:center=1.5,width=0.4", 5),
+                                         ("hm-bump:center=1.5,width=0.4", 8),
+                                         ("hm-bump:center=1.5,width=0.4", 16), ("jump", 5)])
+    def test_sections_reach_the_dense_optimizer(self, spec, n):
+        profile = JUMP if spec == "jump" else SymbolFamily.parse(spec).build_profile()
+        sizes = (8, 16, 32, 64)
+        rows = rigidity_witness(profile, n, 10.0, point_sets=sizes, seed=0).lower_bounds
+        for got, dense in zip(rows, dense_section_rows(profile, n, 10.0, sizes)):
+            assert got >= dense * (1.0 - 1e-12)
+        assert rows == sorted(rows)
+
+    def test_bump_sections_to_256_points(self):
+        bump = SymbolFamily.parse("hm-bump").build_profile()
+        res = rigidity_witness(bump, 8, 10.0, point_sets=(8, 16, 32, 64, 128, 256), seed=0)
+        assert res.lower_bounds[-1] >= 0.90258  # the dense optimizer reached 0.902265
+        assert res.lower_bounds == sorted(res.lower_bounds)
+        assert all(lo < hi for lo, hi in zip(res.lower_bounds[1:], res.upper_bounds[1:]))
+
+    def test_sections_allocate_no_square_array(self):
+        import tracemalloc
+
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        tracemalloc.start()
+        try:
+            rigidity_witness(prof, 8, 10.0, point_sets=tuple(8 * 2 ** i for i in range(8)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a dense 1,024-point section alone is 16 MB
 
     def test_smooth_bump_consistent(self):
         bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
