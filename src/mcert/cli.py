@@ -89,11 +89,19 @@ def _fit_exponent(ls, vals):
     return float(-np.polyfit(np.log(ls[keep]), np.log(vals[keep]), 1)[0])
 
 
+def _median(values: list) -> float:
+    """np.median of a list of floats, with its bits, by sorting: np.median would load
+    numpy.ma.  Like np.median's mean, it adds the middle values to 0.0, so -0.0 gives 0.0."""
+    s = sorted(values)
+    h = len(s) // 2
+    return 0.0 + s[h] if len(s) % 2 else (0.0 + s[h - 1] + s[h]) / 2
+
+
 def _median_fit(tables):
     """Median over the rays of the exponents fitted to their (1 + d, value) tables, or None."""
     fits = [_fit_exponent([x for x, _ in tab], [v for _, v in tab]) for tab in tables]
     fits = [f for f in fits if f is not None]
-    return float(np.median(fits)) if fits else None
+    return _median(fits) if fits else None
 
 
 def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
@@ -300,7 +308,7 @@ def cmd_geometry(n: int, r_list) -> CertificationReport:
     rep.add_table("volumes", [{"R": float(r), "volume": float(v)} for r, v in zip(rs, vols)])
     sigma = n * n // 2
     keep = vols > 0.0  # an underflowed volume has no logarithm
-    fit = len(np.unique(rs[keep])) >= 3
+    fit = len(set(rs[keep].tolist())) >= 3  # np.unique would load numpy.ma
     slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
     rep.add(CheckRecord(
         name="volume-growth-rate", check_id="geometry/volume-growth",
@@ -394,20 +402,18 @@ _PARSER = _build_parser()  # built once per process; parse_args leaves it unchan
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        _check_count("--seed", args.seed, 0)
         rep = _BUILDERS[args.command](args)
-    except (InputError, DomainError, RangeError) as exc:
+        # a command that records no seed drew no random numbers and ignores --seed
+        rep.digest = input_digest({k: v for k, v in vars(args).items()
+                                   if k not in ("out", "format") and (k != "seed" or rep.seeds)})
+        return _finish(rep, args)
+    except (InputError, DomainError, RangeError, OSError) as exc:  # OSError: --points, --out
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, NumericError) as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    # a command that records no seed drew no random numbers and ignores --seed
-    rep.digest = input_digest({k: v for k, v in vars(args).items()
-                               if k not in ("out", "format") and (k != "seed" or rep.seeds)})
-    return _finish(rep, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -181,7 +181,7 @@ def _smooth_bump(t):
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV input (UTF-8, header row, decimal point, no locale)
+# Matrix CSV input (UTF-8 with or without a BOM, header row, decimal point, no locale)
 
 
 _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
@@ -190,33 +190,50 @@ _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
 def read_matrix_csv(path) -> np.ndarray:
     """Complex matrix from long-format CSV with columns i, j, re and an
     optional im (an empty im is 0).  Blank lines are skipped, and a later
-    row for the same (i, j) replaces an earlier one.  An index at or above
-    _MAX_SIDE is an InputError, raised before the matrix is allocated."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    row for the same (i, j) replaces an earlier one.  A malformed row is an
+    InputError that names its line; so is a negative index, or one at or
+    above _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
+    parses the rows; only im passes through Python, to read an empty field as 0."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         missing = [c for c in ("i", "j", "re") if c not in header]
         if missing:
             raise InputError(f"CSV header {header} has no column {', '.join(missing)}")
-        ci, cj, cr = (header.index(c) for c in ("i", "j", "re"))
-        cm = header.index("im") if "im" in header else None
+        names = [c for c in ("i", "j", "re", "im") if c in header]
+        numbered = enumerate(fh, rows.line_num + 1)
+        line, first = next(((k, text) for k, text in numbered if text.strip("\r\n")), (0, ""))
+        if not first:  # numpy would warn on a file without data
+            raise InputError(f"no data rows in {path}")
+
+        def lines():  # the data lines, counted so that a malformed row can be named
+            nonlocal line
+            yield first
+            for line, text in numbered:
+                yield text
+
         try:
-            entries = {(int(r[ci]), int(r[cj])):
-                       complex(float(r[cr]), 0.0 if cm is None else float(r[cm] or 0.0))
-                       for r in rows if r}
-        except IndexError:
-            raise InputError(f"line {rows.line_num} of {path} has too few fields") from None
-        except ValueError as exc:
-            raise InputError(f"line {rows.line_num} of {path}: {exc}") from exc
-    if not entries:
-        raise InputError(f"no data rows in {path}")
-    ij = np.array(list(entries), dtype=np.int64)
-    if ij.min() < 0:
-        raise InputError(f"negative index in CSV row {ij[ij.min(axis=1).argmin()].tolist()}")
-    n = int(ij.max()) + 1
+            data = np.loadtxt(
+                lines(), dtype=[(c, np.int64 if c in ("i", "j") else float) for c in names],
+                delimiter=",", comments=None, quotechar='"', ndmin=1,
+                usecols=[header.index(c) for c in names],
+                converters={header.index("im"): lambda s: float(s or 0.0)} if "im" in names
+                else None)
+        except ValueError as exc:  # numpy counts data rows, not lines: keep its reason only
+            reason = str(exc).partition(" at row ")[0]
+            raise InputError(f"line {line} of {path}: {reason}") from None
+    i, j = data["i"], data["j"]
+    if min(i.min(), j.min()) < 0:
+        k = int(np.argmax((i < 0) | (j < 0)))
+        raise InputError(f"negative index in CSV row {[int(i[k]), int(j[k])]}")
+    n = int(max(i.max(), j.max())) + 1
     if n > _MAX_SIDE:
         raise InputError(f"CSV index {n - 1} gives side {n}; the side may not exceed {_MAX_SIDE}")
-    m = np.zeros((n, n), dtype=complex)
-    m[ij[:, 0], ij[:, 1]] = np.fromiter(entries.values(), dtype=complex, count=len(entries))
-    return m
-
+    flat = i * n + j
+    order = np.argsort(flat, kind="stable")  # a repeated (i, j) keeps its file order
+    last = order[np.append(flat[order[1:]] != flat[order[:-1]], True)]  # its last row wins
+    m = np.zeros(n * n, dtype=complex)
+    m.real[flat[last]] = data["re"][last]
+    if "im" in names:
+        m.imag[flat[last]] = data["im"][last]
+    return m.reshape(n, n)

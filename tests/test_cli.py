@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcert
-from mcert.cli import main
+from mcert.cli import _median, main
 from mcert.report import input_digest
 from mcert.sphere import multiplicity
 
@@ -533,6 +535,20 @@ class TestSchurBound:
         rc = main(["schur-bound", "--points", "/nonexistent/m.csv", "--p", "2"])
         assert rc == 2
 
+    def test_byte_order_mark_gives_the_same_report(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_matrix_csv(np.arange(9.0).reshape(3, 3) / 9.0, plain)
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        bodies = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["schur-bound", "--points", str(path), "--p", "4", "--out", str(out)]) == 0
+            rep = load_report(out)
+            rep.pop("header")
+            rep.pop("input_digest")  # it hashes the --points path
+            bodies.append(rep)
+        assert bodies[0] == bodies[1]
+
 
 class TestGeometryCommand:
     def test_slope_record(self, tmp_path):
@@ -669,3 +685,36 @@ class TestReportDeterminism:
         assert rep["schema"] == "mcert/1"
         assert "timestamp" in rep["header"]
 
+
+class TestCommonFlags:
+    @pytest.mark.parametrize("command", ["certify-hm", "rigidity", "sphere-spectrum",
+                                         "schur-bound", "geometry"])
+    def test_negative_seed_is_input_error(self, command, tmp_path, capsys):
+        points = tmp_path / "m.csv"
+        write_matrix_csv(np.ones((3, 3)), points)
+        argv = {"certify-hm": ["--symbol", "radial-power:exponent=5", "--n", "2"],
+                "rigidity": ["--profile", "hm-bump", "--n", "5", "--p", "10", "--sections", "2"],
+                "sphere-spectrum": ["--n", "3"],
+                "schur-bound": ["--points", str(points)],
+                "geometry": ["--n", "2", "--R", "2", "3", "4"]}[command]
+        out = tmp_path / "r.json"
+        assert main([command, *argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "input error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_is_input_error(self, fmt, tmp_path, capsys):
+        for out in (tmp_path / "missing" / "geo.json", tmp_path):
+            assert main(["geometry", "--n", "2", "--R", "2", "3", "4", "--out", str(out),
+                         "--format", fmt]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and str(out) in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+                min_size=1, max_size=5))
+def test_median_has_the_bits_of_numpy_median(values):
+    want = float(np.median(values))
+    assert math.copysign(1.0, _median(values)) == math.copysign(1.0, want)
+    assert _median(values) == want

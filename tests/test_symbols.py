@@ -1,12 +1,18 @@
+import csv
+import io
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcert.errors import DomainError, InputError
 from mcert.geometry import GroupElement, haar_so
 from mcert.symbols import SymbolFamily, read_matrix_csv
 
-from matrix_csv import write_matrix_csv
+from matrix_csv import reference_read_matrix_csv, write_matrix_csv
 
 
 class TestFamilies:
@@ -191,3 +197,71 @@ class TestCsvInterfaces:
         path.write_text("i,j,re\n1,0,2.5\n0,1,-1\n1,0,3\n", encoding="utf-8")
         assert np.array_equal(read_matrix_csv(path), np.array([[0, -1], [3, 0]]))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, which would otherwise join the
+        # first column name
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_matrix_csv(np.array([[1.0, 2.5j], [-3.0, 0.25]]), plain)
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfi,j,re,im")
+        assert read_matrix_csv(marked).tobytes() == read_matrix_csv(plain).tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        ("i,j,re,im\n0,0,1,0\n\n\n1,abc,2,0\n0,0,1,0\n", 5),
+        ("i,j,re,im\n0,0,1,0\n1,1,2,x\n", 3),
+        ("re,j,i\n1,0,0\n1,0\n", 3),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"^line {line} of {re.escape(str(path))}: "):
+            read_matrix_csv(path)
+
+
+_INDEX_TOKENS = st.one_of(st.integers(0, 4).map(str), st.sampled_from(["+2", "007", "-0"]))
+_VALUE_TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(repr), st.floats(-1e3, 1e3).map(lambda v: f"{v:.4g}"),
+    st.sampled_from(["inf", "-inf", "1e400", "-0.0", ".5", "5."]))
+_BAD_TOKENS = st.sampled_from(["abc", "1.5", "1e3", "", "1.5e", "-1"])  # -1: a negative index
+
+
+@st.composite
+def _matrix_csv_text(draw):
+    """A long-format matrix CSV with the reader's edge cases: shuffled header columns, an
+    optional im column, an extra text column, duplicate (i, j), blank lines, quoted
+    fields, empty im fields and, now and then, a bad token or a short row."""
+    columns = draw(st.permutations(["i", "j", "re"] + draw(st.sampled_from(
+        [[], ["im"], ["im", "note"], ["note"]]))))
+    tokens = {"i": _INDEX_TOKENS, "j": _INDEX_TOKENS, "re": _VALUE_TOKENS,
+              "im": st.one_of(_VALUE_TOKENS, st.just("")), "note": st.sampled_from(["x", "a,b"])}
+    lines = [",".join(f'"{c}"' if draw(st.booleans()) else c for c in columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        row = [draw(tokens[c]) for c in columns]
+        fault = draw(st.integers(0, 19))
+        if fault == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_TOKENS)
+        elif fault == 1:
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL,
+                   lineterminator="").writerow(row)
+        lines.append(buf.getvalue())
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_csv_text())
+def test_matrix_csv_reader_agrees_with_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "agree.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for reader in (read_matrix_csv, reference_read_matrix_csv):
+        try:
+            m = reader(path)
+            outcomes.append((m.shape, m.tobytes()))
+        except InputError:
+            outcomes.append("input error")
+    assert outcomes[0] == outcomes[1]
