@@ -276,7 +276,9 @@ def cmd_sphere_spectrum(n: int, p: float, r: int, x_list, k_max: int) -> Certifi
 def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
     """The bracket of :func:`schur.schur_norm_lower_bound` for a sampled symbol
     matrix: its lower bound and its certified upper bound, the Frobenius bound or,
-    for a square matrix, the smaller of it and the circulant bound, interpolated.
+    for a square matrix, the smaller of it and the circulant bound, interpolated;
+    at p = inf, a Haagerup factorization certificate when one closes.  Both ends
+    come with the relative gap upper / lower - 1 and the certificate steps.
 
     The lower bound fails only when it exceeds the upper bound by more
     than its 1e-8 relative tolerance, which covers the rounding of the
@@ -286,26 +288,30 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(matrix)
     res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
+    bracket = {"lower_bound": res.value, "upper_bound": res.upper,
+               "relative_gap": res.relative_gap, "certificate_steps": res.certificate_steps}
     rep.add(CheckRecord(
         name="lower-bound", check_id="schur/lower-bound",
         verdict=FAIL if res.value > res.upper * (1.0 + 1e-8) else PASS,
         measured=res.value, bound=res.upper, tolerance=1e-8,
         details={"p": None if math.isinf(p) else p, "iterations": iterations,
                  "best_start": res.best_start, "best_iteration": res.best_iteration,
-                 "upper_bound": res.upper},
+                 **bracket},
     ))
-    rep.add_table("bound", [{"p": "inf" if math.isinf(p) else p, "lower_bound": res.value,
-                             "sup_entry": schur_norm_exact_p2(m), "upper_bound": res.upper}])
+    rep.add_table("bound", [{"p": "inf" if math.isinf(p) else p,
+                             "sup_entry": schur_norm_exact_p2(m), **bracket}])
     return rep
 
 
 def cmd_geometry(n: int, r_list) -> CertificationReport:
-    """Chamber ball volumes over a radius list and the growth-rate record, fitted to the
-    positive volumes: INCONCLUSIVE when they sit at fewer than three distinct radii."""
+    """Chamber ball volumes over a radius list, each with the bound on its series' dropped
+    tail, and the growth-rate record, fitted to the positive volumes: INCONCLUSIVE when
+    they sit at fewer than three distinct radii."""
     rep = CertificationReport(command="geometry")
     rs = np.asarray(list(r_list), dtype=float)
-    vols = geo.weyl_ball_volume(n, rs)
-    rep.add_table("volumes", [{"R": float(r), "volume": float(v)} for r, v in zip(rs, vols)])
+    vols, tails = geo.weyl_ball_volume(n, rs)
+    rep.add_table("volumes", [{"R": float(r), "volume": float(v), "truncation_bound": float(t)}
+                              for r, v, t in zip(rs, vols, tails)])
     sigma = n * n // 2
     keep = vols > 0.0  # an underflowed volume has no logarithm
     fit = len(set(rs[keep].tolist())) >= 3  # np.unique would load numpy.ma

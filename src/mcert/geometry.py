@@ -226,11 +226,16 @@ def _chamber_simplices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weyl_ball_volume(n: int, r):
-    """Volume of the ball {log L(g) <= r} (Haar normalization above) at a radius or an array
-    of radii, same shape: the series over the orders m >= N (the lower ones cancel over w), up
-    to the first block of 8 orders ending in a term bound sum |w| max|y|^m / m! at most 1e-17 of
-    the radius's sum, so a radius has the same bits alone as in a list.  r must be positive and
-    finite (DomainError); a volume past the float range is a RangeError."""
+    """(volume, truncation bound) of the ball {log L(g) <= r} (Haar normalization above) at a
+    radius or an array of radii, both of r's shape.  The volume is the series over the orders
+    m >= N (the lower ones cancel over w), up to the first block of 8 orders ending in a term
+    bound sum |w| max|y|^m / m! at most 1e-17 of the radius's sum, so a radius has the same
+    bits alone as in a list.  r must be positive and finite (DomainError); a volume past the
+    float range is a RangeError.
+
+    The truncation bound on the dropped tail is the geometric series of term bounds past the
+    last order m, T q / (1 - q) with q = max|y| / (m + 1) < 1, scaled like the volume; at most
+    about 1e-17 of it."""
     if n < 2 or n > 5:
         raise InputError("n must be in {2, ..., 5}")
     r = np.asarray(r, dtype=float)
@@ -248,6 +253,7 @@ def weyl_ball_volume(n: int, r):
     e = np.zeros((d + 1,) + y.shape[1:])  # e_j(m) = seed h_m(0, y_1..y_j) / (m + j)!, e_0 = 0
     e[1:] = seed[:, None] / np.cumprod(np.arange(1.0, n))[:, None, None]  # m = 0
     total, live, m = np.zeros(len(rs)), np.ones(len(rs), dtype=bool), 0
+    tail = np.zeros(len(rs))
     while live.any():  # blocks of 8 orders, so every radius is tested at the same orders
         block = np.zeros(y.shape[1:])
         for m in range(m + 1, m + 9):
@@ -257,12 +263,17 @@ def weyl_ball_volume(n: int, r):
                 block += e[d]
         total = np.where(live, total + (block * w).sum(axis=-1), total)
         bound = bound * (big8 / float(math.prod(range(m - 7, m + 1))))
-        live &= bound > 1e-17 * np.abs(total)  # an underflowed bound stops a zero sum at once
-    vol = np.ldexp(total, shift) * np.prod([rs] * d, axis=0)  # r^d without SIMD pow rounding
+        done = live & ~(bound > 1e-17 * np.abs(total))  # an underflowed bound stops at once
+        q = big[done] / (m + 1)
+        tail[done] = np.where(q < 1.0, bound[done] * q / (1.0 - q), math.inf)
+        live &= ~done
+    scale = np.prod([rs] * d, axis=0)  # r^d without SIMD pow rounding
+    vol = np.ldexp(total, shift) * scale
     if np.any(np.isinf(vol)):  # rounded past the largest float, just below _FLOAT_RADIUS
         raise RangeError(f"the chamber volume at radius {rs[np.isinf(vol)][0]:g} exceeds "
                          "the float range")
-    return (vol + 0.0).reshape(r.shape)[()]  # an underflowed volume is +0.0
+    vol = (vol + 0.0).reshape(r.shape)[()]  # an underflowed volume is +0.0
+    return vol, (np.ldexp(tail, shift) * scale).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------

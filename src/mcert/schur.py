@@ -1,7 +1,9 @@
 """Finite-section Schur multipliers: lower bounds by alternating
 maximization inside a certified upper bound, on dense symbols and, for
-circulant sections, on the Fourier side; a product-cube upper bound; and
-the radial rigidity witness.
+circulant sections, on the Fourier side; at p = infinity, a Haagerup
+factorization certificate read off the optimizer's own SVDs, which closes
+the dense bracket; a product-cube upper bound; and the radial rigidity
+witness.
 
 All lower bounds are one-sided: a finite section never overestimates
 the full multiplier norm (restriction), and any admissible input to the
@@ -10,6 +12,7 @@ maximization yields a valid certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -200,14 +203,21 @@ def _dual_step(x: np.ndarray, p: float, warm=None):
 
 @dataclass(frozen=True)
 class SchurLowerBound:
-    """Bracket [value, upper] on |S_M|_{S_p -> S_p}; ``value`` is reached at ``best_input``.
+    """Bracket [value, upper] on |S_M|_{S_p -> S_p}; the ratio of ``best_input`` is
+    ``value``, or at least ``value`` when that is a trace norm at p = infinity
+    (:func:`schur_norm_lower_bound`).
 
     ``best_start`` indexes the starts (matrix unit, conjugate phase,
     random starts, then caller-provided starts) and ``best_iteration``
-    counts from 1; -1 and 0 mean the sup-entry floor was never beaten.
-    ``bracket_closed`` is set when the search stopped because the value
-    reached ``upper / (1 + _STALL_RTOL)``; together with
-    ``best_start == -1`` it means no start ran at all.
+    counts from 1, certificate steps included; -1 and 0 mean the sup-entry floor
+    was never beaten.  ``bracket_closed`` is set when the search stopped because
+    the value reached ``upper / (1 + _STALL_RTOL)`` or, when a factorization
+    certificate set ``upper``, its factorization value / (1 + _STALL_RTOL);
+    together with ``best_start == -1`` it means no start ran at all.
+    ``allowance`` is the relative rounding allowance of such an ``upper`` over
+    its factorization value (0 for the a priori bounds), and
+    ``certificate_steps`` counts the p = infinity steps taken past the end of a
+    start.
     """
 
     value: float
@@ -216,6 +226,15 @@ class SchurLowerBound:
     best_start: int = -1
     best_iteration: int = 0
     bracket_closed: bool = False
+    certificate_steps: int = 0
+    allowance: float = 0.0
+
+    @property
+    def relative_gap(self) -> float:
+        """upper / value - 1: 0 on the zero symbol."""
+        if self.value > 0.0:
+            return self.upper / self.value - 1.0
+        return 0.0 if self.upper == 0.0 else math.inf
 
 
 def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int = 0,
@@ -227,13 +246,29 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     reproject) from structured starts: the peak matrix unit, the
     conjugate-phase matrix, _RANDOM_STARTS seeded Gaussians, and any caller-provided
     starts.  The maximum over indexed starts is deterministic for a
-    fixed seed.
+    fixed seed.  ``iterations`` caps the steps of each start; at 0 or below no start
+    runs and the sup-entry floor is returned.
 
     ``upper`` is the smaller of the interpolated :func:`frobenius_schur_bound` and, for
     square M, :func:`circulant_schur_bound` (rounded, the interpolation can swap their
     order).  The search stops once the best value reaches ``upper / (1 + _STALL_RTOL)``:
     before any start runs when the sup-entry floor already does, else right after the
     improvement that does.
+
+    At p = infinity each reprojection SVD C = conj(M~) o g = P diag(s) Q^* is also a
+    certificate, with g = l r^* the unit rank-one dual element: ``s.sum()`` = |C|_1 is
+    the S_1 ratio of g for conj(M~), a lower bound, since by duality |S_conj(M)| on
+    S_1 is |S_M| on S_inf; the reprojected input P Q^* has at least that ratio, as
+    <M~ o P Q^*, g> = |C|_1; and :func:`_factorization` reads off M~ = X Y with the
+    value F = max_i |X_i| max_j |Y^j|, at least |C|_1.  A start that ends, at its cap
+    or stalled, while the gap F / value - 1 falls at a rate that reaches _STALL_RTOL
+    within _ITERATIONS steps goes on as a certificate, one SVD per step, counted apart
+    from ``iterations``; it gives up as soon as the gap stops falling that fast, so a
+    gap that creeps down costs a step or two rather than _ITERATIONS.  Once the best value
+    reaches F / (1 + _STALL_RTOL), F plus its rounding allowance
+    (:func:`_haagerup_upper`) becomes ``upper`` if that is smaller, and the search
+    stops.  After a certificate that gave up, or whose bound was not smaller, the
+    remaining starts run without one.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
@@ -242,7 +277,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
         upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
-    target = upper / (1.0 + _STALL_RTOL)
+    target, allowance, steps = upper / (1.0 + _STALL_RTOL), 0.0, 0
     sup, where = m.peak
     unit = np.zeros_like(sym)
     unit[where] = 1.0
@@ -250,9 +285,10 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
 
     def result():  # the fields in order: value, best input, upper, start, iteration, closed
         value, best_a, start, iteration = best
-        return SchurLowerBound(value, best_a, upper, start, iteration, value >= target)
+        return SchurLowerBound(value, best_a, upper, start, iteration, value >= target,
+                               steps, allowance)
 
-    if best[0] >= target:
+    if best[0] >= target or iterations <= 0:
         return result()
 
     rng = np.random.default_rng(seed)
@@ -262,25 +298,145 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     starts.extend(np.asarray(s, dtype=complex) for s in extra_starts)
 
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
+    certifying = math.isinf(p)
+    live = (sym.any(axis=1), sym.any(axis=0)) if certifying else None
     for index, a0 in enumerate(starts):
         norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
                  else _lp_norm(_svd(a0, compute_uv=False), p))
         if norm0 == 0.0:
             continue
         a = a0 / norm0
-        last, warm = -math.inf, None
-        for iteration in range(1, iterations + 1):
+        last, warm, ended = -math.inf, None, 0
+        gap = before = math.nan  # the factorization gaps of the last two steps (none: NaN)
+        for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
             val = math.ldexp(val, e)
             if val > best[0]:
                 best = (val, a, index, iteration)
                 if val >= target:
                     return result()
-            if iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
-                break
+            if ended or iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
+                ended = ended or iteration
+                budget = _ITERATIONS - (iteration - ended)  # certificate steps left
+                if not (certifying and _closes_in_time(before, gap, budget)):
+                    if iteration > ended:  # a certificate gave up: no later start runs one
+                        certifying = False
+                    break
+                steps += 1
             last = val
-            a = _duality_map(*_svd(np.conj(sym) * g), p)
+            if not certifying:
+                a = _duality_map(*_svd(np.conj(sym) * g), p)
+                continue
+            a, trace, value, bound = _certified_reprojection(sym, e, g, live, best[0])
+            if trace > best[0]:
+                best = (trace, a, index, iteration)
+                if trace >= target:
+                    return result()
+            if bound is not None:  # the best value met F / (1 + _STALL_RTOL)
+                if bound >= upper:  # the residual outweighs the a priori bound
+                    certifying = False
+                    continue
+                upper, target, allowance = bound, value / (1.0 + _STALL_RTOL), bound / value - 1.0
+                return result()
+            gap, before = value / best[0] - 1.0, gap
     return result()
+
+
+def _certified_reprojection(sym: np.ndarray, e: int, g: np.ndarray, live, best: float):
+    """(A, |C|_1, F, U) for the reprojection at p = infinity of the scaled symbol M~ =
+    ``sym`` = M / 2^e: the next input A = P Q^* from the SVD of C = conj(M~) o g, and
+    scaled back by 2^e, its trace norm, the value F of :func:`_factorization` and, once
+    max(``best``, |C|_1) reaches F / (1 + _STALL_RTOL), :func:`_haagerup_upper` (else
+    None).  No factor outlives the call."""
+    u, sv, vt = _svd(np.conj(sym) * g)
+    a = u @ vt
+    trace = math.ldexp(float(sv.sum()), e)
+    scaled = _factorization(u, sv, vt, g, live)  # turns u into X and vt into Y
+    value = math.ldexp(scaled, e)
+    if max(best, trace) < value / (1.0 + _STALL_RTOL):
+        return a, trace, value, None
+    resid = u @ vt
+    del u, vt  # the factors go before the residual's bound allocates
+    return a, trace, value, math.ldexp(_haagerup_upper(sym, resid, sv.size, scaled), e)
+
+
+def _closes_in_time(before: float, gap: float, budget: int) -> bool:
+    """Whether a factorization gap that fell from ``before`` to ``gap`` on its last step
+    reaches _STALL_RTOL within ``budget`` more steps falling at that step's rate."""
+    if budget <= 0 or not gap < before:  # a NaN ``before``: no earlier step
+        return False
+    if gap <= _STALL_RTOL:
+        return True
+    rate = gap / before
+    return rate == 0.0 or math.log(gap / _STALL_RTOL) <= budget * -math.log(rate)
+
+
+def _factorization(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, g: np.ndarray, live) -> float:
+    """F = max_i |X_i| max_j |Y^j| as computed, for M~ = X Y in exact arithmetic read off
+    the SVD u diag(sv) vt of C = conj(M~) o g for a rank-one g = l r^*; X and Y
+    overwrite u and vt.
+
+    conj(C) = conj(u) diag(sv) conj(vt) and conj(C)_ij = M~_ij conj(l_i) r_j, so
+    X = D(1 / conj(l)) conj(u) diag(sv)^(1/2) and Y = diag(sv)^(1/2) conj(vt) D(1 / r);
+    l is the unit column of g through its largest entry and r^* the row through it,
+    rescaled so that l r^* = g.  The nonzero block of M~ is all that is factored:
+    X and Y are 0 on the zero rows and columns of M~ (``live`` masks the others),
+    which makes those entries of X Y exact.  F is inf when a factor is not finite, or
+    when max_i |X_i|^2 or max_j |Y^j|^2 is below 2^-900, so that no underflowed square
+    matters to :func:`_haagerup_upper`.
+    """
+    i, j = divmod(int(np.abs(g).argmax()), g.shape[1])
+    size = math.sqrt(np.vdot(g[:, j], g[:, j]).real)
+    half = np.sqrt(sv)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.conjugate(u, out=u)
+        x *= half
+        x /= (np.conj(g[:, j]) / size)[:, None]
+        x[~live[0]] = 0.0
+        y = np.conjugate(vt, out=vt)
+        y *= half[:, None]
+        y /= np.conj(g[i]) * (size / np.conj(g[i, j]))
+        y[:, ~live[1]] = 0.0
+        rows = float(np.square(np.abs(x)).sum(axis=1).max())
+        cols = float(np.square(np.abs(y)).sum(axis=0).max())
+    if not (2.0 ** -900 <= rows < math.inf and 2.0 ** -900 <= cols < math.inf):  # or NaN
+        return math.inf
+    return math.sqrt(rows) * math.sqrt(cols)
+
+
+def _haagerup_upper(sym: np.ndarray, resid: np.ndarray, k: int, value: float) -> float:
+    """Certified bound on |S_M|_{S_inf -> S_inf} for M = ``sym`` from finite factors
+    X (N x K) and Y (K x M), K = ``k`` = min(N, M), given their computed product
+    ``resid`` = fl(X Y), which it overwrites, and F = ``value`` as
+    :func:`_factorization` computes it.
+
+    * Factorization.  With X_i the rows of X and Y^j the columns of Y,
+      (X Y) o A = V^* (A (x) I) W for isometries built from them, so the exact
+      F* = max_i |X_i| max_j |Y^j| bounds |S_{X Y}| (Haagerup; Pisier, LNM 1618,
+      Thm 5.1; Paulsen, Completely Bounded Maps and Operator Algebras, ch. 8).
+      Each term |x|^2 carries at most 3u (the modulus and the square), a sum of K
+      of them is within gamma_{K-1} <= 1.01 (K - 1) u (Higham, Accuracy and
+      Stability of Numerical Algorithms, section 4.2), which the square roots
+      halve; the roots and the product add 3u, and an underflowed square loses
+      less than 2^-1075, nothing beside sums of at least 2^-900: F* <= F (1 + (K + 16) u).
+    * Residual.  M = X Y + R.  The computed Z = fl(X Y) obeys |Z - X Y| <=
+      sqrt(2) gamma_{K+2} |X| |Y| <= 2 (K + 2) u |X| |Y| = eta |X| |Y| entrywise
+      (complex inner products, Higham section 3.6), and the computed R' = fl(M - Z)
+      obeys |M - Z - R'| <= 1.01 u |R'|.  Schur multipliers multiply under o, and
+      |S_theta| <= sqrt(K) when every |theta_ij| <= 1 (theta = theta I, or I theta), so
+      |S_{Z - X Y}| <= eta sqrt(K) |S_{|X| |Y|}| <= eta sqrt(K) F*, as |X| and |Y|
+      have the row and column norms of X and Y; and |S_{M - Z - R'}| <= 1.01 u
+      sqrt(K) |R'|_F <= 1.01 u rho, with rho = :func:`frobenius_schur_bound` (R'),
+      which bounds |S_{R'}| with its own rounding.
+
+    U = (F (1 + (K + 16) u) (1 + eta sqrt(K)) + rho (1 + 2u)) (1 + 8u): the last
+    factor covers the six roundings of this line.
+    """
+    np.subtract(sym, resid, out=resid)
+    eta = 2.0 * (k + 2) * _UNIT_ROUNDOFF
+    total = (value * (1.0 + (k + 16) * _UNIT_ROUNDOFF) * (1.0 + eta * math.sqrt(k))
+             + frobenius_schur_bound(resid) * (1.0 + 2.0 * _UNIT_ROUNDOFF))
+    return total * (1.0 + 8.0 * _UNIT_ROUNDOFF)
 
 
 def circulant_schur_bound(m) -> float:

@@ -452,6 +452,11 @@ class TestSchurBound:
         assert details["upper_bound"] >= rep["tables"]["bound"][0]["lower_bound"]
         assert rep["tables"]["bound"][0]["upper_bound"] == details["upper_bound"]
         assert [r["name"] for r in rep["records"]] == ["lower-bound"]
+        # the record and the table carry both ends, the gap and the certificate steps
+        row = rep["tables"]["bound"][0]
+        for key in ("lower_bound", "upper_bound", "relative_gap", "certificate_steps"):
+            assert details[key] == row[key]
+        assert row["certificate_steps"] == 0  # p = 2 takes none
 
     @pytest.mark.parametrize("p", ["2", "3", "4", "inf"])
     def test_power_of_two_scaling_scales_every_number_exactly(self, p, tmp_path):
@@ -469,9 +474,27 @@ class TestSchurBound:
                     rec["bound"], rec["details"]["upper_bound"]]
 
         base = numbers(1.0)
+        if p == "inf":  # the Haagerup certificate closes the bracket
+            assert base[0] <= base[2] <= base[0] * (1.0 + 1e-11)
         for e in (600, -600):  # |m|^4 overflows at 2^600 and underflows at 2^-600
             scaled = numbers(2.0 ** e)
             assert all(math.isfinite(v) and v == b * 2.0 ** e for v, b in zip(scaled, base))
+
+    def test_zero_rows_and_columns_close_at_p_inf(self, tmp_path, capsys):
+        # the certificate divides by the dual pair's entries, which vanish on zero rows and
+        # columns: it factors the nonzero block, whose norm is the norm
+        rng = np.random.default_rng(41)
+        m = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+        m[[0, 4, 8]] = 0.0
+        m[:, [2, 6]] = 0.0
+        path, out = tmp_path / "m.csv", tmp_path / "sb.json"
+        write_matrix_csv(m, path)
+        assert main_strict(["schur-bound", "--points", str(path), "--p", "inf",
+                            "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = strict_json(out)["tables"]["bound"][0]
+        assert row["relative_gap"] <= 1e-11
+        assert row["lower_bound"] <= row["upper_bound"] <= row["lower_bound"] * (1.0 + 1e-11)
 
     @pytest.mark.parametrize("index", ["4096", "200000"])
     def test_oversized_index_exit_2_before_allocating(self, index, tmp_path, capsys):
@@ -517,7 +540,9 @@ class TestSchurBound:
         out = tmp_path / "sb.json"
         assert main(["schur-bound", "--points", str(path), "--iterations", "0",
                      "--out", str(out)]) == 0
-        assert load_report(out)["tables"]["bound"][0]["lower_bound"] == 3.0
+        row = load_report(out)["tables"]["bound"][0]
+        assert row["lower_bound"] == 3.0 and row["certificate_steps"] == 0
+        assert row["relative_gap"] == row["upper_bound"] / 3.0 - 1.0 > 0.0
 
     @pytest.mark.parametrize("iterations", ["-1", "-3"])
     def test_negative_iterations_is_input_error(self, iterations, tmp_path, capsys):
@@ -559,6 +584,8 @@ class TestGeometryCommand:
         rep = load_report(out)
         rec = [r for r in rep["records"] if r["name"] == "volume-growth-rate"][0]
         assert rec["measured"] == pytest.approx(2.0, rel=0.05)
+        for row in rep["tables"]["volumes"]:  # each volume carries its series' tail bound
+            assert 0.0 < row["truncation_bound"] <= 1e-16 * row["volume"]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_readme_radii_at_higher_rank(self, n, tmp_path):

@@ -440,12 +440,12 @@ class TestStackedEngine:
 
 class TestWeylVolume:
     def test_small_radius_vanishes(self):
-        assert weyl_ball_volume(2, 1e-4) <= 1e-6
-        assert weyl_ball_volume(3, 1e-3) <= 1e-6
+        assert weyl_ball_volume(2, 1e-4)[0] <= 1e-6
+        assert weyl_ball_volume(3, 1e-3)[0] <= 1e-6
 
     def test_strictly_increasing(self):
         for n in (2, 3):
-            vols = [weyl_ball_volume(n, r) for r in (1.0, 2.0, 4.0, 6.0)]
+            vols = [weyl_ball_volume(n, r)[0] for r in (1.0, 2.0, 4.0, 6.0)]
             assert all(b > a for a, b in zip(vols, vols[1:]))
 
     def test_n2_matches_closed_form(self):
@@ -453,7 +453,7 @@ class TestWeylVolume:
         # the cancellation of cosh(2R) - 1 at small R
         top = geometry._FLOAT_RADIUS[0] - 1e-9
         for r in (1e-3, 0.1, 1.0, 3.0, 10.0, 100.0, top):
-            assert weyl_ball_volume(2, r) == pytest.approx(math.sinh(r) ** 2, rel=1e-14), r
+            assert weyl_ball_volume(2, r)[0] == pytest.approx(math.sinh(r) ** 2, rel=1e-14), r
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_exact_oracle(self, n):
@@ -461,10 +461,12 @@ class TestWeylVolume:
         # (at 50 digits the oracle itself is 1.8e-11 off at n = 5, R = 1e-3)
         top = geometry._FLOAT_RADIUS[n - 2] - 1e-9
         radii = [1e-3, 0.03, 0.5, 2.0, 5.0, 10.0, top / 2, top]
-        vols = weyl_ball_volume(n, radii)
-        for r, vol in zip(radii, vols):
+        vols, tails = weyl_ball_volume(n, radii)
+        for r, vol, tail in zip(radii, vols, tails):
             exact = exact_ball_volume(n, r, 120)
             assert abs(vol - exact) <= 1e-13 * exact, (r, vol, exact)
+            # the dropped tail is bounded, and the bound is what the stop rule promises
+            assert abs(vol - exact) <= tail + 1e-13 * vol and 0.0 <= tail <= 1e-16 * vol
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 5.0])
     def test_n3_matches_direct_quadrature(self, r):
@@ -476,13 +478,13 @@ class TestWeylVolume:
 
         want = sum(dblquad(weight, a, b, lambda z1: -z1 / 2, hi, epsabs=0, epsrel=1e-13)[0]
                    for a, b, hi in ((0.0, r / 2, lambda z1: z1), (r / 2, r, lambda z1: r - z1)))
-        assert weyl_ball_volume(3, r) == pytest.approx(want, rel=1e-12)
+        assert weyl_ball_volume(3, r)[0] == pytest.approx(want, rel=1e-12)
 
     def test_underflowed_radius_returns_zero_at_once(self):
         start = time.monotonic()
         for n in (2, 3, 4, 5):
-            assert weyl_ball_volume(n, 1e-300) == 0.0
-            assert np.array_equal(weyl_ball_volume(n, [1e-300, 2.0]) > 0, [False, True])
+            assert weyl_ball_volume(n, 1e-300)[0] == 0.0
+            assert np.array_equal(weyl_ball_volume(n, [1e-300, 2.0])[0] > 0, [False, True])
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -491,11 +493,12 @@ class TestWeylVolume:
         top = geometry._FLOAT_RADIUS[n - 2] - 1e-9
         radii = np.array([1e-300, 1e-3, 0.7, 2.0, 3.3, 9.5, 21.0, top / 2, top])
         rng = np.random.default_rng(n)
-        alone = [weyl_ball_volume(n, float(r)) for r in radii]
+        alone = [weyl_ball_volume(n, float(r))[0] for r in radii]
         for order in (np.arange(len(radii)), rng.permutation(len(radii)), [8, 0, 8, 1]):
-            got = weyl_ball_volume(n, radii[order])
+            got = weyl_ball_volume(n, radii[order])[0]
             assert got.tobytes() == np.array(alone)[order].tobytes(), order
-        assert weyl_ball_volume(n, radii.reshape(3, 3)).shape == (3, 3)
+        vols, tails = weyl_ball_volume(n, radii.reshape(3, 3))
+        assert vols.shape == tails.shape == (3, 3)
 
 
 class TestHarishChandra:
@@ -557,8 +560,8 @@ class TestErrorPaths:
         with pytest.raises(RangeError):
             weyl_ball_volume(n, r)
         below = r - 1e-9
-        assert weyl_ball_volume(n, below) == pytest.approx(exact_ball_volume(n, below, 50),
-                                                           rel=1e-13)
+        assert weyl_ball_volume(n, below)[0] == pytest.approx(exact_ball_volume(n, below, 50),
+                                                              rel=1e-13)
 
 
 def test_index_sequences():

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -127,9 +129,15 @@ class TestLowerBound:
         assert 2.0 <= res.upper <= 2.0 * (1.0 + 1e-14)
         assert res.bracket_closed and res.value >= res.upper / (1.0 + schur._STALL_RTOL)
         assert (res.best_start, res.best_iteration) == (1, 1)
-        unbounded = schur_norm_lower_bound(np.vstack([sym, np.zeros(4)]), math.inf)
-        assert not unbounded.bracket_closed  # not square: the Frobenius bound 8 stays open
-        assert unbounded.value == pytest.approx(res.value, rel=1e-12)
+        # not square: the Frobenius bound 8 stays open, and the Haagerup certificate of
+        # the nonzero block, read off the first reprojection, closes it at 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            padded = schur_norm_lower_bound(np.vstack([sym, np.zeros(4)]), math.inf)
+        assert padded.bracket_closed and padded.certificate_steps == 0
+        assert padded.value == pytest.approx(res.value, rel=1e-12)
+        assert 2.0 <= padded.upper <= padded.value * (1.0 + padded.allowance) * (1.0 + 1e-12)
+        assert padded.allowance <= 1e-13
 
     def test_rejects_non_finite_symbol(self):
         for bad in (math.nan, math.inf):
@@ -241,12 +249,20 @@ class TestSvdCount:
         rng = np.random.default_rng(33)
         m = rng.random((48, 48))  # positive: a clear top singular pair at every step
         res = schur_norm_lower_bound(m, p, seed=1, iterations=12)
-        starts = 8  # the matrix unit, the conjugate phase and six random starts
-        assert not res.bracket_closed and len(steps) > 2 * starts
-        # one SVD per iteration but the last of each start, beside the first half-steps
-        # and, at p = infinity, one start norm per start
+        if math.isinf(p):
+            # the conjugate phase goes on as a certificate, which closes the bracket:
+            # one reprojection SVD and one settled power iteration per step
+            assert res.bracket_closed and res.best_start == 1 and res.certificate_steps > 0
+            starts, closing = 2, 1  # the matrix unit, then the conjugate phase
+        else:
+            starts, closing = 8, 0  # the matrix unit, the conjugate phase and six random starts
+            assert not res.bracket_closed and res.certificate_steps == 0
+        assert len(steps) > 2 * starts + res.certificate_steps
+        # one SVD per iteration but the last of each start (the closing start ends on a
+        # reprojection), beside the first half-steps and, at p = infinity, one start norm
+        # per start
         norms = starts if math.isinf(p) else 0
-        assert len(svd_calls) == norms + steps.count(False) + len(steps) - starts
+        assert len(svd_calls) == norms + steps.count(False) + len(steps) - starts + closing
         assert steps.count(True) >= len(steps) - (starts if math.isinf(p) else 0)
 
 
@@ -424,6 +440,101 @@ def test_circulant_bracket_in_order_at_its_dense_ratio(n, seed, is_complex, p):
     assert dense == pytest.approx(res.value, rel=1e-12)
     if math.isinf(p):  # the circulant bound is the norm, and one step attains it
         assert res.bracket_closed
+
+
+def oracle_symbol(kind, rows, cols, rng, is_complex):
+    """(M, |S_M|_{S_inf -> S_inf} to 40 digits) for a symbol whose norm has a closed form;
+    small integer entries keep every product exact, so the float matrix is that symbol."""
+    def draw(*shape):
+        x = rng.integers(-4, 5, size=shape).astype(complex)
+        return x + 1j * rng.integers(-4, 5, size=shape) if is_complex else x
+
+    def top(v):  # max |v_i| of an integer vector
+        return mpmath.sqrt(max(int(z.real) ** 2 + int(z.imag) ** 2 for z in v.ravel()))
+
+    if kind == "rank one":  # D(a) A D(b): max|a| max|b|, reached at a matrix unit
+        a, b = draw(rows), draw(cols)
+        return np.outer(a, b), top(a) * top(b)
+    if kind == "psd":  # S_M is completely positive: its norm is |S_M(I)| = max M_ii
+        b = draw(rows, int(rng.integers(1, rows + 1)))
+        m = b @ b.conj().T
+        return m, mpmath.mpf(int(m.diagonal().real.max()))
+    c = draw(rows)  # circulant: (1/N) sum_k |c^_k| (Bozejko-Fendler)
+    dft = [abs(mpmath.fsum(mpmath.mpc(complex(c[j])) * mpmath.expjpi(mpmath.mpf(-2 * k * j) / rows)
+                           for j in range(rows))) for k in range(rows)]
+    return circulant(c), mpmath.fsum(dft) / rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.sampled_from(["rank one", "psd", "circulant"]))
+@example(rows=24, cols=24, seed=0, is_complex=True, kind="psd")
+@example(rows=17, cols=5, seed=3, is_complex=False, kind="rank one")
+# the matrix unit's dual vector vanishes on nonzero columns: 0 / 0 in a factor
+@example(rows=1, cols=3, seed=0, is_complex=False, kind="rank one")
+def test_p_infinity_bracket_holds_the_exact_norm(rows, cols, seed, is_complex, kind):
+    rng = np.random.default_rng(seed)
+    with mpmath.workdps(40):
+        sym, exact = oracle_symbol(kind, rows, cols, rng, is_complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # zero rows and columns divide nothing by 0
+            res = schur_norm_lower_bound(sym, math.inf, seed=seed)
+        assert res.value <= exact * (1 + mpmath.mpf(1e-12))  # the optimizer's ratio rounds
+        assert res.upper >= exact  # certified: no slack
+    if res.allowance > 0.0:  # a Haagerup certificate closed the bracket
+        assert res.bracket_closed
+        assert res.relative_gap <= res.allowance + 1.01 * schur._STALL_RTOL
+
+
+class TestHaagerupCertificate:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_gaussian_bracket_closes_in_few_svds(self, n, svd_calls):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        res = schur_norm_lower_bound(m, math.inf, seed=2, iterations=10)
+        assert res.bracket_closed and 0.0 < res.allowance <= 1e-11
+        assert res.relative_gap <= 1e-11 and res.certificate_steps > 0
+        # without the certificate eight starts ran to the cap of 10: 80 SVDs or more
+        assert len(svd_calls) <= 45
+
+    def test_certificate_that_stalls_gives_up_and_the_starts_run(self, svd_calls, monkeypatch):
+        # a factorization value held 1e-7 above its own: the gap falls, then stops falling
+        real = schur._factorization
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+
+        def run(factor):
+            monkeypatch.setattr(schur, "_factorization", lambda *args: real(*args) * factor)
+            before = len(svd_calls)
+            res = schur_norm_lower_bound(m, math.inf, seed=1, iterations=10)
+            return res, len(svd_calls) - before
+
+        plain, plain_svds = run(math.inf)  # no finite factorization value: no certificate
+        stalled, stalled_svds = run(1.0 + 1e-7)
+        assert not plain.bracket_closed and plain.certificate_steps == 0
+        assert not stalled.bracket_closed and 0 < stalled.certificate_steps <= 12
+        assert stalled.upper == plain.upper and stalled.value >= plain.value
+        # one reprojection SVD per certificate step (and a first half-step SVD where power
+        # iteration does not settle); every other SVD as without one
+        assert 0 <= stalled_svds - plain_svds - stalled.certificate_steps <= 2
+
+    def test_residual_above_the_a_priori_bound_ends_the_certificates(self, monkeypatch):
+        monkeypatch.setattr(schur, "_haagerup_upper", lambda *args: math.inf)
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        res = schur_norm_lower_bound(m, math.inf, seed=1, iterations=10)
+        assert not res.bracket_closed and res.allowance == 0.0
+        assert res.upper == min(frobenius_schur_bound(m), circulant_schur_bound(m))
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_no_iterations_take_no_certificate_step(self, iterations, svd_calls):
+        # a negative cap runs no start either: the steps end only at the cap or a stall
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((16, 16))
+        res = schur_norm_lower_bound(m, math.inf, iterations=iterations)
+        assert res.value == np.abs(m).max() and res.certificate_steps == 0
+        assert not res.bracket_closed and len(svd_calls) == 0
 
 
 class TestCirculantLowerBound:
