@@ -122,8 +122,8 @@ class TestLowerBound:
 
     def test_search_stops_at_the_improvement_that_closes_the_bracket(self):
         # at p = infinity the circulant bound is the exact norm 2 (the DFT is 2, 2, -2, 2);
-        # the matrix unit stalls at the sup entry 1, and the conjugate phase, the sign
-        # pattern of M, reaches 2 on its first iteration
+        # the sup entry 1 is the floor, and the conjugate phase, the sign pattern of M,
+        # reaches 2 on its first iteration
         sym = circulant(np.array([1.0, 1.0, -1.0, 1.0]))
         res = schur_norm_lower_bound(sym, math.inf)
         assert 2.0 <= res.upper <= 2.0 * (1.0 + 1e-14)
@@ -155,6 +155,27 @@ class TestLowerBound:
         assert (res.best_start, res.best_iteration, res.bracket_closed) == (-1, 0, True)
         assert res.best_input[np.unravel_index(np.argmax(np.abs(sym)), sym.shape)] == 1.0
         assert len(svd_calls) == 0
+
+    def test_floor_is_the_exact_sup_entry_when_no_start_beats_it(self):
+        # as a start, the matrix unit would report its ratio 3.760600531174466, one ulp
+        # above the sup entry it equals, as start 0
+        rng = np.random.default_rng(1064)
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        res = schur_norm_lower_bound(m, 4.0, iterations=10, seed=1)
+        assert (res.best_start, res.best_iteration) == (-1, 0)
+        assert res.value == np.abs(m).max() == 3.7606005311744655
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, math.inf])
+    def test_no_start_has_index_0(self, p):
+        # the matrix unit is a fixed point of the alternating map: it never runs
+        for seed in range(8):
+            rng = np.random.default_rng(1000 + seed)
+            rows, cols = (int(k) for k in rng.integers(2, 25, size=2))
+            m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            res = schur_norm_lower_bound(m, p, iterations=6, seed=seed)
+            assert res.best_start != 0 and res.value >= np.abs(m).max()
+            if res.best_start == -1:
+                assert res.value == np.abs(m).max()
 
     def test_never_above_exact_value_from_start_orthogonal_to_ones(self):
         # Power iteration from the all-ones vector would miss this start's top
@@ -253,9 +274,9 @@ class TestSvdCount:
             # the conjugate phase goes on as a certificate, which closes the bracket:
             # one reprojection SVD and one settled power iteration per step
             assert res.bracket_closed and res.best_start == 1 and res.certificate_steps > 0
-            starts, closing = 2, 1  # the matrix unit, then the conjugate phase
+            starts, closing = 1, 1  # the conjugate phase alone; the matrix unit never runs
         else:
-            starts, closing = 8, 0  # the matrix unit, the conjugate phase and six random starts
+            starts, closing = 7, 0  # the conjugate phase and six random starts
             assert not res.bracket_closed and res.certificate_steps == 0
         assert len(steps) > 2 * starts + res.certificate_steps
         # one SVD per iteration but the last of each start (the closing start ends on a
@@ -471,7 +492,7 @@ def oracle_symbol(kind, rows, cols, rng, is_complex):
        st.sampled_from(["rank one", "psd", "circulant"]))
 @example(rows=24, cols=24, seed=0, is_complex=True, kind="psd")
 @example(rows=17, cols=5, seed=3, is_complex=False, kind="rank one")
-# the matrix unit's dual vector vanishes on nonzero columns: 0 / 0 in a factor
+# a dual vector that vanishes on nonzero columns (a matrix unit's): 0 / 0 in a factor
 @example(rows=1, cols=3, seed=0, is_complex=False, kind="rank one")
 def test_p_infinity_bracket_holds_the_exact_norm(rows, cols, seed, is_complex, kind):
     rng = np.random.default_rng(seed)
@@ -487,6 +508,24 @@ def test_p_infinity_bracket_holds_the_exact_norm(rows, cols, seed, is_complex, k
         assert res.relative_gap <= res.allowance + 1.01 * schur._STALL_RTOL
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 0.2, 0.5]),
+       st.sampled_from([1, 2, 5, 10, 40]))
+def test_p_infinity_bracket_with_mixed_certificate_steps(rows, cols, seed, zero_share,
+                                                        iterations):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    m[rng.random(rows) < zero_share] = 0.0
+    m[:, rng.random(cols) < zero_share] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = schur_norm_lower_bound(m, math.inf, seed=seed, iterations=iterations)
+    assert np.abs(m).max() <= res.value <= res.upper
+    if res.bracket_closed:
+        assert res.relative_gap <= res.allowance + 2e-12
+
+
 class TestHaagerupCertificate:
     @pytest.mark.parametrize("n", [32, 64])
     def test_gaussian_bracket_closes_in_few_svds(self, n, svd_calls):
@@ -497,6 +536,14 @@ class TestHaagerupCertificate:
         assert res.relative_gap <= 1e-11 and res.certificate_steps > 0
         # without the certificate eight starts ran to the cap of 10: 80 SVDs or more
         assert len(svd_calls) <= 45
+
+    def test_mixed_certificate_closes_in_at_most_20_svds(self, svd_calls):
+        # unmixed certificate steps take 29 SVDs here (15 certificate steps)
+        rng = np.random.default_rng(64)
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        res = schur_norm_lower_bound(m, math.inf, iterations=10, seed=3)
+        assert res.bracket_closed and res.relative_gap <= res.allowance + 2e-12
+        assert len(svd_calls) <= 20
 
     def test_certificate_that_stalls_gives_up_and_the_starts_run(self, svd_calls, monkeypatch):
         # a factorization value held 1e-7 above its own: the gap falls, then stops falling
