@@ -24,8 +24,8 @@ from . import geometry as geo
 from . import sphere
 from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from .report import FAIL, INCONCLUSIVE, PASS, CertificationReport, CheckRecord, input_digest
-from .schur import (TruncatedSchurMultiplier, profile_rigidity_records, rigidity_witness,
-                    schur_norm_exact_p2, schur_norm_lower_bound)
+from .rigidity import profile_rigidity_records, rigidity_witness
+from .schur import TruncatedSchurMultiplier, schur_norm_exact_p2, schur_norm_lower_bound
 from .symbols import SymbolFamily, SymbolHandle, read_matrix_csv
 
 __all__ = ["main", "cmd_certify_hm", "cmd_rigidity", "cmd_sphere_spectrum",

@@ -1,0 +1,183 @@
+"""The radial rigidity witness: the decay, derivative and Hoelder inequalities
+on a radial profile, and its finite Schur sections along diagonal-conjugated
+rotation orbits, circulant symbols bracketed by :func:`mcert.schur.circulant_lower_bound`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .composition import CompositionFrame
+from .errors import AccuracyError, InputError
+from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
+from .schur import circulant_lower_bound
+from .sphere import RigidityExponents
+from .symbols import RadialProfile
+
+__all__ = ["WitnessResult", "rigidity_witness", "profile_rigidity_records", "CONSISTENT",
+           "VIOLATED"]
+
+CONSISTENT = "CONSISTENT"
+VIOLATED = "VIOLATED"
+_GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
+
+
+def _growth(xs: np.ndarray, vals: np.ndarray) -> tuple:
+    """(ratio, verdict) of an envelope: the ratio is its sup on the outer decade over
+    the sup before it, and the verdict FAIL when the ratio exceeds 1 + _GROWTH_TOL.
+
+    A bounded envelope (decay inequality satisfiable with some constant)
+    gives ratio <= 1 + noise; persistent growth gives ratio >> 1.  A NaN or
+    inf value, where the envelope weights overflow, decides nothing: the
+    verdict is INCONCLUSIVE.
+    """
+    cut = xs.max() / 10.0
+    head = float(vals[xs < cut].max(initial=0.0))
+    tail = float(vals[xs >= cut].max(initial=0.0))
+    ratio = tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
+    if not np.all(np.isfinite(vals)):
+        return ratio, INCONCLUSIVE
+    return ratio, PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf envelope is INCONCLUSIVE
+def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
+    """Evaluate the radial rigidity inequalities on a log grid over [1.05, 1e4],
+    with derivative records up to order [alpha].
+
+    Returns (records, exponents).  Each record compares the measured
+    envelope of one inequality against a non-growing trend requirement;
+    the measured constant is the envelope sup.  Every derivative comes
+    from two profile jets to order [alpha], one at the grid points and
+    one at the Hoelder offsets.  A profile that overflows on the grid
+    leaves its records INCONCLUSIVE, without numpy warnings.
+    """
+    ex = RigidityExponents.compute(n, p)
+    r = int(math.floor(ex.alpha))
+    xs = np.geomspace(1.05, 1e4, 80)
+    jet = profile.jet(xs, r)
+    records = []
+
+    # limit existence: dyadic tail differences must shrink
+    probes = np.sort(1e4 * 2.0 ** -np.arange(6, dtype=float))
+    pv = np.asarray(profile(probes), dtype=float)
+    diffs = np.abs(np.diff(pv))
+    verdict = (INCONCLUSIVE if not np.all(np.isfinite(diffs))  # overflow decides nothing
+               else PASS if diffs[-1] <= 0.5 * diffs.max() + 1e-12 else FAIL)
+    phi_inf = float(pv[-1])
+    records.append(CheckRecord(
+        name="limit-existence", check_id="rigidity/limit", verdict=verdict,
+        measured=float(diffs[-1]), tolerance=0.5,
+        details={"phi_inf": phi_inf, "dyadic_diffs": [float(v) for v in diffs]},
+    ))
+
+    # decay of phi - phi_inf at rate c0
+    env = np.abs(jet[0] - phi_inf) * xs ** ex.c[0]
+    ratio, verdict = _growth(xs, env)
+    records.append(CheckRecord(
+        name="decay-c0", check_id="rigidity/decay-c0", verdict=verdict,
+        measured=float(env.max()), bound=ex.c[0], tolerance=_GROWTH_TOL,
+        details={"growth_ratio": ratio, "c0": ex.c[0]},
+    ))
+
+    # derivative records
+    for k in range(1, r + 1):
+        env = math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k]
+        ratio, verdict = _growth(xs, env)
+        records.append(CheckRecord(
+            name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}", verdict=verdict,
+            measured=float(env.max()), bound=ex.c[k], tolerance=_GROWTH_TOL,
+            details={"growth_ratio": ratio, "order": k, "ck": ex.c[k]},
+        ))
+
+    # local Hoelder quotient of the [alpha]-th derivative
+    gaps = 1e-3 * xs
+    step = math.factorial(r) * (profile.jet(xs + gaps, r)[r] - jet[r])
+    env = np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha
+    ratio, verdict = _growth(xs, env)
+    records.append(CheckRecord(
+        name="hoelder-alpha", check_id="rigidity/hoelder", verdict=verdict,
+        measured=float(env.max()), bound=ex.alpha, tolerance=_GROWTH_TOL,
+        details={"growth_ratio": ratio, "alpha": ex.alpha},
+    ))
+    return records, ex
+
+
+@dataclass
+class WitnessResult:
+    classification: str
+    records: list
+    lower_bounds: list
+    upper_bounds: list
+    exponents: RigidityExponents
+    iterations: int  # circulant power-method steps over all sections
+
+
+def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16, 32, 64),
+                     mode: str = "hs", seed: int = 0) -> WitnessResult:
+    """Classify a radial profile against the rigidity inequalities.
+
+    Finite sections are sampled along diagonal-conjugated rotation
+    orbits at growing angular resolutions; their multiplier lower bounds
+    must stay bounded for a profile consistent with S_p-boundedness.
+    Each section is a circulant symbol (equispaced angles), held as its
+    first column c_k = profile(x(cos 2 pi k / N)) and bracketed by
+    :func:`circulant_lower_bound`, warm-started from the previous size's
+    best input: its certified upper bound is the circulant bound
+    interpolated to p, exact at p = infinity, and it stops as soon as its
+    lower bound meets it.  ``upper_bounds`` holds, per size, the largest
+    upper bound over the radii, and ``iterations`` the power-method steps.
+    Classification: CONSISTENT when every inequality record passes and
+    the section bounds plateau; VIOLATED when an inequality fails or the
+    bounds keep growing; INCONCLUSIVE otherwise.
+    """
+    if mode not in ("hs", "opnorm"):
+        raise InputError("mode must be 'hs' or 'opnorm'")
+    records, ex = profile_rigidity_records(profile, n, p)
+
+    frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
+    lower_bounds, upper_bounds, iterations = [], [], 0
+    best = [None] * len(frames)  # per frame: the best first column at the previous size
+    for n_points in point_sets:
+        delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
+        results = []
+        for i, frame in enumerate(frames):
+            xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = np.asarray(profile(xvals), dtype=complex)
+            if not np.all(np.isfinite(c)):
+                raise AccuracyError(f"the profile overflows on the {n_points}-point section")
+            results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
+            best[i] = results[-1].best_column
+            iterations += results[-1].iterations
+        lower_bounds.append(max(res.value for res in results))
+        upper_bounds.append(max(res.upper for res in results))
+
+    # Saturating sections (shrinking increments) indicate a bounded
+    # multiplier approached from below; persistent per-doubling growth
+    # indicates divergence.  Both the last increment and its persistence
+    # relative to the previous one must flag before we call it growth.
+    increments = [b / a - 1.0 if a > 0 else 0.0 for a, b in zip(lower_bounds, lower_bounds[1:])]
+    last_inc = increments[-1] if increments else 0.0
+    persistence = (increments[-1] / max(increments[-2], 1e-12)
+                   if len(increments) >= 2 else 1.0)
+    growing = last_inc > _GROWTH_TOL and persistence > 0.5
+    records.append(CheckRecord(
+        name="section-growth", check_id="rigidity/section-growth",
+        verdict=FAIL if growing else PASS,
+        measured=float(last_inc), tolerance=_GROWTH_TOL,
+        details={"lower_bounds": [float(v) for v in lower_bounds],
+                 "increments": [float(v) for v in increments],
+                 "persistence": float(persistence),
+                 "sizes": list(point_sets), "mode": mode},
+    ))
+
+    verdicts = {r.verdict for r in records}
+    classification = (CONSISTENT if verdicts == {PASS} else VIOLATED if FAIL in verdicts
+                      else INCONCLUSIVE)
+    return WitnessResult(classification=classification, records=records,
+                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
+                         iterations=iterations)

@@ -1,9 +1,8 @@
 """Finite-section Schur multipliers: lower bounds by alternating
 maximization inside a certified upper bound, on dense symbols and, for
-circulant sections, on the Fourier side; at p = infinity, a Haagerup
+circulant sections, on the Fourier side; and at p = infinity, a Haagerup
 factorization certificate read off the optimizer's own SVDs, which closes
-the dense bracket; a product-cube upper bound; and the radial rigidity
-witness.
+the dense bracket.  The layer needs numpy alone.
 
 All lower bounds are one-sided: a finite section never overestimates
 the full multiplier norm (restriction), and any admissible input to the
@@ -19,33 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AccuracyError, InputError, NumericError
-from .composition import CompositionFrame
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
-from .sphere import RigidityExponents
-from .symbols import RadialProfile
+from .errors import InputError, NumericError
 
-__all__ = [
-    "TruncatedSchurMultiplier",
-    "SchurLowerBound",
-    "schur_norm_lower_bound",
-    "CirculantLowerBound",
-    "circulant_lower_bound",
-    "circulant_schur_bound",
-    "frobenius_schur_bound",
-    "interpolated_schur_bound",
-    "schur_norm_exact_p2",
-    "SchurUpperBound",
-    "schur_infty_upper_bound",
-    "WitnessResult",
-    "rigidity_witness",
-    "profile_rigidity_records",
-    "CONSISTENT",
-    "VIOLATED",
-]
-
-CONSISTENT = "CONSISTENT"
-VIOLATED = "VIOLATED"
+__all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
+           "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
+           "frobenius_schur_bound", "interpolated_schur_bound", "schur_norm_exact_p2"]
 
 
 @dataclass(frozen=True)
@@ -127,11 +104,7 @@ def _lp_norm(x: np.ndarray, p: float):
 
 
 def _dual_exponent(p: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
+    return 1.0 if math.isinf(p) else math.inf if p == 1.0 else p / (p - 1.0)
 
 
 def _duality_map(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
@@ -218,14 +191,12 @@ class SchurLowerBound:
     starts, then caller-provided starts; 0 is left to the peak matrix unit, which
     certifies the sup-entry floor and never runs) and ``best_iteration`` counts from
     1, certificate steps included; -1 and 0 mean that floor was never beaten.
-    ``bracket_closed`` is set when the search stopped because
-    the value reached ``upper / (1 + _STALL_RTOL)`` or, when a factorization
-    certificate set ``upper``, its factorization value / (1 + _STALL_RTOL);
-    together with ``best_start == -1`` it means no start ran at all.
-    ``allowance`` is the relative rounding allowance of such an ``upper`` over
-    its factorization value (0 for the a priori bounds), and
-    ``certificate_steps`` counts the p = infinity steps taken past the end of a
-    start.
+    ``bracket_closed`` is set when the search stopped because the value reached
+    ``upper / (1 + _STALL_RTOL)`` or, when a factorization certificate set ``upper``,
+    its factorization value / (1 + _STALL_RTOL); together with ``best_start == -1`` it
+    means no start ran at all.  ``allowance`` is the relative rounding allowance of such
+    an ``upper`` over its factorization value (0 for the a priori bounds), and
+    ``certificate_steps`` counts the p = infinity steps taken past the end of a start.
     """
 
     value: float
@@ -252,12 +223,13 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
 
     Alternating maximization (normalize, push through the duality maps,
     reproject) from the conjugate-phase matrix, _RANDOM_STARTS seeded Gaussians, each
-    drawn when the search reaches it, and any caller-provided starts.  The maximum over
-    indexed starts is deterministic for a fixed seed.  ``iterations`` caps the steps of
-    each start; at 0 or below no start runs and the sup-entry floor is returned.  The
-    peak matrix unit E_ij certifies that floor and is not run: at every p it is a fixed
-    point of the alternating map, since M o E_ij = M_ij E_ij and its dual element and
-    reprojection are phase multiples of E_ij, so its steps could only restate the floor.
+    drawn when the search reaches it, and any caller-provided starts, each finite and of
+    M's shape (else InputError).  The maximum over indexed starts is deterministic for a
+    fixed seed.  ``iterations`` caps the steps of each start; at 0 or below no start runs and
+    the sup-entry floor is returned.  The peak matrix unit E_ij certifies that floor and
+    is not run: at every p it is a fixed point of the alternating map, since M o E_ij =
+    M_ij E_ij and its dual element and reprojection are phase multiples of E_ij, so its
+    steps could only restate the floor.
 
     ``upper`` is the smaller of the interpolated :func:`frobenius_schur_bound` and, for
     square M, :func:`circulant_schur_bound` (rounded, the interpolation can swap their
@@ -272,29 +244,21 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     <M~ o P Q^*, g> = |C|_1; and :func:`_factorization` reads off M~ = X Y with the
     value F = max_i |X_i| max_j |Y^j|, at least |C|_1.  A start that ends, at its cap
     or stalled, while the gap F / value - 1 falls at a rate that reaches _STALL_RTOL
-    within _ITERATIONS steps goes on as a certificate, one SVD per step, counted apart
-    from ``iterations``; it gives up as soon as the gap stops falling that fast, so a
-    gap that creeps down costs a step or two rather than _ITERATIONS.  Once the best value
-    reaches F / (1 + _STALL_RTOL), F plus its rounding allowance
-    (:func:`_haagerup_upper`) becomes ``upper`` if that is smaller, and the search
-    stops.  After a certificate that gave up, or whose bound was not smaller, the
-    remaining starts run without one.
-
-    A certificate step reprojects the Anderson-mixed element of :func:`_anderson`, from
-    the last _ANDERSON_DEPTH (input, output) pairs of the map g -> g' (reproject, then
-    the dual step), in place of the plain g; the steps within ``iterations`` stay plain.
-    Any unit vectors l and r keep both ends valid.  g = l r^* then has |g|_1 = |l| |r| = 1,
-    so |C|_1 is still the S_1 ratio of g and <M~ o P Q^*, g> = |C|_1 still holds; and
-    conj(C)_ij = M~_ij conj(l_i) r_j for every l and r, so :func:`_factorization` still
-    reads off a factorization, whose residual :func:`_haagerup_upper` bounds as computed,
-    however l and r were found.  The plain g is reprojected instead, and the pairs are
-    dropped, when the mixed element is not finite or when its factorization gap did not
-    fall (that step then takes a second SVD).
+    within _ITERATIONS steps goes on as a certificate (its :class:`_Continuation`), one
+    Anderson-mixed SVD per step, counted apart from ``iterations``; it gives up as soon
+    as the gap stops falling that fast, so a gap that creeps down costs a step or two
+    rather than _ITERATIONS.  Once the best value reaches F / (1 + _STALL_RTOL), F plus
+    its rounding allowance (:func:`_haagerup_upper`) becomes ``upper`` if that is
+    smaller, and the search stops.  After a certificate that gave up, or whose bound was
+    not smaller, the remaining starts run without one.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
     m = _multiplier(m)
     sym = m.symbol
+    extra_starts = [np.asarray(start, dtype=complex) for start in extra_starts]
+    if any(s.shape != sym.shape or not np.isfinite(s).all() for s in extra_starts):
+        raise InputError("every extra start must be finite and of the symbol's shape")
     upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
         upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
@@ -314,7 +278,6 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
 
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
     certifying = math.isinf(p)
-    live = (sym.any(axis=1), sym.any(axis=0)) if certifying else None
     for index, a0 in enumerate(_starts(m.symbol, seed, extra_starts), start=1):
         norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
                  else _lp_norm(_svd(a0, compute_uv=False), p))
@@ -322,8 +285,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
             continue
         a = a0 / norm0
         last, warm, ended = -math.inf, None, 0
-        gap = before = math.nan  # the factorization gaps of the last two steps (none: NaN)
-        fed, pairs = None, []  # the last element reprojected; (element, next element) pairs
+        cert = _Continuation(sym, e) if certifying else None
         for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
             val = math.ldexp(val, e)
@@ -333,42 +295,28 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
                     return result()
             if ended or iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
                 ended = ended or iteration
-                budget = _ITERATIONS - (iteration - ended)  # certificate steps left
-                if not (certifying and _closes_in_time(before, gap, budget)):
+                if cert is None or not cert.closes_in_time(_ITERATIONS - (iteration - ended)):
                     if iteration > ended:  # a certificate gave up: no later start runs one
                         certifying = False
                     break
                 steps += 1
             last = val
-            if not certifying:
+            if cert is None:
                 a = _duality_map(*_svd(np.conj(sym) * g), p)
                 continue
-            plain = _rank_one_factors(g)
-            if fed is not None:
-                pairs = [*pairs[1 - _ANDERSON_DEPTH:], (fed, plain)]
-            tries = [(plain, g)]
-            if ended and len(pairs) > 1:  # a certificate step: the mixed element first
-                mixed = _anderson(pairs)
-                if mixed is None:
-                    pairs = []
-                else:
-                    tries.insert(0, (mixed, np.outer(mixed[0], np.conj(mixed[1]))))
-            for fed, dual in tries:
-                a, trace, value, bound = _certified_reprojection(sym, e, dual, fed, live, best[0])
+            tried, closed = cert.step(g, best[0], target, mix=ended > 0)
+            for a, trace in tried:
                 if trace > best[0]:
                     best = (trace, a, index, iteration)
                     if trace >= target:
                         return result()
-                if bound is not None or dual is g or value / best[0] - 1.0 < gap:
-                    break
-                pairs = []  # the mixed element's gap did not fall: the plain one follows
-            if bound is not None:  # the best value met F / (1 + _STALL_RTOL)
+            if closed is not None:  # the best value met F / (1 + _STALL_RTOL)
+                bound, value = closed
                 if bound >= upper:  # the residual outweighs the a priori bound
-                    certifying = False
+                    certifying, cert = False, None
                     continue
                 upper, target, allowance = bound, value / (1.0 + _STALL_RTOL), bound / value - 1.0
                 return result()
-            gap, before = value / best[0] - 1.0, gap
     return result()
 
 
@@ -380,8 +328,90 @@ def _starts(sym: np.ndarray, seed: int, extra_starts):
     rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_STARTS):
         yield rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape)
-    for start in extra_starts:
-        yield np.asarray(start, dtype=complex)
+    yield from extra_starts
+
+
+class _Continuation:
+    """The p = infinity certificate of one start on the scaled symbol M~ = ``sym`` =
+    M / 2^e.  It owns the last _ANDERSON_DEPTH (input, output) pairs of the map g -> g'
+    (reproject, then the dual step), the factorization gaps F / value - 1 of its last two
+    steps (NaN before one) and the rule that gives it up.
+
+    A mixed step reprojects the Anderson-mixed element of :func:`_anderson` in place of
+    the plain g.  Any unit vectors l and r keep both ends valid.  g = l r^* then has
+    |g|_1 = |l| |r| = 1, so |C|_1 is still the S_1 ratio of g and <M~ o P Q^*, g> = |C|_1
+    still holds; and conj(C)_ij = M~_ij conj(l_i) r_j for every l and r, so
+    :func:`_factorization` still reads off a factorization, whose residual
+    :func:`_haagerup_upper` bounds as computed, however l and r were found.
+    """
+
+    def __init__(self, sym: np.ndarray, e: int):
+        self.sym, self.e = sym, e
+        self.live = (sym.any(axis=1), sym.any(axis=0))  # the nonzero rows and columns
+        self.gap = self.before = math.nan
+        self.fed, self.pairs = None, []  # the last element reprojected; (element, next) pairs
+
+    def closes_in_time(self, budget: int) -> bool:
+        """Whether a gap that fell from ``before`` to ``gap`` on the last step reaches
+        _STALL_RTOL within ``budget`` more steps falling at that step's rate."""
+        before, gap = self.before, self.gap
+        if budget <= 0 or not gap < before:  # a NaN ``before``: no earlier step
+            return False
+        if gap <= _STALL_RTOL:
+            return True
+        rate = gap / before
+        return rate == 0.0 or math.log(gap / _STALL_RTOL) <= budget * -math.log(rate)
+
+    def step(self, g: np.ndarray, best: float, target: float, mix: bool) -> tuple:
+        """([(A, |C|_1), ...], closed): each reprojection of the unit rank-one dual element
+        ``g`` (:meth:`_reproject`) after the search's best value ``best``, in
+        order, the last being the next input.  With ``mix`` and two pairs the mixed element
+        goes first, and the plain g follows, the pairs dropped, when the mixture is not
+        finite or its gap did not fall (a second SVD).  A trace norm that reaches ``target``
+        ends the step; ``closed`` is (U, F) of :func:`_haagerup_upper` once the best value
+        meets F / (1 + _STALL_RTOL), else None."""
+        plain = _rank_one_factors(g)
+        if self.fed is not None:
+            self.pairs = [*self.pairs[1 - _ANDERSON_DEPTH:], (self.fed, plain)]
+        tries = [(plain, g)]
+        if mix and len(self.pairs) > 1:
+            mixed = _anderson(self.pairs)
+            if mixed is None:
+                self.pairs = []
+            else:
+                tries.insert(0, (mixed, np.outer(mixed[0], np.conj(mixed[1]))))
+        tried = []
+        for self.fed, dual in tries:
+            a, trace, value, bound = self._reproject(dual, self.fed, best)
+            tried.append((a, trace))
+            if trace >= target:
+                return tried, None
+            best = max(best, trace)
+            if bound is not None or dual is g or value / best - 1.0 < self.gap:
+                break
+            self.pairs = []  # the mixed element's gap did not fall: the plain one follows
+        if bound is not None:
+            return tried, (bound, value)
+        self.gap, self.before = value / best - 1.0, self.gap
+        return tried, None
+
+    def _reproject(self, g: np.ndarray, factors: tuple, best: float) -> tuple:
+        """(A, |C|_1, F, U) for the rank-one g = l r^*, ``factors`` = (l, r): the next
+        input A = P Q^* from the SVD of C = conj(M~) o g, and scaled back by 2^e, its trace
+        norm, the value F of :func:`_factorization` and, once max(``best``, |C|_1) reaches
+        F / (1 + _STALL_RTOL), :func:`_haagerup_upper` (else None).  No factor outlives
+        the call."""
+        u, sv, vt = _svd(np.conj(self.sym) * g)
+        a = u @ vt
+        trace = math.ldexp(float(sv.sum()), self.e)
+        scaled = _factorization(u, sv, vt, *factors, self.live)  # turns u into X, vt into Y
+        value = math.ldexp(scaled, self.e)
+        if max(best, trace) < value / (1.0 + _STALL_RTOL):
+            return a, trace, value, None
+        resid = u @ vt
+        del u, vt  # the factors go before the residual's bound allocates
+        bound = _haagerup_upper(self.sym, resid, sv.size, scaled)
+        return a, trace, value, math.ldexp(bound, self.e)
 
 
 def _rank_one_factors(g: np.ndarray) -> tuple:
@@ -421,37 +451,6 @@ def _anderson(pairs: list):
     return left, right
 
 
-def _certified_reprojection(sym: np.ndarray, e: int, g: np.ndarray, factors: tuple, live,
-                            best: float):
-    """(A, |C|_1, F, U) for the reprojection at p = infinity of the scaled symbol M~ =
-    ``sym`` = M / 2^e and the rank-one g = l r^*, ``factors`` = (l, r): the next input
-    A = P Q^* from the SVD of C = conj(M~) o g, and scaled back by 2^e, its trace norm,
-    the value F of :func:`_factorization` and, once max(``best``, |C|_1) reaches
-    F / (1 + _STALL_RTOL), :func:`_haagerup_upper` (else None).  No factor outlives the
-    call."""
-    u, sv, vt = _svd(np.conj(sym) * g)
-    a = u @ vt
-    trace = math.ldexp(float(sv.sum()), e)
-    scaled = _factorization(u, sv, vt, *factors, live)  # turns u into X and vt into Y
-    value = math.ldexp(scaled, e)
-    if max(best, trace) < value / (1.0 + _STALL_RTOL):
-        return a, trace, value, None
-    resid = u @ vt
-    del u, vt  # the factors go before the residual's bound allocates
-    return a, trace, value, math.ldexp(_haagerup_upper(sym, resid, sv.size, scaled), e)
-
-
-def _closes_in_time(before: float, gap: float, budget: int) -> bool:
-    """Whether a factorization gap that fell from ``before`` to ``gap`` on its last step
-    reaches _STALL_RTOL within ``budget`` more steps falling at that step's rate."""
-    if budget <= 0 or not gap < before:  # a NaN ``before``: no earlier step
-        return False
-    if gap <= _STALL_RTOL:
-        return True
-    rate = gap / before
-    return rate == 0.0 or math.log(gap / _STALL_RTOL) <= budget * -math.log(rate)
-
-
 def _factorization(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, left: np.ndarray,
                    right: np.ndarray, live) -> float:
     """F = max_i |X_i| max_j |Y^j| as computed, for M~ = X Y in exact arithmetic read off
@@ -461,9 +460,9 @@ def _factorization(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, left: np.ndarr
     conj(C) = conj(u) diag(sv) conj(vt) and conj(C)_ij = M~_ij conj(l_i) r_j, so
     X = D(1 / conj(l)) conj(u) diag(sv)^(1/2) and Y = diag(sv)^(1/2) conj(vt) D(1 / r).
     The nonzero block of M~ is all that is factored: X and Y are 0 on the zero rows and
-    columns of M~ (``live`` masks the others), which makes those entries of X Y exact.  F is inf when a factor is not finite, or
-    when max_i |X_i|^2 or max_j |Y^j|^2 is below 2^-900, so that no underflowed square
-    matters to :func:`_haagerup_upper`.
+    columns of M~ (``live`` masks the others), which makes those entries of X Y exact.
+    F is inf when a factor is not finite, or when max_i |X_i|^2 or max_j |Y^j|^2 is
+    below 2^-900, so that no underflowed square matters to :func:`_haagerup_upper`.
     """
     half = np.sqrt(sv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -734,237 +733,3 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
                          _dual_exponent(p))
             last = ratios[live]
     return CirculantLowerBound(best[0], best[1], upper, steps, best[0] >= target)
-
-
-# ---------------------------------------------------------------------------
-# Product-cube upper bound
-
-
-@dataclass(frozen=True)
-class SchurUpperBound:
-    """Output of the mixed-derivative quadrature bound.
-
-    ``value`` is the plain sum of mixed first-derivative L2 norms, and
-    ``certified`` the quadratic mean of those norms times a computed
-    absolute factor, a certified bound for periodic symbols.  ``fourier_l1``
-    is the coefficient absolute sum, the sharp factorization bound for
-    band-limited symbols.
-    """
-
-    value: float
-    certified: float
-    fourier_l1: float
-
-
-def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
-    """Upper bound for the sup-norm Schur multiplier of S on the unit cubes
-    Q1 = [0, 1]^d1 and Q2 = [0, 1]^d2.
-
-    ``s`` is called with arrays (x, y) of shapes (..., d1) and (..., d2).
-    Samples sit on the midpoint tensor grid with 32 points per axis;
-    derivatives and L2 norms come from the discrete Fourier side, which is
-    exact for band-limited periodic symbols and spectrally accurate for
-    smooth ones.
-    """
-    d, size = d1 + d2, 32
-    axes = [(np.arange(size) + 0.5) / size] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    x = pts[..., :d1]
-    y = pts[..., d1:]
-    vals = np.asarray(s(x, y), dtype=complex)
-    if not np.all(np.isfinite(vals.real)):
-        raise AccuracyError("symbol evaluation produced non-finite samples")
-
-    coeff = np.fft.fftn(vals) / vals.size  # Fourier coefficients on the torus
-    fourier_l1 = float(np.sum(np.abs(coeff)))
-
-    sq_sum = 0.0  # sum over binary multi-indices of |d^rho S|_{L2}^2
-    lin_sum = 0.0
-    ks = np.fft.fftfreq(size, d=1.0 / size)  # integer frequencies
-    grids = np.meshgrid(*[ks * 2.0 * math.pi] * d, indexing="ij")
-    for mask in range(1 << d):
-        w = np.ones_like(vals, dtype=float)
-        for i in range(d):
-            if mask >> i & 1:
-                w = w * grids[i] ** 2
-        norm_sq = float(np.sum(w * np.abs(coeff) ** 2))
-        sq_sum += norm_sq
-        lin_sum += math.sqrt(norm_sq)
-
-    weight_sum = float(np.sum(1.0 / (1.0 + (2.0 * math.pi * ks) ** 2)))
-    kappa = math.sqrt(np.prod([weight_sum] * d))
-    return SchurUpperBound(value=lin_sum, certified=kappa * math.sqrt(sq_sum),
-                           fourier_l1=fourier_l1)
-
-
-# ---------------------------------------------------------------------------
-# Radial rigidity witness
-
-
-_GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
-
-
-def _growth(xs: np.ndarray, vals: np.ndarray) -> tuple:
-    """(ratio, verdict) of an envelope: the ratio is its sup on the outer decade over
-    the sup before it, and the verdict FAIL when the ratio exceeds 1 + _GROWTH_TOL.
-
-    A bounded envelope (decay inequality satisfiable with some constant)
-    gives ratio <= 1 + noise; persistent growth gives ratio >> 1.  A NaN or
-    inf value, where the envelope weights overflow, decides nothing: the
-    verdict is INCONCLUSIVE.
-    """
-    cut = xs.max() / 10.0
-    head = float(vals[xs < cut].max(initial=0.0))
-    tail = float(vals[xs >= cut].max(initial=0.0))
-    ratio = tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
-    if not np.all(np.isfinite(vals)):
-        return ratio, INCONCLUSIVE
-    return ratio, PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf envelope is INCONCLUSIVE
-def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
-    """Evaluate the radial rigidity inequalities on a log grid over [1.05, 1e4],
-    with derivative records up to order [alpha].
-
-    Returns (records, exponents).  Each record compares the measured
-    envelope of one inequality against a non-growing trend requirement;
-    the measured constant is the envelope sup.  Every derivative comes
-    from two profile jets to order [alpha], one at the grid points and
-    one at the Hoelder offsets.  A profile that overflows on the grid
-    leaves its records INCONCLUSIVE, without numpy warnings.
-    """
-    ex = RigidityExponents.compute(n, p)
-    r = int(math.floor(ex.alpha))
-    xs = np.geomspace(1.05, 1e4, 80)
-    jet = profile.jet(xs, r)
-    records = []
-
-    # limit existence: dyadic tail differences must shrink
-    probes = 1e4 * 2.0 ** -np.arange(6, dtype=float)
-    probes.sort()
-    pv = np.asarray(profile(probes), dtype=float)
-    diffs = np.abs(np.diff(pv))
-    verdict = (INCONCLUSIVE if not np.all(np.isfinite(diffs))  # overflow decides nothing
-               else PASS if diffs[-1] <= 0.5 * diffs.max() + 1e-12 else FAIL)
-    phi_inf = float(pv[-1])
-    records.append(CheckRecord(
-        name="limit-existence", check_id="rigidity/limit", verdict=verdict,
-        measured=float(diffs[-1]), tolerance=0.5,
-        details={"phi_inf": phi_inf, "dyadic_diffs": [float(v) for v in diffs]},
-    ))
-
-    # decay of phi - phi_inf at rate c0
-    env = np.abs(jet[0] - phi_inf) * xs ** ex.c[0]
-    ratio, verdict = _growth(xs, env)
-    records.append(CheckRecord(
-        name="decay-c0", check_id="rigidity/decay-c0", verdict=verdict,
-        measured=float(env.max()), bound=ex.c[0], tolerance=_GROWTH_TOL,
-        details={"growth_ratio": ratio, "c0": ex.c[0]},
-    ))
-
-    # derivative records
-    for k in range(1, r + 1):
-        env = math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k]
-        ratio, verdict = _growth(xs, env)
-        records.append(CheckRecord(
-            name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}", verdict=verdict,
-            measured=float(env.max()), bound=ex.c[k], tolerance=_GROWTH_TOL,
-            details={"growth_ratio": ratio, "order": k, "ck": ex.c[k]},
-        ))
-
-    # local Hoelder quotient of the [alpha]-th derivative
-    gaps = 1e-3 * xs
-    step = math.factorial(r) * (profile.jet(xs + gaps, r)[r] - jet[r])
-    env = np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha
-    ratio, verdict = _growth(xs, env)
-    records.append(CheckRecord(
-        name="hoelder-alpha", check_id="rigidity/hoelder", verdict=verdict,
-        measured=float(env.max()), bound=ex.alpha, tolerance=_GROWTH_TOL,
-        details={"growth_ratio": ratio, "alpha": ex.alpha},
-    ))
-    return records, ex
-
-
-@dataclass
-class WitnessResult:
-    classification: str
-    records: list
-    lower_bounds: list
-    upper_bounds: list
-    exponents: RigidityExponents
-    iterations: int  # circulant power-method steps over all sections
-
-
-def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16, 32, 64),
-                     mode: str = "hs", seed: int = 0) -> WitnessResult:
-    """Classify a radial profile against the rigidity inequalities.
-
-    Finite sections are sampled along diagonal-conjugated rotation
-    orbits at growing angular resolutions; their multiplier lower bounds
-    must stay bounded for a profile consistent with S_p-boundedness.
-    Each section is a circulant symbol (equispaced angles), held as its
-    first column c_k = profile(x(cos 2 pi k / N)) and bracketed by
-    :func:`circulant_lower_bound`, warm-started from the previous size's
-    best input: its certified upper bound is the circulant bound
-    interpolated to p, exact at p = infinity, and it stops as soon as its
-    lower bound meets it.  ``upper_bounds`` holds, per size, the largest
-    upper bound over the radii, and ``iterations`` the power-method steps.
-    Classification: CONSISTENT when every inequality record passes and
-    the section bounds plateau; VIOLATED when an inequality fails or the
-    bounds keep growing; INCONCLUSIVE otherwise.
-    """
-    if mode not in ("hs", "opnorm"):
-        raise InputError("mode must be 'hs' or 'opnorm'")
-    records, ex = profile_rigidity_records(profile, n, p)
-
-    frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
-    lower_bounds, upper_bounds, iterations = [], [], 0
-    best = [None] * len(frames)  # per frame: the best first column at the previous size
-    for n_points in point_sets:
-        delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
-        results = []
-        for i, frame in enumerate(frames):
-            xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
-            with np.errstate(over="ignore", invalid="ignore"):
-                c = np.asarray(profile(xvals), dtype=complex)
-            if not np.all(np.isfinite(c)):
-                raise AccuracyError(f"the profile overflows on the {n_points}-point section")
-            results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
-            best[i] = results[-1].best_column
-            iterations += results[-1].iterations
-        lower_bounds.append(max(res.value for res in results))
-        upper_bounds.append(max(res.upper for res in results))
-
-    # Saturating sections (shrinking increments) indicate a bounded
-    # multiplier approached from below; persistent per-doubling growth
-    # indicates divergence.  Both the last increment and its persistence
-    # relative to the previous one must flag before we call it growth.
-    increments = []
-    for a, b in zip(lower_bounds, lower_bounds[1:]):
-        increments.append(b / a - 1.0 if a > 0 else 0.0)
-    last_inc = increments[-1] if increments else 0.0
-    persistence = (increments[-1] / max(increments[-2], 1e-12)
-                   if len(increments) >= 2 else 1.0)
-    growing = last_inc > _GROWTH_TOL and persistence > 0.5
-    records.append(CheckRecord(
-        name="section-growth", check_id="rigidity/section-growth",
-        verdict=FAIL if growing else PASS,
-        measured=float(last_inc), tolerance=_GROWTH_TOL,
-        details={"lower_bounds": [float(v) for v in lower_bounds],
-                 "increments": [float(v) for v in increments],
-                 "persistence": float(persistence),
-                 "sizes": list(point_sets), "mode": mode},
-    ))
-
-    verdicts = [r.verdict for r in records]
-    if all(v == PASS for v in verdicts):
-        classification = CONSISTENT
-    elif any(v == FAIL for v in verdicts):
-        classification = VIOLATED
-    else:
-        classification = INCONCLUSIVE
-    return WitnessResult(classification=classification, records=records,
-                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
-                         iterations=iterations)

@@ -19,11 +19,10 @@ from mcert.composition import (CompositionFrame, DerivativeJet, bell_coefficient
                                opnorm_coordinate_derivative, shear_operator_norm,
                                so_n1_embedded_matrix, so_n1_trace_coefficients)
 from mcert.euclidean import (DyadicPartition, GridSpec, frac_laplacian_length,
-                             local_inversion, lp_partition_value, sigma_partition_value,
-                             sobolev_norm_w)
+                             local_inversion, lp_partition_value, schur_infty_upper_bound,
+                             sigma_partition_value, sobolev_norm_w)
 from mcert.geometry import GroupElement, haar_so, harish_chandra_xi, identity, weyl_ball_volume
-from mcert.schur import (TruncatedSchurMultiplier, schur_infty_upper_bound,
-                         schur_norm_exact_p2, schur_norm_lower_bound)
+from mcert.schur import TruncatedSchurMultiplier, schur_norm_exact_p2, schur_norm_lower_bound
 from mcert.sphere import (averaging_operator, eigenvalue_table, multiplicity, quadrature_table,
                           schatten_derivative_sum, sphere_grid)
 from mcert.symbols import EuclideanSymbol, _smooth_bump

@@ -261,7 +261,7 @@ class TestRigidity:
     def test_oscillating_profile_fails_limit(self, tmp_path):
         # sin(x) has no limit at infinity: the built-in families cannot
         # express it, so drive the records directly
-        from mcert.schur import profile_rigidity_records
+        from mcert.rigidity import profile_rigidity_records
         from mcert.symbols import RadialProfile
 
         # the k-th Taylor coefficient of sin at x is sin(x + k pi / 2) / k!; the records

@@ -1,6 +1,6 @@
 """The CLI path imports no module of the package after `import mcert.cli`,
-never scipy or numpy.ma, every module imports with scipy blocked, and one process can
-run `main` many times."""
+never scipy or numpy.ma, every module imports with scipy blocked, the Schur layer loads
+no package module but `errors`, and one process can run `main` many times."""
 
 import json
 import os
@@ -46,6 +46,22 @@ except ImportError:
     blocked = True
 print(json.dumps({"imported": names, "blocked": blocked}))
 """
+
+LOADED = """
+import importlib, json, sys
+module = importlib.import_module(sys.argv[1])
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.split(".")[0] == "mcert"),
+                  "all": sorted(module.__all__)}))
+"""
+
+
+def fresh_import(name):
+    """The package modules that `import name` loads in a fresh interpreter, and its __all__."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADED, name], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def readme_commands(tmp_path):
@@ -93,6 +109,18 @@ def test_every_module_imports_with_scipy_blocked():
     assert sorted(got["imported"]) == modules
     assert {"cli", "composition", "euclidean", "geometry", "schur", "sphere",
             "symbols"} <= set(got["imported"])
+
+
+def test_schur_layer_loads_only_errors():
+    got = fresh_import("mcert.schur")
+    assert got["loaded"] == ["mcert", "mcert.errors", "mcert.schur"]
+
+
+def test_rigidity_imports_on_its_own():
+    got = fresh_import("mcert.rigidity")
+    assert {"mcert.rigidity", "mcert.schur"} <= set(got["loaded"])
+    assert got["all"] == sorted(["CONSISTENT", "VIOLATED", "WitnessResult",
+                                 "profile_rigidity_records", "rigidity_witness"])
 
 
 def test_repeated_main_calls_share_no_state(tmp_path):

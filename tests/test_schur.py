@@ -11,10 +11,11 @@ from mcert import schur
 from mcert.errors import InputError
 from mcert.cli import cmd_schur_bound
 from mcert.composition import CompositionFrame
-from mcert.schur import (CONSISTENT, VIOLATED, TruncatedSchurMultiplier, circulant_lower_bound,
-                         circulant_schur_bound, frobenius_schur_bound, interpolated_schur_bound,
-                         profile_rigidity_records, rigidity_witness,
-                         schur_infty_upper_bound, schur_norm_exact_p2, schur_norm_lower_bound)
+from mcert.euclidean import schur_infty_upper_bound
+from mcert.rigidity import CONSISTENT, VIOLATED, profile_rigidity_records, rigidity_witness
+from mcert.schur import (TruncatedSchurMultiplier, circulant_lower_bound, circulant_schur_bound,
+                         frobenius_schur_bound, interpolated_schur_bound, schur_norm_exact_p2,
+                         schur_norm_lower_bound)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 
@@ -96,6 +97,21 @@ class TestLowerBound:
             m = TruncatedSchurMultiplier(rng.standard_normal((8, 8)))
             res = schur_norm_lower_bound(m, 2.0, seed=7)
             assert res.value == pytest.approx(schur_norm_exact_p2(m), abs=1e-6)
+
+    def test_extra_start_of_another_shape_or_not_finite_rejected(self):
+        # numpy would broadcast a (1, 8) start against the 8 x 8 symbol: its ratio, 1.6903
+        # here, is no lower bound (the exact norm is max a max b = 0.9253, upper 1.4395)
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.5, 1.0, 8)
+        b = rng.uniform(0.5, 1.0, 8)
+        with pytest.raises(InputError):
+            schur_norm_lower_bound(np.outer(a, b), 4.0, iterations=5, seed=0,
+                                   extra_starts=[np.ones((1, 8))])
+        with pytest.raises(InputError):  # not a warning and an SVD failure after 7 starts
+            schur_norm_lower_bound(np.outer(a, b), 4.0, extra_starts=[np.full((8, 8), np.nan)])
+        res = schur_norm_lower_bound(np.outer(a, b), 4.0, iterations=5, seed=0,
+                                     extra_starts=[np.ones((8, 8))])
+        assert res.value <= a.max() * b.max() * (1.0 + 1e-12) and res.best_input.shape == (8, 8)
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
     def test_exponent_outside_range_rejected(self, p):
@@ -582,6 +598,63 @@ class TestHaagerupCertificate:
         res = schur_norm_lower_bound(m, math.inf, iterations=iterations)
         assert res.value == np.abs(m).max() and res.certificate_steps == 0
         assert not res.bracket_closed and len(svd_calls) == 0
+
+
+def continuation(n=8, seed=41):
+    """A p = infinity continuation on an n x n complex Gaussian, holding one Anderson pair
+    and a last element fed, the scaled symbol, and a unit rank-one dual element g."""
+    rng = np.random.default_rng(seed)
+    units = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    m = TruncatedSchurMultiplier(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sym, e = m.scaled
+    cert = schur._Continuation(sym, e)
+    cert.fed, cert.pairs = (units[0], units[1]), [((units[2], units[3]), (units[4], units[5]))]
+    return cert, np.outer(units[6], np.conj(units[7])), sym
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("before, gap, budget, closes", [
+        (math.nan, 0.5, 40, False),  # no earlier gap
+        (1e-3, 1e-6, 0, False),  # no budget left
+        (1e-3, 1e-13, 0, False),  # not even at _STALL_RTOL
+        (1e-3, 1e-6, 40, True),  # the same rate with budget: 2 more steps
+        (1e-11, 1e-12, 1, True),  # already at _STALL_RTOL
+        (1e-3, 0.0, 1, True),
+        (math.inf, 1e-3, 1, True),  # rate 0
+        (0.11, 0.1, 40, False),  # rate 0.91 needs 266 steps
+        (0.11, 0.1, 300, True),
+        (0.1, 0.1, 40, False),  # the gap did not fall
+    ])
+    def test_give_up_rule(self, before, gap, budget, closes):
+        cert = continuation()[0]
+        cert.before, cert.gap = before, gap
+        assert cert.closes_in_time(budget) is closes
+
+    def test_non_finite_mixture_reprojects_the_plain_element(self, monkeypatch, svd_calls):
+        cert, g, sym = continuation()
+        mixed = []
+        monkeypatch.setattr(schur, "_anderson", lambda pairs: mixed.append(pairs))
+        tried, closed = cert.step(g, 0.0, math.inf, mix=True)
+        assert len(mixed) == 1 and len(mixed[0]) == 2  # mixed, and found not finite
+        assert len(tried) == 1 and len(svd_calls) == 1 and cert.pairs == []
+        u, _, vt = np.linalg.svd(np.conj(sym) * g, full_matrices=False)
+        assert np.array_equal(tried[0][0], u @ vt)
+        assert all(np.array_equal(x, y) for x, y in zip(cert.fed, schur._rank_one_factors(g)))
+
+    def test_mixture_whose_gap_did_not_fall_is_followed_by_the_plain_element(self, svd_calls):
+        cert, g, sym = continuation()
+        cert.gap = -1.0  # no factorization gap falls below it
+        tried, closed = cert.step(g, 0.0, math.inf, mix=True)
+        assert closed is None and len(tried) == 2 and len(svd_calls) == 2 and cert.pairs == []
+        u, _, vt = np.linalg.svd(np.conj(sym) * g, full_matrices=False)
+        assert np.array_equal(tried[1][0], u @ vt) and cert.before == -1.0
+
+    def test_plain_step_keeps_the_pairs(self, svd_calls):
+        cert, g, _ = continuation()
+        tried, _ = cert.step(g, 0.0, math.inf, mix=False)
+        assert len(tried) == 1 and len(svd_calls) == 1 and len(cert.pairs) == 2
+        assert math.isfinite(cert.gap) and math.isnan(cert.before)
 
 
 class TestCirculantLowerBound:

@@ -95,7 +95,7 @@ class TestFamilies:
             family.build_group_symbol()
 
 
-_RIGIDITY_GRID = np.geomspace(1.05, 1e4, 80)  # the grid of schur.profile_rigidity_records
+_RIGIDITY_GRID = np.geomspace(1.05, 1e4, 80)  # the grid of rigidity.profile_rigidity_records
 
 
 def _mp_profile(family):
