@@ -233,6 +233,11 @@ def weyl_ball_volume(n: int, r):
     bits alone as in a list.  r must be positive and finite (DomainError); a volume past the
     float range is a RangeError.
 
+    The recurrence e_j(m) = (e_{j-1}(m) + y_j e_j(m - 1)) / (m + j) advances along
+    anti-diagonals: after a ramp of d - 1 partial steps level j is held at order m + d - j,
+    so each order is one array step over every level at once for every n, with the operands
+    and roundings, hence the bits, of the level-by-level recurrence.
+
     The truncation bound on the dropped tail is the geometric series of term bounds past the
     last order m, T q / (1 - q) with q = max|y| / (m + 1) < 1, scaled like the volume; at most
     about 1e-17 of it."""
@@ -245,20 +250,28 @@ def weyl_ball_volume(n: int, r):
         raise RangeError(f"the chamber volume at radius {r.max():g} exceeds the float range")
     x, w = _chamber_simplices(n)
     d, rs = n - 1, r.ravel()
-    y, big = x.T[:, None, :] * rs[:, None], np.abs(x).max() * rs  # (d, radii, rows), max |y|
+    # (d, radii, rows) in C order, like e below: a transposed y strides every array step
+    y = np.ascontiguousarray(x.T)[:, None, :] * rs[:, None]
+    big = np.abs(x).max() * rs  # max |y|
     # the terms reach about e^big: a power-of-two seed keeps them below 2^900 and stays normal
     shift = np.maximum(0, np.ceil(big / math.log(2.0)) - 900).astype(int)
     seed, big8 = np.ldexp(1.0, -shift), np.square(np.square(np.square(big)))  # big^8 by products
     bound = np.abs(w).sum() * seed  # sum |w| seed big^m / m!
     e = np.zeros((d + 1,) + y.shape[1:])  # e_j(m) = seed h_m(0, y_1..y_j) / (m + j)!, e_0 = 0
     e[1:] = seed[:, None] / np.cumprod(np.arange(1.0, n))[:, None, None]  # m = 0
+    tmp = np.empty_like(y)
+    for k in range(1, d):  # the ramp: levels 1..k, level j to order k + 1 - j
+        np.multiply(y[:k], e[1:k + 1], out=tmp[:k])
+        tmp[:k] += e[:k]
+        np.divide(tmp[:k], k + 1, out=e[1:k + 1])
     total, live, m = np.zeros(len(rs)), np.ones(len(rs), dtype=bool), 0
     tail = np.zeros(len(rs))
     while live.any():  # blocks of 8 orders, so every radius is tested at the same orders
         block = np.zeros(y.shape[1:])
-        for m in range(m + 1, m + 9):
-            for j in range(1, d + 1):
-                e[j] = (e[j - 1] + y[j - 1] * e[j]) / (m + j)
+        for m in range(m + 1, m + 9):  # level j to order m + d - j, level d to order m
+            np.multiply(y, e[1:], out=tmp)
+            tmp += e[:-1]
+            np.divide(tmp, m + d, out=e[1:])
             if m >= n * d // 2:
                 block += e[d]
         total = np.where(live, total + (block * w).sum(axis=-1), total)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, RangeError
 
 __all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
            "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
@@ -90,6 +90,15 @@ def _pow2_scaled(x: np.ndarray, top: float | None = None):
     top = float(np.abs(x).max(initial=0.0)) if top is None else top
     e = max(math.frexp(top)[1], -1021)
     return x * math.ldexp(1.0, -e), e
+
+
+def _unscaled(x: float, e: int) -> float:
+    """x 2^e, a value taken on M / 2^e scaled back (exact); past the largest float a
+    RangeError rather than math.ldexp's OverflowError."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise RangeError(f"a Schur bound of {x:.17g} x 2^{e} exceeds the float range") from None
 
 
 def _lp_norm(x: np.ndarray, p: float):
@@ -250,7 +259,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     rather than _ITERATIONS.  Once the best value reaches F / (1 + _STALL_RTOL), F plus
     its rounding allowance (:func:`_haagerup_upper`) becomes ``upper`` if that is
     smaller, and the search stops.  After a certificate that gave up, or whose bound was
-    not smaller, the remaining starts run without one.
+    not smaller, the remaining starts run without one.  Every value is taken on
+    M / 2^e and scaled back; one past the largest float is a RangeError.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
@@ -288,7 +298,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         cert = _Continuation(sym, e) if certifying else None
         for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
-            val = math.ldexp(val, e)
+            val = _unscaled(val, e)
             if val > best[0]:
                 best = (val, a, index, iteration)
                 if val >= target:
@@ -403,15 +413,15 @@ class _Continuation:
         the call."""
         u, sv, vt = _svd(np.conj(self.sym) * g)
         a = u @ vt
-        trace = math.ldexp(float(sv.sum()), self.e)
+        trace = _unscaled(float(sv.sum()), self.e)
         scaled = _factorization(u, sv, vt, *factors, self.live)  # turns u into X, vt into Y
-        value = math.ldexp(scaled, self.e)
+        value = _unscaled(scaled, self.e)
         if max(best, trace) < value / (1.0 + _STALL_RTOL):
             return a, trace, value, None
         resid = u @ vt
         del u, vt  # the factors go before the residual's bound allocates
         bound = _haagerup_upper(self.sym, resid, sv.size, scaled)
-        return a, trace, value, math.ldexp(bound, self.e)
+        return a, trace, value, _unscaled(bound, self.e)
 
 
 def _rank_one_factors(g: np.ndarray) -> tuple:
@@ -543,7 +553,8 @@ def circulant_schur_bound(m) -> float:
 
     U is taken on M / 2^e (exact, 2^e just above max|M|): no norm overflows, 2^k M
     gets exactly 2^k times the bound of M, and as U >= max|M_ij| / 2^e >= 1/2, an
-    entry that underflows there moves U far less than the 16u allowance.
+    entry that underflows there moves U far less than the 16u allowance.  A U that,
+    scaled back, exceeds the largest float is a RangeError.
     """
     m = _multiplier(m)
     n = m.symbol.shape[0]
@@ -553,7 +564,7 @@ def circulant_schur_bound(m) -> float:
     c = scaled[:, 0]
     v = np.concatenate((c[1:], c))  # v[k] = c[(k + 1) mod N], so C_ij = v[i + N - 1 - j]
     circ = np.ndarray((n, n), v.dtype, v, strides=v.strides * 2)[:, ::-1]  # a view of v
-    return math.ldexp(_circulant_total(c, float(np.abs(scaled - circ).max())), e)
+    return _unscaled(_circulant_total(c, float(np.abs(scaled - circ).max())), e)
 
 
 def _circulant_total(c: np.ndarray, deviation: float = 0.0) -> float:
@@ -582,12 +593,13 @@ def frobenius_schur_bound(m) -> float:
     (K - 1) u of the exact sum (Higham, Accuracy and Stability of Numerical
     Algorithms, section 4.2), which the square root halves; the roots and
     the products add a few u more.  The factor 1 + (K + 16) u covers them.
+    A bound past the largest float is a RangeError.
     """
     m = _multiplier(m)
     sym = m.symbol
     scaled, e = m.scaled
-    frobenius = math.ldexp(math.sqrt(float((np.abs(scaled) ** 2).sum())), e)
-    return math.sqrt(min(sym.shape)) * frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF)
+    frobenius = math.sqrt(min(sym.shape)) * math.sqrt(float((np.abs(scaled) ** 2).sum()))
+    return _unscaled(frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF), e)
 
 
 def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
@@ -685,7 +697,8 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     _STALL_RTOL; the search stops at the improvement that reaches
     ``upper / (1 + _STALL_RTOL)``.  At p = infinity one step turns any start into
     the unimodular spectrum that attains the circulant bound, which closes it.
-    Each value is the ratio as evaluated on c / 2^e (exact; 2^e just above max|c|).
+    Each value is the ratio as evaluated on c / 2^e (exact; 2^e just above max|c|);
+    an upper bound past the largest float is a RangeError.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
@@ -697,9 +710,9 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     peak = int(modulus.argmax())
     sup = float(modulus[peak])
     cs, e = _pow2_scaled(c, sup)
-    frobenius = math.ldexp(n * math.sqrt(float(np.vdot(cs, cs).real)), e)
-    upper = min(_interpolated(sup, p, frobenius * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)),
-                _interpolated(sup, p, math.ldexp(_circulant_total(cs), e)))
+    frobenius = n * math.sqrt(float(np.vdot(cs, cs).real)) * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)
+    upper = min(_interpolated(sup, p, _unscaled(frobenius, e)),
+                _interpolated(sup, p, _unscaled(_circulant_total(cs), e)))
     target = upper / (1.0 + _STALL_RTOL)
     unit = np.zeros(n, dtype=complex)
     unit[peak] = 1.0

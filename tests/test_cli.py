@@ -243,6 +243,17 @@ class TestRigidity:
             assert err == ""
             assert strict_json(out)["verdict"] == "INCONCLUSIVE"
 
+    def test_section_bound_past_the_float_range_is_input_error(self, tmp_path):
+        # a 16-point section's upper bound is about 15 x 2^1021: scaled back, it names
+        # the float range instead of raising OverflowError
+        out = tmp_path / "grow.json"
+        proc = run_cli(["rigidity", "--profile", "radial-power:exponent=-232", "--n", "5",
+                        "--p", "6", "--sections", "6", "--mode", "opnorm", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_shift_above_minus_one_accepted(self, tmp_path):
         # the rigidity records evaluate the profile on [1.05, 1e4] only
         rc = main(["rigidity", "--profile", "radial-power:exponent=2.5,shift=-0.5", "--n", "3",
@@ -479,6 +490,17 @@ class TestSchurBound:
         for e in (600, -600):  # |m|^4 overflows at 2^600 and underflows at 2^-600
             scaled = numbers(2.0 ** e)
             assert all(math.isfinite(v) and v == b * 2.0 ** e for v, b in zip(scaled, base))
+
+    def test_bound_past_the_float_range_is_input_error(self, tmp_path):
+        # the circulant bound of diag(1e308 + 1e308i, 1e308) is about 1.4 x 2^1024: scaled
+        # back, it names the float range instead of raising OverflowError
+        path, out = tmp_path / "big.csv", tmp_path / "sb.json"
+        path.write_text("i,j,re,im\n0,0,1e308,1e308\n1,1,1e308,0\n", encoding="utf-8")
+        proc = run_cli(["schur-bound", "--points", str(path), "--p", "2", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
 
     def test_zero_rows_and_columns_close_at_p_inf(self, tmp_path, capsys):
         # the certificate divides by the dual pair's entries, which vanish on zero rows and

@@ -81,6 +81,37 @@ def exact_ball_volume(n, r, digits):
         return float(total / 2 ** (n * (n - 1) // 2))
 
 
+def per_level_ball_volume(n, r):
+    """weyl_ball_volume with each order advancing the levels j = 1..d one after another,
+    the schedule the anti-diagonal one must reproduce bit for bit; the seed, the stop rule
+    and the scalings are the library's."""
+    x, w = geometry._chamber_simplices(n)
+    d, rs = n - 1, np.asarray(r, dtype=float).ravel()
+    y, big = x.T[:, None, :] * rs[:, None], np.abs(x).max() * rs
+    shift = np.maximum(0, np.ceil(big / math.log(2.0)) - 900).astype(int)
+    seed, big8 = np.ldexp(1.0, -shift), np.square(np.square(np.square(big)))
+    bound = np.abs(w).sum() * seed
+    e = np.zeros((d + 1,) + y.shape[1:])
+    e[1:] = seed[:, None] / np.cumprod(np.arange(1.0, n))[:, None, None]
+    total, tail, live, m = np.zeros(len(rs)), np.zeros(len(rs)), np.ones(len(rs), bool), 0
+    while live.any():
+        block = np.zeros(y.shape[1:])
+        for m in range(m + 1, m + 9):
+            for j in range(1, d + 1):
+                e[j] = (e[j - 1] + y[j - 1] * e[j]) / (m + j)
+            if m >= n * d // 2:
+                block += e[d]
+        total = np.where(live, total + (block * w).sum(axis=-1), total)
+        bound = bound * (big8 / float(math.prod(range(m - 7, m + 1))))
+        done = live & ~(bound > 1e-17 * np.abs(total))
+        q = big[done] / (m + 1)
+        tail[done] = np.where(q < 1.0, bound[done] * q / (1.0 - q), math.inf)
+        live &= ~done
+    scale = np.prod([rs] * d, axis=0)
+    return ((np.ldexp(total, shift) * scale + 0.0).reshape(np.shape(r)),
+            (np.ldexp(tail, shift) * scale).reshape(np.shape(r)))
+
+
 def random_element(rng, n, spread=1.0):
     k1 = haar_so(n, 1, rng)[0]
     k2 = haar_so(n, 1, rng)[0]
@@ -499,6 +530,19 @@ class TestWeylVolume:
             assert got.tobytes() == np.array(alone)[order].tobytes(), order
         vols, tails = weyl_ball_volume(n, radii.reshape(3, 3))
         assert vols.shape == tails.shape == (3, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_anti_diagonal_schedule_has_the_per_level_bits(self, n):
+        # level j runs up to d - 1 orders ahead of level d, so overflow, NaN or a division
+        # by zero must raise; underflow stays allowed, as the per-level divide underflows too
+        rng = np.random.default_rng(2700 + n)
+        top = geometry._FLOAT_RADIUS[n - 2] - 1e-9
+        lists = [top * (1.0 - rng.random(rng.integers(1, 7))) for _ in range(10)]
+        lists += [[top], [1e-300], [1e-300, 2.0, top / 2], np.linspace(0.5, top, 9).reshape(3, 3)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for radii in lists:
+                got, want = weyl_ball_volume(n, radii), per_level_ball_volume(n, radii)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], radii
 
 
 class TestHarishChandra:
