@@ -93,12 +93,21 @@ def _pow2_scaled(x: np.ndarray, top: float | None = None):
 
 
 def _unscaled(x: float, e: int) -> float:
-    """x 2^e, a value taken on M / 2^e scaled back (exact); past the largest float a
-    RangeError rather than math.ldexp's OverflowError."""
+    """x 2^e, a value taken on M / 2^e scaled back (exact); math.inf past the largest
+    float, where an upper bound bounds nothing."""
     try:
         return math.ldexp(x, e)
     except OverflowError:
-        raise RangeError(f"a Schur bound of {x:.17g} x 2^{e} exceeds the float range") from None
+        return math.inf
+
+
+def _unscaled_ratio(x: float, e: int) -> float:
+    """:func:`_unscaled` for a ratio an input reaches, which lies below a finite upper
+    bound up to its rounding: past the largest float a RangeError."""
+    value = _unscaled(x, e)
+    if value == math.inf:
+        raise RangeError(f"a Schur ratio of {x:.17g} x 2^{e} exceeds the float range")
+    return value
 
 
 def _lp_norm(x: np.ndarray, p: float):
@@ -260,7 +269,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     its rounding allowance (:func:`_haagerup_upper`) becomes ``upper`` if that is
     smaller, and the search stops.  After a certificate that gave up, or whose bound was
     not smaller, the remaining starts run without one.  Every value is taken on
-    M / 2^e and scaled back; one past the largest float is a RangeError.
+    M / 2^e and scaled back; an ``upper`` past the largest float is a RangeError.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
@@ -272,6 +281,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
         upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
+    if upper == math.inf:
+        raise RangeError("every Schur bound of the symbol exceeds the float range")
     target, allowance, steps = upper / (1.0 + _STALL_RTOL), 0.0, 0
     sup, where = m.peak
     unit = np.zeros_like(sym)
@@ -298,7 +309,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         cert = _Continuation(sym, e) if certifying else None
         for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
-            val = _unscaled(val, e)
+            val = _unscaled_ratio(val, e)
             if val > best[0]:
                 best = (val, a, index, iteration)
                 if val >= target:
@@ -413,7 +424,7 @@ class _Continuation:
         the call."""
         u, sv, vt = _svd(np.conj(self.sym) * g)
         a = u @ vt
-        trace = _unscaled(float(sv.sum()), self.e)
+        trace = _unscaled_ratio(float(sv.sum()), self.e)
         scaled = _factorization(u, sv, vt, *factors, self.live)  # turns u into X, vt into Y
         value = _unscaled(scaled, self.e)
         if max(best, trace) < value / (1.0 + _STALL_RTOL):
@@ -554,7 +565,7 @@ def circulant_schur_bound(m) -> float:
     U is taken on M / 2^e (exact, 2^e just above max|M|): no norm overflows, 2^k M
     gets exactly 2^k times the bound of M, and as U >= max|M_ij| / 2^e >= 1/2, an
     entry that underflows there moves U far less than the 16u allowance.  A U that,
-    scaled back, exceeds the largest float is a RangeError.
+    scaled back, exceeds the largest float is inf.
     """
     m = _multiplier(m)
     n = m.symbol.shape[0]
@@ -593,13 +604,13 @@ def frobenius_schur_bound(m) -> float:
     (K - 1) u of the exact sum (Higham, Accuracy and Stability of Numerical
     Algorithms, section 4.2), which the square root halves; the roots and
     the products add a few u more.  The factor 1 + (K + 16) u covers them.
-    A bound past the largest float is a RangeError.
+    A bound past the largest float is inf.
     """
     m = _multiplier(m)
     sym = m.symbol
     scaled, e = m.scaled
-    frobenius = math.sqrt(min(sym.shape)) * math.sqrt(float((np.abs(scaled) ** 2).sum()))
-    return _unscaled(frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF), e)
+    frobenius = _unscaled(math.sqrt(float((np.abs(scaled) ** 2).sum())), e)
+    return math.sqrt(min(sym.shape)) * frobenius * (1.0 + (sym.size + 16) * _UNIT_ROUNDOFF)
 
 
 def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
@@ -698,7 +709,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     ``upper / (1 + _STALL_RTOL)``.  At p = infinity one step turns any start into
     the unimodular spectrum that attains the circulant bound, which closes it.
     Each value is the ratio as evaluated on c / 2^e (exact; 2^e just above max|c|);
-    an upper bound past the largest float is a RangeError.
+    a bound past the largest float is inf, and an ``upper`` there a RangeError.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
@@ -710,9 +721,11 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     peak = int(modulus.argmax())
     sup = float(modulus[peak])
     cs, e = _pow2_scaled(c, sup)
-    frobenius = n * math.sqrt(float(np.vdot(cs, cs).real)) * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)
-    upper = min(_interpolated(sup, p, _unscaled(frobenius, e)),
+    frobenius = _unscaled(n * math.sqrt(float(np.vdot(cs, cs).real)), e)
+    upper = min(_interpolated(sup, p, frobenius * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)),
                 _interpolated(sup, p, _unscaled(_circulant_total(cs), e)))
+    if upper == math.inf:
+        raise RangeError(f"every Schur bound of the {n}-point circulant exceeds the float range")
     target = upper / (1.0 + _STALL_RTOL)
     unit = np.zeros(n, dtype=complex)
     unit[peak] = 1.0

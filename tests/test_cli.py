@@ -243,16 +243,17 @@ class TestRigidity:
             assert err == ""
             assert strict_json(out)["verdict"] == "INCONCLUSIVE"
 
-    def test_section_bound_past_the_float_range_is_input_error(self, tmp_path):
-        # a 16-point section's upper bound is about 15 x 2^1021: scaled back, it names
-        # the float range instead of raising OverflowError
+    def test_section_frobenius_term_past_the_float_range_keeps_a_finite_bracket(self, tmp_path):
+        # from 16 points on, a section's Frobenius term N |c|_2 lies past the largest float;
+        # its circulant term, at most |c|_2 (1 + O(u)), fits and sets the upper bound
         out = tmp_path / "grow.json"
         proc = run_cli(["rigidity", "--profile", "radial-power:exponent=-232", "--n", "5",
                         "--p", "6", "--sections", "6", "--mode", "opnorm", "--out", str(out)])
-        assert proc.returncode == 2, proc.stderr
-        assert "float range" in proc.stderr
+        assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-        assert not out.exists()
+        rows = strict_json(out)["tables"]["section_lower_bounds"]
+        assert [row["points"] for row in rows] == [8, 16, 32, 64, 128, 256]
+        assert all(0.0 < row["lower_bound"] <= row["upper_bound"] < math.inf for row in rows)
 
     def test_shift_above_minus_one_accepted(self, tmp_path):
         # the rigidity records evaluate the profile on [1.05, 1e4] only
@@ -492,8 +493,8 @@ class TestSchurBound:
             assert all(math.isfinite(v) and v == b * 2.0 ** e for v, b in zip(scaled, base))
 
     def test_bound_past_the_float_range_is_input_error(self, tmp_path):
-        # the circulant bound of diag(1e308 + 1e308i, 1e308) is about 1.4 x 2^1024: scaled
-        # back, it names the float range instead of raising OverflowError
+        # diag(1e308 + 1e308i, 1e308) has the Frobenius bound sqrt(6) 1e308 and the
+        # circulant bound 2 sqrt(2) 1e308, both past the largest float
         path, out = tmp_path / "big.csv", tmp_path / "sb.json"
         path.write_text("i,j,re,im\n0,0,1e308,1e308\n1,1,1e308,0\n", encoding="utf-8")
         proc = run_cli(["schur-bound", "--points", str(path), "--p", "2", "--out", str(out)])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcert import schur
-from mcert.errors import InputError
+from mcert.errors import InputError, RangeError
 from mcert.cli import cmd_schur_bound
 from mcert.composition import CompositionFrame
 from mcert.euclidean import schur_infty_upper_bound
@@ -419,6 +419,16 @@ class TestCirculantBound:
             scaled = circulant_schur_bound(sym * 2.0 ** e)
             assert math.isfinite(scaled) and scaled == circulant_schur_bound(sym) * 2.0 ** e
 
+    @pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+    def test_past_the_float_range_is_inf_and_leaves_the_frobenius_bound(self, p):
+        # diag(a, -a) deviates from its circulant a I by 2a: U = a + 2 sqrt(2) a overflows
+        # at a = 6e307, while sqrt(2) |M|_F = 2a fits
+        sym = np.diag([6e307, -6e307])
+        assert circulant_schur_bound(sym) == math.inf
+        assert frobenius_schur_bound(sym) == pytest.approx(1.2e308, rel=1e-14)
+        res = schur_norm_lower_bound(sym, p)
+        assert 6e307 <= res.value <= res.upper <= frobenius_schur_bound(sym)
+
 
 class TestFrobeniusBound:
     def test_value_and_trace_norm(self):
@@ -439,6 +449,19 @@ class TestFrobeniusBound:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             frobenius_schur_bound(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+    def test_past_the_float_range_is_inf_and_leaves_the_circulant_bound(self, p):
+        # |M|_F = 1.4e308 fits and sqrt(2) |M|_F does not; the circulant bound is 7e307
+        sym = np.full((2, 2), 7e307)
+        assert frobenius_schur_bound(sym) == math.inf
+        res = schur_norm_lower_bound(sym, p)
+        assert res.value == 7e307 and 7e307 <= res.upper <= 7e307 * (1.0 + 1e-13)
+
+    def test_only_bound_past_the_float_range_is_range_error(self):
+        # a non-square symbol has no circulant bound
+        with pytest.raises(RangeError, match="float range"):
+            schur_norm_lower_bound(np.full((2, 3), 1e308), 4.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -684,6 +707,17 @@ class TestCirculantLowerBound:
     def test_rejects_exponent_outside_range(self, p):
         with pytest.raises(InputError):
             circulant_lower_bound(np.ones(4), p)
+
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    def test_frobenius_term_past_the_float_range_leaves_the_circulant_term(self, p):
+        # N |c|_2 = 6.4e308 overflows; the constant's circulant bound is its entry
+        res = circulant_lower_bound(np.full(16, 1e307), p)
+        assert res.value == 1e307 and 1e307 <= res.upper <= 1e307 * (1.0 + 1e-13)
+
+    def test_both_terms_past_the_float_range_are_range_error(self):
+        # (1/N) sum_k |fft(c)_k| = 2e308 for c = 1e308 (1, 1, 1, -1)
+        with pytest.raises(RangeError, match="float range"):
+            circulant_lower_bound(1e308 * np.array([1.0, 1.0, 1.0, -1.0]), 4.0)
 
     @pytest.mark.parametrize("c", [np.zeros(0), np.ones((2, 2)), np.array([1.0, math.nan])])
     def test_rejects_a_bad_first_column(self, c):
