@@ -40,7 +40,10 @@ def _check_count(flag: str, value: int, least: int, most: int | None = None) -> 
 
 
 _MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024, held as first columns
-_MAX_RANK = 64  # from n = 79 at p = inf the rigidity envelopes of order [alpha] overflow floats
+_MAX_RANK = 64  # rigidity envelopes overflow from n = 79; the certify-hm basis is 8 n^4 bytes
+# certify-hm jet floats per direction, (order + 1)(3 shells + 10) n^2: the sweep holds about
+# three such stacks at once, and 4 shells fit at every allowed n and order
+_MAX_JET_FLOATS = 1 << 24
 _MAX_ORDER = 170  # k! overflows a float from k = 171
 
 
@@ -115,11 +118,11 @@ def cmd_certify_hm(symbol: SymbolHandle, n: int, order: int | None = None,
     sweep covers the top two orders, the decay exponents fitted along the
     rays against 1 + d are compared across them.
     """
-    _check_count("--n", n, 2)
+    _check_count("--n", n, 2, _MAX_RANK)
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
     _check_count("--order", order, 0, _MAX_ORDER)
-    _check_count("--grid-levels", shells, 1)
+    _check_count("--grid-levels", shells, 1, (_MAX_JET_FLOATS // ((order + 1) * n * n) - 10) // 3)
     basis = geo.lie_basis(n)
     dirs = _basis_indices(len(basis), per_order)
     sweep = _sweep_points(n, shells, seed)
@@ -203,9 +206,9 @@ def cmd_rigidity(family: SymbolFamily, n: int, p: float, sections: int = 0,
         raise InputError("--sections must be 0 or 2 to 8, got 1")
     profile = family.build_profile()
     rep = CertificationReport(command="rigidity")
-    rep.seeds["sections"] = seed
 
     if sections:
+        rep.seeds["sections"] = seed
         sizes = tuple(8 * 2 ** i for i in range(sections))
         wit = rigidity_witness(profile, n, p, point_sets=sizes, mode=mode, seed=seed)
         for r in wit.records:

@@ -193,13 +193,20 @@ class CompositionFrame:
 _DOMAIN_SLACK = 1e-9
 
 
+def _check_window(x, lo: float, hi: float) -> np.ndarray:
+    """``x`` as a float array; a DomainError where it leaves [lo, hi] by more than
+    _DOMAIN_SLACK relative."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < lo * (1 - _DOMAIN_SLACK)) or np.any(x > hi * (1 + _DOMAIN_SLACK)):
+        raise DomainError(f"x outside [{lo:.6g}, {hi:.6g}]")
+    return x
+
+
 def opnorm_coordinate(frame: CompositionFrame, x) -> np.ndarray:
     """Rotation parameter delta realizing operator norm x; inverse of
     ``opnorm_of_delta`` on [x_min, x_max] -> [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = frame.x_min, frame.x_max
-    if np.any(x < lo * (1 - _DOMAIN_SLACK)) or np.any(x > hi * (1 + _DOMAIN_SLACK)):
-        raise DomainError(f"x outside [{lo:.6g}, {hi:.6g}]")
+    lo = frame.x_min
+    x = _check_window(x, lo, frame.x_max)
     return (x / lo - lo / x) / (2.0 * math.sinh(frame.r - frame.s))
 
 
@@ -207,10 +214,7 @@ def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarr
     """Closed-form j-th derivative of :func:`opnorm_coordinate`."""
     if j < 1:
         raise InputError("derivative order must be >= 1")
-    x = np.asarray(x, dtype=float)
-    lo, hi = frame.x_min, frame.x_max
-    if np.any(x < lo * (1 - _DOMAIN_SLACK)) or np.any(x > hi * (1 + _DOMAIN_SLACK)):
-        raise DomainError(f"x outside [{lo:.6g}, {hi:.6g}]")
+    x = _check_window(x, frame.x_min, frame.x_max)
     e2r, e2s = math.exp(2.0 * frame.r), math.exp(2.0 * frame.s)
     if j == 1:
         return (1.0 + math.exp(2.0 * (frame.r + frame.s)) / (x * x)) / (e2r - e2s)
@@ -221,10 +225,8 @@ def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarr
 def hs_coordinate(frame: CompositionFrame, x) -> np.ndarray:
     """Rotation parameter delta realizing normalized HS norm x; inverse
     of ``hs_of_delta`` on [hs_min, hs_max] -> [0, 1]."""
-    x = np.asarray(x, dtype=float)
     a, b = frame.hs_min, frame.hs_max
-    if np.any(x < a * (1 - _DOMAIN_SLACK)) or np.any(x > b * (1 + _DOMAIN_SLACK)):
-        raise DomainError(f"x outside [{a:.6g}, {b:.6g}]")
+    x = _check_window(x, a, b)
     num = np.maximum((x / a) ** 2 - 1.0, 0.0)
     return np.sqrt(num / ((b / a) ** 2 - 1.0))
 
@@ -247,9 +249,7 @@ def so_n1_trace_coefficients(n: int, r: float):
     c = n - 3.0 + 4.0 * math.cosh(r) ** 4
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < c * (1 - _DOMAIN_SLACK)) or np.any(x > (a + b + c) * (1 + _DOMAIN_SLACK)):
-            raise DomainError(f"x outside [{c:.6g}, {a + b + c:.6g}]")
+        x = _check_window(x, c, a + b + c)
         return -b / (2.0 * a) + np.sqrt(b * b / (4.0 * a * a) + (x - c) / a)
 
     return a, b, c, g

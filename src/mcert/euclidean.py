@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InputError
-from .sphere import gauss_legendre
 from .symbols import EuclideanSymbol
 
 __all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition_value",
@@ -80,19 +78,12 @@ def sigma_partition_value(p: DyadicPartition, n_width: int, j: int, xi):
 # Fractional laplacian length
 
 
-@lru_cache(maxsize=None)
-def _cosine_moment(d: int, eps: float, npts: int = 200) -> float:
+def _cosine_moment(d: int, eps: float) -> float:
     """Mean of |c|^{2 eps} for c the first coordinate of a uniform point
-    on the (d-1)-sphere.  Written as a theta integral (c = sin theta)
-    so the integrand is smooth for every d."""
-    if d == 1:
-        return 1.0
-    x, w = gauss_legendre(npts)
-    theta = 0.25 * math.pi * (x + 1.0)  # [0, pi/2]
-    dens = np.cos(theta) ** (d - 2)
-    num = float(np.sum(w * dens * np.sin(theta) ** (2.0 * eps)))
-    den = float(np.sum(w * dens))
-    return num / den
+    on the (d-1)-sphere.  c^2 is Beta(1/2, (d-1)/2)-distributed (c = +-1 at d = 1),
+    so the mean is Gamma(eps + 1/2) Gamma(d/2) / (sqrt(pi) Gamma(d/2 + eps))."""
+    return math.gamma(eps + 0.5) * math.gamma(d / 2.0) / (
+        math.sqrt(math.pi) * math.gamma(d / 2.0 + eps))
 
 
 def frac_laplacian_constant(d: int, eps: float) -> float:
@@ -101,8 +92,8 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
 
     The radial factor int_0^inf (1 - cos(a r)) r^{-1-2 eps} dr carries the
     oscillation and is evaluated in closed form,
-    a^{2 eps} pi / (2 Gamma(1+2 eps) sin(pi eps)); the remaining
-    direction-cosine moment is a 1-D quadrature.
+    a^{2 eps} pi / (2 Gamma(1+2 eps) sin(pi eps)); so is the remaining
+    direction-cosine moment.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie strictly inside (0, 1)")

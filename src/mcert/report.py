@@ -27,6 +27,12 @@ INCONCLUSIVE = "INCONCLUSIVE"
 SCHEMA = "mcert/1"
 
 
+def worst_verdict(records) -> str:
+    """FAIL when any record fails, else INCONCLUSIVE when any is, else PASS."""
+    verdicts = {r.verdict for r in records}
+    return FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
+
+
 def _jsonable(value):
     """``value`` as plain JSON data: numpy scalars unwrapped, NaN and inf as None."""
     if isinstance(value, dict):
@@ -89,11 +95,7 @@ class CertificationReport:
 
     @property
     def verdict(self) -> str:
-        if any(r.verdict == FAIL for r in self.records):
-            return FAIL
-        if any(r.verdict == INCONCLUSIVE for r in self.records):
-            return INCONCLUSIVE
-        return PASS
+        return worst_verdict(self.records)
 
     def exit_code(self) -> int:
         return 0 if self.verdict == PASS else 1

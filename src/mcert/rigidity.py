@@ -12,7 +12,7 @@ import numpy as np
 
 from .composition import CompositionFrame
 from .errors import AccuracyError, InputError
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
+from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, worst_verdict
 from .schur import circulant_lower_bound
 from .sphere import RigidityExponents
 from .symbols import RadialProfile
@@ -175,9 +175,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
                  "sizes": list(point_sets), "mode": mode},
     ))
 
-    verdicts = {r.verdict for r in records}
-    classification = (CONSISTENT if verdicts == {PASS} else VIOLATED if FAIL in verdicts
-                      else INCONCLUSIVE)
+    classification = {PASS: CONSISTENT, FAIL: VIOLATED}.get(worst_verdict(records), INCONCLUSIVE)
     return WitnessResult(classification=classification, records=records,
                          lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
                          iterations=iterations)

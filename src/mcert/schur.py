@@ -694,16 +694,19 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     (Canad. J. Math. 63, 2011) its supremum is the multiplier norm of C; at p = 1
     and infinity it is (1/N) sum_k |fft(c)_k|, the circulant bound (Bozejko-Fendler).
 
-    ``upper`` is the interpolated smaller of the Frobenius bound sqrt(N) |C|_F =
-    N |c|_2 (its N + 1 roundings within the (N^2 + 16) u of
-    :func:`frobenius_schur_bound`) and the circulant bound, whose deviation term
-    is 0 (:func:`circulant_schur_bound`); the sup entry max|c| is the
-    floor, certified by the shift a = e_k.  While the floor is short of the upper
-    bound, Boyd's p-norm power method (Linear Algebra Appl. 9, 1974) runs on the
-    spectra b, all starts at once: the shift, the conjugate phase a = exp(-i arg c),
-    _RANDOM_STARTS seeded Gaussians and, given the best first column ``warm`` at a
-    size dividing N, its zero insertion: the same input on every (N / len(warm))-th
-    point, whose ratio is the one at that size when c there is the smaller c.
+    ``upper`` is the interpolated circulant bound, whose deviation term is 0
+    (:func:`circulant_schur_bound`); the dense bracket's Frobenius bound N |c|_2 is never
+    smaller.  By Cauchy-Schwarz and Parseval, (1/N) sum_k |fft(c)_k| <= |c|_2; with the
+    FFT within its allowance eps in l2 and the roundings, the circulant bound as computed
+    is at most |c|_2 (1 + 3 eps)(1 + 20u) < N |c|_2 (1 - N u), the least computed Frobenius
+    bound, for N >= 2 (at N = 1 it is at most 32u above it); both scale back by 2^e, and
+    :func:`_interpolated` does not decrease with its bound.  The sup entry max|c| is the
+    floor, certified by the shift a = e_k.  While the floor is short of the upper bound,
+    Boyd's p-norm power method (Linear Algebra Appl. 9, 1974) runs on the spectra b, all
+    starts at once: the shift, the :func:`_starts` of c and, given the best first column
+    ``warm`` at a size dividing N, its zero insertion: the same input on every
+    (N / len(warm))-th point, whose ratio is the one at that size when c there is the
+    smaller c.
     A start stops after _ITERATIONS steps or when its ratio gains less than
     _STALL_RTOL; the search stops at the improvement that reaches
     ``upper / (1 + _STALL_RTOL)``.  At p = infinity one step turns any start into
@@ -721,9 +724,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     peak = int(modulus.argmax())
     sup = float(modulus[peak])
     cs, e = _pow2_scaled(c, sup)
-    frobenius = _unscaled(n * math.sqrt(float(np.vdot(cs, cs).real)), e)
-    upper = min(_interpolated(sup, p, frobenius * (1.0 + (n * n + 16) * _UNIT_ROUNDOFF)),
-                _interpolated(sup, p, _unscaled(_circulant_total(cs), e)))
+    upper = _interpolated(sup, p, _unscaled(_circulant_total(cs), e))
     if upper == math.inf:
         raise RangeError(f"every Schur bound of the {n}-point circulant exceeds the float range")
     target = upper / (1.0 + _STALL_RTOL)
@@ -731,14 +732,11 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     unit[peak] = 1.0
     best, steps = (sup, unit), 0  # the shift certifies the sup entry
     if sup < target:
-        rng = np.random.default_rng(seed)
-        starts = [unit, np.exp(-1j * np.angle(c))]
-        starts += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                   for _ in range(_RANDOM_STARTS)]
+        extra = []
         if warm is not None and n % len(warm) == 0:
-            starts.append(np.zeros(n, dtype=complex))
-            starts[-1][::n // len(warm)] = warm
-        b = np.fft.fft(np.array(starts), axis=-1)
+            extra.append(np.zeros(n, dtype=complex))
+            extra[0][::n // len(warm)] = warm
+        b = np.fft.fft(np.array([unit, *_starts(c, seed, extra)]), axis=-1)
         last = np.full(len(b), -math.inf)
         for iteration in range(1, _ITERATIONS + 1):
             y = np.fft.fft(cs * np.fft.ifft(b, axis=-1), axis=-1)

@@ -143,7 +143,7 @@ def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], shared by the package."""
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], the package's one cached rule."""
     x, w = np.polynomial.legendre.leggauss(npts)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -204,7 +204,7 @@ class RigidityExponents:
             raise InputError("n must be >= 3")
         if not (p > 2.0 + 2.0 / (n - 2)):
             raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}")
-        alpha0 = (n - 2) / 2.0 - (n - 1) / p
+        alpha0 = _alpha0(n, p)
         near_int = abs(alpha0 - round(alpha0)) < 1e-12 and round(alpha0) >= 1
         alpha = alpha0 - 1e-3 if near_int else alpha0  # off an integer, where [alpha] jumps
         cs = []

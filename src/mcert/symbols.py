@@ -85,10 +85,10 @@ class RadialProfile:
 # ---------------------------------------------------------------------------
 # Built-in families
 
-_FAMILY_KEYS = {  # kind -> the parameters its builders read
-    "radial-power": ("exponent", "shift"),
-    "radial-log-power": ("exponent", "log_exponent"),
-    "hm-bump": ("center", "width"),
+_FAMILIES = {  # kind -> {each parameter its builders read: its default}
+    "radial-power": {"exponent": 1.0, "shift": 1.0},
+    "radial-log-power": {"exponent": 1.0, "log_exponent": 1.0},
+    "hm-bump": {"center": 1.0, "width": 0.5},
 }
 _FAMILY_LOWER_BOUNDS = {  # (kind, parameter) -> the value the parameter must exceed
     ("radial-power", "shift"): -1.0,  # (shift + x)^-a finite on [1, oo)
@@ -98,18 +98,20 @@ _FAMILY_LOWER_BOUNDS = {  # (kind, parameter) -> the value the parameter must ex
 
 @dataclass
 class SymbolFamily:
-    """Parametric symbol family; see :meth:`build_profile`."""
+    """Parametric symbol family; see :meth:`build_profile`.  Once built, ``parameters``
+    holds every parameter of the kind, the defaults of _FAMILIES filled in."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KEYS:
-            raise InputError(f"unknown family kind {self.kind!r}; choose from {tuple(_FAMILY_KEYS)}")
-        allowed = _FAMILY_KEYS[self.kind]
+        if self.kind not in _FAMILIES:
+            raise InputError(f"unknown family kind {self.kind!r}; choose from {tuple(_FAMILIES)}")
+        allowed = tuple(_FAMILIES[self.kind])
         unknown = sorted(set(self.parameters) - set(allowed))
         if unknown:
             raise InputError(f"unknown {self.kind} parameter(s) {unknown}; choose from {allowed}")
+        self.parameters = {**_FAMILIES[self.kind], **self.parameters}
         for key, value in self.parameters.items():
             low = _FAMILY_LOWER_BOUNDS.get((self.kind, key))
             if low is not None and not value > low:
@@ -141,22 +143,22 @@ class SymbolFamily:
         """Radial profile phi(x) on (1, infinity) for the rigidity checks."""
         p = self.parameters
         if self.kind == "radial-power":  # (shift + x)^-a
-            a, shift = float(p.get("exponent", 1.0)), float(p.get("shift", 1.0))
+            a, shift = float(p["exponent"]), float(p["shift"])
             return RadialProfile(lambda u: taylor.power([shift + u[0], *u[1:]], -a))
         if self.kind == "radial-log-power":  # (1 + x)^-a log(e + x)^-b
-            a, b = float(p.get("exponent", 1.0)), float(p.get("log_exponent", 1.0))
+            a, b = float(p["exponent"]), float(p["log_exponent"])
             return RadialProfile(lambda u: taylor.mul(
                 taylor.power([1.0 + u[0], *u[1:]], -a),
                 taylor.power(taylor.log([math.e + u[0], *u[1:]]), -b)))
         if self.kind == "hm-bump":  # the bump at (x - center) / width
-            c, w = float(p.get("center", 1.0)), float(p.get("width", 0.5))
+            c, w = float(p["center"]), float(p["width"])
             return RadialProfile(lambda u: _bump_jet(u, c, w))
         raise InputError(f"family {self.kind!r} does not define a radial profile")
 
     def build_group_symbol(self) -> SymbolHandle:
         """The lift g -> phi(dist(g, e)) of the profile.  A GroupElement stack of leading
         shape ... gives (...) values.  dist(e, e) = 0, so a radial-power shift must be > 0."""
-        if self.kind == "radial-power" and not self.parameters.get("shift", 1.0) > 0.0:
+        if self.kind == "radial-power" and not self.parameters["shift"] > 0.0:
             raise InputError(f"radial-power parameter 'shift' must be > 0 to lift to the group, "
                              f"got {self.parameters['shift']:g}")
         return SymbolHandle(self.build_profile())

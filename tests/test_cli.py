@@ -104,11 +104,33 @@ class TestCertifyHm:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("bad", [["--grid-levels", "-1"], ["--grid-levels", "0"],
-                                     ["--order", "-1"], ["--order", "171"]])
+                                     ["--order", "-1"], ["--order", "171"],
+                                     ["--grid-levels", "1000000", "--n", "3"],
+                                     ["--n", "150", "--order", "1"], ["--n", "65", "--order", "1"]])
     def test_count_flag_out_of_range_is_input_error(self, bad, capsys):
         rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "2", *bad])
         assert rc == 2
         assert bad[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--n", "3", "--grid-levels", "1000000"], "--grid-levels must be <= 103559"),
+        (["--n", "3", "--grid-levels", "103560"], "--grid-levels must be <= 103559"),
+        (["--n", "64", "--order", "170", "--grid-levels", "5"], "--grid-levels must be <= 4"),
+        (["--n", "150", "--order", "1"], "--n must be <= 64")])
+    def test_sweep_past_its_memory_cap_exits_2_before_allocating(self, bad, message, capsys):
+        # the caps bound the basis, 8 n^4 bytes, and the sweep's jet coefficients,
+        # (order + 1) (3 shells + 10) n^2 floats per direction, before either is built
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rc = main(["certify-hm", "--symbol", "radial-power:exponent=5", *bad])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n, order, per_order", [(2, 3, 3), (3, 5, 3), (3, 2, 1)])
     def test_one_symbol_call_per_multi_index(self, n, order, per_order):
@@ -620,12 +642,16 @@ class TestGeometryCommand:
         assert rec["verdict"] == "PASS"
         assert rec["measured"] == pytest.approx(n * n // 2, rel=0.05)
 
-    def test_report_does_not_depend_on_seed(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--n", "4", "--R", "6", "8", "10"],
+        ["rigidity", "--profile", "radial-power:exponent=5", "--n", "3", "--p", "10"]],
+        ids=["geometry", "rigidity"])
+    def test_report_does_not_depend_on_seed(self, argv, tmp_path):
+        # rigidity draws from its seed only for --sections
         reports = []
         for seed in ("0", "7"):
-            out = tmp_path / f"geo{seed}.json"
-            assert main(["geometry", "--n", "4", "--R", "6", "8", "10", "--seed", seed,
-                         "--out", str(out)]) == 0
+            out = tmp_path / f"rep{seed}.json"
+            assert main([*argv, "--seed", seed, "--out", str(out)]) == 0
             rep = load_report(out)
             rep.pop("header")
             reports.append(json.dumps(rep, sort_keys=True))

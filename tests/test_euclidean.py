@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -76,7 +77,31 @@ def psi_direct_quadrature(d, eps, rho):
     return 2.0 * surface * total
 
 
+def frac_laplacian_constant_mp(d, eps):
+    """The constant to 40 digits, written apart from the implementation: the radial
+    factor as the Mellin transform Gamma(1 - 2 eps) cos(pi eps) / (2 eps) of the sine,
+    continued through eps = 1/2 by sincpi, and the direction-cosine moment by
+    tanh-sinh quadrature of its theta integral (c = sin theta; c = +-1 at d = 1)."""
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(eps)
+        surface = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        radial = mpmath.gamma(2 - 2 * eps) * mpmath.pi / 2 * mpmath.sincpi(0.5 - eps) / (2 * eps)
+        moment = 1
+        if d > 1:
+            weight = lambda t: mpmath.cos(t) ** (d - 2)
+            half = [0, mpmath.pi / 2]
+            moment = (mpmath.quad(lambda t: weight(t) * mpmath.sin(t) ** (2 * eps), half)
+                      / mpmath.quad(weight, half))
+        return 2 * surface * (2 * mpmath.pi) ** (2 * eps) * radial * moment
+
+
 class TestFractionalLength:
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 0.9])
+    def test_constant_against_40_digit_oracle(self, d, eps):
+        want = frac_laplacian_constant_mp(d, eps)
+        assert abs(frac_laplacian_constant(d, eps) / want - 1) <= 1e-13
+
     def test_zero_at_origin(self):
         val, _ = frac_laplacian_length(2, 0.4, np.zeros(2))
         assert val == 0.0

@@ -494,6 +494,9 @@ def test_circulant_bracket_in_order_at_its_dense_ratio(n, seed, is_complex, p):
     c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
     res = circulant_lower_bound(c, p, seed=seed)
     assert np.abs(c).max() <= res.value <= res.upper
+    # the upper end is the interpolated circulant bound of the dense symbol, to the bit
+    assert res.upper == interpolated_schur_bound(circulant(c), p,
+                                                 circulant_schur_bound(circulant(c)))
     # the value is the S_p ratio of the circulant input it reports, taken by SVD
     a = circulant(res.best_column)
     dense = schatten_norm(circulant(c) * a, p) / schatten_norm(a, p)
@@ -710,12 +713,14 @@ class TestCirculantLowerBound:
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
     def test_frobenius_term_past_the_float_range_leaves_the_circulant_term(self, p):
-        # N |c|_2 = 6.4e308 overflows; the constant's circulant bound is its entry
+        # the dense bracket's Frobenius bound N |c|_2 = 6.4e308 would overflow; the
+        # section's upper end is the circulant bound alone, for a constant its entry
         res = circulant_lower_bound(np.full(16, 1e307), p)
         assert res.value == 1e307 and 1e307 <= res.upper <= 1e307 * (1.0 + 1e-13)
 
     def test_both_terms_past_the_float_range_are_range_error(self):
-        # (1/N) sum_k |fft(c)_k| = 2e308 for c = 1e308 (1, 1, 1, -1)
+        # the circulant bound (1/N) sum_k |fft(c)_k| = 2e308 for c = 1e308 (1, 1, 1, -1),
+        # and the Frobenius bound N |c|_2 = 8e308 above it, which the section never takes
         with pytest.raises(RangeError, match="float range"):
             circulant_lower_bound(1e308 * np.array([1.0, 1.0, 1.0, -1.0]), 4.0)
 
