@@ -76,8 +76,12 @@ def bell_polynomial(k: int, j: int, z) -> float:
 
 @lru_cache(maxsize=None)
 def bell_coefficient_mass(k: int) -> int:
-    """Exact total coefficient mass sum_j B_{k,j}(1, ..., 1)."""
-    return round(sum(bell_polynomial(k, j, [1.0] * k) for j in range(1, k + 1)))
+    """Total coefficient mass sum_j B_{k,j}(1, ..., 1), the Bell number B_k, exact in
+    integers by B_{m+1} = sum_i C(m, i) B_i."""
+    bell = [1]
+    for m in range(k):
+        bell.append(sum(math.comb(m, i) * b for i, b in enumerate(bell)))
+    return bell[k]
 
 
 def faa_di_bruno(f_jet: DerivativeJet, phi_jet: DerivativeJet, k: int) -> float:

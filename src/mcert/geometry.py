@@ -24,6 +24,7 @@ import numpy as np
 
 from . import taylor
 from .errors import DomainError, InputError, NumericError, RangeError
+from .report import CROSS_CHECK, NECESSARY, SUFFICIENT, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
     "GroupElement",
@@ -289,6 +290,29 @@ def weyl_ball_volume(n: int, r):
     return vol, (np.ldexp(tail, shift) * scale).reshape(r.shape)[()]
 
 
+def volume_report(n: int, radii) -> CertificationReport:
+    """The ``geometry`` report: chamber ball volumes over a radius list, each with the bound
+    on its series' dropped tail, and the growth-rate cross-check, the distance of the slope
+    of log volume in R, fitted to the positive volumes, from [n^2/2], against 5% of it:
+    INCONCLUSIVE when those volumes sit at fewer than three distinct radii."""
+    rep = CertificationReport(command="geometry")
+    rs = np.asarray(list(radii), dtype=float)
+    vols, tails = weyl_ball_volume(n, rs)
+    rep.add_table("volumes", [{"R": float(r), "volume": float(v), "truncation_bound": float(t)}
+                              for r, v, t in zip(rs, vols, tails)])
+    sigma = n * n // 2
+    keep = vols > 0.0  # an underflowed volume has no logarithm
+    fit = len(set(rs[keep].tolist())) >= 3  # np.unique would load numpy.ma
+    slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
+    rep.add(CheckRecord(
+        name="volume-growth-rate", check_id="geometry/volume-growth", kind=CROSS_CHECK,
+        measured=abs(slope - sigma) if fit else None, bound=0.05 * sigma,
+        details={"slope": slope} if fit else
+        {"note": "fewer than three distinct radii with a positive volume"},
+    ))
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # Haar measure on SO(n) and the spherical function
 
@@ -344,3 +368,128 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
     err = math.sqrt(var / samples)
     return mean, err
 
+
+
+# ---------------------------------------------------------------------------
+# The certify-hm sweep
+
+_RAY_POINTS = 5  # sweep points per asymptotic ray
+
+
+def _basis_indices(dim: int, per_order: int) -> list:
+    """``per_order`` distinct basis directions, 1 <= per_order <= dim, spread over the basis."""
+    return np.round(np.linspace(0, dim - 1, per_order)).astype(int).tolist()
+
+
+def _sweep_points(n: int, shells: int, seed: int) -> GroupElement:
+    """The sweep as one validated (3 shells + _RAY_POINTS rays, n, n) stack: the local
+    shells first, shell by shell, then the asymptotic rays, each moving out from the
+    identity."""
+    rng = np.random.default_rng(seed)
+    dirs = np.zeros((3, n, n))  # diagonal, plane rotation, square-zero; unit normalized HS
+    dirs[0, 0, 0], dirs[0, -1, -1] = 1.0, -1.0
+    dirs[1, 0, 1], dirs[1, 1, 0] = 1.0, -1.0
+    dirs[2, 0, 1] = 1.0
+    dirs = dirs / np.linalg.norm(dirs, axis=(1, 2), keepdims=True) * math.sqrt(n)
+    local = np.stack([expm(d, np.geomspace(1e-3, 0.6, shells)) for d in dirs], axis=1)
+
+    z = np.zeros((2 if n >= 3 else 1, n))  # ray directions in the Cartan algebra, max |z_i| = 1
+    z[0, 0], z[0, -1] = 1.0, -1.0
+    if n >= 3:
+        z[1], z[1, -1] = 1.0 / (n - 1), -1.0
+    k1 = haar_so(n, 2, rng)
+    logl = np.linspace(1.0, 3.0, _RAY_POINTS)
+    a = np.exp(logl[:, None] * z[:, None, :])[..., None] * np.eye(n)  # (rays, points, n, n)
+    det = np.linalg.det(a)  # one libm pow per point: numpy's SIMD pow can round differently
+    a /= np.reshape([d ** (1.0 / n) for d in det.ravel().tolist()], det.shape + (1, 1))
+    rays = k1[0] @ a @ k1[1]
+    return GroupElement(np.concatenate([local.reshape(-1, n, n), rays.reshape(-1, n, n)]))
+
+
+def fit_exponent(ls, vals):
+    """Minus the log-log slope through the values above 1e-14, or None below three of them."""
+    ls, vals = np.asarray(ls, dtype=float), np.asarray(vals, dtype=float)
+    keep = vals > 1e-14
+    return (float(-np.polyfit(np.log(ls[keep]), np.log(vals[keep]), 1)[0])
+            if keep.sum() >= 3 else None)
+
+
+def _median(values: list) -> float:
+    """np.median of a list of floats, with its bits, by sorting: np.median would load
+    numpy.ma.  Like np.median's mean, it adds the middle values to 0.0, so -0.0 gives 0.0."""
+    s = sorted(values)
+    h = len(s) // 2
+    return 0.0 + s[h] if len(s) % 2 else (0.0 + s[h - 1] + s[h]) / 2
+
+
+def _median_fit(tables):
+    """Median over the rays of the exponents fitted to their (1 + d, value) tables, or None."""
+    fits = [fit_exponent([x for x, _ in tab], [v for _, v in tab]) for tab in tables]
+    fits = [f for f in fits if f is not None]
+    return _median(fits) if fits else None
+
+
+def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5, seed: int = 0,
+                      per_order: int = 3) -> CertificationReport:
+    """The ``certify-hm`` report: the derivative-growth sweep of a group symbol (a
+    :class:`mcert.symbols.SymbolHandle`) over local shells and rays.
+
+    Per order k >= 1 a value record: the sup over the points g and directions X_j of
+    d^k |X_j^k m(g)|, d = dist(g, e), from the exact derivatives of :func:`lie_derivative`.
+    Order 0 is necessary: the largest ratio along a ray of its farthest symbol value to its
+    nearest, floored at 1/2, against 2.  When the sweep covers orders [n^2/2] and
+    [n^2/2] + 1, the gap of their decay exponents, fitted along the rays against 1 + d,
+    tests a sufficient condition against a fifth of the larger or of 1: 0 when both orders
+    vanish on the rays, inf when one does.
+    """
+    sigma = n * n // 2
+    order = sigma + 1 if order is None else order
+    basis = lie_basis(n)
+    dirs = _basis_indices(len(basis), per_order)
+    sweep = _sweep_points(n, shells, seed)
+    n_local = 3 * shells
+
+    rep = CertificationReport(command="certify-hm")
+    rep.seeds["sweep"] = seed
+
+    dists = dist_to_identity(sweep.entries)
+    ray_x = (1.0 + dists[n_local:]).reshape(-1, _RAY_POINTS).tolist()
+    # v = max over the directions of |X_j^k m| per order k and point
+    derivs = [lie_derivative(symbol.profile, sweep, basis[j], order)[1:] for j in dirs]
+    vmax = np.vstack([np.abs(symbol(sweep)), np.max(np.abs(derivs), axis=0)])
+
+    sups, ray_fits = [], {}
+    for k in range(order + 1):
+        sups.append(float(np.max(dists ** k * vmax[k], initial=0.0)))
+        ray_vals = vmax[k, n_local:].reshape(-1, _RAY_POINTS)
+        tabs = [list(zip(xs, vs)) for xs, vs in zip(ray_x, ray_vals.tolist())]  # (1 + d, v)
+        if k == 0:
+            fitted_decay = _median_fit(tabs)
+            rep.add(CheckRecord(
+                name="hm-order-0", check_id="hm/order-0", kind=NECESSARY,
+                measured=float(np.max(ray_vals[:, -1] / np.maximum(ray_vals[:, 0], 0.5))),
+                bound=2.0,
+                details={"constant": sups[0], "fitted_decay_exponent": fitted_decay,
+                         "ray_values": {f"(0, {r})": tab for r, tab in enumerate(tabs)}}))
+            continue
+        if k >= sigma:
+            ray_fits[k] = _median_fit(tabs)
+        rep.add(CheckRecord(name=f"hm-order-{k}", check_id=f"hm/order-{k}", kind=VALUE,
+                            measured=sups[k], details={"indices": [[j] * k for j in dirs]}))
+
+    if order >= sigma + 1:
+        fa, fb = ray_fits[sigma], ray_fits[sigma + 1]
+        fits = [abs(f) for f in (fa, fb) if f is not None]
+        rep.add(CheckRecord(
+            name="decay-propagation", check_id="hm/decay-propagation", kind=SUFFICIENT,
+            measured=abs(fa - fb) if len(fits) == 2 else math.inf if fits else 0.0,
+            bound=0.2 * max([*fits, 1.0]),
+            details={"fitted_exponents": [fa, fb], "order_low": sigma, "order_high": sigma + 1},
+        ))
+
+    rep.add_table("hm_constants", [{"order": k, "constant": c} for k, c in enumerate(sups)])
+    rep.add(CheckRecord(
+        name="hm-constant", check_id="hm/constant", kind=VALUE, measured=float(np.max(sups)),
+        details={"max_order": order, "fitted_decay_exponent": fitted_decay},
+    ))
+    return rep

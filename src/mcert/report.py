@@ -26,6 +26,26 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 SCHEMA = "mcert/1"
 
+# what a record's measured value is tested for: a necessary condition of the theory, a
+# sufficient one, an agreement of two computations of one number, or a value reported alone
+NECESSARY, SUFFICIENT, CROSS_CHECK, VALUE = "necessary", "sufficient", "cross-check", "value"
+
+
+def decide_verdict(kind: str, measured, bound=None, tolerance=None) -> str:
+    """The one verdict rule: INCONCLUSIVE for a missing or non-finite ``measured``, else
+    PASS for a VALUE, else INCONCLUSIVE for a missing or non-finite ``bound``, else PASS
+    when measured <= bound * (1 + tolerance), and past that FAIL, except INCONCLUSIVE for
+    a SUFFICIENT condition, whose shortfall refutes nothing."""
+    if measured is None or not math.isfinite(measured):
+        return INCONCLUSIVE
+    if kind == VALUE:
+        return PASS
+    if bound is None or not math.isfinite(bound):
+        return INCONCLUSIVE
+    if measured <= bound * (1.0 + (tolerance or 0.0)):
+        return PASS
+    return INCONCLUSIVE if kind == SUFFICIENT else FAIL
+
 
 def worst_verdict(records) -> str:
     """FAIL when any record fails, else INCONCLUSIVE when any is, else PASS."""
@@ -49,20 +69,26 @@ def _jsonable(value):
 
 @dataclass
 class CheckRecord:
-    """One certified check: a measured quantity against its bound."""
+    """One check: a measured quantity of a ``kind`` against its bound, its verdict derived
+    from those fields by :func:`decide_verdict`."""
 
     name: str
     check_id: str
-    verdict: str
+    kind: str
     measured: float | None = None
     bound: float | None = None
     tolerance: float | None = None
     details: dict = field(default_factory=dict)
 
+    @property
+    def verdict(self) -> str:
+        return decide_verdict(self.kind, self.measured, self.bound, self.tolerance)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "check_id": self.check_id,
+            "kind": self.kind,
             "verdict": self.verdict,
             "measured": _jsonable(self.measured),
             "bound": _jsonable(self.bound),

@@ -12,7 +12,9 @@ import numpy as np
 
 from .composition import CompositionFrame
 from .errors import AccuracyError, InputError
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, worst_verdict
+from .geometry import fit_exponent
+from .report import (FAIL, INCONCLUSIVE, NECESSARY, PASS, SUFFICIENT, CertificationReport,
+                     CheckRecord, worst_verdict)
 from .schur import circulant_lower_bound
 from .sphere import RigidityExponents
 from .symbols import RadialProfile
@@ -25,22 +27,20 @@ VIOLATED = "VIOLATED"
 _GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
 
 
-def _growth(xs: np.ndarray, vals: np.ndarray) -> tuple:
-    """(ratio, verdict) of an envelope: the ratio is its sup on the outer decade over
-    the sup before it, and the verdict FAIL when the ratio exceeds 1 + _GROWTH_TOL.
+def _growth(xs: np.ndarray, vals: np.ndarray) -> float:
+    """The growth ratio of an envelope: its sup on the outer decade over the sup before it.
 
     A bounded envelope (decay inequality satisfiable with some constant)
     gives ratio <= 1 + noise; persistent growth gives ratio >> 1.  A NaN or
-    inf value, where the envelope weights overflow, decides nothing: the
-    verdict is INCONCLUSIVE.
+    inf value anywhere, where the envelope weights overflow, decides nothing:
+    the ratio is NaN.
     """
+    if not np.all(np.isfinite(vals)):
+        return math.nan
     cut = xs.max() / 10.0
     head = float(vals[xs < cut].max(initial=0.0))
     tail = float(vals[xs >= cut].max(initial=0.0))
-    ratio = tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
-    if not np.all(np.isfinite(vals)):
-        return ratio, INCONCLUSIVE
-    return ratio, PASS if ratio <= 1.0 + _GROWTH_TOL else FAIL
+    return tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf envelope is INCONCLUSIVE
@@ -48,9 +48,10 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     """Evaluate the radial rigidity inequalities on a log grid over [1.05, 1e4],
     with derivative records up to order [alpha].
 
-    Returns (records, exponents).  Each record compares the measured
-    envelope of one inequality against a non-growing trend requirement;
-    the measured constant is the envelope sup.  Every derivative comes
+    Returns (records, exponents).  Each record measures the growth ratio of
+    one inequality's envelope against 1 + _GROWTH_TOL, and details its sup
+    and exponent; the limit record measures the last dyadic difference of
+    the profile against half the largest.  Every derivative comes
     from two profile jets to order [alpha], one at the grid points and
     one at the Hoelder offsets.  A profile that overflows on the grid
     leaves its records INCONCLUSIVE, without numpy warnings.
@@ -65,44 +66,32 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     probes = np.sort(1e4 * 2.0 ** -np.arange(6, dtype=float))
     pv = np.asarray(profile(probes), dtype=float)
     diffs = np.abs(np.diff(pv))
-    verdict = (INCONCLUSIVE if not np.all(np.isfinite(diffs))  # overflow decides nothing
-               else PASS if diffs[-1] <= 0.5 * diffs.max() + 1e-12 else FAIL)
+    finite = np.all(np.isfinite(diffs))  # an overflowing difference decides nothing
     phi_inf = float(pv[-1])
     records.append(CheckRecord(
-        name="limit-existence", check_id="rigidity/limit", verdict=verdict,
-        measured=float(diffs[-1]), tolerance=0.5,
+        name="limit-existence", check_id="rigidity/limit", kind=NECESSARY,
+        measured=float(diffs[-1]) if finite else math.nan, bound=0.5 * float(diffs.max()) + 1e-12,
         details={"phi_inf": phi_inf, "dyadic_diffs": [float(v) for v in diffs]},
     ))
 
-    # decay of phi - phi_inf at rate c0
-    env = np.abs(jet[0] - phi_inf) * xs ** ex.c[0]
-    ratio, verdict = _growth(xs, env)
-    records.append(CheckRecord(
-        name="decay-c0", check_id="rigidity/decay-c0", verdict=verdict,
-        measured=float(env.max()), bound=ex.c[0], tolerance=_GROWTH_TOL,
-        details={"growth_ratio": ratio, "c0": ex.c[0]},
-    ))
-
-    # derivative records
-    for k in range(1, r + 1):
-        env = math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k]
-        ratio, verdict = _growth(xs, env)
+    def envelope(name, check_id, env, **exponent):
         records.append(CheckRecord(
-            name=f"derivative-c{k}", check_id=f"rigidity/derivative-c{k}", verdict=verdict,
-            measured=float(env.max()), bound=ex.c[k], tolerance=_GROWTH_TOL,
-            details={"growth_ratio": ratio, "order": k, "ck": ex.c[k]},
-        ))
+            name=name, check_id=check_id, kind=NECESSARY, measured=_growth(xs, env), bound=1.0,
+            tolerance=_GROWTH_TOL, details={"envelope_sup": float(env.max()), **exponent}))
+
+    # decay of phi - phi_inf at rate c0
+    envelope("decay-c0", "rigidity/decay-c0", np.abs(jet[0] - phi_inf) * xs ** ex.c[0], c0=ex.c[0])
+    for k in range(1, r + 1):  # derivative records
+        envelope(f"derivative-c{k}", f"rigidity/derivative-c{k}",
+                 math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k],
+                 order=k, ck=ex.c[k])
 
     # local Hoelder quotient of the [alpha]-th derivative
     gaps = 1e-3 * xs
     step = math.factorial(r) * (profile.jet(xs + gaps, r)[r] - jet[r])
-    env = np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha
-    ratio, verdict = _growth(xs, env)
-    records.append(CheckRecord(
-        name="hoelder-alpha", check_id="rigidity/hoelder", verdict=verdict,
-        measured=float(env.max()), bound=ex.alpha, tolerance=_GROWTH_TOL,
-        details={"growth_ratio": ratio, "alpha": ex.alpha},
-    ))
+    envelope("hoelder-alpha", "rigidity/hoelder",
+             np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha,
+             alpha=ex.alpha)
     return records, ex
 
 
@@ -159,16 +148,16 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     # Saturating sections (shrinking increments) indicate a bounded
     # multiplier approached from below; persistent per-doubling growth
     # indicates divergence.  Both the last increment and its persistence
-    # relative to the previous one must flag before we call it growth.
+    # relative to the previous one must flag before we call it growth:
+    # the measured min(last increment, persistence / 10) exceeds _GROWTH_TOL
+    # exactly when the increment exceeds it and the persistence exceeds 1/2.
     increments = [b / a - 1.0 if a > 0 else 0.0 for a, b in zip(lower_bounds, lower_bounds[1:])]
     last_inc = increments[-1] if increments else 0.0
     persistence = (increments[-1] / max(increments[-2], 1e-12)
                    if len(increments) >= 2 else 1.0)
-    growing = last_inc > _GROWTH_TOL and persistence > 0.5
     records.append(CheckRecord(
-        name="section-growth", check_id="rigidity/section-growth",
-        verdict=FAIL if growing else PASS,
-        measured=float(last_inc), tolerance=_GROWTH_TOL,
+        name="section-growth", check_id="rigidity/section-growth", kind=NECESSARY,
+        measured=min(float(last_inc), 0.1 * float(persistence)), bound=_GROWTH_TOL,
         details={"lower_bounds": [float(v) for v in lower_bounds],
                  "increments": [float(v) for v in increments],
                  "persistence": float(persistence),
@@ -179,3 +168,44 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     return WitnessResult(classification=classification, records=records,
                          lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
                          iterations=iterations)
+
+
+def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
+                    mode: str = "hs", seed: int = 0) -> CertificationReport:
+    """The ``rigidity`` report: the radial records of a profile, or with ``sections``
+    >= 2 its witness over that many finite sections of 8 * 2^i points, and the
+    sufficiency record, the shortfall of the fitted decay exponent of phi - phi_inf
+    below the rank's critical index [n^2/2] + 1.  A shortfall past a tenth of the
+    index is INCONCLUSIVE, since the condition is sufficient, not necessary; a profile
+    that reaches phi_inf faster than any power falls short by 0."""
+    rep = CertificationReport(command="rigidity")
+    if sections:
+        rep.seeds["sections"] = seed
+        sizes = tuple(8 * 2 ** i for i in range(sections))
+        wit = rigidity_witness(profile, n, p, point_sets=sizes, mode=mode, seed=seed)
+        records, ex = wit.records, wit.exponents
+        rep.add_table("section_lower_bounds", [
+            {"points": s, "lower_bound": lo, "upper_bound": hi}
+            for s, lo, hi in zip(sizes, wit.lower_bounds, wit.upper_bounds)])
+        rep.tables["classification"] = [{"classification": wit.classification}]
+    else:
+        records, ex = profile_rigidity_records(profile, n, p)
+    for r in records:
+        rep.add(r)
+    rep.add_table("exponents", [{
+        "alpha0": ex.alpha0, "alpha": ex.alpha,
+        **{f"c{k}": v for k, v in enumerate(ex.c)},
+    }])
+
+    sigma1 = n * n // 2 + 1
+    xs = np.geomspace(10.0, 1e4, 25)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fits no exponent
+        phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
+        fitted = fit_exponent(xs, np.abs(np.asarray(profile(xs), dtype=float) - phi_inf))
+    rep.add(CheckRecord(
+        name="hm-sufficient-decay", check_id="hm/sufficient-decay", kind=SUFFICIENT,
+        measured=0.0 if fitted is None else float(np.maximum(sigma1 - fitted, 0.0)),  # NaN stays
+        bound=0.1 * sigma1,
+        details={"fitted_exponent": fitted, "critical_index": sigma1},
+    ))
+    return rep

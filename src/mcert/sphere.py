@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InputError, RangeError
+from .report import CROSS_CHECK, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
     "eigenvalue_table",
@@ -364,6 +365,37 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         if 2 * k_cap > _K_MAX:
             raise AccuracyError("tail tolerance unreachable within k_max")
         k_cap *= 2
+
+
+def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> CertificationReport:
+    """The ``sphere-spectrum`` report: the eigenvalue and multiplicity table to degree
+    k_max, its recurrence-vs-quadrature cross-check to degree min(k_max, 50) against
+    1e-10, and per x the Schatten p-sum of the r-th derivative spectrum, a value that is
+    INCONCLUSIVE, written as null, where the sum diverges."""
+    rep = CertificationReport(command="sphere-spectrum")
+    xs = np.asarray(list(x_list), dtype=float)
+    mults = [multiplicity(n, k) for k in range(k_max + 1)]  # checks k_max before the table
+    table = eigenvalue_table(n, xs, k_max)
+    rep.add_table("spectrum", [
+        {"k": k, "m_k": m_k, **{f"phi(x={x:g})": float(v) for x, v in zip(xs, table[k])}}
+        for k, m_k in enumerate(mults)])
+
+    # the sums first: a tail bound past the float range is reported before the rule is sized
+    sums = [schatten_derivative_sum(n, p, r, float(x)) for x in xs]
+    k_check = min(k_max, 50)
+    worst = float(np.max(np.abs(table[:k_check + 1] - quadrature_table(n, xs, k_check))))
+    rep.add(CheckRecord(
+        name="recurrence-vs-quadrature", check_id="sphere/recurrence-quadrature",
+        kind=CROSS_CHECK, measured=worst, bound=1e-10, details={"k_max_checked": k_check},
+    ))
+    for x, res in zip(xs, sums):
+        rep.add(CheckRecord(
+            name=f"schatten-sum(x={x:g})", check_id="sphere/schatten-sum", kind=VALUE,
+            measured=res.value,
+            details={"diverged": res.diverged, "k_used": res.k_used,
+                     "tail_bound": res.tail_bound, "order": r, "p": p},
+        ))
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -14,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcert
-from mcert.cli import _median, main
-from mcert.report import input_digest
+from mcert.cli import main
+from mcert.geometry import _median
+from mcert.report import decide_verdict, input_digest
 from mcert.sphere import multiplicity
 
 from matrix_csv import write_matrix_csv
@@ -136,7 +140,7 @@ class TestCertifyHm:
     def test_one_symbol_call_per_multi_index(self, n, order, per_order):
         # one stacked symbol call gives order 0, then one profile jet per direction
         # gives orders 0..order at every sweep point
-        from mcert.cli import cmd_certify_hm
+        from mcert.geometry import certify_hm_report
         from mcert.symbols import RadialProfile, SymbolFamily, SymbolHandle
 
         profile = SymbolFamily.parse("radial-power:exponent=5").build_profile()
@@ -146,8 +150,8 @@ class TestCertifyHm:
             jets.append((len(u), np.shape(u[0])))
             return profile.of(u)
 
-        cmd_certify_hm(SymbolHandle(RadialProfile(counted)), n=n, order=order,
-                       per_order=per_order)
+        certify_hm_report(SymbolHandle(RadialProfile(counted)), n=n, order=order,
+                          per_order=per_order)
         points = jets[0][1]
         assert sorted(jets) == [(1, points)] + [(order + 1, points)] * per_order
         assert len(points) == 1 and points[0] > 1  # stacks only, never one matrix
@@ -156,14 +160,14 @@ class TestCertifyHm:
         # the sweep's GroupElement is checked when it is built; the symbol and the Lie
         # derivatives read its entries and check nothing again
         from mcert import geometry
-        from mcert.cli import cmd_certify_hm
+        from mcert.geometry import certify_hm_report
         from mcert.symbols import SymbolFamily
 
         calls = []
         check = geometry.check_special_linear
         monkeypatch.setattr(geometry, "check_special_linear",
                             lambda m: calls.append(np.shape(m)) or check(m))
-        cmd_certify_hm(SymbolFamily.parse("radial-power:exponent=5").build_group_symbol(), n=3)
+        certify_hm_report(SymbolFamily.parse("radial-power:exponent=5").build_group_symbol(), n=3)
         assert calls == [(25, 3, 3)]
 
     def test_per_order_zero_is_input_error(self, capsys):
@@ -383,8 +387,9 @@ class TestSphereSpectrum:
         out = tmp_path / "spec.json"
         rc = main(["sphere-spectrum", "--n", "3", "--p", "4", "--x", "0.5",
                    "--kmax", "10", "--out", str(out), "--format", "csv"])
-        assert rc == 0
+        assert rc == 1  # alpha0 = 1/2 - 2/p = 0 at n = 3, p = 4: the Schatten sum diverges
         rep = load_report(out)
+        assert [r["verdict"] for r in rep["records"]] == ["PASS", "INCONCLUSIVE"]
         rows = rep["tables"]["spectrum"]
         assert rows[1]["phi(x=0.5)"] == pytest.approx(0.5)
         assert rows[2]["phi(x=0.5)"] == pytest.approx(-0.125)
@@ -402,7 +407,7 @@ class TestSphereSpectrum:
         out = tmp_path / "spec.json"
         rc = main(["sphere-spectrum", "--n", str(n), "--kmax", "50",
                    "--x", *map(str, xs), "--out", str(out)])
-        assert rc == 0
+        assert rc == (1 if n == 3 else 0)  # at n = 3 the default p = 4 gives a diverged sum
         rows = load_report(out)["tables"]["spectrum"]
         assert [r["k"] for r in rows] == list(range(51))
         lam = (n - 2) / 2.0
@@ -432,14 +437,16 @@ class TestSphereSpectrum:
     @pytest.mark.parametrize("n", ["150", "200", "300", "344"])
     def test_quadrature_check_holds_at_large_n(self, n, tmp_path):
         # the cross-check's rule grows with n: one sized by the degree alone failed the
-        # check at n = 150 (residual 2e-10); at p = 1 the Schatten sums diverge
+        # check at n = 150 (residual 2e-10); at p = 1 the Schatten sums diverge, which
+        # leaves their records INCONCLUSIVE with a null value
         out = tmp_path / "spec.json"
         rc = main_strict(["sphere-spectrum", "--n", n, "--p", "1", "--x", "0.5", "--kmax", "5",
                           "--out", str(out)])
-        assert rc == 0
-        rec = load_report(out)["records"][0]
+        assert rc == 1
+        rec, schatten = load_report(out)["records"]
         assert rec["name"] == "recurrence-vs-quadrature"
         assert rec["verdict"] == "PASS" and rec["measured"] <= 1e-13
+        assert schatten["verdict"] == "INCONCLUSIVE" and schatten["measured"] is None
 
     def test_quadrature_rule_past_its_cap_is_input_error(self, tmp_path, capsys):
         # where the sums diverge, n = 2000 reaches the cross-check, whose rule would
@@ -628,7 +635,8 @@ class TestGeometryCommand:
         assert rc == 0
         rep = load_report(out)
         rec = [r for r in rep["records"] if r["name"] == "volume-growth-rate"][0]
-        assert rec["measured"] == pytest.approx(2.0, rel=0.05)
+        assert rec["details"]["slope"] == pytest.approx(2.0, rel=0.05)
+        assert rec["measured"] == abs(rec["details"]["slope"] - 2.0)
         for row in rep["tables"]["volumes"]:  # each volume carries its series' tail bound
             assert 0.0 < row["truncation_bound"] <= 1e-16 * row["volume"]
 
@@ -640,7 +648,7 @@ class TestGeometryCommand:
         rep = load_report(out)
         rec = [r for r in rep["records"] if r["name"] == "volume-growth-rate"][0]
         assert rec["verdict"] == "PASS"
-        assert rec["measured"] == pytest.approx(n * n // 2, rel=0.05)
+        assert rec["details"]["slope"] == pytest.approx(n * n // 2, rel=0.05)
 
     @pytest.mark.parametrize("argv", [
         ["geometry", "--n", "4", "--R", "6", "8", "10"],
@@ -794,3 +802,86 @@ def test_median_has_the_bits_of_numpy_median(values):
     want = float(np.median(values))
     assert math.copysign(1.0, _median(values)) == math.copysign(1.0, want)
     assert _median(values) == want
+
+
+def _matrix_csv(side):
+    """A strategy for the long-format CSV text of a complex side x side matrix."""
+    entry = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = st.lists(st.tuples(entry, entry), min_size=side * side, max_size=side * side)
+    return rows.map(lambda vals: "i,j,re,im\n" + "".join(
+        f"{k // side},{k % side},{re!r},{im!r}\n" for k, (re, im) in enumerate(vals)))
+
+
+def _argv(*parts):
+    """A strategy for the concatenation of argv pieces, each a list, a string or a
+    strategy for one of those."""
+    wrap = lambda part: part if isinstance(part, st.SearchStrategy) else st.just(part)
+    listed = lambda piece: piece if isinstance(piece, list) else [piece]
+    return st.tuples(*map(wrap, parts)).map(lambda ps: [a for p in ps for a in listed(p)])
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+_SPECS = st.sampled_from(["radial-power:exponent=5", "radial-power:exponent=0",
+                          "radial-power:exponent=-1", "radial-power:exponent=2.5,shift=0.5",
+                          "radial-log-power:exponent=3,log_exponent=1", "hm-bump",
+                          "hm-bump:center=1.5,width=0.4", "hm-bump:center=5000,width=1000",
+                          "radial-power:exponent=-200", "radial-power:exponent=-1e6",
+                          "hm-bump:width=0", "radial-power:exponnet=5"])
+
+
+def _reals(lo, hi, bad):
+    """One to three reals in [lo, hi], now and then followed by one of ``bad``."""
+    return st.tuples(st.lists(st.floats(lo, hi).map(repr), min_size=1, max_size=3),
+                     st.sampled_from([[]] * 4 + [[b] for b in bad])).map(lambda t: t[0] + t[1])
+
+
+# small argvs only: --n <= 5, --kmax <= 60, --sections <= 3, --grid-levels <= 3, CSV side <= 8;
+# each flag draws valid values first and then an invalid one
+_ARGVS = st.one_of(
+    _argv("certify-hm", "--symbol", _SPECS, _flag("--n", st.sampled_from([2, 3, 4, 5, 1])),
+          _flag("--grid-levels", st.sampled_from([1, 2, 3, 0])),
+          _flag("--per-order", st.sampled_from([1, 2, 3, 0])),
+          st.just([]) | _flag("--order", st.sampled_from([0, 1, 2, 3, 4, 5, 6, -1]))),
+    _argv("rigidity", "--profile", _SPECS, _flag("--n", st.sampled_from([3, 4, 5, 2])),
+          _flag("--p", st.sampled_from(["10", "4.5", "6", "100", "inf", "3.5", "2", "nan"])),
+          _flag("--sections", st.sampled_from([0, 2, 3, 1, -1])),
+          _flag("--mode", st.sampled_from(["hs", "opnorm"]))),
+    _argv("sphere-spectrum", _flag("--n", st.sampled_from([3, 4, 5, 2])),
+          _flag("--p", st.sampled_from(["4", "1", "2", "6", "8", "0.5", "inf", "nan"])),
+          _flag("--r", st.sampled_from([0, 1, 2, -1])),
+          _flag("--kmax", st.integers(-1, 60)),
+          "--x", _reals(-0.99, 0.99, ["1.5", "nan"])),
+    _argv("geometry", _flag("--n", st.sampled_from([2, 3, 4, 5, 1])),
+          "--R", _reals(0.1, 12.0, ["0", "nan", "1e-300", "400"])),
+    st.integers(1, 8).flatmap(lambda side: _argv(
+        "schur-bound", "--points", _matrix_csv(side),
+        _flag("--p", st.sampled_from(["1", "2", "3", "4", "inf", "0.5"])),
+        _flag("--iterations", st.sampled_from([0, 1, 2, 5, -1])))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGVS, seed=st.integers(-1, 3))
+def test_every_argv_ends_in_an_exit_code_and_derived_verdicts(argv, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        if argv[0] == "schur-bound":  # the CSV text goes to a file
+            (Path(tmp) / "m.csv").write_text(argv[2], encoding="utf-8")
+            argv = [*argv[:2], str(Path(tmp) / "m.csv"), *argv[3:]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main([*argv, "--seed", str(seed), "--out", str(out)])
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
+        if rc in (2, 3):
+            return
+        rep = strict_json(out)
+        assert (rep["verdict"] == "PASS") == (rc == 0)
+        for rec in rep["records"]:
+            want = decide_verdict(rec["kind"], rec["measured"], rec["bound"], rec["tolerance"])
+            assert rec["verdict"] == want, rec

@@ -62,6 +62,19 @@ class TestBell:
     def test_coefficient_mass_is_bell_numbers(self):
         assert [bell_coefficient_mass(k) for k in range(1, 7)] == [1, 2, 5, 15, 52, 203]
 
+    def test_coefficient_mass_is_exact_to_order_60(self):
+        # the Bell triangle in integers: each row starts with the last entry of the row
+        # before, each later entry adds the entry above its left neighbour to that
+        # neighbour, and row k starts with B_k; float sums are off from k = 23 on
+        row, bell = [1], [1]
+        for _ in range(60):
+            nxt = [row[-1]]
+            for above in row:
+                nxt.append(nxt[-1] + above)
+            row = nxt
+            bell.append(row[0])
+        assert [bell_coefficient_mass(k) for k in range(1, 61)] == bell[1:]
+
     def test_argument_validation(self):
         with pytest.raises(InputError):
             bell_polynomial(2, 3, [1.0, 1.0])

@@ -12,11 +12,10 @@ from scipy.linalg import expm as scipy_expm
 from scipy.spatial import Delaunay, HalfspaceIntersection
 
 from mcert import geometry, taylor
-from mcert.cli import _basis_indices, _sweep_points, cmd_certify_hm
 from mcert.errors import DomainError, InputError, NumericError, RangeError
-from mcert.geometry import (GroupElement, check_special_linear,
-                            dist_to_identity, expm, harish_chandra_xi, haar_so, identity,
-                            lie_basis, lie_derivative, weyl_ball_volume)
+from mcert.geometry import (GroupElement, _basis_indices, _sweep_points, certify_hm_report,
+                            check_special_linear, dist_to_identity, expm, harish_chandra_xi,
+                            haar_so, identity, lie_basis, lie_derivative, weyl_ball_volume)
 from mcert.symbols import RadialProfile, SymbolFamily
 
 from test_symbols import _mp_profile
@@ -307,7 +306,7 @@ class TestStackedEngine:
         dirs = _basis_indices(n * n - 1, 3)
         weight = dists ** np.arange(n * n // 2 + 2)[:, None]
         for spec, want in zip(ORACLE_SPECS, ref):
-            rep = cmd_certify_hm(SymbolFamily.parse(spec).build_group_symbol(), n)
+            rep = certify_hm_report(SymbolFamily.parse(spec).build_group_symbol(), n)
             got = [row["constant"] for row in rep.tables["hm_constants"]]
             sups = (weight * np.abs(want[dirs])).max(axis=(0, 2))
             assert got == pytest.approx(sups.tolist(), rel=1e-10, abs=0), spec

@@ -846,6 +846,17 @@ class TestRigidityWitness:
         assert verdicts["hoelder-alpha"] == "INCONCLUSIVE"
         assert "FAIL" not in verdicts.values()
 
+    def test_inf_before_the_outer_decade_is_inconclusive(self):
+        # a profile that is inf below x = 2 only: its decay envelope's sup before the outer
+        # decade is inf, where tail / head would be a growth ratio of 0 that passes
+        pole = RadialProfile(lambda u: [np.where(u[0] < 2.0, np.inf, 1.0 / u[0])]
+                             + [np.zeros_like(u[0])] * (len(u) - 1))
+        with np.errstate(all="ignore"):
+            records, _ = profile_rigidity_records(pole, 5, 10.0)
+        decay = {r.name: r for r in records}["decay-c0"]
+        assert decay.verdict == "INCONCLUSIVE" and math.isnan(decay.measured)
+        assert "FAIL" not in {r.verdict for r in records}
+
     def test_overflowing_profile_values_leave_the_limit_inconclusive(self):
         # (1 + x)^200 overflows on the dyadic probes: inf - inf differences decide nothing
         grow = SymbolFamily.parse("radial-power:exponent=-200").build_profile()
