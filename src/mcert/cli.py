@@ -1,9 +1,9 @@
-"""Command-line front end: the parser, the input checks and one command-to-builder table.
+"""Command-line front end: the parser and one command-to-builder table.
 
-The reports are built in the library modules: ``certify-hm`` and ``geometry`` in
-``geometry``, ``rigidity`` in ``rigidity``, ``sphere-spectrum`` in ``sphere``, and
-``schur-bound`` here, because ``schur`` imports no report.  Exit codes: 0 every record
-passes, 1 any fails or is inconclusive, 2 input error, 3 accuracy error.
+The reports are built, and their inputs checked, in the library modules: ``certify-hm``
+and ``geometry`` in ``geometry``, ``rigidity`` in ``rigidity``, ``sphere-spectrum`` in
+``sphere``, and ``schur-bound`` here, because ``schur`` imports no report.  Exit codes:
+0 every record passes, 1 any fails or is inconclusive, 2 input error, 3 accuracy error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError
+from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError, check_count
 from .geometry import certify_hm_report, volume_report
 from .report import CROSS_CHECK, CertificationReport, CheckRecord, input_digest
 # perfbench's tests read mcert.cli.rigidity_witness to see its tracer's patches undone
@@ -22,43 +22,6 @@ from .sphere import spectrum_report
 from .symbols import SymbolFamily, read_matrix_csv
 
 __all__ = ["main"]
-
-
-def _check_count(flag: str, value: int, least: int, most: int | None = None) -> None:
-    if value < least:
-        raise InputError(f"{flag} must be >= {least}, got {value}")
-    if most is not None and value > most:
-        raise InputError(f"{flag} must be <= {most}, got {value}")
-
-
-_MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024, held as first columns
-_MAX_RANK = 64  # rigidity envelopes overflow from n = 79; the certify-hm basis is 8 n^4 bytes
-# certify-hm jet floats per direction, (order + 1)(3 shells + 10) n^2: the sweep holds about
-# three such stacks at once, and 4 shells fit at every allowed n and order
-_MAX_JET_FLOATS = 1 << 24
-_MAX_ORDER = 170  # k! overflows a float from k = 171
-
-
-def _certify_hm(a) -> CertificationReport:
-    symbol = SymbolFamily.parse(a.symbol).build_group_symbol()
-    _check_count("--n", a.n, 2, _MAX_RANK)
-    order = a.n * a.n // 2 + 1 if a.order is None else a.order
-    _check_count("--order", order, 0, _MAX_ORDER)
-    _check_count("--grid-levels", a.grid_levels, 1,
-                 (_MAX_JET_FLOATS // ((order + 1) * a.n * a.n) - 10) // 3)
-    _check_count("--per-order", a.per_order, 1, a.n * a.n - 1)  # the basis size
-    return certify_hm_report(symbol, a.n, order, shells=a.grid_levels, seed=a.seed,
-                             per_order=a.per_order)
-
-
-def _rigidity(a) -> CertificationReport:
-    family = SymbolFamily.parse(a.profile)
-    _check_count("--n", a.n, 3, _MAX_RANK)
-    _check_count("--sections", a.sections, 0, _MAX_SECTIONS)
-    if a.sections == 1:  # the growth record compares sizes
-        raise InputError("--sections must be 0 or 2 to 8, got 1")
-    return rigidity_report(family.build_profile(), a.n, a.p, sections=a.sections,
-                           mode=a.mode, seed=a.seed)
 
 
 def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
@@ -71,7 +34,7 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
     The lower bound is cross-checked against the upper bound, within a 1e-8
     relative tolerance that covers the rounding of the optimizer's ratio.
     Zero iterations give the sup-entry floor."""
-    _check_count("--iterations", iterations, 0)
+    check_count("--iterations", iterations, 0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(matrix)
@@ -95,8 +58,11 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
 
 # command -> report builder on the parsed arguments
 _BUILDERS = {
-    "certify-hm": _certify_hm,
-    "rigidity": _rigidity,
+    "certify-hm": lambda a: certify_hm_report(
+        SymbolFamily.parse(a.symbol).build_group_symbol(), a.n, a.order, shells=a.grid_levels,
+        seed=a.seed, per_order=a.per_order),
+    "rigidity": lambda a: rigidity_report(SymbolFamily.parse(a.profile).build_profile(), a.n,
+                                          a.p, sections=a.sections, mode=a.mode, seed=a.seed),
     "sphere-spectrum": lambda a: spectrum_report(a.n, a.p, a.r, a.x, a.kmax),
     "schur-bound": lambda a: cmd_schur_bound(read_matrix_csv(a.points), a.p, seed=a.seed,
                                              iterations=a.iterations),
@@ -169,7 +135,9 @@ _PARSER = _build_parser()  # built once per process; parse_args leaves it unchan
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        _check_count("--seed", args.seed, 0)
+        check_count("--seed", args.seed, 0)
+        if args.format == "csv" and not args.out:
+            raise InputError("--format csv writes its tables next to the report: give --out")
         rep = _BUILDERS[args.command](args)
         # a command that records no seed drew no random numbers and ignores --seed
         rep.digest = input_digest({k: v for k, v in vars(args).items()

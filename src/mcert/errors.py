@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the count check of the report builders.
 
 The CLI maps these onto process exit codes: input/domain problems exit
 with 2, accuracy problems with 3.
@@ -27,3 +27,11 @@ class NumericError(CertifyError):
 
 class AccuracyError(CertifyError):
     """Requested accuracy could not be reached or certified."""
+
+
+def check_count(flag: str, value: int, least: int, most: int | None = None) -> None:
+    """An InputError, named by its command-line ``flag``, unless least <= value <= most."""
+    if value < least:
+        raise InputError(f"{flag} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InputError(f"{flag} must be <= {most}, got {value}")

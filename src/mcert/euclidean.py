@@ -242,7 +242,7 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     d, size = d1 + d2, 32
     pts = np.stack(np.meshgrid(*[(np.arange(size) + 0.5) / size] * d, indexing="ij"), axis=-1)
     vals = np.asarray(s(pts[..., :d1], pts[..., d1:]), dtype=complex)
-    if not np.all(np.isfinite(vals.real)):
+    if not np.all(np.isfinite(vals)):
         raise AccuracyError("symbol evaluation produced non-finite samples")
 
     coeff = np.fft.fftn(vals) / vals.size  # Fourier coefficients on the torus

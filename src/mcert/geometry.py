@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import DomainError, InputError, NumericError, RangeError
+from .errors import DomainError, InputError, NumericError, RangeError, check_count
 from .report import CROSS_CHECK, NECESSARY, SUFFICIENT, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
@@ -374,6 +374,11 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
 # The certify-hm sweep
 
 _RAY_POINTS = 5  # sweep points per asymptotic ray
+_MAX_RANK = 64  # the Lie basis holds 8 n^4 bytes, 134 MB at n = 64
+_MAX_ORDER = 170  # k! overflows a float from k = 171
+# the sweep's jets per direction hold (order + 1)(3 shells + 2 _RAY_POINTS) n^2 floats; it
+# holds about three such stacks at once, and 4 shells fit at every allowed n and order
+_MAX_JET_FLOATS = 1 << 24
 
 
 def _basis_indices(dim: int, per_order: int) -> list:
@@ -440,10 +445,16 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     nearest, floored at 1/2, against 2.  When the sweep covers orders [n^2/2] and
     [n^2/2] + 1, the gap of their decay exponents, fitted along the rays against 1 + d,
     tests a sufficient condition against a fifth of the larger or of 1: 0 when both orders
-    vanish on the rays, inf when one does.
+    vanish on the rays, inf when one does.  n, order, shells and per_order are checked
+    first, each an InputError named by its ``certify-hm`` flag.
     """
+    check_count("--n", n, 2, _MAX_RANK)
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
+    check_count("--order", order, 0, _MAX_ORDER)
+    check_count("--grid-levels", shells, 1,
+                (_MAX_JET_FLOATS // ((order + 1) * n * n) - 2 * _RAY_POINTS) // 3)
+    check_count("--per-order", per_order, 1, n * n - 1)  # the basis size
     basis = lie_basis(n)
     dirs = _basis_indices(len(basis), per_order)
     sweep = _sweep_points(n, shells, seed)

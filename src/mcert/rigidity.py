@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositionFrame
-from .errors import AccuracyError, InputError
+from .errors import AccuracyError, InputError, check_count
 from .geometry import fit_exponent
 from .report import (FAIL, INCONCLUSIVE, NECESSARY, PASS, SUFFICIENT, CertificationReport,
                      CheckRecord, worst_verdict)
@@ -25,6 +25,8 @@ __all__ = ["WitnessResult", "rigidity_witness", "profile_rigidity_records", "CON
 CONSISTENT = "CONSISTENT"
 VIOLATED = "VIOLATED"
 _GROWTH_TOL = 0.05  # the relative growth that fails an envelope or the section bounds
+_MAX_RANK = 64  # from n = 79 the order-[alpha] envelope weights overflow floats
+_MAX_SECTIONS = 8  # section i has 8 * 2^i points: at most 1,024, held as first columns
 
 
 def _growth(xs: np.ndarray, vals: np.ndarray) -> float:
@@ -177,7 +179,12 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
     sufficiency record, the shortfall of the fitted decay exponent of phi - phi_inf
     below the rank's critical index [n^2/2] + 1.  A shortfall past a tenth of the
     index is INCONCLUSIVE, since the condition is sufficient, not necessary; a profile
-    that reaches phi_inf faster than any power falls short by 0."""
+    that reaches phi_inf faster than any power falls short by 0.  n and sections are
+    checked first, each an InputError named by its ``rigidity`` flag."""
+    check_count("--n", n, 3, _MAX_RANK)
+    check_count("--sections", sections, 0, _MAX_SECTIONS)
+    if sections == 1:  # the growth record compares sizes
+        raise InputError(f"--sections must be 0 or 2 to {_MAX_SECTIONS}, got 1")
     rep = CertificationReport(command="rigidity")
     if sections:
         rep.seeds["sections"] = seed

@@ -57,8 +57,8 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     from y_0 = 1 and y_1 = x, on a blocked schedule.
 
     The degrees run in blocks of _BLOCK, anchored at multiples of _BLOCK.  Block 0
-    starts from a known state, so the recurrence runs through it directly, in floats
-    (a one-shot table stops at k_cap).  Each later call steps two basis solutions A
+    starts from a known state, so the recurrence runs through it directly, in floats,
+    always to degree _BLOCK - 1.  Each later call steps two basis solutions A
     and B of the recurrence for all its new blocks, from the states
     (y_{k-1}, y_{k-2}) = (1, 1) and (1, -1), in one np.longdouble array over all those
     blocks and all x: _BLOCK array steps, whatever k_cap.  A pass over the blocks
@@ -77,10 +77,9 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     the bits of a one-shot table."""
     x = np.asarray(x, dtype=float)
     lam = 0.5 * (n - 2)
-    if rows is None:
-        rows = [_first_block(lam, x, min(k_cap, _BLOCK - 1))]
-    elif not rows:
-        rows.append(_first_block(lam, x, _BLOCK - 1))
+    rows = [] if rows is None else rows
+    if not rows:
+        rows.append(_first_block(lam, x))
     have = sum(len(chunk) for chunk in rows)  # a multiple of _BLOCK once k_cap passes it
     if k_cap >= have:
         entry = (rows[-1][-1], rows[-1][-2])
@@ -88,13 +87,12 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     return np.concatenate(rows)[:k_cap + 1]
 
 
-def _first_block(lam: float, x: np.ndarray, k_last: int) -> np.ndarray:
-    """Degrees 0..k_last < _BLOCK of :func:`_eigenvalue_table`, one recurrence step per
-    degree from y_0 = 1 and y_1 = x."""
-    out = np.empty((k_last + 1,) + x.shape)
-    out[0] = 1.0
-    out[1:2] = x
-    for k in range(2, k_last + 1):
+def _first_block(lam: float, x: np.ndarray) -> np.ndarray:
+    """Degrees 0.._BLOCK - 1 of :func:`_eigenvalue_table`, one recurrence step per degree
+    from y_0 = 1 and y_1 = x."""
+    out = np.empty((_BLOCK,) + x.shape)
+    out[0], out[1] = 1.0, x
+    for k in range(2, _BLOCK):
         out[k] = (2.0 * (k + lam - 1.0) * x * out[k - 1]
                   - (k - 1.0) * out[k - 2]) / (k + 2.0 * lam - 1.0)
     return out
@@ -272,10 +270,8 @@ def _decay_constant(n: int, r: int, band: float) -> float:
 
 
 def _band_for(x: float) -> float:
-    for b in _BANDS:
-        if abs(x) <= b:
-            return b
-    return _BANDS[-1]
+    """The narrowest band holding x, for |x| <= _INTERIOR = _BANDS[-1]."""
+    return next(b for b in _BANDS if abs(x) <= b)
 
 
 @lru_cache(maxsize=None)
@@ -371,9 +367,16 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
     """The ``sphere-spectrum`` report: the eigenvalue and multiplicity table to degree
     k_max, its recurrence-vs-quadrature cross-check to degree min(k_max, 50) against
     1e-10, and per x the Schatten p-sum of the r-th derivative spectrum, a value that is
-    INCONCLUSIVE, written as null, where the sum diverges."""
+    INCONCLUSIVE, written as null, where the sum diverges.  Columns and records are
+    labelled by x in ``:g`` format, so two x with one label are an InputError."""
     rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
+    labels = {}
+    for x in xs.tolist():
+        label = f"{x:g}"
+        if label in labels:
+            raise InputError(f"--x {labels[label]!r} and {x!r} share the label x={label}")
+        labels[label] = x
     mults = [multiplicity(n, k) for k in range(k_max + 1)]  # checks k_max before the table
     table = eigenvalue_table(n, xs, k_max)
     rep.add_table("spectrum", [

@@ -150,10 +150,8 @@ class SymbolFamily:
             return RadialProfile(lambda u: taylor.mul(
                 taylor.power([1.0 + u[0], *u[1:]], -a),
                 taylor.power(taylor.log([math.e + u[0], *u[1:]]), -b)))
-        if self.kind == "hm-bump":  # the bump at (x - center) / width
-            c, w = float(p["center"]), float(p["width"])
-            return RadialProfile(lambda u: _bump_jet(u, c, w))
-        raise InputError(f"family {self.kind!r} does not define a radial profile")
+        c, w = float(p["center"]), float(p["width"])  # hm-bump: the bump at (x - center) / width
+        return RadialProfile(lambda u: _bump_jet(u, c, w))
 
     def build_group_symbol(self) -> SymbolHandle:
         """The lift g -> phi(dist(g, e)) of the profile.  A GroupElement stack of leading

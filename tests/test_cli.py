@@ -382,6 +382,66 @@ class TestRigidity:
         assert "input error" in capsys.readouterr().err
 
 
+# every certify-hm and rigidity count the CLI rejects, with its message; the report
+# builders check them themselves, so a direct call fails alike, before it allocates
+_BUILDER_KEYWORDS = {"--n": "n", "--order": "order", "--grid-levels": "shells",
+                     "--per-order": "per_order", "--p": "p", "--sections": "sections"}
+_REJECTED = [
+    ("certify-hm", {"--n": 1}, "--n must be >= 2, got 1"),
+    ("certify-hm", {"--n": -3}, "--n must be >= 2, got -3"),
+    ("certify-hm", {"--n": 65, "--order": 1}, "--n must be <= 64, got 65"),
+    ("certify-hm", {"--n": 150, "--order": 1}, "--n must be <= 64, got 150"),
+    ("certify-hm", {"--n": 2, "--order": -1}, "--order must be >= 0, got -1"),
+    ("certify-hm", {"--n": 2, "--order": 171}, "--order must be <= 170, got 171"),
+    ("certify-hm", {"--n": 19}, "--order must be <= 170, got 181"),  # the default [n^2/2] + 1
+    ("certify-hm", {"--grid-levels": 0}, "--grid-levels must be >= 1, got 0"),
+    ("certify-hm", {"--grid-levels": -1}, "--grid-levels must be >= 1, got -1"),
+    ("certify-hm", {"--grid-levels": 103560}, "--grid-levels must be <= 103559, got 103560"),
+    ("certify-hm", {"--n": 64, "--order": 170, "--grid-levels": 5},
+     "--grid-levels must be <= 4, got 5"),
+    ("certify-hm", {"--per-order": 0}, "--per-order must be >= 1, got 0"),
+    ("certify-hm", {"--per-order": 9}, "--per-order must be <= 8, got 9"),  # n = 3
+    ("certify-hm", {"--n": 2, "--order": 1, "--per-order": 10}, "--per-order must be <= 3, got 10"),
+    ("rigidity", {"--n": 2}, "--n must be >= 3, got 2"),
+    ("rigidity", {"--n": 65}, "--n must be <= 64, got 65"),
+    ("rigidity", {"--sections": 9}, "--sections must be <= 8, got 9"),
+    ("rigidity", {"--sections": 32}, "--sections must be <= 8, got 32"),
+    ("rigidity", {"--sections": 1}, "--sections must be 0 or 2 to 8, got 1"),
+    ("rigidity", {"--sections": -1}, "--sections must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", _REJECTED)
+def test_report_builders_reject_what_the_cli_rejects(command, flags, message, capsys):
+    import tracemalloc
+
+    from mcert.errors import InputError
+    from mcert.geometry import certify_hm_report
+    from mcert.rigidity import rigidity_report
+    from mcert.symbols import SymbolFamily
+
+    family = SymbolFamily.parse("radial-power:exponent=5")
+    flags = {"--n": 3, "--p": 10.0, **flags} if command == "rigidity" else {"--n": 3, **flags}
+    spec = "--symbol" if command == "certify-hm" else "--profile"
+    argv = [command, spec, "radial-power:exponent=5", *(str(a) for f in flags.items() for a in f)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+    kwargs = {_BUILDER_KEYWORDS[f]: v for f, v in flags.items()}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as exc:
+            if command == "certify-hm":
+                certify_hm_report(family.build_group_symbol(), **kwargs)
+            else:
+                rigidity_report(family.build_profile(), **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20
+
+
 class TestSphereSpectrum:
     def test_table_matches_recurrence(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -474,6 +534,17 @@ class TestSphereSpectrum:
         rows = load_report(out)["tables"]["spectrum"]
         assert len(rows) == 20001
         assert rows[-1]["m_k"] == multiplicity(8, 20000)
+
+    @pytest.mark.parametrize("xs", [["0.1234567", "0.1234568"], ["0.5", "0.3", "0.5"]])
+    def test_x_values_sharing_a_label_are_input_error(self, xs, tmp_path, capsys):
+        # columns and record names read x in :g format, which keeps 6 significant digits
+        out = tmp_path / "spec.json"
+        rc = main(["sphere-spectrum", "--n", "5", "--p", "6", "--x", *xs, "--out", str(out)])
+        assert rc == 2
+        label = f"{float(xs[0]):g}"
+        assert (capsys.readouterr().err
+                == f"input error: --x {xs[0]} and {xs[-1]} share the label x={label}\n")
+        assert not out.exists()
 
 
 class TestSchurBound:
@@ -793,6 +864,16 @@ class TestCommonFlags:
                          "--format", fmt]) == 2
             err = capsys.readouterr().err
             assert err.startswith("input error: ") and str(out) in err
+
+    @pytest.mark.parametrize("command", ["geometry", "sphere-spectrum"])
+    def test_csv_without_out_is_input_error(self, command, capsys):
+        # the CSV tables are written next to the report, so there is nowhere to put them
+        argv = {"geometry": ["--n", "2", "--R", "2", "3", "4"],
+                "sphere-spectrum": ["--n", "3", "--p", "6"]}[command]
+        assert main([command, *argv, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and captured.out == ""
+        assert "--format csv" in captured.err and "--out" in captured.err
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcert import schur
-from mcert.errors import InputError, RangeError
+from mcert.errors import AccuracyError, InputError, RangeError
 from mcert.cli import cmd_schur_bound
 from mcert.composition import CompositionFrame
 from mcert.euclidean import schur_infty_upper_bound
@@ -356,6 +356,13 @@ class TestUpperBound:
         ub = schur_infty_upper_bound(lambda x, y: np.full(x.shape[:-1], 2.5 + 0j), 1, 1)
         assert ub.value == pytest.approx(2.5, rel=1e-12)
         assert ub.fourier_l1 == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [complex(0.0, math.inf), complex(0.0, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_non_finite_sample_is_accuracy_error(self, bad):
+        # an infinite imaginary part alone makes value and certified NaN
+        with pytest.raises(AccuracyError, match="non-finite"):
+            schur_infty_upper_bound(lambda x, y: np.where(x[..., 0] < 0.5, bad, 1.0 + 0j), 1, 1)
 
     def test_rank_one_phase(self):
         # exp(2 pi i (x+y)) factorizes: the true multiplier norm is 1
