@@ -445,8 +445,8 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     nearest, floored at 1/2, against 2.  When the sweep covers orders [n^2/2] and
     [n^2/2] + 1, the gap of their decay exponents, fitted along the rays against 1 + d,
     tests a sufficient condition against a fifth of the larger or of 1: 0 when both orders
-    vanish on the rays, inf when one does.  n, order, shells and per_order are checked
-    first, each an InputError named by its ``certify-hm`` flag.
+    vanish on the rays, inf when one does.  n, order, shells, per_order and seed are
+    checked first, each an InputError named by its ``certify-hm`` flag.
     """
     check_count("--n", n, 2, _MAX_RANK)
     sigma = n * n // 2
@@ -455,6 +455,7 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     check_count("--grid-levels", shells, 1,
                 (_MAX_JET_FLOATS // ((order + 1) * n * n) - 2 * _RAY_POINTS) // 3)
     check_count("--per-order", per_order, 1, n * n - 1)  # the basis size
+    check_count("--seed", seed, 0)
     basis = lie_basis(n)
     dirs = _basis_indices(len(basis), per_order)
     sweep = _sweep_points(n, shells, seed)

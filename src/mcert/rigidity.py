@@ -123,10 +123,15 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     upper bound over the radii, and ``iterations`` the power-method steps.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
-    bounds keep growing; INCONCLUSIVE otherwise.
+    bounds keep growing; INCONCLUSIVE otherwise.  Sizes that do not grow, or fewer
+    than two, which the growth record cannot compare, and a negative seed are InputErrors.
     """
     if mode not in ("hs", "opnorm"):
         raise InputError("mode must be 'hs' or 'opnorm'")
+    if len(point_sets) < 2 or any(a >= b for a, b in zip(point_sets, point_sets[1:])):
+        raise InputError(f"the section growth compares growing sizes: point_sets "
+                         f"{tuple(point_sets)} are not two or more increasing sizes")
+    check_count("--seed", seed, 0)
     records, ex = profile_rigidity_records(profile, n, p)
 
     frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericError, RangeError
+from .errors import InputError, NumericError, RangeError, check_count
 
 __all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
            "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
@@ -271,6 +271,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     not smaller, the remaining starts run without one.  Every value is taken on
     M / 2^e and scaled back; an ``upper`` past the largest float is a RangeError.
     """
+    check_count("--seed", seed, 0)
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
     m = _multiplier(m)
@@ -714,6 +715,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     Each value is the ratio as evaluated on c / 2^e (exact; 2^e just above max|c|);
     a bound past the largest float is inf, and an ``upper`` there a RangeError.
     """
+    check_count("--seed", seed, 0)
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
     c = np.asarray(c, dtype=complex)

@@ -368,9 +368,12 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
     k_max, its recurrence-vs-quadrature cross-check to degree min(k_max, 50) against
     1e-10, and per x the Schatten p-sum of the r-th derivative spectrum, a value that is
     INCONCLUSIVE, written as null, where the sum diverges.  Columns and records are
-    labelled by x in ``:g`` format, so two x with one label are an InputError."""
+    labelled by x in ``:g`` format, so two x with one label are an InputError, as is
+    an empty x list."""
     rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
+    if xs.size == 0:
+        raise InputError("--x needs at least one value")
     labels = {}
     for x in xs.tolist():
         label = f"{x:g}"

@@ -18,9 +18,13 @@ from hypothesis import strategies as st
 
 import mcert
 from mcert.cli import main
-from mcert.geometry import _median
+from mcert.errors import InputError
+from mcert.geometry import _median, certify_hm_report
 from mcert.report import decide_verdict, input_digest
+from mcert.rigidity import rigidity_report, rigidity_witness
+from mcert.schur import circulant_lower_bound, schur_norm_lower_bound
 from mcert.sphere import multiplicity
+from mcert.symbols import SymbolFamily
 
 from matrix_csv import write_matrix_csv
 
@@ -856,6 +860,26 @@ class TestCommonFlags:
         assert main([command, *argv, "--seed", "-1", "--out", str(out)]) == 2
         assert "input error: --seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("call", [
+        lambda seed: certify_hm_report(
+            SymbolFamily.parse("radial-power:exponent=5").build_group_symbol(), 2, seed=seed),
+        lambda seed: rigidity_witness(SymbolFamily.parse("hm-bump").build_profile(), 5, 10.0,
+                                      seed=seed),
+        lambda seed: rigidity_report(SymbolFamily.parse("hm-bump").build_profile(), 5, 10.0,
+                                     sections=2, seed=seed),
+        lambda seed: schur_norm_lower_bound(np.arange(16.0).reshape(4, 4), 4.0, seed=seed),
+        lambda seed: circulant_lower_bound(np.arange(16.0), 4.0, seed=seed),
+    ], ids=["certify_hm_report", "rigidity_witness", "rigidity_report", "schur_norm_lower_bound",
+            "circulant_lower_bound"])
+    def test_library_entry_points_reject_a_negative_seed_before_drawing(self, call,
+                                                                         monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InputError, match="^--seed must be >= 0, got -1$"):
+            call(-1)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unwritable_out_is_input_error(self, fmt, tmp_path, capsys):

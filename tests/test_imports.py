@@ -11,12 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import mcert
 from mcert.cli import main
 
-from matrix_csv import write_matrix_csv
+from commands import README_ROWS, write_fixtures
 
 GUARD = """
 import json, sys
@@ -66,35 +64,15 @@ def fresh_import(name):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def readme_commands(tmp_path):
-    """The six README CLI commands, writing into tmp_path, on a small CSV matrix, and
-    `schur-bound` at p = 2 and infinity, so that every first optimizer half-step runs."""
-    points = tmp_path / "matrix.csv"
-    write_matrix_csv(np.arange(16.0).reshape(4, 4) / 16.0, points)
-    out = lambda name: str(tmp_path / name)
-    return [
-        ["certify-hm", "--symbol", "radial-power:exponent=5", "--n", "3",
-         "--out", out("report.json")],
-        ["rigidity", "--profile", "radial-power:exponent=5", "--n", "3", "--p", "10",
-         "--out", out("r3.json")],
-        ["rigidity", "--profile", "radial-power:exponent=5", "--n", "16", "--p", "100",
-         "--out", out("r16.json")],
-        ["sphere-spectrum", "--n", "3", "--p", "4", "--x", "0.5", "--kmax", "50",
-         "--out", out("spec.json"), "--format", "csv"],
-        ["schur-bound", "--points", str(points), "--p", "4", "--out", out("bound.json")],
-        ["schur-bound", "--points", str(points), "--p", "2", "--out", out("bound2.json")],
-        ["schur-bound", "--points", str(points), "--p", "inf", "--out", out("bound-inf.json")],
-        ["geometry", "--n", "2", "--R", *map(str, range(2, 11)), "--out", out("geo.json")],
-    ]
-
-
 def test_readme_commands_import_no_package_module_and_no_scipy(tmp_path):
+    write_fixtures(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(readme_commands(tmp_path))],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", GUARD,
+                           json.dumps([row.argv for row in README_ROWS])],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["codes"] == [0, 0, 1, 1, 0, 0, 0, 0]  # the n = 3, p = 4 Schatten sum diverges
+    assert got["codes"] == [row.code for row in README_ROWS]
     assert got["loaded"] == []
     assert got["scipy"] == []
     assert not got["numpy.ma"]  # about 12 ms of a cold start, for np.median and np.unique

@@ -772,6 +772,13 @@ class TestRigidityWitness:
         for lo, hi in zip(res.lower_bounds, res.upper_bounds):
             assert lo <= hi <= lo * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("sizes", [(), (8,), (8, 8), (16, 8)])
+    def test_sizes_that_do_not_grow_are_input_error(self, sizes):
+        # the growth record would compare nothing, or a section with itself, and pass
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        with pytest.raises(InputError, match="two or more increasing sizes"):
+            rigidity_witness(prof, 3, 10.0, point_sets=sizes)
+
     def test_power_profile_against_own_rank(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         res = rigidity_witness(prof, 3, 10.0, seed=0)

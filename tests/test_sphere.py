@@ -13,7 +13,7 @@ from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_table,
                           _multiplicity_table, averaging_operator, eigenvalue_table,
                           gauss_legendre, multiplicity, quadrature_table,
-                          schatten_derivative_sum, sphere_grid)
+                          schatten_derivative_sum, spectrum_report, sphere_grid)
 
 
 def reference_table(n, x, k_cap):
@@ -435,3 +435,9 @@ class TestAveragingOperator:
             eigenvalue_table(3, [0.5, 1.5], 12)
         with pytest.raises(InputError):
             eigenvalue_table(3, xs, -1)
+
+
+def test_empty_x_list_is_input_error():
+    # the CLI's nargs="+" cannot send one; a library call is stopped before any table
+    with pytest.raises(InputError, match="--x needs at least one value"):
+        spectrum_report(3, 6.0, 0, [], 5)
