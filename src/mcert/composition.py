@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import taylor
 from .errors import DomainError, InputError
 
 __all__ = [
@@ -223,7 +224,7 @@ def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarr
     if j == 1:
         return (1.0 + math.exp(2.0 * (frame.r + frame.s)) / (x * x)) / (e2r - e2s)
     sign = 1.0 if (j - 1) % 2 == 0 else -1.0
-    return sign * math.factorial(j) / ((1.0 / e2s - 1.0 / e2r) * x ** (j + 1))
+    return sign * taylor.factorials(j)[j] / ((1.0 / e2s - 1.0 / e2r) * x ** (j + 1))
 
 
 def hs_coordinate(frame: CompositionFrame, x) -> np.ndarray:

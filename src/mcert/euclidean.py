@@ -34,20 +34,12 @@ def _smoothstep(t):
     return a / (a + b)
 
 
-@dataclass(frozen=True)
 class DyadicPartition:
-    """Radial plateau eta with chi_{B1} <= eta <= chi_{B2}.
+    """Radial plateau eta with chi_{B1} <= eta <= chi_{B2}: the canonical mollified step,
+    so every partition value is deterministic."""
 
-    The default profile is the canonical mollified step, so every
-    partition value is deterministic.
-    """
-
-    eta: object = None
-
-    def __post_init__(self):
-        if self.eta is None:
-            object.__setattr__(self, "eta", lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)))
-
+    def eta(self, r):
+        return _smoothstep(2.0 - np.asarray(r, dtype=float))
 
 
 def _radius(xi):
@@ -197,14 +189,18 @@ def sobolev_norm_w(m: EuclideanSymbol, eps: float, grid: GridSpec) -> float:
 # Local inversion
 
 
-def local_inversion(a, tol: float = 1e-12) -> np.ndarray:
-    """I(A) = (A + e)^{-1} - e, an involution where A + e is invertible."""
+_MAX_COND = 1e12  # A + e past this condition number is numerically singular
+
+
+def local_inversion(a) -> np.ndarray:
+    """I(A) = (A + e)^{-1} - e, an involution where A + e is invertible: a condition
+    number of A + e past _MAX_COND is a DomainError."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("expected a square matrix")
     shifted = a + np.eye(a.shape[0])
     cond = np.linalg.cond(shifted)
-    if not math.isfinite(cond) or cond > 1.0 / tol:
+    if not cond <= _MAX_COND:  # inf and NaN too
         raise DomainError("A + e is numerically singular")
     return np.linalg.inv(shifted) - np.eye(a.shape[0])
 

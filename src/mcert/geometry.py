@@ -176,7 +176,7 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
         if len(jet) != order + 1 or any(np.shape(c) != flat.shape[:1] for c in jet):
             raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
                              f"{len(flat)} matrices at order {order}")
-        out = np.array(jet, dtype=float) * np.cumprod([1.0, *range(1, order + 1)])[:, None]  # k!
+        out = np.array(jet, dtype=float) * taylor.factorials(order)[:, None]  # k! u_k
     if not np.all(np.isfinite(out)):
         raise NumericError("symbol derivative is not finite")
     return out.reshape(order + 1, *g.entries.shape[:-2])
@@ -259,7 +259,7 @@ def weyl_ball_volume(n: int, r):
     seed, big8 = np.ldexp(1.0, -shift), np.square(np.square(np.square(big)))  # big^8 by products
     bound = np.abs(w).sum() * seed  # sum |w| seed big^m / m!
     e = np.zeros((d + 1,) + y.shape[1:])  # e_j(m) = seed h_m(0, y_1..y_j) / (m + j)!, e_0 = 0
-    e[1:] = seed[:, None] / np.cumprod(np.arange(1.0, n))[:, None, None]  # m = 0
+    e[1:] = seed[:, None] / taylor.factorials(d)[1:, None, None]  # m = 0
     tmp = np.empty_like(y)
     for k in range(1, d):  # the ramp: levels 1..k, level j to order k + 1 - j
         np.multiply(y[:k], e[1:k + 1], out=tmp[:k])

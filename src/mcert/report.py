@@ -165,12 +165,9 @@ class CertificationReport:
             paths.append(path)
         return paths
 
-    def print_summary(self, out=None) -> None:
-        import sys
-
-        out = out or sys.stdout
+    def print_summary(self) -> None:
         for r in self.records:
             measured = "" if r.measured is None else f"  measured={r.measured:.6g}"
             bound = "" if r.bound is None else f"  bound={r.bound:.6g}"
-            print(f"[{r.verdict:>12}] {r.name}{measured}{bound}", file=out)
-        print(f"overall: {self.verdict}", file=out)
+            print(f"[{r.verdict:>12}] {r.name}{measured}{bound}")
+        print(f"overall: {self.verdict}")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import taylor
 from .composition import CompositionFrame
 from .errors import AccuracyError, InputError, check_count
 from .geometry import fit_exponent
@@ -45,27 +46,36 @@ def _growth(xs: np.ndarray, vals: np.ndarray) -> float:
     return tail / head if head > 0.0 else (0.0 if tail <= 0.0 else math.inf)
 
 
+def _grid_end(profile: RadialProfile) -> float:
+    """X = max(1e4, 10 scale): the outer end of every rigidity grid, a decade past the
+    profile's own scale, so that phi_inf is not sampled inside a compact bump."""
+    return max(1e4, 10.0 * profile.scale)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf envelope is INCONCLUSIVE
 def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
-    """Evaluate the radial rigidity inequalities on a log grid over [1.05, 1e4],
-    with derivative records up to order [alpha].
+    """Evaluate the radial rigidity inequalities on a log grid of 80 points over
+    [1.05, X], X = :func:`_grid_end`, with derivative records up to order [alpha].
 
     Returns (records, exponents).  Each record measures the growth ratio of
     one inequality's envelope against 1 + _GROWTH_TOL, and details its sup
     and exponent; the limit record measures the last dyadic difference of
-    the profile against half the largest.  Every derivative comes
+    the profile on the dyadic ladder X 2^-5..X against half the largest,
+    and phi_inf is the profile at X.  Every derivative comes
     from two profile jets to order [alpha], one at the grid points and
     one at the Hoelder offsets.  A profile that overflows on the grid
     leaves its records INCONCLUSIVE, without numpy warnings.
     """
     ex = RigidityExponents.compute(n, p)
     r = int(math.floor(ex.alpha))
-    xs = np.geomspace(1.05, 1e4, 80)
+    x_end = _grid_end(profile)
+    xs = np.geomspace(1.05, x_end, 80)
     jet = profile.jet(xs, r)
+    fact = taylor.factorials(r)  # phi^(k) = k! jet[k]
     records = []
 
     # limit existence: dyadic tail differences must shrink
-    probes = np.sort(1e4 * 2.0 ** -np.arange(6, dtype=float))
+    probes = np.sort(x_end * 2.0 ** -np.arange(6, dtype=float))
     pv = np.asarray(profile(probes), dtype=float)
     diffs = np.abs(np.diff(pv))
     finite = np.all(np.isfinite(diffs))  # an overflowing difference decides nothing
@@ -85,12 +95,12 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     envelope("decay-c0", "rigidity/decay-c0", np.abs(jet[0] - phi_inf) * xs ** ex.c[0], c0=ex.c[0])
     for k in range(1, r + 1):  # derivative records
         envelope(f"derivative-c{k}", f"rigidity/derivative-c{k}",
-                 math.factorial(k) * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k],
+                 fact[k] * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k],
                  order=k, ck=ex.c[k])
 
     # local Hoelder quotient of the [alpha]-th derivative
     gaps = 1e-3 * xs
-    step = math.factorial(r) * (profile.jet(xs + gaps, r)[r] - jet[r])
+    step = fact[r] * (profile.jet(xs + gaps, r)[r] - jet[r])
     envelope("hoelder-alpha", "rigidity/hoelder",
              np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha,
              alpha=ex.alpha)
@@ -185,7 +195,8 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
     below the rank's critical index [n^2/2] + 1.  A shortfall past a tenth of the
     index is INCONCLUSIVE, since the condition is sufficient, not necessary; a profile
     that reaches phi_inf faster than any power falls short by 0.  n and sections are
-    checked first, each an InputError named by its ``rigidity`` flag."""
+    checked first, each an InputError named by its ``rigidity`` flag.  The fit runs
+    over 25 points on [X / 1e3, X], X = :func:`_grid_end`, against phi_inf at 4 X."""
     check_count("--n", n, 3, _MAX_RANK)
     check_count("--sections", sections, 0, _MAX_SECTIONS)
     if sections == 1:  # the growth record compares sizes
@@ -210,9 +221,10 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
     }])
 
     sigma1 = n * n // 2 + 1
-    xs = np.geomspace(10.0, 1e4, 25)
+    x_end = _grid_end(profile)
+    xs = np.geomspace(x_end / 1e3, x_end, 25)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fits no exponent
-        phi_inf = float(np.asarray(profile(np.array([4e4])), dtype=float).reshape(-1)[0])
+        phi_inf = float(np.asarray(profile(np.array([4.0 * x_end])), dtype=float).reshape(-1)[0])
         fitted = fit_exponent(xs, np.abs(np.asarray(profile(xs), dtype=float) - phi_inf))
     rep.add(CheckRecord(
         name="hm-sufficient-decay", check_id="hm/sufficient-decay", kind=SUFFICIENT,

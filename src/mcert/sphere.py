@@ -47,7 +47,7 @@ def _check_nk(n: int, k: int, x=0.0) -> np.ndarray:
     return x
 
 
-_BLOCK = 16  # degrees per block; block b holds degrees b _BLOCK to (b + 1) _BLOCK - 1
+_BLOCK = 16  # degrees per block; block b holds degrees 2 + b _BLOCK to 1 + (b + 1) _BLOCK
 
 
 def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
@@ -56,13 +56,12 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     y_k = (2 (k + lambda - 1) x y_{k-1} - (k - 1) y_{k-2}) / (k + 2 lambda - 1),
     from y_0 = 1 and y_1 = x, on a blocked schedule.
 
-    The degrees run in blocks of _BLOCK, anchored at multiples of _BLOCK.  Block 0
-    starts from a known state, so the recurrence runs through it directly, in floats,
-    always to degree _BLOCK - 1.  Each later call steps two basis solutions A
-    and B of the recurrence for all its new blocks, from the states
-    (y_{k-1}, y_{k-2}) = (1, 1) and (1, -1), in one np.longdouble array over all those
-    blocks and all x: _BLOCK array steps, whatever k_cap.  A pass over the blocks
-    then carries the true state (t1, t2) across the block edges in floats, as
+    y_0 and y_1 are exact.  Every degree from 2 on runs in blocks of _BLOCK, anchored
+    at 2 + b _BLOCK.  Each call steps two basis solutions A and B of the recurrence
+    for all its new blocks, from the states (y_{k-1}, y_{k-2}) = (1, 1) and (1, -1),
+    in one np.longdouble array over all those blocks and all x: _BLOCK array steps,
+    whatever k_cap.  A pass over the blocks then carries the true state (t1, t2),
+    from (x, 1) at degree 2, across the block edges in floats, as
     c_a = (t1 + t2)/2, c_b = (t1 - t2)/2, and one float product c_a A + c_b B forms
     every row.  At x = 1 the state is c_a = 1, c_b = 0 and at x = -1 it is c_a = 0,
     c_b = +-1, so the table is exact there, where the basis (1, 0), (0, 1) would
@@ -76,35 +75,24 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     (blocks already there, at the same n and x, are resumed), so a resumed table has
     the bits of a one-shot table."""
     x = np.asarray(x, dtype=float)
-    lam = 0.5 * (n - 2)
     rows = [] if rows is None else rows
     if not rows:
-        rows.append(_first_block(lam, x))
-    have = sum(len(chunk) for chunk in rows)  # a multiple of _BLOCK once k_cap passes it
+        rows.append(np.stack([np.ones_like(x), x]))
+    have = sum(len(chunk) for chunk in rows)  # 2 + a multiple of _BLOCK
     if k_cap >= have:
         entry = (rows[-1][-1], rows[-1][-2])
-        rows.append(_recurrence_blocks(lam, x, have // _BLOCK, k_cap // _BLOCK + 1, entry))
+        rows.append(_recurrence_blocks(0.5 * (n - 2), x, (have - 2) // _BLOCK,
+                                       (k_cap - 2) // _BLOCK + 1, entry))
     return np.concatenate(rows)[:k_cap + 1]
 
 
-def _first_block(lam: float, x: np.ndarray) -> np.ndarray:
-    """Degrees 0.._BLOCK - 1 of :func:`_eigenvalue_table`, one recurrence step per degree
-    from y_0 = 1 and y_1 = x."""
-    out = np.empty((_BLOCK,) + x.shape)
-    out[0], out[1] = 1.0, x
-    for k in range(2, _BLOCK):
-        out[k] = (2.0 * (k + lam - 1.0) * x * out[k - 1]
-                  - (k - 1.0) * out[k - 2]) / (k + 2.0 * lam - 1.0)
-    return out
-
-
 def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) -> np.ndarray:
-    """Degrees first _BLOCK .. stop _BLOCK - 1 of :func:`_eigenvalue_table`, first >= 1,
-    shaped ((stop - first) _BLOCK,) + x.shape, from the true state ``entry`` =
-    (y_{k-1}, y_{k-2}) at k = first _BLOCK."""
+    """Blocks first..stop - 1 of :func:`_eigenvalue_table`, degrees 2 + first _BLOCK to
+    1 + stop _BLOCK, shaped ((stop - first) _BLOCK,) + x.shape, from the true state
+    ``entry`` = (y_{k-1}, y_{k-2}) at k = 2 + first _BLOCK."""
     xs = x.reshape(-1)
     nb = stop - first
-    k = (_BLOCK * np.arange(first, stop) + np.arange(_BLOCK)[:, None])[:, None, :, None] + 0.0
+    k = (2 + _BLOCK * np.arange(first, stop) + np.arange(_BLOCK)[:, None])[:, None, :, None] + 0.0
     # one copy for each of A and B on axis 1, so that the steps run on whole arrays
     px, q, d = (np.concatenate([c, c], axis=1) for c in
                 ((2.0 * (k + lam - 1.0)).astype(np.longdouble) * xs,
@@ -421,38 +409,26 @@ def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
     return np.array(out)
 
 
-def averaging_operator(delta: float, f, points, circle_nodes: int = 360,
-                       check_tol: float | None = None):
+def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     """Average of f over {y : <x, y> = delta} for each row x of points.
 
     Uniform midpoint quadrature on the latitude circle (spectrally
-    accurate for smooth f).  With ``check_tol`` set, the quadrature is
-    repeated at half resolution and must agree within the tolerance.
+    accurate for smooth f).
     """
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 3:
         raise InputError("the averaging oracle is implemented on S^2 (n = 3)")
-
-    def run(m_nodes: int) -> np.ndarray:
-        x = points / np.linalg.norm(points, axis=1, keepdims=True)
-        pick = np.argmin(np.abs(x), axis=1)
-        helper = np.eye(3)[pick]
-        u = np.cross(helper, x)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = np.cross(x, u)
-        t = 2.0 * math.pi * (np.arange(m_nodes) + 0.5) / m_nodes
-        circ = math.sqrt(max(1.0 - delta * delta, 0.0))
-        y = (delta * x[:, None, :]
-             + circ * (np.cos(t)[None, :, None] * u[:, None, :]
-                       + np.sin(t)[None, :, None] * v[:, None, :]))
-        return np.mean(np.asarray(f(y), dtype=float), axis=1)
-
-    vals = run(circle_nodes)
-    if check_tol is not None:
-        coarse = run(max(circle_nodes // 2, 8))
-        mismatch = float(np.max(np.abs(vals - coarse)))
-        if mismatch > check_tol:
-            raise AccuracyError("circle quadrature too coarse")
-    return vals
+    x = points / np.linalg.norm(points, axis=1, keepdims=True)
+    pick = np.argmin(np.abs(x), axis=1)
+    helper = np.eye(3)[pick]
+    u = np.cross(helper, x)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(x, u)
+    t = 2.0 * math.pi * (np.arange(circle_nodes) + 0.5) / circle_nodes
+    circ = math.sqrt(max(1.0 - delta * delta, 0.0))
+    y = (delta * x[:, None, :]
+         + circ * (np.cos(t)[None, :, None] * u[:, None, :]
+                   + np.sin(t)[None, :, None] * v[:, None, :]))
+    return np.mean(np.asarray(f(y), dtype=float), axis=1)

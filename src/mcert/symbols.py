@@ -71,9 +71,12 @@ class RadialProfile:
     ``of(u)`` maps the jet u of an argument x(s) (see :mod:`mcert.taylor`) to
     the jet of phi(x(s)); ``jet(x, K)`` applies it to the variable itself and
     returns [phi(x), phi'(x), ..., phi^(K)(x) / K!], arrays shaped like ``x``.
+    ``scale`` is where the profile's own features end: center + width for
+    ``hm-bump``, 1 for the other families.
     """
 
     of: object
+    scale: float = 1.0
 
     def jet(self, x, order: int) -> list:
         return self.of(taylor.variable(np.asarray(x, dtype=float), order))
@@ -151,7 +154,7 @@ class SymbolFamily:
                 taylor.power([1.0 + u[0], *u[1:]], -a),
                 taylor.power(taylor.log([math.e + u[0], *u[1:]]), -b)))
         c, w = float(p["center"]), float(p["width"])  # hm-bump: the bump at (x - center) / width
-        return RadialProfile(lambda u: _bump_jet(u, c, w))
+        return RadialProfile(lambda u: _bump_jet(u, c, w), scale=c + w)
 
     def build_group_symbol(self) -> SymbolHandle:
         """The lift g -> phi(dist(g, e)) of the profile.  A GroupElement stack of leading
@@ -189,10 +192,12 @@ _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
 
 def read_matrix_csv(path) -> np.ndarray:
     """Complex matrix from long-format CSV with columns i, j, re and an
-    optional im (an empty im is 0).  Blank lines are skipped, and a later
-    row for the same (i, j) replaces an earlier one.  A malformed row is an
-    InputError that names its line; so is a negative index, or one at or
-    above _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
+    optional im (an empty im is 0), and any other named columns, which are
+    skipped.  Blank lines are skipped, and a later row for the same (i, j)
+    replaces an earlier one.  A header that names a column twice is an
+    InputError; so is a malformed row, or one with more or fewer fields than
+    the header, named by its line, and a negative index, or one at or above
+    _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
     parses the rows; only im passes through Python, to read an empty field as 0."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
@@ -200,27 +205,33 @@ def read_matrix_csv(path) -> np.ndarray:
         missing = [c for c in ("i", "j", "re") if c not in header]
         if missing:
             raise InputError(f"CSV header {header} has no column {', '.join(missing)}")
-        names = [c for c in ("i", "j", "re", "im") if c in header]
+        twice = [c for k, c in enumerate(header) if c in header[:k]]
+        if twice:
+            raise InputError(f"CSV header {header} names column {twice[0]!r} twice")
+        types = {"i": np.int64, "j": np.int64, "re": float, "im": float}
         numbered = enumerate(fh, rows.line_num + 1)
-        line, first = next(((k, text) for k, text in numbered if text.strip("\r\n")), (0, ""))
-        if not first:  # numpy would warn on a file without data
+        line, text = next(((k, text) for k, text in numbered if text.strip("\r\n")), (0, ""))
+        if not text:  # numpy would warn on a file without data
             raise InputError(f"no data rows in {path}")
 
         def lines():  # the data lines, counted so that a malformed row can be named
-            nonlocal line
-            yield first
+            nonlocal line, text
+            yield text
             for line, text in numbered:
                 yield text
 
-        try:
+        try:  # one field per header column: a row of another length is an error
             data = np.loadtxt(
-                lines(), dtype=[(c, np.int64 if c in ("i", "j") else float) for c in names],
+                lines(), dtype=[(c, types[c]) if c in types else (f"_{k}", "U0")
+                                for k, c in enumerate(header)],
                 delimiter=",", comments=None, quotechar='"', ndmin=1,
-                usecols=[header.index(c) for c in names],
-                converters={header.index("im"): lambda s: float(s or 0.0)} if "im" in names
+                converters={header.index("im"): lambda s: float(s or 0.0)} if "im" in header
                 else None)
         except ValueError as exc:  # numpy counts data rows, not lines: keep its reason only
             reason = str(exc).partition(" at row ")[0]
+            if "columns but" in reason:
+                fields = len(next(csv.reader([text])))
+                reason = f"{fields} fields where the header has {len(header)}"
             raise InputError(f"line {line} of {path}: {reason}") from None
     i, j = data["i"], data["j"]
     if min(i.min(), j.min()) < 0:
@@ -234,6 +245,6 @@ def read_matrix_csv(path) -> np.ndarray:
     last = order[np.append(flat[order[1:]] != flat[order[:-1]], True)]  # its last row wins
     m = np.zeros(n * n, dtype=complex)
     m.real[flat[last]] = data["re"][last]
-    if "im" in names:
+    if "im" in header:
         m.imag[flat[last]] = data["im"][last]
     return m.reshape(n, n)

@@ -7,6 +7,9 @@ once in it, and their composition gives the exact Lie derivatives of a lifted sy
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
+
 import numpy as np
 
 
@@ -38,3 +41,10 @@ def log(u: list) -> list:
     for k in range(1, len(u)):
         w.append((u[k] - sum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u[0])
     return w
+
+
+def factorials(order: int) -> np.ndarray:
+    """[0!, 1!, ..., order!] as float products, the package's one factorial, which turns a
+    jet's u_k into the derivative k! u_k: inf from 171!, past the float range (a float
+    product overflows to inf without a warning)."""
+    return np.array(list(accumulate(range(1, order + 1), operator.mul, initial=1.0)))

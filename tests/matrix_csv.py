@@ -20,22 +20,26 @@ def write_matrix_csv(m, path) -> None:
 
 def reference_read_matrix_csv(path) -> np.ndarray:
     """The CSV rules read row by row into a dict of Python numbers: columns i, j, re and an
-    optional im in any order, an empty im 0, blank lines skipped, the last row for a
-    repeated (i, j) kept, and negative or oversized indices an InputError."""
+    optional im in any order, other columns skipped, an empty im 0, blank lines skipped, the
+    last row for a repeated (i, j) kept, and a column named twice, a row whose length is not
+    the header's, and negative or oversized indices an InputError."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         missing = [c for c in ("i", "j", "re") if c not in header]
         if missing:
             raise InputError(f"CSV header {header} has no column {', '.join(missing)}")
+        if len(set(header)) < len(header):
+            raise InputError(f"CSV header {header} names a column twice")
         ci, cj, cr = (header.index(c) for c in ("i", "j", "re"))
         cm = header.index("im") if "im" in header else None
         try:
-            entries = {(int(r[ci]), int(r[cj])):
-                       complex(float(r[cr]), 0.0 if cm is None else float(r[cm] or 0.0))
-                       for r in rows if r}
-        except IndexError:
-            raise InputError(f"line {rows.line_num} of {path} has too few fields") from None
+            entries = {}
+            for r in filter(None, rows):
+                if len(r) != len(header):
+                    raise InputError(f"line {rows.line_num} of {path} has {len(r)} fields")
+                entries[int(r[ci]), int(r[cj])] = complex(
+                    float(r[cr]), 0.0 if cm is None else float(r[cm] or 0.0))
         except ValueError as exc:
             raise InputError(f"line {rows.line_num} of {path}: {exc}") from exc
     if not entries:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -284,6 +285,15 @@ class TestRigidity:
         rows = strict_json(out)["tables"]["section_lower_bounds"]
         assert [row["points"] for row in rows] == [8, 16, 32, 64, 128, 256]
         assert all(0.0 < row["lower_bound"] <= row["upper_bound"] < math.inf for row in rows)
+
+    @pytest.mark.parametrize("spec, n", [("hm-bump:center=5000,width=1000", "3"),
+                                         ("hm-bump:center=9000,width=2000", "8")])
+    def test_bump_far_out_passes(self, spec, n, tmp_path):
+        # the grid ends a decade past the bump, so phi_inf is 0, not a sample inside it
+        out = tmp_path / "far.json"
+        assert main(["rigidity", "--profile", spec, "--n", n, "--p", "10",
+                     "--out", str(out)]) == 0
+        assert {r["verdict"] for r in load_report(out)["records"]} == {"PASS"}
 
     def test_shift_above_minus_one_accepted(self, tmp_path):
         # the rigidity records evaluate the profile on [1.05, 1e4] only
@@ -677,6 +687,17 @@ class TestSchurBound:
         write_matrix_csv(np.ones((3, 3)), path)
         assert main(["schur-bound", "--points", str(path), "--iterations", iterations]) == 2
         assert "--iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("i,j,re\n0,0,1\n0,0,1,5\n", "line 3 of .*: 4 fields where the header has 3"),
+        ("i,j,re,im\n0,0,1,0\n1,1,2\n", "line 3 of .*: 3 fields where the header has 4"),
+        ("i,j,re,re\n0,0,1,5\n", "names column 're' twice")])
+    def test_row_or_header_of_another_length_exit_2(self, text, message, tmp_path, capsys):
+        # 0,0,1,5 under i,j,re is not 1 + 5i, and a second re is not a choice
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["schur-bound", "--points", str(path), "--p", "2"]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_negative_index_exit_code(self, tmp_path):
         path = tmp_path / "neg.csv"

@@ -258,6 +258,13 @@ class TestCoordinateChanges:
                 cf = opnorm_coordinate_derivative(f, j, x)
                 assert cf == pytest.approx(fd, rel=1e-6)
 
+    def test_derivative_past_order_170_is_inf(self):
+        # j! is inf from j = 171: the derivative is inf there, not an exception
+        f = CompositionFrame.create(3, 1.2)
+        x = f.x_min * 1.5
+        assert np.isinf(opnorm_coordinate_derivative(f, 171, x))
+        assert np.isfinite(opnorm_coordinate_derivative(f, 170, f.x_min))
+
     def test_first_derivative_window(self):
         # H' in [1, 2] / (e^{2r} - e^{2s}), exactly
         for r in (0.3, 1.0, 4.0):

@@ -618,3 +618,10 @@ def test_index_sequences():
     for k in range(10):
         assert np.array_equal(lie_derivative(prof, g, basis[5], k), full[:k + 1])
     assert full[0] == family.build_group_symbol()(g)
+
+
+def test_factorials_are_float_products_inf_from_171():
+    fact = taylor.factorials(200)
+    assert fact[:23].tolist() == [float(math.factorial(k)) for k in range(23)]  # exact to 22!
+    assert max(abs(fact[k] / math.factorial(k) - 1.0) for k in range(23, 171)) < 1e-13
+    assert np.all(np.isinf(fact[171:]))

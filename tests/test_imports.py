@@ -1,7 +1,8 @@
 """The CLI path imports no module of the package after `import mcert.cli`,
 never scipy or numpy.ma, every module imports with scipy blocked, the Schur layer loads
 no package module but `errors`, one process can run `main` many times, no record is
-given its verdict, and the CLI front end imports no numpy."""
+given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
+public API is set by the package, an acceptance line, a command row or the benchmark."""
 
 import ast
 import json
@@ -140,3 +141,57 @@ def test_records_take_no_verdict_and_cli_imports_no_numpy():
     names |= {node.module for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert "numpy" not in {name.split(".")[0] for name in names}, names
+
+
+def defaulted_parameters(tree):
+    """(name, index, parameter) per defaulted parameter of each function in ``__all__`` and each
+    public method of a class in it; index counts the positional parameters after self or cls,
+    and is None for a keyword-only one."""
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            functions.append((node, 0))
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            functions += [(item, 1) for item in node.body if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")
+                          and "staticmethod" not in {getattr(d, "id", None)
+                                                     for d in item.decorator_list}]
+    for fn, bound in functions:
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for i, arg in enumerate(args[first:], first):
+            yield fn.name, i - bound, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, None, arg.arg
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no pipeline, acceptance line, command row or benchmark job sets is a
+    # knob only a unit test turns: it goes, and its value becomes the code's
+    root = Path(mcert.__file__).resolve().parents[2]
+    package = root / "src" / "mcert"
+    callers = [*package.glob("*.py"), root / "tests" / "test_acceptance.py",
+               root / "tests" / "commands.py", *(root / "perfbench").rglob("*.py")]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, index, parameter):
+        if any(kw.arg in (parameter, None) for kw in call.keywords):  # None: **kwargs
+            return True
+        positional = call.args
+        return index is not None and (len(positional) > index or any(
+            isinstance(a, ast.Starred) for a in positional))
+
+    unset = [f"{path.stem}.{name}({parameter})" for path in sorted(package.glob("*.py"))
+             for name, index, parameter in defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(passed(call, index, parameter) for call in calls.get(name, []))]
+    assert unset == []

@@ -879,6 +879,27 @@ class TestRigidityWitness:
         limit = {r.name: r for r in records}["limit-existence"]
         assert limit.verdict == "INCONCLUSIVE" and math.isnan(limit.measured)
 
+    def test_orders_past_170_return_records(self):
+        # [alpha] = 399 at n = 1000, p = 10, and k! is inf from k = 171: the envelopes
+        # past the float range are INCONCLUSIVE records, not an exception
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        records, ex = profile_rigidity_records(prof, 1000, 10.0)
+        verdicts = {r.name: r.verdict for r in records}
+        assert math.floor(ex.alpha) == 399 and len(records) == 402
+        assert verdicts["derivative-c171"] == verdicts["derivative-c399"] == "INCONCLUSIVE"
+        assert verdicts["limit-existence"] == "PASS"
+
+    @pytest.mark.parametrize("spec, x_end", [("hm-bump:center=5000,width=1000", 6e4),
+                                             ("hm-bump:center=9000,width=2000", 1.1e5),
+                                             ("hm-bump:center=1.5,width=0.4", 1e4),
+                                             ("radial-power:exponent=5", 1e4)])
+    def test_grid_ends_a_decade_past_the_profile_scale(self, spec, x_end):
+        # phi_inf is read at X = max(1e4, 10 scale), outside a bump that ends at its scale
+        prof = SymbolFamily.parse(spec).build_profile()
+        records, _ = profile_rigidity_records(prof, 3, 10.0)
+        limit = {r.name: r for r in records}["limit-existence"]
+        assert limit.details["phi_inf"] == float(prof(np.array([x_end]))[0])
+
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         res = rigidity_witness(prof, 3, 10.0, mode="opnorm", point_sets=(8, 16), seed=0)

@@ -419,12 +419,6 @@ class TestAveragingOperator:
         got = averaging_operator(1.0, f, self.pts)
         assert np.abs(got - f(self.pts)).max() <= 1e-13
 
-    def test_coarse_grid_flagged(self):
-        from mcert.errors import AccuracyError
-        f = lambda y: eigenvalue_table(3, np.clip(y[..., 2], -1, 1), 12)[12]
-        with pytest.raises(AccuracyError):
-            averaging_operator(0.3, f, self.pts, circle_nodes=10, check_tol=1e-10)
-
     def test_eigensystem_table(self):
         xs = np.linspace(-0.9, 0.9, 5)
         table = eigenvalue_table(3, xs, 12)

@@ -177,6 +177,8 @@ class TestCsvInterfaces:
         "i,j,re,im\n0,0,1,0\n1,1\n",  # a short row
         "i,j,re,im\n0,0,1,0\n1,1,2\n",  # a row without its im field
         "i,re,im\n0,1,0\n",  # no j column
+        "i,j,re,re\n0,0,1,5\n",  # a column named twice
+        "i,j,re,note,note\n0,0,1,x,y\n",
         "j,i,im\n0,0,1\n",  # no re column
         "",  # no header
         "i,j,re,im\n\n",  # no data rows
@@ -210,6 +212,8 @@ class TestCsvInterfaces:
         ("i,j,re,im\n0,0,1,0\n\n\n1,abc,2,0\n0,0,1,0\n", 5),
         ("i,j,re,im\n0,0,1,0\n1,1,2,x\n", 3),
         ("re,j,i\n1,0,0\n1,0\n", 3),
+        ("i,j,re\n0,0,1,5\n", 2),  # not 1 + 5i
+        ("i,j,re,note\n0,0,1,x\n1,1,2\n", 3),
     ])
     def test_malformed_row_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
@@ -229,7 +233,7 @@ _BAD_TOKENS = st.sampled_from(["abc", "1.5", "1e3", "", "1.5e", "-1"])  # -1: a 
 def _matrix_csv_text(draw):
     """A long-format matrix CSV with the reader's edge cases: shuffled header columns, an
     optional im column, an extra text column, duplicate (i, j), blank lines, quoted
-    fields, empty im fields and, now and then, a bad token or a short row."""
+    fields, empty im fields and, now and then, a bad token, a short row or a long one."""
     columns = draw(st.permutations(["i", "j", "re"] + draw(st.sampled_from(
         [[], ["im"], ["im", "note"], ["note"]]))))
     tokens = {"i": _INDEX_TOKENS, "j": _INDEX_TOKENS, "re": _VALUE_TOKENS,
@@ -245,6 +249,8 @@ def _matrix_csv_text(draw):
             row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_TOKENS)
         elif fault == 1:
             row = row[:draw(st.integers(1, len(row) - 1))]
+        elif fault == 2:
+            row.append(draw(tokens["note"]))
         buf = io.StringIO()
         csv.writer(buf, quoting=csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL,
                    lineterminator="").writerow(row)
