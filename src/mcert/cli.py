@@ -2,8 +2,9 @@
 
 The reports are built, and their inputs checked, in the library modules: ``certify-hm``
 and ``geometry`` in ``geometry``, ``rigidity`` in ``rigidity``, ``sphere-spectrum`` in
-``sphere``, and ``schur-bound`` here, because ``schur`` imports no report.  Exit codes:
-0 every record passes, 1 any fails or is inconclusive, 2 input error, 3 accuracy error.
+``sphere``, and ``schur-bound`` here, because ``schur`` imports no report; this module
+checks only ``--seed`` and ``--format csv``.  Exit codes: 0 every record passes, 1 any
+fails or is inconclusive, 2 input error, 3 accuracy error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .symbols import SymbolFamily, read_matrix_csv
 __all__ = ["main"]
 
 
-def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> CertificationReport:
+def cmd_schur_bound(matrix, p: float, seed: int, iterations: int) -> CertificationReport:
     """The bracket of :func:`schur.schur_norm_lower_bound` for a sampled symbol
     matrix: its lower bound and its certified upper bound, the Frobenius bound or,
     for a square matrix, the smaller of it and the circulant bound, interpolated;
@@ -34,7 +35,6 @@ def cmd_schur_bound(matrix, p: float, seed: int = 0, iterations: int = 60) -> Ce
     The lower bound is cross-checked against the upper bound, within a 1e-8
     relative tolerance that covers the rounding of the optimizer's ratio.
     Zero iterations give the sup-entry floor."""
-    check_count("--iterations", iterations, 0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(matrix)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_count
 
 __all__ = [
     "DerivativeJet",
@@ -54,8 +54,8 @@ class DerivativeJet:
 
 def bell_polynomial(k: int, j: int, z) -> float:
     """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1})."""
-    if not (1 <= j <= k):
-        raise InputError("need 1 <= j <= k")
+    check_count("k", k, 1)
+    check_count("j", j, 1, k)
     z = [float(v) for v in z]
     if len(z) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(z)}")
@@ -75,10 +75,11 @@ def bell_polynomial(k: int, j: int, z) -> float:
     return get(k, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
 def bell_coefficient_mass(k: int) -> int:
     """Total coefficient mass sum_j B_{k,j}(1, ..., 1), the Bell number B_k, exact in
     integers by B_{m+1} = sum_i C(m, i) B_i."""
+    check_count("k", k, 0)
     bell = [1]
     for m in range(k):
         bell.append(sum(math.comb(m, i) * b for i, b in enumerate(bell)))
@@ -91,8 +92,7 @@ def faa_di_bruno(f_jet: DerivativeJet, phi_jet: DerivativeJet, k: int) -> float:
     ``f_jet`` holds derivatives of the outer function at the inner value;
     ``phi_jet`` holds derivatives of the inner function at the point.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_count("k", k, 1)
     if f_jet.order < k or phi_jet.order < k:
         raise InputError(f"jets must have order >= {k}")
     total = 0.0
@@ -107,8 +107,7 @@ def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
     C_k is the exact Bell coefficient mass of row k, so the bound can
     never be violated by the exact composition formula.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_count("k", k, 1)
     sups = [abs(float(v)) for v in phi_jet_sups]
     if len(sups) < k:
         raise InputError(f"need sups of orders 1..{k}")
@@ -130,6 +129,7 @@ def shear_operator_norm(x):
 
 def rotation_matrix(n: int, delta: float) -> np.ndarray:
     """Rotation by arccos(delta) in the first two coordinates of R^n."""
+    check_count("n", n, 2)
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
     k = np.eye(n)
@@ -151,8 +151,7 @@ class CompositionFrame:
 
     @classmethod
     def create(cls, n: int, r: float) -> "CompositionFrame":
-        if n < 3:
-            raise InputError("n must be >= 3")
+        check_count("n", n, 3)
         if not (r > 0):
             raise DomainError("r must be positive")
         # -r / (n - 1) rounds differently, and the section reports carry these bits
@@ -217,8 +216,7 @@ def opnorm_coordinate(frame: CompositionFrame, x) -> np.ndarray:
 
 def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarray:
     """Closed-form j-th derivative of :func:`opnorm_coordinate`."""
-    if j < 1:
-        raise InputError("derivative order must be >= 1")
+    check_count("j", j, 1)
     x = _check_window(x, frame.x_min, frame.x_max)
     e2r, e2s = math.exp(2.0 * frame.r), math.exp(2.0 * frame.s)
     if j == 1:
@@ -247,6 +245,7 @@ def so_n1_trace_coefficients(n: int, r: float):
     a = 4 sinh^4 r, b = 2 sinh^2(2r), c = n - 3 + 4 cosh^4 r; returns
     (a, b, c, g) where g inverts the quadratic on [c, a + b + c].
     """
+    check_count("n", n, 2)
     if not (r > 0):
         raise DomainError("r must be positive")
     a = 4.0 * math.sinh(r) ** 4
@@ -263,6 +262,7 @@ def so_n1_trace_coefficients(n: int, r: float):
 def so_n1_embedded_matrix(n: int, r: float, delta: float) -> np.ndarray:
     """(n+1) x (n+1) product D(r) diag(k_delta, 1) D(r) in the Lorentz
     group, D(r) the standard one-parameter boost."""
+    check_count("n", n, 2)
     d = np.eye(n + 1)
     d[0, 0] = d[n, n] = math.cosh(r)
     d[0, n] = d[n, 0] = math.sinh(r)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError
+from .errors import AccuracyError, DomainError, InputError, check_count
 from .symbols import EuclideanSymbol
 
 __all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition_value",
@@ -58,8 +58,7 @@ def lp_partition_value(p: DyadicPartition, j: int, xi):
 
 def sigma_partition_value(p: DyadicPartition, n_width: int, j: int, xi):
     """Averaged plateau sigma_j = (sum of phi_k^2, k = j-N..j+N) / (2N+1)."""
-    if n_width < 1:
-        raise InputError("plateau width must be >= 1")
+    check_count("n_width", n_width, 1)
     r = _radius(xi)
     # telescoping: sum of phi_k^2 over k in [a, b] = eta(2^-b r) - eta(2^{1-a} r)
     total = p.eta(np.ldexp(r, -(j + n_width))) - p.eta(np.ldexp(r, 1 - (j - n_width)))
@@ -89,8 +88,7 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie strictly inside (0, 1)")
-    if d < 1:
-        raise InputError("dimension must be >= 1")
+    check_count("d", d, 1)
     surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     radial = math.pi / (2.0 * math.gamma(1.0 + 2.0 * eps) * math.sin(math.pi * eps))
     return 2.0 * surface * (2.0 * math.pi) ** (2.0 * eps) * radial * _cosine_moment(d, eps)
@@ -116,8 +114,10 @@ class GridSpec:
     box_points: int = 256
 
     def __post_init__(self):
-        if self.box_points < 8 or self.box_halfwidth <= 0:
-            raise InputError("grid needs at least 8 points per axis and a positive box")
+        check_count("d", self.d, 1)
+        check_count("box_points", self.box_points, 8)
+        if self.box_halfwidth <= 0:
+            raise InputError("grid needs a positive box")
 
     @classmethod
     def default(cls, d: int, box_halfwidth: float = 8.0, box_points: int = 256) -> "GridSpec":
@@ -235,6 +235,8 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     exact for band-limited periodic symbols and spectrally accurate for
     smooth ones.
     """
+    check_count("d1", d1, 1)
+    check_count("d2", d2, 1)
     d, size = d1 + d2, 32
     pts = np.stack(np.meshgrid(*[(np.arange(size) + 0.5) / size] * d, indexing="ij"), axis=-1)
     vals = np.asarray(s(pts[..., :d1], pts[..., d1:]), dtype=complex)

@@ -78,6 +78,7 @@ class GroupElement:
 
 
 def identity(n: int) -> GroupElement:
+    check_count("n", n, 2)
     return GroupElement(np.eye(n))
 
 
@@ -115,11 +116,12 @@ def dist_to_identity(mats):
 # Lie algebra basis and derivatives
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def lie_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y), read-only,
     shaped (n^2 - 1, n, n): the E_ij (i != j) in row-major order, then the diagonal
     (E_11 + ... + E_kk - k E_{k+1,k+1}) / sqrt(k (k + 1)) for k = 1..n-1."""
+    check_count("n", n, 2)
     mats = []
     for i in range(n):
         for j in range(n):
@@ -170,6 +172,7 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     ``phi.of`` takes and returns jets of (N,) arrays; another shape is an InputError,
     and a non-finite derivative a NumericError.
     """
+    check_count("order", order, 0)
     flat = g.entries.reshape(-1, g.n, g.n)
     with np.errstate(all="ignore"):
         jet = phi.of(_dist_jet(flat, np.asarray(x, dtype=float), order))
@@ -231,8 +234,8 @@ def weyl_ball_volume(n: int, r):
     radius or an array of radii, both of r's shape.  The volume is the series over the orders
     m >= N (the lower ones cancel over w), up to the first block of 8 orders ending in a term
     bound sum |w| max|y|^m / m! at most 1e-17 of the radius's sum, so a radius has the same
-    bits alone as in a list.  r must be positive and finite (DomainError); a volume past the
-    float range is a RangeError.
+    bits alone as in a list.  n, ``geometry --n``, takes 2 to 5 (InputError); r must be
+    positive and finite (DomainError); a volume past the float range is a RangeError.
 
     The recurrence e_j(m) = (e_{j-1}(m) + y_j e_j(m - 1)) / (m + j) advances along
     anti-diagonals: after a ramp of d - 1 partial steps level j is held at order m + d - j,
@@ -242,8 +245,7 @@ def weyl_ball_volume(n: int, r):
     The truncation bound on the dropped tail is the geometric series of term bounds past the
     last order m, T q / (1 - q) with q = max|y| / (m + 1) < 1, scaled like the volume; at most
     about 1e-17 of it."""
-    if n < 2 or n > 5:
-        raise InputError("n must be in {2, ..., 5}")
+    check_count("--n", n, 2, 5)
     r = np.asarray(r, dtype=float)
     if not np.all((0 < r) & (r < math.inf)):
         raise DomainError("radius must be positive and finite")
@@ -323,6 +325,8 @@ def haar_so(n: int, size: int, rng) -> np.ndarray:
     QR orthogonalization of Gaussian matrices with the positive-diagonal
     sign correction, then a last-column flip onto determinant +1.
     """
+    check_count("n", n, 1)
+    check_count("size", size, 0)
     a = rng.standard_normal((size, n, n))
     q, r = np.linalg.qr(a)
     d = np.sign(np.einsum("sii->si", r))
@@ -342,8 +346,8 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
     """
     if g.entries.ndim != 2:
         raise InputError(f"expected one matrix, got a stack of shape {g.entries.shape}")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     n = g.n
     rng = np.random.default_rng(seed)
     expo = np.arange(n - 1, -n, -2, dtype=float)  # n + 1 - 2i, i = 1..n

@@ -115,14 +115,15 @@ class WitnessResult:
     upper_bounds: list
     exponents: RigidityExponents
     iterations: int  # circulant power-method steps over all sections
+    sizes: list  # the section sizes 8 * 2^i
 
 
-def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16, 32, 64),
+def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4,
                      mode: str = "hs", seed: int = 0) -> WitnessResult:
     """Classify a radial profile against the rigidity inequalities.
 
-    Finite sections are sampled along diagonal-conjugated rotation
-    orbits at growing angular resolutions; their multiplier lower bounds
+    ``sections`` finite sections, of 8 * 2^i points for i < sections, are sampled along
+    diagonal-conjugated rotation orbits; their multiplier lower bounds
     must stay bounded for a profile consistent with S_p-boundedness.
     Each section is a circulant symbol (equispaced angles), held as its
     first column c_k = profile(x(cos 2 pi k / N)) and bracketed by
@@ -133,21 +134,21 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
     upper bound over the radii, and ``iterations`` the power-method steps.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
-    bounds keep growing; INCONCLUSIVE otherwise.  Sizes that do not grow, or fewer
-    than two, which the growth record cannot compare, and a negative seed are InputErrors.
+    bounds keep growing; INCONCLUSIVE otherwise.  Fewer than two sections, which the
+    growth record cannot compare, more than _MAX_SECTIONS and a negative seed are
+    InputErrors, named by their ``rigidity`` flags.
     """
     if mode not in ("hs", "opnorm"):
         raise InputError("mode must be 'hs' or 'opnorm'")
-    if len(point_sets) < 2 or any(a >= b for a, b in zip(point_sets, point_sets[1:])):
-        raise InputError(f"the section growth compares growing sizes: point_sets "
-                         f"{tuple(point_sets)} are not two or more increasing sizes")
+    check_count("--sections", sections, 2, _MAX_SECTIONS)
     check_count("--seed", seed, 0)
+    sizes = [8 * 2 ** i for i in range(sections)]
     records, ex = profile_rigidity_records(profile, n, p)
 
     frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
     lower_bounds, upper_bounds, iterations = [], [], 0
     best = [None] * len(frames)  # per frame: the best first column at the previous size
-    for n_points in point_sets:
+    for n_points in sizes:
         delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
         results = []
         for i, frame in enumerate(frames):
@@ -178,13 +179,13 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, point_sets=(8, 16
         details={"lower_bounds": [float(v) for v in lower_bounds],
                  "increments": [float(v) for v in increments],
                  "persistence": float(persistence),
-                 "sizes": list(point_sets), "mode": mode},
+                 "sizes": sizes, "mode": mode},
     ))
 
     classification = {PASS: CONSISTENT, FAIL: VIOLATED}.get(worst_verdict(records), INCONCLUSIVE)
     return WitnessResult(classification=classification, records=records,
                          lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
-                         iterations=iterations)
+                         iterations=iterations, sizes=sizes)
 
 
 def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
@@ -204,12 +205,11 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
     rep = CertificationReport(command="rigidity")
     if sections:
         rep.seeds["sections"] = seed
-        sizes = tuple(8 * 2 ** i for i in range(sections))
-        wit = rigidity_witness(profile, n, p, point_sets=sizes, mode=mode, seed=seed)
+        wit = rigidity_witness(profile, n, p, sections=sections, mode=mode, seed=seed)
         records, ex = wit.records, wit.exponents
         rep.add_table("section_lower_bounds", [
             {"points": s, "lower_bound": lo, "upper_bound": hi}
-            for s, lo, hi in zip(sizes, wit.lower_bounds, wit.upper_bounds)])
+            for s, lo, hi in zip(wit.sizes, wit.lower_bounds, wit.upper_bounds)])
         rep.tables["classification"] = [{"classification": wit.classification}]
     else:
         records, ex = profile_rigidity_records(profile, n, p)

@@ -243,8 +243,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     reproject) from the conjugate-phase matrix, _RANDOM_STARTS seeded Gaussians, each
     drawn when the search reaches it, and any caller-provided starts, each finite and of
     M's shape (else InputError).  The maximum over indexed starts is deterministic for a
-    fixed seed.  ``iterations`` caps the steps of each start; at 0 or below no start runs and
-    the sup-entry floor is returned.  The peak matrix unit E_ij certifies that floor and
+    fixed seed.  ``iterations`` caps the steps of each start; at 0 no start runs and the
+    sup-entry floor is returned.  The peak matrix unit E_ij certifies that floor and
     is not run: at every p it is a fixed point of the alternating map, since M o E_ij =
     M_ij E_ij and its dual element and reprojection are phase multiples of E_ij, so its
     steps could only restate the floor.
@@ -272,8 +272,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     M / 2^e and scaled back; an ``upper`` past the largest float is a RangeError.
     """
     check_count("--seed", seed, 0)
-    if not (p >= 1.0):
-        raise InputError("p must lie in [1, infinity]")
+    check_count("--iterations", iterations, 0)
     m = _multiplier(m)
     sym = m.symbol
     extra_starts = [np.asarray(start, dtype=complex) for start in extra_starts]
@@ -295,7 +294,7 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         return SchurLowerBound(value, best_a, upper, start, iteration, value >= target,
                                steps, allowance)
 
-    if best[0] >= target or iterations <= 0:
+    if best[0] >= target or iterations == 0:
         return result()
 
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
@@ -627,11 +626,15 @@ def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
     computed a is within 3u relative (two roundings in p', one in the
     quotient), which moves t^a by at most the factor exp(3u |ln t|); the
     modulus, t, the power (libm pow is within one ulp) and the product add
-    at most 5u.  The factor 1 + (16 + 3 |ln t|) u covers them all.
+    at most 5u.  The factor 1 + (16 + 3 |ln t|) u covers them all.  A p outside
+    [1, infinity], or a U (inf allowed) below the sup entry, which bounds no M, is an InputError.
     """
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
-    return _interpolated(schur_norm_exact_p2(m), p, upper_inf)
+    sup = schur_norm_exact_p2(m)
+    if not upper_inf >= sup:
+        raise InputError(f"upper_inf must be at least the sup entry {sup!r}, got {upper_inf!r}")
+    return _interpolated(sup, p, upper_inf)
 
 
 def _interpolated(sup: float, p: float, upper_inf: float) -> float:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, RangeError
+from .errors import AccuracyError, DomainError, InputError, RangeError, check_count
 from .report import CROSS_CHECK, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
@@ -35,12 +35,11 @@ _FACTORIAL_BOUND = 200_000
 _MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(nodes^3)
 
 
-def _check_nk(n: int, k: int, x=0.0) -> np.ndarray:
-    """x as floats: n >= 3 and k >= 0 (InputError), every x in [-1, 1] (DomainError)."""
-    if n < 3:
-        raise InputError("sphere dimension parameter n must be >= 3")
-    if k < 0:
-        raise InputError("degree k must be >= 0")
+def _check_nk(n: int, k: int, x=0.0, k_name: str = "k") -> np.ndarray:
+    """x as floats: n >= 3 and the degree k >= 0 (InputError, named ``k_name``), every x in
+    [-1, 1] (DomainError)."""
+    check_count("n", n, 3)
+    check_count(k_name, k, 0)
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
         raise DomainError("argument outside [-1, 1]")
@@ -125,7 +124,7 @@ def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) 
 def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
     """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
     k_cap >= 0 (InputError), every x in [-1, 1] (DomainError)."""
-    return _eigenvalue_table(n, _check_nk(n, k_cap, x), k_cap)
+    return _eigenvalue_table(n, _check_nk(n, k_cap, x, "k_cap"), k_cap)
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
@@ -143,7 +142,7 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
     max(64, 2 k_cap + n + 8) nodes serves every degree and both integrals (the weight
     sharpens with n; above _MAX_RULE nodes a RangeError), and the powers are one running
     product.  An imaginary part above 1e-12 is an AccuracyError."""
-    x = _check_nk(n, k_cap, x)
+    x = _check_nk(n, k_cap, x, "k_cap")
     nodes = max(64, 2 * k_cap + n + 8)
     if nodes > _MAX_RULE:
         raise RangeError(f"the quadrature at n = {n} needs {nodes} > {_MAX_RULE} nodes")
@@ -187,8 +186,7 @@ class RigidityExponents:
 
     @classmethod
     def compute(cls, n: int, p: float) -> "RigidityExponents":
-        if n < 3:
-            raise InputError("n must be >= 3")
+        check_count("n", n, 3)
         if not (p > 2.0 + 2.0 / (n - 2)):
             raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}")
         alpha0 = _alpha0(n, p)
@@ -281,13 +279,6 @@ def _alpha0(n: int, p: float) -> float:
     return (n - 2) / 2.0 - (n - 1) / p
 
 
-def _check_sum_args(p: float, order: float) -> None:
-    if not (1.0 <= p < math.inf):
-        raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
-    if not order >= 0:
-        raise InputError(f"derivative order must be >= 0, got {order}")
-
-
 def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
                     k_cap: int) -> tuple[float, float]:
     """(value, err): the 1/p power of a sum of p-th-power terms over degrees
@@ -303,10 +294,10 @@ def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
 
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
                             k_start: int = 64) -> SchattenSumResult:
-    """Schatten p-sum of the r-th derivative spectrum with certified tail, for
-    |x| <= _INTERIOR (DomainError), k_start >= 1 (InputError) and a truncation of at
-    most _K_MAX degrees (AccuracyError); a tail constant past the float range is a
-    RangeError.
+    """Schatten p-sum of the r-th derivative spectrum with certified tail, for n >= 3,
+    r >= 0, k_start >= 1 and a finite p >= 1 (InputError), |x| <= _INTERIOR (DomainError)
+    and a truncation of at most _K_MAX degrees (AccuracyError); a tail constant past the
+    float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
@@ -319,11 +310,13 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     formed once, when its degree first appears, and each doubling sums all terms with
     one np.sum, in the order of a one-shot sum over degrees 0..k_cap.
     """
-    _check_sum_args(p, r)
+    check_count("n", n, 3)
+    check_count("r", r, 0)
+    check_count("k_start", k_start, 1)  # the truncation doubles from k_start
+    if not (1.0 <= p < math.inf):
+        raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
     if not abs(x) <= _INTERIOR:  # NaN included
         raise DomainError(f"|x| must be <= {_INTERIOR}")
-    if k_start < 1:  # the truncation doubles from k_start
-        raise InputError(f"k_start must be >= 1, got {k_start}")
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
         return SchattenSumResult(value=None, diverged=True)
@@ -357,7 +350,11 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
     1e-10, and per x the Schatten p-sum of the r-th derivative spectrum, a value that is
     INCONCLUSIVE, written as null, where the sum diverges.  Columns and records are
     labelled by x in ``:g`` format, so two x with one label are an InputError, as is
-    an empty x list."""
+    an empty x list.  n, r and k_max are checked first, each an InputError named by its
+    ``sphere-spectrum`` flag."""
+    check_count("--n", n, 3)
+    check_count("--r", r, 0)
+    check_count("--kmax", k_max, 0)
     rep = CertificationReport(command="sphere-spectrum")
     xs = np.asarray(list(x_list), dtype=float)
     if xs.size == 0:
@@ -415,6 +412,7 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     Uniform midpoint quadrature on the latitude circle (spectrally
     accurate for smooth f).
     """
+    check_count("circle_nodes", circle_nodes, 1)
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
     points = np.atleast_2d(np.asarray(points, dtype=float))

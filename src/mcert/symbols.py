@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import taylor
-from .errors import InputError
+from .errors import InputError, check_count
 from .geometry import GroupElement, dist_to_identity
 
 __all__ = [
@@ -79,6 +79,7 @@ class RadialProfile:
     scale: float = 1.0
 
     def jet(self, x, order: int) -> list:
+        check_count("order", order, 0)
         return self.of(taylor.variable(np.asarray(x, dtype=float), order))
 
     def __call__(self, x):

@@ -133,6 +133,11 @@ ROWS = (
             "two --x values that share one 6-digit label are an input error"),
     Command(2, "schur-bound --points big.csv --p 2 --out big.json", (),
             "a symbol matrix whose every Schur bound passes the float range is an input error"),
+    Command(2, "schur-bound --points matrix.csv --iterations -1", (),
+            "a negative iteration cap is an input error, which the optimizer itself raises"),
+    Command(2, "sphere-spectrum --n 2 --x 0.5", (),
+            "--n takes 3 or more, checked by the report builder before any table"),
+    Command(2, "geometry --n 6 --R 2 3 4", (), "the exact chamber series is tabulated to n = 5"),
     Command(1, "rigidity --profile radial-power:exponent=-232 --n 5 --p 6 --sections 6 "
             "--mode opnorm --out over.json", ("over.json",), "a section whose Frobenius bound "
             "overflows keeps its finite circulant bound: INCONCLUSIVE"),

@@ -263,7 +263,7 @@ class TestSvdCount:
     def test_schur_bound_at_p2_makes_no_svd(self, svd_calls):
         rng = np.random.default_rng(32)
         m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-        rep = cmd_schur_bound(m, 2.0, iterations=10)
+        rep = cmd_schur_bound(m, 2.0, seed=0, iterations=10)
         assert len(svd_calls) == 0
         row = rep.tables["bound"][0]
         assert row["lower_bound"] == row["sup_entry"] == np.abs(m).max()
@@ -325,6 +325,14 @@ class TestInterpolatedBound:
     def test_rejects_exponent_outside_range(self, p):
         with pytest.raises(InputError):
             interpolated_schur_bound(np.ones((2, 2)), p, 2.0)
+
+    @pytest.mark.parametrize("upper", [-1.0, math.nan, 0.5])
+    def test_rejects_a_bound_below_the_sup_entry(self, upper):
+        # no certified bound of a Schur multiplier lies below its S_2 norm, the sup entry
+        with pytest.raises(InputError, match="^upper_inf must be at least the sup entry 1.0, "):
+            interpolated_schur_bound(np.ones((3, 3)), 4.0, upper)
+        assert interpolated_schur_bound(np.ones((3, 3)), 4.0, math.inf) == math.inf
+        assert interpolated_schur_bound(np.ones((3, 3)), 4.0, 1.0) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,9 +633,14 @@ class TestHaagerupCertificate:
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_no_iterations_take_no_certificate_step(self, iterations, svd_calls):
-        # a negative cap runs no start either: the steps end only at the cap or a stall
+        # a negative cap is an input error, found before any start runs
         rng = np.random.default_rng(7)
         m = rng.standard_normal((16, 16))
+        if iterations < 0:
+            with pytest.raises(InputError, match="^--iterations must be >= 0, got -1$"):
+                schur_norm_lower_bound(m, math.inf, iterations=iterations)
+            assert len(svd_calls) == 0
+            return
         res = schur_norm_lower_bound(m, math.inf, iterations=iterations)
         assert res.value == np.abs(m).max() and res.certificate_steps == 0
         assert not res.bracket_closed and len(svd_calls) == 0
@@ -767,17 +780,19 @@ class TestRigidityWitness:
 
     def test_certified_sections_make_no_svd(self, svd_calls):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
-        res = rigidity_witness(prof, 8, 10.0, point_sets=(8, 16, 32, 64, 128), seed=0)
+        res = rigidity_witness(prof, 8, 10.0, sections=5, seed=0)
         assert len(svd_calls) == 0
         for lo, hi in zip(res.lower_bounds, res.upper_bounds):
             assert lo <= hi <= lo * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("sizes", [(), (8,), (8, 8), (16, 8)])
-    def test_sizes_that_do_not_grow_are_input_error(self, sizes):
-        # the growth record would compare nothing, or a section with itself, and pass
+    @pytest.mark.parametrize("sections, message", [
+        (0, "--sections must be >= 2, got 0"), (1, "--sections must be >= 2, got 1"),
+        (-1, "--sections must be >= 2, got -1"), (9, "--sections must be <= 8, got 9")])
+    def test_sizes_that_do_not_grow_are_input_error(self, sections, message):
+        # fewer than two sections leave the growth record nothing to compare
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
-        with pytest.raises(InputError, match="two or more increasing sizes"):
-            rigidity_witness(prof, 3, 10.0, point_sets=sizes)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            rigidity_witness(prof, 3, 10.0, sections=sections)
 
     def test_power_profile_against_own_rank(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
@@ -786,7 +801,7 @@ class TestRigidityWitness:
 
     def test_power_profile_against_high_rank(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
-        res = rigidity_witness(prof, 16, 100.0, point_sets=(8, 16), seed=0)
+        res = rigidity_witness(prof, 16, 100.0, sections=2, seed=0)
         assert res.classification == VIOLATED
         failed = {r.name for r in res.records if r.verdict == "FAIL"}
         assert "decay-c0" in failed
@@ -808,15 +823,14 @@ class TestRigidityWitness:
                                          ("hm-bump:center=1.5,width=0.4", 16), ("jump", 5)])
     def test_sections_reach_the_dense_optimizer(self, spec, n):
         profile = JUMP if spec == "jump" else SymbolFamily.parse(spec).build_profile()
-        sizes = (8, 16, 32, 64)
-        rows = rigidity_witness(profile, n, 10.0, point_sets=sizes, seed=0).lower_bounds
-        for got, dense in zip(rows, dense_section_rows(profile, n, 10.0, sizes)):
+        rows = rigidity_witness(profile, n, 10.0, sections=4, seed=0).lower_bounds
+        for got, dense in zip(rows, dense_section_rows(profile, n, 10.0, (8, 16, 32, 64))):
             assert got >= dense * (1.0 - 1e-12)
         assert rows == sorted(rows)
 
     def test_bump_sections_to_256_points(self):
         bump = SymbolFamily.parse("hm-bump").build_profile()
-        res = rigidity_witness(bump, 8, 10.0, point_sets=(8, 16, 32, 64, 128, 256), seed=0)
+        res = rigidity_witness(bump, 8, 10.0, sections=6, seed=0)
         assert res.lower_bounds[-1] >= 0.90258  # the dense optimizer reached 0.902265
         assert res.lower_bounds == sorted(res.lower_bounds)
         assert all(lo < hi for lo, hi in zip(res.lower_bounds[1:], res.upper_bounds[1:]))
@@ -827,7 +841,7 @@ class TestRigidityWitness:
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         tracemalloc.start()
         try:
-            rigidity_witness(prof, 8, 10.0, point_sets=tuple(8 * 2 ** i for i in range(8)))
+            rigidity_witness(prof, 8, 10.0, sections=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -902,7 +916,7 @@ class TestRigidityWitness:
 
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
-        res = rigidity_witness(prof, 3, 10.0, mode="opnorm", point_sets=(8, 16), seed=0)
+        res = rigidity_witness(prof, 3, 10.0, mode="opnorm", sections=2, seed=0)
         assert res.classification == CONSISTENT
 
 
