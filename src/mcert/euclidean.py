@@ -49,19 +49,28 @@ def _radius(xi):
     return np.linalg.norm(xi, axis=-1)
 
 
+_J_RANGE = (-1074, 1023)  # the band indices j at which 2^j is a finite positive float
+
+
 def lp_partition_value(p: DyadicPartition, j: int, xi):
-    """phi_j(xi) = (eta(2^-j xi) - eta(2^{1-j} xi))^{1/2}."""
+    """phi_j(xi) = (eta(2^-j xi) - eta(2^{1-j} xi))^{1/2}, for an integer j in _J_RANGE
+    (InputError)."""
+    check_count("j", j, *_J_RANGE)
     r = _radius(xi)
-    val = p.eta(np.ldexp(r, -j)) - p.eta(np.ldexp(r, 1 - j))
+    with np.errstate(over="ignore"):  # 2^-j r past the float range is inf, where eta is 0
+        val = p.eta(np.ldexp(r, -j)) - p.eta(np.ldexp(r, 1 - j))
     return np.sqrt(np.maximum(val, 0.0))
 
 
 def sigma_partition_value(p: DyadicPartition, n_width: int, j: int, xi):
-    """Averaged plateau sigma_j = (sum of phi_k^2, k = j-N..j+N) / (2N+1)."""
+    """Averaged plateau sigma_j = (sum of phi_k^2, k = j-N..j+N) / (2N+1), for N = n_width
+    >= 1 and an integer j in _J_RANGE (InputError)."""
     check_count("n_width", n_width, 1)
+    check_count("j", j, *_J_RANGE)
     r = _radius(xi)
     # telescoping: sum of phi_k^2 over k in [a, b] = eta(2^-b r) - eta(2^{1-a} r)
-    total = p.eta(np.ldexp(r, -(j + n_width))) - p.eta(np.ldexp(r, 1 - (j - n_width)))
+    with np.errstate(over="ignore"):  # as in lp_partition_value
+        total = p.eta(np.ldexp(r, -(j + n_width))) - p.eta(np.ldexp(r, 1 - (j - n_width)))
     return np.maximum(total, 0.0) / (2 * n_width + 1)
 
 
@@ -225,6 +234,12 @@ class SchurUpperBound:
     fourier_l1: float
 
 
+# The grid, its coordinates, Fourier coefficients and weights hold about 112 bytes per
+# sample, 32^(d1 + d2) samples: 117 MB at d1 + d2 = 4 and 3.8 GB at 5, so the dimension
+# stops at 4, within a memory budget of 128 MB.
+_MAX_CUBE_DIM = 4
+
+
 def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     """Upper bound for the sup-norm Schur multiplier of S on the unit cubes
     Q1 = [0, 1]^d1 and Q2 = [0, 1]^d2.
@@ -233,10 +248,12 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     Samples sit on the midpoint tensor grid with 32 points per axis;
     derivatives and L2 norms come from the discrete Fourier side, which is
     exact for band-limited periodic symbols and spectrally accurate for
-    smooth ones.
+    smooth ones.  d1, d2 >= 1 and d1 + d2 <= _MAX_CUBE_DIM (InputError), checked before
+    any array is allocated.
     """
     check_count("d1", d1, 1)
     check_count("d2", d2, 1)
+    check_count("d1 + d2", d1 + d2, 2, _MAX_CUBE_DIM)
     d, size = d1 + d2, 32
     pts = np.stack(np.meshgrid(*[(np.arange(size) + 0.5) / size] * d, indexing="ij"), axis=-1)
     vals = np.asarray(s(pts[..., :d1], pts[..., d1:]), dtype=complex)

@@ -116,12 +116,16 @@ def dist_to_identity(mats):
 # Lie algebra basis and derivatives
 
 
+_MAX_RANK = 64  # the Lie basis holds 8 n^4 bytes, 134 MB at n = 64
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def lie_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y), read-only,
     shaped (n^2 - 1, n, n): the E_ij (i != j) in row-major order, then the diagonal
-    (E_11 + ... + E_kk - k E_{k+1,k+1}) / sqrt(k (k + 1)) for k = 1..n-1."""
-    check_count("n", n, 2)
+    (E_11 + ... + E_kk - k E_{k+1,k+1}) / sqrt(k (k + 1)) for k = 1..n-1; 2 <= n <=
+    _MAX_RANK (InputError)."""
+    check_count("n", n, 2, _MAX_RANK)
     mats = []
     for i in range(n):
         for j in range(n):
@@ -378,7 +382,6 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
 # The certify-hm sweep
 
 _RAY_POINTS = 5  # sweep points per asymptotic ray
-_MAX_RANK = 64  # the Lie basis holds 8 n^4 bytes, 134 MB at n = 64
 _MAX_ORDER = 170  # k! overflows a float from k = 171
 # the sweep's jets per direction hold (order + 1)(3 shells + 2 _RAY_POINTS) n^2 floats; it
 # holds about three such stacks at once, and 4 shells fit at every allowed n and order

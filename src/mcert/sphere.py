@@ -47,10 +47,19 @@ def _check_nk(n: int, k: int, x=0.0, k_name: str = "k") -> np.ndarray:
 
 
 _BLOCK = 16  # degrees per block; block b holds degrees 2 + b _BLOCK to 1 + (b + 1) _BLOCK
+# Blocks times points per _recurrence_blocks call, and at least one block.  Its largest
+# array, the long-double basis, holds (_BLOCK + 2) x 2 values of 16 bytes per block and
+# point, 576 bytes, and each step coefficient array _BLOCK x 2 of them, 512 bytes.  At 128
+# blocks at one point these are 72 and 64 KiB, below the 128 KiB from which glibc's malloc
+# by default maps fresh pages for an array (and faults them in anew on every call), so a
+# call's temporaries are reused heap memory.
+_CHUNK = 128
 
 
-def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.ndarray:
-    """Normalized eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape,
+def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None,
+                      k_from: int = 0) -> np.ndarray:
+    """Normalized eigenvalues of degrees k_from..k_cap at x, shaped (k_cap + 1 - k_from,)
+    + x.shape,
     by the ultraspherical recurrence at index lambda = (n-2)/2,
     y_k = (2 (k + lambda - 1) x y_{k-1} - (k - 1) y_{k-2}) / (k + 2 lambda - 1),
     from y_0 = 1 and y_1 = x, on a blocked schedule.
@@ -72,17 +81,24 @@ def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None) -> np.nda
     error is about the sequential recurrence's.  Each x is carried on its own, so an
     array x gives the bits of each x alone.  Whole blocks are appended to ``rows``
     (blocks already there, at the same n and x, are resumed), so a resumed table has
-    the bits of a one-shot table."""
+    the bits of a one-shot table; they are appended in calls of at most _CHUNK blocks
+    times points, which resume each other in the same way, and only the chunks that
+    hold degrees k_from..k_cap are read."""
     x = np.asarray(x, dtype=float)
     rows = [] if rows is None else rows
     if not rows:
         rows.append(np.stack([np.ones_like(x), x]))
-    have = sum(len(chunk) for chunk in rows)  # 2 + a multiple of _BLOCK
-    if k_cap >= have:
+    first = (sum(len(chunk) for chunk in rows) - 2) // _BLOCK  # the next block to step
+    stop, step = (k_cap - 2) // _BLOCK + 1, max(1, _CHUNK // max(1, x.size))
+    for b in range(first, stop, step):
         entry = (rows[-1][-1], rows[-1][-2])
-        rows.append(_recurrence_blocks(0.5 * (n - 2), x, (have - 2) // _BLOCK,
-                                       (k_cap - 2) // _BLOCK + 1, entry))
-    return np.concatenate(rows)[:k_cap + 1]
+        rows.append(_recurrence_blocks(0.5 * (n - 2), x, b, min(b + step, stop), entry))
+    start, out = 0, []
+    for chunk in rows:
+        if start + len(chunk) > k_from and start <= k_cap:
+            out.append(chunk[max(k_from - start, 0):k_cap + 1 - start])
+        start += len(chunk)
+    return np.concatenate(out)
 
 
 def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) -> np.ndarray:
@@ -164,10 +180,18 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
 def multiplicity(n: int, k: int) -> int:
     """Dimension of the degree-k eigenspace, exactly in integer arithmetic:
     C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each."""
-    _check_nk(n, k)
-    if n + k - 3 > _FACTORIAL_BOUND:
+    return _multiplicities(n, k, "k", k)[0]
+
+
+def _multiplicities(n: int, k_max: int, k_name: str = "k_max", k_from: int = 0) -> list:
+    """[:func:`multiplicity` (n, k) for k = k_from..k_max], in one loop after one check:
+    n >= 3 and k_max >= 0 (InputError, named ``k_name``), n + k_max - 3 within
+    _FACTORIAL_BOUND (RangeError)."""
+    _check_nk(n, k_max, k_name=k_name)
+    if n + k_max - 3 > _FACTORIAL_BOUND:
         raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
-    return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
+    return [math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
+            for k in range(k_from, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +240,12 @@ def _derivative_table(n: int, r: int, x, k_cap: int, rows: list | None = None,
     """d^r of the normalized eigenvalues, degrees k_from..k_cap at x; ``rows`` at index
     n + 2r.  Row k is raised row k - r times prod_{i<r} (k + n - 2 + i)(k - i) / (n - 1 + 2i)."""
     if r == 0:
-        return _eigenvalue_table(n, x, k_cap, rows)[k_from:]
+        return _eigenvalue_table(n, x, k_cap, rows, k_from)
     out = np.zeros((k_cap + 1 - k_from,) + np.shape(x))
     lo = max(k_from, r)
     if k_cap < lo:
         return out
-    base = _eigenvalue_table(n + 2 * r, x, k_cap - r, rows)[lo - r:]
+    base = _eigenvalue_table(n + 2 * r, x, k_cap - r, rows, lo - r)
     ks = np.arange(lo, k_cap + 1, dtype=float)
     scale = np.ones_like(ks)
     for i in range(r):
@@ -263,7 +287,7 @@ def _band_for(x: float) -> float:
 @lru_cache(maxsize=None)
 def _multiplicity_constant(n: int) -> float:
     """Measured best constant in m_k <= A (1+k)^{n-2} over k <= 400, times 2."""
-    worst = max(multiplicity(n, k) / (1.0 + k) ** (n - 2) for k in range(401))
+    worst = max(m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(_multiplicities(n, 400)))
     return 2.0 * worst
 
 
@@ -365,23 +389,23 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
         if label in labels:
             raise InputError(f"--x {labels[label]!r} and {x!r} share the label x={label}")
         labels[label] = x
-    mults = [multiplicity(n, k) for k in range(k_max + 1)]  # checks k_max before the table
+    mults = _multiplicities(n, k_max, "--kmax")  # checks n + k_max before the table
     table = eigenvalue_table(n, xs, k_max)
-    rep.add_table("spectrum", [
-        {"k": k, "m_k": m_k, **{f"phi(x={x:g})": float(v) for x, v in zip(xs, table[k])}}
-        for k, m_k in enumerate(mults)])
+    columns = [f"phi(x={label})" for label in labels]
+    rep.add_table("spectrum", [{"k": k, "m_k": m_k, **dict(zip(columns, row))}
+                               for k, (m_k, row) in enumerate(zip(mults, table.tolist()))])
 
     # the sums first: a tail bound past the float range is reported before the rule is sized
-    sums = [schatten_derivative_sum(n, p, r, float(x)) for x in xs]
+    sums = [schatten_derivative_sum(n, p, r, x) for x in labels.values()]
     k_check = min(k_max, 50)
     worst = float(np.max(np.abs(table[:k_check + 1] - quadrature_table(n, xs, k_check))))
     rep.add(CheckRecord(
         name="recurrence-vs-quadrature", check_id="sphere/recurrence-quadrature",
         kind=CROSS_CHECK, measured=worst, bound=1e-10, details={"k_max_checked": k_check},
     ))
-    for x, res in zip(xs, sums):
+    for label, res in zip(labels, sums):
         rep.add(CheckRecord(
-            name=f"schatten-sum(x={x:g})", check_id="sphere/schatten-sum", kind=VALUE,
+            name=f"schatten-sum(x={label})", check_id="sphere/schatten-sum", kind=VALUE,
             measured=res.value,
             details={"diverged": res.diverged, "k_used": res.k_used,
                      "tail_bound": res.tail_bound, "order": r, "p": p},

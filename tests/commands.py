@@ -92,6 +92,9 @@ ROWS = (
             "while the p = 1 sum diverges"),
     Command(1, "sphere-spectrum --n 3 --p 4 --x 0.5 --kmax 0 --out spec0.json", ("spec0.json",),
             "the cross-check holds at kmax = 0, while the p = 4 sum diverges"),
+    Command(0, "sphere-spectrum --n 8 --p 5 --r 1 --x -0.3 0.65 --kmax 50 --out spec8r1.json",
+            ("spec8r1.json",), "the r = 1 sums converge, their tails doubled to k = 16,384 "
+            "over several recurrence calls"),
     Command(0, "schur-bound --points matrix.csv --p 4 --out bound.json", ("bound.json",),
             "the 4 x 4 bracket at finite p: the sup-entry floor below the interpolated bound",
             readme=True),

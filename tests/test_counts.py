@@ -50,8 +50,11 @@ CASES = [
      lambda v: co.opnorm_coordinate_derivative(FRAME, v, FRAME.x_min)),
     ("so_n1_trace_coefficients", "n", lambda v: co.so_n1_trace_coefficients(v, 0.75)),
     ("so_n1_embedded_matrix", "n", lambda v: co.so_n1_embedded_matrix(v, 0.75, 0.5)),
+    ("lp_partition_value", "j", lambda v: eu.lp_partition_value(eu.DyadicPartition(), v, 1.0)),
     ("sigma_partition_value", "n_width",
      lambda v: eu.sigma_partition_value(eu.DyadicPartition(), v, 0, 1.0)),
+    ("sigma_partition_value", "j",
+     lambda v: eu.sigma_partition_value(eu.DyadicPartition(), 1, v, 1.0)),
     ("frac_laplacian_constant", "d", lambda v: eu.frac_laplacian_constant(v, 0.5)),
     ("frac_laplacian_length", "d", lambda v: eu.frac_laplacian_length(v, 0.5, 1.0)),
     ("GridSpec", "d", lambda v: eu.GridSpec.default(v)),
@@ -130,3 +133,37 @@ def test_check_count_takes_integers_alone(value):
 def test_the_cli_names_the_flag(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("j", [-1074, 1023])
+def test_a_band_index_is_an_exponent_of_a_finite_positive_float(j):
+    partition, xi = eu.DyadicPartition(), np.array([0.6, 0.8])
+    assert 0.0 <= eu.lp_partition_value(partition, j, xi) <= 1.0
+    assert 0.0 <= eu.sigma_partition_value(partition, 1, j, xi) <= 1.0
+    beyond = j - 1 if j < 0 else j + 1
+    bound = "must be >= -1074" if j < 0 else "must be <= 1023"
+    for call in (lambda: eu.lp_partition_value(partition, beyond, xi),
+                 lambda: eu.sigma_partition_value(partition, 1, beyond, xi)):
+        with pytest.raises(InputError, match=f"j {bound}, got {beyond}"):
+            call()
+
+
+@pytest.mark.parametrize("name, call, message", [
+    ("schur_infty_upper_bound", lambda: eu.schur_infty_upper_bound(first_coordinate, 3, 3),
+     "d1 + d2 must be <= 4, got 6"),
+    ("schur_infty_upper_bound", lambda: eu.schur_infty_upper_bound(first_coordinate, 1, 4),
+     "d1 + d2 must be <= 4, got 5"),
+    ("lie_basis", lambda: ge.lie_basis(65), "n must be <= 64, got 65"),
+    ("lie_basis", lambda: ge.lie_basis(10 ** 6), "n must be <= 64, got 1000000")])
+def test_a_count_past_its_memory_cap_is_refused_before_any_array(name, call, message,
+                                                                 monkeypatch):
+    # d1 = d2 = 3 would sample 32^6 points, 17 GB, and lie_basis(65) hold 143 MB: each is
+    # refused before numpy builds a grid or a basis matrix
+    def no_array(*args, **kwargs):
+        raise AssertionError(f"{name} built an array before its cap")
+
+    for builder in ("meshgrid", "zeros", "empty", "array", "stack"):
+        monkeypatch.setattr(np, builder, no_array)
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mcert import sphere
 from mcert.errors import DomainError, InputError, RangeError
-from mcert.sphere import (RigidityExponents, _derivative_table, _eigenvalue_table,
-                          _multiplicity_table, averaging_operator, eigenvalue_table,
-                          gauss_legendre, multiplicity, quadrature_table,
+from mcert.sphere import (_BLOCK, _CHUNK, RigidityExponents, _derivative_table,
+                          _eigenvalue_table, _multiplicities, _multiplicity_constant,
+                          _multiplicity_table, _recurrence_blocks, averaging_operator,
+                          eigenvalue_table, gauss_legendre, multiplicity, quadrature_table,
                           schatten_derivative_sum, spectrum_report, sphere_grid)
 
 
@@ -171,6 +174,24 @@ class TestRecurrenceEngine:
             amp = sliding_window_view(np.pad(np.abs(seq), 64), 129).max(axis=1)
             assert np.all(np.abs(one - seq) <= 1e-10 * amp)
 
+    @pytest.mark.parametrize("n, points", [(3, 1), (8, 1), (8, 5), (40, 41), (5, 200)])
+    def test_chunks_have_the_bits_of_one_call(self, n, points):
+        # the table steps at most _CHUNK blocks times points per call, and its chunks
+        # resume each other with the bits of one call over every block; a read from
+        # k_from on takes the same rows
+        x = np.linspace(-0.9, 0.95, points)
+        k_cap = 2 + _BLOCK * (3 * max(1, _CHUNK // points)) + 5
+        rows = []
+        table = _eigenvalue_table(n, x, k_cap, rows)
+        whole = _recurrence_blocks(0.5 * (n - 2), x, 0, (k_cap - 2) // _BLOCK + 1,
+                                   (x, np.ones_like(x)))
+        assert table[2:].tobytes() == whole[:k_cap - 1].tobytes()
+        assert len(rows) == 5 and all(len(chunk) * points <= _BLOCK * max(points, _CHUNK)
+                                      for chunk in rows[1:])
+        for k_from in (0, 1, 2, 17, k_cap // 2, k_cap):
+            got = _eigenvalue_table(n, x, k_cap, rows, k_from)
+            assert got.tobytes() == table[k_from:].tobytes()
+
     @pytest.mark.parametrize("n", [3, 4, 8, 16])
     def test_multiplicity_table_equals_exact(self, n):
         k_cap = DOUBLINGS[-1]
@@ -313,6 +334,16 @@ class TestMultiplicity:
         with pytest.raises(RangeError):
             multiplicity(3, 10 ** 6)
 
+    def test_one_pass_equals_each_degree(self):
+        for n in range(3, 17):
+            each = [multiplicity(n, k) for k in range(401)]
+            assert _multiplicities(n, 400) == each
+            assert _multiplicity_constant(n) == 2.0 * max(
+                m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(each))
+        assert _multiplicities(3, 0) == [1]
+        with pytest.raises(RangeError):
+            _multiplicities(3, 200_001)
+
     @pytest.mark.parametrize("n", [3, 4, 8, 17])
     def test_equals_factorial_formula(self, n):
         def factorial_form(k):  # (n+k-3)! (n+2k-2) / ((n-2)! k!)
@@ -351,6 +382,26 @@ class TestSchattenSums:
             table = np.abs(_derivative_table(n, r, np.asarray(x), res.k_used))
             total = float(np.sum(_multiplicity_table(n, res.k_used) * table ** p))
             assert res.value == total ** (1.0 / p)
+
+    def test_each_recurrence_call_holds_a_bounded_working_set(self, monkeypatch):
+        # the n = 8, r = 1 sum doubles to k = 16,384, about 1,024 blocks, whose last
+        # doubling alone spans 512; each call steps at most _CHUNK blocks at one x, and
+        # its temporaries peak well under 1 MiB
+        calls = []
+
+        def spy(lam, x, first, stop, entry):
+            tracemalloc.start()
+            try:
+                return _recurrence_blocks(lam, x, first, stop, entry)
+            finally:
+                calls.append((stop - first, x.size, tracemalloc.get_traced_memory()[1]))
+                tracemalloc.stop()
+
+        monkeypatch.setattr(sphere, "_recurrence_blocks", spy)
+        assert schatten_derivative_sum(8, 5.0, 1, -0.3).k_used == 16_384
+        assert sum(blocks for blocks, points, _ in calls if points == 1) >= 1_024
+        assert all(blocks * points <= _CHUNK for blocks, points, _ in calls)
+        assert max(peak for _, _, peak in calls) < 1 << 20
 
     def test_interior_guard(self):
         with pytest.raises(DomainError):
