@@ -95,6 +95,9 @@ ROWS = (
     Command(0, "sphere-spectrum --n 8 --p 5 --r 1 --x -0.3 0.65 --kmax 50 --out spec8r1.json",
             ("spec8r1.json",), "the r = 1 sums converge, their tails doubled to k = 16,384 "
             "over several recurrence calls"),
+    Command(0, "sphere-spectrum --n 12 --p 6 --r 2 --x -0.6 0.1 0.8 --kmax 1 --out spec12r2.json",
+            ("spec12r2.json",), "the r = 2 sums stop at k = 1,024, 2,048 and 1,024, across "
+            "the end of the first recurrence call, and the table stops below r"),
     Command(0, "schur-bound --points matrix.csv --p 4 --out bound.json", ("bound.json",),
             "the 4 x 4 bracket at finite p: the sup-entry floor below the interpolated bound",
             readme=True),
