@@ -36,10 +36,13 @@ _MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(n
 
 
 def _check_nk(n: int, k: int, x=0.0, k_name: str = "k") -> np.ndarray:
-    """x as floats: n >= 3 and the degree k >= 0 (InputError, named ``k_name``), every x in
-    [-1, 1] (DomainError)."""
+    """x as floats: n >= 3 and the degree k >= 0 (InputError, named ``k_name``), n + k - 3
+    within _FACTORIAL_BOUND (RangeError), every x in [-1, 1] (DomainError); n and k are
+    decided before x becomes an array."""
     check_count("n", n, 3)
     check_count(k_name, k, 0)
+    if n + k - 3 > _FACTORIAL_BOUND:
+        raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
         raise DomainError("argument outside [-1, 1]")
@@ -56,53 +59,48 @@ _BLOCK = 16  # degrees per block; block b holds degrees 2 + b _BLOCK to 1 + (b +
 _CHUNK = 128
 
 
-def _eigenvalue_table(n: int, x, k_cap: int, rows: list | None = None,
-                      k_from: int = 0) -> np.ndarray:
-    """Normalized eigenvalues of degrees k_from..k_cap at x, shaped (k_cap + 1 - k_from,)
-    + x.shape,
-    by the ultraspherical recurrence at index lambda = (n-2)/2,
-    y_k = (2 (k + lambda - 1) x y_{k-1} - (k - 1) y_{k-2}) / (k + 2 lambda - 1),
-    from y_0 = 1 and y_1 = x, on a blocked schedule.
+def _eigenvalue_chunks(n: int, x: np.ndarray, k_cap: int):
+    """The normalized eigenvalues at the float array x as one forward stream of chunks,
+    each shaped (rows,) + x.shape, that ends with the chunk holding degree k_cap: the
+    table is their concatenation.  By the ultraspherical recurrence at index
+    lambda = (n-2)/2,
+    y_k = (2 (k + lambda - 1) x y_{k-1} - (k - 1) y_{k-2}) / (k + 2 lambda - 1).
 
-    y_0 and y_1 are exact.  Every degree from 2 on runs in blocks of _BLOCK, anchored
-    at 2 + b _BLOCK.  Each call steps two basis solutions A and B of the recurrence
-    for all its new blocks, from the states (y_{k-1}, y_{k-2}) = (1, 1) and (1, -1),
-    in one np.longdouble array over all those blocks and all x: _BLOCK array steps,
-    whatever k_cap.  A pass over the blocks then carries the true state (t1, t2),
-    from (x, 1) at degree 2, across the block edges in floats, as
-    c_a = (t1 + t2)/2, c_b = (t1 - t2)/2, and one float product c_a A + c_b B forms
-    every row.  At x = 1 the state is c_a = 1, c_b = 0 and at x = -1 it is c_a = 0,
-    c_b = +-1, so the table is exact there, where the basis (1, 0), (0, 1) would
-    cancel.  Elsewhere the error enters through the carry, a few float roundings per
-    block where the sequential recurrence rounds a few times per degree: with the
-    64-bit significand of the x86-64 long double, the table's error against an exact
-    oracle is about a third of the sequential recurrence's (k <= 16,384).  Where the
-    long double is the float itself, the bases round like the recurrence and the
-    error is about the sequential recurrence's.  Each x is carried on its own, so an
-    array x gives the bits of each x alone.  Whole blocks are appended to ``rows``
-    (blocks already there, at the same n and x, are resumed), so a resumed table has
-    the bits of a one-shot table; they are appended in calls of at most _CHUNK blocks
-    times points, which resume each other in the same way, and only the chunks that
-    hold degrees k_from..k_cap are read."""
-    x = np.asarray(x, dtype=float)
-    rows = [] if rows is None else rows
-    if not rows:
-        rows.append(np.stack([np.ones_like(x), x]))
-    first = (sum(len(chunk) for chunk in rows) - 2) // _BLOCK  # the next block to step
+    The first chunk is y_0 = 1 and y_1 = x, exact.  Every degree from 2 on runs in
+    blocks of _BLOCK, anchored at 2 + b _BLOCK, and each later chunk is one
+    :func:`_recurrence_blocks` call over the next blocks, seeded with the last two rows
+    of the chunk before.  A call steps as many blocks as the table holds, at least half
+    and at most _CHUNK blocks times points (and at least one block): at one x, 64, 64,
+    then 128 blocks each.  The call steps two basis solutions A and B of the recurrence
+    for all its blocks, from the states (y_{k-1}, y_{k-2}) = (1, 1) and (1, -1), in one
+    np.longdouble array over all those blocks and all x: _BLOCK array steps, whatever
+    its length.  A pass over the blocks then carries the true state (t1, t2), from
+    (x, 1) at degree 2, across the block edges in floats, as c_a = (t1 + t2)/2,
+    c_b = (t1 - t2)/2, and one float product c_a A + c_b B forms every row.  At x = 1
+    the state is c_a = 1, c_b = 0 and at x = -1 it is c_a = 0, c_b = +-1, so the table is
+    exact there, where the basis (1, 0), (0, 1) would cancel.  Elsewhere the error
+    enters through the carry, a few float roundings per block where the sequential
+    recurrence rounds a few times per degree: with the 64-bit significand of the x86-64
+    long double, the table's error against an exact oracle is about a third of the
+    sequential recurrence's (k <= 16,384).  Where the long double is the float itself,
+    the bases round like the recurrence and the error is about the sequential
+    recurrence's.  Each x is carried on its own, so an array x gives the bits of each x
+    alone, and the carry into a chunk is the float state the chunk before ended with, so
+    chunks have the bits of one call over all their blocks, and a table the bits of
+    every deeper table's first rows."""
+    chunk = np.stack([np.ones_like(x), x])
+    yield chunk
     stop, step = (k_cap - 2) // _BLOCK + 1, max(1, _CHUNK // max(1, x.size))
-    for b in range(first, stop, step):
-        entry = (rows[-1][-1], rows[-1][-2])
-        rows.append(_recurrence_blocks(0.5 * (n - 2), x, b, min(b + step, stop), entry))
-    start, out = 0, []
-    for chunk in rows:
-        if start + len(chunk) > k_from and start <= k_cap:
-            out.append(chunk[max(k_from - start, 0):k_cap + 1 - start])
-        start += len(chunk)
-    return np.concatenate(out)
+    first = 0  # the next block to step
+    while first < stop:
+        last = first + min(step, max(first, (step + 1) // 2), stop - first)
+        chunk = _recurrence_blocks(0.5 * (n - 2), x, first, last, (chunk[-1], chunk[-2]))
+        yield chunk
+        first = last
 
 
 def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) -> np.ndarray:
-    """Blocks first..stop - 1 of :func:`_eigenvalue_table`, degrees 2 + first _BLOCK to
+    """Blocks first..stop - 1 of :func:`_eigenvalue_chunks`, degrees 2 + first _BLOCK to
     1 + stop _BLOCK, shaped ((stop - first) _BLOCK,) + x.shape, from the true state
     ``entry`` = (y_{k-1}, y_{k-2}) at k = 2 + first _BLOCK."""
     xs = x.reshape(-1)
@@ -137,10 +135,32 @@ def _recurrence_blocks(lam: float, x: np.ndarray, first: int, stop: int, entry) 
     return table.transpose(1, 0, 2).reshape((nb * _BLOCK,) + x.shape)
 
 
+def _derivative_chunks(n: int, r: int, x: np.ndarray, k_cap: int):
+    """d^r of the normalized eigenvalues at the float array x as one forward stream of
+    chunks that ends with the chunk holding degree k_cap: r zero rows, then the chunks of
+    :func:`_eigenvalue_chunks` at index n + 2r, whose row k - r times
+    prod_{i<r} (k + n - 2 + i)(k - i) / (n - 1 + 2i) is row k."""
+    yield np.zeros((r,) + x.shape)
+    k = r  # the degree of the chunk's first row
+    for chunk in _eigenvalue_chunks(n + 2 * r, x, k_cap - r):
+        ks = np.arange(k, k + len(chunk), dtype=float)
+        scale = np.ones_like(ks)
+        for i in range(r):
+            scale *= (ks + (n - 2 + i)) * (ks - i) / (n - 1 + 2 * i)
+        yield scale.reshape((-1,) + (1,) * x.ndim) * chunk
+        k += len(chunk)
+
+
+def _derivative_table(n: int, r: int, x: np.ndarray, k_cap: int) -> np.ndarray:
+    """Degrees 0..k_cap of :func:`_derivative_chunks`, shaped (k_cap + 1,) + x.shape."""
+    return np.concatenate(list(_derivative_chunks(n, r, x, k_cap)))[:k_cap + 1]
+
+
 def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
     """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
-    k_cap >= 0 (InputError), every x in [-1, 1] (DomainError)."""
-    return _eigenvalue_table(n, _check_nk(n, k_cap, x, "k_cap"), k_cap)
+    k_cap >= 0 (InputError), n + k_cap - 3 within _FACTORIAL_BOUND (RangeError), both
+    before any array, every x in [-1, 1] (DomainError)."""
+    return _derivative_table(n, 0, _check_nk(n, k_cap, x, "k_cap"), k_cap)
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
@@ -179,19 +199,18 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
 
 def multiplicity(n: int, k: int) -> int:
     """Dimension of the degree-k eigenspace, exactly in integer arithmetic:
-    C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each."""
-    return _multiplicities(n, k, "k", k)[0]
+    C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each: n >= 3 and k >= 0
+    (InputError), n + k - 3 within _FACTORIAL_BOUND (RangeError)."""
+    _check_nk(n, k)
+    return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
 
 
-def _multiplicities(n: int, k_max: int, k_name: str = "k_max", k_from: int = 0) -> list:
-    """[:func:`multiplicity` (n, k) for k = k_from..k_max], in one loop after one check:
-    n >= 3 and k_max >= 0 (InputError, named ``k_name``), n + k_max - 3 within
-    _FACTORIAL_BOUND (RangeError)."""
+def _multiplicities(n: int, k_max: int, k_name: str = "k_max") -> list:
+    """[:func:`multiplicity` (n, k) for k = 0..k_max], in one loop after one check (k_max
+    named ``k_name``): C(n+k-3, k-2) is C(n+k-1, k) two degrees down."""
     _check_nk(n, k_max, k_name=k_name)
-    if n + k_max - 3 > _FACTORIAL_BOUND:
-        raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
-    return [math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
-            for k in range(k_from, k_max + 1)]
+    binomials = [math.comb(n + k - 1, k) for k in range(k_max + 1)]
+    return binomials[:2] + [c - c2 for c, c2 in zip(binomials[2:], binomials)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +251,11 @@ class RigidityExponents:
 
 _INTERIOR = 0.95  # |x| above this is a DomainError: the decay constants blow up at |x| = 1
 _K_MAX = 1 << 18  # the truncation a certified tail may double to
-_FIRST_ROWS = 1023  # degrees the first doubling tabulates at least: a call costs ~0.1 ms fixed
 
 
-def _derivative_table(n: int, r: int, x, k_cap: int, rows: list | None = None,
-                      k_from: int = 0) -> np.ndarray:
-    """d^r of the normalized eigenvalues, degrees k_from..k_cap at x; ``rows`` at index
-    n + 2r.  Row k is raised row k - r times prod_{i<r} (k + n - 2 + i)(k - i) / (n - 1 + 2i)."""
-    if r == 0:
-        return _eigenvalue_table(n, x, k_cap, rows, k_from)
-    out = np.zeros((k_cap + 1 - k_from,) + np.shape(x))
-    lo = max(k_from, r)
-    if k_cap < lo:
-        return out
-    base = _eigenvalue_table(n + 2 * r, x, k_cap - r, rows, lo - r)
-    ks = np.arange(lo, k_cap + 1, dtype=float)
-    scale = np.ones_like(ks)
-    for i in range(r):
-        scale *= (ks + (n - 2 + i)) * (ks - i) / (n - 1 + 2 * i)
-    out[lo - k_from:] = scale.reshape((-1,) + (1,) * (out.ndim - 1)) * base
-    return out
-
-
-def _multiplicity_table(n: int, k_cap: int, k_from: int = 0) -> np.ndarray:
-    """:func:`multiplicity` for k = k_from..k_cap in floats, as the finite product
+def _multiplicity_table(n: int, ks: np.ndarray) -> np.ndarray:
+    """:func:`multiplicity` at the float degrees ks in floats, as the finite product
     (n + 2k - 2) prod_{i=1}^{n-3} (k + i)/(i + 1)."""
-    ks = np.arange(k_from, k_cap + 1, dtype=float)
     mult = n - 2.0 + 2.0 * ks
     for i in range(1, n - 2):
         mult *= (ks + i) / (i + 1)
@@ -319,26 +317,25 @@ def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
                             k_start: int = 64) -> SchattenSumResult:
     """Schatten p-sum of the r-th derivative spectrum with certified tail, for n >= 3,
-    r >= 0, k_start >= 1 and a finite p >= 1 (InputError), |x| <= _INTERIOR (DomainError)
-    and a truncation of at most _K_MAX degrees (AccuracyError); a tail constant past the
-    float range is a RangeError.
+    r >= 0, 1 <= k_start <= _K_MAX, a finite p >= 1 and tail_tol > 0 (InputError, all
+    before any table), |x| <= _INTERIOR (DomainError) and a truncation of at most _K_MAX
+    degrees (AccuracyError); a tail constant past the float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
-    The truncation doubles from k_start until the tail bound is met.  Each doubling
-    resumes the blocked recurrence of :func:`_eigenvalue_table` where the last one
-    stopped: blocks of _BLOCK degrees, each stepped in one long double array as two
-    basis solutions from the states (1, 1) and (1, -1), which are exact at x = +-1
-    where the basis (1, 0), (0, 1) would cancel, then joined by one pass that carries
-    the true state across the block edges.  Each degree's term m_k |d^r phi_k|^p is
-    formed once, when its degree first appears, and each doubling sums all terms with
-    one np.sum, in the order of a one-shot sum over degrees 0..k_cap.
+    The truncation doubles from k_start until the tail bound is met.  The doublings read
+    one stream of :func:`_derivative_chunks`, pulling a chunk only while degree k_cap is
+    missing.  Each degree's term m_k |d^r phi_k|^p is formed once, with its chunk, and
+    each doubling sums the terms of degrees 0..k_cap with one np.sum, in the order of a
+    one-shot sum.
     """
     check_count("n", n, 3)
     check_count("r", r, 0)
-    check_count("k_start", k_start, 1)  # the truncation doubles from k_start
+    check_count("k_start", k_start, 1, _K_MAX)  # the truncation doubles from k_start
     if not (1.0 <= p < math.inf):
         raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
+    if not tail_tol > 0.0:  # NaN included
+        raise InputError(f"tail_tol must be > 0, got {tail_tol}")
     if not abs(x) <= _INTERIOR:  # NaN included
         raise DomainError(f"|x| must be <= {_INTERIOR}")
     a0 = _alpha0(n, p)
@@ -351,15 +348,15 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         scale = math.inf
     if not math.isfinite(scale):
         raise RangeError(f"the tail bound at n = {n}, p = {p:g} exceeds the float range")
-    xs = np.asarray(float(x))
-    rows = []  # whole blocks of the recurrence, resumed by each doubling
+    chunks = _derivative_chunks(n, r, np.asarray(float(x)), _K_MAX)
     terms = np.empty(0)  # m_k |d^r phi_k|^p for k < terms.size, each formed once
     k_cap = k_start
     while True:  # grow the truncation until the tail is below tail_tol relative to the norm
-        table = np.abs(_derivative_table(n, r, xs, max(k_cap, _FIRST_ROWS), rows, terms.size))
-        table = table[:k_cap + 1 - terms.size]
-        terms = np.concatenate([terms, _multiplicity_table(n, k_cap, terms.size) * table ** p])
-        total = float(np.sum(terms))
+        while terms.size <= k_cap:  # pull chunks only while degree k_cap is missing
+            chunk = np.abs(next(chunks))
+            ks = np.arange(terms.size, terms.size + len(chunk), dtype=float)
+            terms = np.concatenate([terms, _multiplicity_table(n, ks) * chunk ** p])
+        total = float(np.sum(terms[:k_cap + 1]))
         value, err = _truncated_norm(total, n, p, r, scale, k_cap)
         if err <= tail_tol * max(value, 1e-300):
             return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)

@@ -14,7 +14,7 @@ from mcert import rigidity as ri
 from mcert import schur as sc
 from mcert import sphere as sp
 from mcert.cli import cmd_schur_bound, main
-from mcert.errors import InputError, check_count
+from mcert.errors import InputError, RangeError, check_count
 from mcert.symbols import SymbolFamily
 
 PROFILE = SymbolFamily.parse("radial-power:exponent=5").build_profile()
@@ -154,11 +154,15 @@ def test_a_band_index_is_an_exponent_of_a_finite_positive_float(j):
     ("schur_infty_upper_bound", lambda: eu.schur_infty_upper_bound(first_coordinate, 1, 4),
      "d1 + d2 must be <= 4, got 5"),
     ("lie_basis", lambda: ge.lie_basis(65), "n must be <= 64, got 65"),
-    ("lie_basis", lambda: ge.lie_basis(10 ** 6), "n must be <= 64, got 1000000")])
+    ("lie_basis", lambda: ge.lie_basis(10 ** 6), "n must be <= 64, got 1000000"),
+    ("schatten_derivative_sum",
+     lambda: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, k_start=2 ** 30),
+     "k_start must be <= 262144, got 1073741824")])
 def test_a_count_past_its_memory_cap_is_refused_before_any_array(name, call, message,
                                                                  monkeypatch):
-    # d1 = d2 = 3 would sample 32^6 points, 17 GB, and lie_basis(65) hold 143 MB: each is
-    # refused before numpy builds a grid or a basis matrix
+    # d1 = d2 = 3 would sample 32^6 points, 17 GB, lie_basis(65) hold 143 MB, and a sum
+    # from k_start = 2^30 tabulate tens of GiB: each is refused before numpy builds a
+    # grid, a basis matrix or a table
     def no_array(*args, **kwargs):
         raise AssertionError(f"{name} built an array before its cap")
 
@@ -167,3 +171,16 @@ def test_a_count_past_its_memory_cap_is_refused_before_any_array(name, call, mes
     with pytest.raises(InputError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k_cap", [200_001, 10 ** 9])
+def test_a_table_past_the_degree_bound_is_refused_before_any_array(k_cap, monkeypatch):
+    # eigenvalue_table meets the degree rule of multiplicity and --kmax, n + k - 3 within
+    # the factorial bound, before x becomes an array: 10^9 degrees would ask for 8 GB
+    def no_array(*args, **kwargs):
+        raise AssertionError("eigenvalue_table built an array before its degree rule")
+
+    for builder in ("asarray", "zeros", "empty", "array", "stack", "ones_like"):
+        monkeypatch.setattr(np, builder, no_array)
+    with pytest.raises(RangeError, match="factorial bound 200000"):
+        sp.eigenvalue_table(3, 0.5, k_cap)

@@ -12,11 +12,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mcert import sphere
 from mcert.errors import DomainError, InputError, RangeError
-from mcert.sphere import (_BLOCK, _CHUNK, RigidityExponents, _derivative_table,
-                          _eigenvalue_table, _multiplicities, _multiplicity_constant,
-                          _multiplicity_table, _recurrence_blocks, averaging_operator,
-                          eigenvalue_table, gauss_legendre, multiplicity, quadrature_table,
-                          schatten_derivative_sum, spectrum_report, sphere_grid)
+from mcert.sphere import (_BLOCK, _CHUNK, _K_MAX, RigidityExponents, _derivative_chunks,
+                          _derivative_table, _eigenvalue_chunks, _multiplicities,
+                          _multiplicity_constant, _multiplicity_table, _recurrence_blocks,
+                          averaging_operator, eigenvalue_table, gauss_legendre, multiplicity,
+                          quadrature_table, schatten_derivative_sum, spectrum_report,
+                          sphere_grid)
 
 
 def reference_table(n, x, k_cap):
@@ -100,47 +101,45 @@ class TestRecurrenceEngine:
     def test_table_equals_reference(self, n):
         # the blocked engine against the oracle: at most twice the sequential
         # recurrence's error at every x of ENGINE_XS and exact at x = +-1; an array x
-        # has the bits of each x alone, and tables resumed across the tail doublings
-        # have the bits of one-shot tables
+        # has the bits of each x alone, and the table at each tail doubling is the
+        # bytewise prefix of the deepest one
         k_cap = DOUBLINGS[-1]
         xs = np.append(TESTED_XS, [1.0, -1.0])
-        table = _eigenvalue_table(n, xs, k_cap)
+        table = eigenvalue_table(n, xs, k_cap)
         assert table.shape == (k_cap + 1, xs.size)
         assert np.all(table[:, -2] == 1.0) and np.all(table[:, -1] == signs(k_cap))
         assert_within_twice_sequential(table[:, :-2], reference_table(n, TESTED_XS, k_cap),
                                        oracle_table(n, TESTED_XS, k_cap))
         for i, x in enumerate(xs):
-            assert _eigenvalue_table(n, x, k_cap).tobytes() == table[:, i].tobytes()
+            assert eigenvalue_table(n, x, k_cap).tobytes() == table[:, i].tobytes()
         for x in ENGINE_XS:
-            want = _eigenvalue_table(n, np.asarray(x), k_cap)
-            rows = []
+            want = eigenvalue_table(n, x, k_cap)
             for k in DOUBLINGS:
-                resumed = _eigenvalue_table(n, np.asarray(x), k, rows)
-                assert resumed.shape == want[:k + 1].shape
-                assert resumed.tobytes() == want[:k + 1].tobytes()
+                prefix = eigenvalue_table(n, x, k)
+                assert prefix.shape == want[:k + 1].shape
+                assert prefix.tobytes() == want[:k + 1].tobytes()
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_derivative_table_equals_reference(self, r):
         # rows k >= r are the raised-index table times the exact scale to 1e-13
         # relative, and at most twice the sequential recurrence's error against the
         # oracle times that scale at every x of ENGINE_XS; rows below r are 0, and
-        # resumed tables keep the bits
+        # each table is the bytewise prefix of a deeper one
         k_cap = DOUBLINGS[-1]
         for n in (3, 4, 8, 16):
             scale = np.array([float(exact_scale(n, r, k)) for k in range(r, k_cap + 1)])[:, None]
             got = _derivative_table(n, r, TESTED_XS, k_cap)
             assert got.shape == (k_cap + 1, TESTED_XS.size)
             assert np.all(got[:r] == 0.0)
-            want = scale * _eigenvalue_table(n + 2 * r, TESTED_XS, k_cap - r)
+            want = scale * eigenvalue_table(n + 2 * r, TESTED_XS, k_cap - r)
             assert np.all(np.abs(got[r:] - want) <= 1e-13 * np.abs(want))
             assert_within_twice_sequential(
                 got[r:], scale * reference_table(n + 2 * r, TESTED_XS, k_cap - r),
                 scale * oracle_table(n + 2 * r, TESTED_XS, k_cap - r))
-            for x in ENGINE_XS:
-                rows = []
+            for x in map(np.asarray, ENGINE_XS):
+                deeper = _derivative_table(n, r, x, DOUBLINGS[5])
                 for k in DOUBLINGS[:5]:
-                    resumed = _derivative_table(n, r, np.asarray(x), k, rows)
-                    assert resumed.tobytes() == _derivative_table(n, r, np.asarray(x), k).tobytes()
+                    assert _derivative_table(n, r, x, k).tobytes() == deeper[:k + 1].tobytes()
 
     @pytest.mark.parametrize("n", [3, 8, 22])
     def test_oracle_is_the_30_digit_recurrence(self, n):
@@ -160,13 +159,16 @@ class TestRecurrenceEngine:
            doublings=st.integers(0, 3),
            x=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)))
     def test_doubling_schedules_resume_one_shot_bits(self, n, r, k_start, doublings, x):
-        # a table resumed across any doubling schedule has the bits of the one-shot
-        # table, for any start (criterion 03 starts at 2 k_used)
+        # a stream read chunk by chunk, as the tail doublings read it, holds the bits of
+        # the table at every doubling, for any start (criterion 03 starts at 2 k_used)
         caps = [k_start << i for i in range(doublings + 1)]
         one = _derivative_table(n, r, np.asarray(x), caps[-1])
-        rows = []
+        stream, read = _derivative_chunks(n, r, np.asarray(x), _K_MAX), np.empty(0)
         for k in caps:
-            assert _derivative_table(n, r, np.asarray(x), k, rows).tobytes() == one[:k + 1].tobytes()
+            while read.size <= k:
+                read = np.concatenate([read, next(stream)])
+            table = _derivative_table(n, r, np.asarray(x), k)
+            assert table.tobytes() == read[:k + 1].tobytes() == one[:k + 1].tobytes()
         if r == 0 and abs(x) == 1.0:
             assert np.all(one == (1.0 if x > 0 else signs(caps[-1])))
         elif r == 0:
@@ -176,26 +178,24 @@ class TestRecurrenceEngine:
 
     @pytest.mark.parametrize("n, points", [(3, 1), (8, 1), (8, 5), (40, 41), (5, 200)])
     def test_chunks_have_the_bits_of_one_call(self, n, points):
-        # the table steps at most _CHUNK blocks times points per call, and its chunks
-        # resume each other with the bits of one call over every block; a read from
-        # k_from on takes the same rows
+        # the stream is y_0, y_1, then calls of at most _CHUNK blocks times points that
+        # end with the block holding k_cap; its chunks resume each other with the bits
+        # of one call over every block, and the table is their concatenation
         x = np.linspace(-0.9, 0.95, points)
         k_cap = 2 + _BLOCK * (3 * max(1, _CHUNK // points)) + 5
-        rows = []
-        table = _eigenvalue_table(n, x, k_cap, rows)
-        whole = _recurrence_blocks(0.5 * (n - 2), x, 0, (k_cap - 2) // _BLOCK + 1,
-                                   (x, np.ones_like(x)))
-        assert table[2:].tobytes() == whole[:k_cap - 1].tobytes()
-        assert len(rows) == 5 and all(len(chunk) * points <= _BLOCK * max(points, _CHUNK)
-                                      for chunk in rows[1:])
-        for k_from in (0, 1, 2, 17, k_cap // 2, k_cap):
-            got = _eigenvalue_table(n, x, k_cap, rows, k_from)
-            assert got.tobytes() == table[k_from:].tobytes()
+        chunks = list(_eigenvalue_chunks(n, x, k_cap))
+        stop = (k_cap - 2) // _BLOCK + 1
+        whole = _recurrence_blocks(0.5 * (n - 2), x, 0, stop, (x, np.ones_like(x)))
+        assert chunks[0].tobytes() == np.stack([np.ones_like(x), x]).tobytes()
+        assert np.concatenate(chunks[1:]).tobytes() == whole.tobytes()
+        assert all(len(chunk) * points <= _BLOCK * max(points, _CHUNK) for chunk in chunks[1:])
+        table = np.concatenate(chunks)[:k_cap + 1]
+        assert eigenvalue_table(n, x, k_cap).tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 8, 16])
     def test_multiplicity_table_equals_exact(self, n):
         k_cap = DOUBLINGS[-1]
-        table = _multiplicity_table(n, k_cap)
+        table = _multiplicity_table(n, np.arange(k_cap + 1.0))
         want = np.array([float(multiplicity(n, k)) for k in range(k_cap + 1)])
         assert np.all(np.abs(table - want) <= 1e-13 * want)
 
@@ -380,7 +380,7 @@ class TestSchattenSums:
         for n, p, r, x in [(3, 8.0, 0, 0.35), (8, 5.0, 1, -0.3), (5, 4.0, 0, 0.0)]:
             res = schatten_derivative_sum(n, p, r, x)
             table = np.abs(_derivative_table(n, r, np.asarray(x), res.k_used))
-            total = float(np.sum(_multiplicity_table(n, res.k_used) * table ** p))
+            total = float(np.sum(_multiplicity_table(n, np.arange(res.k_used + 1.0)) * table ** p))
             assert res.value == total ** (1.0 / p)
 
     def test_each_recurrence_call_holds_a_bounded_working_set(self, monkeypatch):
@@ -403,9 +403,41 @@ class TestSchattenSums:
         assert all(blocks * points <= _CHUNK for blocks, points, _ in calls)
         assert max(peak for _, _, peak in calls) < 1 << 20
 
+    @pytest.mark.parametrize("n, p, r, x, k_used, calls", [
+        (8, 5.0, 1, -0.3, 16_384, [64, 64] + [128] * 7),
+        (12, 6.0, 2, -0.6, 1_024, [64]),
+        (12, 6.0, 2, 0.1, 2_048, [64, 64])])
+    def test_a_sum_steps_each_block_once(self, n, p, r, x, k_used, calls, monkeypatch):
+        # the doublings pull one stream: its calls step consecutive blocks, each once,
+        # on the schedule 64, 64, then 128 blocks, which ends with the block that
+        # holds k_used when the truncation doubles from 64
+        blocks = []
+
+        def spy(lam, xs, first, stop, entry):
+            if xs.size == 1:  # the decay constant's 41-point tables aside
+                blocks.append((first, stop))
+            return _recurrence_blocks(lam, xs, first, stop, entry)
+
+        monkeypatch.setattr(sphere, "_recurrence_blocks", spy)
+        assert schatten_derivative_sum(n, p, r, x).k_used == k_used
+        assert [first for first, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert [stop - first for first, stop in blocks] == calls
+
     def test_interior_guard(self):
         with pytest.raises(DomainError):
             schatten_derivative_sum(5, 4.0, 0, 0.99)
+
+    @pytest.mark.parametrize("k_start", [_K_MAX + 1, 2 ** 20, 2 ** 30])
+    def test_truncation_start_past_k_max_rejected(self, k_start):
+        # a start past the truncation cap would tabulate 2^30 degrees, tens of GiB
+        with pytest.raises(InputError, match=f"k_start must be <= {_K_MAX}"):
+            schatten_derivative_sum(5, 8.0, 0, 0.3, k_start=k_start)
+
+    @pytest.mark.parametrize("tail_tol", [math.nan, -1.0, 0.0])
+    def test_tail_tolerance_not_positive_rejected(self, tail_tol):
+        # no tail bound meets such a tolerance: refused before the doublings step to _K_MAX
+        with pytest.raises(InputError, match="tail_tol must be > 0"):
+            schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=tail_tol)
 
     @pytest.mark.parametrize("k_start", [0, -64])
     def test_truncation_start_below_one_rejected(self, k_start):
