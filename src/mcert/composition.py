@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import DomainError, InputError, check_count
+from .errors import DomainError, InputError, RangeError, check_count
 
 __all__ = [
     "DerivativeJet",
@@ -243,14 +243,20 @@ def so_n1_trace_coefficients(n: int, r: float):
 
     tr((D k_delta D)^T (D k_delta D)) = a delta^2 + b delta + c with
     a = 4 sinh^4 r, b = 2 sinh^2(2r), c = n - 3 + 4 cosh^4 r; returns
-    (a, b, c, g) where g inverts the quadratic on [c, a + b + c].
+    (a, b, c, g) where g inverts the quadratic on [c, a + b + c].  Coefficients past the
+    float range are a RangeError.
     """
     check_count("n", n, 2)
     if not (r > 0):
         raise DomainError("r must be positive")
-    a = 4.0 * math.sinh(r) ** 4
-    b = 2.0 * math.sinh(2.0 * r) ** 2
-    c = n - 3.0 + 4.0 * math.cosh(r) ** 4
+    try:
+        a = 4.0 * math.sinh(r) ** 4
+        b = 2.0 * math.sinh(2.0 * r) ** 2
+        c = n - 3.0 + 4.0 * math.cosh(r) ** 4
+    except OverflowError:
+        a = b = c = math.inf
+    if not math.isfinite(a + b + c):
+        raise RangeError(f"the trace coefficients at r = {r:g} exceed the float range")
 
     def g(x):
         x = _check_window(x, c, a + b + c)
@@ -261,11 +267,21 @@ def so_n1_trace_coefficients(n: int, r: float):
 
 def so_n1_embedded_matrix(n: int, r: float, delta: float) -> np.ndarray:
     """(n+1) x (n+1) product D(r) diag(k_delta, 1) D(r) in the Lorentz
-    group, D(r) the standard one-parameter boost."""
+    group, D(r) the standard one-parameter boost.  Entries past the float range are a
+    RangeError."""
     check_count("n", n, 2)
-    d = np.eye(n + 1)
-    d[0, 0] = d[n, n] = math.cosh(r)
-    d[0, n] = d[n, 0] = math.sinh(r)
+    if math.isnan(r):
+        raise DomainError("r must be a number")
     k = np.eye(n + 1)
     k[:n, :n] = rotation_matrix(n, delta)
-    return d @ k @ d
+    d = np.eye(n + 1)
+    try:
+        d[0, 0] = d[n, n] = math.cosh(r)
+        d[0, n] = d[n, 0] = math.sinh(r)
+    except OverflowError:
+        d[0, 0] = math.inf  # a boost past the float range: the product check raises
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN entry is checked below
+        product = d @ k @ d
+    if not np.isfinite(product).all():
+        raise RangeError(f"the product at r = {r:g} exceeds the float range")
+    return product

@@ -192,7 +192,7 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
         out[k] = power @ weights
         power *= base
     out /= out[0]
-    if np.max(np.abs(out.imag)) > 1e-12:
+    if np.max(np.abs(out.imag), initial=0.0) > 1e-12:  # initial: an empty x has no maximum
         raise AccuracyError("imaginary part failed to cancel")
     return out.real
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,8 +200,18 @@ def read_matrix_csv(path) -> np.ndarray:
     InputError; so is a malformed row, or one with more or fewer fields than
     the header, named by its line, and a negative index, or one at or above
     _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
-    parses the rows; only im passes through Python, to read an empty field as 0."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    parses the rows; only im passes through Python, to read an empty field as 0.  A path
+    that is not a str, bytes or os.PathLike is an InputError before any open (an int would
+    be read as a file descriptor, and closed), and so is a file that cannot be opened,
+    with the OSError's text.  A byte that is not UTF-8 reads as U+FFFD, which no number
+    or required column name holds."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError(f"a CSV path must be a str, bytes or os.PathLike, got {path!r}")
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig", errors="replace")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    with fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         missing = [c for c in ("i", "j", "re") if c not in header]

@@ -9,8 +9,8 @@ and compares each report outside ``header`` with its copy in ``tests/golden/``, 
     PYTHONPATH=src python tests/commands.py
 
 runs each row as its own ``python -m mcert.cli`` process in a scratch directory, under a
-30 s timeout, and exits 1 if a row gives another exit code or prints a traceback or a
-warning on stderr.
+30 s timeout, and exits 1 if a row gives another exit code, prints a traceback or a
+warning on stderr, or writes a report that :func:`layout_faults` faults.
 """
 
 from __future__ import annotations
@@ -170,6 +170,35 @@ def canonical(report: dict) -> str:
                       indent=1)
 
 
+def _reject(token):
+    raise ValueError(f"bare {token}")
+
+
+def layout_faults(text: str) -> list:
+    """Where the report ``text`` leaves the layout that ``CertificationReport.dumps`` writes:
+    strict JSON (no NaN or Infinity), keys sorted in every object, a final newline, and
+    each record and each table row alone on one line."""
+    faults = []
+
+    def sorted_object(pairs):
+        keys = [k for k, _ in pairs]
+        if keys != sorted(keys):
+            faults.append(f"keys out of order: {keys}")
+        return dict(pairs)
+
+    try:
+        report = json.loads(text, object_pairs_hook=sorted_object, parse_constant=_reject)
+    except ValueError as exc:
+        return [f"not strict JSON: {exc}"]
+    if not text.endswith("\n"):
+        faults.append("no final newline")
+    lines = {line.rstrip(",") for line in text.splitlines()}
+    alone = [*report["records"], *(row for rows in report["tables"].values() for row in rows)]
+    faults += [f"not one line: {value}" for value in alone
+               if json.dumps(value, sort_keys=True) not in lines]
+    return faults
+
+
 def run_rows() -> list:
     """Run every row with ``mcert.cli.main`` in the current directory, which holds the
     fixtures, with warnings raised as errors.  Per row: its exit code, its stderr, and the
@@ -200,9 +229,14 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 code, err = f"none within {TIMEOUT_S} s", ""
             noisy = bool(NOISY.search(err))
+            reports = [Path(tmp) / name for name in row.reports]
+            faults = [f"{path.name}: {fault}" for path in reports
+                      for fault in (layout_faults(path.read_text(encoding="utf-8"))
+                                    if path.is_file() else ["not written"])]
             print(f"{err}mcert {row.line}: exit {code}, documented {row.code}"
-                  + (", with a traceback or warning on stderr" if noisy else ""))
-            wrong += code != row.code or noisy
+                  + (", with a traceback or warning on stderr" if noisy else "")
+                  + "".join(f"\n  {fault}" for fault in faults))
+            wrong += code != row.code or noisy or bool(faults)
     print(f"{len(ROWS) - wrong} of {len(ROWS)} commands as documented")
     return 1 if wrong else 0
 

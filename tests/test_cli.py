@@ -836,6 +836,42 @@ class TestReportDeterminism:
         rc_b = main(args + ["--out", str(b)])
         assert rc_a == rc_b
         assert self.strip_header(a) == self.strip_header(b)
+        # byte for byte outside the header, which is one line
+        texts = [[line for line in path.read_text(encoding="utf-8").splitlines()
+                  if not line.startswith('"header": ')] for path in (a, b)]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(self, fmt, tmp_path):
+        argv = ["geometry", "--n", "2", "--R", "2", "3", "4", "--format", fmt]
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        stale = tmp_path / "old_volumes.csv"
+        for path in (old, stale):
+            path.write_bytes(b"\0" * 100_000)
+        assert main(argv + ["--out", str(fresh)]) == main(argv + ["--out", str(old)]) == 0
+        assert b"\0" not in old.read_bytes()
+        assert self.strip_header(old) == self.strip_header(fresh)
+        if fmt == "csv":
+            assert stale.read_bytes() == (tmp_path / "fresh_volumes.csv").read_bytes()
+        else:
+            assert stale.read_bytes() == b"\0" * 100_000
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_a_device_or_a_pipe_is_written_and_not_cut(self):
+        argv = ["geometry", "--n", "2", "--R", "2", "3", "4", "--out"]
+        assert main(argv + [os.devnull]) == 0
+        proc = run_cli(argv + ["/dev/stdout"])  # a pipe to the test
+        assert proc.returncode == 0, proc.stderr
+        report = proc.stdout[:proc.stdout.index("\n}\n") + 3]
+        assert json.loads(report)["command"] == "geometry"
+
+    def test_symlinked_out_rewrites_its_target_and_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"\0" * 100_000)
+        link.symlink_to(target)
+        assert main(["geometry", "--n", "2", "--R", "2", "3", "4", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert strict_json(target)["command"] == "geometry"
 
     def test_non_finite_numbers_are_written_as_null(self, tmp_path):
         def reject(token):

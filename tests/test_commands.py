@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from commands import GOLDEN, NOISY, README_ROWS, ROWS, canonical, run_rows, write_fixtures
-from mcert.report import decide_verdict
+from commands import (GOLDEN, NOISY, README_ROWS, ROWS, canonical, layout_faults, run_rows,
+                      write_fixtures)
+from mcert.report import CertificationReport, decide_verdict
 
 # above the 3.7e-10 drift of hm_constants across numpy's SIMD paths, below a 1e-6 change
 REL_TOL = 1e-8
@@ -19,12 +20,20 @@ REL_TOL = 1e-8
 @pytest.fixture(scope="module")
 def ran(tmp_path_factory):
     """The directory the rows ran in, with relative paths, since the input digest hashes
-    --points as given, and their results."""
+    --points as given, their results, and each saved report's object as the standard
+    encoder writes it, by file name."""
     tmp_path = tmp_path_factory.mktemp("commands")
+    save, encoded = CertificationReport.save, {}
+
+    def encode_and_save(report, path):
+        save(report, path)
+        encoded[path] = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(CertificationReport, "save", encode_and_save)
         write_fixtures(".")
-        return tmp_path, run_rows()
+        return tmp_path, run_rows(), encoded
 
 
 def load(ran, name):
@@ -138,3 +147,26 @@ def test_every_report_is_strict_json(ran):
     assert len(names) == sum(len(row.reports) for row in ROWS)
     for name in names:
         json.loads(Path(name).read_text(encoding="utf-8"), parse_constant=int)
+
+
+def test_every_report_has_one_line_per_record_and_table_row(ran):
+    names = [name for row in ROWS for name in row.reports]
+    assert sorted(ran[2]) == sorted(names)
+    for name in names:
+        text = (ran[0] / name).read_text(encoding="utf-8")
+        assert not layout_faults(text), (name, layout_faults(text)[:3])
+        got, want = json.loads(text), ran[2][name]
+        # the header is the report's clock, read once per encoding
+        assert got.pop("header").keys() == want.pop("header").keys()
+        assert got == want, name
+
+
+@pytest.mark.parametrize("text, fault", [
+    ('{"a": NaN}\n', "not strict JSON"),
+    ('{"b": 1, "a": 2, "records": [], "tables": {}}\n', "keys out of order"),
+    ('{"records": [], "tables": {}}', "no final newline"),
+    ('{"records": [\n{"a": 1,\n"b": 2}\n], "tables": {}}\n', "not one line"),
+    ('{"records": [], "tables": {"t": [{"a": 1}, {"a": 2}]}}\n', "not one line"),
+])
+def test_layout_faults_sees_each_fault(text, fault):
+    assert [f for f in layout_faults(text) if f.startswith(fault)]

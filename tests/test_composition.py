@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from mcert.errors import DomainError, InputError
+from mcert.errors import DomainError, InputError, RangeError
 from mcert.composition import (CompositionFrame, DerivativeJet, bell_coefficient_mass,
                                bell_polynomial, composition_derivative_bound, faa_di_bruno,
                                hs_coordinate, opnorm_coordinate, opnorm_coordinate_derivative,
@@ -328,6 +329,22 @@ class TestLorentzCoefficients:
             assert float(g(x)) == pytest.approx(delta, rel=1e-10)
         with pytest.raises(DomainError):
             g(c - 1.0)
+
+    @pytest.mark.parametrize("r", [1e308, 400.0, math.inf, -1e308])
+    def test_boost_past_the_float_range_is_range_error(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if r > 0:
+                with pytest.raises(RangeError):
+                    so_n1_trace_coefficients(3, r)
+            with pytest.raises(RangeError):
+                so_n1_embedded_matrix(3, r, 0.5)
+
+    def test_nan_boost_is_domain_error(self):
+        for call in (lambda: so_n1_trace_coefficients(3, math.nan),
+                     lambda: so_n1_embedded_matrix(3, math.nan, 0.5)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_rotation_matrix_orthogonal(self):
         k = rotation_matrix(4, 0.3)

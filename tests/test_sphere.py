@@ -277,6 +277,12 @@ class TestEigenvalues:
             with pytest.raises(InputError):
                 table(3, np.array(0.5), -1)
 
+    def test_empty_x_gives_an_empty_table(self):
+        for x in ([], np.empty((2, 0))):
+            want = eigenvalue_table(3, x, 1)
+            assert want.shape == (2,) + np.shape(x)
+            assert quadrature_table(3, x, 1).shape == want.shape
+
 
 def derivative(n, k, r, x):
     """r-th derivative of the degree-k normalized eigenvalue at x."""

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcert
 from mcert.errors import DomainError, InputError
 from mcert.geometry import GroupElement, haar_so
 from mcert.symbols import SymbolFamily, read_matrix_csv
@@ -207,6 +212,47 @@ class TestCsvInterfaces:
         marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
         assert marked.read_bytes().startswith(b"\xef\xbb\xbfi,j,re,im")
         assert read_matrix_csv(marked).tobytes() == read_matrix_csv(plain).tobytes()
+
+    def test_path_that_is_not_a_path_is_input_error_before_any_open(self):
+        # an int is a file descriptor to open(): at 1 it would read stdout and close it, so
+        # the call runs in its own process, which prints after it
+        script = ("from mcert.errors import InputError\n"
+                  "from mcert.symbols import read_matrix_csv\n"
+                  "for path in (1, None, 2.5, True):\n"
+                  "    try:\n"
+                  "        read_matrix_csv(path)\n"
+                  "    except InputError as exc:\n"
+                  "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"a CSV path must be a str, bytes or os.PathLike, got {path!r}"
+            for path in (1, None, 2.5, True)]
+
+    def test_file_that_cannot_be_opened_is_input_error_with_its_os_error(self, tmp_path):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(OSError) as os_error:
+                open(path, encoding="utf-8")
+            with pytest.raises(InputError) as exc:
+                read_matrix_csv(path)
+            assert str(exc.value) == str(os_error.value)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"i,j,re\n0,0,\xff\n", "^line 2 of "),  # a number
+        (b"\xff\xfe\x00i\x00,\x00j\x00\n", "has no column"),  # UTF-16
+    ])
+    def test_bytes_that_are_not_utf8_are_input_error(self, data, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=message):
+            read_matrix_csv(path)
+
+    def test_bytes_path_reads_like_str(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.array([[1.0, 2.5j]]), path)
+        assert np.array_equal(read_matrix_csv(bytes(path)), read_matrix_csv(str(path)))
 
     @pytest.mark.parametrize("text, line", [
         ("i,j,re,im\n0,0,1,0\n\n\n1,abc,2,0\n0,0,1,0\n", 5),
