@@ -61,6 +61,9 @@ ROWS = (
     Command(1, "certify-hm --symbol radial-power:exponent=5 --n 4 --out hm4.json",
             ("hm4.json",), "the order-9 jets leave decay-propagation INCONCLUSIVE: ray fits "
             "3.43 vs 2.57"),
+    Command(1, "certify-hm --symbol radial-power:exponent=5 --n 5 --per-order 24 "
+            "--out hm5all.json", ("hm5all.json",), "all 24 basis directions of sl(5): the "
+            "order-13 jets leave decay-propagation INCONCLUSIVE: ray fits -0.20 vs -1.17"),
     Command(2, "certify-hm --symbol radial-power:exponent=2.5,shift=0 --n 3 --out bad.json", (),
             "the group lift rejects a shift that puts a pole at the identity"),
     Command(0, "certify-hm --symbol hm-bump:center=1e300,width=1e-300 --n 2 --out bump.json",
