@@ -82,21 +82,22 @@ def identity(n: int) -> GroupElement:
     return GroupElement(np.eye(n))
 
 
-def _dist_jet(mats, x=None, order: int = 0) -> list:
-    """Jet of s -> d(g exp(sX)) at s = 0 over an (N, n, n) stack of g.  The curves
-    g exp(sX) - e and exp(-sX) g^-1 - e have the matrix jets [g - e, g X^m / m!] and
-    [g^-1 - e, (-X)^m g^-1 / m!], so the jet of d^2 pairs each with itself, and d is
-    its square root.  Every sum runs over one matrix, so a matrix gives the same
-    bits in any stack."""
+def _dist_jet(mats, x, order: int = 0) -> list:
+    """Jet of s -> d(g exp(sX)) at s = 0, shaped (D, N), over (N, n, n) g and (D, n, n) X.
+    The curves g exp(sX) - e and exp(-sX) g^-1 - e have the matrix jets [g - e, g X^m / m!]
+    and [g^-1 - e, (-X)^m g^-1 / m!], so the jet of d^2 pairs each with itself, and d is its
+    square root.  Every sum runs over one matrix, so a g and an X give the same bits in any
+    stacks."""
     n = mats.shape[-1]
     a, b = mats, np.linalg.inv(mats)
     ja, jb = [a - np.eye(n)], [b - np.eye(n)]
     for m in range(1, order + 1):
-        a, b = a @ x / m, -x @ b / m
+        a, b = a @ x[:, None] / m, -x[:, None] @ b / m
         ja.append(a)
         jb.append(b)
     sq = lambda jet: [np.sum(c, axis=(-2, -1)) for c in taylor.mul(jet, jet)]
-    return taylor.power([(p + q) / (2 * n) for p, q in zip(sq(ja), sq(jb))], 0.5)
+    d2 = [(p + q) / (2 * n) for p, q in zip(sq(ja), sq(jb))]
+    return taylor.power([np.broadcast_to(d2[0], (len(x), len(mats))), *d2[1:]], 0.5)
 
 
 def dist_to_identity(mats):
@@ -109,7 +110,8 @@ def dist_to_identity(mats):
     it has inside a stack); :func:`lie_derivative` takes its jets along
     one-parameter subgroups.
     """
-    return _dist_jet(mats.reshape(-1, *mats.shape[-2:]))[0].reshape(mats.shape[:-2])[()]
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    return _dist_jet(flat, np.zeros_like(flat[:1]))[0].reshape(mats.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,7 @@ def dist_to_identity(mats):
 
 
 _MAX_RANK = 64  # the Lie basis holds 8 n^4 bytes, 134 MB at n = 64
+_BATCH_FLOATS = 1 << 16  # jet floats per lie_derivative batch (512 KB): peak memory stays flat
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
@@ -165,28 +168,36 @@ def expm(x, s=1.0) -> np.ndarray:
 
 
 def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
-    """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(sX))) of a radial
-    profile phi along the generator X (an (n, n) matrix, such as a row of
-    :func:`lie_basis`), exact up to rounding.
+    """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(sX))) of a radial profile
+    phi along each generator X of ``x``, an (n, n) matrix or a (..., n, n) stack such as
+    :func:`lie_basis`, exact up to rounding; an X that is not a finite n x n matrix is an
+    InputError.
 
-    The jet of the distance along the flow (:func:`dist_to_identity`) is composed
-    with the profile's jet map ``phi.of`` (:class:`mcert.symbols.RadialProfile`).
-    ``g`` is a :class:`GroupElement`, already validated, and for a (..., n, n) stack the
-    result has shape (order + 1, ...), the same bits for a matrix in any stack.
-    ``phi.of`` takes and returns jets of (N,) arrays; another shape is an InputError,
-    and a non-finite derivative a NumericError.
+    The distance's jet along the flow (:func:`dist_to_identity`), one g^-1 per batch of
+    generators whose jets hold at most _BATCH_FLOATS floats (or one generator's), is composed
+    with the profile's jet map ``phi.of`` (:class:`mcert.symbols.RadialProfile`), which takes
+    and returns jets of (generators, matrices) arrays, another shape being an InputError.
+    ``g`` is a :class:`GroupElement`, already validated; the result, (order + 1,) + x.shape[:-2]
+    + g.entries.shape[:-2], has the same bits in any stacks; a non-finite one is a NumericError.
     """
     check_count("order", order, 0)
-    flat = g.entries.reshape(-1, g.n, g.n)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-2:] != (g.n, g.n) or not np.all(np.isfinite(x)):
+        raise InputError(f"generators must be finite {g.n} x {g.n} matrices, got shape {x.shape}")
+    flat, gens = g.entries.reshape(-1, g.n, g.n), x.reshape(-1, g.n, g.n)
+    step = max(1, _BATCH_FLOATS // ((order + 1) * flat.size))  # generators per batch
+    out = np.empty((order + 1, len(gens), len(flat)))
     with np.errstate(all="ignore"):
-        jet = phi.of(_dist_jet(flat, np.asarray(x, dtype=float), order))
-        if len(jet) != order + 1 or any(np.shape(c) != flat.shape[:1] for c in jet):
-            raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
-                             f"{len(flat)} matrices at order {order}")
-        out = np.array(jet, dtype=float) * taylor.factorials(order)[:, None]  # k! u_k
-    if not np.all(np.isfinite(out)):
-        raise NumericError("symbol derivative is not finite")
-    return out.reshape(order + 1, *g.entries.shape[:-2])
+        for i in range(0, len(gens), step):
+            jet, part = phi.of(_dist_jet(flat, gens[i:i + step], order)), out[:, i:i + step]
+            if len(jet) != order + 1 or any(np.shape(c) != part.shape[1:] for c in jet):
+                raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
+                                 f"{part.shape[1:]} arrays at order {order}")
+            part[...] = jet
+            part *= taylor.factorials(order)[:, None, None]  # k! u_k
+            if not np.all(np.isfinite(part)):  # stop at the first batch that overflows
+                raise NumericError("symbol derivative is not finite")
+    return out.reshape((order + 1,) + x.shape[:-2] + g.entries.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +485,8 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     dists = dist_to_identity(sweep.entries)
     ray_x = (1.0 + dists[n_local:]).reshape(-1, _RAY_POINTS).tolist()
     # v = max over the directions of |X_j^k m| per order k and point
-    derivs = [lie_derivative(symbol.profile, sweep, basis[j], order)[1:] for j in dirs]
-    vmax = np.vstack([np.abs(symbol(sweep)), np.max(np.abs(derivs), axis=0)])
+    derivs = lie_derivative(symbol.profile, sweep, basis[dirs], order)[1:]
+    vmax = np.vstack([np.abs(symbol(sweep)), np.max(np.abs(derivs), axis=1)])
 
     sups, ray_fits = [], {}
     for k in range(order + 1):

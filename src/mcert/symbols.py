@@ -195,10 +195,10 @@ _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
 def read_matrix_csv(path) -> np.ndarray:
     """Complex matrix from long-format CSV with columns i, j, re and an
     optional im (an empty im is 0), and any other named columns, which are
-    skipped.  Blank lines are skipped, and a later row for the same (i, j)
-    replaces an earlier one.  A header that names a column twice is an
-    InputError; so is a malformed row, or one with more or fewer fields than
-    the header, named by its line, and a negative index, or one at or above
+    skipped.  Blank lines are skipped, and a later row for the same (i, j) replaces an
+    earlier one.  A header without i, j or re, or that names a column twice, is an
+    InputError that quotes at most 60 characters of it; so is a malformed row, or one with more
+    or fewer fields than the header, named by its line, and a negative index, or one at or above
     _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
     parses the rows; only im passes through Python, to read an empty field as 0.  A path
     that is not a str, bytes or os.PathLike is an InputError before any open (an int would
@@ -214,12 +214,13 @@ def read_matrix_csv(path) -> np.ndarray:
     with fh:
         rows = csv.reader(fh)
         header = next(rows, [])
+        head = f"CSV header {repr(','.join(header))[:60]} of {path}"  # one short line for noise
         missing = [c for c in ("i", "j", "re") if c not in header]
         if missing:
-            raise InputError(f"CSV header {header} has no column {', '.join(missing)}")
+            raise InputError(f"{head} has no column {', '.join(missing)}")
         twice = [c for k, c in enumerate(header) if c in header[:k]]
         if twice:
-            raise InputError(f"CSV header {header} names column {twice[0]!r} twice")
+            raise InputError(f"{head} names column {twice[0]!r} twice")
         types = {"i": np.int64, "j": np.int64, "re": float, "im": float}
         numbered = enumerate(fh, rows.line_num + 1)
         line, text = next(((k, text) for k, text in numbered if text.strip("\r\n")), (0, ""))

@@ -141,25 +141,29 @@ class TestCertifyHm:
         assert message in capsys.readouterr().err
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("n, order, per_order", [(2, 3, 3), (3, 5, 3), (3, 2, 1)])
-    def test_one_symbol_call_per_multi_index(self, n, order, per_order):
-        # one stacked symbol call gives order 0, then one profile jet per direction
-        # gives orders 0..order at every sweep point
-        from mcert.geometry import certify_hm_report
+    @pytest.mark.parametrize("n, order, per_order", [(2, 3, 3), (3, 5, 3), (3, 2, 1), (4, 9, 15)])
+    def test_one_symbol_call_per_multi_index(self, n, order, per_order, monkeypatch):
+        # one stacked symbol call gives order 0, then one profile jet over every sampled
+        # direction and sweep point gives orders 0..order; the sweep is inverted three
+        # times, for the distances, the symbol and the jets, whatever per_order is
         from mcert.symbols import RadialProfile, SymbolFamily, SymbolHandle
 
         profile = SymbolFamily.parse("radial-power:exponent=5").build_profile()
-        jets = []
+        jets, inverses = [], []
 
         def counted(u):
             jets.append((len(u), np.shape(u[0])))
             return profile.of(u)
 
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(np.shape(m)) or inv(m))
         certify_hm_report(SymbolHandle(RadialProfile(counted)), n=n, order=order,
                           per_order=per_order)
+        jets.sort()
         points = jets[0][1]
-        assert sorted(jets) == [(1, points)] + [(order + 1, points)] * per_order
         assert len(points) == 1 and points[0] > 1  # stacks only, never one matrix
+        assert jets == [(1, points), (order + 1, (per_order,) + points)]
+        assert inverses == [points + (n, n)] * 3
 
     def test_sweep_is_validated_once(self, monkeypatch):
         # the sweep's GroupElement is checked when it is built; the symbol and the Lie
@@ -698,6 +702,16 @@ class TestSchurBound:
         path.write_text(text, encoding="utf-8")
         assert main(["schur-bound", "--points", str(path), "--p", "2"]) == 2
         assert re.search(message, capsys.readouterr().err)
+
+    def test_noise_header_is_one_short_line(self, tmp_path, monkeypatch, capsys):
+        # 300 random bytes: the message names the file and quotes at most 60 characters of
+        # the decoded header, where the whole header once made a 464-character line
+        monkeypatch.chdir(tmp_path)
+        Path("noise.csv").write_bytes(np.random.default_rng(4).bytes(300))
+        assert main(["schur-bound", "--points", "noise.csv", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("input error: CSV header ") and "of noise.csv has no column" in err
 
     def test_negative_index_exit_code(self, tmp_path):
         path = tmp_path / "neg.csv"

@@ -460,6 +460,49 @@ class TestStackedEngine:
             check_special_linear(nan)
         assert check_special_linear(stack).shape == (4, 3, 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_generator_stack_equals_one_generator_at_a_time(self, n):
+        # one call over a (D,) or (2, D) stack of generators has the bits of the calls over
+        # each generator alone, at every order 0..5, for each family
+        stack = _sweep_points(n, 2, 3)
+        basis = lie_basis(n)
+        gens = basis[np.round(np.linspace(0, len(basis) - 1, 6)).astype(int)]
+        for spec in ORACLE_SPECS:
+            prof = SymbolFamily.parse(spec).build_profile()
+            for order in range(6):
+                alone = np.stack([lie_derivative(prof, stack, x, order) for x in gens], axis=1)
+                for shape in ((6,), (2, 3)):
+                    got = lie_derivative(prof, stack, gens.reshape(shape + (n, n)), order)
+                    want = alone.reshape((order + 1,) + shape + (len(stack.entries),))
+                    assert got.shape == want.shape and np.all(got == want), (spec, order, shape)
+
+    @pytest.mark.parametrize("per_batch, sizes", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+    def test_batches_under_the_budget_give_the_same_bits(self, per_batch, sizes, monkeypatch):
+        # a budget of one or two generators' jets splits 5 generators into 5 or 3 batches,
+        # each with its own profile jet, and changes no bit of the result
+        n, order = 4, 5
+        stack = _sweep_points(n, 3, 2)
+        gens = lie_basis(n)[[0, 4, 9, 12, 14]]
+        prof = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
+        whole = lie_derivative(prof, stack, gens, order)
+        batches = []
+        counted = RadialProfile(lambda u: batches.append(np.shape(u[0])) or prof.of(u))
+        monkeypatch.setattr(geometry, "_BATCH_FLOATS",
+                            per_batch * (order + 1) * stack.entries.size)
+        got = lie_derivative(counted, stack, gens, order)
+        assert [b[0] for b in batches] == sizes
+        assert np.all(got == whole)
+
+    @pytest.mark.parametrize("x", [np.eye(2), np.eye(4), np.ones(3), np.float64(1.0),
+                                   np.ones((2, 3, 4)), np.diag([np.nan, 0.0, 0.0]),
+                                   np.stack([lie_basis(3)[0], np.full((3, 3), np.inf)])])
+    def test_generator_not_finite_or_of_another_size_rejected(self, x):
+        # before any jet is built: numpy's matmul would raise a bare ValueError on a size
+        # mismatch, and a NaN generator would surface as a non-finite derivative
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        with pytest.raises(InputError, match="generators must be finite 3 x 3 matrices"):
+            lie_derivative(prof, identity(3), x, 2)
+
     def test_wrong_result_shape_rejected(self):
         g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
         for bad in (lambda u: [1.0] * len(u), lambda u: [c[..., None] for c in u],
