@@ -704,8 +704,8 @@ class TestSchurBound:
         assert re.search(message, capsys.readouterr().err)
 
     def test_noise_header_is_one_short_line(self, tmp_path, monkeypatch, capsys):
-        # 300 random bytes: the message names the file and quotes at most 60 characters of
-        # the decoded header, where the whole header once made a 464-character line
+        # a header of 300 random bytes: the message names the file and quotes at most 60
+        # characters of the decoded header, so it stays one short line
         monkeypatch.chdir(tmp_path)
         Path("noise.csv").write_bytes(np.random.default_rng(4).bytes(300))
         assert main(["schur-bound", "--points", "noise.csv", "--p", "2"]) == 2
