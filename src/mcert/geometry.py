@@ -170,8 +170,8 @@ def expm(x, s=1.0) -> np.ndarray:
 def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     """Derivatives 0..order at s = 0 of the lift s -> phi(d(g exp(sX))) of a radial profile
     phi along each generator X of ``x``, an (n, n) matrix or a (..., n, n) stack such as
-    :func:`lie_basis`, exact up to rounding; an X that is not a finite n x n matrix is an
-    InputError.
+    :func:`lie_basis`, exact up to rounding; an X that is not a finite real n x n matrix is
+    an InputError.
 
     The distance's jet along the flow (:func:`dist_to_identity`), one g^-1 per batch of
     generators whose jets hold at most _BATCH_FLOATS floats (or one generator's), is composed
@@ -181,7 +181,13 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     + g.entries.shape[:-2], has the same bits in any stacks; a non-finite one is a NumericError.
     """
     check_count("order", order, 0)
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting
+        raise InputError(f"generators must be real matrices: {exc}") from None
+    if x.dtype.kind not in "biuf":  # a float cast would drop an imaginary part with a warning
+        raise InputError(f"generators must be real matrices, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if x.shape[-2:] != (g.n, g.n) or not np.all(np.isfinite(x)):
         raise InputError(f"generators must be finite {g.n} x {g.n} matrices, got shape {x.shape}")
     flat, gens = g.entries.reshape(-1, g.n, g.n), x.reshape(-1, g.n, g.n)
@@ -310,8 +316,8 @@ def weyl_ball_volume(n: int, r):
 def volume_report(n: int, radii) -> CertificationReport:
     """The ``geometry`` report: chamber ball volumes over a radius list, each with the bound
     on its series' dropped tail, and the growth-rate cross-check, the distance of the slope
-    of log volume in R, fitted to the positive volumes, from [n^2/2], against 5% of it:
-    INCONCLUSIVE when those volumes sit at fewer than three distinct radii."""
+    of log volume in R, fitted to the positive volumes by :func:`_slope`, from [n^2/2], against
+    5% of it: INCONCLUSIVE when those volumes sit at fewer than three distinct radii."""
     rep = CertificationReport(command="geometry")
     rs = np.asarray(list(radii), dtype=float)
     vols, tails = weyl_ball_volume(n, rs)
@@ -320,7 +326,7 @@ def volume_report(n: int, radii) -> CertificationReport:
     sigma = n * n // 2
     keep = vols > 0.0  # an underflowed volume has no logarithm
     fit = len(set(rs[keep].tolist())) >= 3  # np.unique would load numpy.ma
-    slope = float(np.polyfit(rs[keep], np.log(vols[keep]), 1)[0]) if fit else None
+    slope = _slope(rs[keep].tolist(), np.log(vols[keep]).tolist()) if fit else None
     rep.add(CheckRecord(
         name="volume-growth-rate", check_id="geometry/volume-growth", kind=CROSS_CHECK,
         measured=abs(slope - sigma) if fit else None, bound=0.05 * sigma,
@@ -414,7 +420,8 @@ def _sweep_points(n: int, shells: int, seed: int) -> GroupElement:
     dirs[1, 0, 1], dirs[1, 1, 0] = 1.0, -1.0
     dirs[2, 0, 1] = 1.0
     dirs = dirs / np.linalg.norm(dirs, axis=(1, 2), keepdims=True) * math.sqrt(n)
-    local = np.stack([expm(d, np.geomspace(1e-3, 0.6, shells)) for d in dirs], axis=1)
+    radii = np.geomspace(1e-3, 0.6, shells)
+    local = np.stack([expm(d, radii) for d in dirs], axis=1)
 
     z = np.zeros((2 if n >= 3 else 1, n))  # ray directions in the Cartan algebra, max |z_i| = 1
     z[0, 0], z[0, -1] = 1.0, -1.0
@@ -429,12 +436,30 @@ def _sweep_points(n: int, shells: int, seed: int) -> GroupElement:
     return GroupElement(np.concatenate([local.reshape(-1, n, n), rays.reshape(-1, n, n)]))
 
 
+def _slope(x: list, y: list):
+    """The least-squares slope of the floats y against x, sum (x - xm)(y - ym) / sum (x - xm)^2
+    for the means xm, ym, with both means and both sums exactly rounded by math.fsum; None
+    when the x are all equal, NaN when a value is not finite (fsum raises on inf + -inf).  Its
+    relative error against the exact slope of the same floats is at most about (3 c + 6) 2^-53,
+    where c = sum |(x - xm)(y - ym)| / |sum (x - xm)(y - ym)| is 1 when the products share a
+    sign, while |xm| stays below some 1e8 times the spread of x."""
+    if not all(map(math.isfinite, x + y)):
+        return math.nan
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [a - xm for a in x]
+    sxx = math.fsum([d * d for d in dx])
+    return math.fsum([d * (b - ym) for d, b in zip(dx, y)]) / sxx if sxx else None
+
+
 def fit_exponent(ls, vals):
-    """Minus the log-log slope through the values above 1e-14, or None below three of them."""
+    """Minus the slope of log vals against log ls by :func:`_slope`, the package's one fit,
+    through the values above 1e-14: None below three of them or when their ls are all equal,
+    NaN when one of them is not finite."""
     ls, vals = np.asarray(ls, dtype=float), np.asarray(vals, dtype=float)
     keep = vals > 1e-14
-    return (float(-np.polyfit(np.log(ls[keep]), np.log(vals[keep]), 1)[0])
-            if keep.sum() >= 3 else None)
+    slope = (_slope(np.log(ls[keep]).tolist(), np.log(vals[keep]).tolist())
+             if np.count_nonzero(keep) >= 3 else None)
+    return None if slope is None else -slope
 
 
 def _median(values: list) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,12 +13,15 @@ from scipy.linalg import expm as scipy_expm
 from scipy.spatial import Delaunay, HalfspaceIntersection
 
 from mcert import geometry, taylor
+from mcert.cli import _build_parser
 from mcert.errors import DomainError, InputError, NumericError, RangeError
-from mcert.geometry import (GroupElement, _basis_indices, _sweep_points, certify_hm_report,
-                            check_special_linear, dist_to_identity, expm, harish_chandra_xi,
-                            haar_so, identity, lie_basis, lie_derivative, weyl_ball_volume)
+from mcert.geometry import (GroupElement, _basis_indices, _slope, _sweep_points,
+                            certify_hm_report, check_special_linear, dist_to_identity, expm,
+                            fit_exponent, harish_chandra_xi, haar_so, identity, lie_basis,
+                            lie_derivative, volume_report, weyl_ball_volume)
 from mcert.symbols import RadialProfile, SymbolFamily
 
+from commands import ROWS
 from test_symbols import _mp_profile
 
 
@@ -503,6 +507,16 @@ class TestStackedEngine:
         with pytest.raises(InputError, match="generators must be finite 3 x 3 matrices"):
             lie_derivative(prof, identity(3), x, 2)
 
+    @pytest.mark.parametrize("x", [lie_basis(3)[0] * 1j, [["a"] * 3] * 3, [[1.0, 2.0], [3.0]]])
+    def test_generator_not_real_rejected(self, x):
+        # a float cast would drop the imaginary part with a ComplexWarning, and raise a bare
+        # ValueError on strings and on a ragged list
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="generators must be real matrices"):
+                lie_derivative(prof, identity(3), x, 2)
+
     def test_wrong_result_shape_rejected(self):
         g = GroupElement(np.diag([1.2, 1.0, 1 / 1.2]))
         for bad in (lambda u: [1.0] * len(u), lambda u: [c[..., None] for c in u],
@@ -585,6 +599,97 @@ class TestWeylVolume:
             for radii in lists:
                 got, want = weyl_ball_volume(n, radii), per_level_ball_volume(n, radii)
                 assert [a.tobytes() for a in got] == [b.tobytes() for b in want], radii
+
+
+def mp_slope(x, y):
+    """The least-squares slope of the floats y against x to 50 digits, and the condition of
+    its numerator, sum |(x - xm)(y - ym)| / |sum (x - xm)(y - ym)| for the means xm, ym."""
+    with mpmath.workdps(50):
+        xs, ys = [mpmath.mpf(a) for a in x], [mpmath.mpf(b) for b in y]
+        xm, ym = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
+        dx = [a - xm for a in xs]
+        prods = [d * (b - ym) for d, b in zip(dx, ys)]
+        num = mpmath.fsum(prods)
+        return num / mpmath.fsum(d * d for d in dx), mpmath.fsum(map(abs, prods)) / abs(num)
+
+
+def slope_ulps(got, x, y):
+    """The relative error of a slope of y against x in units of 2^-52, and the condition."""
+    want, cond = mp_slope(x, y)
+    return float(abs(mpmath.mpf(got) - want) / abs(want)) * 2.0 ** 52, float(cond)
+
+
+def recording(monkeypatch, name):
+    """Replace geometry.<name> with a wrapper that records its arguments and results."""
+    calls, real = [], getattr(geometry, name)
+
+    def record(*args):
+        calls.append((*args, real(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(geometry, name, record)
+    return calls
+
+
+def command_args(command):
+    """The parsed arguments of each command-table row of ``command`` that makes a report."""
+    parser = _build_parser()
+    return [parser.parse_args(row.argv) for row in ROWS
+            if row.argv[0] == command and row.code != 2]
+
+
+class TestFit:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ray_fits_match_mpmath(self, n, monkeypatch):
+        # the (1 + d, value) tables certify-hm fits, orders 0, [n^2/2] and [n^2/2] + 1, for
+        # every symbol of the command table
+        calls = recording(monkeypatch, "fit_exponent")
+        for spec in sorted({args.symbol for args in command_args("certify-hm")}):
+            certify_hm_report(SymbolFamily.parse(spec).build_group_symbol(), n)
+        fitted = 0
+        for ls, vals, got in calls:
+            ls, vals = np.asarray(ls), np.asarray(vals)
+            keep = vals > 1e-14
+            if keep.sum() < 3:
+                assert got is None
+                continue
+            x, y = np.log(ls[keep]).tolist(), np.log(vals[keep]).tolist()
+            assert slope_ulps(-got, x, y)[0] <= 4.0
+            fitted += 1
+        assert fitted >= 3  # orders 0, [n^2/2] and [n^2/2] + 1 of radial-power:exponent=5
+
+    def test_volume_growth_fits_match_mpmath(self, monkeypatch):
+        calls = recording(monkeypatch, "_slope")
+        for args in command_args("geometry"):
+            volume_report(args.n, args.R)
+        assert len(calls) == 3  # the rows of three or more distinct radii
+        for x, y, got in calls:
+            assert slope_ulps(got, x, y)[0] <= 4.0
+
+    def test_random_tables_match_mpmath(self):
+        # decays like the package's fits, a log-log line with noise up to 0.1, stay within 4
+        # ulp; pure noise, whose products cancel, within the docstring's bound, (3 c + 6) 2^-53
+        rng = np.random.default_rng(38)
+        for _ in range(1000):
+            m = int(rng.integers(3, 26))
+            x = np.log(np.sort(rng.uniform(1.0, 100.0, m)))
+            y = (-rng.uniform(-2.0, 12.0) * x + rng.normal(0.0, 3.0)
+                 + rng.normal(0.0, 10.0 ** rng.uniform(-16.0, -1.0), m))
+            assert slope_ulps(_slope(x.tolist(), y.tolist()), x.tolist(), y.tolist())[0] <= 4.0
+            x, y = rng.standard_normal(m).tolist(), rng.standard_normal(m).tolist()
+            ulps, cond = slope_ulps(_slope(x, y), x, y)
+            assert ulps <= (3.0 * cond + 6.0) / 2.0
+
+    def test_edge_cases(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.polyfit warned RankWarning on equal x
+            assert fit_exponent([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 1e-15, 0.0]) is None
+            assert fit_exponent([2.0] * 4, [1.0, 0.5, 0.25, 0.125]) is None
+            assert fit_exponent([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1e-15, 0.5]) is not None
+            assert _slope([1.0] * 3, [1.0, 2.0, 3.0]) is None
+            assert math.isnan(fit_exponent([1.0, 2.0, 3.0], [1.0, math.inf, 0.5]))
+            assert math.isnan(_slope([1.0, 2.0, 3.0], [math.inf, -math.inf, 0.0]))  # fsum raises
+            assert math.isnan(_slope([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
 
 
 class TestHarishChandra:

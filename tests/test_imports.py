@@ -2,7 +2,8 @@
 never scipy or numpy.ma, every module imports with scipy blocked, the Schur layer loads
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
-public API is set by the package, an acceptance line, a command row or the benchmark."""
+public API is set by the package, an acceptance line, a command row or the benchmark, and the
+package fits a slope in one place."""
 
 import ast
 import json
@@ -141,6 +142,17 @@ def test_records_take_no_verdict_and_cli_imports_no_numpy():
     names |= {node.module for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert "numpy" not in {name.split(".")[0] for name in names}, names
+
+
+def test_no_module_calls_polyfit():
+    # every fitted exponent and growth rate is geometry._slope; the acceptance test keeps
+    # np.polyfit as its independent oracle
+    package = Path(mcert.__file__).resolve().parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "polyfit" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))]
+    assert calls == []
 
 
 def defaulted_parameters(tree):
