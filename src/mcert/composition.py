@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import DomainError, InputError, RangeError, check_count
+from .errors import DomainError, InputError, RangeError, check_array, check_count
 
 __all__ = [
     "DerivativeJet",
@@ -45,7 +45,7 @@ class DerivativeJet:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(check_array("values", self.values).tolist()))
 
     @property
     def order(self) -> int:
@@ -56,7 +56,7 @@ def bell_polynomial(k: int, j: int, z) -> float:
     """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1})."""
     check_count("k", k, 1)
     check_count("j", j, 1, k)
-    z = [float(v) for v in z]
+    z = check_array("z", z).tolist()
     if len(z) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(z)}")
     table = {(0, 0): 1.0}
@@ -108,7 +108,7 @@ def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
     never be violated by the exact composition formula.
     """
     check_count("k", k, 1)
-    sups = [abs(float(v)) for v in phi_jet_sups]
+    sups = [abs(v) for v in check_array("phi_jet_sups", phi_jet_sups).tolist()]
     if len(sups) < k:
         raise InputError(f"need sups of orders 1..{k}")
     peak = max(sups[j - 1] ** (k / j) for j in range(1, k + 1))
@@ -122,7 +122,7 @@ def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
 def shear_operator_norm(x):
     """Operator norm of a determinant-one 2 x 2 matrix whose squared
     Hilbert-Schmidt norm is 2 + 4 x^2; equals e^u at x = sinh(u)."""
-    x = np.asarray(x, dtype=float)
+    x = check_array("x", x)
     x2 = x * x
     return np.sqrt(1.0 + 2.0 * x2 + 2.0 * np.sqrt(x2 + x2 * x2))
 
@@ -174,7 +174,8 @@ class CompositionFrame:
         return math.exp(2.0 * self.r)
 
     def opnorm_of_delta(self, delta) -> np.ndarray:
-        return self.x_min * shear_operator_norm(np.asarray(delta) * math.sinh(self.r - self.s))
+        stretch = math.sinh(self.r - self.s)
+        return self.x_min * shear_operator_norm(check_array("delta", delta) * stretch)
 
     # normalized Hilbert-Schmidt window [hs_min, hs_max]
     @property
@@ -189,7 +190,7 @@ class CompositionFrame:
         return math.sqrt(val)
 
     def hs_of_delta(self, delta) -> np.ndarray:
-        delta = np.asarray(delta, dtype=float)
+        delta = check_array("delta", delta)
         a2, b2 = self.hs_min ** 2, self.hs_max ** 2
         return np.sqrt(a2 + delta * delta * (b2 - a2))
 
@@ -198,9 +199,9 @@ _DOMAIN_SLACK = 1e-9
 
 
 def _check_window(x, lo: float, hi: float) -> np.ndarray:
-    """``x`` as a float array; a DomainError where it leaves [lo, hi] by more than
-    _DOMAIN_SLACK relative."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a float array (:func:`check_array`); a DomainError where it leaves [lo, hi]
+    by more than _DOMAIN_SLACK relative."""
+    x = check_array("x", x)
     if np.any(x < lo * (1 - _DOMAIN_SLACK)) or np.any(x > hi * (1 + _DOMAIN_SLACK)):
         raise DomainError(f"x outside [{lo:.6g}, {hi:.6g}]")
     return x

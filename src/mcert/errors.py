@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit, and the one rule for every count in it.
+"""Exception types shared across the toolkit, and its one rule for counts and for arrays.
 
 The CLI maps these onto process exit codes: input/domain problems exit
-with 2, accuracy problems with 3.  A count the CLI can reach is named by its flag.
+with 2, accuracy problems with 3.  A count or array the CLI can reach is named by its flag.
 """
 
 import numbers
+
+import numpy as np
 
 
 class CertifyError(Exception):
@@ -42,3 +44,20 @@ def check_count(flag: str, value: int, least: int, most: int | None = None) -> N
         raise InputError(f"{flag} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise InputError(f"{flag} must be <= {most}, got {value}")
+
+
+def check_array(name: str, value, dtype=float, finite: bool = False) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex, and the same array when it is
+    one already: an InputError, named by ``name``, for a ragged nesting, an entry that is
+    no number (or a complex one where dtype is float) and, with ``finite``, a NaN or inf."""
+    field = "real" if dtype is float else "complex"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise InputError(f"{name} must be an array of {field} numbers, got a ragged nesting")
+    if a.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # numpy's dtype kinds
+        raise InputError(f"{name} must be an array of {field} numbers, got dtype {a.dtype}")
+    a = a.astype(dtype, copy=False)
+    if finite and not np.isfinite(a).all():
+        raise InputError(f"{name} must be finite")
+    return a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, check_count
+from .errors import AccuracyError, DomainError, InputError, check_array, check_count
 from .symbols import EuclideanSymbol
 
 __all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition_value",
@@ -26,8 +26,7 @@ __all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition
 
 
 def _smoothstep(t):
-    """C-infinity increasing step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
+    """C-infinity increasing step of a float array: 0 for t <= 0, 1 for t >= 1."""
     with np.errstate(over="ignore", divide="ignore"):
         a = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
         b = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
@@ -39,14 +38,12 @@ class DyadicPartition:
     so every partition value is deterministic."""
 
     def eta(self, r):
-        return _smoothstep(2.0 - np.asarray(r, dtype=float))
+        return _smoothstep(2.0 - check_array("r", r))
 
 
 def _radius(xi):
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        return np.abs(xi)
-    return np.linalg.norm(xi, axis=-1)
+    xi = check_array("xi", xi)
+    return np.abs(xi) if xi.ndim == 0 else np.linalg.norm(xi, axis=-1)
 
 
 _J_RANGE = (-1074, 1023)  # the band indices j at which 2^j is a finite positive float
@@ -128,10 +125,6 @@ class GridSpec:
         if self.box_halfwidth <= 0:
             raise InputError("grid needs a positive box")
 
-    @classmethod
-    def default(cls, d: int, box_halfwidth: float = 8.0, box_points: int = 256) -> "GridSpec":
-        return cls(d=d, box_halfwidth=box_halfwidth, box_points=box_points)
-
 
 # ---------------------------------------------------------------------------
 # Transform-based Sobolev norms
@@ -148,7 +141,7 @@ def _sample_box(m: EuclideanSymbol, grid: GridSpec) -> np.ndarray:
     x, _ = _box_axes(grid)
     axes = np.meshgrid(*([x] * m.d), indexing="ij")
     pts = np.stack(axes, axis=-1)
-    return np.asarray(m(pts), dtype=complex)
+    return check_array("m(x)", m(pts), complex)
 
 
 def _check_leakage(samples: np.ndarray, grid: GridSpec, name: str, tol: float = 1e-8):
@@ -204,7 +197,7 @@ _MAX_COND = 1e12  # A + e past this condition number is numerically singular
 def local_inversion(a) -> np.ndarray:
     """I(A) = (A + e)^{-1} - e, an involution where A + e is invertible: a condition
     number of A + e past _MAX_COND is a DomainError."""
-    a = np.asarray(a, dtype=float)
+    a = check_array("a", a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("expected a square matrix")
     shifted = a + np.eye(a.shape[0])
@@ -256,7 +249,7 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     check_count("d1 + d2", d1 + d2, 2, _MAX_CUBE_DIM)
     d, size = d1 + d2, 32
     pts = np.stack(np.meshgrid(*[(np.arange(size) + 0.5) / size] * d, indexing="ij"), axis=-1)
-    vals = np.asarray(s(pts[..., :d1], pts[..., d1:]), dtype=complex)
+    vals = check_array("s(x, y)", s(pts[..., :d1], pts[..., d1:]), complex)
     if not np.all(np.isfinite(vals)):
         raise AccuracyError("symbol evaluation produced non-finite samples")
 

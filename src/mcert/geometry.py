@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import taylor
-from .errors import DomainError, InputError, NumericError, RangeError, check_count
+from .errors import DomainError, InputError, NumericError, RangeError, check_array, check_count
 from .report import CROSS_CHECK, NECESSARY, SUFFICIENT, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
@@ -40,14 +40,12 @@ __all__ = [
 ]
 
 
-def check_special_linear(mats) -> np.ndarray:
-    """The (..., n, n) stack as floats, checked to lie in SL(n,R): finite
-    (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n) (DomainError)."""
-    m = np.asarray(mats, dtype=float)
+def check_special_linear(entries) -> np.ndarray:
+    """The (..., n, n) stack as finite floats (:func:`check_array`) in SL(n,R): square of
+    size >= 2 (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n) (DomainError)."""
+    m = check_array("entries", entries, finite=True)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
         raise InputError(f"expected a square matrix of size >= 2, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("matrix entries must be finite")
     det = np.asarray(np.linalg.det(m))
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** m.shape[-1])
     bad = np.abs(det - 1.0) > 1e-10 * scale
@@ -110,6 +108,7 @@ def dist_to_identity(mats):
     it has inside a stack); :func:`lie_derivative` takes its jets along
     one-parameter subgroups.
     """
+    mats = check_array("mats", mats, finite=True)
     flat = mats.reshape(-1, *mats.shape[-2:])
     return _dist_jet(flat, np.zeros_like(flat[:1]))[0].reshape(mats.shape[:-2])[()]
 
@@ -150,7 +149,7 @@ def expm(x, s=1.0) -> np.ndarray:
     """exp(s X) in closed form at every entry of the array ``s`` (s.shape + (n, n)):
     I + sX for square-zero X, entrywise exp for diagonal X, and cos sc, sin sc in the
     (i, j) plane for X = c (E_ij - E_ji), i < j; other X raise InputError."""
-    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)[..., None, None]
+    x, s = check_array("x", x, finite=True), check_array("s", s, finite=True)[..., None, None]
     eye = np.eye(x.shape[-1])
     if not np.any(x @ x):
         return eye + s * x
@@ -181,14 +180,8 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     + g.entries.shape[:-2], has the same bits in any stacks; a non-finite one is a NumericError.
     """
     check_count("order", order, 0)
-    try:
-        x = np.asarray(x)
-    except ValueError as exc:  # a ragged nesting
-        raise InputError(f"generators must be real matrices: {exc}") from None
-    if x.dtype.kind not in "biuf":  # a float cast would drop an imaginary part with a warning
-        raise InputError(f"generators must be real matrices, got dtype {x.dtype}")
-    x = x.astype(float, copy=False)
-    if x.shape[-2:] != (g.n, g.n) or not np.all(np.isfinite(x)):
+    x = check_array("x", x, finite=True)
+    if x.shape[-2:] != (g.n, g.n):
         raise InputError(f"generators must be finite {g.n} x {g.n} matrices, got shape {x.shape}")
     flat, gens = g.entries.reshape(-1, g.n, g.n), x.reshape(-1, g.n, g.n)
     step = max(1, _BATCH_FLOATS // ((order + 1) * flat.size))  # generators per batch
@@ -199,7 +192,7 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
             if len(jet) != order + 1 or any(np.shape(c) != part.shape[1:] for c in jet):
                 raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
                                  f"{part.shape[1:]} arrays at order {order}")
-            part[...] = jet
+            part[...] = check_array("phi.of(u)", jet)
             part *= taylor.factorials(order)[:, None, None]  # k! u_k
             if not np.all(np.isfinite(part)):  # stop at the first batch that overflows
                 raise NumericError("symbol derivative is not finite")
@@ -267,7 +260,7 @@ def weyl_ball_volume(n: int, r):
     last order m, T q / (1 - q) with q = max|y| / (m + 1) < 1, scaled like the volume; at most
     about 1e-17 of it."""
     check_count("--n", n, 2, 5)
-    r = np.asarray(r, dtype=float)
+    r = check_array("--R", r)
     if not np.all((0 < r) & (r < math.inf)):
         raise DomainError("radius must be positive and finite")
     if np.any(r >= _FLOAT_RADIUS[n - 2]):  # before the series is sized: its length grows with r
@@ -319,7 +312,7 @@ def volume_report(n: int, radii) -> CertificationReport:
     of log volume in R, fitted to the positive volumes by :func:`_slope`, from [n^2/2], against
     5% of it: INCONCLUSIVE when those volumes sit at fewer than three distinct radii."""
     rep = CertificationReport(command="geometry")
-    rs = np.asarray(list(radii), dtype=float)
+    rs = check_array("--R", radii).ravel()
     vols, tails = weyl_ball_volume(n, rs)
     rep.add_table("volumes", [{"R": float(r), "volume": float(v), "truncation_bound": float(t)}
                               for r, v, t in zip(rs, vols, tails)])
@@ -455,7 +448,7 @@ def fit_exponent(ls, vals):
     """Minus the slope of log vals against log ls by :func:`_slope`, the package's one fit,
     through the values above 1e-14: None below three of them or when their ls are all equal,
     NaN when one of them is not finite."""
-    ls, vals = np.asarray(ls, dtype=float), np.asarray(vals, dtype=float)
+    ls, vals = check_array("ls", ls), check_array("vals", vals)
     keep = vals > 1e-14
     slope = (_slope(np.log(ls[keep]).tolist(), np.log(vals[keep]).tolist())
              if np.count_nonzero(keep) >= 3 else None)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import taylor
 from .composition import CompositionFrame
-from .errors import AccuracyError, InputError, check_count
+from .errors import AccuracyError, InputError, check_array, check_count
 from .geometry import fit_exponent
 from .report import (FAIL, INCONCLUSIVE, NECESSARY, PASS, SUFFICIENT, CertificationReport,
                      CheckRecord, worst_verdict)
@@ -76,7 +76,7 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
 
     # limit existence: dyadic tail differences must shrink
     probes = np.sort(x_end * 2.0 ** -np.arange(6, dtype=float))
-    pv = np.asarray(profile(probes), dtype=float)
+    pv = check_array("profile(x)", profile(probes))
     diffs = np.abs(np.diff(pv))
     finite = np.all(np.isfinite(diffs))  # an overflowing difference decides nothing
     phi_inf = float(pv[-1])
@@ -154,7 +154,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
         for i, frame in enumerate(frames):
             xvals = frame.hs_of_delta(delta) if mode == "hs" else frame.opnorm_of_delta(np.abs(delta))
             with np.errstate(over="ignore", invalid="ignore"):
-                c = np.asarray(profile(xvals), dtype=complex)
+                c = check_array("profile(x)", profile(xvals), complex)
             if not np.all(np.isfinite(c)):
                 raise AccuracyError(f"the profile overflows on the {n_points}-point section")
             results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
@@ -210,7 +210,7 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
         rep.add_table("section_lower_bounds", [
             {"points": s, "lower_bound": lo, "upper_bound": hi}
             for s, lo, hi in zip(wit.sizes, wit.lower_bounds, wit.upper_bounds)])
-        rep.tables["classification"] = [{"classification": wit.classification}]
+        rep.add_table("classification", [{"classification": wit.classification}])
     else:
         records, ex = profile_rigidity_records(profile, n, p)
     for r in records:
@@ -224,8 +224,8 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
     x_end = _grid_end(profile)
     xs = np.geomspace(x_end / 1e3, x_end, 25)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fits no exponent
-        phi_inf = float(np.asarray(profile(np.array([4.0 * x_end])), dtype=float).reshape(-1)[0])
-        fitted = fit_exponent(xs, np.abs(np.asarray(profile(xs), dtype=float) - phi_inf))
+        phi_inf = float(check_array("profile(x)", profile(np.array([4.0 * x_end]))).reshape(-1)[0])
+        fitted = fit_exponent(xs, np.abs(check_array("profile(x)", profile(xs)) - phi_inf))
     rep.add(CheckRecord(
         name="hm-sufficient-decay", check_id="hm/sufficient-decay", kind=SUFFICIENT,
         measured=0.0 if fitted is None else float(np.maximum(sigma1 - fitted, 0.0)),  # NaN stays

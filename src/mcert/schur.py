@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericError, RangeError, check_count
+from .errors import InputError, NumericError, RangeError, check_array, check_count
 
 __all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
            "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
@@ -32,11 +32,9 @@ class TruncatedSchurMultiplier:
     symbol: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.symbol, dtype=complex)
+        m = check_array("symbol", self.symbol, complex, finite=True)
         if m.ndim != 2 or m.size == 0:
             raise InputError("symbol matrix must be 2-dimensional and non-empty")
-        if not np.isfinite(m).all():
-            raise InputError("symbol matrix must be finite")
         object.__setattr__(self, "symbol", m)
 
     @cached_property
@@ -275,9 +273,9 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     check_count("--iterations", iterations, 0)
     m = _multiplier(m)
     sym = m.symbol
-    extra_starts = [np.asarray(start, dtype=complex) for start in extra_starts]
-    if any(s.shape != sym.shape or not np.isfinite(s).all() for s in extra_starts):
-        raise InputError("every extra start must be finite and of the symbol's shape")
+    extra_starts = [check_array("extra_starts", a, complex, finite=True) for a in extra_starts]
+    if any(s.shape != sym.shape for s in extra_starts):
+        raise InputError("every extra start must be of the symbol's shape")
     upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
         upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
@@ -721,9 +719,9 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     check_count("--seed", seed, 0)
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
-        raise InputError("a first column must be 1-dimensional, non-empty and finite")
+    c = check_array("c", c, complex, finite=True)
+    if c.ndim != 1 or c.size == 0:
+        raise InputError("a first column must be 1-dimensional and non-empty")
     n = c.size
     modulus = np.abs(c)
     peak = int(modulus.argmax())
@@ -740,7 +738,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
         extra = []
         if warm is not None and n % len(warm) == 0:
             extra.append(np.zeros(n, dtype=complex))
-            extra[0][::n // len(warm)] = warm
+            extra[0][::n // len(warm)] = check_array("warm", warm, complex, finite=True)
         b = np.fft.fft(np.array([unit, *_starts(c, seed, extra)]), axis=-1)
         last = np.full(len(b), -math.inf)
         for iteration in range(1, _ITERATIONS + 1):

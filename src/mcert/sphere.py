@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, RangeError, check_count
+from .errors import AccuracyError, DomainError, InputError, RangeError, check_array, check_count
 from .report import CROSS_CHECK, VALUE, CertificationReport, CheckRecord
 
 __all__ = [
@@ -35,15 +35,19 @@ _FACTORIAL_BOUND = 200_000
 _MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(nodes^3)
 
 
-def _check_nk(n: int, k: int, x=0.0, k_name: str = "k") -> np.ndarray:
-    """x as floats: n >= 3 and the degree k >= 0 (InputError, named ``k_name``), n + k - 3
-    within _FACTORIAL_BOUND (RangeError), every x in [-1, 1] (DomainError); n and k are
-    decided before x becomes an array."""
+def _check_nk(n: int, k: int, k_name: str = "k") -> None:
+    """n >= 3 and the degree k >= 0 (InputError, named ``k_name``), n + k - 3 within
+    _FACTORIAL_BOUND (RangeError)."""
     check_count("n", n, 3)
     check_count(k_name, k, 0)
     if n + k - 3 > _FACTORIAL_BOUND:
         raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
-    x = np.asarray(x, dtype=float)
+
+
+def _table_x(n: int, x, k_cap: int) -> np.ndarray:
+    """x as floats (:func:`check_array`) in [-1, 1] (DomainError), after n and k_cap."""
+    _check_nk(n, k_cap, "k_cap")
+    x = check_array("x", x)
     if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
         raise DomainError("argument outside [-1, 1]")
     return x
@@ -160,7 +164,7 @@ def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
     """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
     k_cap >= 0 (InputError), n + k_cap - 3 within _FACTORIAL_BOUND (RangeError), both
     before any array, every x in [-1, 1] (DomainError)."""
-    return _derivative_table(n, 0, _check_nk(n, k_cap, x, "k_cap"), k_cap)
+    return _derivative_table(n, 0, _table_x(n, x, k_cap), k_cap)
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
@@ -178,7 +182,7 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
     max(64, 2 k_cap + n + 8) nodes serves every degree and both integrals (the weight
     sharpens with n; above _MAX_RULE nodes a RangeError), and the powers are one running
     product.  An imaginary part above 1e-12 is an AccuracyError."""
-    x = _check_nk(n, k_cap, x, "k_cap")
+    x = _table_x(n, x, k_cap)
     nodes = max(64, 2 * k_cap + n + 8)
     if nodes > _MAX_RULE:
         raise RangeError(f"the quadrature at n = {n} needs {nodes} > {_MAX_RULE} nodes")
@@ -208,7 +212,7 @@ def multiplicity(n: int, k: int) -> int:
 def _multiplicities(n: int, k_max: int, k_name: str = "k_max") -> list:
     """[:func:`multiplicity` (n, k) for k = 0..k_max], in one loop after one check (k_max
     named ``k_name``): C(n+k-3, k-2) is C(n+k-1, k) two degrees down."""
-    _check_nk(n, k_max, k_name=k_name)
+    _check_nk(n, k_max, k_name)
     binomials = [math.comb(n + k - 1, k) for k in range(k_max + 1)]
     return binomials[:2] + [c - c2 for c, c2 in zip(binomials[2:], binomials)]
 
@@ -377,7 +381,7 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
     check_count("--r", r, 0)
     check_count("--kmax", k_max, 0)
     rep = CertificationReport(command="sphere-spectrum")
-    xs = np.asarray(list(x_list), dtype=float)
+    xs = check_array("--x", x_list).ravel()
     if xs.size == 0:
         raise InputError("--x needs at least one value")
     labels = {}
@@ -436,7 +440,7 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     check_count("circle_nodes", circle_nodes, 1)
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(check_array("points", points))
     if points.shape[1] != 3:
         raise InputError("the averaging oracle is implemented on S^2 (n = 3)")
     x = points / np.linalg.norm(points, axis=1, keepdims=True)
@@ -450,4 +454,4 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     y = (delta * x[:, None, :]
          + circ * (np.cos(t)[None, :, None] * u[:, None, :]
                    + np.sin(t)[None, :, None] * v[:, None, :]))
-    return np.mean(np.asarray(f(y), dtype=float), axis=1)
+    return np.mean(check_array("f(y)", f(y)), axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import taylor
-from .errors import InputError, check_count
+from .errors import InputError, check_array, check_count
 from .geometry import GroupElement, dist_to_identity
 
 __all__ = [
@@ -59,9 +59,9 @@ class EuclideanSymbol:
     inner_radius: float | None = None
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.d:
-            raise InputError(f"expected points in R^{self.d}, got last axis {x.shape[-1]}")
+        x = check_array("x", x)
+        if x.shape[-1:] != (self.d,):
+            raise InputError(f"expected points in R^{self.d}, got shape {x.shape}")
         return self.evaluator(x)
 
 
@@ -81,7 +81,7 @@ class RadialProfile:
 
     def jet(self, x, order: int) -> list:
         check_count("order", order, 0)
-        return self.of(taylor.variable(np.asarray(x, dtype=float), order))
+        return self.of(taylor.variable(check_array("x", x), order))
 
     def __call__(self, x):
         return self.jet(x, 0)[0]
@@ -182,7 +182,7 @@ def _bump_jet(u: list, center: float = 0.0, width: float = 1.0) -> list:
 
 def _smooth_bump(t):
     """C-infinity bump equal to 1 at t = 0, supported on |t| < 1."""
-    return _bump_jet([np.asarray(t, dtype=float)])[0]
+    return _bump_jet([check_array("t", t)])[0]
 
 
 # ---------------------------------------------------------------------------

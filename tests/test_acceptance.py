@@ -178,7 +178,7 @@ def test_criterion_07_euclidean_suite():
         val = sigma_partition_value(part, nw, j, np.array([2.0 ** j, 0.0]))
         assert (2 * nw + 1) * val == pytest.approx(1.0, abs=1e-14)
 
-    grid = GridSpec.default(1, box_halfwidth=12.0, box_points=1 << 15)
+    grid = GridSpec(1, box_halfwidth=12.0, box_points=1 << 15)
 
     def bump(lam):
         def ev(x):

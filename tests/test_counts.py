@@ -57,8 +57,8 @@ CASES = [
      lambda v: eu.sigma_partition_value(eu.DyadicPartition(), 1, v, 1.0)),
     ("frac_laplacian_constant", "d", lambda v: eu.frac_laplacian_constant(v, 0.5)),
     ("frac_laplacian_length", "d", lambda v: eu.frac_laplacian_length(v, 0.5, 1.0)),
-    ("GridSpec", "d", lambda v: eu.GridSpec.default(v)),
-    ("GridSpec", "box_points", lambda v: eu.GridSpec.default(1, box_points=v)),
+    ("GridSpec", "d", lambda v: eu.GridSpec(v)),
+    ("GridSpec", "box_points", lambda v: eu.GridSpec(1, box_points=v)),
     ("schur_infty_upper_bound", "d1", lambda v: eu.schur_infty_upper_bound(first_coordinate, v, 1)),
     ("schur_infty_upper_bound", "d2", lambda v: eu.schur_infty_upper_bound(first_coordinate, 1, v)),
     ("identity", "n", lambda v: ge.identity(v)),

@@ -140,12 +140,12 @@ def annulus_bump(lam, d):
 
 class TestSobolevNorms:
     def test_zero_symbol(self):
-        grid = GridSpec.default(1, box_halfwidth=8.0, box_points=1024)
+        grid = GridSpec(1, box_halfwidth=8.0, box_points=1024)
         zero = EuclideanSymbol(1, lambda x: np.zeros(x.shape[:-1]), inner_radius=1.0)
         assert sobolev_norm_w(zero, 0.3, grid) == 0.0
 
     def test_w_dilation_invariance(self):
-        grid = GridSpec.default(1, box_halfwidth=12.0, box_points=1 << 15)
+        grid = GridSpec(1, box_halfwidth=12.0, box_points=1 << 15)
         base = sobolev_norm_w(annulus_bump(1.0, 1), 0.3, grid)
         for lam in (0.25, 0.5, 2.0, 4.0):
             val = sobolev_norm_w(annulus_bump(lam, 1), 0.3, grid)
@@ -154,7 +154,7 @@ class TestSobolevNorms:
     def test_w_vs_h_comparison_constant(self):
         # |phi_0^2 M|_W <= C |phi_0^2 M|_{H_{d/2+eps}}; report the measured C
         eps, half, n = 0.3, 12.0, 1 << 14
-        grid = GridSpec.default(1, box_halfwidth=half, box_points=n)
+        grid = GridSpec(1, box_halfwidth=half, box_points=n)
 
         def sym(x):
             r = np.abs(x[..., 0])
@@ -171,13 +171,13 @@ class TestSobolevNorms:
         assert w <= 10.0 * h  # measured constant is ~1; generous ceiling
 
     def test_support_at_origin_rejected(self):
-        grid = GridSpec.default(1, box_halfwidth=8.0, box_points=4096)
+        grid = GridSpec(1, box_halfwidth=8.0, box_points=4096)
         gauss = EuclideanSymbol(1, lambda x: np.exp(-np.sum(x * x, axis=-1)))
         with pytest.raises(DomainError):
             sobolev_norm_w(gauss, 0.3, grid)
 
     def test_leakage_detected(self):
-        grid = GridSpec.default(1, box_halfwidth=2.0, box_points=1024)
+        grid = GridSpec(1, box_halfwidth=2.0, box_points=1024)
         wide = EuclideanSymbol(1, lambda x: np.exp(-np.abs(x[..., 0]) / 50.0), inner_radius=1.0)
         with pytest.raises(AccuracyError):
             sobolev_norm_w(wide, 0.3, grid)
@@ -228,4 +228,4 @@ def test_partition_sum_method_and_grid_validation():
     assert total == pytest.approx(1.0, abs=1e-12)
     for box in ({"box_points": 7}, {"box_halfwidth": 0.0}, {"box_halfwidth": -1.0}):
         with pytest.raises(InputError):
-            GridSpec.default(1, **box)
+            GridSpec(1, **box)
