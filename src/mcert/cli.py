@@ -18,7 +18,8 @@ from .geometry import certify_hm_report, volume_report
 from .report import CROSS_CHECK, CertificationReport, CheckRecord, input_digest
 # perfbench's tests read mcert.cli.rigidity_witness to see its tracer's patches undone
 from .rigidity import rigidity_report, rigidity_witness  # noqa: F401
-from .schur import TruncatedSchurMultiplier, schur_norm_exact_p2, schur_norm_lower_bound
+from .schur import (_ITERATIONS, TruncatedSchurMultiplier, schur_norm_exact_p2,
+                    schur_norm_lower_bound)
 from .sphere import spectrum_report
 from .symbols import SymbolFamily, read_matrix_csv
 
@@ -119,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("schur-bound", help="lower bound for a CSV symbol matrix")
     s.add_argument("--points", required=True, help="CSV with columns i,j,re,im")
     s.add_argument("--p", type=float, default=math.inf)
-    s.add_argument("--iterations", type=int, default=60)
+    s.add_argument("--iterations", type=int, default=_ITERATIONS,
+                   help="step cap per optimizer start (default %(default)s)")
     _add_common(s)
 
     s = sub.add_parser("geometry", help="chamber volume growth")
