@@ -107,7 +107,7 @@ ROWS = (
     Command(0, "schur-bound --points matrix.csv --p 2 --out bound2.json", ("bound2.json",),
             "at p = 2 the sup entry is the exact norm, and the bracket closes on it", readme=True),
     Command(0, "schur-bound --points matrix.csv --p inf --out bound-inf.json",
-            ("bound-inf.json",), "at p = inf the bracket closes on the sup entry too, to 3e-11",
+            ("bound-inf.json",), "at p = inf the bracket closes on the sup entry too, to 1.1e-11",
             readme=True),
     Command(0, "schur-bound --points matrix-bom.csv --p 4 --out bound-bom.json",
             ("bound-bom.json",), "a CSV with a byte-order mark reads like one without"),
