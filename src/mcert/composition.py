@@ -45,7 +45,8 @@ class DerivativeJet:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(check_array("values", self.values).tolist()))
+        values = check_array("values", self.values, shape=(None,))
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     @property
     def order(self) -> int:
@@ -56,7 +57,7 @@ def bell_polynomial(k: int, j: int, z) -> float:
     """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1})."""
     check_count("k", k, 1)
     check_count("j", j, 1, k)
-    z = check_array("z", z).tolist()
+    z = check_array("z", z, shape=(None,)).tolist()
     if len(z) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(z)}")
     table = {(0, 0): 1.0}
@@ -108,11 +109,11 @@ def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
     never be violated by the exact composition formula.
     """
     check_count("k", k, 1)
-    sups = [abs(v) for v in check_array("phi_jet_sups", phi_jet_sups).tolist()]
+    sups = [abs(v) for v in check_array("phi_jet_sups", phi_jet_sups, shape=(None,)).tolist()]
     if len(sups) < k:
         raise InputError(f"need sups of orders 1..{k}")
     peak = max(sups[j - 1] ** (k / j) for j in range(1, k + 1))
-    return bell_coefficient_mass(k) * abs(f_norm) * peak
+    return bell_coefficient_mass(k) * abs(check_array("f_norm", f_norm, shape=()).item()) * peak
 
 
 # ---------------------------------------------------------------------------

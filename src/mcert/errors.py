@@ -46,10 +46,12 @@ def check_count(flag: str, value: int, least: int, most: int | None = None) -> N
         raise InputError(f"{flag} must be <= {most}, got {value}")
 
 
-def check_array(name: str, value, dtype=float, finite: bool = False) -> np.ndarray:
+def check_array(name: str, value, dtype=float, finite: bool = False, shape=None) -> np.ndarray:
     """``value`` as an array of ``dtype``, float or complex, and the same array when it is
     one already: an InputError, named by ``name``, for a ragged nesting, an entry that is
-    no number (or a complex one where dtype is float) and, with ``finite``, a NaN or inf."""
+    no number (or a complex one where dtype is float), a shape off ``shape`` (an optional
+    leading ... for any leading axes, then per axis an int, None for any length >= 1 or a
+    name, equal names for equal lengths >= 1) and, with ``finite``, a NaN or inf."""
     field = "real" if dtype is float else "complex"
     try:
         a = np.asarray(value)
@@ -57,6 +59,16 @@ def check_array(name: str, value, dtype=float, finite: bool = False) -> np.ndarr
         raise InputError(f"{name} must be an array of {field} numbers, got a ragged nesting")
     if a.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # numpy's dtype kinds
         raise InputError(f"{name} must be an array of {field} numbers, got dtype {a.dtype}")
+    if shape is not None and a.shape != shape:  # an all-int shape that fits ends here
+        spec = shape[1:] if shape[:1] == (...,) else shape  # any leading axes
+        got = a.shape[max(0, a.ndim - len(spec)):] if len(spec) < len(shape) else a.shape
+        fits = len(got) == len(spec)
+        for g, d in zip(got, spec):  # a loop: a generator takes longer
+            fits = fits and (g == d if type(d) is int  # a name: the length at its first axis
+                             else g >= 1 and (d is None or g == got[spec.index(d)]))
+        if not fits:
+            text = str(shape).replace("Ellipsis", "...").replace("None", "*").replace("'", "")
+            raise InputError(f"{name} must be of shape {text}, got {a.shape}")
     a = a.astype(dtype, copy=False)
     if finite and not np.isfinite(a).all():
         raise InputError(f"{name} must be finite")

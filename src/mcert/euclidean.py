@@ -122,8 +122,8 @@ class GridSpec:
     def __post_init__(self):
         check_count("d", self.d, 1)
         check_count("box_points", self.box_points, 8)
-        if self.box_halfwidth <= 0:
-            raise InputError("grid needs a positive box")
+        if not check_array("box_halfwidth", self.box_halfwidth, finite=True, shape=()) > 0:
+            raise InputError("box_halfwidth must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,7 @@ _MAX_COND = 1e12  # A + e past this condition number is numerically singular
 def local_inversion(a) -> np.ndarray:
     """I(A) = (A + e)^{-1} - e, an involution where A + e is invertible: a condition
     number of A + e past _MAX_COND is a DomainError."""
-    a = check_array("a", a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError("expected a square matrix")
+    a = check_array("a", a, shape=("n", "n"))
     shifted = a + np.eye(a.shape[0])
     cond = np.linalg.cond(shifted)
     if not cond <= _MAX_COND:  # inf and NaN too

@@ -43,9 +43,8 @@ __all__ = [
 def check_special_linear(entries) -> np.ndarray:
     """The (..., n, n) stack as finite floats (:func:`check_array`) in SL(n,R): square of
     size >= 2 (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n) (DomainError)."""
-    m = check_array("entries", entries, finite=True)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
-        raise InputError(f"expected a square matrix of size >= 2, got shape {m.shape}")
+    m = check_array("entries", entries, finite=True, shape=(..., "n", "n"))
+    check_count("n", m.shape[-1], 2)
     det = np.asarray(np.linalg.det(m))
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** m.shape[-1])
     bad = np.abs(det - 1.0) > 1e-10 * scale
@@ -108,7 +107,7 @@ def dist_to_identity(mats):
     it has inside a stack); :func:`lie_derivative` takes its jets along
     one-parameter subgroups.
     """
-    mats = check_array("mats", mats, finite=True)
+    mats = check_array("mats", mats, finite=True, shape=(..., "n", "n"))
     flat = mats.reshape(-1, *mats.shape[-2:])
     return _dist_jet(flat, np.zeros_like(flat[:1]))[0].reshape(mats.shape[:-2])[()]
 
@@ -149,7 +148,8 @@ def expm(x, s=1.0) -> np.ndarray:
     """exp(s X) in closed form at every entry of the array ``s`` (s.shape + (n, n)):
     I + sX for square-zero X, entrywise exp for diagonal X, and cos sc, sin sc in the
     (i, j) plane for X = c (E_ij - E_ji), i < j; other X raise InputError."""
-    x, s = check_array("x", x, finite=True), check_array("s", s, finite=True)[..., None, None]
+    x = check_array("x", x, finite=True, shape=("n", "n"))
+    s = check_array("s", s, finite=True)[..., None, None]
     eye = np.eye(x.shape[-1])
     if not np.any(x @ x):
         return eye + s * x
@@ -180,19 +180,15 @@ def lie_derivative(phi, g: GroupElement, x, order: int) -> np.ndarray:
     + g.entries.shape[:-2], has the same bits in any stacks; a non-finite one is a NumericError.
     """
     check_count("order", order, 0)
-    x = check_array("x", x, finite=True)
-    if x.shape[-2:] != (g.n, g.n):
-        raise InputError(f"generators must be finite {g.n} x {g.n} matrices, got shape {x.shape}")
+    x = check_array("x", x, finite=True, shape=(..., g.n, g.n))
     flat, gens = g.entries.reshape(-1, g.n, g.n), x.reshape(-1, g.n, g.n)
     step = max(1, _BATCH_FLOATS // ((order + 1) * flat.size))  # generators per batch
     out = np.empty((order + 1, len(gens), len(flat)))
     with np.errstate(all="ignore"):
         for i in range(0, len(gens), step):
-            jet, part = phi.of(_dist_jet(flat, gens[i:i + step], order)), out[:, i:i + step]
-            if len(jet) != order + 1 or any(np.shape(c) != part.shape[1:] for c in jet):
-                raise InputError(f"profile jet of shapes {[np.shape(c) for c in jet]} for "
-                                 f"{part.shape[1:]} arrays at order {order}")
-            part[...] = check_array("phi.of(u)", jet)
+            part = out[:, i:i + step]
+            part[...] = check_array("phi.of(u)", phi.of(_dist_jet(flat, gens[i:i + step], order)),
+                                    shape=part.shape)
             part *= taylor.factorials(order)[:, None, None]  # k! u_k
             if not np.all(np.isfinite(part)):  # stop at the first batch that overflows
                 raise NumericError("symbol derivative is not finite")
@@ -358,8 +354,7 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
     off the QR factorization gk = k' p through the diagonal of p with the
     upper-triangular modular weights n+1-2i; a stack g is an InputError.
     """
-    if g.entries.ndim != 2:
-        raise InputError(f"expected one matrix, got a stack of shape {g.entries.shape}")
+    check_array("g", g.entries, shape=("n", "n"))
     check_count("samples", samples, 1)
     check_count("seed", seed, 0)
     n = g.n
@@ -448,7 +443,8 @@ def fit_exponent(ls, vals):
     """Minus the slope of log vals against log ls by :func:`_slope`, the package's one fit,
     through the values above 1e-14: None below three of them or when their ls are all equal,
     NaN when one of them is not finite."""
-    ls, vals = check_array("ls", ls), check_array("vals", vals)
+    ls = check_array("ls", ls, shape=(None,))
+    vals = check_array("vals", vals, shape=ls.shape)
     keep = vals > 1e-14
     slope = (_slope(np.log(ls[keep]).tolist(), np.log(vals[keep]).tolist())
              if np.count_nonzero(keep) >= 3 else None)

@@ -32,10 +32,8 @@ class TruncatedSchurMultiplier:
     symbol: np.ndarray
 
     def __post_init__(self):
-        m = check_array("symbol", self.symbol, complex, finite=True)
-        if m.ndim != 2 or m.size == 0:
-            raise InputError("symbol matrix must be 2-dimensional and non-empty")
-        object.__setattr__(self, "symbol", m)
+        object.__setattr__(self, "symbol", check_array("symbol", self.symbol, complex,
+                                                       finite=True, shape=(None, None)))
 
     @cached_property
     def peak(self) -> tuple:
@@ -273,9 +271,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     check_count("--iterations", iterations, 0)
     m = _multiplier(m)
     sym = m.symbol
-    extra_starts = [check_array("extra_starts", a, complex, finite=True) for a in extra_starts]
-    if any(s.shape != sym.shape for s in extra_starts):
-        raise InputError("every extra start must be of the symbol's shape")
+    extra_starts = [check_array("extra_starts", a, complex, finite=True, shape=sym.shape)
+                    for a in extra_starts]
     upper = interpolated_schur_bound(m, p, frobenius_schur_bound(m))
     if sym.shape[0] == sym.shape[1]:
         upper = min(upper, interpolated_schur_bound(m, p, circulant_schur_bound(m)))
@@ -566,9 +563,7 @@ def circulant_schur_bound(m) -> float:
     scaled back, exceeds the largest float is inf.
     """
     m = _multiplier(m)
-    n = m.symbol.shape[0]
-    if m.symbol.shape != (n, n):
-        raise InputError("the circulant bound needs a square symbol matrix")
+    n = check_array("symbol", m.symbol, complex, shape=("n", "n")).shape[0]
     scaled, e = m.scaled
     c = scaled[:, 0]
     v = np.concatenate((c[1:], c))  # v[k] = c[(k + 1) mod N], so C_ij = v[i + N - 1 - j]
@@ -719,9 +714,8 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     check_count("--seed", seed, 0)
     if not (p >= 1.0):
         raise InputError("p must lie in [1, infinity]")
-    c = check_array("c", c, complex, finite=True)
-    if c.ndim != 1 or c.size == 0:
-        raise InputError("a first column must be 1-dimensional and non-empty")
+    c = check_array("c", c, complex, finite=True, shape=(None,))
+    warm = warm if warm is None else check_array("warm", warm, complex, finite=True, shape=(None,))
     n = c.size
     modulus = np.abs(c)
     peak = int(modulus.argmax())
@@ -738,7 +732,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
         extra = []
         if warm is not None and n % len(warm) == 0:
             extra.append(np.zeros(n, dtype=complex))
-            extra[0][::n // len(warm)] = check_array("warm", warm, complex, finite=True)
+            extra[0][::n // len(warm)] = warm
         b = np.fft.fft(np.array([unit, *_starts(c, seed, extra)]), axis=-1)
         last = np.full(len(b), -math.inf)
         for iteration in range(1, _ITERATIONS + 1):

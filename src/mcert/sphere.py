@@ -340,6 +340,7 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
     if not tail_tol > 0.0:  # NaN included
         raise InputError(f"tail_tol must be > 0, got {tail_tol}")
+    x = check_array("x", x, shape=())
     if not abs(x) <= _INTERIOR:  # NaN included
         raise DomainError(f"|x| must be <= {_INTERIOR}")
     a0 = _alpha0(n, p)
@@ -352,7 +353,7 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
         scale = math.inf
     if not math.isfinite(scale):
         raise RangeError(f"the tail bound at n = {n}, p = {p:g} exceeds the float range")
-    chunks = _derivative_chunks(n, r, np.asarray(float(x)), _K_MAX)
+    chunks = _derivative_chunks(n, r, x, _K_MAX)
     terms = np.empty(0)  # m_k |d^r phi_k|^p for k < terms.size, each formed once
     k_cap = k_start
     while True:  # grow the truncation until the tail is below tail_tol relative to the norm
@@ -432,18 +433,18 @@ def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
 
 
 def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
-    """Average of f over {y : <x, y> = delta} for each row x of points.
-
-    Uniform midpoint quadrature on the latitude circle (spectrally
-    accurate for smooth f).
+    """Average of f over {y : <x, y> = delta} for each row x of points, normalized (a zero
+    row is a DomainError), by uniform midpoint quadrature on the latitude circle
+    (spectrally accurate for smooth f).
     """
     check_count("circle_nodes", circle_nodes, 1)
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
-    points = np.atleast_2d(check_array("points", points))
-    if points.shape[1] != 3:
-        raise InputError("the averaging oracle is implemented on S^2 (n = 3)")
-    x = points / np.linalg.norm(points, axis=1, keepdims=True)
+    points = check_array("points", points, shape=(..., 3)).reshape(-1, 3)
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
+    if not norms.all():
+        raise DomainError("points must be nonzero")
+    x = points / norms
     pick = np.argmin(np.abs(x), axis=1)
     helper = np.eye(3)[pick]
     u = np.cross(helper, x)

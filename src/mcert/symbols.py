@@ -59,10 +59,7 @@ class EuclideanSymbol:
     inner_radius: float | None = None
 
     def __call__(self, x):
-        x = check_array("x", x)
-        if x.shape[-1:] != (self.d,):
-            raise InputError(f"expected points in R^{self.d}, got shape {x.shape}")
-        return self.evaluator(x)
+        return self.evaluator(check_array("x", x, shape=(..., self.d)))
 
 
 @dataclass

@@ -3,7 +3,7 @@ never scipy or numpy.ma, every module imports with scipy blocked, the Schur laye
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
 public API is set by the package, an acceptance line, a command row or the benchmark, and the
-package fits a slope in one place."""
+package fits a slope and checks a shape in one place each."""
 
 import ast
 import json
@@ -153,6 +153,23 @@ def test_no_module_calls_polyfit():
              if isinstance(node, ast.Call) and "polyfit" in (getattr(node.func, "id", None),
                                                              getattr(node.func, "attr", None))]
     assert calls == []
+
+
+def raises_input_error(stmt):
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "InputError" for node in ast.walk(stmt))
+
+
+def test_no_module_checks_a_shape_by_hand():
+    # every array's shape is decided by the ``shape`` of errors.check_array
+    package = Path(mcert.__file__).resolve().parent
+    checks = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+              if path.name != "errors.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.If) and any(raises_input_error(s) for s in node.body)
+              and any(isinstance(a, ast.Attribute) and a.attr in ("ndim", "shape")
+                      for a in ast.walk(node.test))]
+    assert checks == []
 
 
 def defaulted_parameters(tree):

@@ -503,6 +503,11 @@ class TestAveragingOperator:
             lam = eigenvalue_table(3, delta, 9)
             assert np.abs(got - lam * f(self.pts)).max() <= 1e-4
 
+    def test_zero_point_is_domain_error(self):
+        # before the normalization, which would warn of a division by zero and average NaN
+        with pytest.raises(DomainError, match="^points must be nonzero$"):
+            averaging_operator(0.5, lambda y: y[..., 2], [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
     def test_delta_one_identity(self):
         f = lambda y: y[..., 0] ** 2 - y[..., 2]
         got = averaging_operator(1.0, f, self.pts)
