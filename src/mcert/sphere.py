@@ -438,9 +438,10 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     (spectrally accurate for smooth f).
     """
     check_count("circle_nodes", circle_nodes, 1)
+    delta = float(check_array("delta", delta, shape=()))
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
-    points = check_array("points", points, shape=(..., 3)).reshape(-1, 3)
+    points = check_array("points", points, finite=True, shape=(..., 3)).reshape(-1, 3)
     norms = np.linalg.norm(points, axis=1, keepdims=True)
     if not norms.all():
         raise DomainError("points must be nonzero")

@@ -68,6 +68,12 @@ CASES = [
     ("schur_norm_lower_bound", "extra_starts", complex, True, MATRIX,
      lambda v: sc.schur_norm_lower_bound(MATRIX, 4.0, extra_starts=[v]),
      ("(4, 4)", np.ones((4, 3)))),
+    ("schur_norm_lower_bound", "p", float, False, 4.0,
+     lambda v: sc.schur_norm_lower_bound(MATRIX, v), ("()", np.ones(2))),
+    ("interpolated_schur_bound", "p", float, False, 4.0,
+     lambda v: sc.interpolated_schur_bound(MATRIX, v, 100.0), ("()", np.ones(2))),
+    ("circulant_lower_bound", "p", float, False, 4.0,
+     lambda v: sc.circulant_lower_bound(np.arange(1.0, 9.0), v), ("()", np.ones(2))),
     ("circulant_lower_bound", "c", complex, True, np.arange(1.0, 9.0),
      lambda v: sc.circulant_lower_bound(v, 4.0), ("(*,)", np.ones((2, 4)), np.ones(0))),
     ("circulant_lower_bound", "warm", complex, True, np.ones(4),
@@ -80,7 +86,9 @@ CASES = [
      lambda v: sp.schatten_derivative_sum(5, 8.0, 0, v), ("()", np.ones(2))),
     ("spectrum_report", "--x", float, False, [0.5],
      lambda v: sp.spectrum_report(3, 4.0, 0, v, 4), ()),
-    ("averaging_operator", "points", float, False, NORTH,
+    ("averaging_operator", "delta", float, False, 0.5,
+     lambda v: sp.averaging_operator(v, lambda y: y[..., 2], NORTH), ("()", np.ones(2))),
+    ("averaging_operator", "points", float, True, NORTH,
      lambda v: sp.averaging_operator(0.5, lambda y: y[..., 2], v),
      ("(..., 3)", np.ones((1, 2)), np.ones(()))),
     ("averaging_operator", "f(y)", float, False, np.ones((1, 360)),

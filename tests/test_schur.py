@@ -303,6 +303,70 @@ class TestSvdCount:
         assert steps.count(True) >= len(steps) - (starts if math.isinf(p) else 0)
 
 
+def gaussian(seed, shape, is_complex=True):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if is_complex else m
+
+
+def toeplitz(kernel, n):
+    """M_ij = kernel(i - j) on n points."""
+    i = np.arange(n)
+    return kernel((i[:, None] - i[None, :]).astype(float))
+
+
+# (name, symbol, p, value, upper, best_start, best_iteration) of searches at the default
+# step cap, as every start run to its cap or stall gives them: the climb rule keeps them
+FINITE_P_BRACKETS = [
+    ("complex16-p1.5", lambda: gaussian(1, (16, 16)), 1.5, 3.448494074831156,
+     6.232097401321293, -1, 0),
+    ("complex32-p4", lambda: gaussian(2, (32, 32)), 4.0, 3.6978789376097647,
+     10.690978509147865, 5, 40),
+    # start 5 wins at its last step: a slow climb that the rule must not cut
+    ("complex64-p4", lambda: gaussian(54, (64, 64)), 4.0, 3.8306783114543324,
+     15.560739376645062, 5, 40),
+    ("complex24-p6", lambda: gaussian(3, (24, 24)), 6.0, 3.782151402827674,
+     14.243325184989068, 2, 40),
+    ("real32-p1.5", lambda: gaussian(4, (32, 32), False), 1.5, 3.2669820945815617,
+     6.87794571732499, -1, 0),
+    ("real48-p4", lambda: gaussian(5, (48, 48), False), 4.0, 3.2835604878882627,
+     11.353963194016542, -1, 0),
+    ("real16-p6", lambda: gaussian(6, (16, 16), False), 6.0, 3.050979726276049,
+     10.058831925397525, -1, 0),
+    ("complex24x40-p4", lambda: gaussian(7, (24, 40)), 4.0, 3.9597982352663994,
+     28.938421657227504, -1, 0),
+    ("real40x16-p1.5", lambda: gaussian(8, (40, 16), False), 1.5, 3.2339018997770634,
+     10.206432339337466, -1, 0),
+    ("gauss-kernel32-p4", lambda: toeplitz(lambda d: np.exp(-(d / 6.0) ** 2), 32), 4.0, 1.0,
+     2.633967793170246, -1, 0),
+    ("tanh-kernel48-p6", lambda: toeplitz(lambda d: np.tanh(d / 4.0), 48), 6.0,
+     1.4372388040082142, 6.327683874984886, 7, 40),
+    ("triangle32-p4", lambda: np.tril(np.ones((32, 32))), 4.0, 1.1668125052353908,
+     2.5800880313455345, 1, 40),
+    ("triangle24-p1.5", lambda: np.tril(np.ones((24, 24))), 1.5, 1.065048786652667,
+     1.8068646803865847, 1, 40),
+]
+
+
+@pytest.mark.parametrize("symbol, p, value, upper, best_start, best_iteration",
+                         [case[1:] for case in FINITE_P_BRACKETS],
+                         ids=[case[0] for case in FINITE_P_BRACKETS])
+def test_climb_rule_keeps_every_finite_p_bracket(symbol, p, value, upper, best_start,
+                                                 best_iteration):
+    res = schur_norm_lower_bound(symbol(), p)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.upper == pytest.approx(upper, rel=1e-12)
+    assert (res.best_start, res.best_iteration) == (best_start, best_iteration)
+
+
+# Counted on these draws: without the climb rule every start runs to the cap, 7 x 9 = 63
+@pytest.mark.parametrize("n, ceiling", [(32, 45), (64, 49), (128, 56)])
+def test_climb_rule_ends_starts_that_cannot_reach_the_best_value(svd_calls, n, ceiling):
+    res = schur_norm_lower_bound(gaussian(0, (n, n)), 4.0, iterations=10)
+    assert res.best_start == -1  # the sup-entry floor held
+    assert len(svd_calls) <= ceiling
+
+
 class TestInterpolatedBound:
     def test_endpoints(self):
         rng = np.random.default_rng(34)
