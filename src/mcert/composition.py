@@ -153,6 +153,7 @@ class CompositionFrame:
     @classmethod
     def create(cls, n: int, r: float) -> "CompositionFrame":
         check_count("n", n, 3)
+        r = float(check_array("r", r, shape=()))
         if not (r > 0):
             raise DomainError("r must be positive")
         # -r / (n - 1) rounds differently, and the section reports carry these bits
@@ -249,6 +250,7 @@ def so_n1_trace_coefficients(n: int, r: float):
     float range are a RangeError.
     """
     check_count("n", n, 2)
+    r = float(check_array("r", r, shape=()))
     if not (r > 0):
         raise DomainError("r must be positive")
     try:

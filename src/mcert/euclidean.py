@@ -92,6 +92,7 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
     a^{2 eps} pi / (2 Gamma(1+2 eps) sin(pi eps)); so is the remaining
     direction-cosine moment.
     """
+    eps = float(check_array("eps", eps, shape=()))
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie strictly inside (0, 1)")
     check_count("d", d, 1)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,7 +134,7 @@ def _dual_exponent(p: float) -> float:
 
 def _duality_map(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
     """Matrix of unit S_p norm maximizing <A, C>, given C = u diag(sv) vt
-    (polar-type duality map)."""
+    (polar-type duality map).  At finite p > 1 it overwrites ``u``."""
     if math.isinf(p):
         return u @ vt
     top = float(sv.max())
@@ -145,7 +147,7 @@ def _duality_map(u: np.ndarray, sv: np.ndarray, vt: np.ndarray, p: float) -> np.
     q = _dual_exponent(p)
     s = sv / top  # no power overflows
     w = (s / np.sum(s ** q) ** (1.0 / q)) ** (q - 1.0)
-    return (u * w) @ vt
+    return np.multiply(u, w, out=u) @ vt
 
 
 # Even exponents whose duality map comes from products, not an SVD: one
@@ -171,7 +173,7 @@ def _gram_dual(x: np.ndarray, p: float):
     if trace <= 0.0:  # X = 0
         return 0.0, _duality_map(*_svd(x), _dual_exponent(p))
     norm = trace ** (1.0 / p)
-    return math.ldexp(norm, e), y * (norm / trace)
+    return math.ldexp(norm, e), np.multiply(y, norm / trace, out=y)
 
 
 def _dual_step(x: np.ndarray, p: float, warm=None):
@@ -279,9 +281,14 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     as the gap stops falling that fast, so a gap that creeps down costs a step or two
     rather than _ITERATIONS.  Once the best value reaches F / (1 + _STALL_RTOL), F plus
     its rounding allowance (:func:`_haagerup_upper`) becomes ``upper`` if that is
-    smaller, and the search stops.  After a certificate that gave up, or whose bound was
-    not smaller, the remaining starts run without one.  Every value is taken on
-    M / 2^e and scaled back; an ``upper`` past the largest float is a RangeError.
+    smaller, and the search stops.  After a certificate that gave up the remaining starts
+    run without one; after one whose bound was not smaller its own start goes on without
+    one too.  Every value is taken on M / 2^e and scaled back; an ``upper`` past the
+    largest float is a RangeError.
+
+    The starts that run with no certificate (every start at finite p) run as a
+    :class:`_Search`: on two threads where the process may use two CPUs, with the result
+    of running them one after another, bit for bit, on any number of CPUs.
     """
     check_count("--seed", seed, 0)
     check_count("--iterations", iterations, 0)
@@ -297,12 +304,13 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         raise RangeError("every Schur bound of the symbol exceeds the float range")
     target, allowance, steps = upper / (1.0 + _STALL_RTOL), 0.0, 0
     sup, where = m.peak
-    unit = np.zeros_like(sym)
-    unit[where] = 1.0
-    best = (sup, unit, -1, 0)  # the matrix unit certifies the sup entry
+    best = (sup, None, -1, 0)  # the matrix unit E_ij certifies the sup entry (made if returned)
 
     def result():  # the fields in order: value, best input, upper, start, iteration, closed
         value, best_a, start, iteration = best
+        if best_a is None:
+            best_a = np.zeros_like(m.symbol)
+            best_a[where] = 1.0
         return SchurLowerBound(value, best_a, upper, start, iteration, value >= target,
                                steps, allowance)
 
@@ -310,15 +318,16 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         return result()
 
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
-    certifying = math.isinf(p)
-    for index, a0 in enumerate(_starts(m.symbol, seed, extra_starts), start=1):
-        norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
-                 else _lp_norm(_svd(a0, compute_uv=False), p))
-        if norm0 == 0.0:
+    # (start index, input, warm, last value, first and last iteration) of each start
+    jobs = ((index, a0, None, -math.inf, 1, iterations)
+            for index, a0 in enumerate(_starts(m.symbol, seed, extra_starts), start=1))
+    rest = []  # the start whose certificate ended with a bound not smaller, from its next step
+    for index, a0, *_ in jobs if math.isinf(p) else ():  # starts go on as certificates
+        a = _normalized(a0, p)
+        if a is None:
             continue
-        a = a0 / norm0
         last, warm, ended = -math.inf, None, 0
-        cert = _Continuation(sym, e) if certifying else None
+        cert = _Continuation(sym, e)
         for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
             val = _unscaled_ratio(val, e)
@@ -326,18 +335,12 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
                 best = (val, a, index, iteration)
                 if val >= target:
                     return result()
-            if (ended or iteration == iterations or val <= last * (1.0 + _STALL_RTOL)
-                    or cert is None and val + (val - last) * (iterations - iteration) < best[0]):
+            if ended or iteration == iterations or val <= last * (1.0 + _STALL_RTOL):
                 ended = ended or iteration
-                if cert is None or not cert.closes_in_time(_ITERATIONS - (iteration - ended)):
-                    if iteration > ended:  # a certificate gave up: no later start runs one
-                        certifying = False
+                if not cert.closes_in_time(_ITERATIONS - (iteration - ended)):
                     break
                 steps += 1
             last = val
-            if cert is None:
-                a = _duality_map(*_svd(np.conj(sym) * g), p)
-                continue
             tried, closed = cert.step(g, best[0], target, mix=ended > 0)
             for a, trace in tried:
                 if trace > best[0]:
@@ -346,12 +349,164 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
                         return result()
             if closed is not None:  # the best value met F / (1 + _STALL_RTOL)
                 bound, value = closed
-                if bound >= upper:  # the residual outweighs the a priori bound
-                    certifying, cert = False, None
-                    continue
-                upper, target, allowance = bound, value / (1.0 + _STALL_RTOL), bound / value - 1.0
-                return result()
+                if bound < upper:
+                    upper, target, allowance = bound, value / (1.0 + _STALL_RTOL), bound / value - 1.0
+                    return result()
+                # the residual outweighs the a priori bound: the start goes on without one
+                rest.append((index, a, warm, val, iteration + 1,
+                             iteration + 1 if ended else iterations))
+                break
+        if rest or iteration > ended:  # a certificate gave up: no later start runs one
+            break
+    best = _Search(sym, e, p, iterations, target, best, itertools.chain(rest, jobs)).run()
     return result()
+
+
+def _normalized(a0: np.ndarray, p: float):
+    """The start ``a0`` scaled to unit S_p norm, or None when it is 0."""
+    norm0 = (_gram_dual(a0, p)[0] if p in _GRAM_EXPONENTS
+             else _lp_norm(_svd(a0, compute_uv=False), p))
+    return None if norm0 == 0.0 else a0 / norm0
+
+
+def _lanes() -> int:
+    """Threads a :class:`_Search` runs its starts on: 2 when ``os.sched_getaffinity``
+    lets this process run on two CPUs or more, else 1 (also where the platform lacks it)."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return 2 if len(cpus) >= 2 else 1
+
+
+class _Trajectory:
+    """One start's steps as its lane runs them, and the replay's place in them."""
+
+    def __init__(self, index: int, last: float, first: int, final: int):
+        self.index, self.last, self.first, self.final = index, last, first, final
+        self.values, self.inputs = [], {}  # the values in order; inputs by iteration
+        self.taken, self.done, self.error = 0, False, None  # values the replay has taken
+
+
+class _Search:
+    """The starts of :func:`schur_norm_lower_bound` that run with no p = infinity
+    certificate, on :func:`_lanes` lanes (the calling thread, and a helper thread that
+    lives as long as :meth:`run`), with the result of running them one after another,
+    bit for bit.
+
+    ``jobs`` yields (start index, input, warm, last value, first iteration, last
+    iteration), in start order; an input at its first iteration is not yet normalized.
+    Each lane draws the next job under the lock and runs it (:meth:`_run`): the start's
+    steps until its last iteration, a stall, the target, or the climb rule tested against
+    ``best``, the best value the replay holds.  That is at most the best value the
+    one-by-one search holds at that step, so a lane runs a start at least as far as that
+    search would, with the same values.  The replay (:meth:`_replay`) takes the values in
+    start order as they come and applies the one-by-one rules with the true best value:
+    the start it is at, the head, is in step with it, while a later start runs ahead and
+    keeps the input of each step whose value beat ``best`` and its own earlier values (no
+    other can become the best input) until the replay reaches it, or ends it where the
+    one-by-one search would.  A start's exception (a NumericError or RangeError) is kept
+    and raised, on the calling thread, only when the replay reaches it.  The search stops
+    once the replay meets the target; a lane's start ends at its next step then.
+    """
+
+    def __init__(self, sym, e, p, iterations, target, best, jobs):
+        self.sym, self.conj, self.e, self.p = sym, np.conj(sym), e, p
+        self.iterations, self.target, self.best, self.jobs = iterations, target, best, jobs
+        self.lock = threading.Lock()
+        self.starts = {}  # draw position -> _Trajectory, until the replay passes it
+        self.drawn = self.head = 0  # the starts drawn, and the position of the replay
+        self.stop, self.error = False, None
+
+    def run(self) -> tuple:
+        """The best (value, input, start, iteration) of the one-by-one search."""
+        helper = threading.Thread(target=self._lane) if _lanes() > 1 else None
+        if helper is not None:
+            helper.start()
+        try:
+            self._lane()
+        except BaseException:
+            self.stop = True
+            raise
+        finally:
+            if helper is not None:
+                helper.join()
+        if self.error is not None:
+            raise self.error
+        return self.best
+
+    def _lane(self) -> None:
+        while (run := self._run()) is not None:
+            with self.lock:
+                run.done = True
+                self._replay()
+
+    def _run(self):
+        """Draw the next job and run its steps into a new :class:`_Trajectory`, until the
+        start ends, the replay ends it or the search stops; an exception ends it, kept in
+        its ``error``.  None once every job is drawn or the search has stopped."""
+        with self.lock:
+            job = None if self.stop else next(self.jobs, None)
+            if job is None:
+                return None
+            position, self.drawn = self.drawn, self.drawn + 1
+            self.starts[position] = run = _Trajectory(job[0], *job[3:])
+        a, warm = job[1:3]
+        del job  # the input lives in ``a`` alone, and goes as the steps move on
+        last, top = run.last, -math.inf
+        try:
+            a = _normalized(a, self.p) if run.first == 1 else a
+            for iteration in itertools.count(run.first) if a is not None else ():
+                val, g, warm = _dual_step(self.sym * a, self.p, warm)
+                val = _unscaled_ratio(val, self.e)
+                floor = max(self.best[0], top)
+                if val > floor:
+                    run.inputs[iteration] = a
+                run.values.append(val)  # after its input: the replay may take it at once
+                top = max(top, val)
+                if val >= self.target or self._ends(iteration, run.final, val, last,
+                                                    max(floor, val)):
+                    break
+                if self.head == position:
+                    with self.lock:
+                        self._replay()
+                if self.stop or self.head > position:  # the replay ended it, or the search
+                    break
+                last = val
+                del a  # the input goes before the reprojection allocates; its product in g
+                a = _duality_map(*_svd(np.multiply(self.conj, g, out=g)), self.p)
+        except Exception as exc:  # raised when the replay reaches it
+            run.error = exc
+        return run
+
+    def _ends(self, iteration, final, val, last, best) -> bool:
+        """Whether a start ends at this step: its last iteration, a stall, or a climb whose
+        last gain, carried over every remaining step, stays below ``best``."""
+        return (iteration == final or val <= last * (1.0 + _STALL_RTOL)
+                or val + (val - last) * (self.iterations - iteration) < best)
+
+    def _replay(self) -> None:
+        """Under the lock: the one-by-one search over the values that have come, from the
+        head on, updating ``best`` and, at the target or a start's exception, the stop."""
+        while not self.stop and self.head in self.starts:
+            run = self.starts[self.head]
+            while run.taken < len(run.values):
+                iteration, val = run.first + run.taken, run.values[run.taken]
+                run.taken += 1
+                a = run.inputs.pop(iteration, None)
+                if val > self.best[0]:
+                    self.best = (val, a, run.index, iteration)
+                if val >= self.target:
+                    self.stop = True
+                    return
+                if self._ends(iteration, run.final, val, run.last, self.best[0]):
+                    break
+                run.last = val
+            else:  # every value taken: the start goes on, or ended by raising, or was 0
+                if not run.done:
+                    return
+                if run.error is not None:
+                    self.error, self.stop = run.error, True
+                    return
+            del self.starts[self.head]
+            self.head += 1
 
 
 def _starts(sym: np.ndarray, seed: int, extra_starts):

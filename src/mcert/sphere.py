@@ -234,6 +234,7 @@ class RigidityExponents:
     @classmethod
     def compute(cls, n: int, p: float) -> "RigidityExponents":
         check_count("n", n, 3)
+        p = float(check_array("p", p, shape=()))
         if not (p > 2.0 + 2.0 / (n - 2)):
             raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}")
         alpha0 = _alpha0(n, p)
@@ -336,8 +337,10 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     check_count("n", n, 3)
     check_count("r", r, 0)
     check_count("k_start", k_start, 1, _K_MAX)  # the truncation doubles from k_start
+    p = float(check_array("p", p, shape=()))
     if not (1.0 <= p < math.inf):
         raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
+    tail_tol = float(check_array("tail_tol", tail_tol, shape=()))
     if not tail_tol > 0.0:  # NaN included
         raise InputError(f"tail_tol must be > 0, got {tail_tol}")
     x = check_array("x", x, shape=())

@@ -84,6 +84,12 @@ CASES = [
      ()),
     ("schatten_derivative_sum", "x", float, False, 0.3,
      lambda v: sp.schatten_derivative_sum(5, 8.0, 0, v), ("()", np.ones(2))),
+    ("schatten_derivative_sum", "p", float, False, 8.0,
+     lambda v: sp.schatten_derivative_sum(5, v, 0, 0.3), ("()", np.ones(2))),
+    ("schatten_derivative_sum", "tail_tol", float, False, 1e-6,
+     lambda v: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=v), ("()", np.ones(2))),
+    ("RigidityExponents.compute", "p", float, False, 8.0,
+     lambda v: sp.RigidityExponents.compute(5, v), ("()", np.ones(2))),
     ("spectrum_report", "--x", float, False, [0.5],
      lambda v: sp.spectrum_report(3, 4.0, 0, v, 4), ()),
     ("averaging_operator", "delta", float, False, 0.5,
@@ -98,6 +104,10 @@ CASES = [
      lambda v: EuclideanSymbol(1, lambda x: x[..., 0])(v),
      ("(..., 1)", np.ones((1, 2)), np.ones(()))),
     ("shear_operator_norm", "x", float, False, 0.5, co.shear_operator_norm, ()),
+    ("CompositionFrame.create", "r", float, False, 0.75,
+     lambda v: co.CompositionFrame.create(3, v), ("()", np.ones(2))),
+    ("so_n1_trace_coefficients", "r", float, False, 0.5,
+     lambda v: co.so_n1_trace_coefficients(3, v), ("()", np.ones(2))),
     ("CompositionFrame.hs_of_delta", "delta", float, False, 0.5, FRAME.hs_of_delta, ()),
     ("CompositionFrame.opnorm_of_delta", "delta", float, False, 0.5, FRAME.opnorm_of_delta, ()),
     ("opnorm_coordinate", "x", float, False, FRAME.x_min,
@@ -112,6 +122,8 @@ CASES = [
      lambda v: co.composition_derivative_bound(1.0, v, 3), ("(*,)", np.ones((3, 1)))),
     ("GridSpec", "box_halfwidth", float, True, 8.0, lambda v: eu.GridSpec(1, v),
      ("()", np.ones(2))),
+    ("frac_laplacian_constant", "eps", float, False, 0.5,
+     lambda v: eu.frac_laplacian_constant(1, v), ("()", np.ones(2))),
     ("DyadicPartition.eta", "r", float, False, 1.5, eu.DyadicPartition().eta, ()),
     ("lp_partition_value", "xi", float, False, [0.6, 0.8],
      lambda v: eu.lp_partition_value(eu.DyadicPartition(), 0, v), ()),

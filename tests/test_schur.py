@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcert import schur
-from mcert.errors import AccuracyError, InputError, RangeError
+from mcert.errors import AccuracyError, InputError, NumericError, RangeError
 from mcert.cli import cmd_schur_bound
 from mcert.composition import CompositionFrame
 from mcert.euclidean import schur_infty_upper_bound
@@ -34,12 +36,13 @@ def dft_l1(c):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts every numpy SVD made while the test runs."""
+    """Records every numpy SVD made while the test runs, by the id of its thread: a search
+    runs its starts on two threads where it may use two CPUs."""
     calls = []
     real = np.linalg.svd
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(threading.get_ident())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
@@ -274,11 +277,11 @@ class TestSvdCount:
         steps = []  # per first half-step: whether it took no SVD
         real = schur._dual_step
 
-        def recording(x, q, warm):
-            before = len(svd_calls)
+        def recording(x, q, warm):  # the SVDs of this thread: another runs other starts
+            before = svd_calls.count(threading.get_ident())
             out = real(x, q, warm)
             no_svd = q == 4.0 or (warm is not None and isinstance(out[2], np.ndarray))
-            assert len(svd_calls) - before == (0 if no_svd else 1)
+            assert svd_calls.count(threading.get_ident()) - before == (0 if no_svd else 1)
             steps.append(no_svd)
             return out
 
@@ -365,6 +368,195 @@ def test_climb_rule_ends_starts_that_cannot_reach_the_best_value(svd_calls, n, c
     res = schur_norm_lower_bound(gaussian(0, (n, n)), 4.0, iterations=10)
     assert res.best_start == -1  # the sup-entry floor held
     assert len(svd_calls) <= ceiling
+
+
+def fields(res):
+    """Every field of a search's result, the best input by its bytes."""
+    return (res.value, res.upper, res.best_start, res.best_iteration, res.bracket_closed,
+            res.certificate_steps, res.allowance, res.best_input.dtype,
+            res.best_input.tobytes())
+
+
+def lanes(monkeypatch, count):
+    monkeypatch.setattr(schur, "_lanes", lambda: count)
+
+
+LANE_SYMBOLS = [
+    ("complex12", lambda: gaussian(11, (12, 12))),
+    ("real16", lambda: gaussian(12, (16, 16), False)),
+    ("complex10x18", lambda: gaussian(13, (10, 18))),
+    ("triangle12", lambda: np.tril(np.ones((12, 12)))),
+    ("tanh-kernel16", lambda: toeplitz(lambda d: np.tanh(d / 4.0), 16)),
+]
+
+
+class TestLanes:
+    """The starts that run with no p = infinity certificate give the same result, bit for
+    bit, on one lane and on two, and leave no thread behind."""
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("name, symbol", LANE_SYMBOLS, ids=[s[0] for s in LANE_SYMBOLS])
+    def test_two_lanes_give_the_one_lane_result(self, monkeypatch, name, symbol, p):
+        m = symbol()
+        extra = [np.exp(1j * np.add.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))]
+        baseline = threading.active_count()
+        for iterations in (3, 10, 40):
+            for extra_starts in ((), extra):
+                got = []
+                for count in (1, 2):
+                    lanes(monkeypatch, count)
+                    got.append(fields(schur_norm_lower_bound(m, p, iterations, seed=iterations,
+                                                             extra_starts=extra_starts)))
+                    assert threading.active_count() == baseline
+                assert got[0] == got[1], (iterations, len(extra_starts))
+
+    @pytest.mark.parametrize("patch", ["stalled", "residual"])
+    def test_two_lanes_after_a_certificate_ends(self, monkeypatch, patch):
+        # stalled: a factorization value held 1e-7 above its own, so the certificate gives
+        # up and the later starts run without one; residual: the certificate closes on a
+        # bound above the a priori one, and its own start goes on without one
+        if patch == "stalled":
+            real = schur._factorization
+            monkeypatch.setattr(schur, "_factorization", lambda *args: real(*args) * (1 + 1e-7))
+        else:
+            monkeypatch.setattr(schur, "_haagerup_upper", lambda *args: math.inf)
+        baseline = threading.active_count()
+        for seed in range(4):
+            m = gaussian(20 + seed, (16 + 8 * seed, 16 + 8 * seed), is_complex=seed % 2 == 0)
+            got = []
+            for count in (1, 2):
+                lanes(monkeypatch, count)
+                got.append(fields(schur_norm_lower_bound(m, math.inf, iterations=10, seed=seed)))
+                assert threading.active_count() == baseline
+            assert got[0] == got[1], seed
+            assert not got[0][4] and got[0][5] > 0  # certificate steps, then plain ones
+
+    def test_both_lanes_run_starts(self, monkeypatch):
+        lanes(monkeypatch, 2)
+        threads, second = set(), threading.Event()
+        real = schur._normalized
+
+        def normalized(a0, p):  # the first start waits until another thread draws one
+            threads.add(threading.get_ident())
+            if len(threads) > 1:
+                second.set()
+            second.wait(timeout=10.0)
+            return real(a0, p)
+
+        monkeypatch.setattr(schur, "_normalized", normalized)
+        res = schur_norm_lower_bound(gaussian(30, (16, 16)), 4.0, iterations=5)
+        assert len(threads) == 2 and threading.get_ident() in threads
+        lanes(monkeypatch, 1)
+        monkeypatch.setattr(schur, "_normalized", real)
+        assert fields(res) == fields(schur_norm_lower_bound(gaussian(30, (16, 16)), 4.0,
+                                                            iterations=5))
+
+    def test_replay_drops_the_steps_the_one_by_one_search_would_not_take(self):
+        # a later start ran ahead against the floor: its second step's climb, 1.1 + 0.1 x 8,
+        # cannot reach the first start's 2.0, so its third step never runs one by one
+        search = schur._Search(np.ones((2, 2)), 0, 4.0, 10, math.inf, (1.0, None, -1, 0),
+                               iter(()))
+        for position, (index, values) in enumerate([(1, [2.0]), (2, [1.0, 1.1, 5.0])]):
+            run = schur._Trajectory(index, -math.inf, 1, 10)
+            run.values, run.inputs, run.done = values, {1: "first", 3: "third"}, True
+            search.starts[position] = run
+        search._replay()
+        assert search.best == (2.0, "first", 1, 1) and search.head == 2 and not search.stop
+
+    def test_concurrent_searches_under_fast_switching(self, monkeypatch):
+        # four searches at once, each on two lanes: eight threads, switching every
+        # microsecond, and each search keeps its one-lane bits
+        cases = [(gaussian(40 + k, (12, 16)), p) for k, p in enumerate((1.5, 3.0, 4.0, 6.0))]
+        lanes(monkeypatch, 1)
+        expected = [fields(schur_norm_lower_bound(m, p, iterations=10)) for m, p in cases]
+        lanes(monkeypatch, 2)
+        got = [None] * len(cases)
+
+        def search(k):
+            got[k] = fields(schur_norm_lower_bound(*cases[k], iterations=10))
+
+        threads = [threading.Thread(target=search, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+
+
+def planted(monkeypatch, position, wait_for_it=False):
+    """Make the start at ``position`` (from 1) raise a NumericError in its normalization;
+    with ``wait_for_it`` every earlier start waits there until the planted one has run."""
+    real_starts, real_normalized = schur._starts, schur._normalized
+    marker, ran = np.ones((1, 1)), threading.Event()
+
+    def starts(sym, seed, extra_starts):
+        for k, a0 in enumerate(real_starts(sym, seed, extra_starts), start=1):
+            yield marker if k == position else a0
+
+    def normalized(a0, p):
+        if a0 is marker:
+            ran.set()
+            raise NumericError("planted")
+        if wait_for_it:
+            ran.wait(timeout=10.0)
+        return real_normalized(a0, p)
+
+    monkeypatch.setattr(schur, "_starts", starts)
+    monkeypatch.setattr(schur, "_normalized", normalized)
+    return ran
+
+
+class TestLaneErrors:
+    """A start's exception is raised on the calling thread when, and only when, the search
+    one start after another would reach it."""
+
+    def test_error_after_the_start_that_reaches_the_target_does_not_surface(self, monkeypatch):
+        m = np.tril(np.ones((16, 16)))
+        lanes(monkeypatch, 1)
+        reached = schur_norm_lower_bound(m, 4.0, iterations=10)
+        assert reached.best_start == 1 and reached.value > 1.0
+        # an upper end the first start's value meets: the search stops at that start
+        monkeypatch.setattr(schur, "interpolated_schur_bound", lambda *args: reached.value)
+        expected = fields(schur_norm_lower_bound(m, 4.0, iterations=10))
+        assert expected[2] == 1 and expected[4]  # closed by the first start
+        baseline = threading.active_count()
+        for count in (1, 2):
+            lanes(monkeypatch, count)
+            ran = planted(monkeypatch, 2, wait_for_it=count == 2)
+            assert fields(schur_norm_lower_bound(m, 4.0, iterations=10)) == expected
+            assert ran.is_set() == (count == 2)  # the second lane ran it, and it was dropped
+            assert threading.active_count() == baseline
+            monkeypatch.undo()
+            monkeypatch.setattr(schur, "interpolated_schur_bound", lambda *args: reached.value)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("position", [1, 2, 7])
+    def test_error_in_a_start_the_search_reaches_is_raised_here(self, monkeypatch, count,
+                                                                position):
+        lanes(monkeypatch, count)
+        planted(monkeypatch, position)
+        raised = []
+        real_search = schur._Search.run
+
+        def run(self):  # records the thread the error reaches
+            try:
+                return real_search(self)
+            except NumericError:
+                raised.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(schur._Search, "run", run)
+        baseline = threading.active_count()
+        with pytest.raises(NumericError, match="^planted$"):
+            schur_norm_lower_bound(gaussian(31, (16, 16)), 4.0, iterations=10)
+        assert raised == [threading.get_ident()]
+        assert threading.active_count() == baseline
 
 
 class TestInterpolatedBound:
