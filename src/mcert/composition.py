@@ -12,12 +12,12 @@ parameter) have closed-form derivatives with fast decay.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import taylor
 from .errors import DomainError, InputError, RangeError, check_array, check_count
 
 __all__ = [
@@ -54,26 +54,26 @@ class DerivativeJet:
 
 
 def bell_polynomial(k: int, j: int, z) -> float:
-    """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1})."""
+    """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1}) of finite z, by the recursion
+    B_{m,l} = sum_i C(m - 1, i - 1) z_i B_{m-i,l-1} up from B_{m,1} = z_m, one l at a
+    time; a value or a term past the float range is a RangeError."""
     check_count("k", k, 1)
     check_count("j", j, 1, k)
-    z = check_array("z", z, shape=(None,)).tolist()
+    z = check_array("z", z, finite=True, shape=(None,)).tolist()
     if len(z) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(z)}")
-    table = {(0, 0): 1.0}
-
-    def get(kk: int, jj: int) -> float:
-        if jj == 0:
-            return 1.0 if kk == 0 else 0.0
-        if kk < jj:
-            return 0.0
-        key = (kk, jj)
-        if key not in table:
-            table[key] = sum(math.comb(kk - 1, i - 1) * z[i - 1] * get(kk - i, jj - 1)
-                             for i in range(1, kk - jj + 2))
-        return table[key]
-
-    return get(k, j)
+    # the largest binomial the recursion takes, C(k - 1, i) for i <= k - j, is a float
+    if j > 1 and math.comb(k - 1, min(k - j, (k - 1) // 2)) > sys.float_info.max:
+        raise RangeError(f"B_{{{k},{j}}} takes a binomial past the float range")
+    row = dict(enumerate(z[:k - j + 1], start=1))  # B_{m,l} by m, for m - l <= k - j
+    for level in range(2, j + 1):
+        low = level if level < j else k  # the last level needs B_{k,j} alone
+        row = {m: sum(math.comb(m - 1, i - 1) * z[i - 1] * row[m - i]
+                      for i in range(1, m - level + 2))
+               for m in range(low, k - j + level + 1)}
+    if not math.isfinite(row[k]):
+        raise RangeError(f"B_{{{k},{j}}} exceeds the float range")
+    return row[k]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
@@ -131,6 +131,7 @@ def shear_operator_norm(x):
 def rotation_matrix(n: int, delta: float) -> np.ndarray:
     """Rotation by arccos(delta) in the first two coordinates of R^n."""
     check_count("n", n, 2)
+    delta = float(check_array("delta", delta, shape=()))
     if not (-1.0 <= delta <= 1.0):
         raise DomainError("delta must lie in [-1, 1]")
     k = np.eye(n)
@@ -218,14 +219,21 @@ def opnorm_coordinate(frame: CompositionFrame, x) -> np.ndarray:
 
 
 def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarray:
-    """Closed-form j-th derivative of :func:`opnorm_coordinate`."""
+    """Closed-form j-th derivative of :func:`opnorm_coordinate`: from j = 2,
+    (-1)^(j-1) j! / ((e^(-2s) - e^(-2r)) x^(j+1)), with j! / x^(j+1) taken through
+    logarithms, so that neither overflows on its own (j! does from j = 171); a derivative
+    past the float range is a RangeError."""
     check_count("j", j, 1)
     x = _check_window(x, frame.x_min, frame.x_max)
     e2r, e2s = math.exp(2.0 * frame.r), math.exp(2.0 * frame.s)
     if j == 1:
         return (1.0 + math.exp(2.0 * (frame.r + frame.s)) / (x * x)) / (e2r - e2s)
     sign = 1.0 if (j - 1) % 2 == 0 else -1.0
-    return sign * taylor.factorials(j)[j] / ((1.0 / e2s - 1.0 / e2r) * x ** (j + 1))
+    with np.errstate(over="ignore"):  # an inf is checked below
+        value = sign * np.exp(math.lgamma(j + 1.0) - (j + 1) * np.log(x)) / (1.0 / e2s - 1.0 / e2r)
+    if not np.isfinite(value).all():
+        raise RangeError(f"the derivative of order {j} exceeds the float range")
+    return value
 
 
 def hs_coordinate(frame: CompositionFrame, x) -> np.ndarray:
@@ -274,6 +282,7 @@ def so_n1_embedded_matrix(n: int, r: float, delta: float) -> np.ndarray:
     group, D(r) the standard one-parameter boost.  Entries past the float range are a
     RangeError."""
     check_count("n", n, 2)
+    r = float(check_array("r", r, shape=()))
     if math.isnan(r):
         raise DomainError("r must be a number")
     k = np.eye(n + 1)

@@ -252,16 +252,19 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     M's shape (else InputError).  The maximum over indexed starts is deterministic for a
     fixed seed.  ``iterations`` caps the steps of each start; at 0 no start runs and the
     sup-entry floor is returned.  A start also ends, as a stalled one does, once its last
-    gain, carried over every remaining step, leaves it below the best value: value +
-    (value - last) (iterations - iteration) < best.  The rule only skips steps: every value
-    reported is still the ratio of an input actually evaluated, so it stays one-sided, and
-    :func:`_starts` still draws every start in order.  It is off while a p = infinity
-    certificate runs, where an ended start goes on as a certificate: ending it sooner
-    closes the certificate on another factorization, and loosened the upper end of the
-    4 x 4 matrix (4i + j) / 16 from 0.9375000000101172 to 0.9375000000115893.  The peak
-    matrix unit E_ij certifies the floor and is not run: at every p it is a fixed point
-    of the alternating map, since M o E_ij = M_ij E_ij and its dual element and
-    reprojection are phase multiples of E_ij, so its steps could only restate the floor.
+    gain, carried over every remaining step, leaves it below max(floor, its own best
+    value): value + (value - last) (iterations - iteration) < that, where floor is the
+    best value held when the starts without a certificate begin (at every finite p, the
+    sup entry), so a start's steps depend on its own input alone.  The rule only skips
+    steps: every value reported is still the ratio of an input actually evaluated, so it
+    stays one-sided, and :func:`_starts` still draws every start in order.  It is off
+    while a p = infinity certificate runs, where an ended start goes on as a certificate:
+    ending it sooner closes the certificate on another factorization, and loosened the
+    upper end of the 4 x 4 matrix (4i + j) / 16 from 0.9375000000101172 to
+    0.9375000000115893.  The peak matrix unit E_ij certifies the floor and is not run: at
+    every p it is a fixed point of the alternating map, since M o E_ij = M_ij E_ij and its
+    dual element and reprojection are phase multiples of E_ij, so its steps could only
+    restate the floor.
 
     ``upper`` is the smaller of the interpolated :func:`frobenius_schur_bound` and, for
     square M, :func:`circulant_schur_bound` (rounded, the interpolation can swap their
@@ -287,8 +290,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     largest float is a RangeError.
 
     The starts that run with no certificate (every start at finite p) run as a
-    :class:`_Search`: on two threads where the process may use two CPUs, with the result
-    of running them one after another, bit for bit, on any number of CPUs.
+    :class:`_Search`: on two threads where the process may use two CPUs, each start on its
+    own, folded in start order, so the result is the same on any number of CPUs.
     """
     check_count("--seed", seed, 0)
     check_count("--iterations", iterations, 0)
@@ -376,54 +379,42 @@ def _lanes() -> int:
     return 2 if len(cpus) >= 2 else 1
 
 
-class _Trajectory:
-    """One start's steps as its lane runs them, and the replay's place in them."""
-
-    def __init__(self, index: int, last: float, first: int, final: int):
-        self.index, self.last, self.first, self.final = index, last, first, final
-        self.values, self.inputs = [], {}  # the values in order; inputs by iteration
-        self.taken, self.done, self.error = 0, False, None  # values the replay has taken
-
-
 class _Search:
     """The starts of :func:`schur_norm_lower_bound` that run with no p = infinity
     certificate, on :func:`_lanes` lanes (the calling thread, and a helper thread that
-    lives as long as :meth:`run`), with the result of running them one after another,
-    bit for bit.
+    lives as long as :meth:`run`), with the result of running them one after another.
 
     ``jobs`` yields (start index, input, warm, last value, first iteration, last
     iteration), in start order; an input at its first iteration is not yet normalized.
-    Each lane draws the next job under the lock and runs it (:meth:`_run`): the start's
-    steps until its last iteration, a stall, the target, or the climb rule tested against
-    ``best``, the best value the replay holds.  That is at most the best value the
-    one-by-one search holds at that step, so a lane runs a start at least as far as that
-    search would, with the same values.  The replay (:meth:`_replay`) takes the values in
-    start order as they come and applies the one-by-one rules with the true best value:
-    the start it is at, the head, is in step with it, while a later start runs ahead and
-    keeps the input of each step whose value beat ``best`` and its own earlier values (no
-    other can become the best input) until the replay reaches it, or ends it where the
-    one-by-one search would.  A start's exception (a NumericError or RangeError) is kept
-    and raised, on the calling thread, only when the replay reaches it.  The search stops
-    once the replay meets the target; a lane's start ends at its next step then.
+    Each lane draws the next job under the lock and climbs it on its own (:meth:`_climb`):
+    the start's steps until its last iteration, a stall, the target, or the climb rule
+    tested against the floor, the best value held when the search begins, and the start's
+    own best value.  No start's steps depend on another's, so the lanes share nothing but
+    the draw and the fold: the outcomes are folded in start order, keeping the first
+    strict improvement, up to the first start that reached the target or raised.  That
+    start's exception (a NumericError or RangeError) is raised on the calling thread; one
+    in a later start never surfaces.  Once a start has reached the target or raised, no
+    start is drawn, and a later one that runs ends at its next step.
     """
 
     def __init__(self, sym, e, p, iterations, target, best, jobs):
         self.sym, self.conj, self.e, self.p = sym, np.conj(sym), e, p
-        self.iterations, self.target, self.best, self.jobs = iterations, target, best, jobs
+        self.iterations, self.target, self.best = iterations, target, best
+        self.floor, self.jobs = best, enumerate(jobs)  # draw positions from 0
         self.lock = threading.Lock()
-        self.starts = {}  # draw position -> _Trajectory, until the replay passes it
-        self.drawn = self.head = 0  # the starts drawn, and the position of the replay
-        self.stop, self.error = False, None
+        self.outcomes, self.folded = {}, 0  # draw position -> (best, error), until folded
+        self.end = math.inf  # the first position whose start reached the target or raised
+        self.error = None
 
     def run(self) -> tuple:
-        """The best (value, input, start, iteration) of the one-by-one search."""
+        """The best (value, input, start, iteration) of the starts run one after another."""
         helper = threading.Thread(target=self._lane) if _lanes() > 1 else None
         if helper is not None:
             helper.start()
         try:
             self._lane()
         except BaseException:
-            self.stop = True
+            self.end = -1  # the helper draws no more starts and ends its own at its next step
             raise
         finally:
             if helper is not None:
@@ -433,80 +424,47 @@ class _Search:
         return self.best
 
     def _lane(self) -> None:
-        while (run := self._run()) is not None:
+        while (outcome := self._climb()) is not None:
+            position, best, error = outcome
             with self.lock:
-                run.done = True
-                self._replay()
+                self.outcomes[position] = best, error
+                if error is not None or best[0] >= self.target:
+                    self.end = min(self.end, position)
+                while self.folded <= self.end and self.folded in self.outcomes:
+                    best, self.error = self.outcomes.pop(self.folded)
+                    self.folded += 1
+                    if best[0] > self.best[0]:
+                        self.best = best
 
-    def _run(self):
-        """Draw the next job and run its steps into a new :class:`_Trajectory`, until the
-        start ends, the replay ends it or the search stops; an exception ends it, kept in
-        its ``error``.  None once every job is drawn or the search has stopped."""
+    def _climb(self):
+        """Draw the next job and run its steps: (its draw position, its best step as
+        (value, input, start, iteration), which is the floor when no step beat it, and the
+        exception that ended it or None).  None once every job is drawn, or a start has
+        reached the target or raised."""
         with self.lock:
-            job = None if self.stop else next(self.jobs, None)
-            if job is None:
-                return None
-            position, self.drawn = self.drawn, self.drawn + 1
-            self.starts[position] = run = _Trajectory(job[0], *job[3:])
-        a, warm = job[1:3]
-        del job  # the input lives in ``a`` alone, and goes as the steps move on
-        last, top = run.last, -math.inf
+            drawn = next(self.jobs, None) if self.end == math.inf else None
+        if drawn is None:
+            return None
+        position, (index, a, warm, last, first, final) = drawn
+        del drawn  # the input lives in ``a`` alone, and goes as the steps move on
+        best = self.floor
         try:
-            a = _normalized(a, self.p) if run.first == 1 else a
-            for iteration in itertools.count(run.first) if a is not None else ():
+            a = _normalized(a, self.p) if first == 1 else a
+            for iteration in itertools.count(first) if a is not None else ():
                 val, g, warm = _dual_step(self.sym * a, self.p, warm)
                 val = _unscaled_ratio(val, self.e)
-                floor = max(self.best[0], top)
-                if val > floor:
-                    run.inputs[iteration] = a
-                run.values.append(val)  # after its input: the replay may take it at once
-                top = max(top, val)
-                if val >= self.target or self._ends(iteration, run.final, val, last,
-                                                    max(floor, val)):
-                    break
-                if self.head == position:
-                    with self.lock:
-                        self._replay()
-                if self.stop or self.head > position:  # the replay ended it, or the search
+                if val > best[0]:
+                    best = (val, a, index, iteration)
+                if (val >= self.target or iteration == final or val <= last * (1.0 + _STALL_RTOL)
+                        or val + (val - last) * (self.iterations - iteration) < best[0]
+                        or self.end < position):  # the last: a start before it ended the search
                     break
                 last = val
                 del a  # the input goes before the reprojection allocates; its product in g
                 a = _duality_map(*_svd(np.multiply(self.conj, g, out=g)), self.p)
-        except Exception as exc:  # raised when the replay reaches it
-            run.error = exc
-        return run
-
-    def _ends(self, iteration, final, val, last, best) -> bool:
-        """Whether a start ends at this step: its last iteration, a stall, or a climb whose
-        last gain, carried over every remaining step, stays below ``best``."""
-        return (iteration == final or val <= last * (1.0 + _STALL_RTOL)
-                or val + (val - last) * (self.iterations - iteration) < best)
-
-    def _replay(self) -> None:
-        """Under the lock: the one-by-one search over the values that have come, from the
-        head on, updating ``best`` and, at the target or a start's exception, the stop."""
-        while not self.stop and self.head in self.starts:
-            run = self.starts[self.head]
-            while run.taken < len(run.values):
-                iteration, val = run.first + run.taken, run.values[run.taken]
-                run.taken += 1
-                a = run.inputs.pop(iteration, None)
-                if val > self.best[0]:
-                    self.best = (val, a, run.index, iteration)
-                if val >= self.target:
-                    self.stop = True
-                    return
-                if self._ends(iteration, run.final, val, run.last, self.best[0]):
-                    break
-                run.last = val
-            else:  # every value taken: the start goes on, or ended by raising, or was 0
-                if not run.done:
-                    return
-                if run.error is not None:
-                    self.error, self.stop = run.error, True
-                    return
-            del self.starts[self.head]
-            self.head += 1
+        except Exception as exc:  # raised when the fold reaches it
+            return position, best, exc
+        return position, best, None
 
 
 def _starts(sym: np.ndarray, seed: int, extra_starts):
@@ -797,6 +755,7 @@ def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
     """
     p = _exponent(p)
     sup = schur_norm_exact_p2(m)
+    upper_inf = float(check_array("upper_inf", upper_inf, shape=()))
     if not upper_inf >= sup:
         raise InputError(f"upper_inf must be at least the sup entry {sup!r}, got {upper_inf!r}")
     return _interpolated(sup, p, upper_inf)

@@ -423,7 +423,11 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
 
 
 def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
-    """Deterministic latitude-longitude node set on S^2 (unit vectors)."""
+    """Deterministic latitude-longitude node set on S^2 (unit vectors); a resolution that
+    is not positive and finite is a DomainError."""
+    resolution_deg = float(check_array("resolution_deg", resolution_deg, shape=()))
+    if not 0.0 < resolution_deg < math.inf:  # or NaN
+        raise DomainError("resolution_deg must be positive and finite")
     lats = np.arange(-90.0 + resolution_deg, 90.0, resolution_deg)
     lons = np.arange(0.0, 360.0, resolution_deg)
     out = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]

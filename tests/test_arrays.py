@@ -72,6 +72,8 @@ CASES = [
      lambda v: sc.schur_norm_lower_bound(MATRIX, v), ("()", np.ones(2))),
     ("interpolated_schur_bound", "p", float, False, 4.0,
      lambda v: sc.interpolated_schur_bound(MATRIX, v, 100.0), ("()", np.ones(2))),
+    ("interpolated_schur_bound", "upper_inf", float, False, 100.0,
+     lambda v: sc.interpolated_schur_bound(MATRIX, 4.0, v), ("()", np.ones(2))),
     ("circulant_lower_bound", "p", float, False, 4.0,
      lambda v: sc.circulant_lower_bound(np.arange(1.0, 9.0), v), ("()", np.ones(2))),
     ("circulant_lower_bound", "c", complex, True, np.arange(1.0, 9.0),
@@ -92,6 +94,7 @@ CASES = [
      lambda v: sp.RigidityExponents.compute(5, v), ("()", np.ones(2))),
     ("spectrum_report", "--x", float, False, [0.5],
      lambda v: sp.spectrum_report(3, 4.0, 0, v, 4), ()),
+    ("sphere_grid", "resolution_deg", float, False, 30.0, sp.sphere_grid, ("()", np.ones(2))),
     ("averaging_operator", "delta", float, False, 0.5,
      lambda v: sp.averaging_operator(v, lambda y: y[..., 2], NORTH), ("()", np.ones(2))),
     ("averaging_operator", "points", float, True, NORTH,
@@ -108,13 +111,17 @@ CASES = [
      lambda v: co.CompositionFrame.create(3, v), ("()", np.ones(2))),
     ("so_n1_trace_coefficients", "r", float, False, 0.5,
      lambda v: co.so_n1_trace_coefficients(3, v), ("()", np.ones(2))),
+    ("rotation_matrix", "delta", float, False, 0.5, lambda v: co.rotation_matrix(3, v),
+     ("()", np.ones(2))),
+    ("so_n1_embedded_matrix", "r", float, False, 0.5,
+     lambda v: co.so_n1_embedded_matrix(3, v, 0.5), ("()", np.ones(2))),
     ("CompositionFrame.hs_of_delta", "delta", float, False, 0.5, FRAME.hs_of_delta, ()),
     ("CompositionFrame.opnorm_of_delta", "delta", float, False, 0.5, FRAME.opnorm_of_delta, ()),
     ("opnorm_coordinate", "x", float, False, FRAME.x_min,
      lambda v: co.opnorm_coordinate(FRAME, v), ()),
     ("DerivativeJet", "values", float, False, [1.0, 2.0, 3.0], co.DerivativeJet,
      ("(*,)", 2.0, [[1.0, 2.0]])),
-    ("bell_polynomial", "z", float, False, [1.0, 2.0, 3.0],
+    ("bell_polynomial", "z", float, True, [1.0, 2.0, 3.0],
      lambda v: co.bell_polynomial(3, 1, v), ("(*,)", np.ones((3, 2)))),
     ("composition_derivative_bound", "f_norm", float, False, 1.0,
      lambda v: co.composition_derivative_bound(v, [1.0], 1), ("()", np.ones(2))),

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -75,6 +76,19 @@ class TestBell:
             row = nxt
             bell.append(row[0])
         assert [bell_coefficient_mass(k) for k in range(1, 61)] == bell[1:]
+
+    def test_values_past_the_float_range_are_range_errors(self):
+        # B_{k,1}(z) = z_k takes no binomial; B_{1200,2} takes C(1199, 599), about 1e359
+        assert bell_polynomial(1200, 1, np.ones(1200)) == 1.0
+        with pytest.raises(RangeError, match=r"^B_\{1200,2\} takes a binomial past the float"):
+            bell_polynomial(1200, 2, np.ones(1200))
+        with pytest.raises(RangeError, match=r"^B_\{2,2\} exceeds the float range$"):
+            bell_polynomial(2, 2, [1e200])  # a float product past the range
+
+    def test_order_past_the_recursion_limit(self):
+        # B_{k,k}(z) = z_1^k takes k levels, past Python's default recursion limit
+        assert bell_polynomial(1100, 1100, [1.0]) == 1.0
+        assert bell_polynomial(1100, 1100, [-1.0]) == 1.0
 
     def test_argument_validation(self):
         with pytest.raises(InputError):
@@ -259,12 +273,18 @@ class TestCoordinateChanges:
                 cf = opnorm_coordinate_derivative(f, j, x)
                 assert cf == pytest.approx(fd, rel=1e-6)
 
-    def test_derivative_past_order_170_is_inf(self):
-        # j! is inf from j = 171: the derivative is inf there, not an exception
+    def test_derivative_past_order_170_is_finite_or_range_error(self):
+        # j! is past the float range from j = 171, j! / x^(j+1) not always: at 171 the
+        # derivative is about 3e233, at 400 and x = 2 about 1e747, a RangeError
         f = CompositionFrame.create(3, 1.2)
         x = f.x_min * 1.5
-        assert np.isinf(opnorm_coordinate_derivative(f, 171, x))
+        s, r, xm = (mpmath.mpf(v) for v in (f.s, f.r, x))
+        exact = mpmath.factorial(171) / ((mpmath.exp(-2 * s) - mpmath.exp(-2 * r)) * xm ** 172)
+        assert float(opnorm_coordinate_derivative(f, 171, x)) == pytest.approx(float(exact),
+                                                                                rel=1e-12)
         assert np.isfinite(opnorm_coordinate_derivative(f, 170, f.x_min))
+        with pytest.raises(RangeError, match="^the derivative of order 400 exceeds the float"):
+            opnorm_coordinate_derivative(f, 400, 2.0)
 
     def test_first_derivative_window(self):
         # H' in [1, 2] / (e^{2r} - e^{2s}), exactly

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -370,6 +371,35 @@ def test_climb_rule_ends_starts_that_cannot_reach_the_best_value(svd_calls, n, c
     assert len(svd_calls) <= ceiling
 
 
+def test_a_start_takes_the_same_steps_after_a_start_that_beats_the_floor(monkeypatch):
+    # the climb rule tests a start against the floor and its own best value alone: a first
+    # start well above the floor leaves the steps of every later start as they were
+    m = gaussian(2, (32, 32))
+    strong = schur_norm_lower_bound(m, 4.0).best_input  # 3.698, the floor 3.565
+    lanes(monkeypatch, 1)
+    steps = []  # per start, its first half-steps
+    real_starts, real_normalized, real_step = schur._starts, schur._normalized, schur._dual_step
+
+    def normalized(a0, p):  # once per start, at its first iteration
+        steps.append(0)
+        return real_normalized(a0, p)
+
+    def step(x, p, warm):
+        steps[-1] += 1
+        return real_step(x, p, warm)
+
+    monkeypatch.setattr(schur, "_normalized", normalized)
+    monkeypatch.setattr(schur, "_dual_step", step)
+    res = schur_norm_lower_bound(m, 4.0, iterations=10)
+    alone = list(steps)
+    monkeypatch.setattr(schur, "_starts", lambda *args: itertools.chain([strong],
+                                                                        real_starts(*args)))
+    steps.clear()
+    after = schur_norm_lower_bound(m, 4.0, iterations=10)
+    assert res.value < after.value and after.best_start == 1 and not after.bracket_closed
+    assert len(alone) == 7 and steps[1:] == alone
+
+
 def fields(res):
     """Every field of a search's result, the best input by its bytes."""
     return (res.value, res.upper, res.best_start, res.best_iteration, res.bracket_closed,
@@ -450,18 +480,6 @@ class TestLanes:
         monkeypatch.setattr(schur, "_normalized", real)
         assert fields(res) == fields(schur_norm_lower_bound(gaussian(30, (16, 16)), 4.0,
                                                             iterations=5))
-
-    def test_replay_drops_the_steps_the_one_by_one_search_would_not_take(self):
-        # a later start ran ahead against the floor: its second step's climb, 1.1 + 0.1 x 8,
-        # cannot reach the first start's 2.0, so its third step never runs one by one
-        search = schur._Search(np.ones((2, 2)), 0, 4.0, 10, math.inf, (1.0, None, -1, 0),
-                               iter(()))
-        for position, (index, values) in enumerate([(1, [2.0]), (2, [1.0, 1.1, 5.0])]):
-            run = schur._Trajectory(index, -math.inf, 1, 10)
-            run.values, run.inputs, run.done = values, {1: "first", 3: "third"}, True
-            search.starts[position] = run
-        search._replay()
-        assert search.best == (2.0, "first", 1, 1) and search.head == 2 and not search.stop
 
     def test_concurrent_searches_under_fast_switching(self, monkeypatch):
         # four searches at once, each on two lanes: eight threads, switching every

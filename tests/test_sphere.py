@@ -525,6 +525,12 @@ class TestAveragingOperator:
             eigenvalue_table(3, xs, -1)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -5.0, np.nan, np.inf])
+def test_sphere_grid_resolution_outside_the_domain_is_domain_error(resolution):
+    with pytest.raises(DomainError, match="^resolution_deg must be positive and finite$"):
+        sphere_grid(resolution)
+
+
 def test_empty_x_list_is_input_error():
     # the CLI's nargs="+" cannot send one; a library call is stopped before any table
     with pytest.raises(InputError, match="--x needs at least one value"):
