@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InputError, RangeError, check_array, check_count
+from .errors import InputError, RangeError, check_array, check_count
 
 __all__ = [
     "DerivativeJet",
@@ -121,19 +121,19 @@ def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
 
 
 def shear_operator_norm(x):
-    """Operator norm of a determinant-one 2 x 2 matrix whose squared
-    Hilbert-Schmidt norm is 2 + 4 x^2; equals e^u at x = sinh(u)."""
+    """Operator norm |x| + sqrt(1 + x^2) of a determinant-one 2 x 2 matrix whose squared
+    Hilbert-Schmidt norm is 2 + 4 x^2; equals e^u at x = sinh(u).  It is past the float
+    range, a RangeError, exactly where |x| exceeds half the largest float."""
     x = check_array("x", x)
-    x2 = x * x
-    return np.sqrt(1.0 + 2.0 * x2 + 2.0 * np.sqrt(x2 + x2 * x2))
+    if np.any(np.abs(x) > sys.float_info.max / 2):
+        raise RangeError("the shear operator norm exceeds the float range")
+    return np.abs(x) + np.hypot(1.0, x)
 
 
 def rotation_matrix(n: int, delta: float) -> np.ndarray:
     """Rotation by arccos(delta) in the first two coordinates of R^n."""
     check_count("n", n, 2)
-    delta = float(check_array("delta", delta, shape=()))
-    if not (-1.0 <= delta <= 1.0):
-        raise DomainError("delta must lie in [-1, 1]")
+    delta = float(check_array("delta", delta, shape=(), least=-1.0, most=1.0))
     k = np.eye(n)
     s = math.sqrt(max(1.0 - delta * delta, 0.0))
     k[0, 0] = delta
@@ -143,9 +143,15 @@ def rotation_matrix(n: int, delta: float) -> np.ndarray:
     return k
 
 
+# The largest r of a frame: hs_max takes e^(4 r), past the float range from r = 177.45, and
+# up to this r every window end and coordinate function below is finite at every n.
+_R_MAX = 177.0
+
+
 @dataclass(frozen=True)
 class CompositionFrame:
-    """Diagonal matrix D = diag(e^r, e^s x (n-1)) in SL(n), r + (n-1)s = 0."""
+    """Diagonal matrix D = diag(e^r, e^s x (n-1)) in SL(n), r + (n-1)s = 0, for r in
+    (0, _R_MAX]: r <= 0 is a DomainError, r > _R_MAX a RangeError."""
 
     n: int
     r: float
@@ -154,9 +160,10 @@ class CompositionFrame:
     @classmethod
     def create(cls, n: int, r: float) -> "CompositionFrame":
         check_count("n", n, 3)
-        r = float(check_array("r", r, shape=()))
-        if not (r > 0):
-            raise DomainError("r must be positive")
+        r = float(check_array("r", r, shape=(), above=0.0))
+        if r > _R_MAX:
+            raise RangeError(f"a frame at r = {r!r} exceeds the float range: r must be <= "
+                             f"{_R_MAX!r}")
         # -r / (n - 1) rounds differently, and the section reports carry these bits
         return cls(n=n, r=r, s=-2 / (2 * n - 2) * r)
 
@@ -167,7 +174,7 @@ class CompositionFrame:
         d = self.d_matrix()
         return d @ rotation_matrix(self.n, delta) @ d
 
-    # operator-norm window [x_min, x_max] swept by delta in [0, 1]
+    # operator-norm window [x_min, x_max] swept by |delta| in [0, 1]; delta lies in [-1, 1]
     @property
     def x_min(self) -> float:
         return math.exp(self.r + self.s)
@@ -178,7 +185,8 @@ class CompositionFrame:
 
     def opnorm_of_delta(self, delta) -> np.ndarray:
         stretch = math.sinh(self.r - self.s)
-        return self.x_min * shear_operator_norm(check_array("delta", delta) * stretch)
+        delta = check_array("delta", delta, least=-1.0, most=1.0)
+        return self.x_min * shear_operator_norm(delta * stretch)
 
     # normalized Hilbert-Schmidt window [hs_min, hs_max]
     @property
@@ -193,7 +201,7 @@ class CompositionFrame:
         return math.sqrt(val)
 
     def hs_of_delta(self, delta) -> np.ndarray:
-        delta = check_array("delta", delta)
+        delta = check_array("delta", delta, least=-1.0, most=1.0)
         a2, b2 = self.hs_min ** 2, self.hs_max ** 2
         return np.sqrt(a2 + delta * delta * (b2 - a2))
 
@@ -204,10 +212,7 @@ _DOMAIN_SLACK = 1e-9
 def _check_window(x, lo: float, hi: float) -> np.ndarray:
     """``x`` as a float array (:func:`check_array`); a DomainError where it leaves [lo, hi]
     by more than _DOMAIN_SLACK relative."""
-    x = check_array("x", x)
-    if np.any(x < lo * (1 - _DOMAIN_SLACK)) or np.any(x > hi * (1 + _DOMAIN_SLACK)):
-        raise DomainError(f"x outside [{lo:.6g}, {hi:.6g}]")
-    return x
+    return check_array("x", x, least=lo * (1 - _DOMAIN_SLACK), most=hi * (1 + _DOMAIN_SLACK))
 
 
 def opnorm_coordinate(frame: CompositionFrame, x) -> np.ndarray:
@@ -258,9 +263,7 @@ def so_n1_trace_coefficients(n: int, r: float):
     float range are a RangeError.
     """
     check_count("n", n, 2)
-    r = float(check_array("r", r, shape=()))
-    if not (r > 0):
-        raise DomainError("r must be positive")
+    r = float(check_array("r", r, shape=(), above=0.0))
     try:
         a = 4.0 * math.sinh(r) ** 4
         b = 2.0 * math.sinh(2.0 * r) ** 2
@@ -282,9 +285,7 @@ def so_n1_embedded_matrix(n: int, r: float, delta: float) -> np.ndarray:
     group, D(r) the standard one-parameter boost.  Entries past the float range are a
     RangeError."""
     check_count("n", n, 2)
-    r = float(check_array("r", r, shape=()))
-    if math.isnan(r):
-        raise DomainError("r must be a number")
+    r = float(check_array("r", r, shape=(), least=-math.inf))
     k = np.eye(n + 1)
     k[:n, :n] = rotation_matrix(n, delta)
     d = np.eye(n + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, check_array, check_count
+from .errors import AccuracyError, DomainError, check_array, check_count
 from .symbols import EuclideanSymbol
 
 __all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition_value",
@@ -92,9 +92,7 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
     a^{2 eps} pi / (2 Gamma(1+2 eps) sin(pi eps)); so is the remaining
     direction-cosine moment.
     """
-    eps = float(check_array("eps", eps, shape=()))
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie strictly inside (0, 1)")
+    eps = float(check_array("eps", eps, shape=(), above=0.0, below=1.0))
     check_count("d", d, 1)
     surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     radial = math.pi / (2.0 * math.gamma(1.0 + 2.0 * eps) * math.sin(math.pi * eps))
@@ -123,8 +121,7 @@ class GridSpec:
     def __post_init__(self):
         check_count("d", self.d, 1)
         check_count("box_points", self.box_points, 8)
-        if not check_array("box_halfwidth", self.box_halfwidth, finite=True, shape=()) > 0:
-            raise InputError("box_halfwidth must be > 0")
+        check_array("box_halfwidth", self.box_halfwidth, finite=True, shape=(), above=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -256,9 +256,7 @@ def weyl_ball_volume(n: int, r):
     last order m, T q / (1 - q) with q = max|y| / (m + 1) < 1, scaled like the volume; at most
     about 1e-17 of it."""
     check_count("--n", n, 2, 5)
-    r = check_array("--R", r)
-    if not np.all((0 < r) & (r < math.inf)):
-        raise DomainError("radius must be positive and finite")
+    r = check_array("--R", r, above=0.0, below=math.inf)
     if np.any(r >= _FLOAT_RADIUS[n - 2]):  # before the series is sized: its length grows with r
         raise RangeError(f"the chamber volume at radius {r.max():g} exceeds the float range")
     x, w = _chamber_simplices(n)

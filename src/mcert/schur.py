@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericError, RangeError, check_array, check_count
+from .errors import NumericError, RangeError, check_array, check_count
 
 __all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
            "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
@@ -120,12 +120,8 @@ def _lp_norm(x: np.ndarray, p: float):
 
 
 def _exponent(p) -> float:
-    """``p`` as a float in [1, infinity], a real scalar by :func:`errors.check_array`:
-    else an InputError."""
-    p = float(check_array("p", p, shape=()))
-    if not p >= 1.0:  # or NaN
-        raise InputError("p must lie in [1, infinity]")
-    return p
+    """``p`` as a float in [1, infinity], by :func:`errors.check_array`."""
+    return float(check_array("p", p, shape=(), least=1.0))
 
 
 def _dual_exponent(p: float) -> float:
@@ -751,14 +747,11 @@ def interpolated_schur_bound(m, p: float, upper_inf: float) -> float:
     quotient), which moves t^a by at most the factor exp(3u |ln t|); the
     modulus, t, the power (libm pow is within one ulp) and the product add
     at most 5u.  The factor 1 + (16 + 3 |ln t|) u covers them all.  A p outside
-    [1, infinity], or a U (inf allowed) below the sup entry, which bounds no M, is an InputError.
+    [1, infinity], or a U (inf allowed) below the sup entry, which bounds no M, is a DomainError.
     """
     p = _exponent(p)
     sup = schur_norm_exact_p2(m)
-    upper_inf = float(check_array("upper_inf", upper_inf, shape=()))
-    if not upper_inf >= sup:
-        raise InputError(f"upper_inf must be at least the sup entry {sup!r}, got {upper_inf!r}")
-    return _interpolated(sup, p, upper_inf)
+    return _interpolated(sup, p, float(check_array("upper_inf", upper_inf, shape=(), least=sup)))
 
 
 def _interpolated(sup: float, p: float, upper_inf: float) -> float:

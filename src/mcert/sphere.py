@@ -45,12 +45,9 @@ def _check_nk(n: int, k: int, k_name: str = "k") -> None:
 
 
 def _table_x(n: int, x, k_cap: int) -> np.ndarray:
-    """x as floats (:func:`check_array`) in [-1, 1] (DomainError), after n and k_cap."""
+    """x as floats in [-1, 1] up to 1e-14 (:func:`check_array`), after n and k_cap."""
     _check_nk(n, k_cap, "k_cap")
-    x = check_array("x", x)
-    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
-        raise DomainError("argument outside [-1, 1]")
-    return x
+    return check_array("x", x, least=-(1.0 + 1e-14), most=1.0 + 1e-14)
 
 
 _BLOCK = 16  # degrees per block; block b holds degrees 2 + b _BLOCK to 1 + (b + 1) _BLOCK
@@ -234,9 +231,7 @@ class RigidityExponents:
     @classmethod
     def compute(cls, n: int, p: float) -> "RigidityExponents":
         check_count("n", n, 3)
-        p = float(check_array("p", p, shape=()))
-        if not (p > 2.0 + 2.0 / (n - 2)):
-            raise DomainError(f"p must exceed 2 + 2/(n-2) = {2 + 2/(n-2):.6f}")
+        p = float(check_array("p", p, shape=(), above=2.0 + 2.0 / (n - 2)))
         alpha0 = _alpha0(n, p)
         near_int = abs(alpha0 - round(alpha0)) < 1e-12 and round(alpha0) >= 1
         alpha = alpha0 - 1e-3 if near_int else alpha0  # off an integer, where [alpha] jumps
@@ -322,8 +317,8 @@ def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
 def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
                             k_start: int = 64) -> SchattenSumResult:
     """Schatten p-sum of the r-th derivative spectrum with certified tail, for n >= 3,
-    r >= 0, 1 <= k_start <= _K_MAX, a finite p >= 1 and tail_tol > 0 (InputError, all
-    before any table), |x| <= _INTERIOR (DomainError) and a truncation of at most _K_MAX
+    r >= 0, 1 <= k_start <= _K_MAX (InputError), a finite p >= 1, tail_tol > 0 and
+    |x| <= _INTERIOR (DomainError, all before any table), and a truncation of at most _K_MAX
     degrees (AccuracyError); a tail constant past the float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
@@ -337,15 +332,9 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     check_count("n", n, 3)
     check_count("r", r, 0)
     check_count("k_start", k_start, 1, _K_MAX)  # the truncation doubles from k_start
-    p = float(check_array("p", p, shape=()))
-    if not (1.0 <= p < math.inf):
-        raise InputError(f"Schatten exponent p must be finite and >= 1, got {p}")
-    tail_tol = float(check_array("tail_tol", tail_tol, shape=()))
-    if not tail_tol > 0.0:  # NaN included
-        raise InputError(f"tail_tol must be > 0, got {tail_tol}")
-    x = check_array("x", x, shape=())
-    if not abs(x) <= _INTERIOR:  # NaN included
-        raise DomainError(f"|x| must be <= {_INTERIOR}")
+    p = float(check_array("p", p, shape=(), least=1.0, below=math.inf))
+    tail_tol = float(check_array("tail_tol", tail_tol, shape=(), above=0.0))
+    x = check_array("x", x, shape=(), least=-_INTERIOR, most=_INTERIOR)
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
         return SchattenSumResult(value=None, diverged=True)
@@ -422,21 +411,25 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
 # Desk-scale averaging oracle on S^2
 
 
+# 2^20 nodes, 24 MiB of coordinates and about twice that while built: 0.25 degrees fits
+_MAX_NODES = 2 ** 20
+
+
 def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
-    """Deterministic latitude-longitude node set on S^2 (unit vectors); a resolution that
-    is not positive and finite is a DomainError."""
-    resolution_deg = float(check_array("resolution_deg", resolution_deg, shape=()))
-    if not 0.0 < resolution_deg < math.inf:  # or NaN
-        raise DomainError("resolution_deg must be positive and finite")
-    lats = np.arange(-90.0 + resolution_deg, 90.0, resolution_deg)
-    lons = np.arange(0.0, 360.0, resolution_deg)
-    out = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    for la in np.deg2rad(lats):
-        for lo in np.deg2rad(lons):
-            out.append(np.array([math.cos(la) * math.cos(lo),
-                                 math.cos(la) * math.sin(lo),
-                                 math.sin(la)]))
-    return np.array(out)
+    """Deterministic latitude-longitude node set on S^2 (unit vectors): the north and south
+    poles, then the nodes latitude by latitude, from the south, each by longitude from 0.  A
+    resolution that is not positive and finite is a DomainError; one finer than _MAX_NODES
+    nodes allow, by the count 180 x 360 / resolution^2 that bounds them, is a RangeError."""
+    res = float(check_array("resolution_deg", resolution_deg, shape=(), above=0.0,
+                            below=math.inf))
+    if (180.0 / res) * (360.0 / res) > _MAX_NODES:  # before any array is sized
+        raise RangeError(f"a grid at resolution_deg = {res!r} exceeds the cap of "
+                         f"{_MAX_NODES} nodes")
+    la = np.deg2rad(np.arange(-90.0 + res, 90.0, res))[:, None]
+    lo = np.deg2rad(np.arange(0.0, 360.0, res))
+    ring = np.cos(la)
+    mesh = np.stack(np.broadcast_arrays(ring * np.cos(lo), ring * np.sin(lo), np.sin(la)), -1)
+    return np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], mesh.reshape(-1, 3)])
 
 
 def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
@@ -445,9 +438,7 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     (spectrally accurate for smooth f).
     """
     check_count("circle_nodes", circle_nodes, 1)
-    delta = float(check_array("delta", delta, shape=()))
-    if not (-1.0 <= delta <= 1.0):
-        raise DomainError("delta must lie in [-1, 1]")
+    delta = float(check_array("delta", delta, shape=(), least=-1.0, most=1.0))
     points = check_array("points", points, finite=True, shape=(..., 3)).reshape(-1, 3)
     norms = np.linalg.norm(points, axis=1, keepdims=True)
     if not norms.all():

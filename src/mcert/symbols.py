@@ -101,7 +101,8 @@ _FAMILY_LOWER_BOUNDS = {  # (kind, parameter) -> the value the parameter must ex
 @dataclass
 class SymbolFamily:
     """Parametric symbol family; see :meth:`build_profile`.  Once built, ``parameters``
-    holds every parameter of the kind, the defaults of _FAMILIES filled in."""
+    holds every parameter of the kind, the defaults of _FAMILIES filled in, each a finite
+    real number (:func:`check_array`, named by its key) above its _FAMILY_LOWER_BOUNDS."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
@@ -115,9 +116,8 @@ class SymbolFamily:
             raise InputError(f"unknown {self.kind} parameter(s) {unknown}; choose from {allowed}")
         self.parameters = {**_FAMILIES[self.kind], **self.parameters}
         for key, value in self.parameters.items():
-            low = _FAMILY_LOWER_BOUNDS.get((self.kind, key))
-            if low is not None and not value > low:
-                raise InputError(f"{self.kind} parameter {key!r} must be > {low:g}, got {value:g}")
+            check_array(key, value, shape=(), finite=True,
+                        above=_FAMILY_LOWER_BOUNDS.get((self.kind, key)))
 
     @classmethod
     def parse(cls, spec: str) -> "SymbolFamily":
@@ -157,10 +157,10 @@ class SymbolFamily:
 
     def build_group_symbol(self) -> SymbolHandle:
         """The lift g -> phi(dist(g, e)) of the profile.  A GroupElement stack of leading
-        shape ... gives (...) values.  dist(e, e) = 0, so a radial-power shift must be > 0."""
-        if self.kind == "radial-power" and not self.parameters["shift"] > 0.0:
-            raise InputError(f"radial-power parameter 'shift' must be > 0 to lift to the group, "
-                             f"got {self.parameters['shift']:g}")
+        shape ... gives (...) values.  dist(e, e) = 0, so a radial-power shift must be > 0
+        (DomainError)."""
+        if self.kind == "radial-power":
+            check_array("shift", self.parameters["shift"], shape=(), above=0.0)
         return SymbolHandle(self.build_profile())
 
 

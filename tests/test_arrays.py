@@ -3,8 +3,10 @@ it, is decided by ``errors.check_array``: a ragged nesting, an entry that is no 
 complex one where the entry point computes in floats, a shape it does not take, and a NaN or
 inf where it needs finite entries, is an InputError that names the array, by its
 command-line flag where the CLI reaches it, else by its parameter, or by the call that
-returned it."""
+returned it.  A real value outside the interval the entry point declares, a NaN among them,
+is a DomainError that names the value the same way, the interval and the first value outside."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from mcert import geometry as ge
 from mcert import rigidity as ri
 from mcert import schur as sc
 from mcert import sphere as sp
-from mcert.errors import InputError, check_array
+from mcert.errors import DomainError, InputError, RangeError, check_array
 from mcert.symbols import EuclideanSymbol, RadialProfile, SymbolFamily
 
 PROFILE = SymbolFamily.parse("radial-power:exponent=5").build_profile()
@@ -129,6 +131,10 @@ CASES = [
      lambda v: co.composition_derivative_bound(1.0, v, 3), ("(*,)", np.ones((3, 1)))),
     ("GridSpec", "box_halfwidth", float, True, 8.0, lambda v: eu.GridSpec(1, v),
      ("()", np.ones(2))),
+    ("SymbolFamily", "width", float, True, 0.5, lambda v: SymbolFamily("hm-bump", {"width": v}),
+     ("()", np.ones(2))),
+    ("SymbolFamily", "center", float, True, 1.0,
+     lambda v: SymbolFamily("hm-bump", {"center": v}), ("()", np.ones(2))),
     ("frac_laplacian_constant", "eps", float, False, 0.5,
      lambda v: eu.frac_laplacian_constant(1, v), ("()", np.ones(2))),
     ("DyadicPartition.eta", "r", float, False, 1.5, eu.DyadicPartition().eta, ()),
@@ -212,3 +218,125 @@ def test_integers_and_lists_become_floats_with_their_bits():
     assert got.dtype == float and got.tolist() == [[1.0, 2.0], [3.0, float(2 ** 53 + 1)]]
     assert check_array("c", [1, 2.5], complex).tolist() == [1.0, 2.5 + 0j]
     assert check_array("x", [np.inf, np.nan]).shape == (2,)  # finite only when asked
+
+
+# (entry point, the value's name in the message, the interval it declares, as the message
+# writes it, whether the value must be finite as well, the call with the value set to v)
+A, B, C, TRACE_G = co.so_n1_trace_coefficients(3, 0.5)
+SLACK = co._DOMAIN_SLACK
+X_END = 1.0 + 1e-14  # sphere's tables take x in [-1, 1] up to 1e-14
+INTERVALS = [
+    ("schur_norm_lower_bound", "p", "[1.0, inf]", False,
+     lambda v: sc.schur_norm_lower_bound(MATRIX, v, iterations=2)),
+    ("interpolated_schur_bound", "p", "[1.0, inf]", False,
+     lambda v: sc.interpolated_schur_bound(MATRIX, v, 100.0)),
+    ("interpolated_schur_bound", "upper_inf", "[0.9375, inf]", False,  # the sup entry
+     lambda v: sc.interpolated_schur_bound(MATRIX, 4.0, v)),
+    ("circulant_lower_bound", "p", "[1.0, inf]", False,
+     lambda v: sc.circulant_lower_bound(np.arange(1.0, 9.0), v)),
+    ("eigenvalue_table", "x", f"[{-X_END!r}, {X_END!r}]", False,
+     lambda v: sp.eigenvalue_table(3, v, 3)),
+    ("quadrature_table", "x", f"[{-X_END!r}, {X_END!r}]", False,
+     lambda v: sp.quadrature_table(3, v, 3)),
+    ("RigidityExponents.compute", "p", f"({2.0 + 2.0 / 3!r}, inf]", False,
+     lambda v: sp.RigidityExponents.compute(5, v)),
+    ("schatten_derivative_sum", "p", "[1.0, inf)", False,
+     lambda v: sp.schatten_derivative_sum(5, v, 0, 0.3)),
+    ("schatten_derivative_sum", "tail_tol", "(0.0, inf]", False,
+     lambda v: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=v)),
+    ("schatten_derivative_sum", "x", "[-0.95, 0.95]", False,
+     lambda v: sp.schatten_derivative_sum(5, 8.0, 0, v)),
+    ("sphere_grid", "resolution_deg", "(0.0, inf)", False, sp.sphere_grid),
+    ("averaging_operator", "delta", "[-1.0, 1.0]", False,
+     lambda v: sp.averaging_operator(v, lambda y: y[..., 2], NORTH)),
+    ("rotation_matrix", "delta", "[-1.0, 1.0]", False, lambda v: co.rotation_matrix(3, v)),
+    ("CompositionFrame.create", "r", "(0.0, inf]", False,
+     lambda v: co.CompositionFrame.create(3, v)),
+    ("CompositionFrame.opnorm_of_delta", "delta", "[-1.0, 1.0]", False, FRAME.opnorm_of_delta),
+    ("CompositionFrame.hs_of_delta", "delta", "[-1.0, 1.0]", False, FRAME.hs_of_delta),
+    ("opnorm_coordinate", "x", f"[{FRAME.x_min * (1 - SLACK)!r}, {FRAME.x_max * (1 + SLACK)!r}]",
+     False, lambda v: co.opnorm_coordinate(FRAME, v)),
+    ("opnorm_coordinate_derivative", "x",
+     f"[{FRAME.x_min * (1 - SLACK)!r}, {FRAME.x_max * (1 + SLACK)!r}]", False,
+     lambda v: co.opnorm_coordinate_derivative(FRAME, 2, v)),
+    ("hs_coordinate", "x", f"[{FRAME.hs_min * (1 - SLACK)!r}, {FRAME.hs_max * (1 + SLACK)!r}]",
+     False, lambda v: co.hs_coordinate(FRAME, v)),
+    ("so_n1_trace_coefficients", "r", "(0.0, inf]", False,
+     lambda v: co.so_n1_trace_coefficients(3, v)),
+    ("so_n1_trace_coefficients g", "x", f"[{C * (1 - SLACK)!r}, {(A + B + C) * (1 + SLACK)!r}]",
+     False, TRACE_G),
+    ("so_n1_embedded_matrix", "r", "[-inf, inf]", False,
+     lambda v: co.so_n1_embedded_matrix(3, v, 0.5)),
+    ("frac_laplacian_constant", "eps", "(0.0, 1.0)", False,
+     lambda v: eu.frac_laplacian_constant(1, v)),
+    ("GridSpec", "box_halfwidth", "(0.0, inf]", True, lambda v: eu.GridSpec(1, v)),
+    ("weyl_ball_volume", "--R", "(0.0, inf)", False, lambda v: ge.weyl_ball_volume(3, v)),
+    ("SymbolFamily", "width", "(0.0, inf]", True,
+     lambda v: SymbolFamily("hm-bump", {"width": v})),
+    ("SymbolFamily", "shift", "(-1.0, inf]", True,
+     lambda v: SymbolFamily("radial-power", {"shift": v})),
+    ("SymbolFamily.build_group_symbol", "shift", "(0.0, inf]", True,
+     lambda v: SymbolFamily("radial-power", {"shift": v}).build_group_symbol()),
+]
+
+
+def interval_ends(text):
+    """((lower end, closed), (upper end, closed)) of an interval as a message writes it."""
+    lo, hi = text[1:-1].split(", ")
+    return (float(lo), text[0] == "["), (float(hi), text[-1] == "]")
+
+
+def outside_values(text, finite):
+    """(kind, value) per value just outside the interval: one np.nextafter step past a closed
+    end, an open end itself, and NaN where a NaN is not an InputError already."""
+    out = []
+    for kind, (end, closed), way in zip(("below", "above"), interval_ends(text), (-1, 1)):
+        value = np.nextafter(end, way * np.inf) if closed else end
+        if value != end or not closed:  # no float lies past a closed infinite end
+            out.append((kind, float(value)))
+    # with ``finite``, an inf or a NaN is an InputError before any interval is looked at
+    out = [(kind, value) for kind, value in out if not (finite and math.isinf(value))]
+    return out if finite else out + [("nan", math.nan)]
+
+
+OUTSIDE = [(entry, name, text, call, value) for entry, name, text, finite, call in INTERVALS
+           for _, value in outside_values(text, finite)]
+OUTSIDE_IDS = [f"{entry}-{name}-{kind}" for entry, name, text, finite, call in INTERVALS
+               for kind, _ in outside_values(text, finite)]
+
+
+@pytest.mark.parametrize("entry, name, text, call, value", OUTSIDE, ids=OUTSIDE_IDS)
+def test_a_value_outside_the_interval_is_a_domain_error_that_names_it(entry, name, text, call,
+                                                                      value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            call(value)
+    assert str(exc.value) == f"{name} must lie in {text}, got {float(value)!r}"
+
+
+CLOSED = [(entry, name, call, end) for entry, name, text, finite, call in INTERVALS
+          for end, closed in interval_ends(text)
+          if closed and not (finite and math.isinf(end))]
+
+
+@pytest.mark.parametrize("entry, name, call, end", CLOSED,
+                         ids=[f"{entry}-{name}-{end!r}" for entry, name, _, end in CLOSED])
+def test_a_closed_end_is_accepted(entry, name, call, end):
+    # an infinite end lies in the domain, and the value it gives may lie past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(end)
+        except RangeError:
+            assert math.isinf(end)
+
+
+def test_the_first_value_outside_is_named_and_a_scalar_is_compared_alike():
+    with pytest.raises(DomainError, match=r"^r must lie in \(0.0, 1.0\], got -1.0$"):
+        check_array("r", [[0.5, -1.0], [2.0, 1.0]], above=0.0, most=1.0)
+    with pytest.raises(DomainError, match=r"^r must lie in \[-inf, 0.5\), got nan$"):
+        check_array("r", np.array(math.nan), below=0.5)
+    value = np.linspace(0.0, 1.0, 5)
+    assert check_array("r", value, least=0.0, most=1.0) is value
+    assert check_array("r", 1, least=1).dtype == float  # an int end or value is a float

@@ -199,7 +199,7 @@ class TestCertifyHm:
         rc = main(["certify-hm", "--symbol", f"hm-bump:width={width}", "--n", "3",
                    "--out", str(out)])
         assert rc == 2
-        assert "'width' must be > 0" in capsys.readouterr().err
+        assert f"width must lie in (0.0, inf], got {float(width)!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_far_narrow_bump_is_silent_zero(self, tmp_path, capsys):
@@ -222,7 +222,7 @@ class TestCertifyHm:
         out = tmp_path / "hm.json"
         rc = main(["certify-hm", "--symbol", spec, "--n", "3", "--out", str(out)])
         assert rc == 2
-        assert "'shift' must be > 0" in capsys.readouterr().err
+        assert "shift must lie in (0.0, inf], got " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -811,7 +811,7 @@ class TestGeometryCommand:
         out = tmp_path / "geo.json"
         rc = main(["geometry", "--n", "3", "--R", "inf", "--out", str(out)])
         assert rc == 2
-        assert "finite" in capsys.readouterr().err
+        assert "--R must lie in (0.0, inf), got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_volume_beyond_float_range_is_input_error(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -188,6 +189,24 @@ class TestShearNorm:
             top = np.linalg.svd(m, compute_uv=False)[0]
             assert float(shear_operator_norm(x)) == pytest.approx(top, rel=1e-14)
 
+    def test_mpmath_oracle_up_to_the_float_range(self):
+        # |x| is exact and hypot within an ulp; their sum adds half an ulp.  x^4 overflowed
+        # from x = 1.3e77 in the square-root form
+        top = sys.float_info.max / 2
+        xs = np.concatenate([np.linspace(0.0, 10.0, 1000), np.geomspace(1e77, top, 1000)])
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.mpf(x) + mpmath.sqrt(1 + mpmath.mpf(x) ** 2))
+                              for x in xs])
+        got = shear_operator_norm(xs)
+        assert np.max(np.abs(got - exact) / exact) <= 2.0 * np.finfo(float).eps
+        assert np.array_equal(shear_operator_norm(-xs), got)
+        assert float(shear_operator_norm(top)) == sys.float_info.max
+
+    @pytest.mark.parametrize("x", [np.nextafter(sys.float_info.max / 2, np.inf), 1e308, np.inf])
+    def test_past_the_float_range_is_range_error(self, x):
+        with pytest.raises(RangeError, match="^the shear operator norm exceeds the float range$"):
+            shear_operator_norm([1.0, -x])
+
 
 def coupling_frame(n, x):
     """The frame with x at the lower edge of its operator-norm window, where the
@@ -224,6 +243,26 @@ class TestFrames:
                 hs = math.sqrt(np.sum(mat * mat) / n)
                 worst = max(worst, abs(hs - float(f.hs_of_delta(delta))))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("r", [119.0, 177.0, 178.0, 400.0])
+    def test_frames_past_the_float_range_are_range_errors(self, n, r):
+        # e^(4 r) in hs_max is past the float range from r = 177.45; up to the cap of 177
+        # every window end and coordinate is finite, and the operator norm at r = 119 no
+        # longer overflows through x^4
+        if r > 177.0:
+            with pytest.raises(RangeError, match=f"^a frame at r = {r!r} exceeds the float "):
+                CompositionFrame.create(n, r)
+            return
+        f = CompositionFrame.create(n, r)
+        deltas = np.array([0.0, 0.5, 1.0])
+        xs, hs = f.opnorm_of_delta(deltas), f.hs_of_delta(deltas)
+        values = [f.x_min, f.x_max, f.hs_min, f.hs_max, f.d_matrix(), xs, hs,
+                  f.conjugated_rotation(0.5), opnorm_coordinate(f, xs), hs_coordinate(f, hs),
+                  opnorm_coordinate_derivative(f, 1, xs), opnorm_coordinate_derivative(f, 2, xs)]
+        assert all(np.isfinite(v).all() for v in values)
+        assert opnorm_coordinate(f, xs) == pytest.approx(deltas, abs=1e-12)
+        assert hs_coordinate(f, hs) == pytest.approx(deltas, abs=1e-12)
 
     def test_coupling_constructor(self):
         for n, x in [(3, 2.5), (6, 7.0)]:

@@ -226,6 +226,9 @@ def test_partition_sum_method_and_grid_validation():
     total = sum(lp_partition_value(PARTITION, j, np.array([0.7, -0.2])) ** 2
                 for j in range(-40, 41))
     assert total == pytest.approx(1.0, abs=1e-12)
-    for box in ({"box_points": 7}, {"box_halfwidth": 0.0}, {"box_halfwidth": -1.0}):
-        with pytest.raises(InputError):
-            GridSpec(1, **box)
+    with pytest.raises(InputError):
+        GridSpec(1, box_points=7)
+    for half in (0.0, -1.0):
+        with pytest.raises(DomainError,
+                           match=rf"^box_halfwidth must lie in \(0.0, inf\], got {half}$"):
+            GridSpec(1, box_halfwidth=half)

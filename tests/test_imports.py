@@ -3,7 +3,7 @@ never scipy or numpy.ma, every module imports with scipy blocked, the Schur laye
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
 public API is set by the package, an acceptance line, a command row or the benchmark, and the
-package fits a slope and checks a shape in one place each."""
+package fits a slope, checks a shape and checks an interval in one place each."""
 
 import ast
 import json
@@ -155,9 +155,9 @@ def test_no_module_calls_polyfit():
     assert calls == []
 
 
-def raises_input_error(stmt):
+def raises_input_error(stmt, classes=("InputError",)):
     return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-               and getattr(node.exc.func, "id", None) == "InputError" for node in ast.walk(stmt))
+               and getattr(node.exc.func, "id", None) in classes for node in ast.walk(stmt))
 
 
 def test_no_module_checks_a_shape_by_hand():
@@ -170,6 +170,60 @@ def test_no_module_checks_a_shape_by_hand():
               and any(isinstance(a, ast.Attribute) and a.attr in ("ndim", "shape")
                       for a in ast.walk(node.test))]
     assert checks == []
+
+
+def is_check_array(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_array"
+
+
+def mentions_a_checked_value(node, checked):
+    """Whether ``node`` reads a name in ``checked`` or calls check_array, outside a len()."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len":
+        return False
+    if is_check_array(node) or isinstance(node, ast.Name) and node.id in checked:
+        return True
+    return any(mentions_a_checked_value(child, checked) for child in ast.iter_child_nodes(node))
+
+
+def interval_checks_by_hand(tree):
+    """The line of each ``if`` that raises a DomainError or InputError and orders, by <, <=, >
+    or >=, a value its function took through check_array."""
+    lines = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        checked = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                   and any(is_check_array(n) for n in ast.walk(node.value))
+                   for target in node.targets if isinstance(target, ast.Name)}
+        lines += [node.lineno for node in ast.walk(fn) if isinstance(node, ast.If)
+                  and any(raises_input_error(s, ("DomainError", "InputError")) for s in node.body)
+                  and any(isinstance(cmp, ast.Compare)
+                          and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                                  for op in cmp.ops)
+                          and any(mentions_a_checked_value(side, checked)
+                                  for side in (cmp.left, *cmp.comparators))
+                          for cmp in ast.walk(node.test))]
+    return sorted(set(lines))
+
+
+def test_no_module_checks_an_interval_by_hand():
+    # every interval a real input must lie in is given to errors.check_array as its bounds
+    package = Path(mcert.__file__).resolve().parent
+    checks = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+              if path.name != "errors.py"
+              for line in interval_checks_by_hand(ast.parse(path.read_text(encoding="utf-8")))]
+    assert checks == []
+
+
+def test_the_interval_guard_passes_a_length_and_fails_a_bound():
+    length = ("def f(z, k):\n    z = check_array('z', z)\n    if len(z) < k:\n"
+              "        raise InputError('short')\n")
+    bound = ("def f(p):\n    p = float(check_array('p', p))\n    if not p >= 1.0:\n"
+             "        raise DomainError('p')\n")
+    inline = "def f(h):\n    if not check_array('h', h) > 0:\n        raise InputError('h')\n"
+    assert interval_checks_by_hand(ast.parse(length)) == []
+    assert interval_checks_by_hand(ast.parse(bound)) == [3]
+    assert interval_checks_by_hand(ast.parse(inline)) == [2]
 
 
 def defaulted_parameters(tree):

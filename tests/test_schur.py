@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcert import schur
-from mcert.errors import AccuracyError, InputError, NumericError, RangeError
+from mcert.errors import AccuracyError, DomainError, InputError, NumericError, RangeError
 from mcert.cli import cmd_schur_bound
 from mcert.composition import CompositionFrame
 from mcert.euclidean import schur_infty_upper_bound
@@ -119,7 +119,7 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
     def test_exponent_outside_range_rejected(self, p):
-        with pytest.raises(InputError):
+        with pytest.raises(DomainError, match=rf"^p must lie in \[1.0, inf\], got {p}$"):
             schur_norm_lower_bound(TruncatedSchurMultiplier(np.ones((3, 3))), p)
 
     def test_seed_reproducibility(self):
@@ -597,13 +597,14 @@ class TestInterpolatedBound:
 
     @pytest.mark.parametrize("p", [math.nan, 0.5])
     def test_rejects_exponent_outside_range(self, p):
-        with pytest.raises(InputError):
+        with pytest.raises(DomainError, match=rf"^p must lie in \[1.0, inf\], got {p}$"):
             interpolated_schur_bound(np.ones((2, 2)), p, 2.0)
 
     @pytest.mark.parametrize("upper", [-1.0, math.nan, 0.5])
     def test_rejects_a_bound_below_the_sup_entry(self, upper):
         # no certified bound of a Schur multiplier lies below its S_2 norm, the sup entry
-        with pytest.raises(InputError, match="^upper_inf must be at least the sup entry 1.0, "):
+        with pytest.raises(DomainError,
+                           match=rf"^upper_inf must lie in \[1.0, inf\], got {upper}$"):
             interpolated_schur_bound(np.ones((3, 3)), 4.0, upper)
         assert interpolated_schur_bound(np.ones((3, 3)), 4.0, math.inf) == math.inf
         assert interpolated_schur_bound(np.ones((3, 3)), 4.0, 1.0) == 1.0
@@ -1002,7 +1003,7 @@ class TestCirculantLowerBound:
 
     @pytest.mark.parametrize("p", [math.nan, 0.5])
     def test_rejects_exponent_outside_range(self, p):
-        with pytest.raises(InputError):
+        with pytest.raises(DomainError, match=rf"^p must lie in \[1.0, inf\], got {p}$"):
             circulant_lower_bound(np.ones(4), p)
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])

@@ -442,7 +442,8 @@ class TestSchattenSums:
     @pytest.mark.parametrize("tail_tol", [math.nan, -1.0, 0.0])
     def test_tail_tolerance_not_positive_rejected(self, tail_tol):
         # no tail bound meets such a tolerance: refused before the doublings step to _K_MAX
-        with pytest.raises(InputError, match="tail_tol must be > 0"):
+        with pytest.raises(DomainError,
+                           match=rf"^tail_tol must lie in \(0.0, inf\], got {tail_tol}$"):
             schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=tail_tol)
 
     @pytest.mark.parametrize("k_start", [0, -64])
@@ -457,7 +458,7 @@ class TestSchattenSums:
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, -4.0, math.inf])
     def test_bad_exponent_rejected(self, p):
-        with pytest.raises(InputError):
+        with pytest.raises(DomainError, match=rf"^p must lie in \[1.0, inf\), got {p}$"):
             schatten_derivative_sum(3, p, 0, 0.5)
 
     def test_negative_order_rejected(self):
@@ -525,9 +526,36 @@ class TestAveragingOperator:
             eigenvalue_table(3, xs, -1)
 
 
+def sphere_grid_by_loop(resolution_deg):
+    """The grid node by node in Python floats: the reference for sphere_grid's one array."""
+    lats = np.arange(-90.0 + resolution_deg, 90.0, resolution_deg)
+    lons = np.arange(0.0, 360.0, resolution_deg)
+    out = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    for la in np.deg2rad(lats):
+        for lo in np.deg2rad(lons):
+            out.append(np.array([math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo),
+                                 math.sin(la)]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("resolution", [30.0, 15.0, 7.0, 1.0, 0.7, 100.0, 200.0])
+def test_sphere_grid_has_the_bits_of_the_node_loop(resolution):
+    got = sphere_grid(resolution)
+    assert got.dtype == float and np.array_equal(got, sphere_grid_by_loop(resolution))
+
+
+@pytest.mark.parametrize("resolution", [0.248, 0.1, 0.01, 1e-300])
+def test_sphere_grid_past_the_node_cap_is_range_error(resolution):
+    # 180 x 360 / 0.248^2 = 1,053,590 nodes bound the grid at 0.248, past the cap of 2^20;
+    # at 1e-300 the node count alone is past the float range
+    with pytest.raises(RangeError, match=f"^a grid at resolution_deg = {resolution!r} exceeds "):
+        sphere_grid(resolution)
+
+
 @pytest.mark.parametrize("resolution", [0.0, -5.0, np.nan, np.inf])
 def test_sphere_grid_resolution_outside_the_domain_is_domain_error(resolution):
-    with pytest.raises(DomainError, match="^resolution_deg must be positive and finite$"):
+    with pytest.raises(DomainError,
+                       match=rf"^resolution_deg must lie in \(0.0, inf\), got {resolution}$"):
         sphere_grid(resolution)
 
 
