@@ -13,7 +13,8 @@ import argparse
 import math
 import sys
 
-from .errors import AccuracyError, DomainError, InputError, NumericError, RangeError, check_count
+from .errors import (AccuracyError, DomainError, InputError, NumericError, RangeError,
+                     check_array, check_count)
 from .geometry import certify_hm_report, volume_report
 from .report import CROSS_CHECK, CertificationReport, CheckRecord, input_digest
 # perfbench's tests read mcert.cli.rigidity_witness to see its tracer's patches undone
@@ -35,16 +36,18 @@ def cmd_schur_bound(matrix, p: float, seed: int, iterations: int) -> Certificati
 
     The lower bound is cross-checked against the upper bound, within a 1e-8
     relative tolerance that covers the rounding of the optimizer's ratio.
-    Zero iterations give the sup-entry floor."""
+    Zero iterations give the sup-entry floor; a p outside [1, inf] is a DomainError named
+    by its flag."""
+    check_array("--p", p, shape=(), least=1.0)
     rep = CertificationReport(command="schur-bound")
     rep.seeds["optimizer"] = seed
     m = TruncatedSchurMultiplier(matrix)
     res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
-    bracket = {"lower_bound": res.value, "upper_bound": res.upper,
-               "relative_gap": res.relative_gap, "certificate_steps": res.certificate_steps}
+    bracket = {**res.bracket.fields(), "relative_gap": res.bracket.relative_gap,
+               "certificate_steps": res.certificate_steps}
     rep.add(CheckRecord(
         name="lower-bound", check_id="schur/lower-bound", kind=CROSS_CHECK,
-        measured=res.value, bound=res.upper, tolerance=1e-8,
+        measured=res.bracket.lower, bound=res.bracket.upper, tolerance=1e-8,
         details={"p": None if math.isinf(p) else p, "iterations": iterations,
                  "best_start": res.best_start, "best_iteration": res.best_iteration,
                  **bracket},

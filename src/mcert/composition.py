@@ -76,11 +76,15 @@ def bell_polynomial(k: int, j: int, z) -> float:
     return row[k]
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
 def bell_coefficient_mass(k: int) -> int:
     """Total coefficient mass sum_j B_{k,j}(1, ..., 1), the Bell number B_k, exact in
-    integers by B_{m+1} = sum_i C(m, i) B_i."""
+    integers by B_{m+1} = sum_i C(m, i) B_i; k is checked before the cache hashes it."""
     check_count("k", k, 0)
+    return _bell_number(k)
+
+
+@lru_cache(maxsize=None)
+def _bell_number(k: int) -> int:
     bell = [1]
     for m in range(k):
         bell.append(sum(math.comb(m, i) * b for i, b in enumerate(bell)))

@@ -40,10 +40,11 @@ __all__ = [
 ]
 
 
-def check_special_linear(entries) -> np.ndarray:
-    """The (..., n, n) stack as finite floats (:func:`check_array`) in SL(n,R): square of
-    size >= 2 (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n) (DomainError)."""
-    m = check_array("entries", entries, finite=True, shape=(..., "n", "n"))
+def check_special_linear(entries, name: str = "entries") -> np.ndarray:
+    """The (..., n, n) stack as finite floats (:func:`check_array`, named by ``name``) in
+    SL(n,R): square of size >= 2 (InputError) with |det - 1| <= 1e-10 max(1, max|a_ij|^n)
+    (DomainError)."""
+    m = check_array(name, entries, finite=True, shape=(..., "n", "n"))
     check_count("n", m.shape[-1], 2)
     det = np.asarray(np.linalg.det(m))
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** m.shape[-1])
@@ -102,12 +103,12 @@ def dist_to_identity(mats):
 
     Smooth away from e, d(g) = d(g^-1), and it vanishes only at e: it is
     comparable to |g - e| near the identity and to L(g) at infinity.  Takes
-    a (..., n, n) stack that :func:`check_special_linear` accepts and returns
-    values of shape ``...`` (a numpy scalar for one (n, n) matrix, with the bits
-    it has inside a stack); :func:`lie_derivative` takes its jets along
-    one-parameter subgroups.
+    a :class:`GroupElement`, read without a second validation, or a (..., n, n)
+    stack that :func:`check_special_linear` accepts, and returns values of shape
+    ``...`` (a numpy scalar for one (n, n) matrix, with the bits it has inside a
+    stack); :func:`lie_derivative` takes its jets along one-parameter subgroups.
     """
-    mats = check_array("mats", mats, finite=True, shape=(..., "n", "n"))
+    mats = mats.entries if isinstance(mats, GroupElement) else check_special_linear(mats, "mats")
     flat = mats.reshape(-1, *mats.shape[-2:])
     return _dist_jet(flat, np.zeros_like(flat[:1]))[0].reshape(mats.shape[:-2])[()]
 
@@ -120,13 +121,17 @@ _MAX_RANK = 64  # the Lie basis holds 8 n^4 bytes, 134 MB at n = 64
 _BATCH_FLOATS = 1 << 16  # jet floats per lie_derivative batch (512 KB): peak memory stays flat
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def lie_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the traceless matrices under <X,Y> = tr(X^T Y), read-only,
     shaped (n^2 - 1, n, n): the E_ij (i != j) in row-major order, then the diagonal
     (E_11 + ... + E_kk - k E_{k+1,k+1}) / sqrt(k (k + 1)) for k = 1..n-1; 2 <= n <=
-    _MAX_RANK (InputError)."""
+    _MAX_RANK (InputError), checked before the cache hashes n."""
     check_count("n", n, 2, _MAX_RANK)
+    return _lie_basis(n)
+
+
+@lru_cache(maxsize=None)
+def _lie_basis(n: int) -> np.ndarray:
     mats = []
     for i in range(n):
         for j in range(n):
@@ -494,7 +499,7 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     rep = CertificationReport(command="certify-hm")
     rep.seeds["sweep"] = seed
 
-    dists = dist_to_identity(sweep.entries)
+    dists = dist_to_identity(sweep)
     ray_x = (1.0 + dists[n_local:]).reshape(-1, _RAY_POINTS).tolist()
     # v = max over the directions of |X_j^k m| per order k and point
     derivs = lie_derivative(symbol.profile, sweep, basis[dirs], order)[1:]

@@ -16,7 +16,7 @@ from .errors import AccuracyError, InputError, check_array, check_count
 from .geometry import fit_exponent
 from .report import (FAIL, INCONCLUSIVE, NECESSARY, PASS, SUFFICIENT, CertificationReport,
                      CheckRecord, worst_verdict)
-from .schur import circulant_lower_bound
+from .schur import Bracket, circulant_lower_bound
 from .sphere import RigidityExponents
 from .symbols import RadialProfile
 
@@ -111,8 +111,7 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
 class WitnessResult:
     classification: str
     records: list
-    lower_bounds: list
-    upper_bounds: list
+    brackets: list  # per section size, a Bracket of the largest ends over the radii
     exponents: RigidityExponents
     iterations: int  # circulant power-method steps over all sections
     sizes: list  # the section sizes 8 * 2^i
@@ -130,8 +129,8 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     :func:`circulant_lower_bound`, warm-started from the previous size's
     best input: its certified upper bound is the circulant bound
     interpolated to p, exact at p = infinity, and it stops as soon as its
-    lower bound meets it.  ``upper_bounds`` holds, per size, the largest
-    upper bound over the radii, and ``iterations`` the power-method steps.
+    lower bound meets it.  ``brackets`` holds, per size, the largest lower
+    and upper ends over the radii, and ``iterations`` the power-method steps.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
     bounds keep growing; INCONCLUSIVE otherwise.  Fewer than two sections, which the
@@ -146,7 +145,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     records, ex = profile_rigidity_records(profile, n, p)
 
     frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
-    lower_bounds, upper_bounds, iterations = [], [], 0
+    brackets, iterations = [], 0
     best = [None] * len(frames)  # per frame: the best first column at the previous size
     for n_points in sizes:
         delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
@@ -160,8 +159,8 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
             results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
             best[i] = results[-1].best_column
             iterations += results[-1].iterations
-        lower_bounds.append(max(res.value for res in results))
-        upper_bounds.append(max(res.upper for res in results))
+        brackets.append(Bracket(max(res.bracket.lower for res in results),
+                                max(res.bracket.upper for res in results)))
 
     # Saturating sections (shrinking increments) indicate a bounded
     # multiplier approached from below; persistent per-doubling growth
@@ -169,6 +168,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     # relative to the previous one must flag before we call it growth:
     # the measured min(last increment, persistence / 10) exceeds _GROWTH_TOL
     # exactly when the increment exceeds it and the persistence exceeds 1/2.
+    lower_bounds = [b.lower for b in brackets]
     increments = [b / a - 1.0 if a > 0 else 0.0 for a, b in zip(lower_bounds, lower_bounds[1:])]
     last_inc = increments[-1] if increments else 0.0
     persistence = (increments[-1] / max(increments[-2], 1e-12)
@@ -183,9 +183,8 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     ))
 
     classification = {PASS: CONSISTENT, FAIL: VIOLATED}.get(worst_verdict(records), INCONCLUSIVE)
-    return WitnessResult(classification=classification, records=records,
-                         lower_bounds=lower_bounds, upper_bounds=upper_bounds, exponents=ex,
-                         iterations=iterations, sizes=sizes)
+    return WitnessResult(classification=classification, records=records, brackets=brackets,
+                         exponents=ex, iterations=iterations, sizes=sizes)
 
 
 def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
@@ -208,8 +207,7 @@ def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,
         wit = rigidity_witness(profile, n, p, sections=sections, mode=mode, seed=seed)
         records, ex = wit.records, wit.exponents
         rep.add_table("section_lower_bounds", [
-            {"points": s, "lower_bound": lo, "upper_bound": hi}
-            for s, lo, hi in zip(wit.sizes, wit.lower_bounds, wit.upper_bounds)])
+            {"points": s, **b.fields()} for s, b in zip(wit.sizes, wit.brackets)])
         rep.add_table("classification", [{"classification": wit.classification}])
     else:
         records, ex = profile_rigidity_records(profile, n, p)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, RangeError, check_array, check_count
 
-__all__ = ["TruncatedSchurMultiplier", "SchurLowerBound", "schur_norm_lower_bound",
+__all__ = ["TruncatedSchurMultiplier", "Bracket", "SchurLowerBound", "schur_norm_lower_bound",
            "CirculantLowerBound", "circulant_lower_bound", "circulant_schur_bound",
            "frobenius_schur_bound", "interpolated_schur_bound", "schur_norm_exact_p2"]
 
@@ -203,38 +202,48 @@ def _dual_step(x: np.ndarray, p: float, warm=None):
 
 
 @dataclass(frozen=True)
+class Bracket:
+    """[lower, upper] on a multiplier norm; ``allowance`` is the relative rounding allowance
+    of an ``upper`` read off a factorization over its value (0 for the a priori bounds)."""
+
+    lower: float
+    upper: float
+    allowance: float = 0.0
+
+    @property
+    def relative_gap(self) -> float:
+        """upper / lower - 1: 0 on the zero symbol."""
+        if self.lower > 0.0:
+            return self.upper / self.lower - 1.0
+        return 0.0 if self.upper == 0.0 else math.inf
+
+    def fields(self) -> dict:
+        """The two ends under the keys every report gives them."""
+        return {"lower_bound": self.lower, "upper_bound": self.upper}
+
+
+@dataclass(frozen=True)
 class SchurLowerBound:
-    """Bracket [value, upper] on |S_M|_{S_p -> S_p}; the ratio of ``best_input`` is
-    ``value``, or at least ``value`` when that is a trace norm at p = infinity
-    (:func:`schur_norm_lower_bound`).
+    """The :class:`Bracket` on |S_M|_{S_p -> S_p}; the ratio of ``best_input`` is its lower
+    end, or at least that when it is a trace norm at p = infinity (:func:`schur_norm_lower_bound`).
 
     ``best_start`` indexes the starts from 1 (the conjugate phase, then the random
     starts, then caller-provided starts; 0 is left to the peak matrix unit, which
     certifies the sup-entry floor and never runs) and ``best_iteration`` counts from
     1, certificate steps included; -1 and 0 mean that floor was never beaten.
-    ``bracket_closed`` is set when the search stopped because the value reached
+    ``bracket_closed`` is set when the search stopped because the lower end reached
     ``upper / (1 + _STALL_RTOL)`` or, when a factorization certificate set ``upper``,
     its factorization value / (1 + _STALL_RTOL); together with ``best_start == -1`` it
-    means no start ran at all.  ``allowance`` is the relative rounding allowance of such
-    an ``upper`` over its factorization value (0 for the a priori bounds), and
-    ``certificate_steps`` counts the p = infinity steps taken past the end of a start.
+    means no start ran at all.  ``certificate_steps`` counts the p = infinity steps taken
+    past the end of a start.
     """
 
-    value: float
+    bracket: Bracket
     best_input: np.ndarray = field(repr=False)
-    upper: float
     best_start: int = -1
     best_iteration: int = 0
     bracket_closed: bool = False
     certificate_steps: int = 0
-    allowance: float = 0.0
-
-    @property
-    def relative_gap(self) -> float:
-        """upper / value - 1: 0 on the zero symbol."""
-        if self.value > 0.0:
-            return self.upper / self.value - 1.0
-        return 0.0 if self.upper == 0.0 else math.inf
 
 
 def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int = 0,
@@ -286,8 +295,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     largest float is a RangeError.
 
     The starts that run with no certificate (every start at finite p) run as a
-    :class:`_Search`: on two threads where the process may use two CPUs, each start on its
-    own, folded in start order, so the result is the same on any number of CPUs.
+    :class:`_Search`: on two threads, each start on its own, folded in start order, so the
+    result is the same as one after another.
     """
     check_count("--seed", seed, 0)
     check_count("--iterations", iterations, 0)
@@ -305,13 +314,13 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     sup, where = m.peak
     best = (sup, None, -1, 0)  # the matrix unit E_ij certifies the sup entry (made if returned)
 
-    def result():  # the fields in order: value, best input, upper, start, iteration, closed
+    def result():  # the fields in order: bracket, best input, start, iteration, closed
         value, best_a, start, iteration = best
         if best_a is None:
             best_a = np.zeros_like(m.symbol)
             best_a[where] = 1.0
-        return SchurLowerBound(value, best_a, upper, start, iteration, value >= target,
-                               steps, allowance)
+        return SchurLowerBound(Bracket(value, upper, allowance), best_a, start, iteration,
+                               value >= target, steps)
 
     if best[0] >= target or iterations == 0:
         return result()
@@ -368,17 +377,10 @@ def _normalized(a0: np.ndarray, p: float):
     return None if norm0 == 0.0 else a0 / norm0
 
 
-def _lanes() -> int:
-    """Threads a :class:`_Search` runs its starts on: 2 when ``os.sched_getaffinity``
-    lets this process run on two CPUs or more, else 1 (also where the platform lacks it)."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return 2 if len(cpus) >= 2 else 1
-
-
 class _Search:
     """The starts of :func:`schur_norm_lower_bound` that run with no p = infinity
-    certificate, on :func:`_lanes` lanes (the calling thread, and a helper thread that
-    lives as long as :meth:`run`), with the result of running them one after another.
+    certificate, on two lanes (the calling thread, and a helper thread that lives as long
+    as :meth:`run`), with the result of running them one after another.
 
     ``jobs`` yields (start index, input, warm, last value, first iteration, last
     iteration), in start order; an input at its first iteration is not yet normalized.
@@ -404,17 +406,15 @@ class _Search:
 
     def run(self) -> tuple:
         """The best (value, input, start, iteration) of the starts run one after another."""
-        helper = threading.Thread(target=self._lane) if _lanes() > 1 else None
-        if helper is not None:
-            helper.start()
+        helper = threading.Thread(target=self._lane)
+        helper.start()
         try:
             self._lane()
         except BaseException:
             self.end = -1  # the helper draws no more starts and ends its own at its next step
             raise
         finally:
-            if helper is not None:
-                helper.join()
+            helper.join()
         if self.error is not None:
             raise self.error
         return self.best
@@ -778,15 +778,14 @@ def schur_norm_exact_p2(m) -> float:
 
 @dataclass(frozen=True)
 class CirculantLowerBound:
-    """Bracket [value, upper] on the S_p multiplier norm of the circulant symbol
-    C_ij = c[(i - j) mod N]; ``value`` is the ratio reached by the circulant input
+    """The :class:`Bracket` on the S_p multiplier norm of the circulant symbol
+    C_ij = c[(i - j) mod N]; its lower end is the ratio reached by the circulant input
     with first column ``best_column``.  ``iterations`` counts the power-method
-    steps, summed over the starts; ``bracket_closed`` is set when the value reached
+    steps, summed over the starts; ``bracket_closed`` is set when the lower end reached
     ``upper / (1 + _STALL_RTOL)``."""
 
-    value: float
+    bracket: Bracket
     best_column: np.ndarray = field(repr=False)
-    upper: float
     iterations: int
     bracket_closed: bool
 
@@ -876,4 +875,4 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
             b = _norming(np.fft.fft(np.conj(cs) * np.fft.ifft(g, axis=-1), axis=-1),
                          _dual_exponent(p))
             last = ratios[live]
-    return CirculantLowerBound(best[0], best[1], upper, steps, best[0] >= target)
+    return CirculantLowerBound(Bracket(best[0], upper), best[1], steps, best[0] >= target)

@@ -368,13 +368,15 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
     1e-10, and per x the Schatten p-sum of the r-th derivative spectrum, a value that is
     INCONCLUSIVE, written as null, where the sum diverges.  Columns and records are
     labelled by x in ``:g`` format, so two x with one label are an InputError, as is
-    an empty x list.  n, r and k_max are checked first, each an InputError named by its
-    ``sphere-spectrum`` flag."""
+    an empty x list.  n, r, k_max, p in [1, inf) and each x in [-_INTERIOR, _INTERIOR],
+    which its Schatten sum needs, are checked first, each named by its ``sphere-spectrum``
+    flag."""
     check_count("--n", n, 3)
     check_count("--r", r, 0)
     check_count("--kmax", k_max, 0)
+    check_array("--p", p, shape=(), least=1.0, below=math.inf)
     rep = CertificationReport(command="sphere-spectrum")
-    xs = check_array("--x", x_list).ravel()
+    xs = check_array("--x", x_list, least=-_INTERIOR, most=_INTERIOR).ravel()
     if xs.size == 0:
         raise InputError("--x needs at least one value")
     labels = {}

@@ -46,7 +46,7 @@ class SymbolHandle:
     profile: RadialProfile
 
     def __call__(self, g: GroupElement):
-        return self.profile(dist_to_identity(g.entries))
+        return self.profile(dist_to_identity(g))
 
 
 @dataclass
@@ -108,7 +108,7 @@ class SymbolFamily:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _FAMILIES:
+        if not isinstance(self.kind, str) or self.kind not in _FAMILIES:
             raise InputError(f"unknown family kind {self.kind!r}; choose from {tuple(_FAMILIES)}")
         allowed = tuple(_FAMILIES[self.kind])
         unknown = sorted(set(self.parameters) - set(allowed))

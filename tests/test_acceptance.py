@@ -216,10 +216,10 @@ def test_criterion_08_schur_suite():
         m = TruncatedSchurMultiplier(rng.standard_normal((9, 9))
                                      + 1j * rng.standard_normal((9, 9)))
         res = schur_norm_lower_bound(m, 2.0, seed=3)
-        assert abs(res.value - schur_norm_exact_p2(m)) <= 1e-6
+        assert abs(res.bracket.lower - schur_norm_exact_p2(m)) <= 1e-6
         for p in (1.0, 4.0, math.inf):
             res_p = schur_norm_lower_bound(m, p, seed=3)
-            assert res_p.value >= np.abs(m.symbol).max() - 1e-8
+            assert res_p.bracket.lower >= np.abs(m.symbol).max() - 1e-8
 
     sym_big = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     res_small = schur_norm_lower_bound(TruncatedSchurMultiplier(sym_big[:6, :6]),
@@ -228,7 +228,7 @@ def test_criterion_08_schur_suite():
     pad[:6, :6] = res_small.best_input
     res_big = schur_norm_lower_bound(TruncatedSchurMultiplier(sym_big), math.inf,
                                      seed=4, extra_starts=[pad])
-    assert res_small.value <= res_big.value + 1e-8
+    assert res_small.bracket.lower <= res_big.bracket.lower + 1e-8
 
     deg = 3
     checked = 0
@@ -251,8 +251,8 @@ def test_criterion_08_schur_suite():
         xs = (np.arange(20) + 0.5) / 20.0
         section = sym(xs[:, None, None], xs[None, :, None])
         lb = schur_norm_lower_bound(TruncatedSchurMultiplier(section), math.inf, seed=trial)
-        assert ub.value >= lb.value - 1e-9
-        assert ub.certified >= lb.value - 1e-9
+        assert ub.value >= lb.bracket.lower - 1e-9
+        assert ub.certified >= lb.bracket.lower - 1e-9
         checked += 1
     assert checked == 20
     report(8, "schur-suite", "(p=2 law, sup-entry floor, restriction, 20 upper-vs-lower)")

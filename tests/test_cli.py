@@ -460,6 +460,29 @@ def test_report_builders_reject_what_the_cli_rejects(command, flags, message, ca
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sphere-spectrum", "--n", "3", "--x", "2"], "--x must lie in [-0.95, 0.95], got 2.0"),
+    (["sphere-spectrum", "--n", "3", "--x", "0.99"], "--x must lie in [-0.95, 0.95], got 0.99"),
+    (["sphere-spectrum", "--n", "3", "--p", "0.5"], "--p must lie in [1.0, inf), got 0.5"),
+    (["schur-bound", "--p", "0.5"], "--p must lie in [1.0, inf], got 0.5"),
+    # the lower end 2 + 2 / (n - 2) comes from --n: the interval is the exponent p's
+    (["rigidity", "--profile", "radial-power:exponent=5", "--n", "3", "--p", "2"],
+     "p must lie in (4.0, inf], got 2.0")])
+def test_an_interval_the_cli_checks_names_its_flag(argv, message, tmp_path, capsys,
+                                                   monkeypatch):
+    from mcert import sphere
+
+    def no_table(*args):
+        raise AssertionError("a table was built before the flags were checked")
+
+    monkeypatch.setattr(sphere, "eigenvalue_table", no_table)
+    if argv[0] == "schur-bound":
+        write_matrix_csv(np.ones((3, 3)), tmp_path / "m.csv")
+        argv = [*argv, "--points", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 class TestSphereSpectrum:
     def test_table_matches_recurrence(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -659,8 +682,12 @@ class TestSchurBound:
         from mcert import cli
 
         real = cli.schur_norm_lower_bound
-        monkeypatch.setattr(cli, "schur_norm_lower_bound",
-                            lambda *a, **k: dataclasses.replace(real(*a, **k), value=1e3))
+
+        def inflated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, bracket=dataclasses.replace(res.bracket, lower=1e3))
+
+        monkeypatch.setattr(cli, "schur_norm_lower_bound", inflated)
         path = tmp_path / "m.csv"
         write_matrix_csv(np.ones((6, 6)), path)
         out = tmp_path / "sb.json"

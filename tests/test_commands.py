@@ -77,6 +77,33 @@ def test_reports_match_their_goldens(ran):
         assert not mismatches(got, want), (name, mismatches(got, want)[:5])
 
 
+def brackets(node):
+    """Every dict in a report that holds both ends of a bracket."""
+    if isinstance(node, dict):
+        if "lower_bound" in node and "upper_bound" in node:
+            yield node
+        for value in node.values():
+            yield from brackets(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from brackets(value)
+
+
+def test_every_golden_bracket_is_ordered_and_its_gap_is_its_own():
+    # the lower end may pass the upper by the optimizer's rounding (tests/test_schur.py);
+    # a gap is written as computed from the two ends written beside it, null where inf
+    found = [(path.name, b) for path in sorted(GOLDEN.glob("*.json"))
+             for b in brackets(json.loads(path.read_text(encoding="utf-8")))]
+    assert len(found) == 28
+    for name, b in found:
+        assert b["lower_bound"] <= b["upper_bound"] * (1.0 + 1e-12), name
+    gaps = [(name, b) for name, b in found if "relative_gap" in b]
+    assert len(gaps) == 12
+    for name, b in gaps:
+        gap = b["upper_bound"] / b["lower_bound"] - 1.0
+        assert b["relative_gap"] == (None if math.isinf(gap) else gap), name
+
+
 def test_mismatches_sees_a_1e6_change_and_ignores_rounding():
     want = {"measured": 0.25, "records": [{"verdict": "PASS", "k": 3, "bound": None}]}
     assert not mismatches({**want, "measured": 0.25 * (1 + 1e-10)}, want)

@@ -119,6 +119,20 @@ def test_a_count_that_is_no_integer_is_input_error(name, call, value):
     assert str(exc.value) == f"{name} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ge.lie_basis([]), "n must be an integer, got []"),
+    (lambda: co.bell_coefficient_mass([]), "k must be an integer, got []"),
+    (lambda: SymbolFamily([]), "unknown family kind []; choose from "
+                               "('radial-power', 'radial-log-power', 'hm-bump')")],
+    ids=["lie_basis", "bell_coefficient_mass", "SymbolFamily"])
+def test_an_unhashable_argument_is_checked_before_a_cache_or_a_lookup(call, message):
+    # lie_basis and bell_coefficient_mass are cached, and SymbolFamily looks its kind up in
+    # a dict: each hashed its argument first, a bare TypeError for a list
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("value", [2.0, np.float64(2.0), False, "3", math.nan, None])
 def test_check_count_takes_integers_alone(value):
     with pytest.raises(InputError) as exc:

@@ -156,6 +156,12 @@ class TestDistToIdentity:
     def test_identity_zero(self):
         assert dist_to_identity(identity(3).entries) == 0.0
 
+    @pytest.mark.parametrize("mats", [np.ones((2, 2)), np.zeros((3, 3))], ids=["ones", "zeros"])
+    def test_singular_stack_is_domain_error(self, mats):
+        # not numpy's LinAlgError from the inverse: the stack is no element of SL(n,R)
+        with pytest.raises(DomainError, match=r"^determinant 0\.0 too far from 1$"):
+            dist_to_identity(mats)
+
     def test_zero_only_at_identity(self):
         rng = np.random.default_rng(5)
         k = haar_so(3, 1, rng)[0]  # far from e but length 1

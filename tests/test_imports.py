@@ -3,7 +3,8 @@ never scipy or numpy.ma, every module imports with scipy blocked, the Schur laye
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
 public API is set by the package, an acceptance line, a command row or the benchmark, and the
-package fits a slope, checks a shape and checks an interval in one place each."""
+package fits a slope, checks a shape, checks an interval and spells a bracket in one place
+each."""
 
 import ast
 import json
@@ -224,6 +225,58 @@ def test_the_interval_guard_passes_a_length_and_fails_a_bound():
     assert interval_checks_by_hand(ast.parse(length)) == []
     assert interval_checks_by_hand(ast.parse(bound)) == [3]
     assert interval_checks_by_hand(ast.parse(inline)) == [2]
+
+
+BRACKET_NAMES = {"lower", "upper", "allowance", "relative_gap", "lower_bounds", "upper_bounds"}
+
+
+def bracket_spellings(module, tree):
+    """The line of each bracket spelled outside ``schur.Bracket``: a field, property or
+    ``self`` attribute of another class named in BRACKET_NAMES, and a "lower_bound" or
+    "upper_bound" constant outside ``Bracket.fields``."""
+    lines, inside_fields = [], set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if module == "schur" and cls.name == "Bracket":
+            inside_fields |= {id(node) for item in cls.body if getattr(item, "name", None)
+                              == "fields" for node in ast.walk(item)}
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name in BRACKET_NAMES and any(
+                    getattr(d, "id", None) in ("property", "cached_property")
+                    for d in item.decorator_list):
+                lines.append(item.lineno)
+            targets = [item.target] if isinstance(item, ast.AnnAssign) else getattr(
+                item, "targets", [])
+            lines += [item.lineno for t in targets if getattr(t, "id", None) in BRACKET_NAMES]
+        lines += [node.lineno for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store) and node.attr in BRACKET_NAMES
+                  and getattr(node.value, "id", None) == "self"]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and node.value in ("lower_bound", "upper_bound") and id(node) not in inside_fields]
+    return sorted(set(lines))
+
+
+def test_one_bracket_holds_and_writes_every_lower_and_upper_end():
+    # schur.Bracket is the one type with the two ends, and Bracket.fields the one writer
+    # of their report keys
+    package = Path(mcert.__file__).resolve().parent
+    spelled = [f"{path.name}:{line}" for path in sorted(package.glob("*.py")) for line in
+               bracket_spellings(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
+    assert spelled == []
+
+
+def test_the_bracket_guard_passes_bracket_and_fails_another_spelling():
+    bracket = ("class Bracket:\n    lower: float\n    upper: float\n"
+               "    def fields(self):\n        return {'lower_bound': self.lower}\n")
+    other = ("class Result:\n    value: float\n    upper: float\n"
+             "    @property\n    def relative_gap(self):\n        return 0.0\n"
+             "    def __init__(self):\n        self.lower = 0.0\n"
+             "row = {'upper_bound': 1.0}\n")
+    assert bracket_spellings("schur", ast.parse(bracket)) == []
+    assert bracket_spellings("rigidity", ast.parse(bracket)) == [2, 3, 5]
+    assert bracket_spellings("schur", ast.parse(other)) == [3, 5, 8, 9]
 
 
 def defaulted_parameters(tree):

@@ -85,7 +85,7 @@ class TestSchattenNorm:
 class TestLowerBound:
     def test_all_ones_symbol(self):
         res = schur_norm_lower_bound(TruncatedSchurMultiplier(np.ones((10, 10))), math.inf, seed=0)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        assert res.bracket.lower == pytest.approx(1.0, abs=1e-8)
 
     def test_dominates_sup_entry(self):
         rng = np.random.default_rng(4)
@@ -93,14 +93,14 @@ class TestLowerBound:
             m = TruncatedSchurMultiplier(rng.standard_normal((9, 9))
                                          + 1j * rng.standard_normal((9, 9)))
             res = schur_norm_lower_bound(m, p, seed=5)
-            assert res.value >= np.abs(m.symbol).max() - 1e-8
+            assert res.bracket.lower >= np.abs(m.symbol).max() - 1e-8
 
     def test_exact_p2_agreement(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             m = TruncatedSchurMultiplier(rng.standard_normal((8, 8)))
             res = schur_norm_lower_bound(m, 2.0, seed=7)
-            assert res.value == pytest.approx(schur_norm_exact_p2(m), abs=1e-6)
+            assert res.bracket.lower == pytest.approx(schur_norm_exact_p2(m), abs=1e-6)
 
     def test_extra_start_of_another_shape_or_not_finite_rejected(self):
         # numpy would broadcast a (1, 8) start against the 8 x 8 symbol: its ratio, 1.6903
@@ -115,7 +115,8 @@ class TestLowerBound:
             schur_norm_lower_bound(np.outer(a, b), 4.0, extra_starts=[np.full((8, 8), np.nan)])
         res = schur_norm_lower_bound(np.outer(a, b), 4.0, iterations=5, seed=0,
                                      extra_starts=[np.ones((8, 8))])
-        assert res.value <= a.max() * b.max() * (1.0 + 1e-12) and res.best_input.shape == (8, 8)
+        assert res.bracket.lower <= a.max() * b.max() * (1.0 + 1e-12)
+        assert res.best_input.shape == (8, 8)
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
     def test_exponent_outside_range_rejected(self, p):
@@ -127,7 +128,7 @@ class TestLowerBound:
         m = TruncatedSchurMultiplier(rng.standard_normal((7, 7)))
         a = schur_norm_lower_bound(m, 4.0, seed=11)
         b = schur_norm_lower_bound(m, 4.0, seed=11)
-        assert a.value == b.value
+        assert a.bracket.lower == b.bracket.lower
 
     def test_restriction_monotone_with_nested_starts(self):
         rng = np.random.default_rng(9)
@@ -138,7 +139,7 @@ class TestLowerBound:
         pad = np.zeros((12, 12), dtype=complex)
         pad[:6, :6] = res_small.best_input
         res_big = schur_norm_lower_bound(big, math.inf, seed=1, extra_starts=[pad])
-        assert res_small.value <= res_big.value + 1e-8
+        assert res_small.bracket.lower <= res_big.bracket.lower + 1e-8
 
     def test_search_stops_at_the_improvement_that_closes_the_bracket(self):
         # at p = infinity the circulant bound is the exact norm 2 (the DFT is 2, 2, -2, 2);
@@ -146,8 +147,9 @@ class TestLowerBound:
         # reaches 2 on its first iteration
         sym = circulant(np.array([1.0, 1.0, -1.0, 1.0]))
         res = schur_norm_lower_bound(sym, math.inf)
-        assert 2.0 <= res.upper <= 2.0 * (1.0 + 1e-14)
-        assert res.bracket_closed and res.value >= res.upper / (1.0 + schur._STALL_RTOL)
+        ends = res.bracket
+        assert 2.0 <= ends.upper <= 2.0 * (1.0 + 1e-14)
+        assert res.bracket_closed and ends.lower >= ends.upper / (1.0 + schur._STALL_RTOL)
         assert (res.best_start, res.best_iteration) == (1, 1)
         # not square: the Frobenius bound 8 stays open, and the Haagerup certificate of
         # the nonzero block, read off the first reprojection, closes it at 2
@@ -155,9 +157,10 @@ class TestLowerBound:
             warnings.simplefilter("error")
             padded = schur_norm_lower_bound(np.vstack([sym, np.zeros(4)]), math.inf)
         assert padded.bracket_closed and padded.certificate_steps == 0
-        assert padded.value == pytest.approx(res.value, rel=1e-12)
-        assert 2.0 <= padded.upper <= padded.value * (1.0 + padded.allowance) * (1.0 + 1e-12)
-        assert padded.allowance <= 1e-13
+        ends = padded.bracket
+        assert ends.lower == pytest.approx(res.bracket.lower, rel=1e-12)
+        assert 2.0 <= ends.upper <= ends.lower * (1.0 + ends.allowance) * (1.0 + 1e-12)
+        assert ends.allowance <= 1e-13
 
     def test_rejects_non_finite_symbol(self):
         for bad in (math.nan, math.inf):
@@ -171,7 +174,7 @@ class TestLowerBound:
     def test_closed_bracket_returns_floor_without_svd(self, svd_calls):
         sym = circulant(np.array([3.0, 1.0, 0.5, 1.0]))  # positive definite: norm = 3
         res = schur_norm_lower_bound(sym, 4.0)
-        assert res.value == 3.0 and 3.0 <= res.upper <= 3.0 * (1.0 + 1e-14)
+        assert res.bracket.lower == 3.0 and 3.0 <= res.bracket.upper <= 3.0 * (1.0 + 1e-14)
         assert (res.best_start, res.best_iteration, res.bracket_closed) == (-1, 0, True)
         assert res.best_input[np.unravel_index(np.argmax(np.abs(sym)), sym.shape)] == 1.0
         assert len(svd_calls) == 0
@@ -183,7 +186,7 @@ class TestLowerBound:
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         res = schur_norm_lower_bound(m, 4.0, iterations=10, seed=1)
         assert (res.best_start, res.best_iteration) == (-1, 0)
-        assert res.value == np.abs(m).max() == 3.7606005311744655
+        assert res.bracket.lower == np.abs(m).max() == 3.7606005311744655
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, math.inf])
     def test_no_start_has_index_0(self, p):
@@ -193,9 +196,9 @@ class TestLowerBound:
             rows, cols = (int(k) for k in rng.integers(2, 25, size=2))
             m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
             res = schur_norm_lower_bound(m, p, iterations=6, seed=seed)
-            assert res.best_start != 0 and res.value >= np.abs(m).max()
+            assert res.best_start != 0 and res.bracket.lower >= np.abs(m).max()
             if res.best_start == -1:
-                assert res.value == np.abs(m).max()
+                assert res.bracket.lower == np.abs(m).max()
 
     def test_never_above_exact_value_from_start_orthogonal_to_ones(self):
         # Power iteration from the all-ones vector would miss this start's top
@@ -212,7 +215,7 @@ class TestLowerBound:
         columns += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
         for c in columns:
             res = schur_norm_lower_bound(circulant(c), math.inf, seed=1, extra_starts=[start])
-            assert res.value <= dft_l1(c) * (1.0 + 1e-12)
+            assert res.bracket.lower <= dft_l1(c) * (1.0 + 1e-12)
 
 
 def svd_duality(x, p):
@@ -358,8 +361,8 @@ FINITE_P_BRACKETS = [
 def test_climb_rule_keeps_every_finite_p_bracket(symbol, p, value, upper, best_start,
                                                  best_iteration):
     res = schur_norm_lower_bound(symbol(), p)
-    assert res.value == pytest.approx(value, rel=1e-12)
-    assert res.upper == pytest.approx(upper, rel=1e-12)
+    assert res.bracket.lower == pytest.approx(value, rel=1e-12)
+    assert res.bracket.upper == pytest.approx(upper, rel=1e-12)
     assert (res.best_start, res.best_iteration) == (best_start, best_iteration)
 
 
@@ -396,19 +399,36 @@ def test_a_start_takes_the_same_steps_after_a_start_that_beats_the_floor(monkeyp
                                                                         real_starts(*args)))
     steps.clear()
     after = schur_norm_lower_bound(m, 4.0, iterations=10)
-    assert res.value < after.value and after.best_start == 1 and not after.bracket_closed
+    assert res.bracket.lower < after.bracket.lower
+    assert after.best_start == 1 and not after.bracket_closed
     assert len(alone) == 7 and steps[1:] == alone
 
 
 def fields(res):
     """Every field of a search's result, the best input by its bytes."""
-    return (res.value, res.upper, res.best_start, res.best_iteration, res.bracket_closed,
-            res.certificate_steps, res.allowance, res.best_input.dtype,
-            res.best_input.tobytes())
+    return (res.bracket, res.best_start, res.best_iteration, res.bracket_closed,
+            res.certificate_steps, res.best_input.dtype, res.best_input.tobytes())
+
+
+THREAD = threading.Thread
+
+
+class IdleThread:
+    """A helper lane that never runs: the calling lane then runs every start, one after
+    another, the reference the two lanes must match bit for bit."""
+
+    def __init__(self, target):
+        pass
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
 
 
 def lanes(monkeypatch, count):
-    monkeypatch.setattr(schur, "_lanes", lambda: count)
+    monkeypatch.setattr(schur.threading, "Thread", IdleThread if count == 1 else THREAD)
 
 
 LANE_SYMBOLS = [
@@ -459,7 +479,7 @@ class TestLanes:
                 got.append(fields(schur_norm_lower_bound(m, math.inf, iterations=10, seed=seed)))
                 assert threading.active_count() == baseline
             assert got[0] == got[1], seed
-            assert not got[0][4] and got[0][5] > 0  # certificate steps, then plain ones
+            assert not got[0][3] and got[0][4] > 0  # certificate steps, then plain ones
 
     def test_both_lanes_run_starts(self, monkeypatch):
         lanes(monkeypatch, 2)
@@ -538,11 +558,11 @@ class TestLaneErrors:
         m = np.tril(np.ones((16, 16)))
         lanes(monkeypatch, 1)
         reached = schur_norm_lower_bound(m, 4.0, iterations=10)
-        assert reached.best_start == 1 and reached.value > 1.0
+        assert reached.best_start == 1 and reached.bracket.lower > 1.0
         # an upper end the first start's value meets: the search stops at that start
-        monkeypatch.setattr(schur, "interpolated_schur_bound", lambda *args: reached.value)
+        monkeypatch.setattr(schur, "interpolated_schur_bound", lambda *args: reached.bracket.lower)
         expected = fields(schur_norm_lower_bound(m, 4.0, iterations=10))
-        assert expected[2] == 1 and expected[4]  # closed by the first start
+        assert expected[1] == 1 and expected[3]  # closed by the first start
         baseline = threading.active_count()
         for count in (1, 2):
             lanes(monkeypatch, count)
@@ -551,7 +571,8 @@ class TestLaneErrors:
             assert ran.is_set() == (count == 2)  # the second lane ran it, and it was dropped
             assert threading.active_count() == baseline
             monkeypatch.undo()
-            monkeypatch.setattr(schur, "interpolated_schur_bound", lambda *args: reached.value)
+            monkeypatch.setattr(schur, "interpolated_schur_bound",
+                                lambda *args: reached.bracket.lower)
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("position", [1, 2, 7])
@@ -628,10 +649,10 @@ def test_sup_entry_lower_interpolated_frobenius_in_order(rows, cols, seed, kind,
             sym += 1e-2 * rng.standard_normal((rows, rows))
     res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
     # the optimizer's ratio may overshoot the exact norm by its own rounding
-    assert np.abs(sym).max() <= res.value <= res.upper * (1.0 + 1e-12)
-    assert res.upper <= interpolated_schur_bound(sym, p, frobenius_schur_bound(sym))
+    assert np.abs(sym).max() <= res.bracket.lower <= res.bracket.upper * (1.0 + 1e-12)
+    assert res.bracket.upper <= interpolated_schur_bound(sym, p, frobenius_schur_bound(sym))
     if sym.shape[0] == sym.shape[1]:
-        assert res.upper <= interpolated_schur_bound(sym, p, circulant_schur_bound(sym))
+        assert res.bracket.upper <= interpolated_schur_bound(sym, p, circulant_schur_bound(sym))
 
 
 class TestUpperBound:
@@ -679,8 +700,8 @@ class TestUpperBound:
             xs = (np.arange(20) + 0.5) / 20.0
             section = sym(xs[:, None, None], xs[None, :, None])
             lb = schur_norm_lower_bound(TruncatedSchurMultiplier(section), math.inf, seed=trial)
-            assert ub.certified >= lb.value - 1e-9
-            assert ub.value >= lb.value - 1e-9
+            assert ub.certified >= lb.bracket.lower - 1e-9
+            assert ub.value >= lb.bracket.lower - 1e-9
 
 
 class TestCirculantBound:
@@ -717,7 +738,7 @@ class TestCirculantBound:
         assert circulant_schur_bound(sym) == math.inf
         assert frobenius_schur_bound(sym) == pytest.approx(1.2e308, rel=1e-14)
         res = schur_norm_lower_bound(sym, p)
-        assert 6e307 <= res.value <= res.upper <= frobenius_schur_bound(sym)
+        assert 6e307 <= res.bracket.lower <= res.bracket.upper <= frobenius_schur_bound(sym)
 
 
 class TestFrobeniusBound:
@@ -746,7 +767,7 @@ class TestFrobeniusBound:
         sym = np.full((2, 2), 7e307)
         assert frobenius_schur_bound(sym) == math.inf
         res = schur_norm_lower_bound(sym, p)
-        assert res.value == 7e307 and 7e307 <= res.upper <= 7e307 * (1.0 + 1e-13)
+        assert res.bracket.lower == 7e307 and 7e307 <= res.bracket.upper <= 7e307 * (1.0 + 1e-13)
 
     def test_only_bound_past_the_float_range_is_range_error(self):
         # a non-square symbol has no circulant bound
@@ -761,7 +782,7 @@ def test_frobenius_bound_dominates_optimizer(rows, cols, seed, p):
     rng = np.random.default_rng(seed)
     sym = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
-    assert frobenius_schur_bound(sym) >= res.value
+    assert frobenius_schur_bound(sym) >= res.bracket.lower
 
 
 @settings(max_examples=40, deadline=None)
@@ -773,7 +794,7 @@ def test_circulant_bound_dominates_optimizer(n, seed, is_complex, perturbation, 
     c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
     sym = circulant(c) + perturbation * rng.standard_normal((n, n))
     res = schur_norm_lower_bound(sym, p, seed=seed, iterations=15)
-    assert circulant_schur_bound(sym) >= res.value
+    assert circulant_schur_bound(sym) >= res.bracket.lower
 
 
 @settings(max_examples=60, deadline=None)
@@ -783,14 +804,14 @@ def test_circulant_bracket_in_order_at_its_dense_ratio(n, seed, is_complex, p):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
     res = circulant_lower_bound(c, p, seed=seed)
-    assert np.abs(c).max() <= res.value <= res.upper
+    assert np.abs(c).max() <= res.bracket.lower <= res.bracket.upper
     # the upper end is the interpolated circulant bound of the dense symbol, to the bit
-    assert res.upper == interpolated_schur_bound(circulant(c), p,
+    assert res.bracket.upper == interpolated_schur_bound(circulant(c), p,
                                                  circulant_schur_bound(circulant(c)))
     # the value is the S_p ratio of the circulant input it reports, taken by SVD
     a = circulant(res.best_column)
     dense = schatten_norm(circulant(c) * a, p) / schatten_norm(a, p)
-    assert dense == pytest.approx(res.value, rel=1e-12)
+    assert dense == pytest.approx(res.bracket.lower, rel=1e-12)
     if math.isinf(p):  # the circulant bound is the norm, and one step attains it
         assert res.bracket_closed
 
@@ -833,11 +854,11 @@ def test_p_infinity_bracket_holds_the_exact_norm(rows, cols, seed, is_complex, k
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # zero rows and columns divide nothing by 0
             res = schur_norm_lower_bound(sym, math.inf, seed=seed)
-        assert res.value <= exact * (1 + mpmath.mpf(1e-12))  # the optimizer's ratio rounds
-        assert res.upper >= exact  # certified: no slack
-    if res.allowance > 0.0:  # a Haagerup certificate closed the bracket
+        assert res.bracket.lower <= exact * (1 + mpmath.mpf(1e-12))  # the optimizer's ratio rounds
+        assert res.bracket.upper >= exact  # certified: no slack
+    if res.bracket.allowance > 0.0:  # a Haagerup certificate closed the bracket
         assert res.bracket_closed
-        assert res.relative_gap <= res.allowance + 1.01 * schur._STALL_RTOL
+        assert res.bracket.relative_gap <= res.bracket.allowance + 1.01 * schur._STALL_RTOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -853,9 +874,9 @@ def test_p_infinity_bracket_with_mixed_certificate_steps(rows, cols, seed, zero_
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = schur_norm_lower_bound(m, math.inf, seed=seed, iterations=iterations)
-    assert np.abs(m).max() <= res.value <= res.upper
+    assert np.abs(m).max() <= res.bracket.lower <= res.bracket.upper
     if res.bracket_closed:
-        assert res.relative_gap <= res.allowance + 2e-12
+        assert res.bracket.relative_gap <= res.bracket.allowance + 2e-12
 
 
 class TestHaagerupCertificate:
@@ -864,8 +885,8 @@ class TestHaagerupCertificate:
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         res = schur_norm_lower_bound(m, math.inf, seed=2, iterations=10)
-        assert res.bracket_closed and 0.0 < res.allowance <= 1e-11
-        assert res.relative_gap <= 1e-11 and res.certificate_steps > 0
+        assert res.bracket_closed and 0.0 < res.bracket.allowance <= 1e-11
+        assert res.bracket.relative_gap <= 1e-11 and res.certificate_steps > 0
         # without the certificate eight starts ran to the cap of 10: 80 SVDs or more
         assert len(svd_calls) <= 45
 
@@ -874,7 +895,7 @@ class TestHaagerupCertificate:
         rng = np.random.default_rng(64)
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         res = schur_norm_lower_bound(m, math.inf, iterations=10, seed=3)
-        assert res.bracket_closed and res.relative_gap <= res.allowance + 2e-12
+        assert res.bracket_closed and res.bracket.relative_gap <= res.bracket.allowance + 2e-12
         assert len(svd_calls) <= 20
 
     def test_certificate_that_stalls_gives_up_and_the_starts_run(self, svd_calls, monkeypatch):
@@ -893,7 +914,8 @@ class TestHaagerupCertificate:
         stalled, stalled_svds = run(1.0 + 1e-7)
         assert not plain.bracket_closed and plain.certificate_steps == 0
         assert not stalled.bracket_closed and 0 < stalled.certificate_steps <= 12
-        assert stalled.upper == plain.upper and stalled.value >= plain.value
+        assert stalled.bracket.upper == plain.bracket.upper
+        assert stalled.bracket.lower >= plain.bracket.lower
         # one reprojection SVD per certificate step (and a first half-step SVD where power
         # iteration does not settle); every other SVD as without one
         assert 0 <= stalled_svds - plain_svds - stalled.certificate_steps <= 2
@@ -903,8 +925,8 @@ class TestHaagerupCertificate:
         rng = np.random.default_rng(6)
         m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
         res = schur_norm_lower_bound(m, math.inf, seed=1, iterations=10)
-        assert not res.bracket_closed and res.allowance == 0.0
-        assert res.upper == min(frobenius_schur_bound(m), circulant_schur_bound(m))
+        assert not res.bracket_closed and res.bracket.allowance == 0.0
+        assert res.bracket.upper == min(frobenius_schur_bound(m), circulant_schur_bound(m))
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_no_iterations_take_no_certificate_step(self, iterations, svd_calls):
@@ -917,7 +939,7 @@ class TestHaagerupCertificate:
             assert len(svd_calls) == 0
             return
         res = schur_norm_lower_bound(m, math.inf, iterations=iterations)
-        assert res.value == np.abs(m).max() and res.certificate_steps == 0
+        assert res.bracket.lower == np.abs(m).max() and res.certificate_steps == 0
         assert not res.bracket_closed and len(svd_calls) == 0
 
 
@@ -982,7 +1004,7 @@ class TestCirculantLowerBound:
     def test_closed_at_the_floor_without_steps(self):
         c = np.array([3.0, 1.0, 0.5, 1.0])  # positive definite circulant: norm = 3
         res = circulant_lower_bound(c, 4.0)
-        assert res.value == 3.0 and 3.0 <= res.upper <= 3.0 * (1.0 + 1e-14)
+        assert res.bracket.lower == 3.0 and 3.0 <= res.bracket.upper <= 3.0 * (1.0 + 1e-14)
         assert res.bracket_closed and res.iterations == 0
         assert list(res.best_column) == [1.0, 0.0, 0.0, 0.0]
 
@@ -992,14 +1014,15 @@ class TestCirculantLowerBound:
         c = np.cos(2.0 * math.pi * np.arange(64) / 64) ** 3 + 0.3j
         small = circulant_lower_bound(c[::2], 10.0, seed=2)
         big = circulant_lower_bound(c, 10.0, seed=2, warm=small.best_column)
-        assert big.value >= small.value
+        assert big.bracket.lower >= small.bracket.lower
 
     @pytest.mark.parametrize("e", [600, -600])
     def test_power_of_two_scaling_is_exact(self, e):
         rng = np.random.default_rng(41)
         c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         base, scaled = circulant_lower_bound(c, 3.0), circulant_lower_bound(c * 2.0 ** e, 3.0)
-        assert scaled.value == base.value * 2.0 ** e and scaled.upper == base.upper * 2.0 ** e
+        assert scaled.bracket == schur.Bracket(base.bracket.lower * 2.0 ** e,
+                                               base.bracket.upper * 2.0 ** e)
 
     @pytest.mark.parametrize("p", [math.nan, 0.5])
     def test_rejects_exponent_outside_range(self, p):
@@ -1011,7 +1034,7 @@ class TestCirculantLowerBound:
         # the dense bracket's Frobenius bound N |c|_2 = 6.4e308 would overflow; the
         # section's upper end is the circulant bound alone, for a constant its entry
         res = circulant_lower_bound(np.full(16, 1e307), p)
-        assert res.value == 1e307 and 1e307 <= res.upper <= 1e307 * (1.0 + 1e-13)
+        assert res.bracket.lower == 1e307 and 1e307 <= res.bracket.upper <= 1e307 * (1.0 + 1e-13)
 
     def test_both_terms_past_the_float_range_are_range_error(self):
         # the circulant bound (1/N) sum_k |fft(c)_k| = 2e308 for c = 1e308 (1, 1, 1, -1),
@@ -1035,7 +1058,8 @@ def dense_section_rows(profile, n, p, sizes):
         values = []
         for r in (0.75, 1.5):
             x = CompositionFrame.create(n, r).hs_of_delta(delta)
-            values.append(schur_norm_lower_bound(np.asarray(profile(x), dtype=complex), p).value)
+            res = schur_norm_lower_bound(np.asarray(profile(x), dtype=complex), p)
+            values.append(res.bracket.lower)
         rows.append(max(values))
     return rows
 
@@ -1050,15 +1074,15 @@ class TestRigidityWitness:
         one = RadialProfile(lambda u: [np.ones_like(u[0])] + [np.zeros_like(u[0])] * (len(u) - 1))
         res = rigidity_witness(one, 5, 10.0, seed=0)
         assert res.classification == CONSISTENT
-        assert res.lower_bounds == [1.0] * 4  # the true norm, not above it
-        assert all(1.0 <= u <= 1.0 + 1e-12 for u in res.upper_bounds)
+        assert [b.lower for b in res.brackets] == [1.0] * 4  # the true norm, not above it
+        assert all(1.0 <= b.upper <= 1.0 + 1e-12 for b in res.brackets)
 
     def test_certified_sections_make_no_svd(self, svd_calls):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         res = rigidity_witness(prof, 8, 10.0, sections=5, seed=0)
         assert len(svd_calls) == 0
-        for lo, hi in zip(res.lower_bounds, res.upper_bounds):
-            assert lo <= hi <= lo * (1.0 + 1e-12)
+        for b in res.brackets:
+            assert b.lower <= b.upper <= b.lower * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("sections, message", [
         (0, "--sections must be >= 2, got 0"), (1, "--sections must be >= 2, got 1"),
@@ -1088,9 +1112,10 @@ class TestRigidityWitness:
         assert res.classification == VIOLATED
         growth = [r for r in res.records if r.name == "section-growth"][0]
         assert growth.verdict == "FAIL"
-        assert res.lower_bounds == sorted(res.lower_bounds)
+        lows = [b.lower for b in res.brackets]
+        assert lows == sorted(lows)
         assert res.iterations > 0  # the bracket stays open: the optimizer runs
-        assert all(lo < hi for lo, hi in zip(res.lower_bounds, res.upper_bounds))
+        assert all(b.lower < b.upper for b in res.brackets)
 
     @pytest.mark.parametrize("spec, n", [("radial-power:exponent=5", 3), ("hm-bump", 8),
                                          ("hm-bump:center=1.5,width=0.4", 5),
@@ -1098,7 +1123,7 @@ class TestRigidityWitness:
                                          ("hm-bump:center=1.5,width=0.4", 16), ("jump", 5)])
     def test_sections_reach_the_dense_optimizer(self, spec, n):
         profile = JUMP if spec == "jump" else SymbolFamily.parse(spec).build_profile()
-        rows = rigidity_witness(profile, n, 10.0, sections=4, seed=0).lower_bounds
+        rows = [b.lower for b in rigidity_witness(profile, n, 10.0, sections=4, seed=0).brackets]
         for got, dense in zip(rows, dense_section_rows(profile, n, 10.0, (8, 16, 32, 64))):
             assert got >= dense * (1.0 - 1e-12)
         assert rows == sorted(rows)
@@ -1106,9 +1131,10 @@ class TestRigidityWitness:
     def test_bump_sections_to_256_points(self):
         bump = SymbolFamily.parse("hm-bump").build_profile()
         res = rigidity_witness(bump, 8, 10.0, sections=6, seed=0)
-        assert res.lower_bounds[-1] >= 0.90258  # the dense optimizer reached 0.902265
-        assert res.lower_bounds == sorted(res.lower_bounds)
-        assert all(lo < hi for lo, hi in zip(res.lower_bounds[1:], res.upper_bounds[1:]))
+        lows = [b.lower for b in res.brackets]
+        assert lows[-1] >= 0.90258  # the dense optimizer reached 0.902265
+        assert lows == sorted(lows)
+        assert all(b.lower < b.upper for b in res.brackets[1:])
 
     def test_sections_allocate_no_square_array(self):
         import tracemalloc
@@ -1203,6 +1229,6 @@ def test_lower_bound_never_exceeds_trace_dual(seed, p):
     rng = np.random.default_rng(seed)
     m = TruncatedSchurMultiplier(rng.standard_normal((5, 5)))
     res = schur_norm_lower_bound(m, p, seed=seed, iterations=8)
-    assert math.isfinite(res.value)
-    assert res.value >= np.abs(m.symbol).max() - 1e-8
+    assert math.isfinite(res.bracket.lower)
+    assert res.bracket.lower >= np.abs(m.symbol).max() - 1e-8
 
