@@ -1,11 +1,11 @@
 """Higher chain rule machinery and the diagonal-conjugation frames.
 
-Partial Bell polynomials drive the exact higher-derivative composition
-formula and an assertable bound with fully computed constants.  The
-frames describe conjugation of a planar rotation by a one-parameter
-diagonal matrix: the resulting operator norm and normalized
-Hilbert-Schmidt norm are explicit in the rotation parameter, and the
-inverse changes of variable (from norm value back to the rotation
+The exact higher-derivative composition formula runs on :mod:`taylor` jets,
+the package's one derivative engine, and an assertable bound takes exact Bell
+numbers as its constants.  The frames describe conjugation of a planar
+rotation by a one-parameter diagonal matrix: the resulting operator norm and
+normalized Hilbert-Schmidt norm are explicit in the rotation parameter, and
+the inverse changes of variable (from norm value back to the rotation
 parameter) have closed-form derivatives with fast decay.
 """
 
@@ -18,11 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import taylor
 from .errors import InputError, RangeError, check_array, check_count
 
 __all__ = [
     "DerivativeJet",
-    "bell_polynomial",
     "bell_coefficient_mass",
     "faa_di_bruno",
     "composition_derivative_bound",
@@ -53,29 +53,6 @@ class DerivativeJet:
         return len(self.values)
 
 
-def bell_polynomial(k: int, j: int, z) -> float:
-    """Partial Bell polynomial B_{k,j}(z_1, ..., z_{k-j+1}) of finite z, by the recursion
-    B_{m,l} = sum_i C(m - 1, i - 1) z_i B_{m-i,l-1} up from B_{m,1} = z_m, one l at a
-    time; a value or a term past the float range is a RangeError."""
-    check_count("k", k, 1)
-    check_count("j", j, 1, k)
-    z = check_array("z", z, finite=True, shape=(None,)).tolist()
-    if len(z) < k - j + 1:
-        raise InputError(f"need at least {k - j + 1} arguments, got {len(z)}")
-    # the largest binomial the recursion takes, C(k - 1, i) for i <= k - j, is a float
-    if j > 1 and math.comb(k - 1, min(k - j, (k - 1) // 2)) > sys.float_info.max:
-        raise RangeError(f"B_{{{k},{j}}} takes a binomial past the float range")
-    row = dict(enumerate(z[:k - j + 1], start=1))  # B_{m,l} by m, for m - l <= k - j
-    for level in range(2, j + 1):
-        low = level if level < j else k  # the last level needs B_{k,j} alone
-        row = {m: sum(math.comb(m - 1, i - 1) * z[i - 1] * row[m - i]
-                      for i in range(1, m - level + 2))
-               for m in range(low, k - j + level + 1)}
-    if not math.isfinite(row[k]):
-        raise RangeError(f"B_{{{k},{j}}} exceeds the float range")
-    return row[k]
-
-
 def bell_coefficient_mass(k: int) -> int:
     """Total coefficient mass sum_j B_{k,j}(1, ..., 1), the Bell number B_k, exact in
     integers by B_{m+1} = sum_i C(m, i) B_i; k is checked before the cache hashes it."""
@@ -92,26 +69,31 @@ def _bell_number(k: int) -> int:
 
 
 def faa_di_bruno(f_jet: DerivativeJet, phi_jet: DerivativeJet, k: int) -> float:
-    """k-th derivative of a composition from the two jets.
-
-    ``f_jet`` holds derivatives of the outer function at the inner value;
-    ``phi_jet`` holds derivatives of the inner function at the point.
-    """
+    """k-th derivative of f(phi(x)) at a point, k! times coefficient k of sum_j f^(j) / j!
+    (phi - phi_0)^j on :mod:`taylor` jets, from ``f_jet`` at phi_0 and ``phi_jet`` at the
+    point, each a finite DerivativeJet of order >= k, else an InputError that names it.  k is
+    a count from 1, past taylor.MAX_ORDER a RangeError, as is a result past the float range."""
     check_count("k", k, 1)
-    if f_jet.order < k or phi_jet.order < k:
-        raise InputError(f"jets must have order >= {k}")
-    total = 0.0
-    for j in range(1, k + 1):
-        total += bell_polynomial(k, j, phi_jet.values[: k - j + 1]) * f_jet.values[j - 1]
-    return total
+    if k > taylor.MAX_ORDER:
+        raise RangeError(f"k must be <= {taylor.MAX_ORDER}, got {k}: k! exceeds the float range")
+    for name, jet in (("f_jet", f_jet), ("phi_jet", phi_jet)):
+        if not isinstance(jet, DerivativeJet) or jet.order < k:
+            raise InputError(f"{name} must be a DerivativeJet of order >= {k}, got {jet!r}")
+        check_array(name, jet.values, finite=True)
+    fact = taylor.factorials(k).tolist()  # Python floats overflow to inf without a warning
+    shift = [0.0] + [v / fact[i] for i, v in enumerate(phi_jet.values[:k], start=1)]
+    power, total = shift, f_jet.values[0] * shift[k]
+    for j in range(2, k + 1):
+        power = taylor.mul(power, shift)
+        total += f_jet.values[j - 1] / fact[j] * power[k]
+    if not math.isfinite(value := fact[k] * total):
+        raise RangeError(f"the derivative of order k = {k} exceeds the float range")
+    return value
 
 
 def composition_derivative_bound(f_norm: float, phi_jet_sups, k: int) -> float:
-    """Assertable bound C_k * f_norm * max_j sup|d^j phi|^{k/j}.
-
-    C_k is the exact Bell coefficient mass of row k, so the bound can
-    never be violated by the exact composition formula.
-    """
+    """Assertable bound C_k * f_norm * max_j sup|d^j phi|^{k/j}, C_k the exact Bell
+    coefficient mass of row k, which the exact composition formula never exceeds."""
     check_count("k", k, 1)
     sups = [abs(v) for v in check_array("phi_jet_sups", phi_jet_sups, shape=(None,)).tolist()]
     if len(sups) < k:

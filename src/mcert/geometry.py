@@ -390,7 +390,6 @@ def harish_chandra_xi(g: GroupElement, samples: int = 100_000, seed: int = 0):
 # The certify-hm sweep
 
 _RAY_POINTS = 5  # sweep points per asymptotic ray
-_MAX_ORDER = 170  # k! overflows a float from k = 171
 # the sweep's jets per direction hold (order + 1)(3 shells + 2 _RAY_POINTS) n^2 floats; it
 # holds about three such stacks at once, and 4 shells fit at every allowed n and order
 _MAX_JET_FLOATS = 1 << 24
@@ -486,7 +485,7 @@ def certify_hm_report(symbol, n: int, order: int | None = None, shells: int = 5,
     check_count("--n", n, 2, _MAX_RANK)
     sigma = n * n // 2
     order = sigma + 1 if order is None else order
-    check_count("--order", order, 0, _MAX_ORDER)
+    check_count("--order", order, 0, taylor.MAX_ORDER)
     check_count("--grid-levels", shells, 1,
                 (_MAX_JET_FLOATS // ((order + 1) * n * n) - 2 * _RAY_POINTS) // 3)
     check_count("--per-order", per_order, 1, n * n - 1)  # the basis size

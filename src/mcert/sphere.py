@@ -165,7 +165,7 @@ def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)  # bounded: a sweep over node counts must not fill memory
-def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], the package's one cached rule."""
     x, w = np.polynomial.legendre.leggauss(npts)
     x.flags.writeable = w.flags.writeable = False
@@ -183,7 +183,7 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
     nodes = max(64, 2 * k_cap + n + 8)
     if nodes > _MAX_RULE:
         raise RangeError(f"the quadrature at n = {n} needs {nodes} > {_MAX_RULE} nodes")
-    t, w = gauss_legendre(nodes)
+    t, w = _gauss_legendre(nodes)
     theta = 0.5 * math.pi * (t + 1.0)
     weights = w * np.sin(theta) ** (n - 3)
     base = x[..., None] + 1j * np.sqrt(np.maximum(1.0 - x[..., None] ** 2, 0.0)) * np.cos(theta)

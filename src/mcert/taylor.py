@@ -12,6 +12,8 @@ from itertools import accumulate
 
 import numpy as np
 
+MAX_ORDER = 170  # the largest order whose factorial is a float: 171! exceeds the float range
+
 
 def variable(x0, order: int) -> list:
     """Jet of the variable itself at x0: [x0, 1, 0, ..., 0]."""

@@ -23,6 +23,7 @@ from mcert.symbols import EuclideanSymbol, RadialProfile, SymbolFamily
 
 PROFILE = SymbolFamily.parse("radial-power:exponent=5").build_profile()
 FRAME = co.CompositionFrame.create(3, 0.75)
+JET = co.DerivativeJet((1.0, 2.0, 3.0))
 MATRIX = np.arange(16.0).reshape(4, 4) / 16.0
 G = ge.GroupElement(np.diag([2.0, 1.0, 0.5]))
 NORTH = [[0.0, 0.0, 1.0]]
@@ -39,9 +40,9 @@ def returning(value):
 
 
 # (entry point, the array's name in the message, its dtype (None for a validated object,
-# whose shape alone is the entry point's to check), whether it must be finite, a valid value,
-# the call with the array set to v, and, where the entry point decides a shape, its shape in
-# the message followed by values of other shapes)
+# whose shape and finiteness alone are the entry point's to check), whether it must be
+# finite, a valid value, the call with the array set to v, and, where the entry point decides
+# a shape, its shape in the message followed by values of other shapes)
 SQUARES = ("(..., n, n)", np.ones(3), np.ones((2, 3)))
 CASES = [
     ("GroupElement", "entries", float, True, np.eye(3), ge.GroupElement, SQUARES),
@@ -123,8 +124,10 @@ CASES = [
      lambda v: co.opnorm_coordinate(FRAME, v), ()),
     ("DerivativeJet", "values", float, False, [1.0, 2.0, 3.0], co.DerivativeJet,
      ("(*,)", 2.0, [[1.0, 2.0]])),
-    ("bell_polynomial", "z", float, True, [1.0, 2.0, 3.0],
-     lambda v: co.bell_polynomial(3, 1, v), ("(*,)", np.ones((3, 2)))),
+    ("faa_di_bruno", "f_jet", None, True, [1.0, 2.0, 3.0],
+     lambda v: co.faa_di_bruno(co.DerivativeJet(v), JET, 3), ()),
+    ("faa_di_bruno", "phi_jet", None, True, [1.0, 2.0, 3.0],
+     lambda v: co.faa_di_bruno(JET, co.DerivativeJet(v), 3), ()),
     ("composition_derivative_bound", "f_norm", float, False, 1.0,
      lambda v: co.composition_derivative_bound(v, [1.0], 1), ("()", np.ones(2))),
     ("composition_derivative_bound", "phi_jet_sups", float, False, [1.0, 2.0, 3.0],
@@ -164,13 +167,13 @@ def bad_values(good, dtype, finite, shape):
     in ``shape``, and each other value from a valid one."""
     out = [("shape" + "x".join(map(str, np.shape(v))), v,
             f"must be of shape {shape[0]}, got {np.shape(v)}") for v in shape[1:]]
-    if dtype is None:
-        return out
-    good = np.asarray(good, dtype=dtype)
-    field = "real" if dtype is float else "complex"
-    out.append(("string", np.full(good.shape, "a"), f"must be an array of {field} numbers, "
-                                                     "got dtype <U1"))
-    out.append(("ragged", RAGGED, f"must be an array of {field} numbers, got a ragged nesting"))
+    good = np.asarray(good, dtype=dtype or float)
+    if dtype is not None:
+        field = "real" if dtype is float else "complex"
+        out.append(("string", np.full(good.shape, "a"), f"must be an array of {field} "
+                                                         "numbers, got dtype <U1"))
+        out.append(("ragged", RAGGED, f"must be an array of {field} numbers, got a ragged "
+                                      "nesting"))
     if dtype is float:
         out.append(("complex", good + 1e-3j, "must be an array of real numbers, got dtype "
                                              "complex128"))

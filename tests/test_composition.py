@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import warnings
@@ -10,7 +9,7 @@ from numpy.polynomial import polynomial as P
 
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.composition import (CompositionFrame, DerivativeJet, bell_coefficient_mass,
-                               bell_polynomial, composition_derivative_bound, faa_di_bruno,
+                               composition_derivative_bound, faa_di_bruno,
                                hs_coordinate, opnorm_coordinate, opnorm_coordinate_derivative,
                                rotation_matrix, shear_operator_norm, so_n1_embedded_matrix,
                                so_n1_trace_coefficients)
@@ -39,29 +38,6 @@ def bell_by_partition_enumeration(k, j, z):
 
 
 class TestBell:
-    def test_first_order(self):
-        assert bell_polynomial(1, 1, [2.5]) == 2.5
-
-    def test_full_split(self):
-        for k in (2, 4, 6):
-            assert bell_polynomial(k, k, [3.0] + [0.0] * (k - 1)) == pytest.approx(3.0 ** k)
-
-    def test_three_two_enumeration(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            z = rng.uniform(-2, 2, size=2)
-            want = bell_by_partition_enumeration(3, 2, z)
-            assert bell_polynomial(3, 2, z) == pytest.approx(want, rel=1e-13)
-            assert want == pytest.approx(3.0 * z[0] * z[1], rel=1e-13)
-
-    def test_against_enumeration_small_orders(self):
-        rng = np.random.default_rng(1)
-        for k in range(1, 6):
-            for j in range(1, k + 1):
-                z = rng.uniform(-1.5, 1.5, size=k - j + 1)
-                want = bell_by_partition_enumeration(k, j, z)
-                assert bell_polynomial(k, j, z) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
     def test_coefficient_mass_is_bell_numbers(self):
         assert [bell_coefficient_mass(k) for k in range(1, 7)] == [1, 2, 5, 15, 52, 203]
 
@@ -77,25 +53,6 @@ class TestBell:
             row = nxt
             bell.append(row[0])
         assert [bell_coefficient_mass(k) for k in range(1, 61)] == bell[1:]
-
-    def test_values_past_the_float_range_are_range_errors(self):
-        # B_{k,1}(z) = z_k takes no binomial; B_{1200,2} takes C(1199, 599), about 1e359
-        assert bell_polynomial(1200, 1, np.ones(1200)) == 1.0
-        with pytest.raises(RangeError, match=r"^B_\{1200,2\} takes a binomial past the float"):
-            bell_polynomial(1200, 2, np.ones(1200))
-        with pytest.raises(RangeError, match=r"^B_\{2,2\} exceeds the float range$"):
-            bell_polynomial(2, 2, [1e200])  # a float product past the range
-
-    def test_order_past_the_recursion_limit(self):
-        # B_{k,k}(z) = z_1^k takes k levels, past Python's default recursion limit
-        assert bell_polynomial(1100, 1100, [1.0]) == 1.0
-        assert bell_polynomial(1100, 1100, [-1.0]) == 1.0
-
-    def test_argument_validation(self):
-        with pytest.raises(InputError):
-            bell_polynomial(2, 3, [1.0, 1.0])
-        with pytest.raises(InputError):
-            bell_polynomial(4, 2, [1.0])
 
 
 def polynomial_jets(fc, pc, x0, k):
@@ -138,9 +95,53 @@ class TestFaaDiBruno:
                 want = P.polyval(x0, P.polyder(comp, k))
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
-    def test_short_jet_rejected(self):
-        with pytest.raises(InputError):
-            faa_di_bruno(DerivativeJet([1.0]), DerivativeJet([1.0, 0.0]), 2)
+    def test_against_partition_enumeration(self):
+        # Faa di Bruno's formula sum_j f^(j) B_{k,j}(phi', ..., phi^(k-j+1)), each partial
+        # Bell polynomial summed over the set partitions of {1..k}: neither engine in it
+        rng = np.random.default_rng(1)
+        for k in range(1, 7):
+            for _ in range(5):
+                f = rng.uniform(-1.5, 1.5, size=k)
+                phi = rng.uniform(-1.5, 1.5, size=k)
+                want = sum(f[j - 1] * bell_by_partition_enumeration(k, j, phi)
+                           for j in range(1, k + 1))
+                got = faa_di_bruno(DerivativeJet(f), DerivativeJet(phi), k)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_exp_of_sin_against_a_50_digit_taylor_series(self):
+        x0, top = 0.4, 30
+        with mpmath.workdps(50):
+            want = [c * mpmath.factorial(k) for k, c in
+                    enumerate(mpmath.taylor(lambda t: mpmath.exp(mpmath.sin(t)), x0, top))]
+        sin_derivs = [math.cos(x0), -math.sin(x0), -math.cos(x0), math.sin(x0)]
+        phi_jet = DerivativeJet([sin_derivs[i % 4] for i in range(top)])
+        f_jet = DerivativeJet([math.exp(math.sin(x0))] * top)
+        for k in range(1, top + 1):
+            assert faa_di_bruno(f_jet, phi_jet, k) == pytest.approx(float(want[k]), rel=1e-12)
+
+    def test_order_170_is_finite(self):
+        # k! is a float up to k = 170, the last order; 171 is a row of test_counts.py
+        jet = DerivativeJet([1.0] * 170)
+        assert math.isfinite(faa_di_bruno(jet, jet, 170))
+
+    def test_a_derivative_past_the_float_range_is_a_range_error(self):
+        jet = DerivativeJet([1e200, 1e200])
+        with pytest.raises(RangeError, match=r"order k = 2 exceeds the float range"):
+            faa_di_bruno(jet, jet, 2)
+
+    @pytest.mark.parametrize("f_jet, phi_jet, message", [
+        (DerivativeJet([math.nan, 1.0]), DerivativeJet([1.0, 1.0]), "f_jet must be finite"),
+        (DerivativeJet([1.0, 1.0]), DerivativeJet([1.0, math.inf]), "phi_jet must be finite"),
+        ([1.0, 1.0], DerivativeJet([1.0, 1.0]),
+         "f_jet must be a DerivativeJet of order >= 2, got [1.0, 1.0]"),
+        (DerivativeJet([1.0]), DerivativeJet([1.0, 0.0]),
+         "f_jet must be a DerivativeJet of order >= 2, got DerivativeJet(values=(1.0,))")],
+        ids=["nan-f_jet", "inf-phi_jet", "list-f_jet", "short-f_jet"])
+    def test_a_jet_that_is_no_finite_derivative_jet_is_an_input_error(self, f_jet, phi_jet,
+                                                                       message):
+        with pytest.raises(InputError) as exc:
+            faa_di_bruno(f_jet, phi_jet, 2)
+        assert str(exc.value) == message
 
 
 class TestCompositionBound:

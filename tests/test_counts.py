@@ -13,6 +13,7 @@ from mcert import geometry as ge
 from mcert import rigidity as ri
 from mcert import schur as sc
 from mcert import sphere as sp
+from mcert import taylor
 from mcert.cli import cmd_schur_bound, main
 from mcert.errors import InputError, RangeError, check_count
 from mcert.symbols import SymbolFamily
@@ -39,8 +40,6 @@ def north(y):
 
 # (entry point, the count's name in the message, the call with the count set to v)
 CASES = [
-    ("bell_polynomial", "k", lambda v: co.bell_polynomial(v, 1, Z3)),
-    ("bell_polynomial", "j", lambda v: co.bell_polynomial(3, v, Z3)),
     ("bell_coefficient_mass", "k", lambda v: co.bell_coefficient_mass(v)),
     ("faa_di_bruno", "k", lambda v: co.faa_di_bruno(JET, JET, v)),
     ("composition_derivative_bound", "k", lambda v: co.composition_derivative_bound(1.0, Z3, v)),
@@ -117,6 +116,20 @@ def test_a_count_that_is_no_integer_is_input_error(name, call, value):
     with pytest.raises(InputError) as exc:
         call(value)
     assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+LONG_JET = co.DerivativeJet([1.0] * (taylor.MAX_ORDER + 1))
+
+
+@pytest.mark.parametrize("name, call, error", [
+    ("k", lambda v: co.faa_di_bruno(LONG_JET, LONG_JET, v), RangeError),
+    ("--order", lambda v: ge.certify_hm_report(SYMBOL, 3, order=v), InputError)],
+    ids=["faa_di_bruno", "certify_hm_report"])
+def test_an_order_ends_where_its_factorial_leaves_the_float_range(name, call, error):
+    # a derivative of order k takes k!, a float up to k = 170 alone: both ends are one constant
+    with pytest.raises(error) as exc:
+        call(taylor.MAX_ORDER + 1)
+    assert str(exc.value).startswith(f"{name} must be <= 170, got 171")
 
 
 @pytest.mark.parametrize("call, message", [

@@ -13,9 +13,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mcert import sphere
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (_BLOCK, _CHUNK, _K_MAX, RigidityExponents, _derivative_chunks,
-                          _derivative_table, _eigenvalue_chunks, _multiplicities,
+                          _derivative_table, _eigenvalue_chunks, _gauss_legendre, _multiplicities,
                           _multiplicity_constant, _multiplicity_table, _recurrence_blocks,
-                          averaging_operator, eigenvalue_table, gauss_legendre, multiplicity,
+                          averaging_operator, eigenvalue_table, multiplicity,
                           quadrature_table, schatten_derivative_sum, spectrum_report,
                           sphere_grid)
 
@@ -201,16 +201,16 @@ class TestRecurrenceEngine:
 
     @pytest.mark.parametrize("m", [64, 66, 108, 120, 180, 200])
     def test_cached_rule_is_leggauss(self, m):
-        x, w = gauss_legendre(m)
+        x, w = _gauss_legendre(m)
         want_x, want_w = np.polynomial.legendre.leggauss(m)
         assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
-        assert gauss_legendre(m)[0] is x
+        assert _gauss_legendre(m)[0] is x
         for arr in (x, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_rule_cache_is_bounded(self):
-        assert gauss_legendre.cache_info().maxsize == 64
+        assert _gauss_legendre.cache_info().maxsize == 64
 
 
 class TestEigenvalues:
