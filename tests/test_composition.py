@@ -77,6 +77,35 @@ class TestFaaDiBruno:
         phi_jet = DerivativeJet([-2.0])
         assert faa_di_bruno(f_jet, phi_jet, 1) == -6.0
 
+    def test_full_split(self):
+        # f^(k) alone picks B_{k,k}(phi') = phi'^k
+        for k in (2, 4, 6):
+            f_jet = DerivativeJet([0.0] * (k - 1) + [1.0])
+            phi_jet = DerivativeJet([3.0] + [0.0] * (k - 1))
+            assert faa_di_bruno(f_jet, phi_jet, k) == pytest.approx(3.0 ** k)
+
+    def test_three_two_enumeration(self):
+        # f'' alone picks B_{3,2}(phi', phi'') = 3 phi' phi''
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            phi = rng.uniform(-2, 2, size=3)
+            want = bell_by_partition_enumeration(3, 2, phi[:2])
+            assert want == pytest.approx(3.0 * phi[0] * phi[1], rel=1e-13)
+            got = faa_di_bruno(DerivativeJet([0.0, 1.0, 0.0]), DerivativeJet(phi), 3)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_each_partial_bell_polynomial_against_enumeration(self):
+        # a unit f^(j) alone picks the one term f^(j) B_{k,j}(phi', ..., phi^(k-j+1))
+        rng = np.random.default_rng(2)
+        for k in range(1, 6):
+            for j in range(1, k + 1):
+                f = [0.0] * k
+                f[j - 1] = 1.0
+                phi = rng.uniform(-1.5, 1.5, size=k)
+                want = bell_by_partition_enumeration(k, j, phi[:k - j + 1])
+                got = faa_di_bruno(DerivativeJet(f), DerivativeJet(phi), k)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_identity_jets_vanish_above_one(self):
         for k in (2, 3, 5):
             ident = DerivativeJet([1.0] + [0.0] * (k - 1))
@@ -135,8 +164,10 @@ class TestFaaDiBruno:
         ([1.0, 1.0], DerivativeJet([1.0, 1.0]),
          "f_jet must be a DerivativeJet of order >= 2, got [1.0, 1.0]"),
         (DerivativeJet([1.0]), DerivativeJet([1.0, 0.0]),
-         "f_jet must be a DerivativeJet of order >= 2, got DerivativeJet(values=(1.0,))")],
-        ids=["nan-f_jet", "inf-phi_jet", "list-f_jet", "short-f_jet"])
+         "f_jet must be a DerivativeJet of order >= 2, got DerivativeJet(values=(1.0,))"),
+        (DerivativeJet([1.0, 0.0]), DerivativeJet([1.0]),
+         "phi_jet must be a DerivativeJet of order >= 2, got DerivativeJet(values=(1.0,))")],
+        ids=["nan-f_jet", "inf-phi_jet", "list-f_jet", "short-f_jet", "short-phi_jet"])
     def test_a_jet_that_is_no_finite_derivative_jet_is_an_input_error(self, f_jet, phi_jet,
                                                                        message):
         with pytest.raises(InputError) as exc:
