@@ -289,9 +289,9 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     as the gap stops falling that fast, so a gap that creeps down costs a step or two
     rather than _ITERATIONS.  Once the best value reaches F / (1 + _STALL_RTOL), F plus
     its rounding allowance (:func:`_haagerup_upper`) becomes ``upper`` if that is
-    smaller, and the search stops.  After a certificate that gave up the remaining starts
-    run without one; after one whose bound was not smaller its own start goes on without
-    one too.  Every value is taken on M / 2^e and scaled back; an ``upper`` past the
+    smaller, and the search stops; a start whose certificate closed on a bound not smaller
+    ends there.  After that, or a certificate that gave up, the remaining starts run
+    without one.  Every value is taken on M / 2^e and scaled back; an ``upper`` past the
     largest float is a RangeError.
 
     The starts that run with no certificate (every start at finite p) run as a
@@ -326,15 +326,12 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
         return result()
 
     sym, e = m.scaled  # exact: every value below is scaled back by 2^e
-    # (start index, input, warm, last value, first and last iteration) of each start
-    jobs = ((index, a0, None, -math.inf, 1, iterations)
-            for index, a0 in enumerate(_starts(m.symbol, seed, extra_starts), start=1))
-    rest = []  # the start whose certificate ended with a bound not smaller, from its next step
-    for index, a0, *_ in jobs if math.isinf(p) else ():  # starts go on as certificates
+    jobs = enumerate(_starts(m.symbol, seed, extra_starts), start=1)  # (start index, input)
+    for index, a0 in jobs if math.isinf(p) else ():  # starts go on as certificates
         a = _normalized(a0, p)
         if a is None:
             continue
-        last, warm, ended = -math.inf, None, 0
+        last, warm, ended, closed = -math.inf, None, 0, None
         cert = _Continuation(sym, e)
         for iteration in itertools.count(1):
             val, g, warm = _dual_step(sym * a, p, warm)  # g: dual element of M o A in S_q
@@ -360,13 +357,10 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
                 if bound < upper:
                     upper, target, allowance = bound, value / (1.0 + _STALL_RTOL), bound / value - 1.0
                     return result()
-                # the residual outweighs the a priori bound: the start goes on without one
-                rest.append((index, a, warm, val, iteration + 1,
-                             iteration + 1 if ended else iterations))
-                break
-        if rest or iteration > ended:  # a certificate gave up: no later start runs one
+                break  # the residual outweighs the a priori bound: the start ends here
+        if closed is not None or iteration > ended:  # no later start runs a certificate
             break
-    best = _Search(sym, e, p, iterations, target, best, itertools.chain(rest, jobs)).run()
+    best = _Search(sym, e, p, iterations, target, best, jobs).run()
     return result()
 
 
@@ -382,10 +376,9 @@ class _Search:
     certificate, on two lanes (the calling thread, and a helper thread that lives as long
     as :meth:`run`), with the result of running them one after another.
 
-    ``jobs`` yields (start index, input, warm, last value, first iteration, last
-    iteration), in start order; an input at its first iteration is not yet normalized.
-    Each lane draws the next job under the lock and climbs it on its own (:meth:`_climb`):
-    the start's steps until its last iteration, a stall, the target, or the climb rule
+    ``jobs`` yields (start index, input) pairs, in start order, the input not yet
+    normalized.  Each lane draws the next start under the lock and climbs it on its own
+    (:meth:`_climb`): its steps until ``iterations``, a stall, the target, or the climb rule
     tested against the floor, the best value held when the search begins, and the start's
     own best value.  No start's steps depend on another's, so the lanes share nothing but
     the draw and the fold: the outcomes are folded in start order, keeping the first
@@ -441,17 +434,18 @@ class _Search:
             drawn = next(self.jobs, None) if self.end == math.inf else None
         if drawn is None:
             return None
-        position, (index, a, warm, last, first, final) = drawn
+        position, (index, a) = drawn
         del drawn  # the input lives in ``a`` alone, and goes as the steps move on
-        best = self.floor
+        best, last, warm = self.floor, -math.inf, None
         try:
-            a = _normalized(a, self.p) if first == 1 else a
-            for iteration in itertools.count(first) if a is not None else ():
+            a = _normalized(a, self.p)
+            for iteration in itertools.count(1) if a is not None else ():
                 val, g, warm = _dual_step(self.sym * a, self.p, warm)
                 val = _unscaled_ratio(val, self.e)
                 if val > best[0]:
                     best = (val, a, index, iteration)
-                if (val >= self.target or iteration == final or val <= last * (1.0 + _STALL_RTOL)
+                if (val >= self.target or iteration == self.iterations
+                        or val <= last * (1.0 + _STALL_RTOL)
                         or val + (val - last) * (self.iterations - iteration) < best[0]
                         or self.end < position):  # the last: a start before it ended the search
                     break

@@ -31,17 +31,17 @@ __all__ = [
     "sphere_grid",
 ]
 
-_FACTORIAL_BOUND = 200_000
+_DEGREE_BOUND = 200_000  # the largest n + k - 3: it sizes every table and every math.comb
 _MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(nodes^3)
 
 
 def _check_nk(n: int, k: int, k_name: str = "k") -> None:
     """n >= 3 and the degree k >= 0 (InputError, named ``k_name``), n + k - 3 within
-    _FACTORIAL_BOUND (RangeError)."""
+    _DEGREE_BOUND (RangeError)."""
     check_count("n", n, 3)
     check_count(k_name, k, 0)
-    if n + k - 3 > _FACTORIAL_BOUND:
-        raise RangeError(f"n + k exceeds the configured factorial bound {_FACTORIAL_BOUND}")
+    if n + k - 3 > _DEGREE_BOUND:
+        raise RangeError(f"n + k - 3 = {n + k - 3} exceeds the degree bound {_DEGREE_BOUND}")
 
 
 def _table_x(n: int, x, k_cap: int) -> np.ndarray:
@@ -159,7 +159,7 @@ def _derivative_table(n: int, r: int, x: np.ndarray, k_cap: int) -> np.ndarray:
 
 def eigenvalue_table(n: int, x, k_cap: int) -> np.ndarray:
     """Eigenvalues of degrees 0..k_cap at x, shaped (k_cap + 1,) + x.shape: n >= 3 and
-    k_cap >= 0 (InputError), n + k_cap - 3 within _FACTORIAL_BOUND (RangeError), both
+    k_cap >= 0 (InputError), n + k_cap - 3 within _DEGREE_BOUND (RangeError), both
     before any array, every x in [-1, 1] (DomainError)."""
     return _derivative_table(n, 0, _table_x(n, x, k_cap), k_cap)
 
@@ -201,7 +201,7 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
 def multiplicity(n: int, k: int) -> int:
     """Dimension of the degree-k eigenspace, exactly in integer arithmetic:
     C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each: n >= 3 and k >= 0
-    (InputError), n + k - 3 within _FACTORIAL_BOUND (RangeError)."""
+    (InputError), n + k - 3 within _DEGREE_BOUND (RangeError)."""
     _check_nk(n, k)
     return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
 

@@ -203,11 +203,11 @@ def test_a_count_past_its_memory_cap_is_refused_before_any_array(name, call, mes
 @pytest.mark.parametrize("k_cap", [200_001, 10 ** 9])
 def test_a_table_past_the_degree_bound_is_refused_before_any_array(k_cap, monkeypatch):
     # eigenvalue_table meets the degree rule of multiplicity and --kmax, n + k - 3 within
-    # the factorial bound, before x becomes an array: 10^9 degrees would ask for 8 GB
+    # the degree bound, before x becomes an array: 10^9 degrees would ask for 8 GB
     def no_array(*args, **kwargs):
         raise AssertionError("eigenvalue_table built an array before its degree rule")
 
     for builder in ("asarray", "zeros", "empty", "array", "stack", "ones_like"):
         monkeypatch.setattr(np, builder, no_array)
-    with pytest.raises(RangeError, match="factorial bound 200000"):
+    with pytest.raises(RangeError, match="exceeds the degree bound 200000"):
         sp.eigenvalue_table(3, 0.5, k_cap)

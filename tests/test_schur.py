@@ -444,7 +444,7 @@ class TestLanes:
     """The starts that run with no p = infinity certificate give the same result, bit for
     bit, on one lane and on two, and leave no thread behind."""
 
-    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0, 6.0, 8.0, math.inf])
     @pytest.mark.parametrize("name, symbol", LANE_SYMBOLS, ids=[s[0] for s in LANE_SYMBOLS])
     def test_two_lanes_give_the_one_lane_result(self, monkeypatch, name, symbol, p):
         m = symbol()
@@ -464,7 +464,7 @@ class TestLanes:
     def test_two_lanes_after_a_certificate_ends(self, monkeypatch, patch):
         # stalled: a factorization value held 1e-7 above its own, so the certificate gives
         # up and the later starts run without one; residual: the certificate closes on a
-        # bound above the a priori one, and its own start goes on without one
+        # bound above the a priori one, its start ends there, and the later ones run without one
         if patch == "stalled":
             real = schur._factorization
             monkeypatch.setattr(schur, "_factorization", lambda *args: real(*args) * (1 + 1e-7))
@@ -480,6 +480,39 @@ class TestLanes:
                 assert threading.active_count() == baseline
             assert got[0] == got[1], seed
             assert not got[0][3] and got[0][4] > 0  # certificate steps, then plain ones
+
+    def test_the_lanes_get_whole_starts_after_the_closed_one(self, monkeypatch):
+        # residual: a certificate that closes does so on a bound above the a priori one; the
+        # lanes are handed each start after the last certificate whole, (start index,
+        # input), and never the start whose certificate closed
+        closes, certificates, handed, closed_seeds = [], [], [], []
+        monkeypatch.setattr(schur, "_haagerup_upper", lambda *args: closes.append(1) or math.inf)
+        real_continuation, real_search = schur._Continuation, schur._Search
+
+        def continuation(*args):  # one per start that runs a certificate
+            certificates.append(1)
+            return real_continuation(*args)
+
+        def search(*args):
+            handed[:] = list(args[-1])
+            return real_search(*args[:-1], iter(handed))
+
+        monkeypatch.setattr(schur, "_Continuation", continuation)
+        monkeypatch.setattr(schur, "_Search", search)
+        for seed in range(4):
+            m = gaussian(20 + seed, (16 + 8 * seed, 16 + 8 * seed), is_complex=seed % 2 == 0)
+            closes.clear()
+            certificates.clear()
+            schur_norm_lower_bound(m, math.inf, iterations=10, seed=seed)
+            starts = list(schur._starts(np.asarray(m, complex), seed, ()))
+            last = len(certificates)  # no start is 0: the last to run a certificate
+            if closes:  # its certificate closed
+                closed_seeds.append(seed)
+                assert last not in [job[0] for job in handed], seed
+            assert [job[0] for job in handed] == list(range(last + 1, len(starts) + 1)), seed
+            for job in handed:
+                assert len(job) == 2 and np.array_equal(job[1], starts[job[0] - 1]), seed
+        assert closed_seeds, "no certificate closed"
 
     def test_both_lanes_run_starts(self, monkeypatch):
         lanes(monkeypatch, 2)
