@@ -5,8 +5,8 @@ the package's one derivative engine, and an assertable bound takes exact Bell
 numbers as its constants.  The frames describe conjugation of a planar
 rotation by a one-parameter diagonal matrix: the resulting operator norm and
 normalized Hilbert-Schmidt norm are explicit in the rotation parameter, and
-the inverse changes of variable (from norm value back to the rotation
-parameter) have closed-form derivatives with fast decay.
+the inverse change of variable, from operator norm back to the rotation
+parameter, has closed-form derivatives with fast decay.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "CompositionFrame",
     "opnorm_coordinate",
     "opnorm_coordinate_derivative",
-    "hs_coordinate",
     "so_n1_trace_coefficients",
     "so_n1_embedded_matrix",
     "rotation_matrix",
@@ -227,15 +226,6 @@ def opnorm_coordinate_derivative(frame: CompositionFrame, j: int, x) -> np.ndarr
     return value
 
 
-def hs_coordinate(frame: CompositionFrame, x) -> np.ndarray:
-    """Rotation parameter delta realizing normalized HS norm x; inverse
-    of ``hs_of_delta`` on [hs_min, hs_max] -> [0, 1]."""
-    a, b = frame.hs_min, frame.hs_max
-    x = _check_window(x, a, b)
-    num = np.maximum((x / a) ** 2 - 1.0, 0.0)
-    return np.sqrt(num / ((b / a) ** 2 - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Lorentz-group coefficients
 
@@ -244,9 +234,8 @@ def so_n1_trace_coefficients(n: int, r: float):
     """Quadratic trace law for the Lorentz-embedded conjugated rotation.
 
     tr((D k_delta D)^T (D k_delta D)) = a delta^2 + b delta + c with
-    a = 4 sinh^4 r, b = 2 sinh^2(2r), c = n - 3 + 4 cosh^4 r; returns
-    (a, b, c, g) where g inverts the quadratic on [c, a + b + c].  Coefficients past the
-    float range are a RangeError.
+    a = 4 sinh^4 r, b = 2 sinh^2(2r), c = n - 3 + 4 cosh^4 r; returns (a, b, c).
+    Coefficients past the float range are a RangeError.
     """
     check_count("n", n, 2)
     r = float(check_array("r", r, shape=(), above=0.0))
@@ -258,12 +247,7 @@ def so_n1_trace_coefficients(n: int, r: float):
         a = b = c = math.inf
     if not math.isfinite(a + b + c):
         raise RangeError(f"the trace coefficients at r = {r:g} exceed the float range")
-
-    def g(x):
-        x = _check_window(x, c, a + b + c)
-        return -b / (2.0 * a) + np.sqrt(b * b / (4.0 * a * a) + (x - c) / a)
-
-    return a, b, c, g
+    return a, b, c
 
 
 def so_n1_embedded_matrix(n: int, r: float, delta: float) -> np.ndarray:

@@ -296,7 +296,8 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
 
     The starts that run with no certificate (every start at finite p) run as a
     :class:`_Search`: on two threads, each start on its own, folded in start order, so the
-    result is the same as one after another.
+    result is the same as one after another, on any core count with BLAS on one thread,
+    which ``import mcert`` sets; a caller who imported numpy first keeps its BLAS threads.
     """
     check_count("--seed", seed, 0)
     check_count("--iterations", iterations, 0)

@@ -190,18 +190,17 @@ _MAX_SIDE = 4096  # a 4096 x 4096 complex matrix takes 256 MiB
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Complex matrix from long-format CSV with columns i, j, re and an
-    optional im (an empty im is 0), and any other named columns, which are
-    skipped.  Blank lines are skipped, and a later row for the same (i, j) replaces an
-    earlier one.  A header without i, j or re, or that names a column twice, is an
-    InputError that quotes at most 60 characters of it; so is a malformed row, or one with more
-    or fewer fields than the header, named by its line, and a negative index, or one at or above
-    _MAX_SIDE, raised before the matrix is allocated.  numpy's C reader
-    parses the rows; only im passes through Python, to read an empty field as 0.  A path
-    that is not a str, bytes or os.PathLike is an InputError before any open (an int would
-    be read as a file descriptor, and closed), and so is a file that cannot be opened,
-    with the OSError's text.  A byte that is not UTF-8 reads as U+FFFD, which no number
-    or required column name holds."""
+    """Complex matrix from long-format CSV with columns i, j, re and an optional im (an empty
+    im is 0), and any other named columns, which are skipped.  Blank lines are skipped, and a
+    later row for the same (i, j) replaces an earlier one.  A header without i, j or re, or
+    that names a column twice, is an InputError that quotes at most 60 characters of it; so is
+    a malformed row, or one with more or fewer fields than the header, named by its line, and a
+    negative index, or one at or above _MAX_SIDE, raised before the matrix is allocated.
+    numpy's C reader parses the rows; im passes through Python only in a pipe, or in a second
+    read of a file the first read failed on.  A path that is not a str, bytes or os.PathLike is
+    an InputError before any open (an int would be read as a file descriptor, and closed), and
+    so is a file that cannot be opened, with the OSError's text.  A byte that is not UTF-8
+    reads as U+FFFD, which no number or required column name holds."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InputError(f"a CSV path must be a str, bytes or os.PathLike, got {path!r}")
     try:
@@ -230,13 +229,23 @@ def read_matrix_csv(path) -> np.ndarray:
             for line, text in numbered:
                 yield text
 
-        try:  # one field per header column: a row of another length is an error
-            data = np.loadtxt(
-                lines(), dtype=[(c, types[c]) if c in types else (f"_{k}", "U0")
-                                for k, c in enumerate(header)],
-                delimiter=",", comments=None, quotechar='"', ndmin=1,
-                converters={header.index("im"): lambda s: float(s or 0.0)} if "im" in header
-                else None)
+        def load(im):  # one field per header column: a row of another length is an error
+            return np.loadtxt(lines(), dtype=[(c, types[c]) if c in types else (f"_{k}", "U0")
+                                              for k, c in enumerate(header)],
+                              delimiter=",", comments=None, quotechar='"', ndmin=1,
+                              converters={header.index("im"): lambda s: float(s or 0.0)}
+                              if im else None)
+
+        try:  # numpy's C reader alone where the file can be read again (a pipe cannot)
+            try:
+                data = load("im" in header and not fh.seekable())
+            except ValueError:
+                if "im" not in header or not fh.seekable():
+                    raise
+                fh.seek(0)  # again from the line after the header, im through Python
+                numbered = ((k, t) for k, t in enumerate(fh, 1) if k > rows.line_num)
+                line, text = next(numbered)
+                data = load(True)
         except ValueError as exc:  # numpy counts data rows, not lines: keep its reason only
             reason = str(exc).partition(" at row ")[0]
             if "columns but" in reason:

@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as P
 from mcert.cli import main
 from mcert.composition import (CompositionFrame, DerivativeJet, bell_coefficient_mass,
                                composition_derivative_bound, faa_di_bruno,
-                               hs_coordinate, opnorm_coordinate,
+                               opnorm_coordinate,
                                opnorm_coordinate_derivative, shear_operator_norm,
                                so_n1_embedded_matrix, so_n1_trace_coefficients)
 from mcert.euclidean import (DyadicPartition, GridSpec, frac_laplacian_length,
@@ -153,13 +153,13 @@ def test_criterion_06_lorentz_coefficients():
     worst = 0.0
     for n in (3, 4, 5):
         for r in (0.2, 0.7, 1.5, 3.0):
-            a, b, c, _ = so_n1_trace_coefficients(n, r)
+            a, b, c = so_n1_trace_coefficients(n, r)
             for delta in np.linspace(0.0, 1.0, 11):
                 mat = so_n1_embedded_matrix(n, r, float(delta))
                 worst = max(worst, abs(np.sum(mat * mat) - (a * delta ** 2 + b * delta + c)))
     assert worst <= 1e-10
     for r in np.linspace(0.01, 10.0, 60):
-        a, b, _, _ = so_n1_trace_coefficients(3, float(r))
+        a, b, _ = so_n1_trace_coefficients(3, float(r))
         assert b / a >= 2.0 - 1e-12
     report(6, "lorentz-coefficients", f"(trace residual {worst:.1e}, ratio law holds)")
 

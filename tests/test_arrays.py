@@ -225,7 +225,6 @@ def test_integers_and_lists_become_floats_with_their_bits():
 
 # (entry point, the value's name in the message, the interval it declares, as the message
 # writes it, whether the value must be finite as well, the call with the value set to v)
-A, B, C, TRACE_G = co.so_n1_trace_coefficients(3, 0.5)
 SLACK = co._DOMAIN_SLACK
 X_END = 1.0 + 1e-14  # sphere's tables take x in [-1, 1] up to 1e-14
 INTERVALS = [
@@ -262,12 +261,8 @@ INTERVALS = [
     ("opnorm_coordinate_derivative", "x",
      f"[{FRAME.x_min * (1 - SLACK)!r}, {FRAME.x_max * (1 + SLACK)!r}]", False,
      lambda v: co.opnorm_coordinate_derivative(FRAME, 2, v)),
-    ("hs_coordinate", "x", f"[{FRAME.hs_min * (1 - SLACK)!r}, {FRAME.hs_max * (1 + SLACK)!r}]",
-     False, lambda v: co.hs_coordinate(FRAME, v)),
     ("so_n1_trace_coefficients", "r", "(0.0, inf]", False,
      lambda v: co.so_n1_trace_coefficients(3, v)),
-    ("so_n1_trace_coefficients g", "x", f"[{C * (1 - SLACK)!r}, {(A + B + C) * (1 + SLACK)!r}]",
-     False, TRACE_G),
     ("so_n1_embedded_matrix", "r", "[-inf, inf]", False,
      lambda v: co.so_n1_embedded_matrix(3, v, 0.5)),
     ("frac_laplacian_constant", "eps", "(0.0, 1.0)", False,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -762,6 +763,35 @@ class TestSchurBound:
             rep.pop("input_digest")  # it hashes the --points path
             bodies.append(rep)
         assert bodies[0] == bodies[1]
+
+    def test_reports_are_the_same_on_any_blas_thread_and_core_count(self, tmp_path):
+        # import mcert puts BLAS on one thread before numpy loads, unless the environment
+        # names a count; the search's two lanes then fold to the same bits on one CPU
+        rng = np.random.default_rng(128)
+        write_matrix_csv(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)),
+                         tmp_path / "g.csv")
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = str(Path(mcert.__file__).resolve().parents[1])
+        runs = [(env, []), ({**env, "OPENBLAS_NUM_THREADS": "1"}, [])]
+        if shutil.which("taskset"):
+            runs.append((env, ["taskset", "-c", "0"]))
+        for flags in (["--p", "4", "--iterations", "10"], ["--p", "inf"]):
+            bodies = []
+            for run_env, prefix in runs:
+                proc = subprocess.run([*prefix, sys.executable, "-m", "mcert.cli", "schur-bound",
+                                       "--points", "g.csv", *flags, "--out", "r.json"],
+                                      cwd=tmp_path, env=run_env, capture_output=True, text=True,
+                                      timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                rep = load_report(tmp_path / "r.json")
+                rep.pop("header")
+                bodies.append(rep)
+            assert all(body == bodies[0] for body in bodies[1:]), flags
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, mcert; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env={**env, "OPENBLAS_NUM_THREADS": "2"}, capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "2\n", proc.stderr
 
 
 class TestGeometryCommand:

@@ -2,9 +2,9 @@
 never scipy or numpy.ma, every module imports with scipy blocked, the Schur layer loads
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
-public API is set by the package, an acceptance line, a command row or the benchmark, and the
-package fits a slope, checks a shape, checks an interval and spells a bracket in one place
-each."""
+public API is set, and every exported name loaded, by the package, an acceptance line, a command
+row or the benchmark, and the package fits a slope, checks a shape, checks an interval and
+spells a bracket in one place each."""
 
 import ast
 import json
@@ -305,15 +305,21 @@ def defaulted_parameters(tree):
                 yield fn.name, None, arg.arg
 
 
+def caller_paths():
+    """The package's modules, then the acceptance tests, the command rows and the benchmark:
+    the code a pipeline, an acceptance criterion or a benchmark job runs."""
+    root = Path(mcert.__file__).resolve().parents[2]
+    package = root / "src" / "mcert"
+    return [*sorted(package.glob("*.py")), root / "tests" / "test_acceptance.py",
+            root / "tests" / "commands.py", *sorted((root / "perfbench").rglob("*.py"))]
+
+
 def test_every_defaulted_parameter_has_a_caller():
     # a default that no pipeline, acceptance line, command row or benchmark job sets is a
     # knob only a unit test turns: it goes, and its value becomes the code's
-    root = Path(mcert.__file__).resolve().parents[2]
-    package = root / "src" / "mcert"
-    callers = [*package.glob("*.py"), root / "tests" / "test_acceptance.py",
-               root / "tests" / "commands.py", *(root / "perfbench").rglob("*.py")]
+    package = Path(mcert.__file__).resolve().parent
     calls = {}
-    for path in callers:
+    for path in caller_paths():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -331,3 +337,67 @@ def test_every_defaulted_parameter_has_a_caller():
                  ast.parse(path.read_text(encoding="utf-8")))
              if not any(passed(call, index, parameter) for call in calls.get(name, []))]
     assert unset == []
+
+
+def exported_definitions(tree):
+    """(qualified name, name, definition) for each name in ``__all__`` and each public method
+    of a class in it; the definition is its def, class or assignment, or None."""
+    exported = [elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in node.value.elts]
+    definitions = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for name in [getattr(node, "name", None), *(getattr(t, "id", None) for t in targets)]:
+            definitions.setdefault(name, node)
+    for name in exported:
+        node = definitions.get(name)
+        yield name, name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{name}.{item.name}", item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def unloaded_exports(modules, others=()):
+    """The qualified names of :func:`exported_definitions` of each module in ``modules``, a
+    dict of parsed modules by name, that no ast.Name or ast.Attribute in load context reads,
+    in those modules or in ``others``, outside the name's own definition: an import alias or
+    the string in ``__all__`` is no load."""
+    loads = {}
+    for tree in [*modules.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(getattr(node, "id", None) or node.attr, []).append(id(node))
+    unloaded = []
+    for module, tree in modules.items():
+        for qualified, name, definition in exported_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)} if definition else set()
+            if all(node in inside for node in loads.get(name, [])):
+                unloaded.append(f"{module}.{qualified}")
+    return unloaded
+
+
+def test_every_exported_name_is_loaded():
+    # a name no pipeline, acceptance line, command row or benchmark job reads is code no user
+    # reaches: it goes, with the tests that exist only for it
+    package = Path(mcert.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in caller_paths()}
+    modules = {path.stem: tree for path, tree in trees.items() if path.parent == package}
+    others = [tree for path, tree in trees.items() if path.parent != package]
+    assert unloaded_exports(modules, others) == []
+
+
+def test_the_export_guard_passes_a_load_and_fails_an_import_or_a_self_call():
+    module = ("__all__ = ['used', 'imported', 'recursive', 'Frame', 'LIMIT']\n"
+              "LIMIT = 3\n"
+              "def used():\n    return LIMIT\n"
+              "def imported():\n    pass\n"
+              "def recursive(k):\n    return recursive(k - 1)\n"
+              "class Frame:\n    def create(self):\n        return used()\n"
+              "    def width(self):\n        return self.width\n"
+              "    def _hidden(self):\n        pass\n")
+    caller = "from m import imported, Frame\nFrame().create()\n"
+    assert unloaded_exports({"m": ast.parse(module)}) == [
+        "m.imported", "m.recursive", "m.Frame", "m.Frame.create", "m.Frame.width"]
+    assert unloaded_exports({"m": ast.parse(module)}, [ast.parse(caller)]) == [
+        "m.imported", "m.recursive", "m.Frame.width"]

@@ -206,6 +206,31 @@ class TestCsvInterfaces:
         path.write_text("i,j,re\n1,0,2.5\n0,1,-1\n1,0,3\n", encoding="utf-8")
         assert np.array_equal(read_matrix_csv(path), np.array([[0, -1], [3, 0]]))
 
+    def test_empty_quoted_empty_and_numeric_im_fields(self, tmp_path):
+        # numpy's C reader refuses an empty im, so the file is read a second time from the
+        # line after its header (after a byte order mark, before a blank line), and a bad
+        # row past them is still named by its line
+        text = 'i,j,re,im\n\n0,0,1,\n0,1,2,""\n1,0,3,-4.5\n1,1,5,"6"\n'
+        plain, path = tmp_path / "plain.csv", tmp_path / "m.csv"
+        plain.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8-sig")
+        expected = np.array([[1, 2], [3 - 4.5j, 5 + 6j]])
+        assert np.array_equal(read_matrix_csv(path), expected)
+        assert np.array_equal(reference_read_matrix_csv(plain), expected)
+        path.write_text(text + "1,x,5,\n", encoding="utf-8-sig")
+        with pytest.raises(InputError, match=f"^line 7 of {re.escape(str(path))}: "):
+            read_matrix_csv(path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_a_pipe_with_an_empty_im_is_read_once(self):
+        script = ("from mcert.symbols import read_matrix_csv\n"
+                  "print(read_matrix_csv('/dev/stdin').tolist())\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mcert.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], input="i,j,re,im\n0,0,1,\n1,1,2,3\n",
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[[(1+0j), 0j], [0j, (2+3j)]]\n"
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a BOM, which would otherwise join the
         # first column name
