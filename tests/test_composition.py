@@ -310,6 +310,18 @@ class TestCoordinateChanges:
         assert float(opnorm_coordinate(f, f.x_min)) == pytest.approx(0.0, abs=1e-14)
         assert float(opnorm_coordinate(f, f.x_max)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n, r", [(3, 0.5), (4, 2.0), (6, 10.0)])
+    def test_hs_of_delta_runs_over_the_hs_window(self, n, r):
+        # the coordinate of rigidity --mode hs: even in delta, hs_min at 0 and hs_max at
+        # +-1, increasing between
+        f = CompositionFrame.create(n, r)
+        deltas = np.linspace(0.0, 1.0, 21)
+        hs = f.hs_of_delta(deltas)
+        assert hs[0] == pytest.approx(f.hs_min, rel=1e-14)
+        assert hs[-1] == pytest.approx(f.hs_max, rel=1e-14)
+        assert np.all(np.diff(hs) > 0)
+        assert np.array_equal(f.hs_of_delta(-deltas), hs)
+
     def test_inverse_identity_grid(self):
         worst = 0.0
         for r in np.linspace(0.1, 5.0, 15):
@@ -398,6 +410,17 @@ class TestLorentzCoefficients:
                     worst = max(worst, abs(np.sum(mat * mat)
                                            - (a * delta ** 2 + b * delta + c)))
         assert worst <= 1e-10
+
+    def test_trace_rises_from_c_to_a_plus_b_plus_c(self):
+        # a, b > 0: the trace law is increasing on [0, 1] and spans [c, a + b + c]
+        for n, r in [(3, 0.8), (5, 2.5)]:
+            a, b, c = so_n1_trace_coefficients(n, r)
+            assert a > 0 and b > 0
+            traces = [float(np.sum(so_n1_embedded_matrix(n, r, float(d)) ** 2))
+                      for d in np.linspace(0.0, 1.0, 9)]
+            assert traces[0] == pytest.approx(c, rel=1e-12)
+            assert traces[-1] == pytest.approx(a + b + c, rel=1e-12)
+            assert np.all(np.diff(traces) > 0)
 
     def test_small_r_limit(self):
         a, b, c = so_n1_trace_coefficients(4, 1e-9)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mcert
 from mcert.cli import main
 
@@ -104,6 +106,24 @@ def test_rigidity_imports_on_its_own():
     assert {"mcert.rigidity", "mcert.schur"} <= set(got["loaded"])
     assert got["all"] == sorted(["CONSISTENT", "VIOLATED", "WitnessResult",
                                  "profile_rigidity_records", "rigidity_witness"])
+
+
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("name", BLAS)
+def test_import_puts_blas_on_one_thread_before_numpy_unless_set(name):
+    # import mcert loads no numpy, so the count it sets is the one BLAS starts with
+    script = ("import json, os, sys\nimport mcert\n"
+              "print(json.dumps([os.environ.get(sys.argv[1]), 'numpy' in sys.modules]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS}
+    env["PYTHONPATH"] = str(Path(mcert.__file__).resolve().parents[1])
+    for value, expected in ((None, "1"), ("3", "3")):
+        run_env = env if value is None else {**env, name: value}
+        proc = subprocess.run([sys.executable, "-c", script, name], env=run_env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [expected, False]
 
 
 def test_repeated_main_calls_share_no_state(tmp_path):

@@ -221,6 +221,21 @@ class TestCsvInterfaces:
         with pytest.raises(InputError, match=f"^line 7 of {re.escape(str(path))}: "):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("row, line, field", [
+        ("0,1,2,abc", 4, "abc"),  # a bad im
+        ("0,x,2,1", 4, "x"),  # a bad index
+    ])
+    def test_a_bad_field_after_an_empty_im_keeps_its_line_and_message(self, tmp_path, row,
+                                                                       line, field):
+        # the second read, im through Python, names the row and the field as the first would
+        path = tmp_path / "m.csv"
+        path.write_text(f"i,j,re,im\n0,0,1,\n\n{row}\n", encoding="utf-8")
+        kind = "int64" if field == "x" else "float64"
+        with pytest.raises(InputError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == (f"line {line} of {path}: could not convert string "
+                                  f"{field!r} to {kind}")
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_a_pipe_with_an_empty_im_is_read_once(self):
         script = ("from mcert.symbols import read_matrix_csv\n"
