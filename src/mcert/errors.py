@@ -50,12 +50,13 @@ def check_array(name: str, value, dtype=float, finite: bool = False, shape=None,
                 least=None, most=None, above=None, below=None) -> np.ndarray:
     """``value`` as an array of ``dtype``, float or complex, and the same array when it is
     one already: an InputError, named by ``name``, for a ragged nesting, an entry that is
-    no number (or a complex one where dtype is float), a shape off ``shape`` (an optional
-    leading ... for any leading axes, then per axis an int, None for any length >= 1 or a
-    name, equal names for equal lengths >= 1) and, with ``finite``, a NaN or inf.  Past its
-    bounds, ``least`` and ``most`` closed, ``above`` and ``below`` open (an end not given is
-    -inf or inf, closed), a real value or a NaN is a DomainError that names the interval and
-    the first such value in C order: ``delta must lie in [-1.0, 1.0], got 2.0``."""
+    no number (or a complex one where dtype is float), a shape off ``shape`` (per axis an
+    int, None for any length >= 1 or a name, equal names for equal lengths >= 1, and an
+    optional ... first for any leading axes or last for any trailing ones) and, with
+    ``finite``, a NaN or inf.  Past its bounds, ``least`` and ``most`` closed, ``above`` and
+    ``below`` open (an end not given is -inf or inf, closed), a real value or a NaN is a
+    DomainError that names the interval and the first such value in C order: ``delta must
+    lie in [-1.0, 1.0], got 2.0``."""
     field = "real" if dtype is float else "complex"
     try:
         a = np.asarray(value)
@@ -64,8 +65,10 @@ def check_array(name: str, value, dtype=float, finite: bool = False, shape=None,
     if a.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # numpy's dtype kinds
         raise InputError(f"{name} must be an array of {field} numbers, got dtype {a.dtype}")
     if shape is not None and a.shape != shape:  # an all-int shape that fits ends here
-        spec = shape[1:] if shape[:1] == (...,) else shape  # any leading axes
-        got = a.shape[max(0, a.ndim - len(spec)):] if len(spec) < len(shape) else a.shape
+        lead, trail = shape[:1] == (...,), shape[-1:] == (...,)  # any leading, trailing axes
+        spec = shape[lead:len(shape) - trail]
+        got = (a.shape[max(0, a.ndim - len(spec)):] if lead else a.shape[:len(spec)] if trail
+               else a.shape)
         fits = len(got) == len(spec)
         for g, d in zip(got, spec):  # a loop: a generator takes longer
             fits = fits and (g == d if type(d) is int  # a name: the length at its first axis

@@ -1,8 +1,9 @@
 """Euclidean symbol analysis on R^d.
 
-Dyadic partitions of unity, the fractional-laplacian length and its
-constant, the dilation-invariant Sobolev norm, local matrix inversion, and an
-upper bound on the sup-norm Schur multiplier of a symbol on a product of unit
+Dyadic partitions of unity on one fixed plateau, the fractional-laplacian length
+(its constant is :func:`frac_laplacian_constant`), the dilation-invariant Sobolev
+norm on a box that takes its dimension from the symbol, local matrix inversion, and
+an upper bound on the sup-norm Schur multiplier of a symbol on a product of unit
 cubes.
 
 Fourier convention: f^(xi) = int f(x) exp(-2 pi i <x, xi>) dx, so
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, check_array, check_count
 from .symbols import EuclideanSymbol
 
-__all__ = ["DyadicPartition", "GridSpec", "lp_partition_value", "sigma_partition_value",
+__all__ = ["GridSpec", "lp_partition_value", "sigma_partition_value",
            "frac_laplacian_constant", "frac_laplacian_length", "sobolev_norm_w",
            "local_inversion", "SchurUpperBound", "schur_infty_upper_bound"]
 
@@ -33,12 +34,10 @@ def _smoothstep(t):
     return a / (a + b)
 
 
-class DyadicPartition:
-    """Radial plateau eta with chi_{B1} <= eta <= chi_{B2}: the canonical mollified step,
-    so every partition value is deterministic."""
-
-    def eta(self, r):
-        return _smoothstep(2.0 - check_array("r", r))
+def _plateau(r):
+    """Radial plateau eta with chi_{B1} <= eta <= chi_{B2} of a float array: the canonical
+    mollified step, so every partition value is deterministic."""
+    return _smoothstep(2.0 - r)
 
 
 def _radius(xi):
@@ -49,17 +48,17 @@ def _radius(xi):
 _J_RANGE = (-1074, 1023)  # the band indices j at which 2^j is a finite positive float
 
 
-def lp_partition_value(p: DyadicPartition, j: int, xi):
+def lp_partition_value(j: int, xi):
     """phi_j(xi) = (eta(2^-j xi) - eta(2^{1-j} xi))^{1/2}, for an integer j in _J_RANGE
     (InputError)."""
     check_count("j", j, *_J_RANGE)
     r = _radius(xi)
     with np.errstate(over="ignore"):  # 2^-j r past the float range is inf, where eta is 0
-        val = p.eta(np.ldexp(r, -j)) - p.eta(np.ldexp(r, 1 - j))
+        val = _plateau(np.ldexp(r, -j)) - _plateau(np.ldexp(r, 1 - j))
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def sigma_partition_value(p: DyadicPartition, n_width: int, j: int, xi):
+def sigma_partition_value(n_width: int, j: int, xi):
     """Averaged plateau sigma_j = (sum of phi_k^2, k = j-N..j+N) / (2N+1), for N = n_width
     >= 1 and an integer j in _J_RANGE (InputError)."""
     check_count("n_width", n_width, 1)
@@ -67,7 +66,7 @@ def sigma_partition_value(p: DyadicPartition, n_width: int, j: int, xi):
     r = _radius(xi)
     # telescoping: sum of phi_k^2 over k in [a, b] = eta(2^-b r) - eta(2^{1-a} r)
     with np.errstate(over="ignore"):  # as in lp_partition_value
-        total = p.eta(np.ldexp(r, -(j + n_width))) - p.eta(np.ldexp(r, 1 - (j - n_width)))
+        total = _plateau(np.ldexp(r, -(j + n_width))) - _plateau(np.ldexp(r, 1 - (j - n_width)))
     return np.maximum(total, 0.0) / (2 * n_width + 1)
 
 
@@ -100,9 +99,8 @@ def frac_laplacian_constant(d: int, eps: float) -> float:
 
 
 def frac_laplacian_length(d: int, eps: float, xi):
-    """psi_eps(xi) = c_{d,eps} |xi|^{2 eps}; returns (value, constant)."""
-    c = frac_laplacian_constant(d, eps)
-    return c * _radius(xi) ** (2.0 * eps), c
+    """psi_eps(xi) = c_{d,eps} |xi|^{2 eps}, c_{d,eps} = :func:`frac_laplacian_constant`."""
+    return frac_laplacian_constant(d, eps) * _radius(xi) ** (2.0 * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +110,12 @@ def frac_laplacian_length(d: int, eps: float, xi):
 @dataclass(frozen=True)
 class GridSpec:
     """The uniform box [-box_halfwidth, box_halfwidth)^d with box_points points
-    per axis, used by the transform-based norms."""
+    per axis, used by the transform-based norms: d is the symbol's own."""
 
-    d: int
     box_halfwidth: float = 8.0
     box_points: int = 256
 
     def __post_init__(self):
-        check_count("d", self.d, 1)
         check_count("box_points", self.box_points, 8)
         check_array("box_halfwidth", self.box_halfwidth, finite=True, shape=(), above=0.0)
 
@@ -128,57 +124,44 @@ class GridSpec:
 # Transform-based Sobolev norms
 
 
-def _box_axes(grid: GridSpec):
-    n, half = grid.box_points, grid.box_halfwidth
-    x = -half + (2.0 * half / n) * np.arange(n)
-    freq = np.fft.fftfreq(n, d=2.0 * half / n)
-    return x, freq
+_LEAK_TOL = 1e-8  # the largest share of |m|^2 the box's edge tenth may hold
 
 
-def _sample_box(m: EuclideanSymbol, grid: GridSpec) -> np.ndarray:
-    x, _ = _box_axes(grid)
-    axes = np.meshgrid(*([x] * m.d), indexing="ij")
-    pts = np.stack(axes, axis=-1)
-    return check_array("m(x)", m(pts), complex)
-
-
-def _check_leakage(samples: np.ndarray, grid: GridSpec, name: str, tol: float = 1e-8):
-    n = grid.box_points
+def _check_leakage(samples: np.ndarray):
+    """An AccuracyError where more than _LEAK_TOL of the squared mass of the samples lies
+    outside the box shrunk by a tenth of its points at each end of every axis."""
+    n = samples.shape[0]
     edge = max(1, n // 10)
-    total = float(np.sum(np.abs(samples) ** 2))
-    if total == 0.0:
-        return
-    mask = np.zeros(samples.shape, dtype=bool)
-    for ax in range(samples.ndim):
-        sl = [slice(None)] * samples.ndim
-        sl[ax] = slice(0, edge)
-        mask[tuple(sl)] = True
-        sl[ax] = slice(n - edge, n)
-        mask[tuple(sl)] = True
-    leak = float(np.sum(np.abs(samples[mask]) ** 2)) / total
-    if leak > tol:
-        raise AccuracyError(f"{name}: support leaks outside the box (fraction {leak:.2e})")
+    power = np.abs(samples) ** 2
+    total = float(np.sum(power))
+    leak = total - float(np.sum(power[(slice(edge, n - edge),) * samples.ndim]))
+    if total > 0.0 and leak > _LEAK_TOL * total:
+        raise AccuracyError("sobolev_norm_w: support leaks outside the box "
+                            f"(fraction {leak / total:.2e})")
 
 
 def sobolev_norm_w(m: EuclideanSymbol, eps: float, grid: GridSpec) -> float:
-    """Dilation-invariant norm || |.|^{d/2+eps} (sqrt(psi_eps) m)^ ||_2.
+    """Dilation-invariant norm || |.|^{d/2+eps} (sqrt(psi_eps) m)^ ||_2, on the box of
+    ``grid`` in the symbol's dimension d.
 
     Requires m to vanish near the origin: its ``inner_radius`` must be set
-    and positive (DomainError).
+    and positive (DomainError).  m(x) takes the box's (n, ..., n, d) points and returns
+    its (n, ..., n) values (InputError).
     """
     d = m.d
     if m.inner_radius is None or not m.inner_radius > 0:
         raise DomainError("symbol support touches the origin: the inner radius must be positive")
     c = frac_laplacian_constant(d, eps)
-    samples = _sample_box(m, grid)
-    _check_leakage(samples, grid, "sobolev_norm_w")
-    x, freq = _box_axes(grid)
+    n, half = grid.box_points, grid.box_halfwidth
+    x = -half + (2.0 * half / n) * np.arange(n)
     axes = np.meshgrid(*([x] * d), indexing="ij")
+    samples = check_array("m(x)", m(np.stack(axes, axis=-1)), complex, shape=(n,) * d)
+    _check_leakage(samples)
     r = np.sqrt(sum(a * a for a in axes))
     gfun = math.sqrt(c) * r ** eps * samples
-    n, half = grid.box_points, grid.box_halfwidth
     cell = (2.0 * half / n) ** d
     ghat = np.fft.fftn(gfun) * cell
+    freq = np.fft.fftfreq(n, d=2.0 * half / n)
     grids = np.meshgrid(*([freq] * d), indexing="ij")
     xi = np.sqrt(sum(f * f for f in grids))
     norm_sq = float(np.sum(xi ** (d + 2.0 * eps) * np.abs(ghat) ** 2)) / (2.0 * half) ** d
@@ -233,7 +216,8 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     """Upper bound for the sup-norm Schur multiplier of S on the unit cubes
     Q1 = [0, 1]^d1 and Q2 = [0, 1]^d2.
 
-    ``s`` is called with arrays (x, y) of shapes (..., d1) and (..., d2).
+    ``s`` is called with arrays (x, y) of shapes (32, ..., 32, d1) and (32, ..., 32, d2),
+    d1 + d2 axes of 32 before the last, and returns the (32, ..., 32) values (InputError).
     Samples sit on the midpoint tensor grid with 32 points per axis;
     derivatives and L2 norms come from the discrete Fourier side, which is
     exact for band-limited periodic symbols and spectrally accurate for
@@ -245,7 +229,7 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
     check_count("d1 + d2", d1 + d2, 2, _MAX_CUBE_DIM)
     d, size = d1 + d2, 32
     pts = np.stack(np.meshgrid(*[(np.arange(size) + 0.5) / size] * d, indexing="ij"), axis=-1)
-    vals = check_array("s(x, y)", s(pts[..., :d1], pts[..., d1:]), complex)
+    vals = check_array("s(x, y)", s(pts[..., :d1], pts[..., d1:]), complex, shape=(size,) * d)
     if not np.all(np.isfinite(vals)):
         raise AccuracyError("symbol evaluation produced non-finite samples")
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import taylor
 from .composition import CompositionFrame
-from .errors import AccuracyError, InputError, check_array, check_count
+from .errors import AccuracyError, InputError, RangeError, check_array, check_count
 from .geometry import fit_exponent
 from .report import (FAIL, INCONCLUSIVE, NECESSARY, PASS, SUFFICIENT, CertificationReport,
                      CheckRecord, worst_verdict)
@@ -48,8 +48,14 @@ def _growth(xs: np.ndarray, vals: np.ndarray) -> float:
 
 def _grid_end(profile: RadialProfile) -> float:
     """X = max(1e4, 10 scale): the outer end of every rigidity grid, a decade past the
-    profile's own scale, so that phi_inf is not sampled inside a compact bump."""
-    return max(1e4, 10.0 * profile.scale)
+    profile's own scale, so that phi_inf is not sampled inside a compact bump.  A scale
+    whose 4 X, where ``hm-sufficient-decay`` reads phi_inf, passes the float range is a
+    RangeError."""
+    x_end = max(1e4, 10.0 * profile.scale)
+    if not math.isfinite(4.0 * x_end):
+        raise RangeError(f"the profile scale {profile.scale!r} puts the rigidity grid end "
+                         f"4 X = 40 scale past the float range")
+    return x_end
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf envelope is INCONCLUSIVE

@@ -5,8 +5,9 @@ product delta is diagonalized by spherical harmonics; its eigenvalue on
 degree k is the ultraspherical polynomial of index (n-2)/2 normalized to
 1 at the north pole, with multiplicity m_k.  This module evaluates those
 eigenvalues (by their recurrence, and by quadrature as its cross-check),
-their derivatives, truncated Schatten sums over the spectrum, and a direct
-quadrature oracle for the n = 3 operator.
+their derivatives, truncated Schatten sums over the spectrum whose certified tails
+stop at 1e-6 relative to the sum, and a direct quadrature oracle for the n = 3
+operator, which averages over each latitude circle by 360 midpoint nodes.
 """
 
 from __future__ import annotations
@@ -251,6 +252,7 @@ class RigidityExponents:
 
 _INTERIOR = 0.95  # |x| above this is a DomainError: the decay constants blow up at |x| = 1
 _K_MAX = 1 << 18  # the truncation a certified tail may double to
+_TAIL_TOL = 1e-6  # the certified tail bound a truncation stops at, relative to the norm
 
 
 def _multiplicity_table(n: int, ks: np.ndarray) -> np.ndarray:
@@ -314,26 +316,25 @@ def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
     return value, err
 
 
-def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float = 1e-6,
+def schatten_derivative_sum(n: int, p: float, r: int, x: float,
                             k_start: int = 64) -> SchattenSumResult:
     """Schatten p-sum of the r-th derivative spectrum with certified tail, for n >= 3,
-    r >= 0, 1 <= k_start <= _K_MAX (InputError), a finite p >= 1, tail_tol > 0 and
-    |x| <= _INTERIOR (DomainError, all before any table), and a truncation of at most _K_MAX
-    degrees (AccuracyError); a tail constant past the float range is a RangeError.
+    r >= 0, 1 <= k_start <= _K_MAX (InputError), a finite p >= 1 and |x| <= _INTERIOR
+    (DomainError, all before any table), and a truncation of at most _K_MAX degrees
+    (AccuracyError); a tail constant past the float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
-    The truncation doubles from k_start until the tail bound is met.  The doublings read
-    one stream of :func:`_derivative_chunks`, pulling a chunk only while degree k_cap is
-    missing.  Each degree's term m_k |d^r phi_k|^p is formed once, with its chunk, and
-    each doubling sums the terms of degrees 0..k_cap with one np.sum, in the order of a
-    one-shot sum.
+    The truncation doubles from k_start until the tail bound is at most _TAIL_TOL times the
+    sum.  The doublings read one stream of :func:`_derivative_chunks`, pulling a chunk only
+    while degree k_cap is missing.  Each degree's term m_k |d^r phi_k|^p is formed once,
+    with its chunk, and each doubling sums the terms of degrees 0..k_cap with one np.sum, in
+    the order of a one-shot sum.
     """
     check_count("n", n, 3)
     check_count("r", r, 0)
     check_count("k_start", k_start, 1, _K_MAX)  # the truncation doubles from k_start
     p = float(check_array("p", p, shape=(), least=1.0, below=math.inf))
-    tail_tol = float(check_array("tail_tol", tail_tol, shape=(), above=0.0))
     x = check_array("x", x, shape=(), least=-_INTERIOR, most=_INTERIOR)
     a0 = _alpha0(n, p)
     if r >= a0 - 1e-12:
@@ -348,14 +349,14 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float, tail_tol: float 
     chunks = _derivative_chunks(n, r, x, _K_MAX)
     terms = np.empty(0)  # m_k |d^r phi_k|^p for k < terms.size, each formed once
     k_cap = k_start
-    while True:  # grow the truncation until the tail is below tail_tol relative to the norm
+    while True:  # grow the truncation until the tail is below _TAIL_TOL relative to the norm
         while terms.size <= k_cap:  # pull chunks only while degree k_cap is missing
             chunk = np.abs(next(chunks))
             ks = np.arange(terms.size, terms.size + len(chunk), dtype=float)
             terms = np.concatenate([terms, _multiplicity_table(n, ks) * chunk ** p])
         total = float(np.sum(terms[:k_cap + 1]))
         value, err = _truncated_norm(total, n, p, r, scale, k_cap)
-        if err <= tail_tol * max(value, 1e-300):
+        if err <= _TAIL_TOL * max(value, 1e-300):
             return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
         if 2 * k_cap > _K_MAX:
             raise AccuracyError("tail tolerance unreachable within k_max")
@@ -415,6 +416,7 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
 
 # 2^20 nodes, 24 MiB of coordinates and about twice that while built: 0.25 degrees fits
 _MAX_NODES = 2 ** 20
+_CIRCLE_NODES = 360  # midpoint nodes of each latitude circle
 
 
 def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
@@ -434,12 +436,13 @@ def sphere_grid(resolution_deg: float = 15.0) -> np.ndarray:
     return np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], mesh.reshape(-1, 3)])
 
 
-def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
+def averaging_operator(delta: float, f, points):
     """Average of f over {y : <x, y> = delta} for each row x of points, normalized (a zero
-    row is a DomainError), by uniform midpoint quadrature on the latitude circle
-    (spectrally accurate for smooth f).
+    row is a DomainError), by uniform midpoint quadrature of _CIRCLE_NODES nodes on the
+    latitude circle (spectrally accurate for smooth f).  f takes the (N, _CIRCLE_NODES, 3)
+    nodes of the N rows and returns their (N, _CIRCLE_NODES, ...) values (InputError), any
+    trailing axes a stack of functions averaged alike.
     """
-    check_count("circle_nodes", circle_nodes, 1)
     delta = float(check_array("delta", delta, shape=(), least=-1.0, most=1.0))
     points = check_array("points", points, finite=True, shape=(..., 3)).reshape(-1, 3)
     norms = np.linalg.norm(points, axis=1, keepdims=True)
@@ -451,9 +454,9 @@ def averaging_operator(delta: float, f, points, circle_nodes: int = 360):
     u = np.cross(helper, x)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v = np.cross(x, u)
-    t = 2.0 * math.pi * (np.arange(circle_nodes) + 0.5) / circle_nodes
+    t = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + 0.5) / _CIRCLE_NODES
     circ = math.sqrt(max(1.0 - delta * delta, 0.0))
     y = (delta * x[:, None, :]
          + circ * (np.cos(t)[None, :, None] * u[:, None, :]
                    + np.sin(t)[None, :, None] * v[:, None, :]))
-    return np.mean(check_array("f(y)", f(y)), axis=1)
+    return np.mean(check_array("f(y)", f(y), shape=(len(x), _CIRCLE_NODES, ...)), axis=1)

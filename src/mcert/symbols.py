@@ -4,7 +4,8 @@ Three evaluator containers are used across the toolkit:
 
 * :class:`SymbolHandle`  - the lift of a radial profile to the group; called
   with a :class:`geometry.GroupElement`, one (n, n) matrix or a stack of them.
-* :class:`EuclideanSymbol` - symbols on R^d; called with an (..., d) array.
+* :class:`EuclideanSymbol` - symbols on R^d; called with an (..., d) array.  Its d
+  is the dimension of every box it is sampled on.
 * :class:`RadialProfile` - scalar profiles phi on (1, infinity), the
   subject of the radial rigidity checks.
 
@@ -55,7 +56,6 @@ class EuclideanSymbol:
 
     d: int
     evaluator: object
-    support_radius: float | None = None
     inner_radius: float | None = None
 
     def __call__(self, x):

@@ -91,8 +91,6 @@ CASES = [
      lambda v: sp.schatten_derivative_sum(5, 8.0, 0, v), ("()", np.ones(2))),
     ("schatten_derivative_sum", "p", float, False, 8.0,
      lambda v: sp.schatten_derivative_sum(5, v, 0, 0.3), ("()", np.ones(2))),
-    ("schatten_derivative_sum", "tail_tol", float, False, 1e-6,
-     lambda v: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=v), ("()", np.ones(2))),
     ("RigidityExponents.compute", "p", float, False, 8.0,
      lambda v: sp.RigidityExponents.compute(5, v), ("()", np.ones(2))),
     ("spectrum_report", "--x", float, False, [0.5],
@@ -104,7 +102,8 @@ CASES = [
      lambda v: sp.averaging_operator(0.5, lambda y: y[..., 2], v),
      ("(..., 3)", np.ones((1, 2)), np.ones(()))),
     ("averaging_operator", "f(y)", float, False, np.ones((1, 360)),
-     lambda v: sp.averaging_operator(0.5, returning(v), NORTH), ()),
+     lambda v: sp.averaging_operator(0.5, returning(v), NORTH),
+     ("(1, 360, ...)", np.ones(()), np.ones(360), np.ones((1, 359)))),
     ("RadialProfile.jet", "x", float, False, 2.0, lambda v: PROFILE.jet(v, 1), ()),
     ("EuclideanSymbol", "x", float, False, [[0.5]],
      lambda v: EuclideanSymbol(1, lambda x: x[..., 0])(v),
@@ -132,7 +131,7 @@ CASES = [
      lambda v: co.composition_derivative_bound(v, [1.0], 1), ("()", np.ones(2))),
     ("composition_derivative_bound", "phi_jet_sups", float, False, [1.0, 2.0, 3.0],
      lambda v: co.composition_derivative_bound(1.0, v, 3), ("(*,)", np.ones((3, 1)))),
-    ("GridSpec", "box_halfwidth", float, True, 8.0, lambda v: eu.GridSpec(1, v),
+    ("GridSpec", "box_halfwidth", float, True, 8.0, lambda v: eu.GridSpec(v),
      ("()", np.ones(2))),
     ("SymbolFamily", "width", float, True, 0.5, lambda v: SymbolFamily("hm-bump", {"width": v}),
      ("()", np.ones(2))),
@@ -140,16 +139,16 @@ CASES = [
      lambda v: SymbolFamily("hm-bump", {"center": v}), ("()", np.ones(2))),
     ("frac_laplacian_constant", "eps", float, False, 0.5,
      lambda v: eu.frac_laplacian_constant(1, v), ("()", np.ones(2))),
-    ("DyadicPartition.eta", "r", float, False, 1.5, eu.DyadicPartition().eta, ()),
     ("lp_partition_value", "xi", float, False, [0.6, 0.8],
-     lambda v: eu.lp_partition_value(eu.DyadicPartition(), 0, v), ()),
+     lambda v: eu.lp_partition_value(0, v), ()),
     ("local_inversion", "a", float, False, np.eye(2), eu.local_inversion,
      ("(n, n)", np.ones((2, 3)), np.ones(2))),
     ("sobolev_norm_w", "m(x)", complex, False, np.zeros(8),
      lambda v: eu.sobolev_norm_w(EuclideanSymbol(1, returning(v), inner_radius=1.0), 0.5,
-                                 eu.GridSpec(1, box_points=8)), ()),
+                                 eu.GridSpec(box_points=8)), ("(8,)", np.zeros(()), np.zeros(9))),
     ("schur_infty_upper_bound", "s(x, y)", complex, False, np.ones((32, 32)),
-     lambda v: eu.schur_infty_upper_bound(returning(v), 1, 1), ()),
+     lambda v: eu.schur_infty_upper_bound(returning(v), 1, 1),
+     ("(32, 32)", np.ones(()), np.ones((32, 32, 1)))),
     ("lie_derivative", "phi.of(u)", float, False, np.ones((3, 1, 1)),
      lambda v: ge.lie_derivative(RadialProfile(returning(v)), G, ge.lie_basis(3)[0], 2),
      ("(3, 1, 1)", np.ones((2, 1, 1)))),
@@ -244,8 +243,6 @@ INTERVALS = [
      lambda v: sp.RigidityExponents.compute(5, v)),
     ("schatten_derivative_sum", "p", "[1.0, inf)", False,
      lambda v: sp.schatten_derivative_sum(5, v, 0, 0.3)),
-    ("schatten_derivative_sum", "tail_tol", "(0.0, inf]", False,
-     lambda v: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, tail_tol=v)),
     ("schatten_derivative_sum", "x", "[-0.95, 0.95]", False,
      lambda v: sp.schatten_derivative_sum(5, 8.0, 0, v)),
     ("sphere_grid", "resolution_deg", "(0.0, inf)", False, sp.sphere_grid),
@@ -267,7 +264,7 @@ INTERVALS = [
      lambda v: co.so_n1_embedded_matrix(3, v, 0.5)),
     ("frac_laplacian_constant", "eps", "(0.0, 1.0)", False,
      lambda v: eu.frac_laplacian_constant(1, v)),
-    ("GridSpec", "box_halfwidth", "(0.0, inf]", True, lambda v: eu.GridSpec(1, v)),
+    ("GridSpec", "box_halfwidth", "(0.0, inf]", True, lambda v: eu.GridSpec(v)),
     ("weyl_ball_volume", "--R", "(0.0, inf)", False, lambda v: ge.weyl_ball_volume(3, v)),
     ("SymbolFamily", "width", "(0.0, inf]", True,
      lambda v: SymbolFamily("hm-bump", {"width": v})),

@@ -49,15 +49,12 @@ CASES = [
      lambda v: co.opnorm_coordinate_derivative(FRAME, v, FRAME.x_min)),
     ("so_n1_trace_coefficients", "n", lambda v: co.so_n1_trace_coefficients(v, 0.75)),
     ("so_n1_embedded_matrix", "n", lambda v: co.so_n1_embedded_matrix(v, 0.75, 0.5)),
-    ("lp_partition_value", "j", lambda v: eu.lp_partition_value(eu.DyadicPartition(), v, 1.0)),
-    ("sigma_partition_value", "n_width",
-     lambda v: eu.sigma_partition_value(eu.DyadicPartition(), v, 0, 1.0)),
-    ("sigma_partition_value", "j",
-     lambda v: eu.sigma_partition_value(eu.DyadicPartition(), 1, v, 1.0)),
+    ("lp_partition_value", "j", lambda v: eu.lp_partition_value(v, 1.0)),
+    ("sigma_partition_value", "n_width", lambda v: eu.sigma_partition_value(v, 0, 1.0)),
+    ("sigma_partition_value", "j", lambda v: eu.sigma_partition_value(1, v, 1.0)),
     ("frac_laplacian_constant", "d", lambda v: eu.frac_laplacian_constant(v, 0.5)),
     ("frac_laplacian_length", "d", lambda v: eu.frac_laplacian_length(v, 0.5, 1.0)),
-    ("GridSpec", "d", lambda v: eu.GridSpec(v)),
-    ("GridSpec", "box_points", lambda v: eu.GridSpec(1, box_points=v)),
+    ("GridSpec", "box_points", lambda v: eu.GridSpec(box_points=v)),
     ("schur_infty_upper_bound", "d1", lambda v: eu.schur_infty_upper_bound(first_coordinate, v, 1)),
     ("schur_infty_upper_bound", "d2", lambda v: eu.schur_infty_upper_bound(first_coordinate, 1, v)),
     ("identity", "n", lambda v: ge.identity(v)),
@@ -86,8 +83,6 @@ CASES = [
     ("schatten_derivative_sum", "r", lambda v: sp.schatten_derivative_sum(5, 8.0, v, 0.3)),
     ("schatten_derivative_sum", "k_start",
      lambda v: sp.schatten_derivative_sum(5, 8.0, 0, 0.3, k_start=v)),
-    ("averaging_operator", "circle_nodes",
-     lambda v: sp.averaging_operator(0.5, north, [[0.0, 0.0, 1.0]], circle_nodes=v)),
     ("spectrum_report", "--n", lambda v: sp.spectrum_report(v, 4.0, 0, [0.5], 4)),
     ("spectrum_report", "--r", lambda v: sp.spectrum_report(3, 4.0, v, [0.5], 4)),
     ("spectrum_report", "--kmax", lambda v: sp.spectrum_report(3, 4.0, 0, [0.5], v)),
@@ -164,13 +159,13 @@ def test_the_cli_names_the_flag(argv, message, capsys):
 
 @pytest.mark.parametrize("j", [-1074, 1023])
 def test_a_band_index_is_an_exponent_of_a_finite_positive_float(j):
-    partition, xi = eu.DyadicPartition(), np.array([0.6, 0.8])
-    assert 0.0 <= eu.lp_partition_value(partition, j, xi) <= 1.0
-    assert 0.0 <= eu.sigma_partition_value(partition, 1, j, xi) <= 1.0
+    xi = np.array([0.6, 0.8])
+    assert 0.0 <= eu.lp_partition_value(j, xi) <= 1.0
+    assert 0.0 <= eu.sigma_partition_value(1, j, xi) <= 1.0
     beyond = j - 1 if j < 0 else j + 1
     bound = "must be >= -1074" if j < 0 else "must be <= 1023"
-    for call in (lambda: eu.lp_partition_value(partition, beyond, xi),
-                 lambda: eu.sigma_partition_value(partition, 1, beyond, xi)):
+    for call in (lambda: eu.lp_partition_value(beyond, xi),
+                 lambda: eu.sigma_partition_value(1, beyond, xi)):
         with pytest.raises(InputError, match=f"j {bound}, got {beyond}"):
             call()
 

@@ -6,49 +6,46 @@ import pytest
 from scipy import integrate
 
 from mcert.errors import AccuracyError, DomainError, InputError
-from mcert.euclidean import (DyadicPartition, GridSpec, frac_laplacian_constant,
+from mcert.euclidean import (GridSpec, frac_laplacian_constant,
                              frac_laplacian_length, local_inversion, lp_partition_value,
                              sigma_partition_value, sobolev_norm_w)
 from mcert.symbols import EuclideanSymbol, _smooth_bump
-
-PARTITION = DyadicPartition()
-
 
 class TestPartition:
     def test_squares_telescope_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             xi = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)
-            total = sum(lp_partition_value(PARTITION, j, xi) ** 2 for j in range(-40, 41))
+            total = sum(lp_partition_value(j, xi) ** 2 for j in range(-40, 41))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_support_annulus(self):
-        assert lp_partition_value(PARTITION, 0, np.array([4.1, 0.0])) == 0.0
-        assert lp_partition_value(PARTITION, 0, np.array([0.24, 0.0])) == 0.0
-        assert lp_partition_value(PARTITION, 3, np.array([8.0, 0.0])) > 0.0
+        assert lp_partition_value(0, np.array([4.1, 0.0])) == 0.0
+        assert lp_partition_value(0, np.array([0.24, 0.0])) == 0.0
+        assert lp_partition_value(3, np.array([8.0, 0.0])) > 0.0
 
     def test_definitional_scaling(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             xi = rng.normal(size=3)
             for j in (-5, 2, 9):
-                a = lp_partition_value(PARTITION, j, xi)
-                b = lp_partition_value(PARTITION, 0, xi / 2.0 ** j)
+                a = lp_partition_value(j, xi)
+                b = lp_partition_value(0, xi / 2.0 ** j)
                 assert a == pytest.approx(b, abs=1e-14)
 
     def test_sigma_plateau_value(self):
         # on the plateau the averaged partition equals 1/(2N+1) exactly
-        val = sigma_partition_value(PARTITION, 2, 3, np.array([8.0, 0.0]))
+        val = sigma_partition_value(2, 3, np.array([8.0, 0.0]))
         assert val == pytest.approx(0.2, abs=1e-15)
 
     def test_sigma_far_outside(self):
-        assert sigma_partition_value(PARTITION, 1, 0, np.array([64.0, 0.0])) == 0.0
+        assert sigma_partition_value(1, 0, np.array([64.0, 0.0])) == 0.0
 
     def test_sigma_resums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             xi = rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2)
-            total = sum(sigma_partition_value(PARTITION, 2, j, xi) for j in range(-40, 41))
+            total = sum(sigma_partition_value(2, j, xi) for j in range(-40, 41))
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -103,7 +100,7 @@ class TestFractionalLength:
         assert abs(frac_laplacian_constant(d, eps) / want - 1) <= 1e-13
 
     def test_zero_at_origin(self):
-        val, _ = frac_laplacian_length(2, 0.4, np.zeros(2))
+        val = frac_laplacian_length(2, 0.4, np.zeros(2))
         assert val == 0.0
 
     def test_endpoints_rejected(self):
@@ -113,8 +110,8 @@ class TestFractionalLength:
 
     def test_homogeneity_against_direct_quadrature(self):
         for d, eps in [(1, 0.3), (2, 0.5), (3, 0.25)]:
-            v1, _ = frac_laplacian_length(d, eps, np.array([1.0] + [0.0] * (d - 1)))
-            v2, _ = frac_laplacian_length(d, eps, np.array([2.0] + [0.0] * (d - 1)))
+            v1 = frac_laplacian_length(d, eps, np.array([1.0] + [0.0] * (d - 1)))
+            v2 = frac_laplacian_length(d, eps, np.array([2.0] + [0.0] * (d - 1)))
             assert v2 / v1 == pytest.approx(2.0 ** (2 * eps), rel=1e-14)
             assert v1 == pytest.approx(psi_direct_quadrature(d, eps, 1.0), rel=1e-6)
             assert v2 == pytest.approx(psi_direct_quadrature(d, eps, 2.0), rel=1e-6)
@@ -135,32 +132,34 @@ def annulus_bump(lam, d):
         r = np.linalg.norm(x, axis=-1) if d > 1 else np.abs(x[..., 0])
         return _smooth_bump(2.0 * (lam * r - 1.5))
 
-    return EuclideanSymbol(d, ev, support_radius=2.0 / lam, inner_radius=1.0 / lam)
+    return EuclideanSymbol(d, ev, inner_radius=1.0 / lam)
 
 
 class TestSobolevNorms:
     def test_zero_symbol(self):
-        grid = GridSpec(1, box_halfwidth=8.0, box_points=1024)
+        grid = GridSpec(box_halfwidth=8.0, box_points=1024)
         zero = EuclideanSymbol(1, lambda x: np.zeros(x.shape[:-1]), inner_radius=1.0)
         assert sobolev_norm_w(zero, 0.3, grid) == 0.0
 
     def test_w_dilation_invariance(self):
-        grid = GridSpec(1, box_halfwidth=12.0, box_points=1 << 15)
-        base = sobolev_norm_w(annulus_bump(1.0, 1), 0.3, grid)
-        for lam in (0.25, 0.5, 2.0, 4.0):
-            val = sobolev_norm_w(annulus_bump(lam, 1), 0.3, grid)
-            assert val == pytest.approx(base, rel=0.02)
+        # one grid serves any dimension: the box takes its d from the symbol
+        for d, points, lams in [(1, 1 << 15, (0.25, 0.5, 2.0, 4.0)), (2, 512, (0.5, 2.0))]:
+            grid = GridSpec(box_halfwidth=12.0, box_points=points)
+            base = sobolev_norm_w(annulus_bump(1.0, d), 0.3, grid)
+            for lam in lams:
+                val = sobolev_norm_w(annulus_bump(lam, d), 0.3, grid)
+                assert val == pytest.approx(base, rel=0.02)
 
     def test_w_vs_h_comparison_constant(self):
         # |phi_0^2 M|_W <= C |phi_0^2 M|_{H_{d/2+eps}}; report the measured C
         eps, half, n = 0.3, 12.0, 1 << 14
-        grid = GridSpec(1, box_halfwidth=half, box_points=n)
+        grid = GridSpec(box_halfwidth=half, box_points=n)
 
         def sym(x):
             r = np.abs(x[..., 0])
-            return lp_partition_value(PARTITION, 0, x) ** 2 * np.cos(r)
+            return lp_partition_value(0, x) ** 2 * np.cos(r)
 
-        m = EuclideanSymbol(1, sym, support_radius=2.0, inner_radius=0.5)
+        m = EuclideanSymbol(1, sym, inner_radius=0.5)
         w = sobolev_norm_w(m, eps, grid)
         # classical |(1 + |xi|^2)^{alpha/2} M^|_2 on the same box, alpha = 1/2 + eps
         x = -half + (2.0 * half / n) * np.arange(n)
@@ -171,13 +170,13 @@ class TestSobolevNorms:
         assert w <= 10.0 * h  # measured constant is ~1; generous ceiling
 
     def test_support_at_origin_rejected(self):
-        grid = GridSpec(1, box_halfwidth=8.0, box_points=4096)
+        grid = GridSpec(box_halfwidth=8.0, box_points=4096)
         gauss = EuclideanSymbol(1, lambda x: np.exp(-np.sum(x * x, axis=-1)))
         with pytest.raises(DomainError):
             sobolev_norm_w(gauss, 0.3, grid)
 
     def test_leakage_detected(self):
-        grid = GridSpec(1, box_halfwidth=2.0, box_points=1024)
+        grid = GridSpec(box_halfwidth=2.0, box_points=1024)
         wide = EuclideanSymbol(1, lambda x: np.exp(-np.abs(x[..., 0]) / 50.0), inner_radius=1.0)
         with pytest.raises(AccuracyError):
             sobolev_norm_w(wide, 0.3, grid)
@@ -223,12 +222,12 @@ class TestLocalInversion:
 
 def test_partition_sum_method_and_grid_validation():
     # squared partition values summed over the dyadic window j = -40..40
-    total = sum(lp_partition_value(PARTITION, j, np.array([0.7, -0.2])) ** 2
+    total = sum(lp_partition_value(j, np.array([0.7, -0.2])) ** 2
                 for j in range(-40, 41))
     assert total == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
-        GridSpec(1, box_points=7)
+        GridSpec(box_points=7)
     for half in (0.0, -1.0):
         with pytest.raises(DomainError,
                            match=rf"^box_halfwidth must lie in \(0.0, inf\], got {half}$"):
-            GridSpec(1, box_halfwidth=half)
+            GridSpec(box_halfwidth=half)

@@ -1,10 +1,10 @@
 """The CLI path imports no module of the package after `import mcert.cli`,
 never scipy or numpy.ma, every module imports with scipy blocked, the Schur layer loads
 no package module but `errors`, one process can run `main` many times, no record is
-given its verdict, the CLI front end imports no numpy, and every defaulted parameter of the
-public API is set, and every exported name loaded, by the package, an acceptance line, a command
-row or the benchmark, and the package fits a slope, checks a shape, checks an interval and
-spells a bracket in one place each."""
+given its verdict, the CLI front end imports no numpy, every defaulted parameter of a module
+function or an exported class's public method is set to another value, and every exported name
+loaded, by the package, an acceptance line, a command row or the benchmark, and the package fits
+a slope, checks a shape, checks an interval and spells a bracket in one place each."""
 
 import ast
 import json
@@ -300,29 +300,27 @@ def test_the_bracket_guard_passes_bracket_and_fails_another_spelling():
 
 
 def defaulted_parameters(tree):
-    """(name, index, parameter) per defaulted parameter of each function in ``__all__`` and each
-    public method of a class in it; index counts the positional parameters after self or cls,
-    and is None for a keyword-only one."""
+    """(name, index, parameter, default) per defaulted parameter of each module-level function
+    and each public method of a class in ``__all__``; index counts the positional parameters
+    after self or cls, and is None for a keyword-only one."""
     exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                 for elt in node.value.elts}
-    functions = []
+    functions = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in exported:
-            functions.append((node, 0))
-        elif isinstance(node, ast.ClassDef) and node.name in exported:
-            functions += [(item, 1) for item in node.body if isinstance(item, ast.FunctionDef)
-                          and not item.name.startswith("_")
-                          and "staticmethod" not in {getattr(d, "id", None)
-                                                     for d in item.decorator_list}]
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            functions += [(item, "staticmethod" not in {getattr(d, "id", None)
+                                                        for d in item.decorator_list})
+                          for item in node.body if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
     for fn, bound in functions:
         args = fn.args.posonlyargs + fn.args.args
         first = len(args) - len(fn.args.defaults)
-        for i, arg in enumerate(args[first:], first):
-            yield fn.name, i - bound, arg.arg
+        for i, (arg, default) in enumerate(zip(args[first:], fn.args.defaults), first):
+            yield fn.name, i - bound, arg.arg, default
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                yield fn.name, None, arg.arg
+                yield fn.name, None, arg.arg, default
 
 
 def caller_paths():
@@ -334,29 +332,65 @@ def caller_paths():
             root / "tests" / "commands.py", *sorted((root / "perfbench").rglob("*.py"))]
 
 
-def test_every_defaulted_parameter_has_a_caller():
-    # a default that no pipeline, acceptance line, command row or benchmark job sets is a
-    # knob only a unit test turns: it goes, and its value becomes the code's
-    package = Path(mcert.__file__).resolve().parent
+def literal(node):
+    """The repr of the value a literal node spells, or None for any other expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def unset_parameters(modules, callers):
+    """``module.function(parameter)`` per defaulted parameter of :func:`defaulted_parameters`
+    in each module of ``modules``, a dict of parsed modules by name, to which no call in
+    ``callers``, by the function's name, passes a value other than its default: a literal
+    equal to the default is none, and an expression, ``*args`` or ``**kwargs`` is one."""
     calls = {}
-    for path in caller_paths():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in callers:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
 
-    def passed(call, index, parameter):
-        if any(kw.arg in (parameter, None) for kw in call.keywords):  # None: **kwargs
+    def sets(call, index, parameter, default):
+        if any(kw.arg is None for kw in call.keywords) or any(
+                isinstance(a, ast.Starred) for a in call.args):
             return True
-        positional = call.args
-        return index is not None and (len(positional) > index or any(
-            isinstance(a, ast.Starred) for a in positional))
+        given = [kw.value for kw in call.keywords if kw.arg == parameter]
+        if index is not None and len(call.args) > index:
+            given.append(call.args[index])
+        return any(literal(value) is None or literal(value) != literal(default)
+                   for value in given)
 
-    unset = [f"{path.stem}.{name}({parameter})" for path in sorted(package.glob("*.py"))
-             for name, index, parameter in defaulted_parameters(
-                 ast.parse(path.read_text(encoding="utf-8")))
-             if not any(passed(call, index, parameter) for call in calls.get(name, []))]
-    assert unset == []
+    return [f"{module}.{name}({parameter})" for module, tree in modules.items()
+            for name, index, parameter, default in defaulted_parameters(tree)
+            if not any(sets(call, index, parameter, default) for call in calls.get(name, []))]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no pipeline, acceptance line, command row or benchmark job sets to
+    # another value is a knob only a unit test turns: it goes, and its value becomes the code's
+    package = Path(mcert.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in caller_paths()}
+    modules = {path.stem: tree for path, tree in trees.items() if path.parent == package}
+    assert unset_parameters(modules, trees.values()) == []
+
+
+def test_the_default_guard_passes_another_value_and_fails_the_default():
+    module = ("__all__ = ['f', 'Frame']\n"
+              "def f(x, tol=1e-6, *, nodes=360):\n    pass\n"
+              "def _g(k, name='k'):\n    pass\n"
+              "class Frame:\n    def at(self, r=1.0):\n        pass\n"
+              "    @staticmethod\n    def of(s=2.0):\n        pass\n"
+              "class Hidden:\n    def put(self, t=3.0):\n        pass\n")
+    defaults = "f(1, 1e-06, nodes=360)\n_g(1, name='k')\nFrame().at(1.0)\nFrame.of(s=2.0)\n"
+    others = "f(1, tol, nodes=2 * 180)\n_g(1, 'k_max')\nFrame().at(0.5)\nFrame.of(*ss)\n"
+    unpacked = "f(1, **options)\n"
+    tree = {"m": ast.parse(module)}
+    assert unset_parameters(tree, [ast.parse(defaults)]) == [
+        "m.f(tol)", "m.f(nodes)", "m._g(name)", "m.at(r)", "m.of(s)"]
+    assert unset_parameters(tree, [ast.parse(defaults), ast.parse(others)]) == []
+    assert unset_parameters(tree, [ast.parse(unpacked)]) == ["m._g(name)", "m.at(r)", "m.of(s)"]
 
 
 def exported_definitions(tree):

@@ -1248,6 +1248,16 @@ class TestRigidityWitness:
         limit = {r.name: r for r in records}["limit-existence"]
         assert limit.details["phi_inf"] == float(prof(np.array([x_end]))[0])
 
+    @pytest.mark.parametrize("center", [1e308, 4.5e306])
+    def test_a_grid_end_past_the_float_range_is_a_range_error(self, center):
+        # at 1e308 X itself is inf, and at 4.5e306 the 4 X at which phi_inf is read
+        prof = SymbolFamily.parse(f"hm-bump:center={center!r}").build_profile()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError) as exc:
+                profile_rigidity_records(prof, 3, 10.0)
+        assert str(exc.value).startswith(f"the profile scale {prof.scale!r} puts")
+
     def test_opnorm_mode(self):
         prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         res = rigidity_witness(prof, 3, 10.0, mode="opnorm", sections=2, seed=0)
