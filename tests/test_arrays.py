@@ -141,6 +141,8 @@ CASES = [
      lambda v: eu.frac_laplacian_constant(1, v), ("()", np.ones(2))),
     ("lp_partition_value", "xi", float, False, [0.6, 0.8],
      lambda v: eu.lp_partition_value(0, v), ()),
+    ("sigma_partition_value", "xi", float, False, [0.6, 0.8],
+     lambda v: eu.sigma_partition_value(1, 0, v), ()),
     ("local_inversion", "a", float, False, np.eye(2), eu.local_inversion,
      ("(n, n)", np.ones((2, 3)), np.ones(2))),
     ("sobolev_norm_w", "m(x)", complex, False, np.zeros(8),

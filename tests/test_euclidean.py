@@ -99,6 +99,16 @@ class TestFractionalLength:
         want = frac_laplacian_constant_mp(d, eps)
         assert abs(frac_laplacian_constant(d, eps) / want - 1) <= 1e-13
 
+    @pytest.mark.parametrize("d, eps", [(1, 0.3), (2, 0.5), (3, 0.25)])
+    def test_the_value_alone_is_the_constant_times_the_power(self, d, eps):
+        # one value per row of xi, no constant beside it: that is frac_laplacian_constant's
+        xi = np.random.default_rng(d).normal(size=(4, d))
+        got = frac_laplacian_length(d, eps, xi)
+        assert got.shape == (4,)
+        want = frac_laplacian_constant(d, eps) * np.linalg.norm(xi, axis=-1) ** (2.0 * eps)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert frac_laplacian_length(d, eps, xi[0]) == pytest.approx(want[0], rel=1e-15)
+
     def test_zero_at_origin(self):
         val = frac_laplacian_length(2, 0.4, np.zeros(2))
         assert val == 0.0
@@ -142,13 +152,19 @@ class TestSobolevNorms:
         assert sobolev_norm_w(zero, 0.3, grid) == 0.0
 
     def test_w_dilation_invariance(self):
-        # one grid serves any dimension: the box takes its d from the symbol
-        for d, points, lams in [(1, 1 << 15, (0.25, 0.5, 2.0, 4.0)), (2, 512, (0.5, 2.0))]:
-            grid = GridSpec(box_halfwidth=12.0, box_points=points)
-            base = sobolev_norm_w(annulus_bump(1.0, d), 0.3, grid)
-            for lam in lams:
-                val = sobolev_norm_w(annulus_bump(lam, d), 0.3, grid)
-                assert val == pytest.approx(base, rel=0.02)
+        grid = GridSpec(box_halfwidth=12.0, box_points=1 << 15)
+        base = sobolev_norm_w(annulus_bump(1.0, 1), 0.3, grid)
+        for lam in (0.25, 0.5, 2.0, 4.0):
+            val = sobolev_norm_w(annulus_bump(lam, 1), 0.3, grid)
+            assert val == pytest.approx(base, rel=0.02)
+
+    def test_one_grid_serves_a_two_dimensional_symbol(self):
+        # the box takes its d from the symbol: the d = 2 annulus keeps its norm under dilation
+        grid = GridSpec(box_halfwidth=12.0, box_points=512)
+        base = sobolev_norm_w(annulus_bump(1.0, 2), 0.3, grid)
+        for lam in (0.5, 2.0):
+            val = sobolev_norm_w(annulus_bump(lam, 2), 0.3, grid)
+            assert val == pytest.approx(base, rel=0.02)
 
     def test_w_vs_h_comparison_constant(self):
         # |phi_0^2 M|_W <= C |phi_0^2 M|_{H_{d/2+eps}}; report the measured C

@@ -428,6 +428,18 @@ class TestSchattenSums:
         assert [first for first, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
         assert [stop - first for first, stop in blocks] == calls
 
+    @pytest.mark.parametrize("n, p, r, x", [(8, 5.0, 1, -0.3), (12, 6.0, 2, -0.6),
+                                            (12, 6.0, 2, 0.1)])
+    def test_the_tail_stops_at_one_millionth_of_the_norm(self, n, p, r, x, monkeypatch):
+        # the first doubling whose certified tail is at most 1e-6 of the sum ends it: the
+        # truncation one doubling shorter, ended there by an unbounded tolerance, is above
+        res = schatten_derivative_sum(n, p, r, x)
+        assert res.tail_bound <= 1e-6 * res.value
+        monkeypatch.setattr(sphere, "_TAIL_TOL", math.inf)
+        half = schatten_derivative_sum(n, p, r, x, k_start=res.k_used // 2)
+        assert half.k_used == res.k_used // 2
+        assert half.tail_bound > 1e-6 * half.value
+
     def test_interior_guard(self):
         with pytest.raises(DomainError):
             schatten_derivative_sum(5, 4.0, 0, 0.99)
@@ -495,6 +507,24 @@ class TestAveragingOperator:
             got = averaging_operator(delta, f, self.pts)
             lam = eigenvalue_table(3, delta, 9)
             assert np.abs(got - lam * f(self.pts)).max() <= 1e-4
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.9])
+    def test_each_latitude_circle_has_360_equally_spaced_nodes(self, delta):
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return y[..., 2]
+
+        averaging_operator(delta, f, self.pts)
+        (y,) = seen
+        assert y.shape == (len(self.pts), 360, 3)
+        assert np.abs(np.linalg.norm(y, axis=-1) - 1.0).max() <= 1e-14
+        heights = np.einsum("nkc,nc->nk", y, self.pts)
+        assert np.abs(heights - delta).max() <= 1e-14
+        chords = np.linalg.norm(np.diff(y, axis=1), axis=-1)
+        want = 2.0 * math.sqrt(1.0 - delta * delta) * math.sin(math.pi / 360)
+        assert np.abs(chords - want).max() <= 1e-14
 
     def test_zero_point_is_domain_error(self):
         # before the normalization, which would warn of a division by zero and average NaN
