@@ -69,8 +69,10 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
     the profile on the dyadic ladder X 2^-5..X against half the largest,
     and phi_inf is the profile at X.  Every derivative comes
     from two profile jets to order [alpha], one at the grid points and
-    one at the Hoelder offsets.  A profile that overflows on the grid
-    leaves its records INCONCLUSIVE, without numpy warnings.
+    one at the Hoelder offsets.  An envelope, a profile factor times a weight,
+    is 0 where the factor is 0, even where the weight passes the float range.
+    A profile that overflows on the grid leaves its records INCONCLUSIVE,
+    without numpy warnings.
     """
     ex = RigidityExponents.compute(n, p)
     r = int(math.floor(ex.alpha))
@@ -92,22 +94,24 @@ def profile_rigidity_records(profile: RadialProfile, n: int, p: float) -> tuple:
         details={"phi_inf": phi_inf, "dyadic_diffs": [float(v) for v in diffs]},
     ))
 
-    def envelope(name, check_id, env, **exponent):
+    def envelope(name, check_id, factor, env, **exponent):
+        env = np.where(factor == 0.0, 0.0, env)  # 0, not the NaN of 0 times an inf weight
         records.append(CheckRecord(
             name=name, check_id=check_id, kind=NECESSARY, measured=_growth(xs, env), bound=1.0,
             tolerance=_GROWTH_TOL, details={"envelope_sup": float(env.max()), **exponent}))
 
     # decay of phi - phi_inf at rate c0
-    envelope("decay-c0", "rigidity/decay-c0", np.abs(jet[0] - phi_inf) * xs ** ex.c[0], c0=ex.c[0])
+    drop = jet[0] - phi_inf
+    envelope("decay-c0", "rigidity/decay-c0", drop, np.abs(drop) * xs ** ex.c[0], c0=ex.c[0])
     for k in range(1, r + 1):  # derivative records
-        envelope(f"derivative-c{k}", f"rigidity/derivative-c{k}",
+        envelope(f"derivative-c{k}", f"rigidity/derivative-c{k}", jet[k],
                  fact[k] * np.abs(jet[k]) * (xs - 1.0) ** k * xs ** ex.c[k],
                  order=k, ck=ex.c[k])
 
     # local Hoelder quotient of the [alpha]-th derivative
     gaps = 1e-3 * xs
     step = fact[r] * (profile.jet(xs + gaps, r)[r] - jet[r])
-    envelope("hoelder-alpha", "rigidity/hoelder",
+    envelope("hoelder-alpha", "rigidity/hoelder", step,
              np.abs(step) / gaps ** (ex.alpha - r) * ((xs - 1.0) * xs ** (n / (n - 2))) ** ex.alpha,
              alpha=ex.alpha)
     return records, ex

@@ -5,7 +5,8 @@ product delta is diagonalized by spherical harmonics; its eigenvalue on
 degree k is the ultraspherical polynomial of index (n-2)/2 normalized to
 1 at the north pole, with multiplicity m_k.  This module evaluates those
 eigenvalues (by their recurrence, and by quadrature as its cross-check),
-their derivatives, truncated Schatten sums over the spectrum whose certified tails
+their derivatives, the one exact table of m_k (:func:`multiplicities`, which
+``sphere-spectrum`` writes), truncated Schatten sums over the spectrum whose certified tails
 stop at 1e-6 relative to the sum, and a direct quadrature oracle for the n = 3
 operator, which averages over each latitude circle by 360 midpoint nodes.
 """
@@ -24,7 +25,7 @@ from .report import CROSS_CHECK, VALUE, CertificationReport, CheckRecord
 __all__ = [
     "eigenvalue_table",
     "quadrature_table",
-    "multiplicity",
+    "multiplicities",
     "RigidityExponents",
     "SchattenSumResult",
     "schatten_derivative_sum",
@@ -36,7 +37,7 @@ _DEGREE_BOUND = 200_000  # the largest n + k - 3: it sizes every table and every
 _MAX_RULE = 1024  # nodes of the largest quadrature rule: numpy's rule costs O(nodes^3)
 
 
-def _check_nk(n: int, k: int, k_name: str = "k") -> None:
+def _check_nk(n: int, k: int, k_name: str) -> None:
     """n >= 3 and the degree k >= 0 (InputError, named ``k_name``), n + k - 3 within
     _DEGREE_BOUND (RangeError)."""
     check_count("n", n, 3)
@@ -199,18 +200,12 @@ def quadrature_table(n: int, x, k_cap: int) -> np.ndarray:
     return out.real
 
 
-def multiplicity(n: int, k: int) -> int:
-    """Dimension of the degree-k eigenspace, exactly in integer arithmetic:
-    C(n+k-1, k) - C(n+k-3, k-2), about min(k, n-1) multiplies each: n >= 3 and k >= 0
-    (InputError), n + k - 3 within _DEGREE_BOUND (RangeError)."""
-    _check_nk(n, k)
-    return math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
-
-
-def _multiplicities(n: int, k_max: int, k_name: str = "k_max") -> list:
-    """[:func:`multiplicity` (n, k) for k = 0..k_max], in one loop after one check (k_max
-    named ``k_name``): C(n+k-3, k-2) is C(n+k-1, k) two degrees down."""
-    _check_nk(n, k_max, k_name)
+def multiplicities(n: int, k_max: int) -> list:
+    """The dimensions m_k of the degree-k eigenspaces for k = 0..k_max, exactly in integer
+    arithmetic: C(n+k-1, k) - C(n+k-3, k-2), where C(n+k-3, k-2) is C(n+k-1, k) two degrees
+    down, in one loop by ``math.comb`` after one check: n >= 3 and k_max >= 0 (InputError),
+    n + k_max - 3 within _DEGREE_BOUND (RangeError)."""
+    _check_nk(n, k_max, "k_max")
     binomials = [math.comb(n + k - 1, k) for k in range(k_max + 1)]
     return binomials[:2] + [c - c2 for c, c2 in zip(binomials[2:], binomials)]
 
@@ -256,7 +251,7 @@ _TAIL_TOL = 1e-6  # the certified tail bound a truncation stops at, relative to 
 
 
 def _multiplicity_table(n: int, ks: np.ndarray) -> np.ndarray:
-    """:func:`multiplicity` at the float degrees ks in floats, as the finite product
+    """The multiplicities m_k at the float degrees ks in floats, as the finite product
     (n + 2k - 2) prod_{i=1}^{n-3} (k + i)/(i + 1)."""
     mult = n - 2.0 + 2.0 * ks
     for i in range(1, n - 2):
@@ -287,7 +282,7 @@ def _band_for(x: float) -> float:
 @lru_cache(maxsize=None)
 def _multiplicity_constant(n: int) -> float:
     """Measured best constant in m_k <= A (1+k)^{n-2} over k <= 400, times 2."""
-    worst = max(m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(_multiplicities(n, 400)))
+    worst = max(m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(multiplicities(n, 400)))
     return 2.0 * worst
 
 
@@ -386,7 +381,7 @@ def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> Certificati
         if label in labels:
             raise InputError(f"--x {labels[label]!r} and {x!r} share the label x={label}")
         labels[label] = x
-    mults = _multiplicities(n, k_max, "--kmax")  # checks n + k_max before the table
+    mults = multiplicities(n, k_max)  # checks n + k_max before the table
     table = eigenvalue_table(n, xs, k_max)
     columns = [f"phi(x={label})" for label in labels]
     rep.add_table("spectrum", [{"k": k, "m_k": m_k, **dict(zip(columns, row))}

@@ -142,7 +142,10 @@ class SymbolFamily:
         return cls(kind=kind.strip(), parameters=params)
 
     def build_profile(self) -> RadialProfile:
-        """Radial profile phi(x) on (1, infinity) for the rigidity checks."""
+        """Radial profile phi(x) on (1, infinity) for the rigidity checks.  ``hm-bump`` is the
+        package's one smooth bump, exp(1 - 1/(1 - t^2)) at t = (x - center) / width for
+        |t| < 1 and 0 elsewhere, at any real x: the Euclidean dilation checks take theirs
+        from this profile at center 0 and width 1."""
         p = self.parameters
         if self.kind == "radial-power":  # (shift + x)^-a
             a, shift = float(p["exponent"]), float(p["shift"])
@@ -164,7 +167,7 @@ class SymbolFamily:
         return SymbolHandle(self.build_profile())
 
 
-def _bump_jet(u: list, center: float = 0.0, width: float = 1.0) -> list:
+def _bump_jet(u: list, center: float, width: float) -> list:
     """Jet of exp(1 - 1/(1 - t^2)) on |t| < 1, and 0 elsewhere, at t = (x - center)/width
     from the jet u of x."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -175,11 +178,6 @@ def _bump_jet(u: list, center: float = 0.0, width: float = 1.0) -> list:
         e = taylor.exp([1.0 - w[0]] + [-c for c in w[1:]])
         inside &= e[0] > 0.0  # where e underflows, so do its derivatives
         return [np.where(inside, c, 0.0) for c in e]
-
-
-def _smooth_bump(t):
-    """C-infinity bump equal to 1 at t = 0, supported on |t| < 1."""
-    return _bump_jet([check_array("t", t)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,9 @@ ROWS = (
     Command(0, "rigidity --profile hm-bump --n 8 --p 10 --sections 8 --out bump8.json",
             ("bump8.json",), "the 1,024-point bump sections take well under a second on the "
             "Fourier side"),
+    Command(0, "rigidity --profile hm-bump:center=1e300 --n 8 --p 10 --out farbump.json",
+            ("farbump.json",), "a bump the grid never samples leaves every envelope 0, where "
+            "its weights pass the float range"),
     Command(2, "rigidity --profile hm-bump:center=1e308 --n 3 --p 10 --out far.json", (),
             "a profile scale whose grid end passes the float range is an input error"),
     Command(1, "sphere-spectrum --n 3 --p 4 --x 0.5 --kmax 50 --out spec.json --format csv",

@@ -23,9 +23,9 @@ from mcert.euclidean import (GridSpec, frac_laplacian_length,
                              sigma_partition_value, sobolev_norm_w)
 from mcert.geometry import GroupElement, haar_so, harish_chandra_xi, identity, weyl_ball_volume
 from mcert.schur import TruncatedSchurMultiplier, schur_norm_exact_p2, schur_norm_lower_bound
-from mcert.sphere import (averaging_operator, eigenvalue_table, multiplicity, quadrature_table,
+from mcert.sphere import (averaging_operator, eigenvalue_table, multiplicities, quadrature_table,
                           schatten_derivative_sum, sphere_grid)
-from mcert.symbols import EuclideanSymbol, _smooth_bump
+from mcert.symbols import EuclideanSymbol, SymbolFamily
 
 from test_euclidean import psi_direct_quadrature
 
@@ -59,8 +59,8 @@ def test_criterion_01_sphere_oracle():
 
 
 def test_criterion_02_multiplicities_exact():
-    assert [multiplicity(3, k) for k in range(101)] == [2 * k + 1 for k in range(101)]
-    assert [multiplicity(4, k) for k in range(101)] == [(k + 1) ** 2 for k in range(101)]
+    assert multiplicities(3, 100) == [2 * k + 1 for k in range(101)]
+    assert multiplicities(4, 100) == [(k + 1) ** 2 for k in range(101)]
     report(2, "multiplicities-exact")
 
 
@@ -178,10 +178,11 @@ def test_criterion_07_euclidean_suite():
         assert (2 * nw + 1) * val == pytest.approx(1.0, abs=1e-14)
 
     grid = GridSpec(box_halfwidth=12.0, box_points=1 << 15)
+    smooth_bump = SymbolFamily.parse("hm-bump:center=0,width=1").build_profile()
 
     def bump(lam):
         def ev(x):
-            return _smooth_bump(2.0 * (lam * np.abs(x[..., 0]) - 1.5))
+            return smooth_bump(2.0 * (lam * np.abs(x[..., 0]) - 1.5))
         return EuclideanSymbol(1, ev, inner_radius=1.0 / lam)
 
     base = sobolev_norm_w(bump(1.0), 0.3, grid)

@@ -25,7 +25,6 @@ from mcert.geometry import _median, certify_hm_report
 from mcert.report import decide_verdict, input_digest
 from mcert.rigidity import rigidity_report, rigidity_witness
 from mcert.schur import circulant_lower_bound, schur_norm_lower_bound
-from mcert.sphere import multiplicity
 from mcert.symbols import SymbolFamily
 
 from matrix_csv import write_matrix_csv
@@ -292,9 +291,12 @@ class TestRigidity:
         assert all(0.0 < row["lower_bound"] <= row["upper_bound"] < math.inf for row in rows)
 
     @pytest.mark.parametrize("spec, n", [("hm-bump:center=5000,width=1000", "3"),
-                                         ("hm-bump:center=9000,width=2000", "8")])
+                                         ("hm-bump:center=9000,width=2000", "8"),
+                                         ("hm-bump:center=1e100", "3"),
+                                         ("hm-bump:center=1e300", "8")])
     def test_bump_far_out_passes(self, spec, n, tmp_path):
-        # the grid ends a decade past the bump, so phi_inf is 0, not a sample inside it
+        # the grid ends a decade past the bump, so phi_inf is 0, not a sample inside it; a
+        # bump the grid never samples leaves every envelope 0, though its weights overflow
         out = tmp_path / "far.json"
         assert main(["rigidity", "--profile", spec, "--n", n, "--p", "10",
                      "--out", str(out)]) == 0
@@ -575,7 +577,7 @@ class TestSphereSpectrum:
         assert proc.returncode == 0, proc.stderr
         rows = load_report(out)["tables"]["spectrum"]
         assert len(rows) == 20001
-        assert rows[-1]["m_k"] == multiplicity(8, 20000)
+        assert rows[-1]["m_k"] == math.comb(20007, 20000) - math.comb(20005, 19998)
 
     @pytest.mark.parametrize("xs", [["0.1234567", "0.1234568"], ["0.5", "0.3", "0.5"]])
     def test_x_values_sharing_a_label_are_input_error(self, xs, tmp_path, capsys):
@@ -590,6 +592,19 @@ class TestSphereSpectrum:
 
 
 class TestSchurBound:
+    def test_a_failed_svd_is_an_accuracy_error(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError becomes the package's NumericError, which exits 3
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.arange(16.0).reshape(4, 4), path)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        out = tmp_path / "sb.json"
+        assert main(["schur-bound", "--points", str(path), "--p", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "accuracy error: SVD failed: SVD did not converge\n"
+        assert not out.exists()
+
     def test_all_ones_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix_csv(np.ones((6, 6)), path)

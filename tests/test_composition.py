@@ -180,6 +180,10 @@ class TestCompositionBound:
         for k in (1, 3, 5):
             assert composition_derivative_bound(1.0, [1.0] * k, k) == bell_coefficient_mass(k)
 
+    def test_fewer_sups_than_the_order_are_input_error(self):
+        with pytest.raises(InputError, match=r"^need sups of orders 1\.\.3$"):
+            composition_derivative_bound(1.0, [1.0, 1.0], 3)
+
     def test_never_violated_on_polynomials(self):
         rng = np.random.default_rng(3)
         for _ in range(60):

@@ -76,8 +76,8 @@ CASES = [
     ("eigenvalue_table", "k_cap", lambda v: sp.eigenvalue_table(3, 0.5, v)),
     ("quadrature_table", "n", lambda v: sp.quadrature_table(v, 0.5, 4)),
     ("quadrature_table", "k_cap", lambda v: sp.quadrature_table(3, 0.5, v)),
-    ("multiplicity", "n", lambda v: sp.multiplicity(v, 2)),
-    ("multiplicity", "k", lambda v: sp.multiplicity(3, v)),
+    ("multiplicities", "n", lambda v: sp.multiplicities(v, 2)),
+    ("multiplicities", "k_max", lambda v: sp.multiplicities(3, v)),
     ("RigidityExponents.compute", "n", lambda v: sp.RigidityExponents.compute(v, 10.0)),
     ("schatten_derivative_sum", "n", lambda v: sp.schatten_derivative_sum(v, 8.0, 0, 0.3)),
     ("schatten_derivative_sum", "r", lambda v: sp.schatten_derivative_sum(5, 8.0, v, 0.3)),
@@ -197,7 +197,7 @@ def test_a_count_past_its_memory_cap_is_refused_before_any_array(name, call, mes
 
 @pytest.mark.parametrize("k_cap", [200_001, 10 ** 9])
 def test_a_table_past_the_degree_bound_is_refused_before_any_array(k_cap, monkeypatch):
-    # eigenvalue_table meets the degree rule of multiplicity and --kmax, n + k - 3 within
+    # eigenvalue_table meets the degree rule of multiplicities and --kmax, n + k - 3 within
     # the degree bound, before x becomes an array: 10^9 degrees would ask for 8 GB
     def no_array(*args, **kwargs):
         raise AssertionError("eigenvalue_table built an array before its degree rule")

@@ -9,7 +9,7 @@ from mcert.errors import AccuracyError, DomainError, InputError
 from mcert.euclidean import (GridSpec, frac_laplacian_constant,
                              frac_laplacian_length, local_inversion, lp_partition_value,
                              sigma_partition_value, sobolev_norm_w)
-from mcert.symbols import EuclideanSymbol, _smooth_bump
+from mcert.symbols import EuclideanSymbol, SymbolFamily
 
 class TestPartition:
     def test_squares_telescope_to_one(self):
@@ -137,10 +137,13 @@ class TestFractionalLength:
             assert small > 0 and big / small <= 25.0, (d, small, big)
 
 
+SMOOTH_BUMP = SymbolFamily.parse("hm-bump:center=0,width=1").build_profile()
+
+
 def annulus_bump(lam, d):
     def ev(x):
         r = np.linalg.norm(x, axis=-1) if d > 1 else np.abs(x[..., 0])
-        return _smooth_bump(2.0 * (lam * r - 1.5))
+        return SMOOTH_BUMP(2.0 * (lam * r - 1.5))
 
     return EuclideanSymbol(d, ev, inner_radius=1.0 / lam)
 

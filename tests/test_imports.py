@@ -3,8 +3,9 @@ never scipy or numpy.ma, every module imports with scipy blocked, the Schur laye
 no package module but `errors`, one process can run `main` many times, no record is
 given its verdict, the CLI front end imports no numpy, every defaulted parameter of a module
 function or an exported class's public method is set to another value, and every exported name
-loaded, by the package, an acceptance line, a command row or the benchmark, and the package fits
-a slope, checks a shape, checks an interval and spells a bracket in one place each."""
+loaded, by the package, an acceptance line, a command row or the benchmark, the acceptance
+lines and the command rows read no private name of the package, and the package fits a slope,
+checks a shape, checks an interval and spells a bracket in one place each."""
 
 import ast
 import json
@@ -365,6 +366,51 @@ def unset_parameters(modules, callers):
     return [f"{module}.{name}({parameter})" for module, tree in modules.items()
             for name, index, parameter, default in defaulted_parameters(tree)
             if not any(sets(call, index, parameter, default) for call in calls.get(name, []))]
+
+
+def private_names(tree):
+    """``line: name`` per underscored name of the package that ``tree`` imports from an
+    ``mcert`` module, or reads as an attribute of a name it imported from the package; a
+    dunder such as ``__file__`` is no private name."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "mcert"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mcert":
+            bound |= {alias.asname or alias.name for alias in node.names}
+            found += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if getattr(base, "id", None) in bound:
+                found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_acceptance_and_command_rows_read_no_private_name():
+    # an acceptance criterion or a command row checks the code a pipeline runs, through the
+    # names the package exports, not a private twin of it
+    root = Path(mcert.__file__).resolve().parents[2]
+    found = [f"{path.name}:{entry}" for path in (root / "tests" / "test_acceptance.py",
+                                                 root / "tests" / "commands.py")
+             for entry in private_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_private_name_guard_fails_an_import_or_a_read_and_passes_a_dunder():
+    source = ("import mcert\nimport mcert.sphere as sp\nimport numpy as np\n"
+              "from mcert import symbols\nfrom mcert.symbols import SymbolFamily, _bump_jet\n"
+              "from numpy import _core\n"
+              "sp._check_nk(3, 4, 'k')\nmcert.sphere._DEGREE_BOUND\nsymbols._MAX_SIDE\n"
+              "SymbolFamily._private\nmcert.__file__\nnp._x\nSymbolFamily.parse('hm-bump')\n")
+    assert private_names(ast.parse(source)) == [
+        "5: _bump_jet", "7: _check_nk", "8: _DEGREE_BOUND", "9: _MAX_SIDE", "10: _private"]
 
 
 def test_every_defaulted_parameter_has_a_caller():

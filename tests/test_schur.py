@@ -1181,6 +1181,11 @@ class TestRigidityWitness:
             tracemalloc.stop()
         assert peak < 1 << 20  # a dense 1,024-point section alone is 16 MB
 
+    def test_an_unknown_mode_is_input_error(self):
+        prof = SymbolFamily.parse("radial-power:exponent=5").build_profile()
+        with pytest.raises(InputError, match="^mode must be 'hs' or 'opnorm'$"):
+            rigidity_witness(prof, 3, 10.0, mode="x")
+
     def test_smooth_bump_consistent(self):
         bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
         res = rigidity_witness(bump, 5, 10.0, seed=0)
@@ -1200,13 +1205,16 @@ class TestRigidityWitness:
 
     def test_overflowing_envelope_is_inconclusive(self):
         # at n = 80, p = 100 the order-[alpha] Hoelder weights ((x - 1) x^(n/(n-2)))^alpha
-        # overflow at x = 1e4, and the bump's zero times inf is NaN: no evidence either way
+        # overflow at x = 1e4: a nonzero step times inf is no evidence either way, while
+        # the bump's step there is 0, and so is its envelope
+        power = SymbolFamily.parse("radial-power:exponent=5").build_profile()
         bump = SymbolFamily.parse("hm-bump:center=1.5,width=0.4").build_profile()
         with np.errstate(all="ignore"):
+            hoelder = {r.name: r for r in profile_rigidity_records(power, 80, 100.0)[0]}[
+                "hoelder-alpha"]
             records, _ = profile_rigidity_records(bump, 80, 100.0)
-        verdicts = {r.name: r.verdict for r in records}
-        assert verdicts["hoelder-alpha"] == "INCONCLUSIVE"
-        assert "FAIL" not in verdicts.values()
+        assert hoelder.verdict == "INCONCLUSIVE" and math.isnan(hoelder.measured)
+        assert {r.verdict for r in records} == {"PASS"}
 
     def test_inf_before_the_outer_decade_is_inconclusive(self):
         # a profile that is inf below x = 2 only: its decay envelope's sup before the outer

@@ -13,9 +13,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mcert import sphere
 from mcert.errors import DomainError, InputError, RangeError
 from mcert.sphere import (_BLOCK, _CHUNK, _K_MAX, RigidityExponents, _derivative_chunks,
-                          _derivative_table, _eigenvalue_chunks, _gauss_legendre, _multiplicities,
+                          _derivative_table, _eigenvalue_chunks, _gauss_legendre,
                           _multiplicity_constant, _multiplicity_table, _recurrence_blocks,
-                          averaging_operator, eigenvalue_table, multiplicity,
+                          averaging_operator, eigenvalue_table, multiplicities,
                           quadrature_table, schatten_derivative_sum, spectrum_report,
                           sphere_grid)
 
@@ -196,7 +196,7 @@ class TestRecurrenceEngine:
     def test_multiplicity_table_equals_exact(self, n):
         k_cap = DOUBLINGS[-1]
         table = _multiplicity_table(n, np.arange(k_cap + 1.0))
-        want = np.array([float(multiplicity(n, k)) for k in range(k_cap + 1)])
+        want = np.array([float(m_k) for m_k in multiplicities(n, k_cap)])
         assert np.all(np.abs(table - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("m", [64, 66, 108, 120, 180, 200])
@@ -325,30 +325,28 @@ class TestDerivatives:
 class TestMultiplicity:
     def test_degree_zero(self):
         for n in range(3, 9):
-            assert multiplicity(n, 0) == 1
+            assert multiplicities(n, 0) == [1]
 
     def test_n3_odd_law(self):
-        assert [multiplicity(3, k) for k in range(101)] == [2 * k + 1 for k in range(101)]
+        assert multiplicities(3, 100) == [2 * k + 1 for k in range(101)]
 
     def test_n4_square_law(self):
-        assert [multiplicity(4, k) for k in range(101)] == [(k + 1) ** 2 for k in range(101)]
+        assert multiplicities(4, 100) == [(k + 1) ** 2 for k in range(101)]
 
     def test_range_guard(self):
-        assert multiplicity(3, 200_000) == 400_001
+        assert multiplicities(3, 200_000)[-1] == 400_001
         with pytest.raises(RangeError):
-            multiplicity(3, 200_001)
+            multiplicities(3, 200_001)
         with pytest.raises(RangeError):
-            multiplicity(3, 10 ** 6)
+            multiplicities(3, 10 ** 6)
 
     def test_one_pass_equals_each_degree(self):
-        for n in range(3, 17):
-            each = [multiplicity(n, k) for k in range(401)]
-            assert _multiplicities(n, 400) == each
+        for n in range(3, 17):  # C(n+k-1, k) - C(n+k-3, k-2), each degree on its own
+            each = [math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
+                    for k in range(401)]
+            assert multiplicities(n, 400) == each
             assert _multiplicity_constant(n) == 2.0 * max(
                 m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(each))
-        assert _multiplicities(3, 0) == [1]
-        with pytest.raises(RangeError):
-            _multiplicities(3, 200_001)
 
     @pytest.mark.parametrize("n", [3, 4, 8, 17])
     def test_equals_factorial_formula(self, n):
@@ -358,7 +356,7 @@ class TestMultiplicity:
             assert rem == 0
             return q
 
-        assert [multiplicity(n, k) for k in range(401)] == [factorial_form(k) for k in range(401)]
+        assert multiplicities(n, 400) == [factorial_form(k) for k in range(401)]
 
 
 class TestSchattenSums:
@@ -376,7 +374,8 @@ class TestSchattenSums:
         # the certified sum is the truncated sum over degrees 0..k_used
         res = schatten_derivative_sum(5, 4.0, 0, 0.3)
         table = eigenvalue_table(5, 0.3, res.k_used).tolist()
-        direct = sum(multiplicity(5, k) * abs(v) ** 4 for k, v in enumerate(table)) ** 0.25
+        direct = sum(m_k * abs(v) ** 4
+                     for m_k, v in zip(multiplicities(5, res.k_used), table)) ** 0.25
         assert res.value == pytest.approx(direct, rel=1e-12)
 
     def test_doublings_sum_the_one_shot_terms(self):

@@ -26,6 +26,10 @@ class TestFamilies:
         assert fam.kind == "radial-power"
         assert fam.parameters["exponent"] == 5.0
 
+    def test_an_empty_item_is_skipped(self):
+        fam = SymbolFamily.parse("radial-power:exponent=5,,shift=2")
+        assert fam.parameters == {"exponent": 5.0, "shift": 2.0}
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             SymbolFamily.parse("wavelet:scale=2")
