@@ -32,7 +32,8 @@ def cmd_schur_bound(matrix, p: float, seed: int, iterations: int) -> Certificati
     matrix: its lower bound and its certified upper bound, the Frobenius bound or,
     for a square matrix, the smaller of it and the circulant bound, interpolated;
     at p = inf, a Haagerup factorization certificate when one closes.  Both ends
-    come with the relative gap upper / lower - 1 and the certificate steps.
+    come with the relative gap upper / lower - 1, the certificate's relative rounding
+    allowance (0 for the a priori bounds) and the certificate steps.
 
     The lower bound is cross-checked against the upper bound, within a 1e-8
     relative tolerance that covers the rounding of the optimizer's ratio.
@@ -44,7 +45,7 @@ def cmd_schur_bound(matrix, p: float, seed: int, iterations: int) -> Certificati
     m = TruncatedSchurMultiplier(matrix)
     res = schur_norm_lower_bound(m, p, seed=seed, iterations=iterations)
     bracket = {**res.bracket.fields(), "relative_gap": res.bracket.relative_gap,
-               "certificate_steps": res.certificate_steps}
+               "allowance": res.bracket.allowance, "certificate_steps": res.certificate_steps}
     rep.add(CheckRecord(
         name="lower-bound", check_id="schur/lower-bound", kind=CROSS_CHECK,
         measured=res.bracket.lower, bound=res.bracket.upper, tolerance=1e-8,

@@ -196,14 +196,11 @@ class SchurUpperBound:
 
     ``value`` is the plain sum of mixed first-derivative L2 norms, and
     ``certified`` the quadratic mean of those norms times a computed
-    absolute factor, a certified bound for periodic symbols.  ``fourier_l1``
-    is the coefficient absolute sum, the sharp factorization bound for
-    band-limited symbols.
+    absolute factor, a certified bound for periodic symbols.
     """
 
     value: float
     certified: float
-    fourier_l1: float
 
 
 # The grid, its coordinates, Fourier coefficients and weights hold about 112 bytes per
@@ -234,7 +231,6 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
         raise AccuracyError("symbol evaluation produced non-finite samples")
 
     coeff = np.fft.fftn(vals) / vals.size  # Fourier coefficients on the torus
-    fourier_l1 = float(np.sum(np.abs(coeff)))
 
     sq_sum = lin_sum = 0.0  # sums over binary multi-indices of |d^rho S|_{L2}^2 and its root
     ks = np.fft.fftfreq(size, d=1.0 / size)  # integer frequencies
@@ -250,5 +246,4 @@ def schur_infty_upper_bound(s, d1: int, d2: int) -> SchurUpperBound:
 
     weight_sum = float(np.sum(1.0 / (1.0 + (2.0 * math.pi * ks) ** 2)))
     kappa = math.sqrt(np.prod([weight_sum] * d))
-    return SchurUpperBound(value=lin_sum, certified=kappa * math.sqrt(sq_sum),
-                           fourier_l1=fourier_l1)
+    return SchurUpperBound(value=lin_sum, certified=kappa * math.sqrt(sq_sum))

@@ -123,7 +123,6 @@ class WitnessResult:
     records: list
     brackets: list  # per section size, a Bracket of the largest ends over the radii
     exponents: RigidityExponents
-    iterations: int  # circulant power-method steps over all sections
     sizes: list  # the section sizes 8 * 2^i
 
 
@@ -140,7 +139,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     best input: its certified upper bound is the circulant bound
     interpolated to p, exact at p = infinity, and it stops as soon as its
     lower bound meets it.  ``brackets`` holds, per size, the largest lower
-    and upper ends over the radii, and ``iterations`` the power-method steps.
+    and upper ends over the radii.
     Classification: CONSISTENT when every inequality record passes and
     the section bounds plateau; VIOLATED when an inequality fails or the
     bounds keep growing; INCONCLUSIVE otherwise.  Fewer than two sections, which the
@@ -155,7 +154,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
     records, ex = profile_rigidity_records(profile, n, p)
 
     frames = [CompositionFrame.create(n, r) for r in (0.75, 1.5)]
-    brackets, iterations = [], 0
+    brackets = []
     best = [None] * len(frames)  # per frame: the best first column at the previous size
     for n_points in sizes:
         delta = np.cos(2.0 * math.pi * np.arange(n_points) / n_points)
@@ -168,7 +167,6 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
                 raise AccuracyError(f"the profile overflows on the {n_points}-point section")
             results.append(circulant_lower_bound(c, p, seed=seed, warm=best[i]))
             best[i] = results[-1].best_column
-            iterations += results[-1].iterations
         brackets.append(Bracket(max(res.bracket.lower for res in results),
                                 max(res.bracket.upper for res in results)))
 
@@ -194,7 +192,7 @@ def rigidity_witness(profile: RadialProfile, n: int, p: float, sections: int = 4
 
     classification = {PASS: CONSISTENT, FAIL: VIOLATED}.get(worst_verdict(records), INCONCLUSIVE)
     return WitnessResult(classification=classification, records=records, brackets=brackets,
-                         exponents=ex, iterations=iterations, sizes=sizes)
+                         exponents=ex, sizes=sizes)
 
 
 def rigidity_report(profile: RadialProfile, n: int, p: float, sections: int = 0,

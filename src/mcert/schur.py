@@ -204,7 +204,9 @@ def _dual_step(x: np.ndarray, p: float, warm=None):
 @dataclass(frozen=True)
 class Bracket:
     """[lower, upper] on a multiplier norm; ``allowance`` is the relative rounding allowance
-    of an ``upper`` read off a factorization over its value (0 for the a priori bounds)."""
+    of an ``upper`` read off a factorization over its value (0 for the a priori bounds), so a
+    bracket a certificate closed has ``relative_gap`` <= allowance + 1.01 * _STALL_RTOL.
+    ``schur-bound`` reports it beside ``relative_gap``; :meth:`fields` writes the ends alone."""
 
     lower: float
     upper: float
@@ -230,19 +232,16 @@ class SchurLowerBound:
     ``best_start`` indexes the starts from 1 (the conjugate phase, then the random
     starts, then caller-provided starts; 0 is left to the peak matrix unit, which
     certifies the sup-entry floor and never runs) and ``best_iteration`` counts from
-    1, certificate steps included; -1 and 0 mean that floor was never beaten.
-    ``bracket_closed`` is set when the search stopped because the lower end reached
-    ``upper / (1 + _STALL_RTOL)`` or, when a factorization certificate set ``upper``,
-    its factorization value / (1 + _STALL_RTOL); together with ``best_start == -1`` it
-    means no start ran at all.  ``certificate_steps`` counts the p = infinity steps taken
-    past the end of a start.
+    1, certificate steps included; -1 and 0 mean that floor was never beaten.  The search
+    stopped on a closed bracket when ``relative_gap`` <= ``allowance`` + 1.01 * _STALL_RTOL
+    (:class:`Bracket`).  ``certificate_steps`` counts the p = infinity steps taken past the
+    end of a start.
     """
 
     bracket: Bracket
     best_input: np.ndarray = field(repr=False)
     best_start: int = -1
     best_iteration: int = 0
-    bracket_closed: bool = False
     certificate_steps: int = 0
 
 
@@ -315,13 +314,12 @@ def schur_norm_lower_bound(m, p: float, iterations: int = _ITERATIONS, seed: int
     sup, where = m.peak
     best = (sup, None, -1, 0)  # the matrix unit E_ij certifies the sup entry (made if returned)
 
-    def result():  # the fields in order: bracket, best input, start, iteration, closed
+    def result():  # the fields in order: bracket, best input, start, iteration, steps
         value, best_a, start, iteration = best
         if best_a is None:
             best_a = np.zeros_like(m.symbol)
             best_a[where] = 1.0
-        return SchurLowerBound(Bracket(value, upper, allowance), best_a, start, iteration,
-                               value >= target, steps)
+        return SchurLowerBound(Bracket(value, upper, allowance), best_a, start, iteration, steps)
 
     if best[0] >= target or iterations == 0:
         return result()
@@ -775,14 +773,11 @@ def schur_norm_exact_p2(m) -> float:
 class CirculantLowerBound:
     """The :class:`Bracket` on the S_p multiplier norm of the circulant symbol
     C_ij = c[(i - j) mod N]; its lower end is the ratio reached by the circulant input
-    with first column ``best_column``.  ``iterations`` counts the power-method
-    steps, summed over the starts; ``bracket_closed`` is set when the lower end reached
-    ``upper / (1 + _STALL_RTOL)``."""
+    with first column ``best_column``; the search closed the bracket when ``relative_gap``
+    <= _STALL_RTOL, up to rounding."""
 
     bracket: Bracket
     best_column: np.ndarray = field(repr=False)
-    iterations: int
-    bracket_closed: bool
 
 
 def _norming(v: np.ndarray, r: float) -> np.ndarray:
@@ -844,7 +839,7 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
     target = upper / (1.0 + _STALL_RTOL)
     unit = np.zeros(n, dtype=complex)
     unit[peak] = 1.0
-    best, steps = (sup, unit), 0  # the shift certifies the sup entry
+    best = (sup, unit)  # the shift certifies the sup entry
     if sup < target:
         extra = []
         if warm is not None and n % len(warm) == 0:
@@ -857,7 +852,6 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
             norms = _lp_norm(b, p)
             ratios = np.ldexp(np.divide(_lp_norm(y, p), norms, out=np.zeros_like(norms),
                                         where=norms > 0.0), e)
-            steps += len(b)
             i = int(ratios.argmax())
             if ratios[i] > best[0]:
                 best = (float(ratios[i]), np.fft.ifft(b[i]))
@@ -870,4 +864,4 @@ def circulant_lower_bound(c, p: float, seed: int = 0, warm=None) -> CirculantLow
             b = _norming(np.fft.fft(np.conj(cs) * np.fft.ifft(g, axis=-1), axis=-1),
                          _dual_exponent(p))
             last = ratios[live]
-    return CirculantLowerBound(Bracket(best[0], upper), best[1], steps, best[0] >= target)
+    return CirculantLowerBound(Bracket(best[0], upper), best[1])

@@ -218,8 +218,6 @@ def multiplicities(n: int, k_max: int) -> list:
 class RigidityExponents:
     """Derived exponents for the radial rigidity inequalities."""
 
-    n: int
-    p: float
     alpha0: float
     alpha: float
     c: tuple
@@ -239,7 +237,7 @@ class RigidityExponents:
         cs.append(c0)
         for k in range(1, int(math.floor(alpha)) + 1):
             cs.append(n / math.floor((2 * k + 1) / (1.0 - 2.0 / p)))
-        return cls(n=n, p=p, alpha0=alpha0, alpha=alpha, c=tuple(cs))
+        return cls(alpha0=alpha0, alpha=alpha, c=tuple(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,7 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float,
     """Schatten p-sum of the r-th derivative spectrum with certified tail, for n >= 3,
     r >= 0, 1 <= k_start <= _K_MAX (InputError), a finite p >= 1 and |x| <= _INTERIOR
     (DomainError, all before any table), and a truncation of at most _K_MAX degrees
-    (AccuracyError); a tail constant past the float range is a RangeError.
+    (AccuracyError); a tail constant or a term past the float range is a RangeError.
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
@@ -344,18 +342,24 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float,
     chunks = _derivative_chunks(n, r, x, _K_MAX)
     terms = np.empty(0)  # m_k |d^r phi_k|^p for k < terms.size, each formed once
     k_cap = k_start
-    while True:  # grow the truncation until the tail is below _TAIL_TOL relative to the norm
-        while terms.size <= k_cap:  # pull chunks only while degree k_cap is missing
-            chunk = np.abs(next(chunks))
-            ks = np.arange(terms.size, terms.size + len(chunk), dtype=float)
-            terms = np.concatenate([terms, _multiplicity_table(n, ks) * chunk ** p])
-        total = float(np.sum(terms[:k_cap + 1]))
-        value, err = _truncated_norm(total, n, p, r, scale, k_cap)
-        if err <= _TAIL_TOL * max(value, 1e-300):
-            return SchattenSumResult(value=value, diverged=False, k_used=k_cap, tail_bound=err)
-        if 2 * k_cap > _K_MAX:
-            raise AccuracyError("tail tolerance unreachable within k_max")
-        k_cap *= 2
+    # a float m_k past the range is inf, and inf times a term 0 is NaN: both end in the sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:  # grow the truncation until the tail is below _TAIL_TOL relative to the norm
+            while terms.size <= k_cap:  # pull chunks only while degree k_cap is missing
+                chunk = np.abs(next(chunks))
+                ks = np.arange(terms.size, terms.size + len(chunk), dtype=float)
+                terms = np.concatenate([terms, _multiplicity_table(n, ks) * chunk ** p])
+            total = float(np.sum(terms[:k_cap + 1]))
+            if not math.isfinite(total):
+                raise RangeError(f"the Schatten sum to degree {k_cap} at n = {n}, p = {p:g} "
+                                 "exceeds the float range")
+            value, err = _truncated_norm(total, n, p, r, scale, k_cap)
+            if err <= _TAIL_TOL * max(value, 1e-300):
+                return SchattenSumResult(value=value, diverged=False, k_used=k_cap,
+                                         tail_bound=err)
+            if 2 * k_cap > _K_MAX:
+                raise AccuracyError("tail tolerance unreachable within k_max")
+            k_cap *= 2
 
 
 def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> CertificationReport:

@@ -95,6 +95,8 @@ ROWS = (
             "a spectrum tail bound past the float range is an input error"),
     Command(2, "sphere-spectrum --n 345 --p 4 --x 0.5 --kmax 5 --out spec345.json", (),
             "so is one at n = 345, where the tail constant's Gamma ratio alone overflows"),
+    Command(2, "sphere-spectrum --n 101 --p 3 --x 0.5 --kmax 5", (),
+            "so is a sum whose float multiplicities overflow, with no numpy warning"),
     Command(1, "sphere-spectrum --n 200 --p 1 --x 0.5 --kmax 5 --out spec200.json",
             ("spec200.json",), "the cross-check's rule grows with n and holds at n = 200, "
             "while the p = 1 sum diverges"),

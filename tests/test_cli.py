@@ -27,6 +27,7 @@ from mcert.rigidity import rigidity_report, rigidity_witness
 from mcert.schur import circulant_lower_bound, schur_norm_lower_bound
 from mcert.symbols import SymbolFamily
 
+from commands import write_fixtures
 from matrix_csv import write_matrix_csv
 
 
@@ -528,9 +529,11 @@ class TestSphereSpectrum:
         assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, p", [("102", "4"), ("3", "1e4"), ("200", "4"), ("345", "4"),
-                                      ("400", "4"), ("2000", "4")])
+                                      ("400", "4"), ("2000", "4"), ("101", "3"), ("120", "3")])
     def test_tail_bound_past_float_range_is_input_error(self, n, p, tmp_path, capsys):
-        # the tail constant A cdec^p of the certified Schatten sum overflows a float
+        # the tail constant A cdec^p of the certified Schatten sum overflows a float; at
+        # p = 3 it fits, but the float m_k of its terms overflow to inf (from degree 48,491
+        # at n = 101), and inf times a term 0 is NaN, named as a RangeError, not a warning
         out = tmp_path / "spec.json"
         rc = main_strict(["sphere-spectrum", "--n", n, "--p", p, "--x", "0.5", "--kmax", "5",
                           "--out", str(out)])
@@ -621,11 +624,33 @@ class TestSchurBound:
         assert details["upper_bound"] >= rep["tables"]["bound"][0]["lower_bound"]
         assert rep["tables"]["bound"][0]["upper_bound"] == details["upper_bound"]
         assert [r["name"] for r in rep["records"]] == ["lower-bound"]
-        # the record and the table carry both ends, the gap and the certificate steps
+        # the record and the table carry both ends, the gap, the certificate's rounding
+        # allowance and the certificate steps
         row = rep["tables"]["bound"][0]
-        for key in ("lower_bound", "upper_bound", "relative_gap", "certificate_steps"):
+        for key in ("lower_bound", "upper_bound", "relative_gap", "allowance",
+                    "certificate_steps"):
             assert details[key] == row[key]
         assert row["certificate_steps"] == 0  # p = 2 takes none
+
+    @pytest.mark.parametrize("points", ["matrix.csv", "gauss24.csv"])
+    @pytest.mark.parametrize("p", ["4", "inf"])
+    def test_the_report_carries_the_certificate_allowance(self, points, p, tmp_path):
+        # at p = inf a Haagerup certificate closes the bracket, its gap within its rounding
+        # share of the upper end and the stop tolerance; the a priori bounds at p = 4 have none
+        write_fixtures(tmp_path)
+        out = tmp_path / "sb.json"
+        assert main(["schur-bound", "--points", str(tmp_path / points), "--p", p,
+                     "--out", str(out), "--format", "csv"]) == 0
+        rep = load_report(out)
+        details, row = rep["records"][0]["details"], rep["tables"]["bound"][0]
+        for ends in (details, row):
+            if p == "inf":
+                assert 0.0 < ends["allowance"] <= 1e-10
+                assert ends["relative_gap"] <= ends["allowance"] + 1.01e-12
+            else:
+                assert ends["allowance"] == 0.0
+        header = (tmp_path / "sb_bound.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert "allowance" in header.split(",")
 
     @pytest.mark.parametrize("p", ["2", "3", "4", "inf"])
     def test_power_of_two_scaling_scales_every_number_exactly(self, p, tmp_path):
