@@ -244,7 +244,7 @@ class RigidityExponents:
 # Schatten sums over the spectrum
 
 _INTERIOR = 0.95  # |x| above this is a DomainError: the decay constants blow up at |x| = 1
-_K_MAX = 1 << 18  # the truncation a certified tail may double to
+_K_MAX = 1 << 18  # the largest truncation of a certified tail
 _TAIL_TOL = 1e-6  # the certified tail bound a truncation stops at, relative to the norm
 
 
@@ -277,11 +277,19 @@ def _band_for(x: float) -> float:
     return next(b for b in _BANDS if abs(x) <= b)
 
 
-@lru_cache(maxsize=None)
 def _multiplicity_constant(n: int) -> float:
-    """Measured best constant in m_k <= A (1+k)^{n-2} over k <= 400, times 2."""
-    worst = max(m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(multiplicities(n, 400)))
-    return 2.0 * worst
+    """The least A with m_k <= A (1+k)^{n-2} at every k >= 0, proven: 1 for n >= 4, 2 at
+    n = 3.  With m_k = (n + 2k - 2) prod_{i=1}^{n-3} (k + i)/(i + 1), the ratio is
+
+        m_k / (1+k)^{n-2} = [(n + 2k - 2)/(k + 1)] prod_{i=1}^{n-3} (k + i)/((i + 1)(k + 1)).
+
+    The first factor is 2 + (n - 4)/(k + 1), and each factor of the product is
+    (k + i)/(k + 1) = 1 + (i - 1)/(k + 1) over i + 1: none increases in k when n >= 4, so
+    the sup is the value at k = 0, (n - 2) prod_{i=1}^{n-3} i/(i + 1) = 1 = m_0.  At n = 3
+    the product is empty and (2k + 1)/(k + 1) rises to its sup 2, never reached.  The
+    constant is taken over every k >= 0, never over the k > K of a tail alone: that smaller
+    sup would shrink the tail just where the measured decay constant fails, from n = 32."""
+    return 2.0 if n == 3 else 1.0
 
 
 @dataclass(frozen=True)
@@ -296,17 +304,13 @@ def _alpha0(n: int, p: float) -> float:
     return (n - 2) / 2.0 - (n - 1) / p
 
 
-def _truncated_norm(total: float, n: int, p: float, r: int, scale: float,
-                    k_cap: int) -> tuple[float, float]:
-    """(value, err): the 1/p power of a sum of p-th-power terms over degrees
-    0..k_cap, and the analytic tail remainder past k_cap for terms bounded
-    by m_k (cdec (1+k)^{r-alpha0})^p, pushed through the concavity bound
-    for the 1/p power; ``scale`` is A cdec^p, A the multiplicity constant."""
-    power = p * (r - _alpha0(n, p))  # tail terms decay like (1+k)^{power - 1}
-    tail = scale * (1.0 + k_cap) ** power / (-power)
-    value = total ** (1.0 / p)
-    err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
-    return value, err
+def _least_truncation(scale: float, power: float, bound: float) -> int:
+    """The least degree K >= 0 whose tail scale (1+K)^power / -power is at most bound > 0,
+    for scale > 0 and power < 0, up to rounding; _K_MAX + 1 for any K past _K_MAX."""
+    log_k1 = (math.log(bound) + math.log(-power) - math.log(scale)) / power  # log(1 + K)
+    if log_k1 > math.log(_K_MAX + 1.0):
+        return _K_MAX + 1
+    return max(0, math.ceil(math.exp(log_k1)) - 1)
 
 
 def schatten_derivative_sum(n: int, p: float, r: int, x: float,
@@ -318,15 +322,31 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float,
 
     Diverges (by the spectral decay law) when r >= alpha0.
 
-    The truncation doubles from k_start until the tail bound is at most _TAIL_TOL times the
-    sum.  The doublings read one stream of :func:`_derivative_chunks`, pulling a chunk only
-    while degree k_cap is missing.  Each degree's term m_k |d^r phi_k|^p is formed once,
-    with its chunk, and each doubling sums the terms of degrees 0..k_cap with one np.sum, in
-    the order of a one-shot sum.
+    The sum S_K over degrees 0..K has the tail T_K = A cdec^p (1+K)^power / -power, with
+    power = p (r - alpha0) < 0: the terms past K are at most m_k (cdec (1+k)^{r+1-n/2})^p
+    <= A cdec^p (1+k)^{power-1}, A the proven :func:`_multiplicity_constant` and cdec the
+    measured :func:`_decay_constant`, and a decreasing f sums over k > K to at most its
+    integral from K.  The reported bound on the norm's error is T_K S_K^{1/p-1} / p, by the
+    concavity of the 1/p power, so the rule tail_bound <= _TAIL_TOL value reads
+    T_K <= p _TAIL_TOL S_K.  T_K's largest rounding is power's, about (n + p |alpha0|) 2^-53
+    from alpha0, which moves T_K by a relative (ln(1+K) + 1/-power) times that.  The integral
+    exceeds the sum it bounds by at least half the first term past K (f is convex), about a
+    relative -power / (2 (1+K)); at K <= _K_MAX that slack is the larger wherever -power >= 1
+    and n + p |alpha0| < 1e9, so it is the tail's rounding allowance and no factor is added
+    (-power >= 2 at every certified sum of the tests).
+
+    The truncation starts at k_start.  Each next one is the least degree whose T_K meets
+    the rule at the current S_K (:func:`_least_truncation`), at least one more and at most
+    twice the current one: S_K only grows with K, so that degree passes, which the loop
+    checks.  When even the certified upper end S_K + T_K of the sum would need more than
+    _K_MAX degrees, the AccuracyError comes at once.  The truncations read one stream of
+    :func:`_derivative_chunks`, pulling a chunk only while degree K is missing.  Each
+    degree's term m_k |d^r phi_k|^p is formed once, with its chunk, and each truncation
+    sums the terms of degrees 0..K with one np.sum, in the order of a one-shot sum.
     """
     check_count("n", n, 3)
     check_count("r", r, 0)
-    check_count("k_start", k_start, 1, _K_MAX)  # the truncation doubles from k_start
+    check_count("k_start", k_start, 1, _K_MAX)
     p = float(check_array("p", p, shape=(), least=1.0, below=math.inf))
     x = check_array("x", x, shape=(), least=-_INTERIOR, most=_INTERIOR)
     a0 = _alpha0(n, p)
@@ -339,6 +359,8 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float,
         scale = math.inf
     if not math.isfinite(scale):
         raise RangeError(f"the tail bound at n = {n}, p = {p:g} exceeds the float range")
+    power = p * (r - a0)  # tail terms decay like (1+k)^{power - 1}
+    rule = p * _TAIL_TOL  # a truncation K stops the sum when T_K <= rule S_K
     chunks = _derivative_chunks(n, r, x, _K_MAX)
     terms = np.empty(0)  # m_k |d^r phi_k|^p for k < terms.size, each formed once
     k_cap = k_start
@@ -353,13 +375,17 @@ def schatten_derivative_sum(n: int, p: float, r: int, x: float,
             if not math.isfinite(total):
                 raise RangeError(f"the Schatten sum to degree {k_cap} at n = {n}, p = {p:g} "
                                  "exceeds the float range")
-            value, err = _truncated_norm(total, n, p, r, scale, k_cap)
+            tail = scale * (1.0 + k_cap) ** power / -power
+            value = total ** (1.0 / p)
+            err = tail * value ** (1.0 - p) / p if total > 0 else tail ** (1.0 / p)
             if err <= _TAIL_TOL * max(value, 1e-300):
                 return SchattenSumResult(value=value, diverged=False, k_used=k_cap,
                                          tail_bound=err)
-            if 2 * k_cap > _K_MAX:
+            if k_cap == _K_MAX or (
+                    total > 0 and _least_truncation(scale, power, rule * (total + tail)) > _K_MAX):
                 raise AccuracyError("tail tolerance unreachable within k_max")
-            k_cap *= 2
+            least = _least_truncation(scale, power, rule * total) if total > 0 else 2 * k_cap
+            k_cap = min(max(least, k_cap + 1), 2 * k_cap, _K_MAX)
 
 
 def spectrum_report(n: int, p: float, r: int, x_list, k_max: int) -> CertificationReport:

@@ -12,6 +12,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import check_count
+
 MAX_ORDER = 170  # the largest order whose factorial is a float: 171! exceeds the float range
 
 
@@ -48,5 +50,7 @@ def log(u: list) -> list:
 def factorials(order: int) -> np.ndarray:
     """[0!, 1!, ..., order!] as float products, the package's one factorial, which turns a
     jet's u_k into the derivative k! u_k: inf from 171!, past the float range (a float
-    product overflows to inf without a warning)."""
+    product overflows to inf without a warning).  An order that is no integer >= 0 is an
+    InputError."""
+    check_count("order", order, 0)
     return np.array(list(accumulate(range(1, order + 1), operator.mul, initial=1.0)))

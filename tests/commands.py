@@ -40,7 +40,8 @@ NOISY = re.compile("Traceback|Warning")  # no row may print either on stderr
 
 @dataclass(frozen=True)
 class Command:
-    code: int  # 0 every record passes, 1 one fails or is inconclusive, 2 input error
+    code: int  # 0 every record passes, 1 one fails or is inconclusive, 2 input error,
+    # 3 a numeric error
     line: str  # the arguments after `mcert`
     writes: tuple  # the files it writes
     why: str
@@ -97,17 +98,20 @@ ROWS = (
             "so is one at n = 345, where the tail constant's Gamma ratio alone overflows"),
     Command(2, "sphere-spectrum --n 101 --p 3 --x 0.5 --kmax 5", (),
             "so is a sum whose float multiplicities overflow, with no numpy warning"),
+    Command(3, "sphere-spectrum --n 3 --p 6 --x 0.5 --kmax 5", (),
+            "the p = 6 sum converges, but even its certified upper end needs more than "
+            "2^18 degrees: tail tolerance unreachable, decided at k = 64"),
     Command(1, "sphere-spectrum --n 200 --p 1 --x 0.5 --kmax 5 --out spec200.json",
             ("spec200.json",), "the cross-check's rule grows with n and holds at n = 200, "
             "while the p = 1 sum diverges"),
     Command(1, "sphere-spectrum --n 3 --p 4 --x 0.5 --kmax 0 --out spec0.json", ("spec0.json",),
             "the cross-check holds at kmax = 0, while the p = 4 sum diverges"),
     Command(0, "sphere-spectrum --n 8 --p 5 --r 1 --x -0.3 0.65 --kmax 50 --out spec8r1.json",
-            ("spec8r1.json",), "the r = 1 sums converge, their tails doubled to k = 16,384 "
-            "over several recurrence calls"),
+            ("spec8r1.json",), "the r = 1 sums converge, their tails stopped at k = 11,692 "
+            "and 10,405 over several recurrence calls"),
     Command(0, "sphere-spectrum --n 12 --p 6 --r 2 --x -0.6 0.1 0.8 --kmax 1 --out spec12r2.json",
-            ("spec12r2.json",), "the r = 2 sums stop at k = 1,024, 2,048 and 1,024, across "
-            "the end of the first recurrence call, and the table stops below r"),
+            ("spec12r2.json",), "the r = 2 sums stop at k = 714, 1,480 and 854, on both "
+            "sides of the end of the first recurrence call, and the table stops below r"),
     Command(0, "schur-bound --points matrix.csv --p 4 --out bound.json", ("bound.json",),
             "the 4 x 4 bracket at finite p: the sup-entry floor below the interpolated bound",
             readme=True),

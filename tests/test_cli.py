@@ -566,12 +566,13 @@ class TestSphereSpectrum:
         assert not out.exists()
 
     def test_tail_bound_product_past_float_range_is_input_error(self, tmp_path, capsys):
-        # A and cdec^p are finite floats here, but their product is inf
+        # A = 2 and cdec^p = 2^1023.5 (cdec = 2 at n = 3 on band 0.5) are finite floats
+        # here, but their product is inf
         out = tmp_path / "spec.json"
-        rc = main_strict(["sphere-spectrum", "--n", "82", "--p", "4", "--r", "1", "--x", "0.95",
+        rc = main_strict(["sphere-spectrum", "--n", "3", "--p", "1023.5", "--x", "0.5",
                           "--kmax", "5", "--out", str(out)])
         assert rc == 2
-        assert "n = 82, p = 4 exceeds the float range" in capsys.readouterr().err
+        assert "n = 3, p = 1023.5 exceeds the float range" in capsys.readouterr().err
 
     def test_large_kmax_finishes(self, tmp_path):
         out = tmp_path / "spec.json"

@@ -101,6 +101,7 @@ CASES = [
      lambda v: sc.circulant_lower_bound(np.arange(1.0, 9.0), 4.0, seed=v)),
     ("cmd_schur_bound", "--iterations", lambda v: cmd_schur_bound(MATRIX, 4.0, 0, v)),
     ("cmd_schur_bound", "--seed", lambda v: cmd_schur_bound(MATRIX, 4.0, v, 10)),
+    ("factorials", "order", lambda v: taylor.factorials(v)),
 ]
 
 
@@ -125,6 +126,14 @@ def test_an_order_ends_where_its_factorial_leaves_the_float_range(name, call, er
     with pytest.raises(error) as exc:
         call(taylor.MAX_ORDER + 1)
     assert str(exc.value).startswith(f"{name} must be <= 170, got 171")
+
+
+def test_a_negative_order_has_no_factorials():
+    # an order below 0 is a count error, not the order-0 table [1.]
+    with pytest.raises(InputError) as exc:
+        taylor.factorials(-1)
+    assert str(exc.value) == "order must be >= 0, got -1"
+    assert taylor.factorials(0).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("call, message", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mcert import sphere
-from mcert.errors import DomainError, InputError, RangeError
+from mcert.errors import AccuracyError, DomainError, InputError, RangeError
 from mcert.sphere import (_BLOCK, _CHUNK, _K_MAX, RigidityExponents, _derivative_chunks,
                           _derivative_table, _eigenvalue_chunks, _gauss_legendre,
                           _multiplicity_constant, _multiplicity_table, _recurrence_blocks,
@@ -345,8 +345,23 @@ class TestMultiplicity:
             each = [math.comb(n + k - 1, k) - (math.comb(n + k - 3, k - 2) if k >= 2 else 0)
                     for k in range(401)]
             assert multiplicities(n, 400) == each
-            assert _multiplicity_constant(n) == 2.0 * max(
-                m_k / (1.0 + k) ** (n - 2) for k, m_k in enumerate(each))
+
+    def test_the_multiplicity_constant_is_the_least_sup(self):
+        # m_k <= A (1+k)^{n-2} in integers at every k <= 20,000, with m_k stepped exactly by
+        # m_{k+1} = m_k (n + 2k)(n + k - 2) / ((n + 2k - 2)(k + 1)): equal at k = 0 for n >= 4,
+        # and within 1e-4 of A at k = 20,000 for n = 3, so no smaller A holds
+        for n in range(3, 65):
+            a = int(_multiplicity_constant(n))
+            assert a == _multiplicity_constant(n) == (2 if n == 3 else 1)
+            m_k = 1
+            for k in range(20_001):
+                assert m_k <= a * (1 + k) ** (n - 2), (n, k)
+                if k < 20_000:
+                    m_k = m_k * (n + 2 * k) * (n + k - 2) // ((n + 2 * k - 2) * (k + 1))
+            if n in (3, 8, 64):  # the stepped m_k is the exact table's
+                assert m_k == multiplicities(n, 20_000)[-1]
+            if n == 3:
+                assert m_k > (a - 1e-4) * 20_001
 
     @pytest.mark.parametrize("n", [3, 4, 8, 17])
     def test_equals_factorial_formula(self, n):
@@ -357,6 +372,19 @@ class TestMultiplicity:
             return q
 
         assert multiplicities(n, 400) == [factorial_form(k) for k in range(401)]
+
+
+# (n, r, p) for n in {3, 4, 5, 8, 16}, r <= 2 and p in {3, 4, 5, 6, 8, 10, 12} where the sum
+# converges and stops by k = 15,000 at each x of TAIL_X.  Of the rest, eight tails are
+# unreachable, and (5, 1, 12), (8, 0, 3), (8, 2, 10) and (16, 2, 4) stop at up to 256,761
+# degrees where they are reachable, which to 16 k_used tabulates up to 4 million degrees.
+TAIL_GRID = [(3, 0, p) for p in (8.0, 10.0, 12.0)] + [
+    (n, r, p) for n, r, ps in [(4, 0, (5, 6, 8, 10, 12)), (5, 0, (4, 5, 6, 8, 10, 12)),
+                               (8, 0, (4, 5, 6, 8, 10, 12)), (8, 1, (5, 6, 8, 10, 12)),
+                               (8, 2, (12,)), (16, 0, (3, 4, 5, 6, 8, 10, 12)),
+                               (16, 1, (4, 5, 6, 8, 10, 12)), (16, 2, (5, 6, 8, 10, 12))]
+    for p in map(float, ps)]
+TAIL_X = (0.0, 0.3, 0.5, 0.65, 0.9)
 
 
 class TestSchattenSums:
@@ -379,7 +407,7 @@ class TestSchattenSums:
         assert res.value == pytest.approx(direct, rel=1e-12)
 
     def test_doublings_sum_the_one_shot_terms(self):
-        # each degree's term is formed once and every doubling sums all terms in one
+        # each degree's term is formed once and every truncation sums all terms in one
         # np.sum, so the value has the bits of the one-shot sum over degrees 0..k_used
         for n, p, r, x in [(3, 8.0, 0, 0.35), (8, 5.0, 1, -0.3), (5, 4.0, 0, 0.0)]:
             res = schatten_derivative_sum(n, p, r, x)
@@ -388,9 +416,9 @@ class TestSchattenSums:
             assert res.value == total ** (1.0 / p)
 
     def test_each_recurrence_call_holds_a_bounded_working_set(self, monkeypatch):
-        # the n = 8, r = 1 sum doubles to k = 16,384, about 1,024 blocks, whose last
-        # doubling alone spans 512; each call steps at most _CHUNK blocks at one x, and
-        # its temporaries peak well under 1 MiB
+        # the n = 8, r = 1 sum stops at k = 11,692, 731 blocks, after a last truncation
+        # that alone spans 219; each call steps at most _CHUNK blocks at one x, and its
+        # temporaries peak well under 1 MiB
         calls = []
 
         def spy(lam, x, first, stop, entry):
@@ -402,19 +430,19 @@ class TestSchattenSums:
                 tracemalloc.stop()
 
         monkeypatch.setattr(sphere, "_recurrence_blocks", spy)
-        assert schatten_derivative_sum(8, 5.0, 1, -0.3).k_used == 16_384
-        assert sum(blocks for blocks, points, _ in calls if points == 1) >= 1_024
+        assert schatten_derivative_sum(8, 5.0, 1, -0.3).k_used == 11_692
+        assert sum(blocks for blocks, points, _ in calls if points == 1) >= 731
         assert all(blocks * points <= _CHUNK for blocks, points, _ in calls)
         assert max(peak for _, _, peak in calls) < 1 << 20
 
     @pytest.mark.parametrize("n, p, r, x, k_used, calls", [
-        (8, 5.0, 1, -0.3, 16_384, [64, 64] + [128] * 7),
-        (12, 6.0, 2, -0.6, 1_024, [64]),
-        (12, 6.0, 2, 0.1, 2_048, [64, 64])])
+        (8, 5.0, 1, -0.3, 11_692, [64, 64] + [128] * 5),
+        (12, 6.0, 2, -0.6, 714, [64]),
+        (12, 6.0, 2, 0.1, 1_480, [64, 64])])
     def test_a_sum_steps_each_block_once(self, n, p, r, x, k_used, calls, monkeypatch):
-        # the doublings pull one stream: its calls step consecutive blocks, each once,
+        # the truncations pull one stream: its calls step consecutive blocks, each once,
         # on the schedule 64, 64, then 128 blocks, which ends with the block that
-        # holds k_used when the truncation doubles from 64
+        # holds k_used
         blocks = []
 
         def spy(lam, xs, first, stop, entry):
@@ -427,17 +455,47 @@ class TestSchattenSums:
         assert [first for first, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
         assert [stop - first for first, stop in blocks] == calls
 
-    @pytest.mark.parametrize("n, p, r, x", [(8, 5.0, 1, -0.3), (12, 6.0, 2, -0.6),
-                                            (12, 6.0, 2, 0.1)])
-    def test_the_tail_stops_at_one_millionth_of_the_norm(self, n, p, r, x, monkeypatch):
-        # the first doubling whose certified tail is at most 1e-6 of the sum ends it: the
-        # truncation one doubling shorter, ended there by an unbounded tolerance, is above
-        res = schatten_derivative_sum(n, p, r, x)
-        assert res.tail_bound <= 1e-6 * res.value
+    @pytest.mark.parametrize("n, r, p", TAIL_GRID)
+    def test_the_terms_past_k_used_stay_below_the_tail(self, n, r, p):
+        # summed to 16 k_used, the terms past k_used move the norm by no more than the
+        # reported tail, with no slack, and that tail is at most 1e-6 of the norm
+        for x in TAIL_X:
+            res = schatten_derivative_sum(n, p, r, x)
+            terms = (_multiplicity_table(n, np.arange(16 * res.k_used + 1.0))
+                     * np.abs(_derivative_table(n, r, np.asarray(x), 16 * res.k_used)) ** p)
+            total = float(np.sum(terms[:res.k_used + 1]))
+            rest = float(np.sum(terms[res.k_used + 1:]))
+            assert res.value == total ** (1.0 / p)
+            assert (total + rest) ** (1.0 / p) - res.value <= res.tail_bound, x
+            assert res.tail_bound <= 1e-6 * res.value
+
+    @pytest.mark.parametrize("n, r, p", TAIL_GRID)
+    def test_the_tail_rule_fails_one_degree_short(self, n, r, p, monkeypatch):
+        # k_used is the least truncation the rule admits past the one before it: one
+        # degree less, ended there by an unbounded tolerance, leaves a tail above 1e-6 of
+        # the norm, unless the sum stopped where it started
+        used = [schatten_derivative_sum(n, p, r, x).k_used for x in TAIL_X]
         monkeypatch.setattr(sphere, "_TAIL_TOL", math.inf)
-        half = schatten_derivative_sum(n, p, r, x, k_start=res.k_used // 2)
-        assert half.k_used == res.k_used // 2
-        assert half.tail_bound > 1e-6 * half.value
+        for x, k_used in zip(TAIL_X, used):
+            if k_used > 64:
+                short = schatten_derivative_sum(n, p, r, x, k_start=k_used - 1)
+                assert short.k_used == k_used - 1
+                assert short.tail_bound > 1e-6 * short.value, x
+
+    def test_an_unreachable_tail_is_decided_at_the_start(self, monkeypatch):
+        # at n = 3, p = 6 even the certified upper end S_64 + T_64 of the sum needs more
+        # than _K_MAX degrees, so the AccuracyError comes after the first recurrence call
+        blocks = []
+
+        def spy(lam, xs, first, stop, entry):
+            if xs.size == 1:  # the decay constant's 41-point tables aside
+                blocks.append(stop - first)
+            return _recurrence_blocks(lam, xs, first, stop, entry)
+
+        monkeypatch.setattr(sphere, "_recurrence_blocks", spy)
+        with pytest.raises(AccuracyError, match="tail tolerance unreachable within k_max"):
+            schatten_derivative_sum(3, 6.0, 0, 0.5)
+        assert blocks == [64]
 
     def test_interior_guard(self):
         with pytest.raises(DomainError):
